@@ -1,14 +1,12 @@
-"""End-to-end acceptance battery.
+"""End-to-end acceptance battery, and the one implementation of each check.
 
 Nine numbered criteria exercise the package bottom to top: exact exponent
 geometry, symbol and distribution identities, the inversion identity, four
-scaling laws, and the decomposition cross-oracle.  Each criterion is a
-self-contained check with a wall-clock budget; a criterion passes only if
-its checks hold *and* it finishes inside the budget.  `run_all` executes
-them in order and returns one verdict per criterion, ready for printing.
-
-Seeds are fixed inside each criterion, so a full run is reproducible
-bit-for-bit; nothing here depends on the CLI configuration.
+scaling laws, and the decomposition cross-oracle.  Each criterion has a
+wall-clock budget; it passes only if its checks hold *and* it finishes
+inside the budget.  The check bodies are parameterised functions that the
+CLI experiments call too; the criteria fix their parameters and seeds, so a
+full run is reproducible bit-for-bit.
 """
 from __future__ import annotations
 
@@ -16,7 +14,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +23,7 @@ from .bump import CustomCutoff, SymmetricPlateau, inversion_bump
 from .identities import (PolyGauss, pair_pullback, sphere_integral,
                          verify_counter_identities, verify_dist_identity,
                          verify_kelvin, kelvin_grid)
-from .normest import (ExponentKind, certified_lower_bound,
+from .normest import (ExponentKind, ScalingFit, certified_lower_bound,
                       estimate_operator_norm, fit_scaling)
 from .oscillatory import (LowerBoundParams, Phi5Spec, annulus_radii,
                           frak_s_sample, i_integral, j_decomposition,
@@ -53,7 +51,7 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# shared witness builders (also used by the CLI scaling experiments)
+# witness builders and checks, shared by the criteria and the CLI
 # ---------------------------------------------------------------------------
 
 
@@ -126,6 +124,176 @@ def ring_grid(j: int, n_eta0: int = 256, n_tau: int = 64) -> GridField:
                      (0.0, 0.0, 0.0), in_space=False)
 
 
+SYMBOL_TOL = 1e-10
+PAIRING_TOL = 1e-5
+KNAPP_TOL = 0.15
+RING_TOL = 0.2
+
+
+def geometry_identities(d: int, k: int) -> dict[str, bool]:
+    """Whether each exact identity of the exponent square holds at (d, k)."""
+    dims = regions.DimensionPair(d, k)
+    pts = regions.special_points(dims)
+    # closed forms, restated independently
+    holds = {
+        "A": pts["A"] == regions.ExponentPoint(Fraction(1, 2),
+                                               Fraction(d - 2, 2 * d)),
+        "C": pts["C"] == regions.ExponentPoint(Fraction(1, 2), Fraction(0)),
+        "H": pts["H"] == regions.ExponentPoint(Fraction(1), Fraction(0)),
+    }
+    if 2 * k < d:
+        E, F = pts["E"], pts["F"]
+        holds["E line 1"] = d * E.x - E.y == Fraction(d - 2 + 2 * k, 2)
+        holds["E line 2"] = E.x - E.y == Fraction(2 * k, d + 2)
+        holds["F"] = F == regions.ExponentPoint(
+            Fraction(d - 2 + 2 * k, 2 * d), Fraction(0))
+    has_g = "G" in pts
+    holds["G exists"] = has_g == (Fraction(k) < Fraction(d - 2, 2))
+    if has_g:
+        E, F, G = pts["E"], pts["F"], pts["G"]
+        holds["G on gap line"] = G.x - G.y == Fraction(2 * k, d)
+        holds["G collinear EF"] = ((F.y - E.y) * (G.x - E.x)
+                                   == (G.y - E.y) * (F.x - E.x))
+        holds["G between"] = min(E.x, F.x) <= G.x <= max(E.x, F.x)
+    # the admitted range along the gap line
+    g_dual_x = Fraction(d + 2 * k, 2 * (d - 1))
+    for i in range(1, 60):
+        x = Fraction(i, 60)
+        y = x - Fraction(2 * k, d)
+        if 0 < y < 1:
+            inside = regions.carleman_range(dims, regions.ExponentPoint(x, y))
+            holds[f"range at x={x}"] = inside == (
+                not has_g or pts["G"].x <= x <= g_dual_x)
+    return holds
+
+
+def symbol_errors(d: int, k: int, eps: float, n_pts: int,
+                  rng: np.random.Generator) -> tuple[float, float]:
+    """Worst relative errors of local + global = full, and of the closed-form
+    imaginary part of the ``tilde`` slice, each over ``n_pts`` random points."""
+    eta_sq = rng.uniform(0.0, 1.7, n_pts)
+    tau = rng.uniform(0.05, 2.4, n_pts) * rng.choice([-1.0, 1.0], n_pts)
+    full = eval_from_radial(SymbolSpec("full", d, k), eta_sq, tau)
+    recon = (eval_from_radial(SymbolSpec("local", d, k), eta_sq, tau)
+             + eval_from_radial(SymbolSpec("global", d, k), eta_sq, tau))
+    worst_recon = float((np.abs(full - recon) / np.abs(full)).max())
+
+    tau_pos = rng.uniform(0.55, 1.9, n_pts)
+    eta_med = rng.uniform(1.0 - 3.0 * eps, 1.0 + 3.0 * eps, n_pts)
+    tilde = eval_from_radial(SymbolSpec("tilde", d, k, eps=eps),
+                             eta_med, tau_pos)
+    closed = eval_from_radial(SymbolSpec("tilde_im", d, k, eps=eps),
+                              eta_med, tau_pos)
+    num = np.abs(np.imag(tilde) - closed)
+    den = np.maximum(np.abs(np.imag(tilde)), np.abs(closed))
+    worst_im = float(np.where(den > 0, num / np.where(den > 0, den, 1.0),
+                              0.0).max())
+    return worst_recon, worst_im
+
+
+def distid_cases(rng: np.random.Generator) -> list[dict[str, Any]]:
+    """The pullback identity at k in {2, 3}, n in {2, 3, 4}, three radii."""
+    return [{"k": k, "n": n, "rho": rho,
+             "rel_err": verify_dist_identity(
+                 k, rho, PolyGauss.random(n, rng), n).rel_err}
+            for k in (2, 3) for n in (2, 3, 4) for rho in (0.8, 1.0, 1.3)]
+
+
+def counter_cases(rng: np.random.Generator) -> list[dict[str, Any]]:
+    """Both order-shuffling identities at five random tau per (k, d)."""
+    cases = []
+    for k, d in ((2, 3), (3, 5)):
+        for tau in rng.uniform(0.6, 1.8, 5):
+            h = PolyGauss.random(d - 1, rng)
+            for kind in ("induc", "rev"):
+                res = verify_counter_identities(kind, k, 2.0 ** -5, 2.0 ** -5,
+                                                float(tau), h)
+                cases.append({"kind": kind, "k": k, "d": d,
+                              "tau": float(tau), "rel_err": res.rel_err})
+    return cases
+
+
+def worst_rel_err(cases: Sequence[dict[str, Any]]) -> float:
+    """Largest ``rel_err`` over the cases; 0 when there are none."""
+    return max([0.0] + [c["rel_err"] for c in cases])
+
+
+class KelvinCheck(NamedTuple):
+    """The inversion identity at one order s, on grids n = 64 and 128."""
+
+    s: float
+    tol: float
+    cases: list[dict[str, float]]
+    rel: float      # relative error at n = 128
+    ratio: float    # error at n = 64 over error at n = 128
+    ok: bool
+
+
+def kelvin_checks() -> list[KelvinCheck]:
+    checks = []
+    for s, tol in ((1.0, 1e-3), (1.25, 1e-2)):
+        cases = [{"s": s, "n": n, "rel_err": verify_kelvin(
+                     inversion_bump(s), s, kelvin_grid(3, n, 5.0)).rel_err}
+                 for n in (64, 128)]
+        coarse, fine = (c["rel_err"] for c in cases)
+        ratio = coarse / fine if fine > 0 else math.inf
+        checks.append(KelvinCheck(s, tol, cases, fine, ratio,
+                                  fine <= tol and ratio >= 2.0))
+    return checks
+
+
+class SlopeCheck(NamedTuple):
+    """A power-law fit of measured values, and its slope tolerance."""
+
+    fit: ScalingFit
+    tol: float
+
+    @property
+    def dev(self) -> float:
+        return abs(self.fit.slope - self.fit.theory)
+
+    @property
+    def ok(self) -> bool:
+        return self.dev <= self.tol
+
+
+class InsufficientOctaves(ValueError):
+    """Too few distinct scales to anchor a slope fit."""
+
+
+def knapp_fit(family: str, d: int, k: int, eps_list: Sequence[float],
+              point: regions.ExponentPoint,
+              tol: float | None = None) -> SlopeCheck:
+    """Slope fit of thin-slab lower bounds over the distinct scales, coarse
+    to fine; fewer than three raise `InsufficientOctaves` up front."""
+    scales = sorted(set(float(e) for e in eps_list), reverse=True)
+    if len(scales) < 3:
+        raise InsufficientOctaves(
+            f"insufficient octaves: a slope fit needs at least 3 scales, "
+            f"got {len(scales)}")
+    p, q = 1.0 / float(point.x), 1.0 / float(point.y)
+    vals = [certified_lower_bound(knapp_witness(family, d, eps),
+                                  SymbolSpec(family, d, k, eps=eps), p, q)
+            for eps in scales]
+    kind = ExponentKind.TILDE_KNAPP if family == "tilde" \
+        else ExponentKind.ME_KNAPP
+    fit = fit_scaling(scales, vals, kind=kind, d=d, k=k, point=point)
+    return SlopeCheck(fit, tol or KNAPP_TOL)
+
+
+def ring_fit(d: int, k: int, eps: float, seed: int = 0,
+             tol: float | None = None) -> SlopeCheck:
+    """Slope fit of ring-piece L2 -> L6 norms for j = 0..3; all four specs
+    are built first, so an inadmissible scale fails before lattice work."""
+    specs = [SymbolSpec("ring", d, k, eps=eps, j=j) for j in range(4)]
+    vals = [estimate_operator_norm(ring_grid(j), spec, 2.0, 6.0, seed=seed,
+                                   n_random=1, max_iter=12, tol=1e-3).value
+            for j, spec in enumerate(specs)]
+    fit = fit_scaling([(2.0 ** j) * eps for j in range(4)], vals,
+                      kind=ExponentKind.L2_RING, d=d, k=k)
+    return SlopeCheck(fit, tol or RING_TOL)
+
+
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
@@ -135,64 +303,19 @@ _GEOMETRY_PAIRS = ((5, 2), (7, 2), (3, 1), (9, 3))
 
 def _a1_exact_geometry() -> tuple[bool, str]:
     """Rational identities for the exponent square at four (d, k) pairs."""
-    errs: list[str] = []
-
-    def need(cond: bool, msg: str) -> None:
-        if not cond:
-            errs.append(msg)
-
-    for d, k in _GEOMETRY_PAIRS:
-        dims = regions.DimensionPair(d, k)
-        pts = regions.special_points(dims)
-        tag = f"({d},{k})"
-        # closed forms, restated independently
-        need(pts["A"] == regions.ExponentPoint(Fraction(1, 2),
-                                               Fraction(d - 2, 2 * d)),
-             tag + " A")
-        need(pts["C"] == regions.ExponentPoint(Fraction(1, 2), Fraction(0)),
-             tag + " C")
-        need(pts["H"] == regions.ExponentPoint(Fraction(1), Fraction(0)),
-             tag + " H")
-        if 2 * k < d:
-            E, F = pts["E"], pts["F"]
-            need(d * E.x - E.y == Fraction(d - 2 + 2 * k, 2),
-                 tag + " E line 1")
-            need(E.x - E.y == Fraction(2 * k, d + 2), tag + " E line 2")
-            need(F == regions.ExponentPoint(Fraction(d - 2 + 2 * k, 2 * d),
-                                            Fraction(0)), tag + " F")
-        has_g = "G" in pts
-        need(has_g == (Fraction(k) < Fraction(d - 2, 2)), tag + " G exists")
-        if has_g:
-            E, F, G = pts["E"], pts["F"], pts["G"]
-            need(G.x - G.y == Fraction(2 * k, d), tag + " G on gap line")
-            need((F.y - E.y) * (G.x - E.x) == (G.y - E.y) * (F.x - E.x),
-                 tag + " G collinear EF")
-            need(min(E.x, F.x) <= G.x <= max(E.x, F.x), tag + " G between")
-        # the admitted range along the gap line
-        g_dual_x = Fraction(d + 2 * k, 2 * (d - 1))
-        for i in range(1, 60):
-            x = Fraction(i, 60)
-            y = x - Fraction(2 * k, d)
-            if not 0 < y < 1:
-                continue
-            pt = regions.ExponentPoint(x, y)
-            inside = regions.carleman_range(dims, pt)
-            if has_g:
-                expect = pts["G"].x <= x <= g_dual_x
-            else:
-                expect = True
-            need(inside == expect, f"{tag} range at x={x}")
-    need(regions.special_points(
-        regions.DimensionPair(7, 2))["G"] == regions.ExponentPoint(
-            Fraction(55, 84), Fraction(1, 12)), "(7,2) G value")
+    errs = [f"({d},{k}) {name}" for d, k in _GEOMETRY_PAIRS
+            for name, holds in geometry_identities(d, k).items() if not holds]
+    if regions.special_points(regions.DimensionPair(7, 2))["G"] != \
+            regions.ExponentPoint(Fraction(55, 84), Fraction(1, 12)):
+        errs.append("(7,2) G value")
     # nothing is admissible once k >= d/2: the gap line leaves the square
     for d, k in ((3, 2), (7, 4), (9, 5)):
         dims = regions.DimensionPair(d, k)
         for i in range(1, 12):
             for jj in range(1, 12):
                 pt = regions.ExponentPoint(Fraction(i, 12), Fraction(jj, 12))
-                need(not regions.carleman_range(dims, pt),
-                     f"({d},{k}) should be empty at {pt}")
+                if regions.carleman_range(dims, pt):
+                    errs.append(f"({d},{k}) should be empty at {pt}")
     ok = not errs
     detail = ("exact geometry holds at " + ", ".join(
         f"({d},{k})" for d, k in _GEOMETRY_PAIRS) + " plus emptiness cases"
@@ -203,30 +326,12 @@ def _a1_exact_geometry() -> tuple[bool, str]:
 def _a2_symbol_identities() -> tuple[bool, str]:
     """Decomposition reconstruction and the imaginary-part closed form."""
     rng = np.random.Generator(np.random.Philox(11))
-    worst_recon = 0.0
-    worst_im = 0.0
     n_pts = 10_000
-    for d, k in ((3, 1), (5, 2), (9, 3)):
-        eta_sq = rng.uniform(0.0, 1.7, n_pts)
-        tau = rng.uniform(0.05, 2.4, n_pts) * rng.choice([-1.0, 1.0], n_pts)
-        full = eval_from_radial(SymbolSpec("full", d, k), eta_sq, tau)
-        recon = (eval_from_radial(SymbolSpec("local", d, k), eta_sq, tau)
-                 + eval_from_radial(SymbolSpec("global", d, k), eta_sq, tau))
-        rel = np.abs(full - recon) / np.abs(full)
-        worst_recon = max(worst_recon, float(rel.max()))
-
-        eps = 2.0 ** -5
-        tau_pos = rng.uniform(0.55, 1.9, n_pts)
-        eta_med = rng.uniform(1.0 - 3.0 * eps, 1.0 + 3.0 * eps, n_pts)
-        tilde = eval_from_radial(SymbolSpec("tilde", d, k, eps=eps),
-                                 eta_med, tau_pos)
-        closed = eval_from_radial(SymbolSpec("tilde_im", d, k, eps=eps),
-                                  eta_med, tau_pos)
-        num = np.abs(np.imag(tilde) - closed)
-        den = np.maximum(np.abs(np.imag(tilde)), np.abs(closed))
-        rel_im = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-        worst_im = max(worst_im, float(rel_im.max()))
-    ok = worst_recon <= 1e-10 and worst_im <= 1e-10
+    errs = [symbol_errors(d, k, 2.0 ** -5, n_pts, rng)
+            for d, k in ((3, 1), (5, 2), (9, 3))]
+    worst_recon = max([0.0] + [e[0] for e in errs])
+    worst_im = max([0.0] + [e[1] for e in errs])
+    ok = worst_recon <= SYMBOL_TOL and worst_im <= SYMBOL_TOL
     return ok, (f"reconstruction rel {worst_recon:.2e}, imaginary-part rel "
                 f"{worst_im:.2e} over {3 * n_pts} points (tol 1e-10)")
 
@@ -242,26 +347,10 @@ def _a3_distribution_identities() -> tuple[bool, str]:
         rhs = 0.5 * sphere_integral(phi, n)
         worst_half = max(worst_half,
                          abs(lhs - rhs) / max(abs(rhs), 1e-300))
-    ok = worst_half <= 1e-8
-
-    worst_pull = 0.0
-    for k in (2, 3):
-        for n in (2, 3, 4):
-            for rho in (0.8, 1.0, 1.3):
-                res = verify_dist_identity(k, rho, PolyGauss.random(n, rng), n)
-                worst_pull = max(worst_pull, res.rel_err)
-    ok = ok and worst_pull <= 1e-5
-
-    worst_counter = 0.0
-    for k, d in ((2, 3), (3, 5)):
-        taus = rng.uniform(0.6, 1.8, 5)
-        for tau in taus:
-            h = PolyGauss.random(d - 1, rng)
-            for kind in ("induc", "rev"):
-                res = verify_counter_identities(kind, k, 2.0 ** -5, 2.0 ** -5,
-                                                float(tau), h)
-                worst_counter = max(worst_counter, res.rel_err)
-    ok = ok and worst_counter <= 1e-5
+    worst_pull = worst_rel_err(distid_cases(rng))
+    worst_counter = worst_rel_err(counter_cases(rng))
+    ok = (worst_half <= 1e-8 and worst_pull <= PAIRING_TOL
+          and worst_counter <= PAIRING_TOL)
     return ok, (f"sphere-measure constant rel {worst_half:.2e} (tol 1e-8); "
                 f"pullback rel {worst_pull:.2e}, order-shuffle rel "
                 f"{worst_counter:.2e} (tol 1e-5)")
@@ -269,19 +358,10 @@ def _a3_distribution_identities() -> tuple[bool, str]:
 
 def _a4_inversion_identity() -> tuple[bool, str]:
     """Inversion transform commutes with the fractional Laplacian."""
-    tols = {1.0: 1e-3, 1.25: 1e-2}
-    parts: list[str] = []
-    ok = True
-    for s, tol in tols.items():
-        errs = {}
-        for n in (64, 128):
-            res = verify_kelvin(inversion_bump(s), s, kelvin_grid(3, n, 5.0))
-            errs[n] = res.rel_err
-        ratio = errs[64] / errs[128] if errs[128] > 0 else math.inf
-        ok = ok and errs[128] <= tol and ratio >= 2.0
-        parts.append(f"s={s}: rel {errs[128]:.2e} (tol {tol:.0e}), "
-                     f"doubling ratio {ratio:.1f}")
-    return ok, "; ".join(parts)
+    checks = kelvin_checks()
+    return all(c.ok for c in checks), "; ".join(
+        f"s={c.s}: rel {c.rel:.2e} (tol {c.tol:.0e}), doubling ratio "
+        f"{c.ratio:.1f}" for c in checks)
 
 
 def knapp_scaling(eps_list: Sequence[float] | None = None
@@ -291,31 +371,18 @@ def knapp_scaling(eps_list: Sequence[float] | None = None
     A custom ``eps_list`` shorter than three octaves cannot anchor a slope
     fit, so it produces a skip outcome instead of a pass or fail.
     """
-    p, q = 4.0 / 3.0, 4.0
-    point = (Fraction(3, 4), Fraction(1, 4))
     if eps_list is None:
         eps_list = [2.0 ** -m for m in range(3, 7)]
-    eps_list = sorted(set(float(e) for e in eps_list), reverse=True)
-    if len(eps_list) < 3:
-        return "skip", (f"insufficient octaves: a slope fit needs at least "
-                        f"3 scales, got {len(eps_list)}")
-    parts: list[str] = []
-    ok = True
-    for family, kind in (("tilde", ExponentKind.TILDE_KNAPP),
-                         ("eps", ExponentKind.ME_KNAPP)):
-        vals = [certified_lower_bound(knapp_witness(family, 3, eps),
-                                      SymbolSpec(family, 3, 1, eps=eps), p, q)
-                for eps in eps_list]
-        fit = fit_scaling(eps_list, vals, kind=kind, d=3, k=1, point=point)
-        dev = abs(fit.slope - fit.theory)
-        ok = ok and dev <= 0.15
-        parts.append(f"{family}: slope {fit.slope:+.3f} vs {fit.theory:+.3f} "
-                     f"(dev {dev:.3f})")
-    return ok, "; ".join(parts) + ", tol 0.15"
-
-
-def _a5_knapp_scaling() -> tuple[bool | str, str]:
-    return knapp_scaling(None)
+    point = regions.ExponentPoint(Fraction(3, 4), Fraction(1, 4))
+    try:
+        fits = {family: knapp_fit(family, 3, 1, eps_list, point)
+                for family in ("tilde", "eps")}
+    except InsufficientOctaves as exc:
+        return "skip", str(exc)
+    return all(c.ok for c in fits.values()), "; ".join(
+        f"{family}: slope {c.fit.slope:+.3f} vs {c.fit.theory:+.3f} "
+        f"(dev {c.dev:.3f})" for family, c in fits.items()) + \
+        f", tol {KNAPP_TOL}"
 
 
 def _a6_lower_bound_scaling() -> tuple[bool, str]:
@@ -368,19 +435,9 @@ def _a7_moment_bounds() -> tuple[bool, str]:
 
 def _a8_ring_scaling() -> tuple[bool, str]:
     """Ring-piece operator norms against the thickness power law."""
-    eps = 2.0 ** -6
-    deltas, vals = [], []
-    for j in range(4):
-        est = estimate_operator_norm(ring_grid(j),
-                                     SymbolSpec("ring", 3, 1, eps=eps, j=j),
-                                     2.0, 6.0, n_random=1, max_iter=12,
-                                     tol=1e-3)
-        deltas.append((2.0 ** j) * eps)
-        vals.append(est.value)
-    fit = fit_scaling(deltas, vals, kind=ExponentKind.L2_RING, d=3, k=1)
-    dev = abs(fit.slope - fit.theory)
-    return dev <= 0.2, (f"slope {fit.slope:+.3f} vs {fit.theory:+.3f} "
-                        f"(dev {dev:.3f}, tol 0.2)")
+    c = ring_fit(3, 1, 2.0 ** -6)
+    return c.ok, (f"slope {c.fit.slope:+.3f} vs {c.fit.theory:+.3f} "
+                  f"(dev {c.dev:.3f}, tol {RING_TOL})")
 
 
 def _a9_decomposition_oracle() -> tuple[bool, str]:
@@ -403,14 +460,14 @@ def _a9_decomposition_oracle() -> tuple[bool, str]:
                            "samples (tol 1e-5)")
 
 
-CRITERIA: dict[str, tuple[str, Callable[[], tuple[bool | str, str]], float]] = {
+CRITERIA: dict[str, tuple[str, Callable[..., tuple[bool | str, str]], float]] = {
     "A1": ("exact exponent-square geometry", _a1_exact_geometry, 1.0),
     "A2": ("symbol decomposition and imaginary part", _a2_symbol_identities,
            5.0),
     "A3": ("distribution pairing identities", _a3_distribution_identities,
            120.0),
     "A4": ("inversion identity on the grid", _a4_inversion_identity, 120.0),
-    "A5": ("thin-slab scaling, both families", _a5_knapp_scaling, 600.0),
+    "A5": ("thin-slab scaling, both families", knapp_scaling, 600.0),
     "A6": ("resonant-set lower-bound scaling", _a6_lower_bound_scaling,
            900.0),
     "A7": ("moment log law and window bounds", _a7_moment_bounds, 300.0),
@@ -420,15 +477,15 @@ CRITERIA: dict[str, tuple[str, Callable[[], tuple[bool | str, str]], float]] = {
 }
 
 
-def run_criterion(cid: str) -> Verdict:
-    """Execute one criterion by id, timing it and never raising."""
+def run_criterion(cid: str, *args: Any) -> Verdict:
+    """Execute one criterion by id on ``args``, timing it, never raising."""
     if cid not in CRITERIA:
         raise KeyError(f"unknown criterion {cid!r}; pick from "
                        f"{sorted(CRITERIA)}")
     _, fn, budget = CRITERIA[cid]
     start = time.perf_counter()
     try:
-        ok, detail = fn()
+        ok, detail = fn(*args)
     except Exception as exc:  # noqa: BLE001 - a verdict must always come back
         elapsed = time.perf_counter() - start
         return Verdict(cid, False, f"error: {exc!r}", elapsed, budget)
@@ -441,8 +498,3 @@ def run_criterion(cid: str) -> Verdict:
         detail += f"; over budget ({elapsed:.1f}s >= {budget:.0f}s)"
     return Verdict(cid, ok, detail, elapsed, budget)
 
-
-def run_all(ids: Sequence[str] | None = None) -> list[Verdict]:
-    """Run the requested criteria (default: all nine, in order)."""
-    chosen = list(ids) if ids is not None else sorted(CRITERIA)
-    return [run_criterion(cid) for cid in chosen]

@@ -280,11 +280,6 @@ class InversionImage(CutoffSpec):
         return float(out[0]) if scalar else out
 
 
-def knapp_bump() -> PlateauBump:
-    """The thin-slab profile: supported on [1/2, 2], identically 1 on [1, 3/2]."""
-    return PlateauBump(0.5, 1.0, 1.5, 2.0)
-
-
 def inversion_bump(s: float, d: int = 3) -> InversionImage:
     """Annulus profile whose inversion transform is grid-friendly.
 

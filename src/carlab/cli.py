@@ -28,15 +28,10 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import acceptance, regions
-from .bump import bump_fingerprint, inversion_bump
-from .identities import (PolyGauss, kelvin_grid, verify_counter_identities,
-                         verify_dist_identity, verify_kelvin)
-from .normest import (ExponentKind, certified_lower_bound,
-                      estimate_operator_norm, fit_scaling)
+from .bump import bump_fingerprint
 from .oscillatory import (LowerBoundParams, Phi5Spec, frak_s_sample,
                           in_resonant_set, mtilde_radial)
 from .spectral import default_grid, lp_norm
-from .symbols import SymbolSpec, eval_from_radial
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -223,19 +218,12 @@ def _run_regions(cfg: ExperimentConfig,
     dims = regions.DimensionPair(d, k)
     verdicts = []
     try:
-        pts = regions.special_points(dims)
-        checks = {"A": pts["A"].x == Fraction(1, 2)
-                       and pts["A"].y == Fraction(d - 2, 2 * d),
-                  "G-existence": ("G" in pts) == (2 * k < d - 2)}
-        if 2 * k < d:
-            E = pts["E"]
-            checks["E-lines"] = (d * E.x - E.y == Fraction(d - 2 + 2 * k, 2)
-                                 and E.x - E.y == Fraction(2 * k, d + 2))
-        bad = [name for name, ok in checks.items() if not ok]
+        holds = acceptance.geometry_identities(d, k)
+        bad = [name for name, ok in holds.items() if not ok]
         verdicts.append(CheckVerdict(
             "regions-exact", "fail" if bad else "pass",
             ("violated: " + ", ".join(bad)) if bad
-            else f"{len(checks)} exact identities hold at (d,k)=({d},{k})"))
+            else f"{len(holds)} exact identities hold at (d,k)=({d},{k})"))
         if cfg.out:
             path = os.path.join(cfg.out_dir, cfg.out)
             _write_atomic(path, json.dumps(regions.emit_figure_data(dims),
@@ -250,30 +238,15 @@ def _run_symbols(cfg: ExperimentConfig,
     d, k = cfg.params["d"], cfg.params["k"]
     eps = parse_eps_range(cfg.params["eps"])[0]
     n_pts = cfg.params["points"]
-    eta_sq = rng.uniform(0.0, 1.7, n_pts)
-    tau = rng.uniform(0.05, 2.4, n_pts) * rng.choice([-1.0, 1.0], n_pts)
-    full = eval_from_radial(SymbolSpec("full", d, k), eta_sq, tau)
-    recon = (eval_from_radial(SymbolSpec("local", d, k), eta_sq, tau)
-             + eval_from_radial(SymbolSpec("global", d, k), eta_sq, tau))
-    worst = float((np.abs(full - recon) / np.abs(full)).max())
-
-    tau_pos = rng.uniform(0.55, 1.9, n_pts)
-    eta_med = rng.uniform(1.0 - 3.0 * eps, 1.0 + 3.0 * eps, n_pts)
-    tilde = eval_from_radial(SymbolSpec("tilde", d, k, eps=eps),
-                             eta_med, tau_pos)
-    closed = eval_from_radial(SymbolSpec("tilde_im", d, k, eps=eps),
-                              eta_med, tau_pos)
-    num = np.abs(np.imag(tilde) - closed)
-    den = np.maximum(np.abs(np.imag(tilde)), np.abs(closed))
-    worst_im = float(np.where(den > 0, num / np.where(den > 0, den, 1.0),
-                              0.0).max())
+    worst, worst_im = acceptance.symbol_errors(d, k, eps, n_pts, rng)
     return [
         CheckVerdict("symbols-decomposition",
-                     "pass" if worst <= 1e-10 else "fail",
+                     "pass" if worst <= acceptance.SYMBOL_TOL else "fail",
                      f"reconstruction rel {worst:.2e} over {n_pts} points "
                      f"(tol 1e-10)", {"rel_err": worst}),
         CheckVerdict("symbols-imaginary",
-                     "pass" if worst_im <= 1e-10 else "fail",
+                     "pass" if worst_im <= acceptance.SYMBOL_TOL
+                     else "fail",
                      f"closed-form imaginary part rel {worst_im:.2e} "
                      f"(tol 1e-10)", {"rel_err": worst_im}),
     ]
@@ -308,11 +281,8 @@ def _run_spectral(cfg: ExperimentConfig,
     ]
 
 
-_NORMEST_KINDS = {
-    "me_knapp": ("eps", ExponentKind.ME_KNAPP, 0.15),
-    "tilde_knapp": ("tilde", ExponentKind.TILDE_KNAPP, 0.15),
-    "l2_ring": (None, ExponentKind.L2_RING, 0.2),
-}
+#: scaling kind -> Knapp witness family (None: the ring pieces)
+_NORMEST_KINDS = {"me_knapp": "eps", "tilde_knapp": "tilde", "l2_ring": None}
 
 
 def _run_normest(cfg: ExperimentConfig,
@@ -321,50 +291,32 @@ def _run_normest(cfg: ExperimentConfig,
     if kind_name not in _NORMEST_KINDS:
         raise ValueError(f"unknown scaling kind {kind_name!r}; pick from "
                          f"{sorted(_NORMEST_KINDS)}")
-    family, kind, default_tol = _NORMEST_KINDS[kind_name]
-    tol = cfg.params["tol_slope"] or default_tol
+    family = _NORMEST_KINDS[kind_name]
+    tol = cfg.params["tol_slope"] or None  # 0 picks the check's default
     d, k = cfg.params["d"], cfg.params["k"]
     eps_list = parse_eps_range(cfg.params["eps"])
     point = regions.ExponentPoint.parse(cfg.params["point"])
 
-    if kind_name == "l2_ring":
-        eps = min(eps_list)
-        scales, vals = [], []
-        for j in range(4):
-            est = estimate_operator_norm(
-                acceptance.ring_grid(j), SymbolSpec("ring", d, k, eps=eps,
-                                                    j=j),
-                2.0, 6.0, seed=cfg.seed, n_random=1, max_iter=12, tol=1e-3)
-            scales.append((2.0 ** j) * eps)
-            vals.append(est.value)
-        fit = fit_scaling(scales, vals, kind=kind, d=d, k=k)
+    if family is None:
+        check = acceptance.ring_fit(d, k, min(eps_list), cfg.seed, tol)
         label = "delta"
     else:
-        if len(eps_list) < 3:
-            return [CheckVerdict(f"normest-{kind_name}", "skip",
-                                 "insufficient octaves: a slope fit needs "
-                                 f"at least 3 scales, got {len(eps_list)}")]
-        p = 1.0 / float(point.x)
-        q = 1.0 / float(point.y)
-        scales, vals = [], []
-        for eps in eps_list:
-            f = acceptance.knapp_witness(family, d, eps)
-            vals.append(certified_lower_bound(
-                f, SymbolSpec(family, d, k, eps=eps), p, q))
-            scales.append(eps)
-        fit = fit_scaling(scales, vals, kind=kind, d=d, k=k, point=point)
+        try:
+            check = acceptance.knapp_fit(family, d, k, eps_list, point, tol)
+        except acceptance.InsufficientOctaves as exc:
+            return [CheckVerdict(f"normest-{kind_name}", "skip", str(exc))]
         label = "eps"
 
     if cfg.out:
         _write_csv(os.path.join(cfg.out_dir, cfg.out), cfg,
                    ("dimensionless", "operator-norm lower bound"),
-                   (label, "value"), list(zip(scales, vals)))
-    dev = abs(fit.slope - fit.theory)
+                   (label, "value"), check.fit.pairs)
+    fit = check.fit
     return [CheckVerdict(
-        f"normest-{kind_name}", "pass" if dev <= tol else "fail",
+        f"normest-{kind_name}", "pass" if check.ok else "fail",
         f"slope {fit.slope:+.4f} vs theory {fit.theory:+.4f} "
-        f"(dev {dev:.4f}, tol {tol})",
-        {"slope": fit.slope, "theory": fit.theory, "dev": dev})]
+        f"(dev {check.dev:.4f}, tol {check.tol})",
+        {"slope": fit.slope, "theory": fit.theory, "dev": check.dev})]
 
 
 def _run_lowerbound(cfg: ExperimentConfig,
@@ -409,56 +361,31 @@ def _run_lowerbound(cfg: ExperimentConfig,
         {"band": band, "min": min(scaled_mins)})]
 
 
+_PAIRING_SUITES = {"distid": (acceptance.distid_cases, "pairing"),
+                   "counter": (acceptance.counter_cases, "order-shuffle")}
+
+
 def _run_identities(cfg: ExperimentConfig,
                     rng: np.random.Generator) -> list[CheckVerdict]:
     suite = cfg.params["suite"]
-    results: list[dict[str, Any]] = []
-    verdicts: list[CheckVerdict] = []
-    if suite == "distid":
-        worst = 0.0
-        for k in (2, 3):
-            for n in (2, 3, 4):
-                for rho in (0.8, 1.0, 1.3):
-                    res = verify_dist_identity(k, rho,
-                                               PolyGauss.random(n, rng), n)
-                    results.append({"k": k, "n": n, "rho": rho,
-                                    "rel_err": res.rel_err})
-                    worst = max(worst, res.rel_err)
-        verdicts.append(CheckVerdict(
-            "identities-distid", "pass" if worst <= 1e-5 else "fail",
-            f"worst pairing rel err {worst:.2e} over {len(results)} cases "
-            f"(tol 1e-5)", {"rel_err": worst}))
-    elif suite == "counter":
-        worst = 0.0
-        for k, d in ((2, 3), (3, 5)):
-            for tau in rng.uniform(0.6, 1.8, 5):
-                h = PolyGauss.random(d - 1, rng)
-                for kind in ("induc", "rev"):
-                    res = verify_counter_identities(kind, k, 2.0 ** -5,
-                                                    2.0 ** -5, float(tau), h)
-                    results.append({"kind": kind, "k": k, "d": d,
-                                    "tau": float(tau),
-                                    "rel_err": res.rel_err})
-                    worst = max(worst, res.rel_err)
-        verdicts.append(CheckVerdict(
-            "identities-counter", "pass" if worst <= 1e-5 else "fail",
-            f"worst order-shuffle rel err {worst:.2e} over {len(results)} "
-            f"cases (tol 1e-5)", {"rel_err": worst}))
+    if suite in _PAIRING_SUITES:
+        cases_of, what = _PAIRING_SUITES[suite]
+        results = cases_of(rng)
+        worst = acceptance.worst_rel_err(results)
+        verdicts = [CheckVerdict(
+            f"identities-{suite}",
+            "pass" if worst <= acceptance.PAIRING_TOL else "fail",
+            f"worst {what} rel err {worst:.2e} over {len(results)} cases "
+            f"(tol 1e-5)", {"rel_err": worst})]
     elif suite == "kelvin":
-        for s, tol in ((1.0, 1e-3), (1.25, 1e-2)):
-            errs = {}
-            for n in (64, 128):
-                res = verify_kelvin(inversion_bump(s), s,
-                                    kelvin_grid(3, n, 5.0))
-                errs[n] = res.rel_err
-                results.append({"s": s, "n": n, "rel_err": res.rel_err})
-            ratio = errs[64] / errs[128] if errs[128] > 0 else math.inf
-            ok = errs[128] <= tol and ratio >= 2.0
+        results, verdicts = [], []
+        for c in acceptance.kelvin_checks():
+            results.extend(c.cases)
             verdicts.append(CheckVerdict(
-                f"identities-kelvin-s{s}", "pass" if ok else "fail",
-                f"rel {errs[128]:.2e} (tol {tol:.0e}), doubling ratio "
-                f"{ratio:.1f} (>= 2)", {"rel_err": errs[128],
-                                        "ratio": ratio}))
+                f"identities-kelvin-s{c.s}", "pass" if c.ok else "fail",
+                f"rel {c.rel:.2e} (tol {c.tol:.0e}), doubling ratio "
+                f"{c.ratio:.1f} (>= 2)", {"rel_err": c.rel,
+                                          "ratio": c.ratio}))
     else:
         raise ValueError(f"unknown identities suite {suite!r}; pick from "
                          "['counter', 'distid', 'kelvin']")
@@ -477,16 +404,9 @@ def _run_accept(cfg: ExperimentConfig,
     eps_override = cfg.params["eps"]
 
     def run_one(cid: str) -> CheckVerdict:
-        if cid == "A5" and eps_override:
-            start = time.perf_counter()
-            ok, detail = acceptance.knapp_scaling(
-                parse_eps_range(eps_override))
-            elapsed = time.perf_counter() - start
-            status = "skip" if ok == "skip" else \
-                ("pass" if ok else "fail")
-            return CheckVerdict(cid, status, detail,
-                                {"seconds": elapsed})
-        v = acceptance.run_criterion(cid)
+        args = (parse_eps_range(eps_override),) \
+            if cid == "A5" and eps_override else ()
+        v = acceptance.run_criterion(cid, *args)
         status = "skip" if v.skipped else ("pass" if v.passed else "fail")
         return CheckVerdict(cid, status, v.detail, {"seconds": v.seconds})
 

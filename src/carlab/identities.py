@@ -232,28 +232,6 @@ def sphere_integral(fn: Callable[[np.ndarray], np.ndarray], n: int,
     return float(np.real(np.asarray(fn(pts)) @ w))
 
 
-def sphere_average_qmc(fn: Callable[[np.ndarray], np.ndarray], n: int,
-                       m: int = 200_000) -> float:
-    """Low-discrepancy sphere average (golden-angle lattices), n in {2, 3}.
-
-    Deliberately shares no machinery with `sphere_nodes`; serves as the
-    independent sampling oracle for the product rules.
-    """
-    golden = (1.0 + np.sqrt(5.0)) / 2.0
-    i = np.arange(m)
-    if n == 2:
-        ang = 2.0 * np.pi * np.mod(i * golden, 1.0)
-        pts = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    elif n == 3:
-        z = 1.0 - (2.0 * i + 1.0) / m
-        ang = 2.0 * np.pi * np.mod(i * golden, 1.0)
-        rho = np.sqrt(1.0 - z ** 2)
-        pts = np.stack([rho * np.cos(ang), rho * np.sin(ang), z], axis=-1)
-    else:
-        raise ValueError("sampling oracle implemented for n in {2, 3}")
-    return float(np.mean(np.real(np.asarray(fn(pts)))))
-
-
 def sphere_area(n: int) -> float:
     return 2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
@@ -535,13 +513,6 @@ def _centered_coords(grid: GridField, flat_index: np.ndarray) -> np.ndarray:
     for ax, (x, L) in enumerate(zip(grid.space_axes(), grid.periods)):
         cols.append(np.mod(x[idx[ax]] + L / 2.0, L) - L / 2.0)
     return np.stack(cols, axis=-1)
-
-
-def radial_profile_field(profile: Callable[[np.ndarray], np.ndarray],
-                         grid: GridField) -> GridField:
-    """Sample a radial profile around the (periodically centred) origin."""
-    return grid.with_values(np.asarray(profile(_centered_radii(grid)),
-                                       dtype=complex), in_space=True)
 
 
 def _sphere_hat_vec(d: int, x: np.ndarray) -> np.ndarray:

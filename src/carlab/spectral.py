@@ -28,20 +28,15 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .bump import knapp_bump
 from .symbols import SingularFrequencyError, SymbolSpec, symbol_on_axes
 
 _MAGIC = b"CARLGRD2"
 
 DEFAULT_GRID_SIZE = {1: 4096, 2: 512, 3: 128}
-
-
-class UnderResolvedError(ValueError):
-    """The requested grid cannot resolve the thinnest active scale."""
 
 
 @dataclass(frozen=True)
@@ -236,61 +231,6 @@ def conjugate_reflect(field: GridField) -> GridField:
     F = field.to_freq()
     out = F.with_values(np.conj(F.values), in_space=False)
     return out.to_space() if field.in_space else out
-
-
-# --- thin-slab (Knapp) witnesses ----------------------------------------------
-
-def make_knapp(d: int, k: int, eps: float, delta0: float,
-               n: int | None = None, tau_scale: float = 1.0) -> GridField:
-    """Frequency-side thin-slab witness adapted to the degenerate sphere.
-
-    The profile is a smooth plateau bump in each axis: width ``sqrt(delta0
-    eps)`` along the d - 2 tangential directions, ``delta0 eps`` along the
-    normal direction (centred at 1), and O(tau_scale) in the last coordinate
-    (``tau_scale = 1`` for the rescaled symbol, ``eps`` for the unscaled one).
-    Each axis support is sampled with 3 n / 16 cells (24 at the default
-    n = 128) inside a lattice spanning 16/3 support widths, so both the
-    Riemann norms and the periodisation tails stay far below the tolerances
-    used downstream.
-
-    Raises
-    ------
-    UnderResolvedError
-        If fewer than 8 cells would cover the thin slab (n < 64).
-    """
-    if d < 2:
-        raise ValueError("need d >= 2")
-    n = n or 128
-    if n < 64 or n & (n - 1):
-        raise UnderResolvedError(
-            f"n={n}: the thin slab of width delta0*eps={delta0 * eps:.3g} needs "
-            "at least 8 cells across (n >= 64, power of two)"
-        )
-    if not 0 < delta0 * eps < 0.25:
-        raise ValueError("delta0 * eps must lie in (0, 1/4)")
-    bump = knapp_bump()
-    s = float(np.sqrt(delta0 * eps))
-    widths = [1.5 * s] * (d - 2) + [1.5 * delta0 * eps, 1.5 * tau_scale]
-    centers = [1.25 * s] * (d - 2) + [1.0 + 1.25 * delta0 * eps, 1.25 * tau_scale]
-    scales = [s] * (d - 2) + [delta0 * eps, tau_scale]
-    shifts = [0.0] * (d - 2) + [1.0, 0.0]
-
-    cells_across = 3.0 * n / 16.0
-    periods = []
-    offsets = []
-    factors = []
-    for w_i, c_i, sc_i, sh_i in zip(widths, centers, scales, shifts):
-        dxi = w_i / cells_across
-        periods.append(2.0 * np.pi / dxi)
-        offsets.append(c_i)
-        kk = np.fft.fftfreq(n, d=1.0 / n)
-        xi = c_i + dxi * kk
-        factors.append(bump((xi - sh_i) / sc_i))
-    vals = factors[0]
-    for fac in factors[1:]:
-        vals = np.multiply.outer(vals, fac)
-    return GridField(np.asarray(vals, dtype=complex), tuple(periods),
-                     tuple(offsets), in_space=False)
 
 
 # --- serialisation -------------------------------------------------------------

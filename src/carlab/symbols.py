@@ -31,7 +31,6 @@ import numpy as np
 
 from .bump import (
     CutoffSpec,
-    DerivativeCutoff,
     PsiCutoff,
     Psi0Cutoff,
     psi,
@@ -132,29 +131,28 @@ def _full_core(k: int, eta_sq, tau):
         return w ** (-k)
 
 
-def _theta(tau, eps0: float):
-    """Theta(tau) = sum of the live annulus windows; 0 at tau = 0 exactly.
+def _dyadic_windows(t, eps0: float, weight=None):
+    """Sum of psi(t / 2^nu) [times ``weight``] over dyadic 2^nu <= eps0, t != 0.
 
-    At any tau at most three dyadic windows psi(tau / 2^nu), 2^nu <= eps0, are
-    nonzero, so the sum is formed per point instead of looping over all scales.
+    At most three windows are nonzero at any t, so the sum runs per point.
     """
-    tau = np.asarray(tau, dtype=float)
-    out = np.zeros(tau.shape, dtype=float)
-    nz = tau != 0
-    if not np.any(nz):
-        return out
-    t = tau[nz]
-    acc = np.zeros(t.shape, dtype=float)
+    acc = np.zeros(t.shape, dtype=float if weight is None else complex)
     nu_hi = round(math.log2(eps0))
     nu_c = np.floor(np.log2(np.abs(t))).astype(int)
     for off in (-1, 0, 1):
         nu = nu_c + off
         ok = nu <= nu_hi
-        if not np.any(ok):
-            continue
-        eps_arr = np.ldexp(1.0, nu[ok])
-        acc[ok] += psi(t[ok] / eps_arr)
-    out[nz] = acc
+        window = psi(t[ok] / np.ldexp(1.0, nu[ok]))
+        acc[ok] += window if weight is None else window * weight[ok]
+    return acc
+
+
+def _theta(tau, eps0: float):
+    """Theta(tau) = sum of the live annulus windows; 0 at tau = 0 exactly."""
+    tau = np.asarray(tau, dtype=float)
+    out = np.zeros(tau.shape, dtype=float)
+    nz = tau != 0
+    out[nz] = _dyadic_windows(tau[nz], eps0)
     return out
 
 
@@ -177,18 +175,7 @@ def _local_core(k: int, eps0: float, eta_sq, tau):
     t = tau_b[nz]
     es = eta_sq_b[nz]
     w = (es + t * t - 1.0) + 2.0j * t  # tau != 0 keeps this off the zero set
-    wk = w ** (-k)
-    acc = np.zeros(t.shape, dtype=complex)
-    nu_hi = round(math.log2(eps0))
-    nu_c = np.floor(np.log2(np.abs(t))).astype(int)
-    for off in (-1, 0, 1):
-        nu = nu_c + off
-        ok = nu <= nu_hi
-        if not np.any(ok):
-            continue
-        eps_arr = np.ldexp(1.0, nu[ok])
-        acc[ok] += psi(t[ok] / eps_arr) * wk[ok]
-    out[nz] = cut_eta[nz] * acc
+    out[nz] = cut_eta[nz] * _dyadic_windows(t, eps0, w ** (-k))
     return out
 
 
@@ -350,26 +337,3 @@ def eval_phi_eps_ell(eps: float, ell: int, rho, tau,
     if scalar:
         return complex(out)
     return out
-
-
-# --- tiny registry so CLI files can name window profiles -------------------
-
-def cutoff_from_name(name: str) -> CutoffSpec:
-    base_name, _, der = name.partition("_d")
-    base = {"psi0": Psi0Cutoff, "psi": PsiCutoff}.get(base_name)
-    if base is None:
-        raise ValueError(f"unknown cutoff name {name!r} (use psi0, psi, psi0_d<l>)")
-    spec: CutoffSpec = base()
-    if der:
-        spec = DerivativeCutoff(spec, int(der))
-    return spec
-
-
-def cutoff_name(spec: CutoffSpec) -> str:
-    if isinstance(spec, DerivativeCutoff):
-        return f"{cutoff_name(spec.base)}_d{spec.shift}"
-    if isinstance(spec, Psi0Cutoff):
-        return "psi0"
-    if isinstance(spec, PsiCutoff):
-        return "psi"
-    raise ValueError(f"cutoff {spec!r} has no registered name")

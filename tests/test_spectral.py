@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from carlab.spectral import (GridField, UnderResolvedError, apply_multiplier,
-                             conjugate_reflect, default_grid, load_field,
-                             lorentz_norm, lp_norm, make_knapp, save_field)
+from carlab.acceptance import knapp_witness
+from carlab.spectral import (GridField, apply_multiplier, conjugate_reflect,
+                             default_grid, load_field, lorentz_norm, lp_norm,
+                             save_field)
 from carlab.symbols import SymbolSpec
 
 RNG = np.random.Generator(np.random.Philox(404))
@@ -185,27 +186,43 @@ def test_lorentz_two_level_layer_cake():
 
 
 def test_knapp_norm_scaling_d3():
+    # the slab's frequency volume is eps * eps^((d-2)/2) * (tau span), so the
+    # L2 norm goes as eps^(3/4) for "tilde" (tau span 1) and eps^(5/4) for
+    # "eps" (tau span eps)
     eps_list = [2.0 ** -m for m in range(3, 7)]
-    vals = [lp_norm(make_knapp(3, 1, eps, 0.25), 2.0) for eps in eps_list]
-    slope = np.polyfit(np.log([0.25 * e for e in eps_list]),
-                       np.log(vals), 1)[0]
-    d, p = 3, 2.0
-    assert abs(slope - (d / 2 - d / (2 * p))) <= 0.1
+    for family, want in (("tilde", 0.75), ("eps", 1.25)):
+        vals = [lp_norm(knapp_witness(family, 3, eps), 2.0)
+                for eps in eps_list]
+        slope = np.polyfit(np.log(eps_list), np.log(vals), 1)[0]
+        assert abs(slope - want) <= 0.1, family
 
 
 def test_knapp_support_slab():
-    eps, delta0 = 2.0 ** -4, 0.25
-    f = make_knapp(3, 1, eps, delta0)
-    axes = f.freq_axes()
-    live = np.abs(f.values) > 0
-    idx = np.argwhere(live)
-    t_vals = axes[0][idx[:, 0]]
-    n_vals = axes[1][idx[:, 1]]
-    assert np.abs(t_vals).max() <= 2.0 * math.sqrt(delta0 * eps)
-    assert np.abs(n_vals - 1.0).max() <= 2.0 * delta0 * eps
-    assert live.any()
+    eps = 2.0 ** -4
+    rt = math.sqrt(eps)
+    slack = 1.0 + 1e-12
+    for family in ("tilde", "eps"):
+        f = knapp_witness(family, 3, eps)
+        live = np.argwhere(np.abs(f.values) > 0)
+        assert live.size
+        eta1, eta2, tau = (ax[live[:, i]]
+                           for i, ax in enumerate(f.freq_axes()))
+        if family == "tilde":
+            # |1 - |eta|^2| <= eps/4, |eta_2| <= sqrt(eps), |tau - 5/4| <= 1/2
+            eta_sq = eta1 ** 2 + eta2 ** 2
+            assert np.abs(1.0 - eta_sq).max() <= eps / 4 * slack
+            assert np.abs(eta2).max() <= rt * slack
+            assert np.abs(tau - 1.25).max() <= 0.5 * slack
+        else:
+            # ||xi|^2 - 1| <= eps/16, |eta_2| <= sqrt(eps)/4, tau/eps ~ 1.1
+            xi_sq = eta1 ** 2 + eta2 ** 2 + tau ** 2
+            assert np.abs(xi_sq - 1.0).max() <= eps / 16 * slack
+            assert np.abs(eta2).max() <= rt / 4 * slack
+            assert np.abs(tau / eps - 1.1).max() <= 0.6 * slack
 
 
-def test_knapp_under_resolution_rejected():
-    with pytest.raises(UnderResolvedError):
-        make_knapp(3, 1, 2.0 ** -4, 0.25, n=32)
+def test_knapp_witness_rejects_unknown_family_and_low_dimension():
+    with pytest.raises(ValueError, match="no slab witness"):
+        knapp_witness("ring", 3, 2.0 ** -4)
+    with pytest.raises(ValueError, match="d >= 3"):
+        knapp_witness("tilde", 2, 2.0 ** -4)

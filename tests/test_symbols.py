@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from carlab.symbols import (SingularFrequencyError, SymbolSpec,
+from carlab.symbols import (SingularFrequencyError, SymbolSpec, _theta,
                             eval_from_radial, eval_im_mtilde,
                             eval_phi_eps_ell, eval_symbol, psi, psi0)
 
@@ -41,6 +43,25 @@ def test_dyadic_partition_of_unity():
     for t in [1.37, 0.003, 251.7, 1.0, 2.0 ** -18]:
         total = psi(t * 2.0 ** -js).sum()
         assert abs(total - 1.0) <= 1e-12, t
+
+
+@given(eps0_exp=st.integers(min_value=5, max_value=40),
+       log2_ratio=st.floats(min_value=-60.0, max_value=6.0),
+       negative=st.booleans())
+def test_theta_is_the_sum_of_all_low_windows(eps0_exp, log2_ratio, negative):
+    # tau = +-eps0 * 2^log2_ratio: nonzero, and often near the top window
+    eps0 = 2.0 ** -eps0_exp
+    tau = (-1.0 if negative else 1.0) * eps0 * 2.0 ** log2_ratio
+    # brute force over every dyadic 2^nu <= eps0 down to 2^nu < |tau| / 8,
+    # below which |tau| / 2^nu lies beyond psi's support [1/2, 2]
+    nus = np.arange(-eps0_exp, math.floor(math.log2(abs(tau))) - 4, -1)
+    want = float(psi(tau / np.ldexp(1.0, nus)).sum()) if nus.size else 0.0
+    got = float(_theta(np.array([tau]), eps0)[0])
+    assert math.isclose(got, want, rel_tol=1e-14, abs_tol=1e-15)
+
+
+def test_theta_vanishes_at_zero():
+    assert _theta(np.array([0.0, 0.0]), 2.0 ** -5).tolist() == [0.0, 0.0]
 
 
 def test_psi0_complements_high_octaves():
