@@ -10,6 +10,17 @@ P_0 = 1 and P_{l+1}(u) = u^2 (P_l(u) - P_l'(u)).  Derivatives of S follow by
 differentiating f = S * g with f = B(t) and g = B(t) + B(1 - t), which stays
 bounded away from 0 on [0, 1], so the forward recurrence below is stable and
 no numerical differentiation is ever needed.
+
+That recurrence yields every lower order on the way to the one asked for, so
+derivatives travel as *jets*: ``jet(t, m)`` returns one ``(m + 1,) +
+shape(t)`` array whose row ``i`` is the i-th derivative (Taylor arithmetic,
+Griewank & Walther, *Evaluating Derivatives*, 2008).  `smooth_step_jet`
+evaluates ``exp(-1/t)`` once per side and each ``P_l(1/t)`` once;
+`PlateauBump` multiplies two step jets by Leibniz' rule and `InversionImage`
+applies its chain-rule term table to the base jet.  A cutoff's
+``__call__(t, order)`` is row ``order`` of its jet, or the jet is the stack
+of its ``__call__`` rows (the `CutoffSpec` default), so each class has one
+derivative implementation.
 """
 
 from __future__ import annotations
@@ -48,19 +59,61 @@ def _transition_poly(l: int) -> np.polynomial.Polynomial:
     return np.polynomial.Polynomial(np.concatenate(([0.0, 0.0], shifted.coef)))
 
 
-def _bump_exp_deriv(t: np.ndarray, order: int) -> np.ndarray:
-    """B^(order)(t) elementwise; identically 0 for t <= 0."""
-    out = np.zeros(t.shape, dtype=float)
+@functools.lru_cache(maxsize=None)
+def _transition_coef(l: int) -> tuple[float, ...]:
+    # highest power first, for Horner's rule
+    return tuple(float(c) for c in _transition_poly(l).coef[::-1])
+
+
+def _exp_jet(t: np.ndarray, m: int) -> np.ndarray:
+    """Rows B^(0..m)(t) elementwise; identically 0 for t <= 0."""
+    out = np.zeros((m + 1,) + t.shape)
     mask = t > _T_FLOOR
     if np.any(mask):
         tm = t[mask]
         with np.errstate(under="ignore"):
             e = np.exp(-1.0 / tm)
-            if order == 0:
-                out[mask] = e
-            else:
-                out[mask] = _transition_poly(order)(1.0 / tm) * e
+            out[0][mask] = e
+            if m:
+                u = 1.0 / tm
+                for l in range(1, m + 1):
+                    # Horner, in the operation order of Polynomial.__call__
+                    lead, *rest = _transition_coef(l)
+                    p = lead + u * 0.0
+                    for c in rest:
+                        p = c + p * u
+                    out[l][mask] = p * e
     return out
+
+
+def smooth_step_jet(t, m: int) -> np.ndarray:
+    """Rows S^(0..m)(t): an array of shape ``(m + 1,) + shape(t)``."""
+    _check_order(m)
+    t_arr = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(t_arr)
+    out = np.zeros((m + 1,) + flat.shape)
+    out[0][flat >= 1.0] = 1.0
+    inner = (flat > 0.0) & (flat < 1.0)
+    if np.any(inner):
+        ti = flat[inner]
+        f = _exp_jet(ti, m)
+        b = _exp_jet(1.0 - ti, m)
+        g = [f[l] + (-1.0) ** l * b[l] for l in range(m + 1)]
+        s = [f[0] / g[0]]
+        for n in range(1, m + 1):
+            acc = f[n].copy()
+            for i in range(n):
+                acc -= math.comb(n, i) * s[i] * g[n - i]
+            s.append(acc / g[0])
+        for n, s_n in enumerate(s):
+            out[n][inner] = s_n
+    return out if t_arr.ndim else out[:, 0]
+
+
+def _row(jet: np.ndarray, order: int):
+    """Row ``order`` of a jet, as a float when the jet was taken at a scalar."""
+    row = jet[order]
+    return float(row) if row.ndim == 0 else row
 
 
 def smooth_step(t, order: int = 0):
@@ -69,26 +122,7 @@ def smooth_step(t, order: int = 0):
     S is 0 for t <= 0, 1 for t >= 1, and strictly increasing in between; all
     derivatives vanish outside (0, 1).
     """
-    _check_order(order)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    out = np.zeros(t_arr.shape, dtype=float)
-    if order == 0:
-        out[t_arr >= 1.0] = 1.0
-    inner = (t_arr > 0.0) & (t_arr < 1.0)
-    if np.any(inner):
-        ti = t_arr[inner]
-        f = [_bump_exp_deriv(ti, m) for m in range(order + 1)]
-        g = [f[m] + (-1.0) ** m * _bump_exp_deriv(1.0 - ti, m) for m in range(order + 1)]
-        s = [f[0] / g[0]]
-        for m in range(1, order + 1):
-            acc = f[m].copy()
-            for i in range(m):
-                acc -= math.comb(m, i) * s[i] * g[m - i]
-            s.append(acc / g[0])
-        out[inner] = s[order]
-    return float(out[0]) if scalar else out
+    return _row(smooth_step_jet(t, order), order)
 
 
 def psi0(t, order: int = 0):
@@ -127,6 +161,11 @@ class CutoffSpec:
 
     def __call__(self, t, order: int = 0):
         raise NotImplementedError
+
+    def jet(self, t, m: int) -> np.ndarray:
+        """Derivatives of orders 0..m at t, stacked as ``(m + 1,) + shape(t)``."""
+        return np.stack([np.asarray(self(t, i), dtype=float)
+                         for i in range(m + 1)])
 
     def derivative(self, shift: int = 1) -> "DerivativeCutoff":
         return DerivativeCutoff(self, shift)
@@ -196,20 +235,22 @@ class PlateauBump(CutoffSpec):
         self.support = (float(a), float(d))
 
     def __call__(self, t, order: int = 0):
-        _check_order(order)
+        return _row(self.jet(t, order), order)
+
+    def jet(self, t, m: int) -> np.ndarray:
+        # Leibniz: (up * down)^(n) = sum_i C(n, i) up^(i) down^(n-i)
         a, b, c, d = self.knots
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        ta = (t_arr - a) / (b - a)
-        tc = (t_arr - c) / (d - c)
-        up = [smooth_step(ta, i) / (b - a) ** i for i in range(order + 1)]
-        down = [1.0 - smooth_step(tc, 0)]
-        down += [-smooth_step(tc, j) / (d - c) ** j for j in range(1, order + 1)]
-        out = np.zeros(t_arr.shape, dtype=float)
-        for i in range(order + 1):
-            out += math.comb(order, i) * up[i] * down[order - i]
-        return float(out[0]) if scalar else out
+        rise = smooth_step_jet((t_arr - a) / (b - a), m)
+        fall = smooth_step_jet((t_arr - c) / (d - c), m)
+        up = [rise[i] / (b - a) ** i for i in range(m + 1)]
+        down = [1.0 - fall[0]]
+        down += [-fall[j] / (d - c) ** j for j in range(1, m + 1)]
+        out = np.zeros_like(rise)
+        for n in range(m + 1):
+            for i in range(n + 1):
+                out[n] += math.comb(n, i) * up[i] * down[n - i]
+        return out
 
 
 class SymmetricPlateau(CutoffSpec):
@@ -258,26 +299,31 @@ class InversionImage(CutoffSpec):
         self.max_order = base.max_order
 
     def __call__(self, t, order: int = 0):
-        _check_order(order)
+        return _row(self.jet(t, order), order)
+
+    def jet(self, t, m: int) -> np.ndarray:
+        _check_order(m)
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
         safe = np.where(t_arr > 0.0, t_arr, 1.0)
-        inv = 1.0 / safe
-        # d/dt [t^p f^(i)(1/t)] = p t^(p-1) f^(i)(1/t) - t^(p-2) f^(i+1)(1/t)
+        base = self.base.jet(1.0 / safe, m)
+        out = np.zeros((m + 1,) + t_arr.shape)
+        powers: dict[float, np.ndarray] = {}
         terms = {(0, self.power): 1.0}
-        for _ in range(order):
-            new: dict[tuple[int, float], float] = {}
+        for n in range(m + 1):
+            if n:
+                # d/dt [t^p f^(i)(1/t)] = p t^(p-1) f^(i)(1/t)
+                #                         - t^(p-2) f^(i+1)(1/t)
+                new: dict[tuple[int, float], float] = {}
+                for (i, p), c in terms.items():
+                    if c * p != 0.0:
+                        new[(i, p - 1.0)] = new.get((i, p - 1.0), 0.0) + c * p
+                    new[(i + 1, p - 2.0)] = new.get((i + 1, p - 2.0), 0.0) - c
+                terms = new
             for (i, p), c in terms.items():
-                if c * p != 0.0:
-                    new[(i, p - 1.0)] = new.get((i, p - 1.0), 0.0) + c * p
-                new[(i + 1, p - 2.0)] = new.get((i + 1, p - 2.0), 0.0) - c
-            terms = new
-        out = np.zeros(t_arr.shape)
-        for (i, p), c in terms.items():
-            out += c * safe ** p * np.asarray(self.base(inv, i), dtype=float)
-        out = np.where(t_arr > 0.0, out, 0.0)
-        return float(out[0]) if scalar else out
+                if p not in powers:
+                    powers[p] = safe ** p
+                out[n] += c * powers[p] * base[i]
+        return np.where(t_arr > 0.0, out, 0.0)
 
 
 def inversion_bump(s: float, d: int = 3) -> InversionImage:

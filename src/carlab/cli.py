@@ -345,15 +345,21 @@ def _run_lowerbound(cfg: ExperimentConfig,
         for chunk in pool.map(one_eps, eps_list):
             rows.extend(chunk)
             inside = [r[4] for r in chunk if r[5]]
-            scaled_mins.append(min(inside))
-    band = max(scaled_mins) / min(scaled_mins)
+            scaled_mins.append(min(inside, default=0.0))
     if cfg.out:
         _write_csv(os.path.join(cfg.out_dir, cfg.out), cfg,
                    ("dimensionless", "length", "length", "amplitude",
                     "amplitude", "0/1"),
                    ("eps", "y_abs", "t", "abs_mtf", "scaled_abs_mtf",
                     "in_resonant_set"), rows)
-    ok = band <= 2.0 and min(scaled_mins) > 0
+    empty = [eps for eps, low in zip(eps_list, scaled_mins) if not low > 0]
+    if empty:
+        return [CheckVerdict(
+            "lowerbound-band", "fail",
+            "no positive resonant-set sample at eps = "
+            + ", ".join(f"{eps:g}" for eps in empty), {"min": 0.0})]
+    band = max(scaled_mins) / min(scaled_mins)
+    ok = band <= 2.0
     return [CheckVerdict(
         "lowerbound-band", "pass" if ok else "fail",
         f"scaled resonant-set minimum spans a factor {band:.3f} band over "

@@ -105,6 +105,29 @@ class PolyGauss:
             out += acc
         return out * np.exp(-self.c * r2)
 
+    def sphere_average(self, r, nodes: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
+        """``sum_k weights_k phi(r nodes_k)`` at radii r, with r factored out.
+
+        On the sphere each term is ``co r^(|beta|-2j) w^beta exp(-c r^2)``, so
+        the rule enters only through the moments ``M_beta = sum_k weights_k
+        nodes_k^beta``, taken once per call.
+        """
+        r = np.asarray(r, dtype=float)
+        by_power: dict[int, float] = {}
+        for j, poly in self.terms.items():
+            for beta, co in poly.items():
+                mono = weights
+                for axis, power in enumerate(beta):
+                    if power:
+                        mono = mono * nodes[:, axis] ** power
+                e = sum(beta) - 2 * j
+                by_power[e] = by_power.get(e, 0.0) + co * float(np.sum(mono))
+        out = np.zeros_like(r)
+        for e, co in by_power.items():
+            out = out + co * r ** e
+        return out * np.exp(-self.c * r * r)
+
     def apply_L(self) -> "PolyGauss":
         new: dict[int, dict[tuple, float]] = {}
 
@@ -134,6 +157,12 @@ class RadialPower:
         r2 = np.sum(pts * pts, axis=-1)
         return self.coeff * r2 ** (self.a / 2.0)
 
+    def sphere_average(self, r, nodes: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
+        """``sum_k weights_k phi(r nodes_k)``: the rule's area times coeff r^a."""
+        r = np.asarray(r, dtype=float)
+        return self.coeff * r ** self.a * float(np.sum(weights))
+
     def apply_L(self) -> "RadialPower":
         return RadialPower(self.n, self.a - 2.0,
                            self.coeff * (self.n - 2 + self.a) / 2.0)
@@ -150,6 +179,12 @@ class CustomTest:
 
     def __call__(self, pts) -> np.ndarray:
         return np.asarray(self._fn(np.asarray(pts, dtype=float)))
+
+    def sphere_average(self, r, nodes: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
+        """``sum_k weights_k phi(r nodes_k)`` at radii r, by sampling."""
+        r = np.asarray(r, dtype=float)
+        return self(r[..., None, None] * nodes) @ weights
 
     def apply_L(self) -> "CustomTest":
         if self._l_image is None:
@@ -306,8 +341,8 @@ def pair_pullback(k: int, rho: float, phi: TestFunction, n: int | None = None,
     nodes, weights = sphere_nodes(n, level)
 
     def profile(r: float) -> float:
-        vals = phi(r * nodes)
-        return r ** (n - 1) * float(np.real(vals @ weights))
+        avg = phi.sphere_average(r, nodes, weights)
+        return r ** (n - 1) * float(np.real(avg))
 
     def composite(u: float) -> float:
         r = math.sqrt(rho * rho - u)
@@ -349,9 +384,9 @@ def _pair_batch(terms, d: int, delta: float, eps: float, tau: float,
     """Integrate several annulus pairings in one adaptive pass.
 
     Each term is (power, cutoff, func); the integral runs over the radial
-    support of the cutoff, with the sphere factor handled by a product rule
-    (the integrands are radial x smooth, so the product rule is exact in the
-    angular variable for polynomial test functions).
+    support of the cutoff, with the sphere factor from ``func.sphere_average``
+    on a product rule (the integrands are radial x smooth, so the product
+    rule is exact in the angular variable for polynomial test functions).
     """
     nodes, weights = sphere_nodes(d - 1, level)
     lo = math.sqrt(max(0.0, 1.0 - 2.0 * delta))
@@ -360,10 +395,9 @@ def _pair_batch(terms, d: int, delta: float, eps: float, tau: float,
     breaks = sorted({math.sqrt(c) for c in cuts if lo * lo < c < hi * hi})
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        pts = r[:, None, None] * nodes[None, :, :]
         rows = []
         for power, cutoff, func in terms:
-            avg = np.asarray(func(pts)) @ weights
+            avg = func.sphere_average(r, nodes, weights)
             rows.append(_radial_slice(r, power, cutoff, delta, eps, tau)
                         * r ** (d - 2) * avg)
         return np.stack(rows, axis=0)
@@ -528,9 +562,12 @@ def _radial_hat(profile, support: tuple[float, float], d: int,
                 rho: np.ndarray) -> np.ndarray:
     """Continuum Fourier transform of a radial profile, at radii ``rho``.
 
-    Processes ``rho`` in chunks: the quadrature is vectorized over the chunk,
-    and high radii need thousands of oscillation panels, so one monolithic
-    (rho, node) array could run to gigabytes.
+    ``profile`` is a plain callable of t, sampled at the GK nodes: the
+    profile itself, or the `radial_fractional_at` integrand that reads a
+    cutoff jet, so no derivative is taken here.  Processes ``rho`` in
+    chunks: the quadrature is vectorized over the chunk, and high radii need
+    thousands of oscillation panels, so one monolithic (rho, node) array
+    could run to gigabytes.
     """
     lo, hi = support
     out = np.empty(rho.shape)
@@ -580,11 +617,13 @@ def radial_fractional_at(profile, support: tuple[float, float], d: int,
     High-frequency octaves are delicate: the spectral profile there is
     computed by cancellation, so its absolute roundoff (~1e-16) times the
     ``rho^(2s+d-1)`` weight would swamp the true, rapidly decaying signal.
-    When the profile exposes analytic derivatives (``profile(t, order=i)``),
-    tail octaves instead integrate ``rho^(2s+d-1-2m)`` against the transform
-    of ``(-Delta)^m u`` -- the same function, but with the amplification
-    factor removed.  Profiles without derivative support keep the direct
-    form, which is fine for spectra that die before the noise floor matters.
+    When the profile is a `CutoffSpec` with analytic derivatives up to order
+    ``2m``, tail octaves instead integrate ``rho^(2s+d-1-2m)`` against the
+    transform of ``(-Delta)^m u`` -- the same function, but with the
+    amplification factor removed.  Its integrand reads all the orders it
+    needs from one ``profile.jet(t, 2m)`` per node set.  Other profiles keep
+    the direct form, which is fine for spectra that die before the noise
+    floor matters.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(radii <= 0):
@@ -597,20 +636,15 @@ def radial_fractional_at(profile, support: tuple[float, float], d: int,
         return _sphere_hat_vec(d, np.outer(radii, rho)) * weight[None, :]
 
     outer_tail = None
-    try:
-        probe = np.array([0.5 * (support[0] + support[1])])
-        profile(probe, order=0)
-    except TypeError:
-        pass
-    else:
-        m = math.ceil(s + (d - 1) / 2.0)  # residual power in (-2, 0]
+    m = math.ceil(s + (d - 1) / 2.0)  # residual power in (-2, 0]
+    if isinstance(profile, CutoffSpec) and profile.max_order >= 2 * m:
         terms = _radial_laplacian_terms(d, m)
 
         def shifted(t: np.ndarray) -> np.ndarray:
+            jet = profile.jet(t, 2 * m)
             out = np.zeros_like(np.asarray(t, dtype=float))
             for (i, p), c in terms.items():
-                out = out + c * t ** p * np.asarray(profile(t, order=i),
-                                                    dtype=float)
+                out = out + c * t ** p * jet[i]
             return out
 
         def outer_tail(rho: np.ndarray) -> np.ndarray:

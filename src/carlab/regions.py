@@ -33,8 +33,13 @@ class DomainError(ValueError):
 
 def _frac(v) -> Fraction:
     if isinstance(v, float):
-        # floats are accepted for convenience but must be exactly representable
-        return Fraction(v).limit_denominator(10**12)
+        # floats are accepted for convenience but must be exactly representable:
+        # 0.75 is 3/4, while 0.1 is only near 1/10 and is refused
+        exact, meant = Fraction(v), Fraction(repr(v))
+        if exact != meant:
+            raise ValueError(f"{v!r} is not exactly {meant}; pass the string "
+                             f"\"{meant}\" instead")
+        return exact
     return Fraction(v)
 
 

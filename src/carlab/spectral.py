@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, replace
 from typing import Callable, Union
@@ -265,6 +266,11 @@ def save_field(field: GridField, path: str) -> None:
 
 
 def load_field(path: str) -> GridField:
+    """Read a field written by `save_field`.
+
+    When the JSON sidecar ``path + ".json"`` exists, the payload must match
+    its ``sha256``; a mismatch raises ``ValueError``.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _MAGIC:
@@ -279,5 +285,12 @@ def load_field(path: str) -> GridField:
         payload = fh.read(16 * count)
         if len(payload) != 16 * count:
             raise ValueError(f"{path}: truncated payload")
-        values = np.frombuffer(payload, dtype="<c16").reshape(shape).astype(complex)
+    if os.path.exists(path + ".json"):
+        with open(path + ".json", encoding="utf-8") as fh:
+            want = json.load(fh)["sha256"]
+        got = hashlib.sha256(payload).hexdigest()
+        if got != want:
+            raise ValueError(f"{path}: payload sha256 {got} does not match "
+                             f"the sidecar's {want}")
+    values = np.frombuffer(payload, dtype="<c16").reshape(shape).astype(complex)
     return GridField(values, periods, offsets, in_space=bool(in_space))

@@ -168,7 +168,7 @@ def _local_core(k: int, eps0: float, eta_sq, tau):
     eta_sq_b, tau_b = np.broadcast_arrays(np.asarray(eta_sq, dtype=float),
                                           np.asarray(tau, dtype=float))
     out = np.zeros(tau_b.shape, dtype=complex)
-    cut_eta = psi0((1.0 - eta_sq_b) / eps0)
+    cut_eta = np.asarray(psi0((1.0 - eta_sq_b) / eps0))  # psi0 unwraps 0-d
     nz = (tau_b != 0) & (cut_eta != 0)
     if not np.any(nz):
         return out

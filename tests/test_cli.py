@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from carlab import cli
 from carlab.bump import bump_fingerprint
 from carlab.cli import (ExperimentConfig, RunReport, main, parse_eps_range,
                         run)
@@ -87,6 +88,26 @@ def test_lowerbound_csv_contract(tmp_path):
     first = lines[2].split(",")
     assert float(first[0]) == 2.0 ** -4
     assert first[5] in ("0", "1")
+
+
+def test_lowerbound_names_scales_without_resonant_samples(tmp_path,
+                                                          monkeypatch):
+    # no sample at 2^-5 lies in the resonant set; at 2^-4 all are zero
+    monkeypatch.setattr(cli, "in_resonant_set",
+                        lambda params, y: params.eps != 2.0 ** -5)
+    monkeypatch.setattr(cli, "mtilde_radial",
+                        lambda d, k, eps, spec, y, t:
+                        0.0 if eps == 2.0 ** -4 else 1.0)
+    cfg = ExperimentConfig.from_mapping(
+        {"experiment": "lowerbound", "d": 5, "k": 2,
+         "eps": "2^-4,2^-5,2^-6", "out": "lb.csv",
+         "out_dir": str(tmp_path)})
+    (verdict,) = run(cfg).verdicts
+    assert verdict.id == "lowerbound-band"
+    assert verdict.status == "fail"
+    assert verdict.detail == ("no positive resonant-set sample at "
+                              "eps = 0.0625, 0.03125")
+    assert (tmp_path / "lb.csv").exists()
 
 
 def test_normest_error_surfaces_as_failing_verdict(tmp_path):

@@ -8,7 +8,8 @@ from carlab.bump import inversion_bump
 from carlab.identities import (CustomTest, L_apply, PolyGauss, RadialPower,
                                fractional_laplacian, invert_points, kelvin,
                                kelvin_grid, pair_pullback, sphere_area,
-                               sphere_integral, verify_counter_identities,
+                               sphere_integral, sphere_nodes,
+                               verify_counter_identities,
                                verify_dist_identity, verify_kelvin)
 
 RNG = np.random.Generator(np.random.Philox(55))
@@ -81,6 +82,30 @@ def test_radial_scaling_of_the_pairing():
     want = (rho ** (3 - 2) / 2.0) * sphere_integral(
         lambda w: phi(rho * w), 3, level=13)
     assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_sphere_average_matches_sampled_nodes():
+    # factored moments vs sampling the rule, including j > 0 terms from L
+    rng = np.random.Generator(np.random.Philox(77))
+    for n in (2, 3, 4):
+        nodes, weights = sphere_nodes(n, 12)
+        for _ in range(4):
+            phi = PolyGauss.random(n, rng)
+            funcs = [phi, phi.apply_L(), phi.apply_L().apply_L(),
+                     RadialPower(n, rng.uniform(-3.0, 2.0),
+                                 rng.uniform(-2.0, 2.0)),
+                     CustomTest(n, phi)]
+            assert any(j > 0 for j in funcs[2].terms)
+            for func in funcs:
+                r = rng.uniform(0.4, 2.0, 7)
+                vals = func(r[:, None, None] * nodes)
+                got = func.sphere_average(r, nodes, weights)
+                np.testing.assert_allclose(
+                    got, vals @ weights, rtol=0,
+                    atol=1e-13 * float(np.max(np.abs(vals) @ weights)))
+                scalar = func.sphere_average(float(r[0]), nodes, weights)
+                assert np.ndim(scalar) == 0
+                assert scalar == pytest.approx(got[0], rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

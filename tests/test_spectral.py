@@ -55,6 +55,19 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(g.values, f.values)
 
 
+def test_load_rejects_payload_that_fails_the_sidecar_hash(tmp_path):
+    f = noise_field(d=2, n=16)
+    path = tmp_path / "field.bin"
+    save_field(f, str(path))
+    raw = bytearray(path.read_bytes())
+    raw[-5] ^= 0x01  # one bit of the last complex value
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="sha256"):
+        load_field(str(path))
+    (tmp_path / "field.bin.json").unlink()  # no sidecar: nothing to check
+    assert load_field(str(path)).shape == f.shape
+
+
 # ---------------------------------------------------------------------------
 # multiplier application
 

@@ -13,6 +13,19 @@ from carlab.symbols import (SingularFrequencyError, SymbolSpec, _theta,
 RNG = np.random.Generator(np.random.Philox(1202))
 
 
+@pytest.mark.parametrize("family", ["full", "local", "global", "eps", "tilde"])
+def test_scalar_and_one_element_inputs_agree(family):
+    spec = SymbolSpec(family, 3, 1, **({} if family in ("full", "local",
+                                                         "global")
+                                       else {"eps": 2.0 ** -4}))
+    for eta_sq, tau in [(0.97, 0.05), (0.97, 0.0), (0.5, 0.2),
+                        (1.02, -0.03)]:
+        scalar = eval_from_radial(spec, eta_sq, tau)
+        array = eval_from_radial(spec, np.array([eta_sq]), np.array([tau]))
+        assert np.shape(array) == (1,)
+        assert complex(scalar) == complex(array[0])
+
+
 # ---------------------------------------------------------------------------
 # cutoffs
 
