@@ -265,16 +265,18 @@ def knapp_fit(family: str, d: int, k: int, eps_list: Sequence[float],
               point: regions.ExponentPoint,
               tol: float | None = None) -> SlopeCheck:
     """Slope fit of thin-slab lower bounds over the distinct scales, coarse
-    to fine; fewer than three raise `InsufficientOctaves` up front."""
+    to fine; fewer than three raise `InsufficientOctaves` up front, and all
+    specs are built first, so an inadmissible scale fails before lattice
+    work."""
     scales = sorted(set(float(e) for e in eps_list), reverse=True)
     if len(scales) < 3:
         raise InsufficientOctaves(
             f"insufficient octaves: a slope fit needs at least 3 scales, "
             f"got {len(scales)}")
     p, q = 1.0 / float(point.x), 1.0 / float(point.y)
-    vals = [certified_lower_bound(knapp_witness(family, d, eps),
-                                  SymbolSpec(family, d, k, eps=eps), p, q)
-            for eps in scales]
+    specs = [SymbolSpec(family, d, k, eps=eps) for eps in scales]
+    vals = [certified_lower_bound(knapp_witness(family, d, eps), spec, p, q)
+            for eps, spec in zip(scales, specs)]
     kind = ExponentKind.TILDE_KNAPP if family == "tilde" \
         else ExponentKind.ME_KNAPP
     fit = fit_scaling(scales, vals, kind=kind, d=d, k=k, point=point)

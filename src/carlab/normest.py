@@ -19,7 +19,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .regions import ExponentPoint
-from .spectral import GridField, lp_norm
+from .spectral import GridField, lp_norm, sample_lp_norm
 from .symbols import SymbolSpec, symbol_on_axes
 
 
@@ -101,14 +101,23 @@ def _check_exponents(p: float, q: float) -> None:
 
 
 def dualize(values: np.ndarray, r: float) -> np.ndarray:
-    """The norming transform ``h -> |h|^(r-1) * phase(h)`` for L^r pairing."""
+    """The norming transform ``h -> |h|^(r-1) * phase(h)`` for L^r pairing.
+
+    Computed as ``h * |h|^(r-2)`` from one modulus pass; zeros map to zero
+    (for r < 2 too), and at r = 2 the input array itself is returned.
+    """
     if not r >= 1.0:
         raise ValueError(f"need r >= 1, got r={r}")
     vals = np.asarray(values)
-    mags = np.abs(vals)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phase = np.where(mags > 0, vals / mags, 0.0)
-    return phase * mags ** (r - 1.0)
+    if r == 2.0:
+        return vals
+    scale = np.abs(vals)
+    if r < 2.0:
+        live = scale > 0
+        np.power(scale, r - 2.0, out=scale, where=live)
+    else:
+        scale **= r - 2.0
+    return vals * scale
 
 
 def _sample_symbol(grid: GridField,
@@ -145,33 +154,47 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
     adjoint (the multiplier with conjugated symbol) and renorms with the dual
     exponent.  Stops on relative stagnation below ``tol``; a non-finite
     iterate aborts the run and returns the best bound collected so far.
+
+    The loop works on raw arrays in the grid's demodulated space coordinates
+    ``y = ifftn(F / cell_volume)``, ``F`` the continuum-normalised
+    coefficients; the field's space samples are ``y`` times the unimodular
+    modulation phases.  Those phases commute with ``|.|``, the norms and
+    `dualize`, the cell volume cancels between ``fftn`` and ``ifftn``, and it
+    enters each norm only as the factor ``cell_volume ** (1/r)``.  So a step
+    is four n-d FFTs, each in place on an array the loop owns: the dualized
+    iterate is carried in space and never re-transformed for its norm.
     """
     _check_exponents(p, q)
     m = _sample_symbol(init, symbol)
     mc = np.conj(m)
     p_dual = p / (p - 1.0)
     F = init.to_freq()
+    cell = F.cell_volume
+    y = F.values / cell
+    np.fft.ifftn(y, out=y)
     history: list[float] = []
     aborted = False
-    fvals = F.values
     for _ in range(max_iter):
-        f_space = F.with_values(fvals, in_space=False).to_space()
-        nf = lp_norm(f_space, p)
+        nf = sample_lp_norm(y, p, cell)
         if not np.isfinite(nf) or nf == 0.0:
             aborted = True
             break
-        g = F.with_values(m * fvals / nf, in_space=False).to_space()
-        s = lp_norm(g, q)
+        g = np.fft.fftn(y, out=y)
+        g *= m
+        g *= 1.0 / nf
+        np.fft.ifftn(g, out=g)
+        s = sample_lp_norm(g, q, cell)
         if not np.isfinite(s):
             aborted = True
             break
         history.append(s)
         if len(history) > 1 and abs(history[-1] - history[-2]) <= tol * s:
             break
-        u = g.with_values(dualize(g.values, q), in_space=True).to_freq()
-        v = F.with_values(mc * u.values, in_space=False).to_space()
-        fvals = u.with_values(dualize(v.values, p_dual), in_space=True)\
-                 .to_freq().values
+        v = dualize(g, q)
+        np.fft.fftn(v, out=v)
+        v *= mc
+        np.fft.ifftn(v, out=v)
+        y = dualize(v, p_dual)
     best = max(history) if history else 0.0
     return NormEstimate(value=best, p=p, q=q, iterations=len(history),
                         history=tuple(history), aborted=aborted)

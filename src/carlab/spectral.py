@@ -20,6 +20,15 @@ there is no further discretisation error hidden in the norms.
 Sampled multiplication implements the multiplier action exactly on the
 modulated band: apply ``m`` by sampling ``m(sigma + 2 pi k / L)`` on the
 frequency lattice and multiplying coefficientwise.
+
+The transforms factor as ``F = fftn(y) * cell_volume`` with
+``y = f * exp(-i sigma . x)``: the *demodulated* space samples.  Axes whose
+offset is zero skip their modulation pass, and each transform works in
+place on the one array it allocates.  Loops that transform back and forth
+(the power iteration in `normest`) can run on ``y`` directly: the phases are
+unimodular, so ``|y| = |f|`` and every Lebesgue norm and norming map agrees
+on the two, while the cell volume cancels between ``fftn`` and ``ifftn``
+and enters each norm only as ``cell_volume ** (1/p)`` (`sample_lp_norm`).
 """
 
 from __future__ import annotations
@@ -112,31 +121,43 @@ class GridField:
 
     # --- representation changes ---------------------------------------------
 
-    def _modulation(self, sign: float) -> list[np.ndarray]:
-        axes = self.space_axes()
-        return [np.exp(sign * 1j * sigma * x)
-                for sigma, x in zip(self.freq_offsets, axes)]
+    def _modulate(self, values: np.ndarray, sign: float) -> np.ndarray:
+        """``values`` times ``exp(sign i sigma_i x_i)`` on every axis whose
+        offset is nonzero.
+
+        Writes into ``values`` unless it is ``self.values``, which is never
+        modified; with all offsets zero, ``values`` comes back as is.
+        """
+        for ax, (sigma, h, n) in enumerate(zip(self.freq_offsets,
+                                               self.spacings, self.shape)):
+            if sigma == 0.0:
+                continue
+            shape = [1] * self.d
+            shape[ax] = -1
+            ph = np.exp(sign * 1j * sigma * (h * np.arange(n))).reshape(shape)
+            if values is self.values:
+                values = values * ph
+            else:
+                values *= ph
+        return values
 
     def to_freq(self) -> "GridField":
         if not self.in_space:
             return self
-        work = self.values
-        for ax, ph in enumerate(self._modulation(-1.0)):
-            shape = [1] * self.d
-            shape[ax] = -1
-            work = work * ph.reshape(shape)
-        coeffs = np.fft.fftn(work) * self.cell_volume
-        return replace(self, values=coeffs, in_space=False)
+        work = self._modulate(self.values, -1.0)
+        if work is self.values:
+            work = np.fft.fftn(work)
+        else:
+            np.fft.fftn(work, out=work)
+        work *= self.cell_volume
+        return replace(self, values=work, in_space=False)
 
     def to_space(self) -> "GridField":
         if self.in_space:
             return self
-        work = np.fft.ifftn(self.values / self.cell_volume)
-        for ax, ph in enumerate(self._modulation(+1.0)):
-            shape = [1] * self.d
-            shape[ax] = -1
-            work = work * ph.reshape(shape)
-        return replace(self, values=work, in_space=True)
+        work = self.values / self.cell_volume
+        np.fft.ifftn(work, out=work)
+        return replace(self, values=self._modulate(work, +1.0), in_space=True)
 
     def with_values(self, values, in_space: bool | None = None) -> "GridField":
         return replace(self, values=np.asarray(values, dtype=complex),
@@ -166,10 +187,22 @@ def lp_norm(field: GridField, p: float) -> float:
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
     f = field.to_space()
-    mags = np.abs(f.values)
+    return sample_lp_norm(f.values, p, f.cell_volume)
+
+
+def sample_lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
+    """Lebesgue p-norm of raw space samples with cell weight ``cell_volume``.
+
+    Only ``|values|`` enters, so unimodular phases drop out: demodulated
+    samples give the norm of the modulated field.
+    """
+    if not p > 0:
+        raise ValueError(f"p must be positive, got {p}")
+    mags = np.abs(values)
     if np.isinf(p):
         return float(mags.max())
-    return float((np.sum(mags ** p) * f.cell_volume) ** (1.0 / p))
+    mags **= p
+    return float((np.sum(mags) * cell_volume) ** (1.0 / p))
 
 
 def lorentz_norm(field: GridField, p: float, flavor: str) -> float:

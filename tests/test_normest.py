@@ -1,14 +1,20 @@
 """Operator-norm lower bounds, power iteration, scaling fits."""
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from carlab.normest import (ExponentKind, NormEstimate, certified_lower_bound,
-                            dualize, estimate_operator_norm, fit_scaling,
-                            power_method, theoretical_exponent)
+from carlab.acceptance import ring_grid
+from carlab.normest import (ExponentKind, NormEstimate, _sample_symbol,
+                            certified_lower_bound, dualize,
+                            estimate_operator_norm, fit_scaling, power_method,
+                            theoretical_exponent)
 from carlab.regions import ExponentPoint
-from carlab.spectral import apply_multiplier, default_grid, lp_norm
+from carlab.spectral import (apply_multiplier, default_grid, lp_norm,
+                             sample_lp_norm)
 from carlab.symbols import SymbolSpec, symbol_on_axes
 
 RNG = np.random.Generator(np.random.Philox(77))
@@ -162,6 +168,127 @@ def test_imaginary_part_never_dominates():
     assert im_val <= full_val.value * (1 + 1e-9)
 
 
+def _dualize_reference(values, r):
+    # the two-step form: phase(h) * |h|^(r - 1), zero where h is
+    mags = np.abs(values)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phase = np.where(mags > 0, values / mags, 0.0)
+    return phase * mags ** (r - 1.0)
+
+
+def _power_method_oracle(init, symbol, p, q, *, max_iter=24, tol=1e-4):
+    """The iteration on modulated `GridField`s, five transforms per step."""
+    m = _sample_symbol(init, symbol)
+    mc = np.conj(m)
+    p_dual = p / (p - 1.0)
+    F = init.to_freq()
+    history = []
+    aborted = False
+    fvals = F.values
+    for _ in range(max_iter):
+        f_space = F.with_values(fvals, in_space=False).to_space()
+        nf = lp_norm(f_space, p)
+        if not np.isfinite(nf) or nf == 0.0:
+            aborted = True
+            break
+        g = F.with_values(m * fvals / nf, in_space=False).to_space()
+        s = lp_norm(g, q)
+        if not np.isfinite(s):
+            aborted = True
+            break
+        history.append(s)
+        if len(history) > 1 and abs(history[-1] - history[-2]) <= tol * s:
+            break
+        u = g.with_values(_dualize_reference(g.values, q),
+                          in_space=True).to_freq()
+        v = F.with_values(mc * u.values, in_space=False).to_space()
+        fvals = u.with_values(_dualize_reference(v.values, p_dual),
+                              in_space=True).to_freq().values
+    return NormEstimate(value=max(history) if history else 0.0, p=p, q=q,
+                        iterations=len(history), history=tuple(history),
+                        aborted=aborted)
+
+
+_ORACLE_CASES = {
+    "zero_offset": (default_grid(2, 32), SymbolSpec("full", 2, 1)),
+    "half_cell": (default_grid(2, 32, for_full_symbol=True),
+                  SymbolSpec("full", 2, 1)),
+    # ring_grid(1, 32, 16) has no lattice point inside its ring
+    **{f"ring_j{j}": (ring_grid(j, 32, 16),
+                      SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=j))
+       for j in (0, 2, 3)},
+}
+
+
+def _starts(grid, spec):
+    """The symbol start estimate_operator_norm uses, and seeded noise."""
+    rng = np.random.Generator(np.random.Philox(31))
+    noise = rng.standard_normal(grid.shape) \
+        + 1j * rng.standard_normal(grid.shape)
+    return {"symbol": grid.with_values(np.conj(_sample_symbol(grid, spec)),
+                                       in_space=False),
+            "noise": grid.with_values(noise, in_space=True)}
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 6.0), (1.5, 4.0), (3.0, 3.0)])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_power_method_matches_the_grid_field_oracle(case, p, q):
+    grid, spec = _ORACLE_CASES[case]
+    for name, init in _starts(grid, spec).items():
+        if name == "symbol" and p > 2.0:
+            continue  # see test_symbol_start_at_dual_exponent_below_two
+        got = power_method(init, spec, p, q, tol=1e-9)
+        want = _power_method_oracle(init, spec, p, q, tol=1e-9)
+        assert (got.iterations, got.aborted) == \
+            (want.iterations, want.aborted), name
+        np.testing.assert_allclose(got.history, want.history, rtol=1e-12,
+                                   atol=0.0, err_msg=name)
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_symbol_start_at_dual_exponent_below_two(case):
+    # From conj(m) at p = 3 the pulled-back iterate has exact zero samples on
+    # the half-cell and ring j = 2 lattices.  dualize at p' = 1.5 takes the
+    # square root of their modulus, so a roundoff of 1e-17 there becomes
+    # 3e-9 and the histories part from the third step on, whatever the
+    # arithmetic: the oracle itself moves by up to 3e-5 (half cell) and
+    # 2e-3 (ring j = 2) when its start is perturbed by 1e-15.  So the histories
+    # are compared over the two steps before that.
+    grid, spec = _ORACLE_CASES[case]
+    init = _starts(grid, spec)["symbol"]
+    got = power_method(init, spec, 3.0, 3.0, tol=1e-9)
+    want = _power_method_oracle(init, spec, 3.0, 3.0, tol=1e-9)
+    assert (got.iterations, got.aborted) == (want.iterations, want.aborted)
+    np.testing.assert_allclose(got.history[:2], want.history[:2], rtol=1e-12,
+                               atol=0.0)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+def test_norm_estimation_never_writes_into_its_inputs(lattice):
+    spec = SymbolSpec("full", 2, 1)
+    m = np.array(_sample_symbol(lattice, spec))  # writable, precomputed
+    rng = np.random.Generator(np.random.Philox(12))
+    f = lattice.with_values(rng.standard_normal(lattice.shape)
+                            + 1j * rng.standard_normal(lattice.shape))
+    h = lattice.with_values(rng.standard_normal(lattice.shape) + 0j,
+                            in_space=False)
+    arrays = (lattice.values, f.values, h.values, m)
+    before = [_digest(a) for a in arrays]
+    for field in (f, h):
+        certified_lower_bound(field, spec, 1.5, 4.0)
+        certified_lower_bound(field, m, 2.0, 2.0)
+        power_method(field, spec, 2.0, 6.0, max_iter=3)
+        power_method(field, m, 3.0, 3.0, max_iter=3)
+    estimate_operator_norm(lattice, m, 1.5, 4.0, extra_inits=(f, h),
+                           n_random=1, max_iter=3)
+    estimate_operator_norm(lattice, spec, 2.0, 2.0, extra_inits=(f, h),
+                           n_random=1, max_iter=3)
+    assert [_digest(a) for a in arrays] == before
+
+
 # ---------------------------------------------------------------------------
 # dualize
 
@@ -208,3 +335,37 @@ def test_theory_attached_when_kind_given():
 def test_degenerate_abscissae_rejected():
     with pytest.raises(ValueError):
         fit_scaling([0.5, 0.5, 0.25], [1.0, 1.0, 2.0])
+
+
+_part = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e3),
+                  st.floats(min_value=-1e3, max_value=-1e-6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(re=st.lists(_part, min_size=1, max_size=24), data=st.data(),
+       r=st.floats(min_value=1.0, max_value=8.0))
+def test_dualize_matches_phase_times_power(re, data, r):
+    im = data.draw(st.lists(_part, min_size=len(re), max_size=len(re)))
+    h = np.array(re) + 1j * np.array(im)
+    h[::3] = 0.0  # zeros in every input
+    np.testing.assert_allclose(dualize(h, r), _dualize_reference(h, r),
+                               rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(re=st.lists(_part, min_size=2, max_size=24), data=st.data(),
+       r=st.floats(min_value=1.05, max_value=8.0))
+def test_dualize_is_the_norming_map(re, data, r):
+    # ||dualize(h, r)||_{r'}^{r'} = ||h||_r^r, with r' = r / (r - 1)
+    im = data.draw(st.lists(_part, min_size=len(re), max_size=len(re)))
+    h = np.array(re) + 1j * np.array(im)
+    h[0] = 1.0 + 1.0j  # at least one nonzero sample
+    r_dual = r / (r - 1.0)
+    lhs = sample_lp_norm(dualize(h, r), r_dual, 1.0) ** r_dual
+    rhs = sample_lp_norm(h, r, 1.0) ** r
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_dualize_at_two_is_the_identity():
+    h = np.array([0.0, 1.0 - 2.0j, 3.0j])
+    np.testing.assert_array_equal(dualize(h, 2.0), h)

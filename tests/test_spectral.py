@@ -1,5 +1,7 @@
 """Grid fields, multiplier application, and lattice norms."""
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,6 +68,40 @@ def test_load_rejects_payload_that_fails_the_sidecar_hash(tmp_path):
         load_field(str(path))
     (tmp_path / "field.bin.json").unlink()  # no sidecar: nothing to check
     assert load_field(str(path)).shape == f.shape
+
+
+def digest(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+def test_transforms_never_write_into_their_input(lattice):
+    # the transforms work in place on their own copy, never on field.values
+    rng = np.random.Generator(np.random.Philox(11))
+    vals = (rng.standard_normal(lattice.shape)
+            + 1j * rng.standard_normal(lattice.shape))
+
+    def symbol(*axes):
+        return 1.0 + 0.5j + sum(a * a for a in axes)
+
+    for in_space in (True, False):
+        f = lattice.with_values(vals.copy(), in_space=in_space)
+        before = digest(f.values)
+        f.to_freq()
+        f.to_space()
+        apply_multiplier(f, symbol)
+        apply_multiplier(f, SymbolSpec("full", 2, 1))
+        assert digest(f.values) == before, in_space
+
+
+def test_transforms_skip_only_zero_offset_axes():
+    # a grid whose offsets are all zero transforms exactly like a plain DFT
+    f = noise_field(d=2, n=32)
+    want = np.fft.fftn(f.values) * f.cell_volume
+    np.testing.assert_array_equal(f.to_freq().values, want)
+    half = replace(f, freq_offsets=(0.0, 0.5 * 7.0 / 32))
+    assert not np.array_equal(half.to_freq().values, want)
+    back = half.to_freq().to_space().values
+    assert np.abs(back - f.values).max() <= 1e-12 * np.abs(f.values).max()
 
 
 # ---------------------------------------------------------------------------
