@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -34,20 +34,22 @@ from .symbols import SymbolSpec, eval_from_radial
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one acceptance criterion."""
+    """Outcome of one check, from a criterion or a CLI experiment."""
 
     id: str
-    passed: bool
+    status: str  # "pass" | "fail" | "skip"
     detail: str
-    seconds: float
-    budget_seconds: float
-    skipped: bool = False
+    measures: dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def judge(cls, cid: str, ok: bool, detail: str,
+              measures: dict[str, float] | None = None) -> "Verdict":
+        """The pass or fail verdict of a check that held (``ok``) or not."""
+        return cls(cid, "pass" if ok else "fail", detail, measures or {})
 
     @property
     def line(self) -> str:
-        word = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
-        return (f"{self.id} {word} ({self.seconds:.1f}s/"
-                f"{self.budget_seconds:.0f}s): {self.detail}")
+        return f"{self.id} {self.status.upper()}: {self.detail}"
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +116,11 @@ def ring_grid(j: int, n_eta0: int = 256, n_tau: int = 64) -> GridField:
 
     The eta axes halve their point count as the ring thickens (``n_eta0`` at
     j = 0), keeping cells-per-thickness constant across j so the lattice
-    bias enters every ring estimate as the same factor.
+    bias enters every ring estimate as the same factor.  The axes never
+    drop below 16 points, so that holds only while ``n_eta0 >= 16 * 2^j``;
+    A8's 256 satisfies it for j <= 3.  A thin ring may hold no lattice
+    point at all: ``ring_grid(1, 32, 16)`` is not clamped, and the j = 1
+    ring holds none of its points.
     """
     n_eta = max(16, n_eta0 >> j)
     shape = (n_eta, n_eta, n_tau)
@@ -228,6 +234,11 @@ class KelvinCheck(NamedTuple):
     ratio: float    # error at n = 64 over error at n = 128
     ok: bool
 
+    @property
+    def detail(self) -> str:
+        return (f"rel {self.rel:.2e} (tol {self.tol:.0e}), doubling ratio "
+                f"{self.ratio:.1f} (>= 2)")
+
 
 def kelvin_checks() -> list[KelvinCheck]:
     checks = []
@@ -255,6 +266,11 @@ class SlopeCheck(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.dev <= self.tol
+
+    @property
+    def detail(self) -> str:
+        return (f"slope {self.fit.slope:+.4f} vs theory {self.fit.theory:+.4f}"
+                f" (dev {self.dev:.4f}, tol {self.tol})")
 
 
 class InsufficientOctaves(ValueError):
@@ -362,29 +378,23 @@ def _a4_inversion_identity() -> tuple[bool, str]:
     """Inversion transform commutes with the fractional Laplacian."""
     checks = kelvin_checks()
     return all(c.ok for c in checks), "; ".join(
-        f"s={c.s}: rel {c.rel:.2e} (tol {c.tol:.0e}), doubling ratio "
-        f"{c.ratio:.1f}" for c in checks)
+        f"s={c.s}: {c.detail}" for c in checks)
 
 
 def knapp_scaling(eps_list: Sequence[float] | None = None
-                  ) -> tuple[bool | str, str]:
+                  ) -> tuple[bool, str]:
     """Thin-slab lower-bound slopes for both symbol families at d=3, k=1.
 
     A custom ``eps_list`` shorter than three octaves cannot anchor a slope
-    fit, so it produces a skip outcome instead of a pass or fail.
+    fit: `InsufficientOctaves` propagates, and `run_criterion` skips.
     """
     if eps_list is None:
         eps_list = [2.0 ** -m for m in range(3, 7)]
     point = regions.ExponentPoint(Fraction(3, 4), Fraction(1, 4))
-    try:
-        fits = {family: knapp_fit(family, 3, 1, eps_list, point)
-                for family in ("tilde", "eps")}
-    except InsufficientOctaves as exc:
-        return "skip", str(exc)
+    fits = {family: knapp_fit(family, 3, 1, eps_list, point)
+            for family in ("tilde", "eps")}
     return all(c.ok for c in fits.values()), "; ".join(
-        f"{family}: slope {c.fit.slope:+.3f} vs {c.fit.theory:+.3f} "
-        f"(dev {c.dev:.3f})" for family, c in fits.items()) + \
-        f", tol {KNAPP_TOL}"
+        f"{family}: {c.detail}" for family, c in fits.items())
 
 
 def _a6_lower_bound_scaling() -> tuple[bool, str]:
@@ -438,8 +448,7 @@ def _a7_moment_bounds() -> tuple[bool, str]:
 def _a8_ring_scaling() -> tuple[bool, str]:
     """Ring-piece operator norms against the thickness power law."""
     c = ring_fit(3, 1, 2.0 ** -6)
-    return c.ok, (f"slope {c.fit.slope:+.3f} vs {c.fit.theory:+.3f} "
-                  f"(dev {c.dev:.3f}, tol {RING_TOL})")
+    return c.ok, c.detail
 
 
 def _a9_decomposition_oracle() -> tuple[bool, str]:
@@ -462,7 +471,7 @@ def _a9_decomposition_oracle() -> tuple[bool, str]:
                            "samples (tol 1e-5)")
 
 
-CRITERIA: dict[str, tuple[str, Callable[..., tuple[bool | str, str]], float]] = {
+CRITERIA: dict[str, tuple[str, Callable[..., tuple[bool, str]], float]] = {
     "A1": ("exact exponent-square geometry", _a1_exact_geometry, 1.0),
     "A2": ("symbol decomposition and imaginary part", _a2_symbol_identities,
            5.0),
@@ -479,24 +488,34 @@ CRITERIA: dict[str, tuple[str, Callable[..., tuple[bool | str, str]], float]] = 
 }
 
 
+def check_criterion_ids(ids: Sequence[str]) -> None:
+    """Raise `KeyError` naming the first id that is not a criterion."""
+    for cid in ids:
+        if cid not in CRITERIA:
+            raise KeyError(f"unknown criterion {cid!r}; pick from "
+                           f"{sorted(CRITERIA)}")
+
+
 def run_criterion(cid: str, *args: Any) -> Verdict:
-    """Execute one criterion by id on ``args``, timing it, never raising."""
-    if cid not in CRITERIA:
-        raise KeyError(f"unknown criterion {cid!r}; pick from "
-                       f"{sorted(CRITERIA)}")
+    """Execute one criterion by id on ``args`` and time it.
+
+    An unknown id raises `KeyError`.  Whatever the criterion raises becomes
+    its verdict: `InsufficientOctaves` a skip, anything else a fail.  A pass
+    that overruns the criterion's budget is a fail.  The measures hold the
+    wall time, ``{"seconds": ...}``.
+    """
+    check_criterion_ids([cid])
     _, fn, budget = CRITERIA[cid]
     start = time.perf_counter()
     try:
         ok, detail = fn(*args)
+    except InsufficientOctaves as exc:
+        return Verdict(cid, "skip", str(exc),
+                       {"seconds": time.perf_counter() - start})
     except Exception as exc:  # noqa: BLE001 - a verdict must always come back
-        elapsed = time.perf_counter() - start
-        return Verdict(cid, False, f"error: {exc!r}", elapsed, budget)
+        ok, detail = False, f"error: {exc!r}"
     elapsed = time.perf_counter() - start
-    if ok == "skip":
-        return Verdict(cid, True, detail, elapsed, budget, skipped=True)
-    ok = bool(ok)
     if ok and elapsed >= budget:
         ok = False
         detail += f"; over budget ({elapsed:.1f}s >= {budget:.0f}s)"
-    return Verdict(cid, ok, detail, elapsed, budget)
-
+    return Verdict.judge(cid, ok, detail, {"seconds": elapsed})

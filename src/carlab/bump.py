@@ -126,18 +126,11 @@ def smooth_step(t, order: int = 0):
 
 
 def psi0(t, order: int = 0):
-    """Low-pass profile 1 - S(|t| - 1): equals 1 on [-1, 1], 0 outside [-2, 2]."""
-    _check_order(order)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    s = smooth_step(np.abs(t_arr) - 1.0, order)
-    if order == 0:
-        out = 1.0 - s
-    else:
-        sign = np.where(t_arr < 0.0, -1.0, 1.0)
-        out = -(sign ** order) * s
-    return float(out[0]) if scalar else out
+    """Low-pass profile 1 - S(|t| - 1): equals 1 on [-1, 1], 0 outside [-2, 2].
+
+    This is the unit `SymmetricPlateau`.
+    """
+    return _UNIT_PLATEAU(t, order)
 
 
 def psi(t, order: int = 0):
@@ -275,6 +268,9 @@ class SymmetricPlateau(CutoffSpec):
             sign = np.where(t_arr < 0.0, -1.0, 1.0)
             out = -(sign ** order) * s / w ** order
         return float(out[0]) if scalar else out
+
+
+_UNIT_PLATEAU = SymmetricPlateau(1.0)
 
 
 class InversionImage(CutoffSpec):

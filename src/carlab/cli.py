@@ -21,13 +21,14 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import acceptance, regions
+from .acceptance import Verdict
 from .bump import bump_fingerprint
 from .oscillatory import (LowerBoundParams, Phi5Spec, frak_s_sample,
                           in_resonant_set, mtilde_radial)
@@ -149,21 +150,9 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class CheckVerdict:
-    id: str
-    status: str  # "pass" | "fail" | "skip"
-    detail: str
-    measures: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def line(self) -> str:
-        return f"{self.id} {self.status.upper()}: {self.detail}"
-
-
-@dataclass(frozen=True)
 class RunReport:
     config: dict[str, Any]
-    verdicts: tuple[CheckVerdict, ...]
+    verdicts: tuple[Verdict, ...]
     wall_seconds: float
     fingerprint: str
 
@@ -173,9 +162,7 @@ class RunReport:
 
     def to_mapping(self) -> dict[str, Any]:
         return {"config": self.config,
-                "verdicts": [{"id": v.id, "status": v.status,
-                              "detail": v.detail, "measures": v.measures}
-                             for v in self.verdicts],
+                "verdicts": [asdict(v) for v in self.verdicts],
                 "wall_seconds": self.wall_seconds,
                 "bump_fingerprint": self.fingerprint}
 
@@ -213,15 +200,15 @@ def _write_csv(path: str, config: ExperimentConfig, units: Sequence[str],
 
 
 def _run_regions(cfg: ExperimentConfig,
-                 rng: np.random.Generator) -> list[CheckVerdict]:
+                 rng: np.random.Generator) -> list[Verdict]:
     d, k = cfg.params["d"], cfg.params["k"]
     dims = regions.DimensionPair(d, k)
     verdicts = []
     try:
         holds = acceptance.geometry_identities(d, k)
         bad = [name for name, ok in holds.items() if not ok]
-        verdicts.append(CheckVerdict(
-            "regions-exact", "fail" if bad else "pass",
+        verdicts.append(Verdict.judge(
+            "regions-exact", not bad,
             ("violated: " + ", ".join(bad)) if bad
             else f"{len(holds)} exact identities hold at (d,k)=({d},{k})"))
         if cfg.out:
@@ -229,31 +216,29 @@ def _run_regions(cfg: ExperimentConfig,
             _write_atomic(path, json.dumps(regions.emit_figure_data(dims),
                                            indent=2, sort_keys=True) + "\n")
     except regions.DomainError as exc:
-        verdicts.append(CheckVerdict("regions-exact", "fail", repr(exc)))
+        verdicts.append(Verdict.judge("regions-exact", False, repr(exc)))
     return verdicts
 
 
 def _run_symbols(cfg: ExperimentConfig,
-                 rng: np.random.Generator) -> list[CheckVerdict]:
+                 rng: np.random.Generator) -> list[Verdict]:
     d, k = cfg.params["d"], cfg.params["k"]
     eps = parse_eps_range(cfg.params["eps"])[0]
     n_pts = cfg.params["points"]
     worst, worst_im = acceptance.symbol_errors(d, k, eps, n_pts, rng)
     return [
-        CheckVerdict("symbols-decomposition",
-                     "pass" if worst <= acceptance.SYMBOL_TOL else "fail",
-                     f"reconstruction rel {worst:.2e} over {n_pts} points "
-                     f"(tol 1e-10)", {"rel_err": worst}),
-        CheckVerdict("symbols-imaginary",
-                     "pass" if worst_im <= acceptance.SYMBOL_TOL
-                     else "fail",
-                     f"closed-form imaginary part rel {worst_im:.2e} "
-                     f"(tol 1e-10)", {"rel_err": worst_im}),
+        Verdict.judge("symbols-decomposition",
+                      worst <= acceptance.SYMBOL_TOL,
+                      f"reconstruction rel {worst:.2e} over {n_pts} points "
+                      f"(tol 1e-10)", {"rel_err": worst}),
+        Verdict.judge("symbols-imaginary", worst_im <= acceptance.SYMBOL_TOL,
+                      f"closed-form imaginary part rel {worst_im:.2e} "
+                      f"(tol 1e-10)", {"rel_err": worst_im}),
     ]
 
 
 def _run_spectral(cfg: ExperimentConfig,
-                  rng: np.random.Generator) -> list[CheckVerdict]:
+                  rng: np.random.Generator) -> list[Verdict]:
     d = cfg.params["d"]
     n = cfg.params["n"] or None
     grid = default_grid(d, n=n)
@@ -270,14 +255,12 @@ def _run_spectral(cfg: ExperimentConfig,
               * (2.0 * math.pi) ** -d)
     parseval = abs(e_space - e_freq) / e_space
     return [
-        CheckVerdict("spectral-roundtrip",
-                     "pass" if rt <= 1e-12 else "fail",
-                     f"transform round-trip rel {rt:.2e} (tol 1e-12)",
-                     {"rel_err": rt}),
-        CheckVerdict("spectral-parseval",
-                     "pass" if parseval <= 1e-10 else "fail",
-                     f"energy identity rel {parseval:.2e} (tol 1e-10)",
-                     {"rel_err": parseval}),
+        Verdict.judge("spectral-roundtrip", rt <= 1e-12,
+                      f"transform round-trip rel {rt:.2e} (tol 1e-12)",
+                      {"rel_err": rt}),
+        Verdict.judge("spectral-parseval", parseval <= 1e-10,
+                      f"energy identity rel {parseval:.2e} (tol 1e-10)",
+                      {"rel_err": parseval}),
     ]
 
 
@@ -286,7 +269,7 @@ _NORMEST_KINDS = {"me_knapp": "eps", "tilde_knapp": "tilde", "l2_ring": None}
 
 
 def _run_normest(cfg: ExperimentConfig,
-                 rng: np.random.Generator) -> list[CheckVerdict]:
+                 rng: np.random.Generator) -> list[Verdict]:
     kind_name = cfg.params["kind"]
     if kind_name not in _NORMEST_KINDS:
         raise ValueError(f"unknown scaling kind {kind_name!r}; pick from "
@@ -304,7 +287,7 @@ def _run_normest(cfg: ExperimentConfig,
         try:
             check = acceptance.knapp_fit(family, d, k, eps_list, point, tol)
         except acceptance.InsufficientOctaves as exc:
-            return [CheckVerdict(f"normest-{kind_name}", "skip", str(exc))]
+            return [Verdict(f"normest-{kind_name}", "skip", str(exc))]
         label = "eps"
 
     if cfg.out:
@@ -312,15 +295,13 @@ def _run_normest(cfg: ExperimentConfig,
                    ("dimensionless", "operator-norm lower bound"),
                    (label, "value"), check.fit.pairs)
     fit = check.fit
-    return [CheckVerdict(
-        f"normest-{kind_name}", "pass" if check.ok else "fail",
-        f"slope {fit.slope:+.4f} vs theory {fit.theory:+.4f} "
-        f"(dev {check.dev:.4f}, tol {check.tol})",
+    return [Verdict.judge(
+        f"normest-{kind_name}", check.ok, check.detail,
         {"slope": fit.slope, "theory": fit.theory, "dev": check.dev})]
 
 
 def _run_lowerbound(cfg: ExperimentConfig,
-                    rng: np.random.Generator) -> list[CheckVerdict]:
+                    rng: np.random.Generator) -> list[Verdict]:
     d, k = cfg.params["d"], cfg.params["k"]
     t = cfg.params["t"]
     eps_list = parse_eps_range(cfg.params["eps"])
@@ -328,9 +309,12 @@ def _run_lowerbound(cfg: ExperimentConfig,
     rows: list[tuple] = []
     scaled_mins: list[float] = []
 
-    def one_eps(eps: float) -> list[tuple]:
-        params = LowerBoundParams.make(d, k, eps)
-        centers = frak_s_sample(params)
+    # every scale's parameters and samples are built before any evaluation
+    blocks = [LowerBoundParams.make(d, k, eps) for eps in eps_list]
+    samples = [frak_s_sample(params) for params in blocks]
+
+    def one_eps(eps: float, params: LowerBoundParams,
+                centers: np.ndarray) -> list[tuple]:
         offsets = centers[:-1] + math.pi if len(centers) > 1 else \
             np.asarray([])
         out = []
@@ -342,7 +326,7 @@ def _run_lowerbound(cfg: ExperimentConfig,
         return out
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        for chunk in pool.map(one_eps, eps_list):
+        for chunk in pool.map(one_eps, eps_list, blocks, samples):
             rows.extend(chunk)
             inside = [r[4] for r in chunk if r[5]]
             scaled_mins.append(min(inside, default=0.0))
@@ -354,14 +338,13 @@ def _run_lowerbound(cfg: ExperimentConfig,
                     "in_resonant_set"), rows)
     empty = [eps for eps, low in zip(eps_list, scaled_mins) if not low > 0]
     if empty:
-        return [CheckVerdict(
-            "lowerbound-band", "fail",
+        return [Verdict.judge(
+            "lowerbound-band", False,
             "no positive resonant-set sample at eps = "
             + ", ".join(f"{eps:g}" for eps in empty), {"min": 0.0})]
     band = max(scaled_mins) / min(scaled_mins)
-    ok = band <= 2.0
-    return [CheckVerdict(
-        "lowerbound-band", "pass" if ok else "fail",
+    return [Verdict.judge(
+        "lowerbound-band", band <= 2.0,
         f"scaled resonant-set minimum spans a factor {band:.3f} band over "
         f"{len(eps_list)} scales (tol 2)",
         {"band": band, "min": min(scaled_mins)})]
@@ -372,26 +355,23 @@ _PAIRING_SUITES = {"distid": (acceptance.distid_cases, "pairing"),
 
 
 def _run_identities(cfg: ExperimentConfig,
-                    rng: np.random.Generator) -> list[CheckVerdict]:
+                    rng: np.random.Generator) -> list[Verdict]:
     suite = cfg.params["suite"]
     if suite in _PAIRING_SUITES:
         cases_of, what = _PAIRING_SUITES[suite]
         results = cases_of(rng)
         worst = acceptance.worst_rel_err(results)
-        verdicts = [CheckVerdict(
-            f"identities-{suite}",
-            "pass" if worst <= acceptance.PAIRING_TOL else "fail",
+        verdicts = [Verdict.judge(
+            f"identities-{suite}", worst <= acceptance.PAIRING_TOL,
             f"worst {what} rel err {worst:.2e} over {len(results)} cases "
             f"(tol 1e-5)", {"rel_err": worst})]
     elif suite == "kelvin":
         results, verdicts = [], []
         for c in acceptance.kelvin_checks():
             results.extend(c.cases)
-            verdicts.append(CheckVerdict(
-                f"identities-kelvin-s{c.s}", "pass" if c.ok else "fail",
-                f"rel {c.rel:.2e} (tol {c.tol:.0e}), doubling ratio "
-                f"{c.ratio:.1f} (>= 2)", {"rel_err": c.rel,
-                                          "ratio": c.ratio}))
+            verdicts.append(Verdict.judge(
+                f"identities-kelvin-s{c.s}", c.ok, c.detail,
+                {"rel_err": c.rel, "ratio": c.ratio}))
     else:
         raise ValueError(f"unknown identities suite {suite!r}; pick from "
                          "['counter', 'distid', 'kelvin']")
@@ -404,17 +384,16 @@ def _run_identities(cfg: ExperimentConfig,
 
 
 def _run_accept(cfg: ExperimentConfig,
-                rng: np.random.Generator) -> list[CheckVerdict]:
+                rng: np.random.Generator) -> list[Verdict]:
     chosen = sorted(acceptance.CRITERIA) if cfg.params["suites"] == "all" \
         else [s.strip() for s in cfg.params["suites"].split(",")]
-    eps_override = cfg.params["eps"]
+    # every id and the A5 scale list are checked before any criterion runs
+    acceptance.check_criterion_ids(chosen)
+    args = {"A5": (parse_eps_range(cfg.params["eps"]),)} \
+        if cfg.params["eps"] else {}
 
-    def run_one(cid: str) -> CheckVerdict:
-        args = (parse_eps_range(eps_override),) \
-            if cid == "A5" and eps_override else ()
-        v = acceptance.run_criterion(cid, *args)
-        status = "skip" if v.skipped else ("pass" if v.passed else "fail")
-        return CheckVerdict(cid, status, v.detail, {"seconds": v.seconds})
+    def run_one(cid: str) -> Verdict:
+        return acceptance.run_criterion(cid, *args.get(cid, ()))
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -423,7 +402,7 @@ def _run_accept(cfg: ExperimentConfig,
 
 
 _HANDLERS: dict[str, Callable[[ExperimentConfig, np.random.Generator],
-                              list[CheckVerdict]]] = {
+                              list[Verdict]]] = {
     "regions": _run_regions,
     "symbols": _run_symbols,
     "spectral": _run_spectral,
@@ -444,8 +423,8 @@ def run(config: ExperimentConfig) -> RunReport:
     try:
         verdicts = _HANDLERS[config.experiment](config, rng)
     except Exception as exc:  # noqa: BLE001 - surface as a failing verdict
-        verdicts = [CheckVerdict(f"{config.experiment}-error", "fail",
-                                 repr(exc))]
+        verdicts = [Verdict.judge(f"{config.experiment}-error", False,
+                                  repr(exc))]
     wall = time.perf_counter() - start
     report = RunReport(config=config.to_mapping(), verdicts=tuple(verdicts),
                        wall_seconds=wall, fingerprint=bump_fingerprint())

@@ -14,13 +14,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .regions import ExponentPoint
-from .spectral import GridField, lp_norm, sample_lp_norm
-from .symbols import SymbolSpec, symbol_on_axes
+from .spectral import GridField, lp_norm, sample_lp_norm, sample_symbol
 
 
 class ExponentKind(enum.Enum):
@@ -120,23 +119,10 @@ def dualize(values: np.ndarray, r: float) -> np.ndarray:
     return vals * scale
 
 
-def _sample_symbol(grid: GridField,
-                   symbol: Union[SymbolSpec, Callable, np.ndarray]) -> np.ndarray:
-    if isinstance(symbol, np.ndarray):
-        if symbol.shape != grid.shape:
-            raise ValueError("precomputed symbol shape does not match grid")
-        return symbol
-    axes = grid.freq_axes()
-    if isinstance(symbol, SymbolSpec):
-        return np.broadcast_to(symbol_on_axes(symbol, axes), grid.shape)
-    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    return np.broadcast_to(symbol(*grids), grid.shape)
-
-
 def certified_lower_bound(field: GridField, symbol, p: float, q: float) -> float:
     """The Rayleigh quotient ``||m(D) f||_q / ||f||_p`` for this one field."""
     _check_exponents(p, q)
-    m = _sample_symbol(field, symbol)
+    m = sample_symbol(field, symbol)
     F = field.to_freq()
     denom = lp_norm(field, p)
     if not denom > 0:
@@ -165,7 +151,7 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
     iterate is carried in space and never re-transformed for its norm.
     """
     _check_exponents(p, q)
-    m = _sample_symbol(init, symbol)
+    m = sample_symbol(init, symbol)
     mc = np.conj(m)
     p_dual = p / (p - 1.0)
     F = init.to_freq()
@@ -212,7 +198,7 @@ def estimate_operator_norm(grid: GridField, symbol, p: float, q: float, *,
     fields, and ``n_random`` complex Gaussian fields supported where the
     symbol is nonzero, drawn from one seeded Philox stream.
     """
-    m = _sample_symbol(grid, symbol)
+    m = sample_symbol(grid, symbol)
     support = m != 0
     if not support.any():
         raise ValueError("symbol vanishes on the whole frequency lattice")

@@ -229,28 +229,41 @@ def lorentz_norm(field: GridField, p: float, flavor: str) -> float:
 
 # --- multiplier action ---------------------------------------------------------
 
-def apply_multiplier(field: GridField,
-                     symbol: Union[SymbolSpec, Callable[..., np.ndarray]]
-                     ) -> GridField:
-    """Apply a Fourier multiplier; returns a field on the input's side.
+Symbol = Union[SymbolSpec, Callable[..., np.ndarray], np.ndarray]
 
-    ``symbol`` is either a `SymbolSpec` or a callable receiving the sparse
-    frequency meshgrid (one broadcastable array per axis).
+
+def sample_symbol(grid: GridField, symbol: Symbol) -> np.ndarray:
+    """A multiplier's samples on the grid's frequency lattice, grid-shaped.
+
+    ``symbol`` is a `SymbolSpec`, a callable receiving the sparse frequency
+    meshgrid (one broadcastable array per axis), or an array already sampled
+    on this lattice, which comes back as it is once its shape checks out.
     """
-    F = field.to_freq()
-    axes = F.freq_axes()
+    if isinstance(symbol, np.ndarray):
+        if symbol.shape != grid.shape:
+            raise ValueError("precomputed symbol shape does not match grid")
+        return symbol
+    axes = grid.freq_axes()
     try:
         if isinstance(symbol, SymbolSpec):
             m = symbol_on_axes(symbol, axes)
         else:
-            grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-            m = symbol(*grids)
+            m = symbol(*np.meshgrid(*axes, indexing="ij", sparse=True))
     except SingularFrequencyError as exc:
         raise SingularFrequencyError(
             f"{exc} -- this grid's lattice hits the degenerate set; rebuild it "
             "with default_grid(..., for_full_symbol=True) or nonzero freq_offsets"
         ) from None
-    out = F.with_values(F.values * m, in_space=False)
+    return np.broadcast_to(m, grid.shape)
+
+
+def apply_multiplier(field: GridField, symbol: Symbol) -> GridField:
+    """Apply a Fourier multiplier; returns a field on the input's side.
+
+    ``symbol`` is anything `sample_symbol` takes.
+    """
+    F = field.to_freq()
+    out = F.with_values(F.values * sample_symbol(F, symbol), in_space=False)
     return out.to_space() if field.in_space else out
 
 

@@ -1,27 +1,67 @@
 """Acceptance battery: every graded criterion, one verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
-they land; each test prints ``<id> PASS/FAIL (<wall>s/<budget>s): <detail>``
-and asserts the verdict.
+they land; each test prints ``<id> PASS/FAIL/SKIP: <detail>`` and asserts
+that the verdict is a pass.
 """
 from fractions import Fraction
 
 import pytest
 
 from carlab import acceptance
-from carlab.acceptance import CRITERIA, knapp_fit, run_criterion
+from carlab.acceptance import (CRITERIA, InsufficientOctaves, knapp_fit,
+                               run_criterion)
 from carlab.regions import ExponentPoint
 
 
 def _check(cid):
     verdict = run_criterion(cid)
     print(verdict.line)
-    assert not verdict.skipped, verdict.detail
-    assert verdict.passed, verdict.detail
+    assert verdict.status == "pass", verdict.detail
 
 
 def test_criteria_registry_is_complete():
     assert sorted(CRITERIA) == [f"A{i}" for i in range(1, 10)]
+
+
+def _stub(monkeypatch, outcome):
+    """Replace A1's body by one that returns or raises ``outcome``."""
+    def body():
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+    monkeypatch.setitem(CRITERIA, "A1", (CRITERIA["A1"][0], body, 1.0))
+
+
+@pytest.mark.parametrize("outcome, status, detail", [
+    ((True, "held"), "pass", "held"),
+    ((False, "broke"), "fail", "broke"),
+    (InsufficientOctaves("two scales"), "skip", "two scales"),
+    (RuntimeError("boom"), "fail", "error: RuntimeError('boom')"),
+])
+def test_run_criterion_maps_outcomes_to_one_verdict_type(
+        monkeypatch, outcome, status, detail):
+    _stub(monkeypatch, outcome)
+    verdict = run_criterion("A1")
+    assert (verdict.id, verdict.status, verdict.detail) == \
+        ("A1", status, detail)
+    assert list(verdict.measures) == ["seconds"]
+    assert verdict.measures["seconds"] >= 0.0
+    assert verdict.line == f"A1 {status.upper()}: {detail}"
+
+
+def test_run_criterion_fails_a_pass_over_budget(monkeypatch):
+    _stub(monkeypatch, (True, "held"))
+    name, body, _ = CRITERIA["A1"]
+    monkeypatch.setitem(CRITERIA, "A1", (name, body, 0.0))
+    verdict = run_criterion("A1")
+    assert verdict.status == "fail"
+    assert verdict.detail.startswith("held; over budget (")
+
+
+def test_run_criterion_rejects_an_unknown_id():
+    with pytest.raises(KeyError, match="A0"):
+        run_criterion("A0")
 
 
 def test_knapp_fit_rejects_a_bad_scale_before_any_witness(monkeypatch):

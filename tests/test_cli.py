@@ -1,9 +1,13 @@
 """Config round-trips, report plumbing, CSV contracts, exit codes."""
 import json
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from carlab import cli
+from carlab import acceptance, cli
 from carlab.bump import bump_fingerprint
 from carlab.cli import (ExperimentConfig, RunReport, main, parse_eps_range,
                         run)
@@ -18,6 +22,62 @@ def test_parse_eps_range_forms():
         parse_eps_range("")
     with pytest.raises(ValueError):
         parse_eps_range("0.3..0.1")
+
+
+@given(st.integers(-40, 40), st.integers(-40, 40))
+def test_parse_eps_octave_spans(m0, m1):
+    got = parse_eps_range(f"2^{m0}..2^{m1}")
+    assert got[0] == 2.0 ** m0 and got[-1] == 2.0 ** m1
+    assert len(got) == abs(m1 - m0) + 1
+    ratio = 2.0 if m1 >= m0 else 0.5
+    assert all(b == a * ratio for a, b in zip(got, got[1:]))
+
+
+_EPS_TOKENS = st.one_of(
+    st.integers(-40, 40).map(lambda m: f"2^{m}"),
+    st.tuples(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+    .map(lambda pq: f"{pq[0]}/{pq[1]}"))
+
+
+@given(st.lists(_EPS_TOKENS, min_size=1, max_size=8))
+def test_parse_eps_comma_lists_keep_their_order(tokens):
+    want = [2.0 ** int(tok[2:]) if tok.startswith("2^")
+            else float(Fraction(tok)) for tok in tokens]
+    assert parse_eps_range(",".join(tokens)) == want
+
+
+_CASTER_VALUES = {
+    int: st.integers(-10 ** 6, 10 ** 6),
+    str: st.text(max_size=12),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def _configs(draw):
+    experiment = draw(st.sampled_from(sorted(cli._SCHEMAS)))
+    schema = cli._SCHEMAS[experiment]
+    names = draw(st.lists(st.sampled_from(sorted(schema)), unique=True))
+    data = {name: draw(_CASTER_VALUES[schema[name][0]]) for name in names}
+    data.update(experiment=experiment, seed=draw(st.integers(0, 2 ** 64 - 1)),
+                out=draw(st.text(max_size=8)),
+                out_dir=draw(st.text(max_size=8)),
+                threads=draw(st.integers(1, 64)))
+    return data
+
+
+@settings(max_examples=200)
+@given(_configs())
+def test_every_config_round_trips_through_json(data):
+    cfg = ExperimentConfig.from_mapping(data)
+    text = cfg.to_json()
+    again = ExperimentConfig.from_json(text)
+    assert again == cfg
+    assert again.to_json() == text
+    assert again.digest == cfg.digest
+    for name, value in data.items():
+        if name in cli._SCHEMAS[cfg.experiment]:
+            assert again.params[name] == value
 
 
 def test_config_round_trips_bit_identically():
@@ -108,6 +168,56 @@ def test_lowerbound_names_scales_without_resonant_samples(tmp_path,
     assert verdict.detail == ("no positive resonant-set sample at "
                               "eps = 0.0625, 0.03125")
     assert (tmp_path / "lb.csv").exists()
+
+
+def test_lowerbound_rejects_a_bad_scale_before_any_evaluation(tmp_path,
+                                                              monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "mtilde_radial",
+                        lambda *args: calls.append(args) or 1.0)
+    cfg = ExperimentConfig.from_mapping(
+        {"experiment": "lowerbound", "eps": "2^-8..2^-2", "out": "lb.csv",
+         "out_dir": str(tmp_path)})  # 2^-2 has no resonant window
+    (verdict,) = run(cfg).verdicts
+    assert verdict.id == "lowerbound-error"
+    assert verdict.status == "fail"
+    assert verdict.detail.startswith("EmptyWindowError(")
+    assert calls == []
+    assert not (tmp_path / "lb.csv").exists()
+
+
+def test_accept_rejects_an_unknown_id_before_any_criterion(tmp_path,
+                                                          monkeypatch):
+    ran = []
+    for cid, (name, _, budget) in list(acceptance.CRITERIA.items()):
+        monkeypatch.setitem(acceptance.CRITERIA, cid,
+                            (name, lambda *a, cid=cid: ran.append(cid)
+                             or (True, "ran"), budget))
+    cfg = ExperimentConfig.from_mapping(
+        {"experiment": "accept", "suites": "A1,A0,A2",
+         "out_dir": str(tmp_path)})
+    (verdict,) = run(cfg).verdicts
+    assert ran == []
+    assert verdict.id == "accept-error"
+    assert verdict.status == "fail"
+    assert "'A0'" in verdict.detail
+
+
+def test_report_verdicts_carry_exactly_four_keys(tmp_path):
+    configs = [{"experiment": "regions", "d": 5, "k": 2},
+               {"experiment": "spectral", "d": 1, "n": 64},
+               {"experiment": "accept", "suites": "A1"},
+               {"experiment": "identities", "suite": "nosuch"}]
+    for data in configs:
+        run(ExperimentConfig.from_mapping({**data, "out_dir": str(tmp_path)}))
+        report = json.loads(
+            (tmp_path / f"{data['experiment']}_report.json").read_text())
+        assert report["verdicts"]
+        for v in report["verdicts"]:
+            assert set(v) == {"id", "status", "detail", "measures"}
+            assert v["status"] in ("pass", "fail", "skip")
+            assert all(isinstance(x, float) and math.isfinite(x)
+                       for x in v["measures"].values())
 
 
 def test_normest_error_surfaces_as_failing_verdict(tmp_path):

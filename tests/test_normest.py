@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlab.acceptance import ring_grid
-from carlab.normest import (ExponentKind, NormEstimate, _sample_symbol,
+from carlab.normest import (ExponentKind, NormEstimate,
                             certified_lower_bound, dualize,
                             estimate_operator_norm, fit_scaling, power_method,
                             theoretical_exponent)
 from carlab.regions import ExponentPoint
 from carlab.spectral import (apply_multiplier, default_grid, lp_norm,
-                             sample_lp_norm)
+                             sample_lp_norm, sample_symbol)
 from carlab.symbols import SymbolSpec, symbol_on_axes
 
 RNG = np.random.Generator(np.random.Philox(77))
@@ -178,7 +178,7 @@ def _dualize_reference(values, r):
 
 def _power_method_oracle(init, symbol, p, q, *, max_iter=24, tol=1e-4):
     """The iteration on modulated `GridField`s, five transforms per step."""
-    m = _sample_symbol(init, symbol)
+    m = sample_symbol(init, symbol)
     mc = np.conj(m)
     p_dual = p / (p - 1.0)
     F = init.to_freq()
@@ -225,7 +225,7 @@ def _starts(grid, spec):
     rng = np.random.Generator(np.random.Philox(31))
     noise = rng.standard_normal(grid.shape) \
         + 1j * rng.standard_normal(grid.shape)
-    return {"symbol": grid.with_values(np.conj(_sample_symbol(grid, spec)),
+    return {"symbol": grid.with_values(np.conj(sample_symbol(grid, spec)),
                                        in_space=False),
             "noise": grid.with_values(noise, in_space=True)}
 
@@ -269,7 +269,7 @@ def _digest(values) -> str:
 
 def test_norm_estimation_never_writes_into_its_inputs(lattice):
     spec = SymbolSpec("full", 2, 1)
-    m = np.array(_sample_symbol(lattice, spec))  # writable, precomputed
+    m = np.array(sample_symbol(lattice, spec))  # writable, precomputed
     rng = np.random.Generator(np.random.Philox(12))
     f = lattice.with_values(rng.standard_normal(lattice.shape)
                             + 1j * rng.standard_normal(lattice.shape))
