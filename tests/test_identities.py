@@ -6,8 +6,10 @@ import pytest
 
 from carlab.bump import inversion_bump
 from carlab.identities import (CustomTest, L_apply, PolyGauss, RadialPower,
+                               _period_breakpoints, _sphere_hat_vec,
                                fractional_laplacian, invert_points, kelvin,
-                               kelvin_grid, pair_pullback, sphere_area,
+                               kelvin_grid, pair_pullback,
+                               radial_fractional_at, sphere_area,
                                sphere_integral, sphere_nodes,
                                verify_counter_identities,
                                verify_dist_identity, verify_kelvin)
@@ -208,6 +210,52 @@ def test_kelvin_error_halves_under_resolution_doubling():
     coarse = verify_kelvin(u, 1.0, kelvin_grid(3, 64, 5.0))
     fine = verify_kelvin(u, 1.0, kelvin_grid(3, 128, 5.0))
     assert coarse.rel_err / fine.rel_err >= 2.0
+
+
+def _masked_sphere_hat(x):
+    """The d = 3 sphere transform as it was computed before: sinc on the
+    nonzero entries only."""
+    out = np.full_like(x, 4.0 * np.pi)
+    nz = x != 0
+    out[nz] = 4.0 * np.pi * np.sin(x[nz]) / x[nz]
+    return out
+
+
+def test_sphere_hat_d3_is_bit_identical_to_the_masked_form():
+    x = np.outer(RNG.uniform(-4096.0, 4096.0, 64), RNG.uniform(0.4, 2.5, 90))
+    x[3, :7] = 0.0
+    x[5, 2] = -0.0
+    x[7, :4] = [1e-300, -5e-324, 2.0 ** -30, -1e-8]
+    x[9, :3] = [-np.pi, np.pi, -1.0]
+    got = _sphere_hat_vec(3, x)
+    want = _masked_sphere_hat(x)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.all(got[3, :7] == 4.0 * np.pi) and got[5, 2] == 4.0 * np.pi
+
+
+def test_period_breakpoints():
+    assert _period_breakpoints(0.4, 2.5, 0.0, 2.0) == ()
+    # the outer loop's rule, one period of 2 pi / rmax, as written inline
+    for edge, rmax in ((0.0, 1.4285714285714286), (64.0, 2.2), (192.0, 0.9)):
+        hi = edge + 64.0
+        step = 2.0 * np.pi / rmax
+        want = tuple(np.arange(edge + step, hi - 0.5 * step, step))
+        assert _period_breakpoints(edge, hi, rmax, 1.0) == want
+    brk = _period_breakpoints(0.41, 2.44, 4096.0, 2.0)
+    assert np.allclose(np.diff(brk), 4.0 * np.pi / 4096.0, rtol=1e-12)
+    assert 0.41 < brk[0] and brk[-1] < 2.44
+
+
+def test_radial_oracle_matches_the_exact_laplacian():
+    # s = 1: the nested continuum quadrature, panels pre-split by the
+    # oscillation period, against -(B'' + 2 B'/r) from the profile's own
+    # derivatives
+    u = inversion_bump(1.0)
+    r = np.linspace(0.45, 2.4, 25)
+    got = radial_fractional_at(u, u.support, 3, 1.0, r, rel_tol=1e-6,
+                               rho_cap=4096.0)
+    want = -(u(r, 2) + 2.0 / r * u(r, 1))
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
 def test_custom_test_function_requires_image_for_l():

@@ -127,6 +127,32 @@ def test_power_method_value_is_history_max():
     assert est.value == max(est.history)
 
 
+_RECORD_CASES = {
+    "plane": (default_grid(2, 16), SymbolSpec("full", 2, 1)),
+    "ring_j2": (ring_grid(2, 32, 16),
+                SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=2)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(_RECORD_CASES)),
+       p=st.floats(1.0, 8.0, exclude_min=True, exclude_max=True),
+       q=st.floats(1.0, 8.0, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_power_method_record_is_consistent(case, p, q, seed):
+    grid, spec = _RECORD_CASES[case]
+    rng = np.random.Generator(np.random.Philox(seed))
+    init = grid.with_values(rng.standard_normal(grid.shape)
+                            + 1j * rng.standard_normal(grid.shape),
+                            in_space=True)
+    est = power_method(init, spec, p, q)
+    assert est.iterations == len(est.history)
+    assert est.value == max(est.history, default=0.0)
+    assert all(np.isfinite(h) for h in est.history)
+    if not est.aborted:
+        assert est.history and all(h > 0.0 for h in est.history)
+
+
 def test_degenerate_init_reports_zero():
     g = default_grid(2, n=32, freq_span=0.4)
     vals = np.zeros(g.shape, complex)

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from carlab.symbols import (SingularFrequencyError, SymbolSpec, _theta,
+from carlab.symbols import (DEFAULT_EPS0, SingularFrequencyError,
+                            SymbolSpec, _theta,
                             eval_from_radial, eval_im_mtilde,
                             eval_phi_eps_ell, eval_symbol, psi, psi0)
 
@@ -122,6 +123,27 @@ def test_reconstruction_local_plus_global():
                 + eval_from_radial(SymbolSpec("global", d, k), eta_sq, tau))
         rel = np.abs(full - both) / np.abs(full)
         assert rel.max() <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(dk=st.sampled_from([(3, 1), (5, 2), (9, 3)]),
+       eta_sq=st.one_of(st.floats(0.0, 4.0),
+                        st.floats(1.0 - 3.0 * DEFAULT_EPS0,
+                                  1.0 + 3.0 * DEFAULT_EPS0)),
+       tau=st.one_of(st.just(0.0),
+                     st.builds(lambda e, sign: sign * 2.0 ** e,
+                               st.floats(-40.0, 2.0),
+                               st.sampled_from([-1.0, 1.0]))))
+def test_local_plus_global_is_full_off_the_degenerate_set(dk, eta_sq, tau):
+    # any (|eta|^2, tau) off {|eta| = 1, tau = 0}: inside the eta ramp of
+    # width eps0, deep in the dyadic tau windows, and on tau = 0 itself
+    assume(tau != 0.0 or eta_sq != 1.0)
+    d, k = dk
+    full = complex(eval_from_radial(SymbolSpec("full", d, k), eta_sq, tau))
+    both = (complex(eval_from_radial(SymbolSpec("local", d, k), eta_sq, tau))
+            + complex(eval_from_radial(SymbolSpec("global", d, k), eta_sq,
+                                       tau)))
+    assert abs(full - both) <= 1e-10 * abs(full)
 
 
 def test_rescaling_identity():
