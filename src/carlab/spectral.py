@@ -29,6 +29,10 @@ place on the one array it allocates.  Loops that transform back and forth
 unimodular, so ``|y| = |f|`` and every Lebesgue norm and norming map agrees
 on the two, while the cell volume cancels between ``fftn`` and ``ifftn``
 and enters each norm only as ``cell_volume ** (1/p)`` (`sample_lp_norm`).
+Norms are sums over all samples, so such a loop may also hold ``y`` with
+its axes reordered.  The power iteration does, to prune its transforms: it
+puts first the axis along which the multiplier vanishes on the most whole
+lines, and transforms that axis on the remaining lines only.
 """
 
 from __future__ import annotations

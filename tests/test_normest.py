@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlab.acceptance import ring_grid
-from carlab.normest import (ExponentKind, NormEstimate,
+from carlab.normest import (ExponentKind, NormEstimate, _live_lines,
                             certified_lower_bound, dualize,
                             estimate_operator_norm, fit_scaling, power_method,
                             theoretical_exponent)
@@ -134,6 +134,7 @@ _RECORD_CASES = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(case=st.sampled_from(sorted(_RECORD_CASES)),
        p=st.floats(1.0, 8.0, exclude_min=True, exclude_max=True),
@@ -151,6 +152,20 @@ def test_power_method_record_is_consistent(case, p, q, seed):
     assert all(np.isfinite(h) for h in est.history)
     if not est.aborted:
         assert est.history and all(h > 0.0 for h in est.history)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [1.001, 1.0 + 1e-7])
+def test_power_method_near_p_one_keeps_iterating(p):
+    # p' = p / (p - 1) is 1001 and 1e7 + 1: the pulled-back iterate is raised
+    # to the power p' - 1, which overflows unless it is scaled first
+    grid = default_grid(2, 16, for_full_symbol=True)
+    rng = np.random.Generator(np.random.Philox(3))
+    init = grid.with_values(rng.standard_normal(grid.shape)
+                            + 1j * rng.standard_normal(grid.shape))
+    est = power_method(init, SymbolSpec("full", 2, 1), p, 3.0)
+    assert not est.aborted
+    assert est.iterations > 1
 
 
 def test_degenerate_init_reports_zero():
@@ -235,8 +250,31 @@ def _power_method_oracle(init, symbol, p, q, *, max_iter=24, tol=1e-4):
                         aborted=aborted)
 
 
+def _lines_symbol(axis):
+    """A 3-d symbol that is zero on every line along ``axis`` whose other
+    two coordinates lie outside a disc, and nowhere else."""
+    def symbol(*xi):
+        a, b = (x for i, x in enumerate(xi) if i != axis)
+        disc = a * a + b * b < 1.5 ** 2
+        return disc * np.exp(1j * xi[axis]) / (1.0 + sum(x * x for x in xi))
+    return symbol
+
+
+def _one_line_symbol():
+    """A real array: the full symbol's modulus on the line ``[:, 5]`` only."""
+    grid = default_grid(2, 32, for_full_symbol=True)
+    full = sample_symbol(grid, SymbolSpec("full", 2, 1))
+    m = np.zeros(grid.shape)
+    m[:, 5] = np.abs(full[:, 5])
+    return grid, m
+
+
 _ORACLE_CASES = {
     "zero_offset": (default_grid(2, 32), SymbolSpec("full", 2, 1)),
+    # lines pruned along a first and a middle axis, and a single live line
+    "lines_axis0": (default_grid(3, 16), _lines_symbol(0)),
+    "lines_axis1": (default_grid(3, 16), _lines_symbol(1)),
+    "one_line": _one_line_symbol(),
     "half_cell": (default_grid(2, 32, for_full_symbol=True),
                   SymbolSpec("full", 2, 1)),
     # ring_grid(1, 32, 16) has no lattice point inside its ring
@@ -256,6 +294,39 @@ def _starts(grid, spec):
             "noise": grid.with_values(noise, in_space=True)}
 
 
+@pytest.mark.parametrize("case, axis, n_live", [
+    ("lines_axis0", 0, 37), ("lines_axis1", 1, 37), ("one_line", 0, 1),
+    ("half_cell", 0, 32), ("ring_j0", 2, 32)])
+def test_the_emptiest_axis_is_pruned_to_its_nonzero_lines(case, axis, n_live):
+    grid, spec = _ORACLE_CASES[case]
+    m = sample_symbol(grid, spec)
+    got_axis, runs, gaps, mk = _live_lines(m)
+    lines = np.moveaxis(m, axis, 0).reshape(m.shape[axis], -1)
+    kind = np.zeros(lines.shape[1], int)
+    for a, b, _ in runs:
+        kind[a:b] += 1
+    for a, b in gaps:
+        kind[a:b] += 2
+    assert set(kind.tolist()) <= {1, 2}  # runs and gaps partition the lines
+    live = np.flatnonzero(kind == 1)
+    assert (got_axis, live.size) == (axis, n_live)
+    assert np.all(lines[:, kind == 2] == 0)
+    assert np.all(np.any(lines[:, live] != 0, axis=0))
+    assert [o for _, _, o in runs] == \
+        np.cumsum([0] + [b - a for a, b, _ in runs])[:-1].tolist()
+    np.testing.assert_array_equal(mk, lines[:, live])
+
+
+def test_ring_estimate_is_bit_identical_on_rerun():
+    grid = ring_grid(0, 64, 16)
+    spec = SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=0)
+    histories = [estimate_operator_norm(grid, spec, 2.0, 6.0, n_random=1,
+                                        max_iter=12, tol=1e-3).history
+                 for _ in range(2)]
+    assert histories[0] == histories[1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("p, q", [(2.0, 6.0), (1.5, 4.0), (3.0, 3.0)])
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_power_method_matches_the_grid_field_oracle(case, p, q):
@@ -271,6 +342,7 @@ def test_power_method_matches_the_grid_field_oracle(case, p, q):
                                    atol=0.0, err_msg=name)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_symbol_start_at_dual_exponent_below_two(case):
     # From conj(m) at p = 3 the pulled-back iterate has exact zero samples on
