@@ -166,32 +166,40 @@ def _live_lines(m: np.ndarray) -> tuple[int, list, list, np.ndarray]:
     return axis, runs, gaps, mk
 
 
-def _multiply_on_lines(buf: np.ndarray, runs: list, gaps: list,
-                       mk: np.ndarray, lines: np.ndarray,
-                       scale: float | None = None) -> None:
-    """``buf = ifftn(mk * fftn(buf))`` in place, transforming live lines only.
-
-    ``buf`` holds the pruned axis first; ``runs``, ``gaps`` and ``mk`` come
-    from `_live_lines`, and ``lines`` is complex scratch of ``mk``'s shape.
-    The other axes are transformed on the whole array, the first axis on the
-    gathered live lines alone: the multiplier is exactly 0 on every other
-    line, so the dense product is exactly 0 there too.
-    """
-    rest = tuple(range(1, buf.ndim))
-    np.fft.fftn(buf, axes=rest, out=buf)
+def _gather(buf: np.ndarray, runs: list, lines: np.ndarray) -> None:
+    """Copy the live lines of ``buf`` into the compact ``lines``."""
     flat = buf.reshape(buf.shape[0], -1)
     for a, b, o in runs:
         lines[:, o:o + b - a] = flat[:, a:b]
+
+
+def _to_lines(buf: np.ndarray, runs: list, lines: np.ndarray) -> None:
+    """``lines = fftn(buf)`` on the live lines; ``buf`` is overwritten.
+
+    ``buf`` holds the pruned axis first; ``runs`` come from `_live_lines`,
+    and ``lines`` is complex scratch of the compact shape ``(n_axis, K)``.
+    The other axes are transformed on the whole array, the first axis on
+    the gathered live lines alone.
+    """
+    np.fft.fftn(buf, axes=tuple(range(1, buf.ndim)), out=buf)
+    _gather(buf, runs, lines)
     np.fft.fft(lines, axis=0, out=lines)
-    lines *= mk
-    if scale is not None:
-        lines *= scale
+
+
+def _from_lines(lines: np.ndarray, buf: np.ndarray, runs: list,
+                gaps: list) -> None:
+    """``buf = ifftn`` of ``lines`` put back on their lines, every other
+    line zero; ``lines`` is overwritten.  The inverse of `_to_lines` on
+    arrays that vanish off the live lines, such as ``m`` times anything:
+    the multiplier is exactly 0 on every other line.
+    """
     np.fft.ifft(lines, axis=0, out=lines)
+    flat = buf.reshape(buf.shape[0], -1)
     for a, b in gaps:
         flat[:, a:b] = 0.0
     for a, b, o in runs:
         flat[:, a:b] = lines[:, o:o + b - a]
-    np.fft.ifftn(buf, axes=rest, out=buf)
+    np.fft.ifftn(buf, axes=tuple(range(1, buf.ndim)), out=buf)
 
 
 def power_method(init: GridField, symbol, p: float, q: float, *,
@@ -211,16 +219,26 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
     `dualize`, the cell volume cancels between ``fftn`` and ``ifftn``, and it
     enters each norm only as the factor ``cell_volume ** (1/r)``.
 
-    A step is two multiplier round trips, each in place on an array the loop
-    owns.  The iterate is held with the axis along which ``m`` leaves the
-    most lines empty moved first (`_live_lines`); a round trip transforms the
-    other axes on the whole array and that axis on the lines where ``m`` has
-    a nonzero sample only (`_multiply_on_lines`).  On A8's rings 3% of the
-    tau-lines are live.  The q-side norm and the dualization share one
-    modulus pass: ``w = |g|^(q-2)``, ``s^q`` is the sum of ``w |g|^2`` and
-    ``g *= w`` dualizes.  Before the p-side dualization with ``p' > 2`` the
-    pulled-back array is divided by its largest modulus, so ``|v|^(p'-1)``
-    cannot overflow near p = 1; the next step renormalises anyway.
+    Arrays are held with the axis along which ``m`` leaves the most lines
+    empty moved first (`_live_lines`); on A8's rings 3% of the tau-lines
+    are live.  The multiplier acts on the compact array of the live lines
+    of ``fftn(y)``: `_to_lines` transforms the other axes on the whole
+    array and that axis on the live lines only, `_from_lines` is its
+    inverse.  The q-side norm and the dualization share one modulus pass:
+    ``w = |g|^(q-2)``, ``s^q`` is the sum of ``w |g|^2`` and ``g *= w``
+    dualizes.
+
+    At p = 2 the dual exponent is 2 and the p-side dualization is the
+    identity, so between steps the iterate stays on the frequency side, as
+    those compact lines, and never returns to space.  Its norm is then
+    Parseval's ``||f||_2^2 = cell_volume / N * sum |fftn(y)|^2`` over the
+    ``N`` samples, summed over the whole start array on the first step
+    because a start may carry mass on lines where ``m`` vanishes.  A step
+    is one inverse and one forward pass: two full-size transforms.  At
+    other p the pulled-back lines go back to space for `dualize`, and
+    before that with ``p' > 2`` they are divided by their largest modulus,
+    so ``|v|^(p'-1)`` cannot overflow near p = 1; the next step
+    renormalises anyway.
     """
     _check_exponents(p, q)
     m = sample_symbol(init, symbol)
@@ -228,21 +246,35 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
     mkc = np.conj(mk)
     lines = np.empty(mk.shape, complex)
     p_dual = p / (p - 1.0)
+    in_freq = p == 2.0
     F = init.to_freq()
     cell = F.cell_volume
     y = np.divide(np.moveaxis(F.values, axis, 0), cell, order="C")
-    np.fft.ifftn(y, out=y)
+    if in_freq:
+        # Parseval on the whole start array; afterwards on the lines
+        cell_per_n = cell / y.size
+        nf = sample_lp_norm(y, 2.0, cell_per_n)
+        _gather(y, runs, lines)
+    else:
+        np.fft.ifftn(y, out=y)
     w = np.empty(y.shape)
     sq = np.empty(y.shape)
     history: list[float] = []
     aborted = False
-    for _ in range(max_iter):
-        nf = sample_lp_norm(y, p, cell)
+    for step in range(max_iter):
+        if not in_freq:
+            nf = sample_lp_norm(y, p, cell)
+        elif step:
+            nf = sample_lp_norm(lines, 2.0, cell_per_n)
         if not np.isfinite(nf) or nf == 0.0:
             aborted = True
             break
         g = y
-        _multiply_on_lines(g, runs, gaps, mk, lines, 1.0 / nf)
+        if not in_freq:
+            _to_lines(g, runs, lines)
+        lines *= mk
+        lines *= 1.0 / nf
+        _from_lines(lines, g, runs, gaps)
         np.abs(g, out=w)
         np.multiply(w, w, out=sq)
         _dual_power(w, q)
@@ -255,7 +287,11 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
         if len(history) > 1 and abs(history[-1] - history[-2]) <= tol * s:
             break
         g *= w
-        _multiply_on_lines(g, runs, gaps, mkc, lines)
+        _to_lines(g, runs, lines)
+        lines *= mkc
+        if in_freq:
+            continue
+        _from_lines(lines, g, runs, gaps)
         if p_dual > 2.0:
             peak = np.max(np.abs(g, out=w))
             if peak > 0.0:
@@ -276,25 +312,33 @@ def estimate_operator_norm(grid: GridField, symbol, p: float, q: float, *,
     Restart seeds: the conjugated symbol itself as a frequency profile (the
     natural L^2 maximiser, a strong generic start), any caller-supplied
     fields, and ``n_random`` complex Gaussian fields supported where the
-    symbol is nonzero, drawn from one seeded Philox stream.
+    symbol is nonzero, drawn from one seeded Philox stream.  Each start is
+    built just before its run and dropped after it, so at most one
+    full-size start is alive at a time besides the caller's fields.
     """
     m = sample_symbol(grid, symbol)
     support = m != 0
     if not support.any():
         raise ValueError("symbol vanishes on the whole frequency lattice")
-    inits = [grid.with_values(np.conj(m), in_space=False)]
-    inits.extend(extra_inits)
-    rng = np.random.Generator(np.random.Philox(seed))
-    for _ in range(n_random):
-        noise = rng.standard_normal(grid.shape) \
-            + 1j * rng.standard_normal(grid.shape)
-        inits.append(grid.with_values(noise * support, in_space=False))
+
+    def starts():
+        yield grid.with_values(np.conj(m), in_space=False)
+        yield from extra_inits
+        rng = np.random.Generator(np.random.Philox(seed))
+        for _ in range(n_random):
+            noise = rng.standard_normal(grid.shape) \
+                + 1j * rng.standard_normal(grid.shape)
+            noise *= support
+            yield grid.with_values(noise, in_space=False)
+            del noise  # before the next draw
+
     best: NormEstimate | None = None
     hist: list[float] = []
     total_iter = 0
     aborted = False
-    for f0 in inits:
+    for f0 in starts():
         est = power_method(f0, m, p, q, max_iter=max_iter, tol=tol)
+        del f0
         hist.extend(est.history)
         total_iter += est.iterations
         aborted = aborted or est.aborted

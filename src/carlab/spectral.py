@@ -11,9 +11,9 @@ tight window per axis instead of forcing a huge isotropic lattice.  Second,
 offsetting by half a cell keeps every lattice point away from the degenerate
 set of the model symbol by a quantifiable margin.
 
-All norms are computed on the space-side samples.  Because every field here
-is band-limited by construction and the lattice span exceeds the spectral
-support severalfold, the lattice Riemann sums of |f|^p agree with the
+Norms are lattice Riemann sums of the space-side samples, |f|^p.  Because
+every field here is band-limited by construction and the lattice span
+exceeds the spectral support severalfold, these sums agree with the
 continuum integrals up to the (superpolynomially small) periodisation tails;
 there is no further discretisation error hidden in the norms.
 
@@ -32,7 +32,11 @@ and enters each norm only as ``cell_volume ** (1/p)`` (`sample_lp_norm`).
 Norms are sums over all samples, so such a loop may also hold ``y`` with
 its axes reordered.  The power iteration does, to prune its transforms: it
 puts first the axis along which the multiplier vanishes on the most whole
-lines, and transforms that axis on the remaining lines only.
+lines, and transforms that axis on the remaining lines only.  At p = 2 it
+keeps its iterate on the frequency side and takes the L^2 norm from the
+coefficients: by Parseval the Riemann sum of ``|y|^2`` is
+``sum |fftn(y)|^2 / N`` over the ``N`` samples, so that norm is the same
+sum, computed without the transform.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Operator-norm lower bounds, power iteration, scaling fits."""
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -327,7 +328,8 @@ def test_ring_estimate_is_bit_identical_on_rerun():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("p, q", [(2.0, 6.0), (1.5, 4.0), (3.0, 3.0)])
+@pytest.mark.parametrize("p, q", [(2.0, 6.0), (2.0, 2.0), (1.5, 4.0),
+                                  (3.0, 3.0)])
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_power_method_matches_the_grid_field_oracle(case, p, q):
     grid, spec = _ORACLE_CASES[case]
@@ -359,6 +361,44 @@ def test_symbol_start_at_dual_exponent_below_two(case):
     assert (got.iterations, got.aborted) == (want.iterations, want.aborted)
     np.testing.assert_allclose(got.history[:2], want.history[:2], rtol=1e-12,
                                atol=0.0)
+
+
+@pytest.mark.parametrize("case", ["ring_j0", "half_cell"])
+def test_power_method_at_p2_makes_two_full_size_transforms_per_step(
+        case, monkeypatch):
+    # at p = 2 the iterate stays on the frequency side between steps
+    grid, spec = _ORACLE_CASES[case]
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(a, *args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(np.size(a) == grid.values.size)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    for init in _starts(grid, spec).values():
+        calls.clear()
+        est = power_method(init, spec, 2.0, 6.0, max_iter=200, tol=1e-6)
+        assert 2 < est.iterations < 200
+        assert sum(calls) <= 2 * est.iterations
+
+
+def test_restarts_are_built_one_at_a_time():
+    # each restart field is built just before its run and dropped after it,
+    # so more restarts do not raise the peak
+    grid = ring_grid(0, 64, 16)
+    spec = SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=0)
+    field_mb = grid.values.nbytes / 2 ** 20
+
+    def peak_mb(n_random):
+        tracemalloc.start()
+        try:
+            estimate_operator_norm(grid, spec, 2.0, 6.0, n_random=n_random,
+                                   max_iter=4, tol=1e-3)
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    peak_mb(1)  # lazy set-up such as FFT plans is not part of the peak
+    assert peak_mb(3) <= peak_mb(1) + 0.5 * field_mb
 
 
 def _digest(values) -> str:
