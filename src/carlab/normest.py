@@ -209,8 +209,10 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
     Each step maps the current unit-in-L^p field through the multiplier,
     records the quotient, then pulls the L^q norming function back through the
     adjoint (the multiplier with conjugated symbol) and renorms with the dual
-    exponent.  Stops on relative stagnation below ``tol``; a non-finite
-    iterate aborts the run and returns the best bound collected so far.
+    exponent.  Stops on relative stagnation below ``tol`` or at the
+    ``max_iter``-th quotient, before the pull-back that quotient would
+    feed; a non-finite iterate aborts the run and returns the best bound
+    collected so far.
 
     The loop works on raw arrays in the grid's demodulated space coordinates
     ``y = ifftn(F / cell_volume)``, ``F`` the continuum-normalised
@@ -284,7 +286,9 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
             aborted = True
             break
         history.append(s)
-        if len(history) > 1 and abs(history[-1] - history[-2]) <= tol * s:
+        stalled = (len(history) > 1
+                   and abs(history[-1] - history[-2]) <= tol * s)
+        if stalled or step == max_iter - 1:
             break
         g *= w
         _to_lines(g, runs, lines)

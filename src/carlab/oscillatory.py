@@ -18,12 +18,9 @@ every numbered quantity that enters the chain of estimates:
 * ``mtilde_radial`` -- direct evaluation of the operator output at a
   space-time point, as a 2-D quadrature in (radius, dual time).
 * ``j_decomposition`` -- the same quantity reassembled after integrating
-  by parts down to a first-power denominator: one Bessel term per step,
-  with the top term split into its main/cross/remainder parts.
+  by parts down to a first-power denominator: one Bessel term per step.
 * ``frak_s_sample`` -- radii in the resonant set where the top term
   dominates, plus the membership predicate used by the CLI.
-* ``im_mtilde_sign`` -- sampled sign-constancy of the imaginary part of
-  the rescaled symbol on the slab where the Knapp-type witness lives.
 
 All quadratures are pure functions; sweeps over (eps, radius) parallelize
 trivially from the outside.
@@ -36,10 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_ju, sphere_hat
+from .bessel import bessel_ju, sphere_hat
 from .bump import SymmetricPlateau
 from .quadrature import gauss_kronrod_batch, gauss_legendre_rule
-from .symbols import DEFAULT_EPS0, eval_im_mtilde
 
 __all__ = [
     "EmptyWindowError",
@@ -49,7 +45,6 @@ __all__ = [
     "annulus_radii",
     "frak_s_sample",
     "i_integral",
-    "im_mtilde_sign",
     "in_resonant_set",
     "j_decomposition",
     "lorentzian_mass",
@@ -108,38 +103,31 @@ class LowerBoundParams:
         Dimension and operator power, d >= 2, 1 <= k.
     eps : float
         Rescaling parameter in (0, 1].
-    delta0 : float
-        Half-width of the plateau of the radial profile, in (0, 1/4).
     lam, mu : float
         Lorentzian window width satisfying the 16:1 mass balance, and the
         annulus scale with ``lam * mu <= 2**-7``.
     c0, c1, c2 : float
         Resonant-set constants: radii lie in [c1/eps, c2/eps] and within
         ``c0`` of the phase-aligned lattice.
-    t_small : float
-        Largest time offset at which the measured lower bound stays within
-        a factor 2 of its t=0 value; calibrated empirically and recorded
-        here, never asserted by the library itself.
+
+    Measured: for |t| <= 6 the lower bound stays within a factor 2 of its
+    t = 0 value.
     """
 
     d: int
     k: int
     eps: float
-    delta0: float
     lam: float
     mu: float
     c0: float
     c1: float
     c2: float
-    t_small: float
 
     def __post_init__(self) -> None:
         if self.d < 2 or self.k < 1:
             raise ValueError("need d >= 2 and k >= 1")
         if not 0.0 < self.eps <= 1.0:
             raise ValueError("eps must lie in (0, 1]")
-        if not 0.0 < self.delta0 < 0.25:
-            raise ValueError("delta0 must lie in (0, 1/4)")
         inside = lorentzian_mass(self.lam / 4.0)
         if inside < 2.0 ** 4 * (math.pi - inside):
             raise ValueError("lam fails the 16:1 Lorentzian mass balance")
@@ -151,19 +139,17 @@ class LowerBoundParams:
             raise ValueError("c0 must be positive")
 
     @classmethod
-    def make(cls, d: int, k: int, eps: float, *, delta0: float = 3.0 / 16,
-             c0: float = 2e-3, c1: float = 0.25, c2: float = 0.75,
-             t_small: float = 6.0) -> "LowerBoundParams":
+    def make(cls, d: int, k: int, eps: float, *, c0: float = 2e-3,
+             c1: float = 0.25, c2: float = 0.75) -> "LowerBoundParams":
         """Build the standard parameter block.
 
         ``lam`` comes from the bisection, ``mu`` saturates the product
         constraint at ``2**-7 / lam``.  The window constants default to the
-        empirically calibrated values used by the acceptance experiments;
-        ``t_small`` records the measured time tolerance (see class docs).
+        empirically calibrated values used by the acceptance experiments.
         """
         lam = solve_lambda()
-        return cls(d=d, k=k, eps=float(eps), delta0=delta0, lam=lam,
-                   mu=2.0 ** -7 / lam, c0=c0, c1=c1, c2=c2, t_small=t_small)
+        return cls(d=d, k=k, eps=float(eps), lam=lam, mu=2.0 ** -7 / lam,
+                   c0=c0, c1=c1, c2=c2)
 
     @property
     def alpha(self) -> float:
@@ -422,20 +408,9 @@ class JDecomposition:
     coefficient table; their sum reproduces ``mtilde_radial`` exactly (the
     constant chain from the k - 1 integrations by parts, ``1/(2^{k-1}
     (k-1)!)``, is folded in, so the fitted consistency constant is 1).
-
-    ``top_main``, ``top_cross``, ``top_remainder`` split the last term via
-    the large-argument cosine asymptotic of its Bessel factor at phase
-    offset ``alpha``: main carries cos(|y| - alpha), cross carries
-    sin(|y| - alpha) (sign folded in), remainder carries the exact Bessel
-    remainder.  They satisfy top_main + top_cross + top_remainder =
-    terms[-1] up to quadrature error.
     """
 
     terms: tuple
-    top_main: complex
-    top_cross: complex
-    top_remainder: complex
-    alpha: float
 
     @property
     def total(self) -> complex:
@@ -448,8 +423,9 @@ def j_decomposition(d: int, k: int, eps: float, spec: Phi5Spec, y_abs: float,
 
     Each term is a 1-D adaptive radial quadrature against the fixed
     dual-time rule, exactly like the direct route; the two routes are
-    mutual oracles.  Requires ``y_abs > 0`` (the top-term split divides by
-    Bessel asymptotics in rho*|y|).
+    mutual oracles.  Requires ``y_abs > 0``: the two routes are compared
+    only at positive radii (A9 samples resonant radii), so at ``y_abs = 0``
+    use `mtilde_radial`.
     """
     if d != spec.d or k != spec.k:
         raise ValueError("profile spec was built for different (d, k)")
@@ -459,7 +435,6 @@ def j_decomposition(d: int, k: int, eps: float, spec: Phi5Spec, y_abs: float,
         abs_tol = 1e-8 * eps ** (0.5 * d - k)
 
     nu = 0.5 * (d - 3)
-    alpha = 0.25 * math.pi * (d + 2 * k - 4)
     pref = ((2.0 * math.pi) ** -d * (2.0 * math.pi) ** (0.5 * (d - 1))
             / (2.0 ** (k - 1) * math.factorial(k - 1)))
     nodes, weights = _tau_rule(spec)
@@ -484,28 +459,7 @@ def j_decomposition(d: int, k: int, eps: float, spec: Phi5Spec, y_abs: float,
             lambda rho, l=l: spec.eval_table(l, rho)
             * bessel_ju(nu + l, rho * y_abs)))
 
-    mu_ord = nu + k - 1
-    top_scale = pref * (-1.0) ** (k - 1)
-    ypow = y_abs ** (0.5 * (2 * k - d))
-    main = (top_scale * math.sqrt(2.0 / math.pi) * ypow
-            * math.cos(y_abs - alpha)
-            * against(lambda rho: spec.varphi(rho)
-                      * np.cos((rho - 1.0) * y_abs)))
-    cross = (-top_scale * math.sqrt(2.0 / math.pi) * ypow
-             * math.sin(y_abs - alpha)
-             * against(lambda rho: spec.varphi(rho)
-                       * np.sin((rho - 1.0) * y_abs)))
-
-    def remainder(rho: np.ndarray) -> np.ndarray:
-        r = rho * y_abs
-        return (bessel_j(mu_ord, r)
-                - np.sqrt(2.0 / (math.pi * r)) * np.cos(r - alpha))
-
-    rem = (top_scale * y_abs ** (0.5 * (2 * k + 1 - d))
-           * against(lambda rho: np.sqrt(rho) * spec.varphi(rho)
-                     * remainder(rho)))
-    return JDecomposition(terms=tuple(terms), top_main=main, top_cross=cross,
-                          top_remainder=rem, alpha=alpha)
+    return JDecomposition(terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -540,42 +494,3 @@ def in_resonant_set(params: LowerBoundParams, y_abs) -> np.ndarray:
     hi = params.c2 / params.eps
     dist = np.abs((y - params.alpha + math.pi) % (2.0 * math.pi) - math.pi)
     return (y >= lo) & (y <= hi) & (dist <= params.c0)
-
-
-# ---------------------------------------------------------------------------
-# Sign constancy of the imaginary part on the Knapp slab
-
-
-def im_mtilde_sign(d: int, k: int, eps: float, delta0: float = 1.0 / 32,
-                   eps0: float = DEFAULT_EPS0, samples: int = 256,
-                   seed: int = 0) -> int:
-    """Sampled sign of Im of the rescaled symbol on the thin witness slab.
-
-    The slab is the product of d - 2 transverse intervals
-    [sqrt(delta0*eps), 1.5*sqrt(delta0*eps)], the normal interval
-    [1 + delta0*eps, 1 + 1.5*delta0*eps], and dual time [1, 3/2].  Returns
-    +1 or -1; raises ValueError if the sampled sign is not constant (or
-    the symbol vanishes somewhere on the slab).  ``delta0`` here is the
-    slab thickness, not the plateau width: it must be small enough that
-    the slab stays inside the frequency cutoff (|1 - |eta|^2| of order
-    (d + 1) * delta0 * eps must stay below 2 * eps0), which the default
-    satisfies for d <= 9 and eps <= 2**-4.
-    """
-    if d < 2:
-        raise ValueError("need d >= 2")
-    if not 0.0 < eps <= delta0:
-        raise ValueError("need 0 < eps <= delta0")
-    rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.random((samples, d))
-    eta = np.empty((samples, d - 1))
-    root = math.sqrt(delta0 * eps)
-    eta[:, : d - 2] = root * (1.0 + 0.5 * u[:, : d - 2])
-    eta[:, d - 2] = 1.0 + delta0 * eps * (1.0 + 0.5 * u[:, d - 2])
-    tau = 1.0 + 0.5 * u[:, d - 1]
-    vals = eval_im_mtilde(d, k, eps, eps0, eta, tau)
-    if np.any(vals == 0.0):
-        raise ValueError("imaginary part vanishes on the witness slab")
-    signs = np.sign(vals)
-    if signs.min() != signs.max():
-        raise ValueError("imaginary part changes sign on the witness slab")
-    return int(signs[0])

@@ -16,7 +16,7 @@ Conventions
   two exponents on the admissible line is ``x - y = 2k/d``.
 * Duality acts by ``(x, y) -> (1 - y, 1 - x)``; all regions of interest are
   invariant under it, and the named vertex table keeps primed partners
-  implicit (take ``dual_point`` when you need them).
+  implicit (take ``ExponentPoint.dual`` when you need them).
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ class ExponentPoint:
         return cls(Fraction(parts[0]), Fraction(parts[1]))
 
     def dual(self) -> "ExponentPoint":
+        """The duality involution (x, y) -> (1 - y, 1 - x)."""
         return ExponentPoint(1 - self.y, 1 - self.x)
 
     def as_floats(self) -> tuple[float, float]:
@@ -84,11 +85,6 @@ class ExponentPoint:
 
     def __str__(self) -> str:  # "7/8,3/40"
         return f"{self.x},{self.y}"
-
-
-def dual_point(point: ExponentPoint) -> ExponentPoint:
-    """The duality involution (x, y) -> (1 - y, 1 - x)."""
-    return point.dual()
 
 
 @dataclass(frozen=True)
@@ -132,10 +128,10 @@ def special_points(dims: DimensionPair) -> Dict[str, ExponentPoint]:
     """The named vertex table for a given (d, k[, alpha]).
 
     Returns a dict with keys among ``A B C D E F G H``; primed partners are
-    obtained via `dual_point`.  ``G`` is present exactly when ``k < (d-2)/2``,
-    and the quadrilateral/pentagon vertices ``B D E F`` require ``k < d/2``
-    (they are omitted otherwise rather than raised, since the remaining
-    vertices are still meaningful).
+    obtained via `ExponentPoint.dual`.  ``G`` is present exactly when
+    ``k < (d-2)/2``, and the quadrilateral/pentagon vertices ``B D E F``
+    require ``k < d/2`` (they are omitted otherwise rather than raised,
+    since the remaining vertices are still meaningful).
 
     Raises
     ------

@@ -41,18 +41,12 @@ sum, computed without the transform.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import struct
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
 
 from .symbols import SingularFrequencyError, SymbolSpec, symbol_on_axes
-
-_MAGIC = b"CARLGRD2"
 
 DEFAULT_GRID_SIZE = {1: 4096, 2: 512, 3: 128}
 
@@ -286,65 +280,3 @@ def conjugate_reflect(field: GridField) -> GridField:
     F = field.to_freq()
     out = F.with_values(np.conj(F.values), in_space=False)
     return out.to_space() if field.in_space else out
-
-
-# --- serialisation -------------------------------------------------------------
-
-def save_field(field: GridField, path: str) -> None:
-    """Write the field as little-endian binary plus a JSON sidecar.
-
-    Layout: magic, d (u32), in_space (u8), per-axis length (u64), periods and
-    offsets (f64 each), then the complex128 payload in C order.  The sidecar
-    repeats the geometry in readable form and carries a payload hash.
-    """
-    d = field.d
-    payload = np.ascontiguousarray(field.values).astype("<c16").tobytes()
-    head = _MAGIC + struct.pack("<IB3x", d, int(field.in_space))
-    head += struct.pack(f"<{d}Q", *field.shape)
-    head += struct.pack(f"<{d}d", *field.periods)
-    head += struct.pack(f"<{d}d", *field.freq_offsets)
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(payload)
-    sidecar = {
-        "shape": list(field.shape),
-        "periods": list(field.periods),
-        "freq_offsets": list(field.freq_offsets),
-        "in_space": field.in_space,
-        "dtype": "complex128-le",
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_field(path: str) -> GridField:
-    """Read a field written by `save_field`.
-
-    When the JSON sidecar ``path + ".json"`` exists, the payload must match
-    its ``sha256``; a mismatch raises ``ValueError``.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a field file (magic {magic!r})")
-        d, in_space = struct.unpack("<IB3x", fh.read(8))
-        shape = struct.unpack(f"<{d}Q", fh.read(8 * d))
-        periods = struct.unpack(f"<{d}d", fh.read(8 * d))
-        offsets = struct.unpack(f"<{d}d", fh.read(8 * d))
-        count = 1
-        for nn in shape:
-            count *= nn
-        payload = fh.read(16 * count)
-        if len(payload) != 16 * count:
-            raise ValueError(f"{path}: truncated payload")
-    if os.path.exists(path + ".json"):
-        with open(path + ".json", encoding="utf-8") as fh:
-            want = json.load(fh)["sha256"]
-        got = hashlib.sha256(payload).hexdigest()
-        if got != want:
-            raise ValueError(f"{path}: payload sha256 {got} does not match "
-                             f"the sidecar's {want}")
-    values = np.frombuffer(payload, dtype="<c16").reshape(shape).astype(complex)
-    return GridField(values, periods, offsets, in_space=bool(in_space))

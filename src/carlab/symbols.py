@@ -9,10 +9,8 @@ in this module is some smooth localisation of it:
 * ``local``    -- the sum of all dyadic slices below the fixed scale ``eps0``,
 * ``global``   -- the complementary smooth part (model minus ``local``),
 * ``tilde``    -- the anisotropic rescaling ``tau -> eps tau`` of a slice,
-* ``tilde_gen``-- the rescaled slice with a general radial window ``zeta`` at
-                  width ``delta``,
-* ``ring``     -- the ``tilde_gen`` instance ring-localised at ``|1 - |eta|^2|
-                  ~ 2^j eps``,
+* ``ring``     -- the rescaled slice ring-localised at ``|1 - |eta|^2| ~ 2^j
+                  eps``,
 * ``tilde_im`` -- closed form for the imaginary part of ``tilde``,
 * ``full``     -- the model symbol itself (negative ``k`` gives the positive
                   power, handy for composition checks).
@@ -39,10 +37,9 @@ from .bump import (
 
 DEFAULT_EPS0 = 2.0 ** -5
 
-_FAMILIES = ("full", "local", "global", "eps", "tilde", "tilde_im",
-             "tilde_gen", "ring")
+_FAMILIES = ("full", "local", "global", "eps", "tilde", "tilde_im", "ring")
 
-_EPS_FAMILIES = ("eps", "tilde", "tilde_im", "tilde_gen", "ring")
+_EPS_FAMILIES = ("eps", "tilde", "tilde_im", "ring")
 
 
 class SingularFrequencyError(ValueError):
@@ -68,9 +65,7 @@ class SymbolSpec:
     k: int = 1
     eps: Optional[float] = None
     eps0: float = DEFAULT_EPS0
-    delta: Optional[float] = None
     j: Optional[int] = None
-    zeta: Optional[CutoffSpec] = None
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -89,11 +84,6 @@ class SymbolSpec:
                 raise ValueError(
                     f"family {self.family!r} needs dyadic eps in (0, 1/4], got {self.eps}"
                 )
-        if self.family == "tilde_gen":
-            if self.zeta is None or not isinstance(self.zeta, CutoffSpec):
-                raise ValueError("tilde_gen needs a CutoffSpec window zeta")
-            if self.delta is None or not 0 < self.delta < 0.5:
-                raise ValueError(f"tilde_gen needs delta in (0, 1/2), got {self.delta}")
         if self.family == "ring":
             if self.j is None or self.j < 0:
                 raise ValueError(f"ring needs an integer j >= 0, got {self.j}")
@@ -103,17 +93,15 @@ class SymbolSpec:
                 )
 
     def ring_window(self) -> tuple[CutoffSpec, float]:
-        """Resolved (zeta, delta) for the ring family.
+        """The ring family's radial window ``zeta`` and its width ``delta``.
 
-        By default the innermost ring (j = 0) takes the low-pass profile and
-        outer rings take the annulus profile, so the radial supports actually
-        live at distance ~ 2^j eps as intended.
+        The innermost ring (j = 0) takes the low-pass profile and outer rings
+        take the annulus profile, so the radial supports live at distance
+        ~ 2^j eps; the width is ``2^j eps``.
         """
         if self.family != "ring":
             raise ValueError("ring_window only applies to the ring family")
-        zeta = self.zeta
-        if zeta is None:
-            zeta = Psi0Cutoff() if self.j == 0 else PsiCutoff()
+        zeta = Psi0Cutoff() if self.j == 0 else PsiCutoff()
         return zeta, (2.0 ** self.j) * self.eps
 
 
@@ -201,8 +189,8 @@ def _scaled_denom(eps: float, eta_sq, tau):
     return (np.asarray(eta_sq) - 1.0 + (eps * tau) ** 2) + 2.0j * eps * tau
 
 
-def _tilde_gen_core(k: int, eps: float, zeta: CutoffSpec, delta: float,
-                    eta_sq, tau):
+def _tilde_core(k: int, eps: float, zeta: CutoffSpec, delta: float,
+                eta_sq, tau):
     cut = zeta((1.0 - np.asarray(eta_sq)) / delta)
     cut = cut * psi(np.asarray(tau))
     w = _scaled_denom(eps, eta_sq, tau)
@@ -239,16 +227,13 @@ def eval_from_radial(spec: SymbolSpec, eta_sq, tau):
     if spec.family == "global":
         return _global_core(spec.k, spec.eps0, eta_sq, tau)
     if spec.family == "tilde":
-        return _tilde_gen_core(spec.k, spec.eps, Psi0Cutoff(), spec.eps0,
-                               eta_sq, tau)
+        return _tilde_core(spec.k, spec.eps, Psi0Cutoff(), spec.eps0,
+                           eta_sq, tau)
     if spec.family == "tilde_im":
         return _im_mtilde_core(spec.k, spec.eps, spec.eps0, eta_sq, tau)
-    if spec.family == "tilde_gen":
-        return _tilde_gen_core(spec.k, spec.eps, spec.zeta, spec.delta,
-                               eta_sq, tau)
     if spec.family == "ring":
         zeta, delta = spec.ring_window()
-        return _tilde_gen_core(spec.k, spec.eps, zeta, delta, eta_sq, tau)
+        return _tilde_core(spec.k, spec.eps, zeta, delta, eta_sq, tau)
     raise AssertionError("unreachable")
 
 
@@ -296,44 +281,4 @@ def eval_im_mtilde(d: int, k: int, eps: float, eps0: float, eta, tau):
     out = _im_mtilde_core(spec.k, spec.eps, spec.eps0, eta_sq, tau)
     if out.ndim == 0:
         return float(out)
-    return out
-
-
-def eval_phi_eps_ell(eps: float, ell: int, rho, tau,
-                     eps0: float = DEFAULT_EPS0, tau_order: int = 0):
-    """The order-one building brick with a differentiated radial window.
-
-    Returns ``psi0^(ell)(eps0^-1 (1 - rho^2)) psi(tau) / (rho^2 - 1 +
-    eps^2 tau^2 + 2 i eps tau)``, optionally differentiated up to twice in
-    ``tau`` (the range the uniform resolvent bounds need).
-    """
-    if tau_order not in (0, 1, 2):
-        raise ValueError(f"tau_order must be 0, 1 or 2, got {tau_order}")
-    rho = np.asarray(rho, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    scalar = rho.ndim == 0 and tau.ndim == 0
-    cut_rho = psi0((1.0 - rho ** 2) / eps0, ell)
-    denom = (rho ** 2 - 1.0 + (eps * tau) ** 2) + 2.0j * eps * tau
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = 1.0 / denom
-        if tau_order >= 1:
-            du = 2.0 * eps * eps * tau + 2.0j * eps
-            w1 = -du * w * w
-        if tau_order == 2:
-            w2 = -2.0 * eps * eps * w * w + 2.0 * du * du * w * w * w
-    psis = [psi(tau, i) for i in range(tau_order + 1)]
-    wders = [w]
-    if tau_order >= 1:
-        wders.append(w1)
-    if tau_order == 2:
-        wders.append(w2)
-    acc = 0.0 + 0.0j
-    with np.errstate(invalid="ignore"):
-        for i in range(tau_order + 1):
-            term = np.where(np.asarray(psis[i]) != 0.0,
-                            psis[i] * wders[tau_order - i], 0.0 + 0.0j)
-            acc = acc + math.comb(tau_order, i) * term
-    out = cut_rho * acc
-    if scalar:
-        return complex(out)
     return out

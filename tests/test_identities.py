@@ -1,14 +1,12 @@
 """Distribution pairings, order-shuffle identities, inversion transform."""
-import math
-
 import numpy as np
 import pytest
 
 from carlab.bump import inversion_bump
-from carlab.identities import (CustomTest, L_apply, PolyGauss, RadialPower,
+from carlab.identities import (CustomTest, PolyGauss, RadialPower,
                                _period_breakpoints, _sphere_hat_vec,
-                               fractional_laplacian, invert_points, kelvin,
-                               kelvin_grid, pair_pullback,
+                               fractional_laplacian, kelvin_grid,
+                               pair_pullback,
                                radial_fractional_at, sphere_area,
                                sphere_integral, sphere_nodes,
                                verify_counter_identities,
@@ -26,14 +24,14 @@ def test_l_kills_the_fundamental_power():
         phi = RadialPower(n, 2 - n)
         theta = RNG.uniform(-1.0, 1.0, (20, n))
         theta = theta[np.abs(theta).sum(axis=1) > 0.1]
-        np.testing.assert_allclose(L_apply(phi, 1, theta), 0.0, atol=1e-14)
+        np.testing.assert_allclose(phi.apply_L()(theta), 0.0, atol=1e-14)
 
 
 def test_l_on_constant():
     phi = RadialPower(3, 0)
     theta = RNG.uniform(0.2, 1.0, (10, 3))
     r2 = np.sum(theta * theta, axis=-1)
-    np.testing.assert_allclose(L_apply(phi, 1, theta), 0.5 / r2, rtol=1e-13)
+    np.testing.assert_allclose(phi.apply_L()(theta), 0.5 / r2, rtol=1e-13)
 
 
 def test_l_on_gaussian_hand_derivative():
@@ -41,15 +39,22 @@ def test_l_on_gaussian_hand_derivative():
     theta = RNG.uniform(-1.2, 1.2, (10, 3))
     r2 = np.sum(theta * theta, axis=-1)
     want = (3 - 2 - 2.0 * r2) * np.exp(-r2) / (2.0 * r2)
-    np.testing.assert_allclose(L_apply(phi, 1, theta), want, rtol=1e-12)
+    np.testing.assert_allclose(phi.apply_L()(theta), want, rtol=1e-12)
 
 
 def test_l_iterates_match_symbolic_images():
+    # the second symbolic step against L = (n - 2 + theta.grad)/(2|theta|^2)
+    # applied to the first by a central difference: theta.grad g(theta) is
+    # d/dt g(t theta) at t = 1
     phi = PolyGauss.random(3, RNG)
     theta = RNG.uniform(0.3, 1.1, (6, 3))
-    image = phi.apply_L().apply_L()
-    np.testing.assert_allclose(L_apply(phi, 2, theta), image(theta),
-                               rtol=1e-11)
+    first = phi.apply_L()
+    h = 1e-5
+    radial = (first((1.0 + h) * theta) - first((1.0 - h) * theta)) / (2.0 * h)
+    r2 = np.sum(theta * theta, axis=-1)
+    want = ((3 - 2) * first(theta) + radial) / (2.0 * r2)
+    np.testing.assert_allclose(first.apply_L()(theta), want, rtol=1e-7,
+                               atol=1e-7 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------
@@ -160,28 +165,6 @@ def test_counter_identities_third_order_d5():
 # inversion transform
 
 
-def test_invert_points_involution():
-    x = RNG.uniform(-2.0, 2.0, (40, 3))
-    x = x[np.sum(x * x, axis=1) > 0.01]
-    np.testing.assert_allclose(invert_points(invert_points(x)), x,
-                               rtol=1e-12)
-
-
-def test_kelvin_involution_on_annulus_closure():
-    bump = inversion_bump(1.0)
-
-    def u(points):  # radial profile lifted to point samples
-        return bump(np.sqrt(np.sum(points * points, axis=-1)))
-
-    x = RNG.uniform(-1.4, 1.4, (200, 3))
-    r = np.sqrt(np.sum(x * x, axis=1))
-    x = x[(r > 0.45) & (r < 1.35)]
-    once = kelvin(u, 1.0, x)
-    twice = kelvin(lambda p: kelvin(u, 1.0, p), 1.0, x)
-    np.testing.assert_allclose(twice, u(x), rtol=1e-10, atol=1e-12)
-    assert np.abs(once).max() > 0.0
-
-
 def test_fractional_laplacian_single_mode():
     g = kelvin_grid(3, 32, 5.0)
     vals = np.zeros(g.shape, complex)
@@ -260,5 +243,5 @@ def test_radial_oracle_matches_the_exact_laplacian():
 
 def test_custom_test_function_requires_image_for_l():
     fn = CustomTest(3, lambda p: np.sum(p, axis=-1))
-    with pytest.raises(Exception):
-        L_apply(fn, 1, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="no derivative closure"):
+        fn.apply_L()

@@ -14,8 +14,8 @@ from carlab.normest import (ExponentKind, NormEstimate, _live_lines,
                             estimate_operator_norm, fit_scaling, power_method,
                             theoretical_exponent)
 from carlab.regions import ExponentPoint
-from carlab.spectral import (apply_multiplier, default_grid, lp_norm,
-                             sample_lp_norm, sample_symbol)
+from carlab.spectral import (default_grid, lp_norm, sample_lp_norm,
+                             sample_symbol)
 from carlab.symbols import SymbolSpec, symbol_on_axes
 
 RNG = np.random.Generator(np.random.Philox(77))
@@ -379,6 +379,26 @@ def test_power_method_at_p2_makes_two_full_size_transforms_per_step(
         est = power_method(init, spec, 2.0, 6.0, max_iter=200, tol=1e-6)
         assert 2 < est.iterations < 200
         assert sum(calls) <= 2 * est.iterations
+
+
+@pytest.mark.parametrize("p, q, per_step", [(2.0, 6.0, 2), (3.0, 3.0, 4)])
+def test_a_capped_run_ends_on_its_last_quotient(p, q, per_step, monkeypatch):
+    # the pull-back after the max_iter-th quotient would feed no quotient,
+    # so a capped run skips it; from a space-side start the start's own
+    # transforms make up for the skipped half step
+    grid, spec = _ORACLE_CASES["ring_j0"]
+    init = _starts(grid, spec)["noise"]
+    longer = power_method(init, spec, p, q, max_iter=25, tol=1e-9)
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(a, *args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(np.size(a) == grid.values.size)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    capped = power_method(init, spec, p, q, max_iter=24, tol=1e-9)
+    assert capped.iterations == 24
+    assert sum(calls) == per_step * 24
+    assert capped.history == longer.history[:24]
 
 
 def test_restarts_are_built_one_at_a_time():

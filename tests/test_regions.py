@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from carlab.regions import (DimensionPair, DomainError, ExponentPoint,
-                            RegionId, carleman_range, dual_point,
-                            emit_figure_data, in_region, special_points)
+                            RegionId, carleman_range, emit_figure_data,
+                            in_region, special_points)
 
 
 def P(x, y) -> ExponentPoint:
@@ -19,18 +19,18 @@ rationals01 = st.fractions(min_value=0, max_value=1, max_denominator=997)
 
 class TestDualPoint:
     def test_h_is_fixed(self):
-        assert dual_point(P(1, 0)) == P(1, 0)
+        assert P(1, 0).dual() == P(1, 0)
 
     def test_b52_maps_to_printed_dual(self):
-        assert dual_point(P("7/8", "3/40")) == P("37/40", "1/8")
+        assert P("7/8", "3/40").dual() == P("37/40", "1/8")
 
     def test_diagonal_fixed(self):
-        assert dual_point(P("1/2", "1/2")) == P("1/2", "1/2")
+        assert P("1/2", "1/2").dual() == P("1/2", "1/2")
 
     @given(rationals01, rationals01)
     def test_involution(self, x, y):
         p = P(x, y)
-        assert dual_point(dual_point(p)) == p
+        assert p.dual().dual() == p
 
 
 class TestSpecialPoints:
@@ -112,7 +112,7 @@ class TestCarlemanRange:
         """With G present the admitted segment is exactly [G, G']."""
         dims = DimensionPair(d, k)
         G = special_points(dims)["G"]
-        Gd = dual_point(G)
+        Gd = G.dual()
         gap = Fraction(2 * k, d)
         for i in range(0, 241):
             x = Fraction(i, 240)

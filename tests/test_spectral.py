@@ -8,8 +8,7 @@ import pytest
 
 from carlab.acceptance import knapp_witness
 from carlab.spectral import (GridField, apply_multiplier, conjugate_reflect,
-                             default_grid, load_field, lorentz_norm, lp_norm,
-                             save_field)
+                             default_grid, lorentz_norm, lp_norm)
 from carlab.symbols import SymbolSpec
 
 RNG = np.random.Generator(np.random.Philox(404))
@@ -45,29 +44,6 @@ def test_power_of_two_enforced():
     with pytest.raises(ValueError):
         GridField(np.zeros((12, 12), complex), (1.0, 1.0), (0.0, 0.0),
                   in_space=True)
-
-
-def test_save_load_round_trip(tmp_path):
-    f = noise_field(d=2, n=32)
-    path = str(tmp_path / "field.bin")
-    save_field(f, path)
-    g = load_field(path)
-    assert g.periods == f.periods
-    assert g.in_space == f.in_space
-    np.testing.assert_array_equal(g.values, f.values)
-
-
-def test_load_rejects_payload_that_fails_the_sidecar_hash(tmp_path):
-    f = noise_field(d=2, n=16)
-    path = tmp_path / "field.bin"
-    save_field(f, str(path))
-    raw = bytearray(path.read_bytes())
-    raw[-5] ^= 0x01  # one bit of the last complex value
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="sha256"):
-        load_field(str(path))
-    (tmp_path / "field.bin.json").unlink()  # no sidecar: nothing to check
-    assert load_field(str(path)).shape == f.shape
 
 
 def digest(values: np.ndarray) -> str:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from carlab.symbols import (DEFAULT_EPS0, SingularFrequencyError,
                             SymbolSpec, _theta,
-                            eval_from_radial, eval_im_mtilde,
-                            eval_phi_eps_ell, eval_symbol, psi, psi0)
+                            eval_from_radial, eval_im_mtilde, eval_symbol,
+                            psi, psi0)
 
 RNG = np.random.Generator(np.random.Philox(1202))
 
@@ -157,19 +157,6 @@ def test_rescaling_identity():
     np.testing.assert_allclose(a, b, rtol=1e-13)
 
 
-def test_tilde_equals_general_form_with_default_window():
-    from carlab.bump import Psi0Cutoff
-    eps = 2.0 ** -6
-    n = 1000
-    eta_sq = RNG.uniform(0.8, 1.2, n)
-    tau = RNG.uniform(0.5, 2.0, n)
-    a = eval_from_radial(SymbolSpec("tilde", 5, 2, eps=eps), eta_sq, tau)
-    spec = SymbolSpec("tilde_gen", 5, 2, eps=eps, zeta=Psi0Cutoff(),
-                      delta=SymbolSpec("tilde", 5, 2, eps=eps).eps0)
-    b = eval_from_radial(spec, eta_sq, tau)
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
-
-
 def test_ring_support_in_annular_shells():
     eps = 2.0 ** -6
     for j in (0, 1, 3):
@@ -241,34 +228,3 @@ def test_im_mtilde_k1_lorentzian_form():
             / ((u + eps ** 2 * tau ** 2) ** 2 + 4.0 * eps ** 2 * tau ** 2))
     scale = np.abs(want).max()
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * scale)
-
-
-# ---------------------------------------------------------------------------
-# the integration-by-parts profile
-
-
-def test_phi_eps_ell_outside_tau_support():
-    assert eval_phi_eps_ell(2.0 ** -5, 0, 1.0, 3.0) == 0.0
-
-
-def test_phi_eps_ell_denominator_modulus():
-    eps = 2.0 ** -6
-    val = eval_phi_eps_ell(eps, 0, 1.0, 1.0)
-    # at rho = 1 the window factors are exactly 1 and psi(1) = 1, so the
-    # modulus is 1/|eps^2 + 2 i eps|
-    assert abs(val) == pytest.approx(1.0 / math.hypot(eps * eps, 2 * eps),
-                                     rel=1e-12)
-
-
-def test_phi_eps_ell_ring_sup_bound_stable():
-    # sup over the j-th shell of |phi_eps_l| should track (2^j eps)^-1;
-    # the shell must stay inside the radial window (2^j eps <= eps0)
-    for j in (0, 2):
-        consts = []
-        for m in (7, 8, 9):
-            eps = 2.0 ** -m
-            delta = 2.0 ** j * eps
-            rho = np.sqrt(1.0 + delta * np.linspace(0.5, 2.0, 200))
-            sup = np.abs(eval_phi_eps_ell(eps, 0, rho, 1.0)).max()
-            consts.append(sup * delta)
-        assert max(consts) <= 2.0 * min(consts)
