@@ -86,29 +86,38 @@ def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> GridField:
     periods = tuple(2.0 * math.pi * n / s for s in spans)
     grid = GridField(np.zeros((n,) * d, dtype=complex), periods, offs,
                      in_space=False)
-    axes = np.meshgrid(*grid.freq_axes(), indexing="ij", sparse=True)
+    freq = grid.freq_axes()
+    if family == "tilde":
+        caps = [SymmetricPlateau(0.5)(a / rt) for a in freq[1:-1]]
+        tw = SymmetricPlateau(0.25)(freq[-1] - 1.25)
+    else:
+        caps = [SymmetricPlateau(1.0 / 8)(a / rt) for a in freq[1:-1]]
+        tw = SymmetricPlateau(0.3)(freq[-1] / eps - 1.1)
+    # The cap and tau factors are 1-D and the witness vanishes off their
+    # supports: the slab is evaluated on the sub-lattice they span only.
+    index = [np.arange(n)] + [np.flatnonzero(f) for f in caps + [tw]]
+    axes = np.meshgrid(*(a[i] for a, i in zip(freq, index)), indexing="ij",
+                       sparse=True)
     eta_sq = sum(a ** 2 for a in axes[:-1])
     tau = axes[-1]
-    cap = 1.0
     if family == "tilde":
         slab = SymmetricPlateau(1.0 / 8)((1.0 - eta_sq) / eps)
-        for a in axes[1:-1]:
-            cap = cap * SymmetricPlateau(0.5)(a / rt)
-        tw = SymmetricPlateau(0.25)(tau - 1.25)
     else:
         slab = SymmetricPlateau(1.0 / 32)((eta_sq + tau ** 2 - 1.0) / eps)
-        for a in axes[1:-1]:
-            cap = cap * SymmetricPlateau(1.0 / 8)(a / rt)
-        tw = SymmetricPlateau(0.3)(tau / eps - 1.1)
-    vals = (slab * cap * tw).astype(complex)
+    cap = 1.0
+    for ax, f in enumerate(caps, start=1):
+        cap = cap * f[index[ax]].reshape(axes[ax].shape)
+    vals = (slab * cap * tw[index[-1]].reshape(tau.shape)).astype(complex)
     half = n // 2
-    for ax in range(d):
-        edge = np.take(vals, half, axis=ax)
-        if np.abs(edge).max() != 0.0:
+    for ax, i in enumerate(index):
+        at = np.flatnonzero(i == half)
+        if at.size and np.any(np.take(vals, at[0], axis=ax)):
             raise ValueError("witness touches the frequency box boundary")
-    if not np.abs(vals).max() > 0:
+    if not np.any(vals):
         raise ValueError("witness is empty on this lattice")
-    return grid.with_values(vals, in_space=False)
+    full = np.zeros(grid.shape, dtype=complex)
+    full[np.ix_(*index)] = vals
+    return grid.with_values(full, in_space=False)
 
 
 def ring_grid(j: int, n_eta0: int = 256, n_tau: int = 64) -> GridField:

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .regions import ExponentPoint
-from .spectral import GridField, lp_norm, sample_lp_norm, sample_symbol
+from .spectral import GridField, sample_lp_norm, sample_symbol
 
 
 class ExponentKind(enum.Enum):
@@ -127,15 +127,71 @@ def dualize(values: np.ndarray, r: float) -> np.ndarray:
 
 
 def certified_lower_bound(field: GridField, symbol, p: float, q: float) -> float:
-    """The Rayleigh quotient ``||m(D) f||_q / ||f||_p`` for this one field."""
+    """The Rayleigh quotient ``||m(D) f||_q / ||f||_p`` for this one field.
+
+    An all-zero field is rejected before any sampling or transform.  The
+    work runs on the support hull of the coefficients ``F``: per axis, the
+    indices of the lattice planes that carry a nonzero coefficient
+    (`_support_hull`).  The symbol is sampled on the sub-lattice those
+    indices span and nowhere else, so a degenerate point off the hull
+    raises nothing; ``m F`` vanishes off the hull, so this is the dense
+    product exactly.  Both norms come from `_hull_to_space`, without the
+    modulation phases, which ``|.|`` does not see.  A space-side field
+    keeps its own samples for the p-norm and pays one full forward
+    transform for ``F``.
+    """
     _check_exponents(p, q)
-    m = sample_symbol(field, symbol)
-    F = field.to_freq()
-    denom = lp_norm(field, p)
-    if not denom > 0:
+    if not np.any(field.values):
         raise ValueError("field is identically zero")
-    out = F.with_values(m * F.values, in_space=False)
-    return lp_norm(out, q) / denom
+    F = field.to_freq()
+    cell = F.cell_volume
+    index = _support_hull(F.values)
+    m = sample_symbol(F, symbol, index)
+    coef = F.values[np.ix_(*index)]
+    if field.in_space:
+        denom = sample_lp_norm(field.values, p, cell)
+    else:
+        denom = sample_lp_norm(_hull_to_space(coef / cell, index, F.shape),
+                               p, cell)
+    coef = m * coef
+    coef /= cell
+    return sample_lp_norm(_hull_to_space(coef, index, F.shape), q,
+                          cell) / denom
+
+
+def _support_hull(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per axis, the ascending indices at which ``values`` has a nonzero
+    entry somewhere in the rest of the array.
+
+    The sets need not be ranges (a support may wrap around the FFT ends),
+    and ``values`` vanishes off the sub-lattice they span.
+    """
+    nonzero = values != 0
+    axes = range(values.ndim)
+    return tuple(np.flatnonzero(np.any(nonzero, axis=tuple(
+        b for b in axes if b != a))) for a in axes)
+
+
+def _hull_to_space(coef: np.ndarray, index: Sequence[np.ndarray],
+                   shape: tuple[int, ...]) -> np.ndarray:
+    """``ifftn`` of the ``shape``-sized array that is ``coef`` on the
+    sub-lattice ``index`` and zero elsewhere, with its axes reordered.
+
+    One axis at a time, widest hull first: each pass zero-pads its axis to
+    full length on the lines the hull still reaches, then transforms it.
+    The narrowest axis comes last, as the one pass over the whole lattice,
+    on the contiguous axis.  ``coef`` is not written into; the result is
+    for norms, which do not see the axis order.
+    """
+    order = sorted(range(len(shape)), key=lambda a: -len(index[a]))
+    y = np.transpose(coef, order)
+    for pos, ax in enumerate(order):
+        full = np.zeros(y.shape[:pos] + (shape[ax],) + y.shape[pos + 1:],
+                        complex)
+        full[(slice(None),) * pos + (index[ax],)] = y
+        np.fft.ifft(full, axis=pos, out=full)
+        y = full
+    return y
 
 
 def _live_lines(m: np.ndarray) -> tuple[int, list, list, np.ndarray]:
@@ -203,7 +259,8 @@ def _from_lines(lines: np.ndarray, buf: np.ndarray, runs: list,
 
 
 def power_method(init: GridField, symbol, p: float, q: float, *,
-                 max_iter: int = 24, tol: float = 1e-4) -> NormEstimate:
+                 max_iter: int = 24, tol: float = 1e-4,
+                 _live: tuple | None = None) -> NormEstimate:
     """Boyd power iteration for ``||m(D)||_{p -> q}`` from one starting field.
 
     Each step maps the current unit-in-L^p field through the multiplier,
@@ -241,10 +298,14 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
     before that with ``p' > 2`` they are divided by their largest modulus,
     so ``|v|^(p'-1)`` cannot overflow near p = 1; the next step
     renormalises anyway.
+
+    ``_live`` is for `estimate_operator_norm`, which passes the
+    `_live_lines` of its sampled symbol so that restarts on one lattice
+    share them; ``symbol`` is then that sampled array.
     """
     _check_exponents(p, q)
     m = sample_symbol(init, symbol)
-    axis, runs, gaps, mk = _live_lines(m)
+    axis, runs, gaps, mk = _live or _live_lines(m)
     mkc = np.conj(mk)
     lines = np.empty(mk.shape, complex)
     p_dual = p / (p - 1.0)
@@ -340,8 +401,10 @@ def estimate_operator_norm(grid: GridField, symbol, p: float, q: float, *,
     hist: list[float] = []
     total_iter = 0
     aborted = False
+    live = _live_lines(m)
     for f0 in starts():
-        est = power_method(f0, m, p, q, max_iter=max_iter, tol=tol)
+        est = power_method(f0, m, p, q, max_iter=max_iter, tol=tol,
+                           _live=live)
         del f0
         hist.extend(est.history)
         total_iter += est.iterations

@@ -36,13 +36,19 @@ lines, and transforms that axis on the remaining lines only.  At p = 2 it
 keeps its iterate on the frequency side and takes the L^2 norm from the
 coefficients: by Parseval the Riemann sum of ``|y|^2`` is
 ``sum |fftn(y)|^2 / N`` over the ``N`` samples, so that norm is the same
-sum, computed without the transform.
+sum, computed without the transform.  A one-shot bound
+(`normest.certified_lower_bound`) prunes by the field instead: its
+coefficients, and so ``m`` times them, vanish off the sub-lattice spanned
+by the planes that carry any of them, so the symbol is sampled there only
+(`sample_symbol`'s ``index``) and ``y`` is built one axis at a time, each
+pass on the lines that sub-lattice reaches.  Only the last pass covers
+the whole lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -234,18 +240,28 @@ def lorentz_norm(field: GridField, p: float, flavor: str) -> float:
 Symbol = Union[SymbolSpec, Callable[..., np.ndarray], np.ndarray]
 
 
-def sample_symbol(grid: GridField, symbol: Symbol) -> np.ndarray:
+def sample_symbol(grid: GridField, symbol: Symbol,
+                  index: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """A multiplier's samples on the grid's frequency lattice, grid-shaped.
 
     ``symbol`` is a `SymbolSpec`, a callable receiving the sparse frequency
     meshgrid (one broadcastable array per axis), or an array already sampled
     on this lattice, which comes back as it is once its shape checks out.
+
+    With ``index``, one array of lattice indices per axis, only the
+    sub-lattice those indices span is sampled, and the result has its shape
+    ``tuple(len(i) for i in index)``.  The symbol is read nowhere else, so a
+    degenerate point off that sub-lattice raises nothing.
     """
     if isinstance(symbol, np.ndarray):
         if symbol.shape != grid.shape:
             raise ValueError("precomputed symbol shape does not match grid")
-        return symbol
+        return symbol if index is None else symbol[np.ix_(*index)]
     axes = grid.freq_axes()
+    shape = grid.shape
+    if index is not None:
+        axes = [ax[i] for ax, i in zip(axes, index)]
+        shape = tuple(len(i) for i in index)
     try:
         if isinstance(symbol, SymbolSpec):
             m = symbol_on_axes(symbol, axes)
@@ -256,7 +272,7 @@ def sample_symbol(grid: GridField, symbol: Symbol) -> np.ndarray:
             f"{exc} -- this grid's lattice hits the degenerate set; rebuild it "
             "with default_grid(..., for_full_symbol=True) or nonzero freq_offsets"
         ) from None
-    return np.broadcast_to(m, grid.shape)
+    return np.broadcast_to(m, shape)
 
 
 def apply_multiplier(field: GridField, symbol: Symbol) -> GridField:

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlab.acceptance import ring_grid
+from carlab.acceptance import knapp_witness, ring_grid
 from carlab.normest import (ExponentKind, NormEstimate, _live_lines,
                             certified_lower_bound, dualize,
                             estimate_operator_norm, fit_scaling, power_method,
                             theoretical_exponent)
 from carlab.regions import ExponentPoint
-from carlab.spectral import (default_grid, lp_norm, sample_lp_norm,
-                             sample_symbol)
-from carlab.symbols import SymbolSpec, symbol_on_axes
+from carlab.spectral import (GridField, default_grid, lp_norm,
+                             sample_lp_norm, sample_symbol)
+from carlab.symbols import SingularFrequencyError, SymbolSpec, symbol_on_axes
 
 RNG = np.random.Generator(np.random.Philox(77))
 
@@ -84,11 +84,19 @@ def test_witness_scale_invariance():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_zero_witness_rejected():
+def test_zero_witness_rejected(monkeypatch):
+    # on either side, before any sampling or transform
+    import carlab.normest as normest
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled or transformed an all-zero field")
+    monkeypatch.setattr(normest, "sample_symbol", refuse)
+    monkeypatch.setattr(GridField, "to_freq", refuse)
     g = default_grid(2, n=16)
-    f = g.with_values(np.zeros(g.shape, complex), in_space=True)
-    with pytest.raises(ValueError):
-        certified_lower_bound(f, SymbolSpec("full", 2, 1), 2.0, 2.0)
+    for in_space in (True, False):
+        f = g.with_values(np.zeros(g.shape, complex), in_space=in_space)
+        with pytest.raises(ValueError, match="identically zero"):
+            certified_lower_bound(f, SymbolSpec("full", 2, 1), 2.0, 2.0)
 
 
 def test_conjugate_reflected_witness_duality():
@@ -104,6 +112,107 @@ def test_conjugate_reflected_witness_duality():
     a = certified_lower_bound(f, spec, 1.25, 5.0)
     b = certified_lower_bound(conjugate_reflect(f), conj_symbol, 1.25, 5.0)
     assert a == pytest.approx(b, rel=1e-10)
+
+
+def _dense_bound(field, symbol, p, q):
+    """The quotient from the symbol on the whole box and two dense norms."""
+    m = sample_symbol(field, symbol)
+    F = field.to_freq()
+    out = F.with_values(m * F.values, in_space=False)
+    return lp_norm(out, q) / lp_norm(field, p)
+
+
+def _wrapped_field():
+    """Zero offsets, support on both ends of every FFT index range."""
+    g = default_grid(3, n=32)
+    rng = np.random.Generator(np.random.Philox(21))
+    vals = np.zeros(g.shape, complex)
+    ends = np.ix_([0, 1, 2, 29, 31], [0, 3, 30], [1, 31])
+    vals[ends] = rng.standard_normal(vals[ends].shape) \
+        + 1j * rng.standard_normal(vals[ends].shape)
+    return g.with_values(vals, in_space=False)
+
+
+def _random_field(d, n, in_space):
+    rng = np.random.Generator(np.random.Philox(22))
+    g = default_grid(d, n=n, for_full_symbol=True)
+    return g.with_values(rng.standard_normal(g.shape)
+                         + 1j * rng.standard_normal(g.shape),
+                         in_space=in_space)
+
+
+def _eta_tau_symbol(e1, tau):
+    return 1.0 / (e1 * e1 + tau * tau - 1.0 + 2j * tau)
+
+
+_D2_FIELD = _random_field(2, 64, in_space=False)
+
+_BOUND_CASES = {
+    **{f"{family}_2^-{m}": (knapp_witness(family, 3, 2.0 ** -m, n=64),
+                            SymbolSpec(family, 3, 1, eps=2.0 ** -m))
+       for family in ("tilde", "eps") for m in (3, 6)},
+    "wrapped": (_wrapped_field(), SymbolSpec("full", 3, 1)),
+    "full_support": (_random_field(3, 16, in_space=False),
+                     SymbolSpec("full", 3, 2)),
+    "d2_spec": (_D2_FIELD, SymbolSpec("full", 2, 1)),
+    "d2_callable": (_D2_FIELD, _eta_tau_symbol),
+    "d2_array": (_D2_FIELD, sample_symbol(_D2_FIELD,
+                                          SymbolSpec("full", 2, 1))),
+    "space_side": (_random_field(3, 16, in_space=True),
+                   SymbolSpec("full", 3, 1)),
+}
+
+
+@pytest.mark.parametrize("p, q", [(4.0 / 3.0, 4.0), (2.0, 6.0)])
+@pytest.mark.parametrize("case", sorted(_BOUND_CASES))
+def test_hull_bound_matches_the_dense_formula(case, p, q):
+    field, symbol = _BOUND_CASES[case]
+    want = _dense_bound(field, symbol, p, q)
+    assert certified_lower_bound(field, symbol, p, q) == \
+        pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _singular_lattice():
+    # spacing 1/2 with zero offsets: (eta, tau) = (1, 0) is the lattice
+    # point [2, 0], on the degenerate set of the model symbol
+    return default_grid(2, n=16, freq_span=8.0)
+
+
+def test_a_hull_on_the_degenerate_set_is_refused_with_the_rebuild_hint():
+    g = _singular_lattice()
+    vals = np.zeros(g.shape, complex)
+    vals[2, 1] = vals[3, 0] = 1.0  # the hull {2, 3} x {0, 1} holds [2, 0]
+    with pytest.raises(SingularFrequencyError, match="rebuild it"):
+        certified_lower_bound(g.with_values(vals, in_space=False),
+                              SymbolSpec("full", 2, 1), 2.0, 4.0)
+
+
+def test_a_hull_off_the_degenerate_set_gets_a_finite_bound():
+    g = _singular_lattice()
+    vals = np.zeros(g.shape, complex)
+    vals[3:6, 1:4] = 1.0
+    bound = certified_lower_bound(g.with_values(vals, in_space=False),
+                                  SymbolSpec("full", 2, 1), 2.0, 4.0)
+    assert np.isfinite(bound) and bound > 0.0
+
+
+@pytest.mark.parametrize("family", ["tilde", "eps"])
+def test_a_witness_bound_makes_one_full_lattice_pass_per_norm(family,
+                                                             monkeypatch):
+    import carlab.normest as normest
+    eps = 2.0 ** -4
+    field = knapp_witness(family, 3, eps, n=64)
+    full = field.values.size
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        def counted(a, *args, _fn=getattr(normest.np.fft, name), _name=name,
+                    **kwargs):
+            calls.append((_name, np.size(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(normest.np.fft, name, counted)
+    certified_lower_bound(field, SymbolSpec(family, 3, 1, eps=eps), 1.5, 4.0)
+    assert calls and all(name == "ifft" for name, _ in calls)
+    assert sum(size == full for _, size in calls) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +425,32 @@ def test_the_emptiest_axis_is_pruned_to_its_nonzero_lines(case, axis, n_live):
     assert [o for _, _, o in runs] == \
         np.cumsum([0] + [b - a for a, b, _ in runs])[:-1].tolist()
     np.testing.assert_array_equal(mk, lines[:, live])
+
+
+def test_restarts_on_one_lattice_share_its_live_lines(monkeypatch):
+    import carlab.normest as normest
+    grid = ring_grid(0, 64, 16)
+    spec = SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=0)
+    m = sample_symbol(grid, spec)
+    extra = _starts(grid, spec)["noise"]
+    est = estimate_operator_norm(grid, spec, 2.0, 6.0, n_random=2,
+                                 extra_inits=(extra,), max_iter=6, tol=1e-3)
+    # the same runs one by one, each finding its own live lines
+    rng = np.random.Generator(np.random.Philox(0))
+    starts = [grid.with_values(np.conj(m), in_space=False), extra]
+    for _ in range(2):
+        noise = rng.standard_normal(grid.shape) \
+            + 1j * rng.standard_normal(grid.shape)
+        starts.append(grid.with_values(noise * (m != 0), in_space=False))
+    history = sum((power_method(f, m, 2.0, 6.0, max_iter=6, tol=1e-3).history
+                   for f in starts), ())
+    assert est.history == history
+    found = []
+    monkeypatch.setattr(normest, "_live_lines",
+                        lambda a: found.append(a) or _live_lines(a))
+    estimate_operator_norm(grid, spec, 2.0, 6.0, n_random=2,
+                           extra_inits=(extra,), max_iter=2, tol=1e-3)
+    assert len(found) == 1
 
 
 def test_ring_estimate_is_bit_identical_on_rerun():

@@ -8,7 +8,8 @@ import pytest
 
 from carlab.acceptance import knapp_witness
 from carlab.spectral import (GridField, apply_multiplier, conjugate_reflect,
-                             default_grid, lorentz_norm, lp_norm)
+                             default_grid, lorentz_norm, lp_norm,
+                             sample_symbol)
 from carlab.symbols import SymbolSpec
 
 RNG = np.random.Generator(np.random.Philox(404))
@@ -244,6 +245,58 @@ def test_knapp_support_slab():
             assert np.abs(xi_sq - 1.0).max() <= eps / 16 * slack
             assert np.abs(eta2).max() <= rt / 4 * slack
             assert np.abs(tau / eps - 1.1).max() <= 0.6 * slack
+
+
+def _dense_witness(family, d, eps, n):
+    """The witness evaluated on the whole box, factors and slab alike."""
+    from carlab.bump import SymmetricPlateau
+    rt = math.sqrt(eps)
+    if family == "tilde":
+        spans = (3.0 * eps,) + (4.0 * rt,) * (d - 2) + (2.0,)
+        offs = (1.0,) + (0.0,) * (d - 2) + (1.25,)
+    else:
+        spans = (2.0 * eps,) + (2.0 * rt,) * (d - 2) + (2.0 * eps,)
+        offs = (1.0,) + (0.0,) * (d - 2) + (1.1 * eps,)
+    periods = tuple(2.0 * math.pi * n / s for s in spans)
+    grid = GridField(np.zeros((n,) * d, dtype=complex), periods, offs,
+                     in_space=False)
+    axes = np.meshgrid(*grid.freq_axes(), indexing="ij", sparse=True)
+    eta_sq = sum(a ** 2 for a in axes[:-1])
+    tau = axes[-1]
+    cap = 1.0
+    if family == "tilde":
+        slab = SymmetricPlateau(1.0 / 8)((1.0 - eta_sq) / eps)
+        for a in axes[1:-1]:
+            cap = cap * SymmetricPlateau(0.5)(a / rt)
+        tw = SymmetricPlateau(0.25)(tau - 1.25)
+    else:
+        slab = SymmetricPlateau(1.0 / 32)((eta_sq + tau ** 2 - 1.0) / eps)
+        for a in axes[1:-1]:
+            cap = cap * SymmetricPlateau(1.0 / 8)(a / rt)
+        tw = SymmetricPlateau(0.3)(tau / eps - 1.1)
+    return grid.with_values((slab * cap * tw).astype(complex))
+
+
+@pytest.mark.parametrize("d, n, m", [(3, 128, 3), (3, 128, 6), (4, 32, 3),
+                                     (4, 32, 6)])
+@pytest.mark.parametrize("family", ["tilde", "eps"])
+def test_knapp_witness_equals_its_whole_box_evaluation(family, d, n, m):
+    got = knapp_witness(family, d, 2.0 ** -m, n=n)
+    want = _dense_witness(family, d, 2.0 ** -m, n)
+    assert (got.periods, got.freq_offsets, got.in_space) == \
+        (want.periods, want.freq_offsets, want.in_space)
+    assert np.array_equal(got.values, want.values)
+
+
+def test_a_symbol_sampled_on_a_sub_lattice_is_the_full_sample_there():
+    g = noise_field(d=3, n=16)
+    index = ([0, 3, 4, 15], [1, 14], [2, 5, 6, 7, 9])
+    spec = SymbolSpec("full", 3, 1)
+    full = sample_symbol(g, spec)
+    for symbol in (spec, full,
+                   lambda e1, e2, tau: e1 * e2 + 1j * tau):
+        want = sample_symbol(g, symbol)[np.ix_(*index)]
+        assert np.array_equal(sample_symbol(g, symbol, index), want)
 
 
 def test_knapp_witness_rejects_unknown_family_and_low_dimension():
