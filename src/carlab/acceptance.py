@@ -252,9 +252,11 @@ class KelvinCheck(NamedTuple):
 def kelvin_checks() -> list[KelvinCheck]:
     checks = []
     for s, tol in ((1.0, 1e-3), (1.25, 1e-2)):
-        cases = [{"s": s, "n": n, "rel_err": verify_kelvin(
-                     inversion_bump(s), s, kelvin_grid(3, n, 5.0)).rel_err}
-                 for n in (64, 128)]
+        sizes = (64, 128)
+        results = verify_kelvin(inversion_bump(s), s,
+                                [kelvin_grid(3, n, 5.0) for n in sizes])
+        cases = [{"s": s, "n": n, "rel_err": r.rel_err}
+                 for n, r in zip(sizes, results)]
         coarse, fine = (c["rel_err"] for c in cases)
         ratio = coarse / fine if fine > 0 else math.inf
         checks.append(KelvinCheck(s, tol, cases, fine, ratio,

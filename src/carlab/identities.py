@@ -25,7 +25,7 @@ import numpy as np
 
 from .bessel import sphere_hat
 from .bump import CutoffSpec, Psi0Cutoff, eval_cutoff, psi
-from .quadrature import QuadratureError, gauss_kronrod_batch
+from .quadrature import QuadratureError, gauss_kronrod_batch, panel_offsets
 from .spectral import GridField
 
 
@@ -508,15 +508,6 @@ def _centered_coords(grid: GridField, flat_index: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _sphere_hat_vec(d: int, x: np.ndarray) -> np.ndarray:
-    if d == 3:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = 4.0 * np.pi * np.sin(x) / x
-        out[x == 0] = 4.0 * np.pi
-        return out
-    return sphere_hat(d, x)
-
-
 def _period_breakpoints(lo: float, hi: float, freq: float,
                         periods: float) -> tuple[float, ...]:
     """Interior breakpoints of ``[lo, hi]``, ``periods`` periods of
@@ -532,9 +523,46 @@ def _period_breakpoints(lo: float, hi: float, freq: float,
     return tuple(np.arange(lo + step, hi - 0.5 * step, step))
 
 
+def _sinc_panels(rho: np.ndarray, t: np.ndarray,
+                 weight: np.ndarray) -> np.ndarray:
+    """``4 pi sin(rho t) / (rho t) * weight`` for radii ``rho`` (R,) and
+    quadrature nodes ``t`` laid out as `gauss_kronrod_batch` hands them over.
+
+    The d = 3 sphere transform, by angle addition over each node's split
+    ``t = mid + off`` (`panel_offsets`): two trig calls per (radius, panel)
+    and 30 per (radius, distinct offset row) instead of 15 per (radius,
+    panel).  ``4 pi / rho`` and ``weight / t`` are folded into factors, so no
+    ``rho`` and no ``t`` may be 0; interior GK nodes of an interval that
+    starts at 0 or beyond never are.
+    """
+    mid, off, row = panel_offsets(t)
+    scale = (4.0 * np.pi / rho)[:, None]
+    arg = np.multiply.outer(rho, mid)
+    sin_mid = scale * np.sin(arg)
+    cos_mid = scale * np.cos(arg)
+    arg = np.multiply.outer(rho, off)                     # (R, U, 15)
+    out = np.take(np.cos(arg), row, axis=1)
+    out *= sin_mid[:, :, None]
+    term = np.take(np.sin(arg), row, axis=1)
+    term *= cos_mid[:, :, None]
+    out += term
+    out *= (weight / t).reshape(mid.size, -1)
+    return out.reshape(rho.size, -1)
+
+
+def _sphere_hat_kernel(d: int, rho: np.ndarray, t: np.ndarray,
+                       weight: np.ndarray) -> np.ndarray:
+    """``sphere_hat(d, outer(rho, t)) * weight`` on GK nodes ``t > 0``, for
+    ``rho > 0``; d = 3 shares its trig calls across panels (`_sinc_panels`).
+    """
+    if d == 3:
+        return _sinc_panels(rho, t, weight)
+    return sphere_hat(d, np.outer(rho, t)) * weight[None, :]
+
+
 def _radial_hat(profile, support: tuple[float, float], d: int,
                 rho: np.ndarray) -> np.ndarray:
-    """Continuum Fourier transform of a radial profile, at radii ``rho``.
+    """Continuum Fourier transform of a radial profile, at radii ``rho > 0``.
 
     ``profile`` is a plain callable of t, sampled at the GK nodes: the
     profile itself, or the `radial_fractional_at` integrand that reads a
@@ -543,9 +571,12 @@ def _radial_hat(profile, support: tuple[float, float], d: int,
     thousands of oscillation panels, so one monolithic (rho, node) array
     could run to gigabytes.  Each chunk's integral over t starts from panels
     two periods ``2 * 2 pi / rho_max`` wide, ``rho_max`` the chunk's largest
-    radius (one panel when it is 0), and refines adaptively from there.  Of
-    starting widths from half a period to four, two periods needed the
-    fewest kernel evaluations on A4's oracle.
+    radius, and refines adaptively from there.  Of starting widths from half
+    a period to four, two periods needed the fewest kernel evaluations on
+    A4's oracle.  For d = 3 the kernel shares its trig calls across each
+    panel's nodes (`_sinc_panels`); a chunk's panels come in few widths, so
+    its distinct offset rows are few (8.5% of the panels on A4's
+    oracle).  ``support[0] > 0`` keeps t off 0 there.
     """
     lo, hi = support
     out = np.empty(rho.shape)
@@ -554,7 +585,7 @@ def _radial_hat(profile, support: tuple[float, float], d: int,
 
         def inner(t: np.ndarray) -> np.ndarray:
             base = np.asarray(profile(t), dtype=float) * t ** (d - 1)
-            return _sphere_hat_vec(d, np.outer(part, t)) * base[None, :]
+            return _sphere_hat_kernel(d, part, t, base)
 
         brk = _period_breakpoints(lo, hi, float(part.max()), 2.0)
         vals, _ = gauss_kronrod_batch(inner, lo, hi, abs_tol=1e-13,
@@ -609,7 +640,14 @@ def radial_fractional_at(profile, support: tuple[float, float], d: int,
     period (`_period_breakpoints`): the outer one over rho from panels one
     period ``2 pi / max(radii)`` wide, the inner one over t in
     `_radial_hat` from panels two periods ``2 * 2 pi / rho_max`` wide,
-    ``rho_max`` the largest radius of each 512-radius chunk.
+    ``rho_max`` the largest radius of each 512-radius chunk.  For d = 3
+    both kernels share their trig calls across each panel's nodes
+    (`_sinc_panels`).
+
+    The inner transforms, which cost the most, depend on ``radii`` only
+    through the outer panels, so one call over many radii costs little more
+    than a call over a few: `verify_kelvin` makes one call over all its
+    lattices' radii.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(radii <= 0):
@@ -619,7 +657,7 @@ def radial_fractional_at(profile, support: tuple[float, float], d: int,
     def outer(rho: np.ndarray) -> np.ndarray:
         weight = rho ** (2.0 * s + d - 1) * _radial_hat(profile, support, d,
                                                         rho)
-        return _sphere_hat_vec(d, np.outer(radii, rho)) * weight[None, :]
+        return _sphere_hat_kernel(d, radii, rho, weight)
 
     outer_tail = None
     m = math.ceil(s + (d - 1) / 2.0)  # residual power in (-2, 0]
@@ -636,7 +674,7 @@ def radial_fractional_at(profile, support: tuple[float, float], d: int,
         def outer_tail(rho: np.ndarray) -> np.ndarray:
             weight = (rho ** (2.0 * s + d - 1 - 2 * m)
                       * _radial_hat(shifted, support, d, rho))
-            return _sphere_hat_vec(d, np.outer(radii, rho)) * weight[None, :]
+            return _sphere_hat_kernel(d, radii, rho, weight)
 
     total = np.zeros(radii.shape)
     edge = 0.0
@@ -684,31 +722,16 @@ def kelvin_grid(d: int = 3, n: int = 128, period: float = 5.0) -> GridField:
                      (0.0,) * d, in_space=True)
 
 
-def verify_kelvin(u: CutoffSpec, s: float, grid: GridField) -> PairingResult:
-    """Compare ``(-Delta)^s T_s u`` with ``|x|^(-d-2s) ((-Delta)^s u) o inv``.
+def _kelvin_samples(u: CutoffSpec, s: float, grid: GridField,
+                    support: tuple[float, float]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral side of `verify_kelvin` on one lattice, at its sample
+    points, and the points' radii.
 
-    ``u`` is a radial profile whose ``support`` is an annulus around 1 and
-    whose inversion transform fits inside the half-period (u itself is never
-    sampled, so its own outer radius is unconstrained).  The left side is
-    computed spectrally from lattice samples of ``T_s u``.  The right side,
-    at the lattice points with radius in [0.7, 1.4], needs ``(-Delta)^s u``
-    at the off-lattice inverted radii.  For s = 1 it uses the exact radial
-    Laplacian ``-(u'' + (d-1) u'/r)`` from the profile's derivatives.
-    Otherwise it uses the continuum radial-quadrature oracle
-    `radial_fractional_at` to relative tolerance 1e-6, on 400 of the points
-    drawn with seed 0.  Either way the right side never touches the grid
-    transform, so this is a genuine two-route comparison, reported in
-    relative L^2.
+    The full-size arrays (radii, ``T_s u`` and its transform, the mask) live
+    only inside this call, so none is held while the oracle runs.
     """
-    if not 0.0 < s < grid.d:
-        raise ValueError("need 0 < s < d")
     d = grid.d
-    support = (max(u.support[0], 1e-9), u.support[1])
-    half = min(grid.periods) / 2.0
-    if not (0.0 < support[0] < support[1] < math.inf
-            and 1.0 / support[0] < half):
-        raise ValueError("the profile's inversion transform (outer radius "
-                         "1/support[0]) must fit inside the half-period")
     radii = _centered_radii(grid)
     # The inversion transform is supported where 1/r lies in the profile's
     # annulus; outside a slightly padded version of that set it is exactly 0.
@@ -728,20 +751,57 @@ def verify_kelvin(u: CutoffSpec, s: float, grid: GridField) -> PairingResult:
         flat = np.sort(rng.choice(flat, size=400, replace=False))
     pts = _centered_coords(grid, flat)
     r_pts = np.sqrt(np.sum(pts * pts, axis=-1))
-    inv_norm = 1.0 / r_pts
+    return np.real(lhs_field.values.ravel()[flat]), r_pts
 
+
+def verify_kelvin(u: CutoffSpec, s: float,
+                  grids: Sequence[GridField]) -> list[PairingResult]:
+    """Compare ``(-Delta)^s T_s u`` with ``|x|^(-d-2s) ((-Delta)^s u) o inv``
+    on each lattice of ``grids``; one `PairingResult` per lattice.
+
+    ``u`` is a radial profile whose ``support`` is an annulus around 1 and
+    whose inversion transform fits inside every lattice's half-period (u
+    itself is never sampled, so its own outer radius is unconstrained).  The
+    left side is computed spectrally from lattice samples of ``T_s u``.  The
+    right side, at the lattice points with radius in [0.7, 1.4], needs
+    ``(-Delta)^s u`` at the off-lattice inverted radii.  For s = 1 it uses
+    the exact radial Laplacian ``-(u'' + (d-1) u'/r)`` from the profile's
+    derivatives.  Otherwise it uses the continuum radial-quadrature oracle
+    `radial_fractional_at` to relative tolerance 1e-6, on 400 of each
+    lattice's points drawn with seed 0.  One oracle call serves all the
+    lattices: it runs once, over the union of their inverted radii, after
+    each lattice's spectral side is reduced to its sample points.  Either
+    way the right side never touches the grid transform, so this is a
+    genuine two-route comparison, reported in relative L^2.
+    """
+    d = grids[0].d
+    if any(grid.d != d for grid in grids):
+        raise ValueError("the lattices must share one dimension")
+    if not 0.0 < s < d:
+        raise ValueError("need 0 < s < d")
+    support = (max(u.support[0], 1e-9), u.support[1])
+    half = min(min(grid.periods) for grid in grids) / 2.0
+    if not (0.0 < support[0] < support[1] < math.inf
+            and 1.0 / support[0] < half):
+        raise ValueError("the profile's inversion transform (outer radius "
+                         "1/support[0]) must fit inside the half-period")
+    samples = [_kelvin_samples(u, s, grid, support) for grid in grids]
+    r_all = np.concatenate([r_pts for _, r_pts in samples])
+    inv_norm = 1.0 / r_all
     if s == 1.0:
         lap = -(u(inv_norm, 2) + (d - 1) / inv_norm * u(inv_norm, 1))
-        rhs_vals = r_pts ** (-d - 2.0 * s) * lap
     else:
-        w_at = radial_fractional_at(u, support, d, s, inv_norm,
-                                    rel_tol=1e-6, rho_cap=4096.0)
-        rhs_vals = r_pts ** (-d - 2.0 * s) * w_at
+        lap = radial_fractional_at(u, support, d, s, inv_norm,
+                                   rel_tol=1e-6, rho_cap=4096.0)
+    rhs_all = r_all ** (-d - 2.0 * s) * lap
 
-    lhs_vals = np.real(lhs_field.values.ravel()[flat])
-    dist = float(np.linalg.norm(lhs_vals - rhs_vals))
-    nl = float(np.linalg.norm(lhs_vals))
-    nr = float(np.linalg.norm(rhs_vals))
-    return PairingResult(lhs=nl, rhs=nr, abs_err=dist,
-                         rel_err=dist / nr if nr > 0 else 0.0,
-                         quadrature_nodes=int(flat.size))
+    results = []
+    cuts = np.cumsum([r_pts.size for _, r_pts in samples])[:-1]
+    for (lhs_vals, _), rhs_vals in zip(samples, np.split(rhs_all, cuts)):
+        dist = float(np.linalg.norm(lhs_vals - rhs_vals))
+        nl = float(np.linalg.norm(lhs_vals))
+        nr = float(np.linalg.norm(rhs_vals))
+        results.append(PairingResult(lhs=nl, rhs=nr, abs_err=dist,
+                                     rel_err=dist / nr if nr > 0 else 0.0,
+                                     quadrature_nodes=int(lhs_vals.size)))
+    return results

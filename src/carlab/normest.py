@@ -194,8 +194,12 @@ def _hull_to_space(coef: np.ndarray, index: Sequence[np.ndarray],
     return y
 
 
-def _live_lines(m: np.ndarray) -> tuple[int, list, list, np.ndarray]:
+def _live_lines(m: np.ndarray, nonzero: np.ndarray
+                ) -> tuple[int, list, list, np.ndarray]:
     """The axis along which ``m`` leaves the most lines empty, and its lines.
+
+    ``nonzero`` is the mask ``m != 0``, which callers that need it too
+    build once.
 
     Lines along ``axis`` are numbered in the C order of the other axes.
     Returns ``(axis, runs, gaps, mk)``: ``runs`` are the maximal ranges
@@ -205,7 +209,6 @@ def _live_lines(m: np.ndarray) -> tuple[int, list, list, np.ndarray]:
     on the live lines, a contiguous ``(n_axis, K)`` array.  Ties go to the
     lowest axis.
     """
-    nonzero = m != 0
     axis = int(np.argmin([np.any(nonzero, axis=a).mean()
                           for a in range(m.ndim)]))
     n_axis = m.shape[axis]
@@ -305,7 +308,7 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
     """
     _check_exponents(p, q)
     m = sample_symbol(init, symbol)
-    axis, runs, gaps, mk = _live or _live_lines(m)
+    axis, runs, gaps, mk = _live or _live_lines(m, m != 0)
     mkc = np.conj(mk)
     lines = np.empty(mk.shape, complex)
     p_dual = p / (p - 1.0)
@@ -401,7 +404,7 @@ def estimate_operator_norm(grid: GridField, symbol, p: float, q: float, *,
     hist: list[float] = []
     total_iter = 0
     aborted = False
-    live = _live_lines(m)
+    live = _live_lines(m, support)
     for f0 in starts():
         est = power_method(f0, m, p, q, max_iter=max_iter, tol=tol,
                            _live=live)

@@ -5,20 +5,21 @@ from __future__ import annotations
 import numpy as np
 
 # 15-point Kronrod extension of 7-point Gauss, nonnegative abscissae
-# (Gauss points are the alternating entries 1, 3, 5, 7).
+# (Gauss points are the alternating entries 1, 3, 5, 7), to 17 significant
+# digits, enough for every double to round-trip.
 _XGK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
+    0.99145537112081264, 0.94910791234275852, 0.86486442335976907,
+    0.74153118559939444, 0.58608723546769113, 0.40584515137739717,
+    0.20778495500789847, 0.0,
 ])
 _WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
+    0.022935322010529225, 0.063092092629978553, 0.10479001032225018,
+    0.14065325971552592, 0.16900472663926790, 0.19035057806478541,
+    0.20443294007529889, 0.20948214108472783,
 ])
 _WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
+    0.12948496616886969, 0.27970539148927667, 0.38183005050511894,
+    0.41795918367346939,
 ])
 
 # full 15-node layout, ascending
@@ -30,6 +31,23 @@ _WGAUSS = np.concatenate([_WG[:-1], _WG[::-1]])            # (7,)
 
 class QuadratureError(RuntimeError):
     pass
+
+
+def panel_offsets(nodes: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split integrand nodes, laid out as `_panel_eval` hands them to ``f``,
+    into panel centres and offsets from them.
+
+    Returns ``(mid, off, row)``: ``mid`` (P,) is each panel's centre node,
+    ``off`` (U, 15) the distinct rows of ``node - mid`` and ``row`` (P,) the
+    index of each panel's row in ``off``, so that
+    ``nodes.reshape(P, 15) - mid[:, None] == off[row]``.  Panels of one width
+    share a row wherever their offsets round alike.
+    """
+    t = nodes.reshape(-1, _NODES.size)
+    mid = t[:, _NODES.size // 2]
+    off, row = np.unique(t - mid[:, None], axis=0, return_inverse=True)
+    return mid, off, row.reshape(-1)
 
 
 def _panel_eval(f, lo, hi):

@@ -2,15 +2,18 @@
 import numpy as np
 import pytest
 
+import carlab.identities as identities
+from carlab import acceptance
 from carlab.bump import inversion_bump
 from carlab.identities import (CustomTest, PolyGauss, RadialPower,
-                               _period_breakpoints, _sphere_hat_vec,
+                               _period_breakpoints, _sinc_panels,
                                fractional_laplacian, kelvin_grid,
                                pair_pullback,
                                radial_fractional_at, sphere_area,
                                sphere_integral, sphere_nodes,
                                verify_counter_identities,
                                verify_dist_identity, verify_kelvin)
+from carlab.quadrature import _panel_eval, panel_offsets
 
 RNG = np.random.Generator(np.random.Philox(55))
 
@@ -179,41 +182,112 @@ def test_fractional_laplacian_single_mode():
 
 
 def test_kelvin_identity_classical_laplacian():
-    res = verify_kelvin(inversion_bump(1.0), 1.0, kelvin_grid(3, 128, 5.0))
+    res, = verify_kelvin(inversion_bump(1.0), 1.0, (kelvin_grid(3, 128, 5.0),))
     assert res.rel_err <= 1e-3
 
 
 def test_kelvin_identity_fractional():
-    res = verify_kelvin(inversion_bump(1.25), 1.25, kelvin_grid(3, 128, 5.0))
+    res, = verify_kelvin(inversion_bump(1.25), 1.25,
+                         (kelvin_grid(3, 128, 5.0),))
     assert res.rel_err <= 1e-2
 
 
 def test_kelvin_error_halves_under_resolution_doubling():
     u = inversion_bump(1.0)
-    coarse = verify_kelvin(u, 1.0, kelvin_grid(3, 64, 5.0))
-    fine = verify_kelvin(u, 1.0, kelvin_grid(3, 128, 5.0))
+    coarse, fine = verify_kelvin(u, 1.0, (kelvin_grid(3, 64, 5.0),
+                                          kelvin_grid(3, 128, 5.0)))
     assert coarse.rel_err / fine.rel_err >= 2.0
 
 
-def _masked_sphere_hat(x):
-    """The d = 3 sphere transform as it was computed before: sinc on the
-    nonzero entries only."""
-    out = np.full_like(x, 4.0 * np.pi)
-    nz = x != 0
-    out[nz] = 4.0 * np.pi * np.sin(x[nz]) / x[nz]
-    return out
+def _recording_oracle(monkeypatch, calls, oracle=None):
+    """Replace verify_kelvin's oracle by one that records its radii and
+    forwards to ``oracle`` (ones when None)."""
+    def record(profile, support, d, s, radii, **kw):
+        calls.append(np.array(radii))
+        if oracle is None:
+            return np.ones_like(radii)
+        return oracle(profile, support, d, s, radii, **kw)
+    monkeypatch.setattr(identities, "radial_fractional_at", record)
 
 
-def test_sphere_hat_d3_is_bit_identical_to_the_masked_form():
-    x = np.outer(RNG.uniform(-4096.0, 4096.0, 64), RNG.uniform(0.4, 2.5, 90))
-    x[3, :7] = 0.0
-    x[5, 2] = -0.0
-    x[7, :4] = [1e-300, -5e-324, 2.0 ** -30, -1e-8]
-    x[9, :3] = [-np.pi, np.pi, -1.0]
-    got = _sphere_hat_vec(3, x)
-    want = _masked_sphere_hat(x)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    assert np.all(got[3, :7] == 4.0 * np.pi) and got[5, 2] == 4.0 * np.pi
+def test_kelvin_over_two_lattices_matches_one_lattice_calls(monkeypatch):
+    # one oracle call over both lattices' inverted radii: each lattice keeps
+    # its own 400 points, and its error moves only by how the union refines
+    u = inversion_bump(1.25)
+    grids = (kelvin_grid(3, 32, 5.0), kelvin_grid(3, 64, 5.0))
+    calls = []
+    _recording_oracle(monkeypatch, calls, radial_fractional_at)
+    both = verify_kelvin(u, 1.25, grids)
+    singles = [verify_kelvin(u, 1.25, (g,))[0] for g in grids]
+    assert len(calls) == 3 and [r.size for r in calls] == [800, 400, 400]
+    np.testing.assert_array_equal(calls[0], np.concatenate(calls[1:]))
+    for pair, one in zip(both, singles):
+        assert pair.quadrature_nodes == one.quadrature_nodes == 400
+        assert pair.lhs == one.lhs
+        assert pair.rel_err == pytest.approx(one.rel_err, rel=1e-10, abs=0)
+
+
+def test_kelvin_checks_call_the_oracle_once_per_fractional_order(
+        monkeypatch):
+    calls = []
+    _recording_oracle(monkeypatch, calls)
+    checks = acceptance.kelvin_checks()
+    assert [c.s for c in checks] == [1.0, 1.25]
+    assert len(calls) == 1 and calls[0].size == 800
+
+
+def test_kelvin_rejects_lattices_of_mixed_dimension():
+    with pytest.raises(ValueError, match="one dimension"):
+        verify_kelvin(inversion_bump(1.25), 1.25,
+                      (kelvin_grid(3, 32, 5.0), kelvin_grid(2, 32, 5.0)))
+
+
+def _sinc_exact_argument(rho, t, base):
+    """``4 pi sin(rho t) / (rho t) * base`` with ``rho t`` taken exactly:
+    the rounded product ``x`` and its error ``e`` (Dekker's two-product),
+    ``sin(x + e) = sin x + e cos x``."""
+    def split(v):
+        c = 134217729.0 * v  # 2^27 + 1
+        hi = c - (c - v)
+        return hi, v - hi
+
+    x = np.outer(rho, t)
+    (rh, rl), (th, tl) = split(rho[:, None]), split(t[None, :])
+    e = ((rh * th - x) + rh * tl + rl * th) + rl * tl
+    return 4.0 * np.pi * (np.sin(x) + e * np.cos(x)) / x * base
+
+
+def _gk_nodes(lo, hi):
+    """The integrand nodes `_panel_eval` builds for panels [lo, hi]."""
+    seen = []
+    _panel_eval(lambda t: seen.append(t) or np.zeros_like(t),
+                np.asarray(lo, float), np.asarray(hi, float))
+    return seen[0]
+
+
+def test_shared_trig_kernel_matches_the_sinc():
+    # the oracle's inner support, from panels two periods wide at several
+    # chunk maxima, each also bisected as the adaptive rounds do; the
+    # panels straddle t = 1, where the node spacing in ulps changes
+    lo, hi = 0.41, 2.44
+    edges = [np.array([lo, *_period_breakpoints(lo, hi, rho_max, 2.0), hi])
+             for rho_max in (3.0, 40.0, 517.3, 4096.0)]
+    a = np.concatenate([e[:-1] for e in edges])
+    b = np.concatenate([e[1:] for e in edges])
+    mids = 0.5 * (a + b)
+    t = _gk_nodes(np.concatenate([a, a, mids]), np.concatenate([b, mids, b]))
+    mid, off, row = panel_offsets(t)
+    np.testing.assert_array_equal(mid[:, None] + off[row], t.reshape(-1, 15))
+    assert np.any(t < 1.0) and np.any(t > 1.0)
+    assert off.shape[0] < mid.size  # panels of one width share offset rows
+    base = RNG.uniform(-1.0, 1.0, t.size) * t * t
+    rho = np.concatenate([RNG.uniform(1e-3, 4096.0, 61), [1e-3, 4096.0]])
+    got = _sinc_panels(rho, t, base)
+    # the direct form 4 pi sin(x) / x * base rounds x = rho t, by up to
+    # 9.1e-13 here, and so does the split; the reference does not
+    want = _sinc_exact_argument(rho, t, base)
+    envelope = 4.0 * np.pi / rho[:, None] * np.abs(base / t)
+    assert np.all(np.abs(got - want) <= 1e-12 * envelope)
 
 
 def test_period_breakpoints():

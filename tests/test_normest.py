@@ -410,7 +410,7 @@ def _starts(grid, spec):
 def test_the_emptiest_axis_is_pruned_to_its_nonzero_lines(case, axis, n_live):
     grid, spec = _ORACLE_CASES[case]
     m = sample_symbol(grid, spec)
-    got_axis, runs, gaps, mk = _live_lines(m)
+    got_axis, runs, gaps, mk = _live_lines(m, m != 0)
     lines = np.moveaxis(m, axis, 0).reshape(m.shape[axis], -1)
     kind = np.zeros(lines.shape[1], int)
     for a, b, _ in runs:
@@ -447,7 +447,7 @@ def test_restarts_on_one_lattice_share_its_live_lines(monkeypatch):
     assert est.history == history
     found = []
     monkeypatch.setattr(normest, "_live_lines",
-                        lambda a: found.append(a) or _live_lines(a))
+                        lambda *a: found.append(a) or _live_lines(*a))
     estimate_operator_norm(grid, spec, 2.0, 6.0, n_random=2,
                            extra_inits=(extra,), max_iter=2, tol=1e-3)
     assert len(found) == 1

@@ -1,5 +1,6 @@
 """Bessel evaluation, quadrature bricks, and the radial lower-bound path."""
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from carlab.oscillatory import (EmptyWindowError, LowerBoundParams, Phi5Spec,
                                 annulus_radii, frak_s_sample, i_integral,
                                 in_resonant_set, j_decomposition,
                                 lorentzian_mass, mtilde_radial, solve_lambda)
-from carlab.quadrature import (QuadratureError, gauss_kronrod_batch,
+from carlab.quadrature import (_GAUSS_IDX, _NODES, _WGAUSS, _WK,
+                               QuadratureError, gauss_kronrod_batch,
                                gauss_legendre_rule)
 
 # ---------------------------------------------------------------------------
@@ -112,6 +114,51 @@ def test_gauss_kronrod_gives_up_honestly():
     with pytest.raises(QuadratureError):
         gauss_kronrod_batch(lambda x: np.cos(200.0 * x), 0.0, 10.0,
                             abs_tol=1e-14, max_panels=4)
+
+
+def test_kronrod_and_gauss_rules_are_exact_to_their_degree():
+    # K15 integrates x^k exactly on [-1, 1] for k <= 22, G7 for k <= 13
+    for nodes, weights, degree in ((_NODES, _WK, 22),
+                                   (_NODES[_GAUSS_IDX], _WGAUSS, 13)):
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(np.dot(weights, nodes ** k) - exact) <= 1e-15, k
+        assert abs(weights.sum() - 2.0) <= 4 * np.spacing(2.0)
+
+
+def _gauss7_exact():
+    """The 7-point Gauss-Legendre rule to 40 digits: Newton on the
+    three-term recurrence from numpy's nodes, w = 2 / ((1-x^2) P7'(x)^2)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+
+        def legendre7(x):
+            p0, p1 = decimal.Decimal(1), x
+            for n in range(1, 7):
+                p0, p1 = p1, ((2 * n + 1) * x * p1 - n * p0) / (n + 1)
+            return p1, 7 * (x * p1 - p0) / (x * x - 1)
+
+        nodes, weights = [], []
+        for start in np.polynomial.legendre.leggauss(7)[0]:
+            x = decimal.Decimal(float(start))
+            for _ in range(5):
+                p, dp = legendre7(x)
+                x -= p / dp
+            _, dp = legendre7(x)
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    return np.array(nodes), np.array(weights)
+
+
+def test_gauss_constants_are_the_rounded_legendre_rule():
+    nodes, weights = _NODES[_GAUSS_IDX], _WGAUSS
+    x, _ = np.polynomial.legendre.leggauss(7)
+    assert np.all(np.abs(nodes - x) <= np.spacing(np.abs(x)))
+    # leggauss's weights are themselves up to 4.4 ulp off the exact ones,
+    # so the weights are held to the 40-digit rule, as the nodes are too
+    x_exact, w_exact = _gauss7_exact()
+    assert np.all(np.abs(nodes - x_exact) <= np.spacing(np.abs(x_exact)))
+    assert np.all(np.abs(weights - w_exact) <= np.spacing(w_exact))
 
 
 # ---------------------------------------------------------------------------
