@@ -210,7 +210,7 @@ def distid_cases(rng: np.random.Generator) -> list[dict[str, Any]]:
     """The pullback identity at k in {2, 3}, n in {2, 3, 4}, three radii."""
     return [{"k": k, "n": n, "rho": rho,
              "rel_err": verify_dist_identity(
-                 k, rho, PolyGauss.random(n, rng), n).rel_err}
+                 k, rho, PolyGauss.random(n, rng)).rel_err}
             for k in (2, 3) for n in (2, 3, 4) for rho in (0.8, 1.0, 1.3)]
 
 
@@ -254,7 +254,7 @@ def kelvin_checks() -> list[KelvinCheck]:
     for s, tol in ((1.0, 1e-3), (1.25, 1e-2)):
         sizes = (64, 128)
         results = verify_kelvin(inversion_bump(s), s,
-                                [kelvin_grid(3, n, 5.0) for n in sizes])
+                                [kelvin_grid(3, n) for n in sizes])
         cases = [{"s": s, "n": n, "rel_err": r.rel_err}
                  for n, r in zip(sizes, results)]
         coarse, fine = (c["rel_err"] for c in cases)
@@ -372,7 +372,7 @@ def _a3_distribution_identities() -> tuple[bool, str]:
     for i in range(20):
         n = (2, 3, 4)[i % 3]
         phi = PolyGauss.random(n, rng)
-        lhs = pair_pullback(1, 1.0, phi, n)
+        lhs = pair_pullback(1, 1.0, phi)
         rhs = 0.5 * sphere_integral(phi, n)
         worst_half = max(worst_half,
                          abs(lhs - rhs) / max(abs(rhs), 1e-300))
@@ -392,15 +392,10 @@ def _a4_inversion_identity() -> tuple[bool, str]:
         f"s={c.s}: {c.detail}" for c in checks)
 
 
-def knapp_scaling(eps_list: Sequence[float] | None = None
-                  ) -> tuple[bool, str]:
-    """Thin-slab lower-bound slopes for both symbol families at d=3, k=1.
-
-    A custom ``eps_list`` shorter than three octaves cannot anchor a slope
-    fit: `InsufficientOctaves` propagates, and `run_criterion` skips.
-    """
-    if eps_list is None:
-        eps_list = [2.0 ** -m for m in range(3, 7)]
+def knapp_scaling() -> tuple[bool, str]:
+    """Thin-slab lower-bound slopes for both symbol families at d=3, k=1,
+    over eps = 2^-3..2^-6."""
+    eps_list = [2.0 ** -m for m in range(3, 7)]
     point = regions.ExponentPoint(Fraction(3, 4), Fraction(1, 4))
     fits = {family: knapp_fit(family, 3, 1, eps_list, point)
             for family in ("tilde", "eps")}
@@ -482,7 +477,7 @@ def _a9_decomposition_oracle() -> tuple[bool, str]:
                            "samples (tol 1e-5)")
 
 
-CRITERIA: dict[str, tuple[str, Callable[..., tuple[bool, str]], float]] = {
+CRITERIA: dict[str, tuple[str, Callable[[], tuple[bool, str]], float]] = {
     "A1": ("exact exponent-square geometry", _a1_exact_geometry, 1.0),
     "A2": ("symbol decomposition and imaginary part", _a2_symbol_identities,
            5.0),
@@ -507,22 +502,18 @@ def check_criterion_ids(ids: Sequence[str]) -> None:
                            f"{sorted(CRITERIA)}")
 
 
-def run_criterion(cid: str, *args: Any) -> Verdict:
-    """Execute one criterion by id on ``args`` and time it.
+def run_criterion(cid: str) -> Verdict:
+    """Execute one criterion by id and time it.
 
     An unknown id raises `KeyError`.  Whatever the criterion raises becomes
-    its verdict: `InsufficientOctaves` a skip, anything else a fail.  A pass
-    that overruns the criterion's budget is a fail.  The measures hold the
-    wall time, ``{"seconds": ...}``.
+    a fail.  A pass that overruns the criterion's budget is a fail.  The
+    measures hold the wall time, ``{"seconds": ...}``.
     """
     check_criterion_ids([cid])
     _, fn, budget = CRITERIA[cid]
     start = time.perf_counter()
     try:
-        ok, detail = fn(*args)
-    except InsufficientOctaves as exc:
-        return Verdict(cid, "skip", str(exc),
-                       {"seconds": time.perf_counter() - start})
+        ok, detail = fn()
     except Exception as exc:  # noqa: BLE001 - a verdict must always come back
         ok, detail = False, f"error: {exc!r}"
     elapsed = time.perf_counter() - start

@@ -333,17 +333,6 @@ def inversion_bump(s: float, d: int = 3) -> InversionImage:
     return InversionImage(PlateauBump(0.41, 1.40, 1.47, 2.46), 2.0 * s - d)
 
 
-def eval_cutoff(spec, t, order: int = 0):
-    """Evaluate a cutoff (or any plain callable) with the given derivative order."""
-    if isinstance(spec, CutoffSpec):
-        return spec(t, order)
-    if callable(spec):
-        if order:
-            raise DerivativeOrderError("plain callables expose no derivatives")
-        return spec(t)
-    raise TypeError(f"not a cutoff: {spec!r}")
-
-
 def bump_fingerprint() -> str:
     """Short hex id of the concrete transition family, recorded in run reports.
 

@@ -52,7 +52,7 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[Any], Any], Any]]] = {
     "lowerbound": {"d": (int, 5), "k": (int, 2), "eps": (str, "2^-4..2^-8"),
                    "t": (float, 0.0)},
     "identities": {"suite": (str, "distid")},
-    "accept": {"suites": (str, "all"), "eps": (str, "")},
+    "accept": {"suites": (str, "all")},
 }
 
 
@@ -387,18 +387,12 @@ def _run_accept(cfg: ExperimentConfig,
                 rng: np.random.Generator) -> list[Verdict]:
     chosen = sorted(acceptance.CRITERIA) if cfg.params["suites"] == "all" \
         else [s.strip() for s in cfg.params["suites"].split(",")]
-    # every id and the A5 scale list are checked before any criterion runs
+    # every id is checked before any criterion runs
     acceptance.check_criterion_ids(chosen)
-    args = {"A5": (parse_eps_range(cfg.params["eps"]),)} \
-        if cfg.params["eps"] else {}
-
-    def run_one(cid: str) -> Verdict:
-        return acceptance.run_criterion(cid, *args.get(cid, ()))
-
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(run_one, chosen))
-    return [run_one(cid) for cid in chosen]
+            return list(pool.map(acceptance.run_criterion, chosen))
+    return [acceptance.run_criterion(cid) for cid in chosen]
 
 
 _HANDLERS: dict[str, Callable[[ExperimentConfig, np.random.Generator],
@@ -495,8 +489,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("accept", help="run acceptance criteria")
     p.add_argument("suites", nargs="*", default=[],
                    help="criterion ids (default: all)")
-    p.add_argument("--eps", default="",
-                   help="override the A5 scale range")
 
     p = sub.add_parser("run", help="execute a saved config file")
     p.add_argument("--config", required=True)

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from .bessel import sphere_hat
-from .bump import CutoffSpec, Psi0Cutoff, eval_cutoff, psi
+from .bump import CutoffSpec, Psi0Cutoff, psi
 from .quadrature import QuadratureError, gauss_kronrod_batch, panel_offsets
 from .spectral import GridField
 
@@ -66,15 +66,6 @@ class PolyGauss:
             if kept:
                 clean[int(j)] = kept
         self.terms = clean
-
-    @classmethod
-    def monomial(cls, n: int, c: float, beta: Sequence[int],
-                 coeff: float = 1.0) -> "PolyGauss":
-        return cls(n, c, {0: {tuple(beta): coeff}})
-
-    @classmethod
-    def gaussian(cls, n: int, c: float = 1.0) -> "PolyGauss":
-        return cls.monomial(n, c, (0,) * n)
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator,
@@ -306,9 +297,14 @@ def _fd_derivative(g: Callable[[float], float], order: int, h: float) -> float:
     return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
 
 
-def pair_pullback(k: int, rho: float, phi: TestFunction, n: int | None = None,
-                  *, level: int = 12, h: float = 1e-3) -> float:
-    """Pair the order-k delta pullback through ``rho^2 - |theta|^2`` with phi.
+#: Sphere rule level and finite-difference step of the pullback pairings.
+_PULLBACK_LEVEL = 12
+_PULLBACK_STEP = 1e-3
+
+
+def pair_pullback(k: int, rho: float, phi: TestFunction) -> float:
+    """Pair the order-k delta pullback through ``rho^2 - |theta|^2`` with phi,
+    a test function on R^n, ``n = phi.n``.
 
     Radial substitution turns the pairing into a pure 1-D object: with
     ``Phi(r) = r^(n-1) int_{S^(n-1)} phi(r w) dsigma(w)``,
@@ -321,8 +317,8 @@ def pair_pullback(k: int, rho: float, phi: TestFunction, n: int | None = None,
     """
     if k < 1 or rho <= 0:
         raise ValueError("need k >= 1 and rho > 0")
-    n = n if n is not None else phi.n
-    nodes, weights = sphere_nodes(n, level)
+    n = phi.n
+    nodes, weights = sphere_nodes(n, _PULLBACK_LEVEL)
 
     def profile(r: float) -> float:
         avg = phi.sphere_average(r, nodes, weights)
@@ -332,21 +328,19 @@ def pair_pullback(k: int, rho: float, phi: TestFunction, n: int | None = None,
         r = math.sqrt(rho * rho - u)
         return profile(r) / (2.0 * r)
 
-    value = _fd_derivative(composite, k - 1, h)
+    value = _fd_derivative(composite, k - 1, _PULLBACK_STEP)
     return (-1.0) ** (k - 1) * value
 
 
-def verify_dist_identity(k: int, rho: float, phi: TestFunction,
-                         n: int | None = None, *, level: int = 12,
-                         h: float = 1e-3) -> PairingResult:
+def verify_dist_identity(k: int, rho: float,
+                         phi: TestFunction) -> PairingResult:
     """Order-k pullback pairing against the order-1 pairing with L^(k-1) phi."""
-    n = n if n is not None else phi.n
-    lhs = pair_pullback(k, rho, phi, n, level=level, h=h)
+    lhs = pair_pullback(k, rho, phi)
     g = phi
     for _ in range(k - 1):
         g = g.apply_L()
-    rhs = pair_pullback(1, rho, g, n, level=level, h=h)
-    n_nodes = sphere_nodes(n, level)[0].shape[0]
+    rhs = pair_pullback(1, rho, g)
+    n_nodes = sphere_nodes(phi.n, _PULLBACK_LEVEL)[0].shape[0]
     evals = n_nodes * (5 * 2 + 1)  # stencil evaluations, both routes, bound
     return PairingResult.from_pair(lhs, rhs, evals)
 
@@ -360,11 +354,18 @@ def _radial_slice(r: np.ndarray, power: int, cutoff: CutoffSpec, delta: float,
                   eps: float, tau: float) -> np.ndarray:
     a = r * r - 1.0 + eps * eps * tau * tau
     den = (a + 2j * eps * tau) ** power
-    return eval_cutoff(cutoff, (1.0 - r * r) / delta) * psi(tau) / den
+    return cutoff((1.0 - r * r) / delta) * psi(tau) / den
 
 
-def _pair_batch(terms, d: int, delta: float, eps: float, tau: float,
-                level: int, abs_tol: float) -> tuple[np.ndarray, int]:
+#: Sphere rule level, absolute GK tolerance and panel cap of the
+#: order-shuffling pairings.
+_COUNTER_LEVEL = 12
+_COUNTER_TOL = 1e-10
+_COUNTER_PANELS = 4096
+
+
+def _pair_batch(terms, d: int, delta: float, eps: float,
+                tau: float) -> tuple[np.ndarray, int]:
     """Integrate several annulus pairings in one adaptive pass.
 
     Each term is (power, cutoff, func); the integral runs over the radial
@@ -372,7 +373,7 @@ def _pair_batch(terms, d: int, delta: float, eps: float, tau: float,
     on a product rule (the integrands are radial x smooth, so the product
     rule is exact in the angular variable for polynomial test functions).
     """
-    nodes, weights = sphere_nodes(d - 1, level)
+    nodes, weights = sphere_nodes(d - 1, _COUNTER_LEVEL)
     lo = math.sqrt(max(0.0, 1.0 - 2.0 * delta))
     hi = math.sqrt(1.0 + 2.0 * delta)
     cuts = [1.0 - eps * eps * tau * tau, 1.0 - delta, 1.0, 1.0 + delta]
@@ -386,32 +387,20 @@ def _pair_batch(terms, d: int, delta: float, eps: float, tau: float,
                         * r ** (d - 2) * avg)
         return np.stack(rows, axis=0)
 
-    tries = [(tuple(breaks), 4096)]
-    graded = sorted(set(breaks) | {math.sqrt(1.0 - delta / 2 ** m)
-                                   for m in range(1, 6)}
-                    | {math.sqrt(1.0 + delta / 2 ** m) for m in range(1, 6)})
-    tries.append((tuple(b for b in graded if lo < b < hi), 16384))
-    last_exc: QuadratureError | None = None
-    for brk, cap in tries:
-        try:
-            vals, _ = gauss_kronrod_batch(integrand, lo, hi, abs_tol=abs_tol,
-                                          breakpoints=brk, max_panels=cap)
-            return vals, nodes.shape[0] * cap
-        except QuadratureError as exc:
-            last_exc = exc
-    raise last_exc
+    vals, _ = gauss_kronrod_batch(integrand, lo, hi, abs_tol=_COUNTER_TOL,
+                                  breakpoints=tuple(breaks),
+                                  max_panels=_COUNTER_PANELS)
+    return vals, nodes.shape[0] * _COUNTER_PANELS
 
 
 def verify_counter_identities(kind: str, k: int, eps: float, delta: float,
-                              tau: float, h: TestFunction, *,
-                              zeta: CutoffSpec | None = None, level: int = 12,
-                              abs_tol: float = 1e-10) -> PairingResult:
+                              tau: float, h: TestFunction) -> PairingResult:
     """Check one of the two order-shuffling pairing identities.
 
-    ``kind="induc"``: the order-k pairing against the plateau cutoff at scale
-    ``delta`` expands into order-1 pairings with derivative cutoffs and
-    powers of L applied to the test function, with coefficients
-    ``(-1)^l / (delta^l (k-1-l)! l!)``.
+    ``kind="induc"``: the order-k pairing against the plateau cutoff
+    ``psi0`` at scale ``delta`` expands into order-1 pairings with
+    derivative cutoffs and powers of L applied to the test function, with
+    coefficients ``(-1)^l / (delta^l (k-1-l)! l!)``.
 
     ``kind="rev"``: the order-1 pairing against ``L^(k-1) h`` re-sums into
     higher-order pairings with coefficients ``(k-1)! / (delta^l l!)``.
@@ -426,7 +415,7 @@ def verify_counter_identities(kind: str, k: int, eps: float, delta: float,
         raise ValueError("need k >= 1")
     if not 0 < delta < 0.5:
         raise ValueError("need 0 < delta < 1/2")
-    zeta = zeta if zeta is not None else Psi0Cutoff()
+    zeta = Psi0Cutoff()
     d = h.n + 1
     l_pow: list[TestFunction] = [h]
     for _ in range(k - 1):
@@ -449,7 +438,7 @@ def verify_counter_identities(kind: str, k: int, eps: float, delta: float,
             coeffs.append(math.factorial(k - 1)
                           / (delta ** ell * math.factorial(ell)))
 
-    vals, nodes = _pair_batch(terms, d, delta, eps, tau, level, abs_tol)
+    vals, nodes = _pair_batch(terms, d, delta, eps, tau)
     lhs = vals[0]
     rhs = sum(c * v for c, v in zip(coeffs[1:], vals[1:]))
     return PairingResult.from_pair(lhs, rhs, nodes)
@@ -614,8 +603,8 @@ def _radial_laplacian_terms(d: int, m: int) -> dict[tuple[int, int], float]:
     return terms
 
 
-def radial_fractional_at(profile, support: tuple[float, float], d: int,
-                         s: float, radii, *, rel_tol: float = 1e-9,
+def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
+                         d: int, s: float, radii, *, rel_tol: float = 1e-9,
                          rho_cap: float = 2048.0) -> np.ndarray:
     """``(-Delta)^s u`` at the given radii for radial ``u = profile(|x|)``.
 
@@ -628,13 +617,12 @@ def radial_fractional_at(profile, support: tuple[float, float], d: int,
     High-frequency octaves are delicate: the spectral profile there is
     computed by cancellation, so its absolute roundoff (~1e-16) times the
     ``rho^(2s+d-1)`` weight would swamp the true, rapidly decaying signal.
-    When the profile is a `CutoffSpec` with analytic derivatives up to order
-    ``2m``, tail octaves instead integrate ``rho^(2s+d-1-2m)`` against the
-    transform of ``(-Delta)^m u`` -- the same function, but with the
-    amplification factor removed.  Its integrand reads all the orders it
-    needs from one ``profile.jet(t, 2m)`` per node set.  Other profiles keep
-    the direct form, which is fine for spectra that die before the noise
-    floor matters.
+    Tail octaves instead integrate ``rho^(2s+d-1-2m)`` against the transform
+    of ``(-Delta)^m u`` -- the same function, but with the amplification
+    factor removed.  Its integrand reads all the orders it needs from one
+    ``profile.jet(t, 2m)`` per node set, so the profile must be a
+    `CutoffSpec` with analytic derivatives up to order ``2m``; any other
+    profile is rejected before any quadrature.
 
     Both quadratures start from panels sized by their kernel's oscillation
     period (`_period_breakpoints`): the outer one over rho from panels one
@@ -649,32 +637,31 @@ def radial_fractional_at(profile, support: tuple[float, float], d: int,
     than a call over a few: `verify_kelvin` makes one call over all its
     lattices' radii.
     """
+    m = math.ceil(s + (d - 1) / 2.0)  # residual power in (-2, 0]
+    if not (isinstance(profile, CutoffSpec) and profile.max_order >= 2 * m):
+        raise ValueError(f"the profile must be a CutoffSpec with derivatives "
+                         f"up to order {2 * m}")
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
     rmax = float(radii.max())
+    terms = _radial_laplacian_terms(d, m)
 
-    def outer(rho: np.ndarray) -> np.ndarray:
-        weight = rho ** (2.0 * s + d - 1) * _radial_hat(profile, support, d,
-                                                        rho)
-        return _sphere_hat_kernel(d, radii, rho, weight)
+    def shifted(t: np.ndarray) -> np.ndarray:
+        jet = profile.jet(t, 2 * m)
+        out = np.zeros_like(np.asarray(t, dtype=float))
+        for (i, p), c in terms.items():
+            out = out + c * t ** p * jet[i]
+        return out
 
-    outer_tail = None
-    m = math.ceil(s + (d - 1) / 2.0)  # residual power in (-2, 0]
-    if isinstance(profile, CutoffSpec) and profile.max_order >= 2 * m:
-        terms = _radial_laplacian_terms(d, m)
-
-        def shifted(t: np.ndarray) -> np.ndarray:
-            jet = profile.jet(t, 2 * m)
-            out = np.zeros_like(np.asarray(t, dtype=float))
-            for (i, p), c in terms.items():
-                out = out + c * t ** p * jet[i]
-            return out
-
-        def outer_tail(rho: np.ndarray) -> np.ndarray:
-            weight = (rho ** (2.0 * s + d - 1 - 2 * m)
-                      * _radial_hat(shifted, support, d, rho))
+    def outer(fn, power: float):
+        def kernel(rho: np.ndarray) -> np.ndarray:
+            weight = rho ** power * _radial_hat(fn, support, d, rho)
             return _sphere_hat_kernel(d, radii, rho, weight)
+        return kernel
+
+    head = outer(profile, 2.0 * s + d - 1)
+    tail = outer(shifted, 2.0 * s + d - 1 - 2 * m)
 
     total = np.zeros(radii.shape)
     edge = 0.0
@@ -686,10 +673,9 @@ def radial_fractional_at(profile, support: tuple[float, float], d: int,
         # Tail octaves that are pure roundoff get an absolute floor tied to
         # the running total so they cannot exhaust the panel budget.
         floor = max(1e-13, rel_tol * float(np.max(np.abs(total))))
-        fn = outer if edge == 0.0 or outer_tail is None else outer_tail
-        seg, _ = gauss_kronrod_batch(fn, edge, hi, abs_tol=floor,
-                                     rel_tol=1e-9, breakpoints=brk,
-                                     max_panels=16384)
+        seg, _ = gauss_kronrod_batch(head if edge == 0.0 else tail, edge, hi,
+                                     abs_tol=floor, rel_tol=1e-9,
+                                     breakpoints=brk, max_panels=16384)
         total = total + seg
         scale = float(np.max(np.abs(total)))
         if edge > 0.0 and float(np.max(np.abs(seg))) <= rel_tol * scale:
@@ -716,9 +702,10 @@ def fractional_laplacian(field: GridField, s: float) -> GridField:
     return out.to_space() if field.in_space else out
 
 
-def kelvin_grid(d: int = 3, n: int = 128, period: float = 5.0) -> GridField:
-    """Unmodulated isotropic box for the inversion checks."""
-    return GridField(np.zeros((n,) * d, dtype=complex), (period,) * d,
+def kelvin_grid(d: int = 3, n: int = 128) -> GridField:
+    """Unmodulated isotropic box of period 5 for the inversion checks, the
+    box `inversion_bump` is sized for."""
+    return GridField(np.zeros((n,) * d, dtype=complex), (5.0,) * d,
                      (0.0,) * d, in_space=True)
 
 
@@ -734,12 +721,13 @@ def _kelvin_samples(u: CutoffSpec, s: float, grid: GridField,
     d = grid.d
     radii = _centered_radii(grid)
     # The inversion transform is supported where 1/r lies in the profile's
-    # annulus; outside a slightly padded version of that set it is exactly 0.
-    r_min = 0.9 / support[1]
-    safe = np.where(radii >= r_min, radii, 1.0)
-    t_vals = np.where(radii >= r_min,
-                      safe ** (2.0 * s - d)
-                      * np.asarray(u(1.0 / safe), dtype=float), 0.0)
+    # annulus; outside a slightly padded version of that shell it is
+    # exactly 0, so it is evaluated on the shell only.
+    shell = (radii >= 0.9 / support[1]) & (radii <= 1.1 / support[0])
+    r_shell = radii[shell]
+    t_vals = np.zeros(grid.shape)
+    t_vals[shell] = (r_shell ** (2.0 * s - d)
+                     * np.asarray(u(1.0 / r_shell), dtype=float))
     lhs_field = fractional_laplacian(grid.with_values(t_vals), s)
 
     mask = (radii >= 0.7) & (radii <= 1.4)

@@ -7,7 +7,7 @@ on the closed unit square of reciprocal Lebesgue exponents
 
 and every vertex, edge and membership test in this module is carried out in
 ``fractions.Fraction`` arithmetic: nothing here ever touches floating point
-except on explicit request (`ExponentPoint.as_floats`, `emit_figure_data`).
+except on explicit request (`emit_figure_data`).
 
 Conventions
 -----------
@@ -79,9 +79,6 @@ class ExponentPoint:
     def dual(self) -> "ExponentPoint":
         """The duality involution (x, y) -> (1 - y, 1 - x)."""
         return ExponentPoint(1 - self.y, 1 - self.x)
-
-    def as_floats(self) -> tuple[float, float]:
-        return (float(self.x), float(self.y))
 
     def __str__(self) -> str:  # "7/8,3/40"
         return f"{self.x},{self.y}"

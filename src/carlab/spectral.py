@@ -30,19 +30,7 @@ unimodular, so ``|y| = |f|`` and every Lebesgue norm and norming map agrees
 on the two, while the cell volume cancels between ``fftn`` and ``ifftn``
 and enters each norm only as ``cell_volume ** (1/p)`` (`sample_lp_norm`).
 Norms are sums over all samples, so such a loop may also hold ``y`` with
-its axes reordered.  The power iteration does, to prune its transforms: it
-puts first the axis along which the multiplier vanishes on the most whole
-lines, and transforms that axis on the remaining lines only.  At p = 2 it
-keeps its iterate on the frequency side and takes the L^2 norm from the
-coefficients: by Parseval the Riemann sum of ``|y|^2`` is
-``sum |fftn(y)|^2 / N`` over the ``N`` samples, so that norm is the same
-sum, computed without the transform.  A one-shot bound
-(`normest.certified_lower_bound`) prunes by the field instead: its
-coefficients, and so ``m`` times them, vanish off the sub-lattice spanned
-by the planes that carry any of them, so the symbol is sampled there only
-(`sample_symbol`'s ``index``) and ``y`` is built one axis at a time, each
-pass on the lines that sub-lattice reaches.  Only the last pass covers
-the whole lattice.
+its axes reordered.
 """
 
 from __future__ import annotations

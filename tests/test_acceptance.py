@@ -9,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 from carlab import acceptance
-from carlab.acceptance import (CRITERIA, InsufficientOctaves, knapp_fit,
-                               run_criterion)
+from carlab.acceptance import CRITERIA, knapp_fit, run_criterion
 from carlab.regions import ExponentPoint
 
 
@@ -36,7 +35,6 @@ def _stub(monkeypatch, outcome):
 @pytest.mark.parametrize("outcome, status, detail", [
     ((True, "held"), "pass", "held"),
     ((False, "broke"), "fail", "broke"),
-    (InsufficientOctaves("two scales"), "skip", "two scales"),
     (RuntimeError("boom"), "fail", "error: RuntimeError('boom')"),
 ])
 def test_run_criterion_maps_outcomes_to_one_verdict_type(

@@ -229,12 +229,12 @@ def test_normest_error_surfaces_as_failing_verdict(tmp_path):
     assert report.verdicts[0].status == "fail"
 
 
-def test_accept_skip_on_two_octaves(tmp_path, capsys):
-    rc = main(["--out-dir", str(tmp_path), "accept", "A5",
+def test_normest_skips_on_two_octaves(tmp_path, capsys):
+    rc = main(["--out-dir", str(tmp_path), "normest", "--kind", "me_knapp",
                "--eps", "2^-3..2^-4"])
     out = capsys.readouterr().out
     assert rc == 0  # a skip is not a failure
-    assert "A5 SKIP" in out
+    assert "normest-me_knapp SKIP" in out
     assert "insufficient octaves" in out
 
 

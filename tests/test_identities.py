@@ -4,7 +4,7 @@ import pytest
 
 import carlab.identities as identities
 from carlab import acceptance
-from carlab.bump import inversion_bump
+from carlab.bump import CustomCutoff, inversion_bump
 from carlab.identities import (CustomTest, PolyGauss, RadialPower,
                                _period_breakpoints, _sinc_panels,
                                fractional_laplacian, kelvin_grid,
@@ -38,7 +38,7 @@ def test_l_on_constant():
 
 
 def test_l_on_gaussian_hand_derivative():
-    phi = PolyGauss.gaussian(3)
+    phi = PolyGauss(3, 1.0, {0: {(0, 0, 0): 1.0}})
     theta = RNG.uniform(-1.2, 1.2, (10, 3))
     r2 = np.sum(theta * theta, axis=-1)
     want = (3 - 2 - 2.0 * r2) * np.exp(-r2) / (2.0 * r2)
@@ -65,30 +65,30 @@ def test_l_iterates_match_symbolic_images():
 
 
 def test_pullback_of_one_is_half_area():
-    val = pair_pullback(1, 1.0, RadialPower(3, 0), 3)
+    val = pair_pullback(1, 1.0, RadialPower(3, 0))
     assert val == pytest.approx(0.5 * sphere_area(3), rel=1e-10)
-    val4 = pair_pullback(1, 1.0, RadialPower(4, 0), 4)
+    val4 = pair_pullback(1, 1.0, RadialPower(4, 0))
     assert val4 == pytest.approx(0.5 * sphere_area(4), rel=1e-10)
 
 
 def test_second_order_pullback_of_inverse_power_vanishes():
     # L|theta|^(-1) = 0 in n=3, so the k=2 pairing degrades to zero
-    val = pair_pullback(2, 1.0, RadialPower(3, -1), 3)
+    val = pair_pullback(2, 1.0, RadialPower(3, -1))
     assert abs(val) <= 1e-8 * sphere_area(3)
 
 
 def test_pullback_vs_independent_sphere_average():
     phi = PolyGauss.random(3, RNG)
-    got = pair_pullback(1, 1.0, phi, 3)
+    got = pair_pullback(1, 1.0, phi)
     want = 0.5 * sphere_integral(phi, 3, level=14)
     assert got == pytest.approx(want, rel=1e-6)
 
 
 def test_radial_scaling_of_the_pairing():
     # lambda_rho^* at rho: the k=1 pairing is (rho^(n-2)/2) * sphere mean
-    phi = PolyGauss.gaussian(3, c=0.7)
+    phi = PolyGauss(3, 0.7, {0: {(0, 0, 0): 1.0}})
     rho = 1.3
-    got = pair_pullback(1, rho, phi, 3)
+    got = pair_pullback(1, rho, phi)
     want = (rho ** (3 - 2) / 2.0) * sphere_integral(
         lambda w: phi(rho * w), 3, level=13)
     assert got == pytest.approx(want, rel=1e-8)
@@ -124,19 +124,20 @@ def test_sphere_average_matches_sampled_nodes():
 
 def test_dist_identity_trivial_at_k1():
     phi = PolyGauss.random(3, RNG)
-    res = verify_dist_identity(1, 1.0, phi, 3)
+    res = verify_dist_identity(1, 1.0, phi)
     assert res.rel_err == 0.0
 
 
 def test_dist_identity_battery():
     for k, n, rho in [(2, 3, 1.0), (3, 4, 1.3), (2, 2, 0.8)]:
         phi = PolyGauss.random(n, RNG)
-        res = verify_dist_identity(k, rho, phi, n)
+        res = verify_dist_identity(k, rho, phi)
         assert res.rel_err <= 1e-5, (k, n, rho, res.rel_err)
 
 
 def test_dist_identity_tight_for_k2_n3():
-    res = verify_dist_identity(2, 1.0, PolyGauss.gaussian(3), 3)
+    res = verify_dist_identity(2, 1.0,
+                               PolyGauss(3, 1.0, {0: {(0, 0, 0): 1.0}}))
     assert res.rel_err <= 1e-6
 
 
@@ -169,7 +170,7 @@ def test_counter_identities_third_order_d5():
 
 
 def test_fractional_laplacian_single_mode():
-    g = kelvin_grid(3, 32, 5.0)
+    g = kelvin_grid(3, 32)
     vals = np.zeros(g.shape, complex)
     vals[2, 1, 3] = 1.0
     f = g.with_values(vals, in_space=False)
@@ -182,20 +183,20 @@ def test_fractional_laplacian_single_mode():
 
 
 def test_kelvin_identity_classical_laplacian():
-    res, = verify_kelvin(inversion_bump(1.0), 1.0, (kelvin_grid(3, 128, 5.0),))
+    res, = verify_kelvin(inversion_bump(1.0), 1.0, (kelvin_grid(3, 128),))
     assert res.rel_err <= 1e-3
 
 
 def test_kelvin_identity_fractional():
     res, = verify_kelvin(inversion_bump(1.25), 1.25,
-                         (kelvin_grid(3, 128, 5.0),))
+                         (kelvin_grid(3, 128),))
     assert res.rel_err <= 1e-2
 
 
 def test_kelvin_error_halves_under_resolution_doubling():
     u = inversion_bump(1.0)
-    coarse, fine = verify_kelvin(u, 1.0, (kelvin_grid(3, 64, 5.0),
-                                          kelvin_grid(3, 128, 5.0)))
+    coarse, fine = verify_kelvin(u, 1.0, (kelvin_grid(3, 64),
+                                          kelvin_grid(3, 128)))
     assert coarse.rel_err / fine.rel_err >= 2.0
 
 
@@ -214,7 +215,7 @@ def test_kelvin_over_two_lattices_matches_one_lattice_calls(monkeypatch):
     # one oracle call over both lattices' inverted radii: each lattice keeps
     # its own 400 points, and its error moves only by how the union refines
     u = inversion_bump(1.25)
-    grids = (kelvin_grid(3, 32, 5.0), kelvin_grid(3, 64, 5.0))
+    grids = (kelvin_grid(3, 32), kelvin_grid(3, 64))
     calls = []
     _recording_oracle(monkeypatch, calls, radial_fractional_at)
     both = verify_kelvin(u, 1.25, grids)
@@ -239,7 +240,7 @@ def test_kelvin_checks_call_the_oracle_once_per_fractional_order(
 def test_kelvin_rejects_lattices_of_mixed_dimension():
     with pytest.raises(ValueError, match="one dimension"):
         verify_kelvin(inversion_bump(1.25), 1.25,
-                      (kelvin_grid(3, 32, 5.0), kelvin_grid(2, 32, 5.0)))
+                      (kelvin_grid(3, 32), kelvin_grid(2, 32)))
 
 
 def _sinc_exact_argument(rho, t, base):
@@ -313,6 +314,18 @@ def test_radial_oracle_matches_the_exact_laplacian():
                                rho_cap=4096.0)
     want = -(u(r, 2) + 2.0 / r * u(r, 1))
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def test_radial_oracle_rejects_a_profile_without_jets(monkeypatch):
+    # s = 1.25 in d = 3 needs derivatives to order 2m = 6; both rejections
+    # come before any quadrature
+    monkeypatch.setattr(identities, "gauss_kronrod_batch", None)
+    u = inversion_bump(1.25)
+    with pytest.raises(ValueError, match="CutoffSpec"):
+        radial_fractional_at(lambda t: u(t), u.support, 3, 1.25, [1.0])
+    short = CustomCutoff(u, u.support, max_order=5)
+    with pytest.raises(ValueError, match="order 6"):
+        radial_fractional_at(short, u.support, 3, 1.25, [1.0])
 
 
 def test_custom_test_function_requires_image_for_l():

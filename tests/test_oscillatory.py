@@ -1,5 +1,4 @@
 """Bessel evaluation, quadrature bricks, and the radial lower-bound path."""
-import dataclasses
 import decimal
 import math
 
@@ -376,20 +375,11 @@ def test_count_matches_direct_enumeration():
     assert abs(len(ys) - count) <= 1  # edge windows may straddle the cut
 
 
-def test_wide_window_admits_everything():
-    p = dataclasses.replace(LowerBoundParams.make(5, 2, 2.0 ** -6),
-                            c0=math.pi)
-    lo, hi = p.c1 / p.eps, p.c2 / p.eps
-    ys = np.linspace(lo, hi, 50)
-    assert np.all(in_resonant_set(p, ys))
-
-
 def test_empty_window_is_reported():
-    base = LowerBoundParams.make(5, 2, 2.0 ** -6)
-    alpha = math.pi / 4.0 * (base.d + 2 * base.k - 4)
-    # center the annulus between two lattice hits, narrower than both
-    mid = alpha + 2.0 * math.pi * 3 + math.pi
-    p = dataclasses.replace(base, c1=(mid - 1.0) * base.eps,
-                            c2=(mid + 1.0) * base.eps)
+    # at eps = 2^-2 the window [c1/eps, c2/eps] = [1, 3] holds no point of
+    # 2 pi Z + 5 pi / 4
+    p = LowerBoundParams.make(5, 2, 2.0 ** -2)
+    assert (p.c1 / p.eps, p.c2 / p.eps) == (1.0, 3.0)
+    assert p.alpha == pytest.approx(1.25 * math.pi)
     with pytest.raises(EmptyWindowError):
         frak_s_sample(p)
