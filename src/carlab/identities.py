@@ -297,8 +297,9 @@ def _fd_derivative(g: Callable[[float], float], order: int, h: float) -> float:
     return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
 
 
-#: Sphere rule level and finite-difference step of the pullback pairings.
-_PULLBACK_LEVEL = 12
+#: Sphere rule level of the pairings, and the finite-difference step of the
+#: pullback pairings.
+_SPHERE_LEVEL = 12
 _PULLBACK_STEP = 1e-3
 
 
@@ -318,7 +319,7 @@ def pair_pullback(k: int, rho: float, phi: TestFunction) -> float:
     if k < 1 or rho <= 0:
         raise ValueError("need k >= 1 and rho > 0")
     n = phi.n
-    nodes, weights = sphere_nodes(n, _PULLBACK_LEVEL)
+    nodes, weights = sphere_nodes(n, _SPHERE_LEVEL)
 
     def profile(r: float) -> float:
         avg = phi.sphere_average(r, nodes, weights)
@@ -340,7 +341,7 @@ def verify_dist_identity(k: int, rho: float,
     for _ in range(k - 1):
         g = g.apply_L()
     rhs = pair_pullback(1, rho, g)
-    n_nodes = sphere_nodes(phi.n, _PULLBACK_LEVEL)[0].shape[0]
+    n_nodes = sphere_nodes(phi.n, _SPHERE_LEVEL)[0].shape[0]
     evals = n_nodes * (5 * 2 + 1)  # stencil evaluations, both routes, bound
     return PairingResult.from_pair(lhs, rhs, evals)
 
@@ -357,9 +358,7 @@ def _radial_slice(r: np.ndarray, power: int, cutoff: CutoffSpec, delta: float,
     return cutoff((1.0 - r * r) / delta) * psi(tau) / den
 
 
-#: Sphere rule level, absolute GK tolerance and panel cap of the
-#: order-shuffling pairings.
-_COUNTER_LEVEL = 12
+#: Absolute GK tolerance and panel cap of the order-shuffling pairings.
 _COUNTER_TOL = 1e-10
 _COUNTER_PANELS = 4096
 
@@ -373,7 +372,7 @@ def _pair_batch(terms, d: int, delta: float, eps: float,
     on a product rule (the integrands are radial x smooth, so the product
     rule is exact in the angular variable for polynomial test functions).
     """
-    nodes, weights = sphere_nodes(d - 1, _COUNTER_LEVEL)
+    nodes, weights = sphere_nodes(d - 1, _SPHERE_LEVEL)
     lo = math.sqrt(max(0.0, 1.0 - 2.0 * delta))
     hi = math.sqrt(1.0 + 2.0 * delta)
     cuts = [1.0 - eps * eps * tau * tau, 1.0 - delta, 1.0, 1.0 + delta]
