@@ -264,16 +264,15 @@ class PairingResult:
     rhs: complex
     abs_err: float
     rel_err: float
-    quadrature_nodes: int
 
     @staticmethod
-    def from_pair(lhs, rhs, nodes: int) -> "PairingResult":
+    def from_pair(lhs, rhs) -> "PairingResult":
         lhs = complex(lhs)
         rhs = complex(rhs)
         abs_err = abs(lhs - rhs)
         scale = max(abs(lhs), abs(rhs))
         return PairingResult(lhs, rhs, abs_err,
-                             abs_err / scale if scale > 0 else 0.0, nodes)
+                             abs_err / scale if scale > 0 else 0.0)
 
 
 _FD_STENCILS = {
@@ -341,9 +340,7 @@ def verify_dist_identity(k: int, rho: float,
     for _ in range(k - 1):
         g = g.apply_L()
     rhs = pair_pullback(1, rho, g)
-    n_nodes = sphere_nodes(phi.n, _SPHERE_LEVEL)[0].shape[0]
-    evals = n_nodes * (5 * 2 + 1)  # stencil evaluations, both routes, bound
-    return PairingResult.from_pair(lhs, rhs, evals)
+    return PairingResult.from_pair(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +361,7 @@ _COUNTER_PANELS = 4096
 
 
 def _pair_batch(terms, d: int, delta: float, eps: float,
-                tau: float) -> tuple[np.ndarray, int]:
+                tau: float) -> np.ndarray:
     """Integrate several annulus pairings in one adaptive pass.
 
     Each term is (power, cutoff, func); the integral runs over the radial
@@ -389,7 +386,7 @@ def _pair_batch(terms, d: int, delta: float, eps: float,
     vals, _ = gauss_kronrod_batch(integrand, lo, hi, abs_tol=_COUNTER_TOL,
                                   breakpoints=tuple(breaks),
                                   max_panels=_COUNTER_PANELS)
-    return vals, nodes.shape[0] * _COUNTER_PANELS
+    return vals
 
 
 def verify_counter_identities(kind: str, k: int, eps: float, delta: float,
@@ -437,10 +434,10 @@ def verify_counter_identities(kind: str, k: int, eps: float, delta: float,
             coeffs.append(math.factorial(k - 1)
                           / (delta ** ell * math.factorial(ell)))
 
-    vals, nodes = _pair_batch(terms, d, delta, eps, tau)
+    vals = _pair_batch(terms, d, delta, eps, tau)
     lhs = vals[0]
     rhs = sum(c * v for c, v in zip(coeffs[1:], vals[1:]))
-    return PairingResult.from_pair(lhs, rhs, nodes)
+    return PairingResult.from_pair(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -476,24 +473,6 @@ def eval_field_at_points(field: GridField, points: np.ndarray,
         cs = sel[start:start + chunk]
         out += np.exp(1j * points @ xs.T) @ cs
     return out * scale
-
-
-def _centered_radii(grid: GridField) -> np.ndarray:
-    r2 = np.zeros(grid.shape)
-    for ax, (x, L) in enumerate(zip(grid.space_axes(), grid.periods)):
-        xc = np.mod(x + L / 2.0, L) - L / 2.0
-        shape = [1] * grid.d
-        shape[ax] = -1
-        r2 = r2 + xc.reshape(shape) ** 2
-    return np.sqrt(r2)
-
-
-def _centered_coords(grid: GridField, flat_index: np.ndarray) -> np.ndarray:
-    idx = np.unravel_index(flat_index, grid.shape)
-    cols = []
-    for ax, (x, L) in enumerate(zip(grid.space_axes(), grid.periods)):
-        cols.append(np.mod(x[idx[ax]] + L / 2.0, L) - L / 2.0)
-    return np.stack(cols, axis=-1)
 
 
 def _period_breakpoints(lo: float, hi: float, freq: float,
@@ -687,18 +666,23 @@ def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
     return total / (2.0 * np.pi) ** d
 
 
-def fractional_laplacian(field: GridField, s: float) -> GridField:
-    """Apply ``(-Delta)^s`` spectrally (multiplier ``|xi|^(2s)``)."""
+def fractional_laplacian(values: np.ndarray, periods: Sequence[float],
+                         s: float) -> np.ndarray:
+    """``(-Delta)^s`` of the real space samples ``values`` of an unmodulated
+    periodic lattice with box lengths ``periods``, on the half spectrum:
+    ``rfftn``, times ``|xi|^(2s)`` on the half lattice, then ``irfftn`` (the
+    cell volume cancels between the two).
+    """
     if s <= 0:
         raise ValueError("need s > 0")
-    F = field.to_freq()
-    m2 = np.zeros(F.shape)
-    for ax, xi in enumerate(F.freq_axes()):
-        shape = [1] * F.d
-        shape[ax] = -1
-        m2 = m2 + xi.reshape(shape) ** 2
-    out = F.with_values(m2 ** s * F.values, in_space=False)
-    return out.to_space() if field.in_space else out
+    shape = values.shape
+    ints = ([np.fft.fftfreq(n, 1.0 / n) for n in shape[:-1]]
+            + [np.fft.rfftfreq(shape[-1], 1.0 / shape[-1])])
+    xi = np.meshgrid(*((2.0 * np.pi / L) * k for k, L in zip(ints, periods)),
+                     indexing="ij", sparse=True)
+    coeffs = np.fft.rfftn(values)
+    coeffs *= sum(x ** 2 for x in xi) ** s
+    return np.fft.irfftn(coeffs, s=shape, axes=range(len(shape)))
 
 
 def kelvin_grid(d: int = 3, n: int = 128) -> GridField:
@@ -708,37 +692,44 @@ def kelvin_grid(d: int = 3, n: int = 128) -> GridField:
                      (0.0,) * d, in_space=True)
 
 
+def _lattice_radii(grid: GridField) -> tuple[np.ndarray, np.ndarray]:
+    """A cubic lattice's radius table ``r = sqrt(h^2 arange(d (n//2)^2 + 1))``
+    and the sums ``K`` of each point's squared centred indices, so that the
+    point's radius is ``r[K]``; exact for `kelvin_grid`'s period 5."""
+    d, n, h = grid.d, grid.shape[0], grid.spacings[0]
+    c = (np.arange(n) + n // 2) % n - n // 2
+    K = sum(np.meshgrid(*[c * c] * d, indexing="ij", sparse=True))
+    return np.sqrt(h * h * np.arange(d * (n // 2) ** 2 + 1)), K
+
+
 def _kelvin_samples(u: CutoffSpec, s: float, grid: GridField,
                     support: tuple[float, float]
                     ) -> tuple[np.ndarray, np.ndarray]:
     """The spectral side of `verify_kelvin` on one lattice, at its sample
     points, and the points' radii.
 
-    The full-size arrays (radii, ``T_s u`` and its transform, the mask) live
-    only inside this call, so none is held while the oracle runs.
+    ``T_s u`` is radial, so it is evaluated once per entry of the radius
+    table (`_lattice_radii`) and gathered; the sample mask and the seed-0
+    draw read the same table.  The full-size arrays live only inside this
+    call, so none is held while the oracle runs.
     """
-    d = grid.d
-    radii = _centered_radii(grid)
+    r, K = _lattice_radii(grid)
     # The inversion transform is supported where 1/r lies in the profile's
     # annulus; outside a slightly padded version of that shell it is
     # exactly 0, so it is evaluated on the shell only.
-    shell = (radii >= 0.9 / support[1]) & (radii <= 1.1 / support[0])
-    r_shell = radii[shell]
-    t_vals = np.zeros(grid.shape)
-    t_vals[shell] = (r_shell ** (2.0 * s - d)
-                     * np.asarray(u(1.0 / r_shell), dtype=float))
-    lhs_field = fractional_laplacian(grid.with_values(t_vals), s)
+    shell = (r >= 0.9 / support[1]) & (r <= 1.1 / support[0])
+    t_tab = np.zeros(r.shape)
+    t_tab[shell] = (r[shell] ** (2.0 * s - grid.d)
+                    * np.asarray(u(1.0 / r[shell]), dtype=float))
+    lhs = fractional_laplacian(t_tab[K], grid.periods, s)
 
-    mask = (radii >= 0.7) & (radii <= 1.4)
-    flat = np.flatnonzero(mask.ravel())
+    flat = np.flatnonzero(((r >= 0.7) & (r <= 1.4))[K])
     if flat.size == 0:
         raise ValueError("no lattice point has radius in [0.7, 1.4]")
     if s != 1.0 and flat.size > 400:
         rng = np.random.Generator(np.random.Philox(0))
         flat = np.sort(rng.choice(flat, size=400, replace=False))
-    pts = _centered_coords(grid, flat)
-    r_pts = np.sqrt(np.sum(pts * pts, axis=-1))
-    return np.real(lhs_field.values.ravel()[flat]), r_pts
+    return lhs.ravel()[flat], r[K.ravel()[flat]]
 
 
 def verify_kelvin(u: CutoffSpec, s: float,
@@ -748,9 +739,12 @@ def verify_kelvin(u: CutoffSpec, s: float,
 
     ``u`` is a radial profile whose ``support`` is an annulus around 1 and
     whose inversion transform fits inside every lattice's half-period (u
-    itself is never sampled, so its own outer radius is unconstrained).  The
-    left side is computed spectrally from lattice samples of ``T_s u``.  The
-    right side, at the lattice points with radius in [0.7, 1.4], needs
+    itself is never sampled, so its own outer radius is unconstrained).
+    The left side is computed on the real half-spectrum
+    (`fractional_laplacian`) from lattice samples of ``T_s u`` taken once
+    per radius, so every lattice must be unmodulated and cubic with one
+    spacing; any other is rejected before any sampling.  The right side,
+    at the lattice points with radius in [0.7, 1.4], needs
     ``(-Delta)^s u`` at the off-lattice inverted radii.  For s = 1 it uses
     the exact radial Laplacian ``-(u'' + (d-1) u'/r)`` from the profile's
     derivatives.  Otherwise it uses the continuum radial-quadrature oracle
@@ -764,6 +758,10 @@ def verify_kelvin(u: CutoffSpec, s: float,
     d = grids[0].d
     if any(grid.d != d for grid in grids):
         raise ValueError("the lattices must share one dimension")
+    if any(any(g.freq_offsets) or len(set(g.shape)) > 1
+           or len(set(g.spacings)) > 1 for g in grids):
+        raise ValueError("each lattice must be unmodulated, and cubic with "
+                         "one spacing")
     if not 0.0 < s < d:
         raise ValueError("need 0 < s < d")
     support = (max(u.support[0], 1e-9), u.support[1])
@@ -789,6 +787,5 @@ def verify_kelvin(u: CutoffSpec, s: float,
         nl = float(np.linalg.norm(lhs_vals))
         nr = float(np.linalg.norm(rhs_vals))
         results.append(PairingResult(lhs=nl, rhs=nr, abs_err=dist,
-                                     rel_err=dist / nr if nr > 0 else 0.0,
-                                     quadrature_nodes=int(lhs_vals.size)))
+                                     rel_err=dist / nr if nr > 0 else 0.0))
     return results

@@ -105,9 +105,6 @@ class GridField:
             out *= h
         return out
 
-    def space_axes(self) -> list[np.ndarray]:
-        return [h * np.arange(n) for h, n in zip(self.spacings, self.shape)]
-
     def freq_axes(self) -> list[np.ndarray]:
         out = []
         for sigma, L, n in zip(self.freq_offsets, self.periods, self.shape):

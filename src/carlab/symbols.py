@@ -144,12 +144,22 @@ def _theta(tau, eps0: float):
     return out
 
 
+def _on_cutoff(k: int, cut, denom, eta_sq, tau):
+    """``cut * denom(eta_sq, tau) ** -k`` where ``cut`` is nonzero, else 0;
+    ``denom`` runs there only, where no caller's denominator vanishes."""
+    cut = np.asarray(cut)
+    live = cut != 0.0
+    out = np.zeros(cut.shape, dtype=complex)
+    w = denom(np.broadcast_to(eta_sq, cut.shape)[live],
+              np.broadcast_to(tau, cut.shape)[live])
+    out[live] = cut[live] * w ** (-k)
+    return out
+
+
 def _eps_core(k: int, eps: float, eps0: float, eta_sq, tau):
     cut = psi0((1.0 - np.asarray(eta_sq)) / eps0) * psi(np.asarray(tau) / eps)
-    w = (np.asarray(eta_sq) + np.asarray(tau) ** 2 - 1.0) + 2.0j * np.asarray(tau)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = w ** (-k)
-        return np.where(cut != 0.0, cut * val, 0.0 + 0.0j)
+    return _on_cutoff(k, cut, lambda es, t: (es + t ** 2 - 1.0) + 2.0j * t,
+                      eta_sq, tau)
 
 
 def _local_core(k: int, eps0: float, eta_sq, tau):
@@ -184,19 +194,13 @@ def _global_core(k: int, eps0: float, eta_sq, tau):
         return np.where(rest != 0.0, rest * val, 0.0 + 0.0j)
 
 
-def _scaled_denom(eps: float, eta_sq, tau):
-    tau = np.asarray(tau)
-    return (np.asarray(eta_sq) - 1.0 + (eps * tau) ** 2) + 2.0j * eps * tau
-
-
 def _tilde_core(k: int, eps: float, zeta: CutoffSpec, delta: float,
                 eta_sq, tau):
     cut = zeta((1.0 - np.asarray(eta_sq)) / delta)
     cut = cut * psi(np.asarray(tau))
-    w = _scaled_denom(eps, eta_sq, tau)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = w ** (-k)
-        return np.where(cut != 0.0, cut * val, 0.0 + 0.0j)
+    return _on_cutoff(
+        k, cut, lambda es, t: (es - 1.0 + (eps * t) ** 2) + 2.0j * eps * t,
+        eta_sq, tau)
 
 
 def _im_mtilde_core(k: int, eps: float, eps0: float, eta_sq, tau):

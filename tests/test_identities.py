@@ -14,6 +14,7 @@ from carlab.identities import (CustomTest, PolyGauss, RadialPower,
                                verify_counter_identities,
                                verify_dist_identity, verify_kelvin)
 from carlab.quadrature import _panel_eval, panel_offsets
+from carlab.spectral import GridField
 
 RNG = np.random.Generator(np.random.Philox(55))
 
@@ -169,17 +170,108 @@ def test_counter_identities_third_order_d5():
 # inversion transform
 
 
+def _centered_radii(grid):
+    """Each point's distance from the origin through its centred
+    coordinates, the radii `_lattice_radii` tabulates."""
+    r2 = np.zeros(grid.shape)
+    for ax, (h, L) in enumerate(zip(grid.spacings, grid.periods)):
+        xc = np.mod(h * np.arange(grid.shape[ax]) + L / 2.0, L) - L / 2.0
+        shape = [1] * grid.d
+        shape[ax] = -1
+        r2 = r2 + xc.reshape(shape) ** 2
+    return np.sqrt(r2)
+
+
+def _complex_fractional_laplacian(grid, values, s):
+    """``(-Delta)^s`` through the grid's complex transforms, the route the
+    real half-spectrum transform replaced."""
+    F = grid.with_values(values).to_freq()
+    m2 = np.zeros(F.shape)
+    for ax, xi in enumerate(F.freq_axes()):
+        shape = [1] * F.d
+        shape[ax] = -1
+        m2 = m2 + xi.reshape(shape) ** 2
+    return F.with_values(m2 ** s * F.values, in_space=False).to_space()
+
+
+def _kelvin_oracle(u, s, grid):
+    """`_kelvin_samples` evaluated point by point on `_centered_radii`:
+    ``T_s u`` on the lattice, the sampled flat indices, and their radii."""
+    radii = _centered_radii(grid)
+    support = (max(u.support[0], 1e-9), u.support[1])
+    shell = (radii >= 0.9 / support[1]) & (radii <= 1.1 / support[0])
+    t_vals = np.zeros(grid.shape)
+    t_vals[shell] = (radii[shell] ** (2.0 * s - grid.d)
+                     * u(1.0 / radii[shell]))
+    flat = np.flatnonzero(((radii >= 0.7) & (radii <= 1.4)).ravel())
+    if s != 1.0 and flat.size > 400:
+        rng = np.random.Generator(np.random.Philox(0))
+        flat = np.sort(rng.choice(flat, size=400, replace=False))
+    return t_vals, flat, radii.ravel()[flat]
+
+
 def test_fractional_laplacian_single_mode():
     g = kelvin_grid(3, 32)
-    vals = np.zeros(g.shape, complex)
-    vals[2, 1, 3] = 1.0
-    f = g.with_values(vals, in_space=False)
-    out = fractional_laplacian(f, 0.75)
-    xi = np.array([g.freq_axes()[0][2], g.freq_axes()[1][1],
-                   g.freq_axes()[2][3]])
-    want = float(np.sum(xi * xi)) ** 0.75
-    got = out.values[2, 1, 3]
-    assert got == pytest.approx(want, rel=1e-12)
+    xi = [ax[i] for ax, i in zip(g.freq_axes(), (2, 1, 3))]
+    x = np.meshgrid(*[g.spacings[0] * np.arange(32)] * 3, indexing="ij",
+                    sparse=True)
+    phase = sum(a * b for a, b in zip(xi, x))
+    out = fractional_laplacian(np.cos(phase), g.periods, 0.75)
+    want = float(np.sum(np.square(xi))) ** 0.75 * np.cos(phase)
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12 * np.max(want))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("s", [0.75, 1.0, 1.25])
+def test_fractional_laplacian_matches_the_complex_route(n, s):
+    g = kelvin_grid(3, n)
+    r = _centered_radii(g)
+    for field in (np.exp(-4.0 * r * r), _kelvin_oracle(inversion_bump(s), s,
+                                                       g)[0]):
+        want = _complex_fractional_laplacian(g, field, s).values.real
+        got = fractional_laplacian(field, g.periods, s)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_lattice_radii_match_the_centred_coordinates():
+    for g in (kelvin_grid(3, 64), kelvin_grid(3, 128), kelvin_grid(2, 32)):
+        r, K = identities._lattice_radii(g)
+        np.testing.assert_array_equal(r[K], _centered_radii(g))
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("s", [1.0, 1.25])
+def test_kelvin_samples_match_the_pointwise_route(monkeypatch, n, s):
+    # T_s u, the sampled index set and its radii are bit-identical to
+    # evaluating every point on its own; the transform is swapped for one
+    # that reads out each point's flat index
+    u, g = inversion_bump(s), kelvin_grid(3, n)
+    seen = []
+
+    def flat_index(values, periods, s):
+        seen.append(values)
+        return np.arange(values.size, dtype=float).reshape(values.shape)
+
+    monkeypatch.setattr(identities, "fractional_laplacian", flat_index)
+    picked, radii = identities._kelvin_samples(u, s, g, u.support)
+    t_vals, flat, r_pts = _kelvin_oracle(u, s, g)
+    np.testing.assert_array_equal(seen[0], t_vals)
+    np.testing.assert_array_equal(picked, flat)
+    np.testing.assert_array_equal(radii, r_pts)
+
+
+def test_kelvin_samples_evaluate_the_profile_once_per_radius():
+    u, g = inversion_bump(1.25), kelvin_grid(3, 64)
+    sizes = []
+
+    class Spy(type(u)):
+        def jet(self, t, m):
+            sizes.append(np.size(t))
+            return super().jet(t, m)
+
+    spy = Spy(u.base, u.power)
+    identities._kelvin_samples(spy, 1.25, g, spy.support)
+    assert 0 < sum(sizes) <= 3 * 32 ** 2 + 1
 
 
 def test_kelvin_identity_classical_laplacian():
@@ -223,7 +315,6 @@ def test_kelvin_over_two_lattices_matches_one_lattice_calls(monkeypatch):
     assert len(calls) == 3 and [r.size for r in calls] == [800, 400, 400]
     np.testing.assert_array_equal(calls[0], np.concatenate(calls[1:]))
     for pair, one in zip(both, singles):
-        assert pair.quadrature_nodes == one.quadrature_nodes == 400
         assert pair.lhs == one.lhs
         assert pair.rel_err == pytest.approx(one.rel_err, rel=1e-10, abs=0)
 
@@ -241,6 +332,31 @@ def test_kelvin_rejects_lattices_of_mixed_dimension():
     with pytest.raises(ValueError, match="one dimension"):
         verify_kelvin(inversion_bump(1.25), 1.25,
                       (kelvin_grid(3, 32), kelvin_grid(2, 32)))
+
+
+def _no_sampling(monkeypatch):
+    def fail(*args):
+        raise AssertionError("sampled a rejected lattice")
+    monkeypatch.setattr(identities, "_kelvin_samples", fail)
+    monkeypatch.setattr(identities, "radial_fractional_at", fail)
+
+
+def test_kelvin_rejects_a_modulated_lattice(monkeypatch):
+    _no_sampling(monkeypatch)
+    modulated = GridField(np.zeros((32,) * 3), (5.0,) * 3, (0.0, 0.1, 0.0))
+    with pytest.raises(ValueError, match="unmodulated"):
+        verify_kelvin(inversion_bump(1.25), 1.25,
+                      (kelvin_grid(3, 32), modulated))
+
+
+@pytest.mark.parametrize("shape, periods", [((32, 32, 16), (5.0,) * 3),
+                                            ((32,) * 3, (5.0, 5.0, 6.0))])
+def test_kelvin_rejects_a_lattice_with_two_spacings(monkeypatch, shape,
+                                                    periods):
+    _no_sampling(monkeypatch)
+    grid = GridField(np.zeros(shape), periods, (0.0,) * 3)
+    with pytest.raises(ValueError, match="cubic with one spacing"):
+        verify_kelvin(inversion_bump(1.25), 1.25, (grid,))
 
 
 def _sinc_exact_argument(rho, t, base):

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from carlab import acceptance
+from carlab.bump import Psi0Cutoff
+from carlab.normest import _support_hull
 from carlab.symbols import (DEFAULT_EPS0, SingularFrequencyError,
                             SymbolSpec, _theta,
                             eval_from_radial, eval_im_mtilde, eval_symbol,
@@ -111,6 +114,42 @@ def test_tilde_vanishes_off_tau_window():
     # psi(tau) = 0 for |tau| <= 1/2 and |tau| >= 2
     assert eval_symbol(spec, np.array([1.0, 0.0, 0.25])) == 0.0
     assert eval_symbol(spec, np.array([1.0, 0.0, 5.0])) == 0.0
+
+
+def _dense_slice(spec, eta_sq, tau):
+    """The eps, tilde and ring slices with the denominator formed at every
+    point, then masked by the cutoff."""
+    if spec.family == "eps":
+        cut = psi0((1.0 - eta_sq) / spec.eps0) * psi(tau / spec.eps)
+        w = (eta_sq + tau ** 2 - 1.0) + 2.0j * tau
+    else:
+        zeta, delta = (spec.ring_window() if spec.family == "ring"
+                       else (Psi0Cutoff(), spec.eps0))
+        cut = zeta((1.0 - eta_sq) / delta) * psi(tau)
+        w = (eta_sq - 1.0 + (spec.eps * tau) ** 2) + 2.0j * spec.eps * tau
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(cut != 0.0, cut * w ** (-spec.k), 0.0 + 0.0j)
+
+
+def _ring_and_knapp_lattices():
+    eps = 2.0 ** -6
+    ring = acceptance.ring_grid(1).freq_axes()
+    yield SymbolSpec("ring", 3, 1, eps=eps, j=1), ring
+    yield SymbolSpec("tilde", 3, 2, eps=eps), ring
+    for family in ("eps", "tilde"):
+        w = acceptance.knapp_witness(family, 3, 2.0 ** -3)
+        hull = _support_hull(w.values)
+        yield (SymbolSpec(family, 3, 1, eps=2.0 ** -3),
+               [a[i] for a, i in zip(w.freq_axes(), hull)])
+
+
+def test_slices_match_the_dense_formula_bit_for_bit():
+    for spec, axes in _ring_and_knapp_lattices():
+        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+        eta_sq = grids[0] ** 2 + grids[1] ** 2
+        got = eval_from_radial(spec, eta_sq, grids[2])
+        assert np.array_equal(got, _dense_slice(spec, eta_sq, grids[2]))
+        assert np.any(got), spec.family
 
 
 def test_reconstruction_local_plus_global():
