@@ -289,8 +289,7 @@ class InsufficientOctaves(ValueError):
 
 
 def knapp_fit(family: str, d: int, k: int, eps_list: Sequence[float],
-              point: regions.ExponentPoint,
-              tol: float | None = None) -> SlopeCheck:
+              point: regions.ExponentPoint) -> SlopeCheck:
     """Slope fit of thin-slab lower bounds over the distinct scales, coarse
     to fine; fewer than three raise `InsufficientOctaves` up front, and all
     specs are built first, so an inadmissible scale fails before lattice
@@ -307,11 +306,10 @@ def knapp_fit(family: str, d: int, k: int, eps_list: Sequence[float],
     kind = ExponentKind.TILDE_KNAPP if family == "tilde" \
         else ExponentKind.ME_KNAPP
     fit = fit_scaling(scales, vals, kind=kind, d=d, k=k, point=point)
-    return SlopeCheck(fit, tol or KNAPP_TOL)
+    return SlopeCheck(fit, KNAPP_TOL)
 
 
-def ring_fit(d: int, k: int, eps: float, seed: int = 0,
-             tol: float | None = None) -> SlopeCheck:
+def ring_fit(d: int, k: int, eps: float, seed: int = 0) -> SlopeCheck:
     """Slope fit of ring-piece L2 -> L6 norms for j = 0..3; all four specs
     are built first, so an inadmissible scale fails before lattice work."""
     specs = [SymbolSpec("ring", d, k, eps=eps, j=j) for j in range(4)]
@@ -320,7 +318,7 @@ def ring_fit(d: int, k: int, eps: float, seed: int = 0,
             for j, spec in enumerate(specs)]
     fit = fit_scaling([(2.0 ** j) * eps for j in range(4)], vals,
                       kind=ExponentKind.L2_RING, d=d, k=k)
-    return SlopeCheck(fit, tol or RING_TOL)
+    return SlopeCheck(fit, RING_TOL)
 
 
 # ---------------------------------------------------------------------------

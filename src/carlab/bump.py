@@ -322,15 +322,15 @@ class InversionImage(CutoffSpec):
         return np.where(t_arr > 0.0, out, 0.0)
 
 
-def inversion_bump(s: float, d: int = 3) -> InversionImage:
-    """Annulus profile whose inversion transform is grid-friendly.
+def inversion_bump(s: float) -> InversionImage:
+    """Annulus profile on R^3 whose inversion transform is grid-friendly.
 
-    The returned profile is the exact inversion image (power 2s - d) of a
+    The returned profile is the exact inversion image (power 2s - 3) of a
     plateau bump with equal ramp widths in r -- the quantity a sampling grid
     actually resolves -- sized for a period-5 box: the grid-side bump lives
     on [0.41, 2.46], so its periodic copies never overlap it.
     """
-    return InversionImage(PlateauBump(0.41, 1.40, 1.47, 2.46), 2.0 * s - d)
+    return InversionImage(PlateauBump(0.41, 1.40, 1.47, 2.46), 2.0 * s - 3)
 
 
 def bump_fingerprint() -> str:

@@ -47,8 +47,7 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[Any], Any], Any]]] = {
                 "points": (int, 10_000)},
     "spectral": {"d": (int, 2), "n": (int, 0)},
     "normest": {"kind": (str, "tilde_knapp"), "d": (int, 3), "k": (int, 1),
-                "eps": (str, "2^-3..2^-6"), "point": (str, "3/4,1/4"),
-                "tol_slope": (float, 0.0)},
+                "eps": (str, "2^-3..2^-6"), "point": (str, "3/4,1/4")},
     "lowerbound": {"d": (int, 5), "k": (int, 2), "eps": (str, "2^-4..2^-8"),
                    "t": (float, 0.0)},
     "identities": {"suite": (str, "distid")},
@@ -223,7 +222,11 @@ def _run_regions(cfg: ExperimentConfig,
 def _run_symbols(cfg: ExperimentConfig,
                  rng: np.random.Generator) -> list[Verdict]:
     d, k = cfg.params["d"], cfg.params["k"]
-    eps = parse_eps_range(cfg.params["eps"])[0]
+    scales = parse_eps_range(cfg.params["eps"])
+    if len(scales) != 1:
+        raise ValueError(f"symbols takes one eps scale, got "
+                         f"{cfg.params['eps']!r} ({len(scales)} scales)")
+    eps, = scales
     n_pts = cfg.params["points"]
     worst, worst_im = acceptance.symbol_errors(d, k, eps, n_pts, rng)
     return [
@@ -275,17 +278,16 @@ def _run_normest(cfg: ExperimentConfig,
         raise ValueError(f"unknown scaling kind {kind_name!r}; pick from "
                          f"{sorted(_NORMEST_KINDS)}")
     family = _NORMEST_KINDS[kind_name]
-    tol = cfg.params["tol_slope"] or None  # 0 picks the check's default
     d, k = cfg.params["d"], cfg.params["k"]
     eps_list = parse_eps_range(cfg.params["eps"])
     point = regions.ExponentPoint.parse(cfg.params["point"])
 
     if family is None:
-        check = acceptance.ring_fit(d, k, min(eps_list), cfg.seed, tol)
+        check = acceptance.ring_fit(d, k, min(eps_list), cfg.seed)
         label = "delta"
     else:
         try:
-            check = acceptance.knapp_fit(family, d, k, eps_list, point, tol)
+            check = acceptance.knapp_fit(family, d, k, eps_list, point)
         except acceptance.InsufficientOctaves as exc:
             return [Verdict(f"normest-{kind_name}", "skip", str(exc))]
         label = "eps"
@@ -389,10 +391,8 @@ def _run_accept(cfg: ExperimentConfig,
         else [s.strip() for s in cfg.params["suites"].split(",")]
     # every id is checked before any criterion runs
     acceptance.check_criterion_ids(chosen)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(acceptance.run_criterion, chosen))
-    return [acceptance.run_criterion(cid) for cid in chosen]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        return list(pool.map(acceptance.run_criterion, chosen))
 
 
 _HANDLERS: dict[str, Callable[[ExperimentConfig, np.random.Generator],
@@ -470,8 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default="2^-3..2^-6")
     p.add_argument("--point", default="3/4,1/4",
                    help="exponent point as rational '1/p,1/q'")
-    p.add_argument("--tol-slope", type=float, default=0.0,
-                   help="slope tolerance (0 = kind default)")
     p.add_argument("--out", default="", help="CSV path")
 
     p = sub.add_parser("lowerbound", help="resonant-set witness profile")

@@ -23,7 +23,6 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .bessel import sphere_hat
 from .bump import CutoffSpec, Psi0Cutoff, psi
 from .quadrature import QuadratureError, gauss_kronrod_batch, panel_offsets
 from .spectral import GridField
@@ -68,12 +67,14 @@ class PolyGauss:
         self.terms = clean
 
     @classmethod
-    def random(cls, n: int, rng: np.random.Generator,
-               max_terms: int = 3, max_degree: int = 3) -> "PolyGauss":
+    def random(cls, n: int, rng: np.random.Generator) -> "PolyGauss":
+        """One to three random monomials, each of degree at most 3 per
+        axis and 4 in total (a heavier draw becomes the constant), plus a
+        positive constant, times a random Gaussian."""
         poly: dict[tuple, float] = {}
-        for _ in range(int(rng.integers(1, max_terms + 1))):
-            beta = tuple(int(b) for b in rng.integers(0, max_degree + 1, n))
-            if sum(beta) > max_degree + 1:
+        for _ in range(int(rng.integers(1, 4))):
+            beta = tuple(int(b) for b in rng.integers(0, 4, n))
+            if sum(beta) > 4:
                 beta = (0,) * n
             poly[beta] = poly.get(beta, 0.0) + float(rng.uniform(-1.5, 1.5))
         poly[(0,) * n] = poly.get((0,) * n, 0.0) + float(rng.uniform(0.5, 1.0))
@@ -445,13 +446,15 @@ def verify_counter_identities(kind: str, k: int, eps: float, delta: float,
 # ---------------------------------------------------------------------------
 
 
-def eval_field_at_points(field: GridField, points: np.ndarray,
-                         rel_threshold: float = 1e-15) -> np.ndarray:
-    """Trigonometric interpolation of a grid field at arbitrary points.
+def eval_field_at_points(field: GridField,
+                         points: np.ndarray) -> np.ndarray:
+    """The field's function f at arbitrary points, by trigonometric
+    interpolation on its shifted frequency lattice.
 
-    Sums the frequency modes whose magnitude exceeds ``rel_threshold`` times
-    the peak (the discarded mass is bounded by the threshold times the mode
-    count), chunked to keep the phase matrices small.
+    Sums the frequency modes whose magnitude exceeds 1e-15 times the peak
+    (the discarded mass is bounded by that times the mode count), chunked
+    to keep the phase matrices small.  At a lattice point x this is the
+    space sample there times ``exp(i sigma . x)``.
     """
     F = field.to_freq()
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -459,7 +462,7 @@ def eval_field_at_points(field: GridField, points: np.ndarray,
     peak = np.abs(coeffs).max()
     if peak == 0.0:
         return np.zeros(points.shape[0], dtype=complex)
-    idx = np.nonzero(np.abs(coeffs) > rel_threshold * peak)
+    idx = np.nonzero(np.abs(coeffs) > 1e-15 * peak)
     axes = F.freq_axes()
     xi = np.stack([axes[a][idx[a]] for a in range(F.d)], axis=-1)
     sel = coeffs[idx]
@@ -517,19 +520,10 @@ def _sinc_panels(rho: np.ndarray, t: np.ndarray,
     return out.reshape(rho.size, -1)
 
 
-def _sphere_hat_kernel(d: int, rho: np.ndarray, t: np.ndarray,
-                       weight: np.ndarray) -> np.ndarray:
-    """``sphere_hat(d, outer(rho, t)) * weight`` on GK nodes ``t > 0``, for
-    ``rho > 0``; d = 3 shares its trig calls across panels (`_sinc_panels`).
-    """
-    if d == 3:
-        return _sinc_panels(rho, t, weight)
-    return sphere_hat(d, np.outer(rho, t)) * weight[None, :]
-
-
-def _radial_hat(profile, support: tuple[float, float], d: int,
+def _radial_hat(profile, support: tuple[float, float],
                 rho: np.ndarray) -> np.ndarray:
-    """Continuum Fourier transform of a radial profile, at radii ``rho > 0``.
+    """Continuum Fourier transform of a radial profile on R^3, at radii
+    ``rho > 0``.
 
     ``profile`` is a plain callable of t, sampled at the GK nodes: the
     profile itself, or the `radial_fractional_at` integrand that reads a
@@ -540,8 +534,8 @@ def _radial_hat(profile, support: tuple[float, float], d: int,
     two periods ``2 * 2 pi / rho_max`` wide, ``rho_max`` the chunk's largest
     radius, and refines adaptively from there.  Of starting widths from half
     a period to four, two periods needed the fewest kernel evaluations on
-    A4's oracle.  For d = 3 the kernel shares its trig calls across each
-    panel's nodes (`_sinc_panels`); a chunk's panels come in few widths, so
+    A4's oracle.  The kernel shares its trig calls across each panel's
+    nodes (`_sinc_panels`); a chunk's panels come in few widths, so
     its distinct offset rows are few (8.5% of the panels on A4's
     oracle).  ``support[0] > 0`` keeps t off 0 there.
     """
@@ -551,8 +545,8 @@ def _radial_hat(profile, support: tuple[float, float], d: int,
         part = rho[start:start + 512]
 
         def inner(t: np.ndarray) -> np.ndarray:
-            base = np.asarray(profile(t), dtype=float) * t ** (d - 1)
-            return _sphere_hat_kernel(d, part, t, base)
+            base = np.asarray(profile(t), dtype=float) * t ** 2
+            return _sinc_panels(part, t, base)
 
         brk = _period_breakpoints(lo, hi, float(part.max()), 2.0)
         vals, _ = gauss_kronrod_batch(inner, lo, hi, abs_tol=1e-13,
@@ -584,7 +578,9 @@ def _radial_laplacian_terms(d: int, m: int) -> dict[tuple[int, int], float]:
 def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
                          d: int, s: float, radii, *, rel_tol: float = 1e-9,
                          rho_cap: float = 2048.0) -> np.ndarray:
-    """``(-Delta)^s u`` at the given radii for radial ``u = profile(|x|)``.
+    """``(-Delta)^s u`` at the given radii for radial ``u = profile(|x|)``
+    on R^d; implemented for d = 3, and any other d is rejected before any
+    quadrature.
 
     Pure continuum evaluation by nested radial quadrature: the spectral
     profile of u first, then the inverse transform with the ``rho^(2s)``
@@ -606,15 +602,17 @@ def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
     period (`_period_breakpoints`): the outer one over rho from panels one
     period ``2 pi / max(radii)`` wide, the inner one over t in
     `_radial_hat` from panels two periods ``2 * 2 pi / rho_max`` wide,
-    ``rho_max`` the largest radius of each 512-radius chunk.  For d = 3
-    both kernels share their trig calls across each panel's nodes
-    (`_sinc_panels`).
+    ``rho_max`` the largest radius of each 512-radius chunk.  Both kernels
+    share their trig calls across each panel's nodes (`_sinc_panels`).
 
     The inner transforms, which cost the most, depend on ``radii`` only
     through the outer panels, so one call over many radii costs little more
     than a call over a few: `verify_kelvin` makes one call over all its
     lattices' radii.
     """
+    if d != 3:
+        raise ValueError(f"the radial oracle is implemented for d = 3, "
+                         f"got d={d}")
     m = math.ceil(s + (d - 1) / 2.0)  # residual power in (-2, 0]
     if not (isinstance(profile, CutoffSpec) and profile.max_order >= 2 * m):
         raise ValueError(f"the profile must be a CutoffSpec with derivatives "
@@ -634,8 +632,8 @@ def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
 
     def outer(fn, power: float):
         def kernel(rho: np.ndarray) -> np.ndarray:
-            weight = rho ** power * _radial_hat(fn, support, d, rho)
-            return _sphere_hat_kernel(d, radii, rho, weight)
+            weight = rho ** power * _radial_hat(fn, support, rho)
+            return _sinc_panels(radii, rho, weight)
         return kernel
 
     head = outer(profile, 2.0 * s + d - 1)

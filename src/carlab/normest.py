@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -33,20 +33,8 @@ class ExponentKind(enum.Enum):
     L2_RING = "l2_ring"            # ring-piece L^2 -> L^q bound, in 2^j eps
 
 
-PointLike = Union[ExponentPoint, tuple, None]
-
-
-def _coerce_point(point: PointLike) -> tuple[Fraction, Fraction]:
-    if point is None:
-        raise ValueError("this exponent kind needs an exponent point (x, y)")
-    if isinstance(point, ExponentPoint):
-        return point.x, point.y
-    x, y = point
-    return Fraction(x), Fraction(y)
-
-
 def theoretical_exponent(kind: ExponentKind, d: int, k: int,
-                         point: PointLike = None) -> Fraction:
+                         point: ExponentPoint | None = None) -> Fraction:
     """Exact predicted exponent for the given estimate family.
 
     The conventions: ``x = 1/p``, ``y = 1/q``; norms of the unscaled family
@@ -58,7 +46,9 @@ def theoretical_exponent(kind: ExponentKind, d: int, k: int,
         raise ValueError(f"need d >= 2 and k >= 1, got d={d}, k={k}")
     if kind is ExponentKind.L2_RING:
         return Fraction(1, 2) - k
-    x, y = _coerce_point(point)
+    if point is None:
+        raise ValueError("this exponent kind needs an exponent point (x, y)")
+    x, y = point.x, point.y
     if kind is ExponentKind.ME_UPPER:
         return d * x - y - Fraction(d - 2 + 2 * k, 2)
     if kind is ExponentKind.ME_KNAPP:
@@ -135,10 +125,9 @@ def certified_lower_bound(field: GridField, symbol, p: float, q: float) -> float
     (`_support_hull`).  The symbol is sampled on the sub-lattice those
     indices span and nowhere else, so a degenerate point off the hull
     raises nothing; ``m F`` vanishes off the hull, so this is the dense
-    product exactly.  Both norms come from `_hull_to_space`, without the
-    modulation phases, which ``|.|`` does not see.  A space-side field
-    keeps its own samples for the p-norm and pays one full forward
-    transform for ``F``.
+    product exactly.  Both norms come from `_hull_to_space`, the field's
+    space samples ``y`` (`spectral`).  A space-side field keeps its own
+    samples for the p-norm and pays one full forward transform for ``F``.
     """
     _check_exponents(p, q)
     if not np.any(field.values):
@@ -274,12 +263,11 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
     feed; a non-finite iterate aborts the run and returns the best bound
     collected so far.
 
-    The loop works on raw arrays in the grid's demodulated space coordinates
-    ``y = ifftn(F / cell_volume)``, ``F`` the continuum-normalised
-    coefficients; the field's space samples are ``y`` times the unimodular
-    modulation phases.  Those phases commute with ``|.|``, the norms and
-    `dualize`, the cell volume cancels between ``fftn`` and ``ifftn``, and it
-    enters each norm only as the factor ``cell_volume ** (1/r)``.
+    The loop works on raw arrays of the field's space samples
+    ``y = ifftn(F / cell_volume)`` (`spectral`), ``F`` the
+    continuum-normalised coefficients: the cell volume cancels between
+    ``fftn`` and ``ifftn``, and it enters each norm only as the factor
+    ``cell_volume ** (1/r)``.
 
     Arrays are held with the axis along which ``m`` leaves the most lines
     empty moved first (`_live_lines`); on A8's rings 3% of the tau-lines
@@ -441,7 +429,8 @@ class ScalingFit:
 
 def fit_scaling(eps_values: Sequence[float], values: Sequence[float], *,
                 kind: ExponentKind | None = None, d: int | None = None,
-                k: int | None = None, point: PointLike = None) -> ScalingFit:
+                k: int | None = None,
+                point: ExponentPoint | None = None) -> ScalingFit:
     eps_arr = np.asarray(eps_values, dtype=float)
     val_arr = np.asarray(values, dtype=float)
     if eps_arr.shape != val_arr.shape or eps_arr.size < 2:

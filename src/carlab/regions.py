@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict
 
 
 class DomainError(ValueError):
@@ -86,35 +86,22 @@ class ExponentPoint:
 
 @dataclass(frozen=True)
 class DimensionPair:
-    """Ambient dimension ``d >= 2``, operator order ``k >= 1``, optional ``alpha``.
-
-    ``alpha`` generalises the order in the oblique-strip region; when omitted
-    it defaults to ``k`` wherever a value is needed.
-    """
+    """Ambient dimension ``d >= 2`` and operator order ``k >= 1``."""
 
     d: int
     k: int
-    alpha: Optional[Fraction] = None
 
     def __post_init__(self):
         if self.d < 2:
             raise DomainError(f"dimension d={self.d} < 2")
         if self.k < 1:
             raise DomainError(f"order k={self.k} < 1")
-        if self.alpha is not None:
-            object.__setattr__(self, "alpha", _frac(self.alpha))
-            if not 0 < self.alpha:
-                raise DomainError(f"alpha={self.alpha} must be positive")
-
-    @property
-    def effective_alpha(self) -> Fraction:
-        return self.alpha if self.alpha is not None else Fraction(self.k)
 
 
 class RegionId(enum.Enum):
     """Named convex regions/segments of the exponent square."""
 
-    P_ALPHA = "p_alpha"          # oblique strip, order parameter alpha
+    P_ALPHA = "p_alpha"          # oblique strip
     T_KD = "t_kd"                # quadrilateral patch handled by interpolation
     PENTAGON = "pentagon"        # closure target [E, F, H, F', E']
     CARLEMAN_RANGE = "carleman"  # sharp admissible segment on the gap line
@@ -122,7 +109,7 @@ class RegionId(enum.Enum):
 
 
 def special_points(dims: DimensionPair) -> Dict[str, ExponentPoint]:
-    """The named vertex table for a given (d, k[, alpha]).
+    """The named vertex table for a given (d, k).
 
     Returns a dict with keys among ``A B C D E F G H``; primed partners are
     obtained via `ExponentPoint.dual`.  ``G`` is present exactly when
@@ -136,19 +123,17 @@ def special_points(dims: DimensionPair) -> Dict[str, ExponentPoint]:
         For ``d < 3``, where the corner ``A`` degenerates.
     """
     d, k = dims.d, dims.k
-    alpha = dims.effective_alpha
     if d < 3:
         raise DomainError(f"special points undefined for d={d} < 3")
     pts: Dict[str, ExponentPoint] = {}
     pts["A"] = ExponentPoint(Fraction(1, 2), Fraction(d - 2, 2 * d))
     pts["C"] = ExponentPoint(Fraction(1, 2), 0)
     pts["H"] = ExponentPoint(1, 0)
-    if 2 * alpha < d:
-        xb = (d - 2 + 2 * alpha) / Fraction(2 * (d - 1))
-        yb = (d - 2) * (d - 2 * alpha) / Fraction(2 * d * (d - 1))
-        pts["B"] = ExponentPoint(xb, yb)
-        pts["D"] = ExponentPoint(xb, 0)
     if 2 * k < d:
+        xb = Fraction(d - 2 + 2 * k, 2 * (d - 1))
+        pts["B"] = ExponentPoint(
+            xb, Fraction((d - 2) * (d - 2 * k), 2 * d * (d - 1)))
+        pts["D"] = ExponentPoint(xb, 0)
         pts["E"] = ExponentPoint(
             Fraction(d * d + 2 * k * d - 4, 2 * (d + 2) * (d - 1)),
             Fraction((d - 2) * (d + 2 - 2 * k), 2 * (d + 2) * (d - 1)),
@@ -163,15 +148,14 @@ def special_points(dims: DimensionPair) -> Dict[str, ExponentPoint]:
 
 
 def _in_p_alpha(dims: DimensionPair, p: ExponentPoint) -> bool:
-    # Oblique strip: x - y >= 2*alpha/d, x strictly right of the B-threshold,
+    # Oblique strip: x - y >= 2k/d, x strictly right of the B-threshold,
     # y strictly below the dual threshold.  Boundary semantics are exactly the
     # closed/open mix of the defining inequalities.
-    d = dims.d
-    a = dims.effective_alpha
+    d, k = dims.d, dims.k
     return (
-        p.x - p.y >= 2 * a / Fraction(d)
-        and p.x > (d - 2 + 2 * a) / Fraction(2 * (d - 1))
-        and p.y < (d - 2 * a) / Fraction(2 * (d - 1))
+        p.x - p.y >= Fraction(2 * k, d)
+        and p.x > Fraction(d - 2 + 2 * k, 2 * (d - 1))
+        and p.y < Fraction(d - 2 * k, 2 * (d - 1))
     )
 
 

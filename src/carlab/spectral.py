@@ -1,36 +1,32 @@
-"""Band-limited fields on modulated anisotropic grids, and multiplier action.
+"""Band-limited fields on shifted anisotropic lattices, and multiplier action.
 
-A `GridField` samples a function on a periodic box whose frequency lattice is
-shifted per axis by a modulation ``sigma``:
+A `GridField` holds a function
 
-    f(x) = sum_k  F_k  exp(i (sigma + 2 pi k / L) . x).
+    f(x) = sum_k  F_k  exp(i (sigma + 2 pi k / L) . x)
 
-The shift buys two things.  First, thin frequency slabs far from the origin
-(the Knapp examples live at ``|eta| ~ 1``, ``tau ~ eps``) can be wrapped in a
-tight window per axis instead of forcing a huge isotropic lattice.  Second,
+whose frequency lattice is shifted per axis by ``sigma``.  The shift buys
+two things.  First, thin frequency slabs far from the origin (the Knapp
+examples live at ``|eta| ~ 1``, ``tau ~ eps``) can be wrapped in a tight
+window per axis instead of forcing a huge isotropic lattice.  Second,
 offsetting by half a cell keeps every lattice point away from the degenerate
 set of the model symbol by a quantifiable margin.
 
-Norms are lattice Riemann sums of the space-side samples, |f|^p.  Because
-every field here is band-limited by construction and the lattice span
-exceeds the spectral support severalfold, these sums agree with the
-continuum integrals up to the (superpolynomially small) periodisation tails;
-there is no further discretisation error hidden in the norms.
+The space side of a field is the lattice samples of
+``y(x) = f(x) exp(-i sigma . x)``, and its frequency side the coefficients
+``F = fftn(y) * cell_volume`` (continuum normalisation): the transforms are
+plain DFTs on every lattice, and ``sigma`` enters only where frequencies are
+named (`GridField.freq_axes`, `sample_symbol`).  Since ``|y| = |f|``, the
+norms of ``y`` are those of ``f``: lattice Riemann sums of ``|y|^p``, in
+which the cell volume enters only as ``cell_volume ** (1/p)``
+(`sample_lp_norm`).  Because every field here is band-limited by
+construction and the lattice span exceeds the spectral support severalfold,
+these sums agree with the continuum integrals up to the (superpolynomially
+small) periodisation tails.  Norms are sums over all samples, so a loop may
+also hold ``y`` with its axes reordered.
 
 Sampled multiplication implements the multiplier action exactly on the
-modulated band: apply ``m`` by sampling ``m(sigma + 2 pi k / L)`` on the
+shifted band: apply ``m`` by sampling ``m(sigma + 2 pi k / L)`` on the
 frequency lattice and multiplying coefficientwise.
-
-The transforms factor as ``F = fftn(y) * cell_volume`` with
-``y = f * exp(-i sigma . x)``: the *demodulated* space samples.  Axes whose
-offset is zero skip their modulation pass, and each transform works in
-place on the one array it allocates.  Loops that transform back and forth
-(the power iteration in `normest`) can run on ``y`` directly: the phases are
-unimodular, so ``|y| = |f|`` and every Lebesgue norm and norming map agrees
-on the two, while the cell volume cancels between ``fftn`` and ``ifftn``
-and enters each norm only as ``cell_volume ** (1/p)`` (`sample_lp_norm`).
-Norms are sums over all samples, so such a loop may also hold ``y`` with
-its axes reordered.
 """
 
 from __future__ import annotations
@@ -47,7 +43,8 @@ DEFAULT_GRID_SIZE = {1: 4096, 2: 512, 3: 128}
 
 @dataclass(frozen=True)
 class GridField:
-    """Samples of a band-limited function on a modulated periodic lattice.
+    """A band-limited function on a periodic lattice with a shifted
+    frequency lattice.
 
     Parameters
     ----------
@@ -56,12 +53,13 @@ class GridField:
     periods:
         Physical box lengths per axis.
     freq_offsets:
-        Modulation sigma per axis; the frequency lattice is
+        Frequency shift sigma per axis; the frequency lattice is
         ``sigma_i + (2 pi / L_i) * (fft integers)``.
     in_space:
-        Whether ``values`` holds space samples or frequency coefficients
+        Whether ``values`` holds the space samples ``y = f exp(-i sigma . x)``
+        or the frequency coefficients ``F = fftn(y) * cell_volume``
         (continuum normalisation: coefficients approximate the integral
-        transform, not the raw DFT sum).
+        transform of f, not the raw DFT sum).
     """
 
     values: np.ndarray
@@ -114,34 +112,10 @@ class GridField:
 
     # --- representation changes ---------------------------------------------
 
-    def _modulate(self, values: np.ndarray, sign: float) -> np.ndarray:
-        """``values`` times ``exp(sign i sigma_i x_i)`` on every axis whose
-        offset is nonzero.
-
-        Writes into ``values`` unless it is ``self.values``, which is never
-        modified; with all offsets zero, ``values`` comes back as is.
-        """
-        for ax, (sigma, h, n) in enumerate(zip(self.freq_offsets,
-                                               self.spacings, self.shape)):
-            if sigma == 0.0:
-                continue
-            shape = [1] * self.d
-            shape[ax] = -1
-            ph = np.exp(sign * 1j * sigma * (h * np.arange(n))).reshape(shape)
-            if values is self.values:
-                values = values * ph
-            else:
-                values *= ph
-        return values
-
     def to_freq(self) -> "GridField":
         if not self.in_space:
             return self
-        work = self._modulate(self.values, -1.0)
-        if work is self.values:
-            work = np.fft.fftn(work)
-        else:
-            np.fft.fftn(work, out=work)
+        work = np.fft.fftn(self.values)
         work *= self.cell_volume
         return replace(self, values=work, in_space=False)
 
@@ -150,7 +124,7 @@ class GridField:
             return self
         work = self.values / self.cell_volume
         np.fft.ifftn(work, out=work)
-        return replace(self, values=self._modulate(work, +1.0), in_space=True)
+        return replace(self, values=work, in_space=True)
 
     def with_values(self, values, in_space: bool | None = None) -> "GridField":
         return replace(self, values=np.asarray(values, dtype=complex),
@@ -186,8 +160,8 @@ def lp_norm(field: GridField, p: float) -> float:
 def sample_lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
     """Lebesgue p-norm of raw space samples with cell weight ``cell_volume``.
 
-    Only ``|values|`` enters, so unimodular phases drop out: demodulated
-    samples give the norm of the modulated field.
+    Only ``|values|`` enters, so a `GridField`'s space samples ``y`` give
+    the norm of its function f.
     """
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
@@ -273,7 +247,7 @@ def apply_multiplier(field: GridField, symbol: Symbol) -> GridField:
 def conjugate_reflect(field: GridField) -> GridField:
     """x -> conj(f(-x)), exact on the lattice.
 
-    On the modulated frequency lattice this is plain coefficientwise
+    On the shifted frequency lattice this is plain coefficientwise
     conjugation (the reflection returns every mode to its own frequency), so
     the operation commutes exactly with multiplier application by the
     conjugated symbol.

@@ -6,7 +6,7 @@ coordinates.  It degenerates on ``{|eta| = 1, tau = 0}``, and everything else
 in this module is some smooth localisation of it:
 
 * ``eps``      -- dyadic slice at distance ``|tau| ~ eps`` from the degeneracy,
-* ``local``    -- the sum of all dyadic slices below the fixed scale ``eps0``,
+* ``local``    -- the sum of all dyadic slices below the fixed scale ``EPS0``,
 * ``global``   -- the complementary smooth part (model minus ``local``),
 * ``tilde``    -- the anisotropic rescaling ``tau -> eps tau`` of a slice,
 * ``ring``     -- the rescaled slice ring-localised at ``|1 - |eta|^2| ~ 2^j
@@ -35,7 +35,9 @@ from .bump import (
     psi0,
 )
 
-DEFAULT_EPS0 = 2.0 ** -5
+#: The fixed scale of the ``local``/``global`` split and of the eta cutoff
+#: ``psi0((1 - |eta|^2) / EPS0)``.
+EPS0 = 2.0 ** -5
 
 _FAMILIES = ("full", "local", "global", "eps", "tilde", "tilde_im", "ring")
 
@@ -64,7 +66,6 @@ class SymbolSpec:
     d: int
     k: int = 1
     eps: Optional[float] = None
-    eps0: float = DEFAULT_EPS0
     j: Optional[int] = None
 
     def __post_init__(self):
@@ -77,8 +78,6 @@ class SymbolSpec:
                 raise ValueError("k = 0 makes the model symbol trivial")
         elif self.k < 1:
             raise ValueError(f"k={self.k} must be a positive integer")
-        if not _is_dyadic(self.eps0) or self.eps0 > DEFAULT_EPS0:
-            raise ValueError(f"eps0={self.eps0} must be dyadic and <= {DEFAULT_EPS0}")
         if self.family in _EPS_FAMILIES:
             if self.eps is None or not _is_dyadic(self.eps) or self.eps > 0.25:
                 raise ValueError(
@@ -119,13 +118,13 @@ def _full_core(k: int, eta_sq, tau):
         return w ** (-k)
 
 
-def _dyadic_windows(t, eps0: float, weight=None):
-    """Sum of psi(t / 2^nu) [times ``weight``] over dyadic 2^nu <= eps0, t != 0.
+def _dyadic_windows(t, weight=None):
+    """Sum of psi(t / 2^nu) [times ``weight``] over dyadic 2^nu <= EPS0, t != 0.
 
     At most three windows are nonzero at any t, so the sum runs per point.
     """
     acc = np.zeros(t.shape, dtype=float if weight is None else complex)
-    nu_hi = round(math.log2(eps0))
+    nu_hi = round(math.log2(EPS0))
     nu_c = np.floor(np.log2(np.abs(t))).astype(int)
     for off in (-1, 0, 1):
         nu = nu_c + off
@@ -135,12 +134,12 @@ def _dyadic_windows(t, eps0: float, weight=None):
     return acc
 
 
-def _theta(tau, eps0: float):
+def _theta(tau):
     """Theta(tau) = sum of the live annulus windows; 0 at tau = 0 exactly."""
     tau = np.asarray(tau, dtype=float)
     out = np.zeros(tau.shape, dtype=float)
     nz = tau != 0
-    out[nz] = _dyadic_windows(tau[nz], eps0)
+    out[nz] = _dyadic_windows(tau[nz])
     return out
 
 
@@ -156,31 +155,31 @@ def _on_cutoff(k: int, cut, denom, eta_sq, tau):
     return out
 
 
-def _eps_core(k: int, eps: float, eps0: float, eta_sq, tau):
-    cut = psi0((1.0 - np.asarray(eta_sq)) / eps0) * psi(np.asarray(tau) / eps)
+def _eps_core(k: int, eps: float, eta_sq, tau):
+    cut = psi0((1.0 - np.asarray(eta_sq)) / EPS0) * psi(np.asarray(tau) / eps)
     return _on_cutoff(k, cut, lambda es, t: (es + t ** 2 - 1.0) + 2.0j * t,
                       eta_sq, tau)
 
 
-def _local_core(k: int, eps0: float, eta_sq, tau):
+def _local_core(k: int, eta_sq, tau):
     eta_sq_b, tau_b = np.broadcast_arrays(np.asarray(eta_sq, dtype=float),
                                           np.asarray(tau, dtype=float))
     out = np.zeros(tau_b.shape, dtype=complex)
-    cut_eta = np.asarray(psi0((1.0 - eta_sq_b) / eps0))  # psi0 unwraps 0-d
+    cut_eta = np.asarray(psi0((1.0 - eta_sq_b) / EPS0))  # psi0 unwraps 0-d
     nz = (tau_b != 0) & (cut_eta != 0)
     if not np.any(nz):
         return out
     t = tau_b[nz]
     es = eta_sq_b[nz]
     w = (es + t * t - 1.0) + 2.0j * t  # tau != 0 keeps this off the zero set
-    out[nz] = cut_eta[nz] * _dyadic_windows(t, eps0, w ** (-k))
+    out[nz] = cut_eta[nz] * _dyadic_windows(t, w ** (-k))
     return out
 
 
-def _global_core(k: int, eps0: float, eta_sq, tau):
+def _global_core(k: int, eta_sq, tau):
     eta_sq_b, tau_b = np.broadcast_arrays(np.asarray(eta_sq, dtype=float),
                                           np.asarray(tau, dtype=float))
-    chi = psi0((1.0 - eta_sq_b) / eps0) * _theta(tau_b, eps0)
+    chi = psi0((1.0 - eta_sq_b) / EPS0) * _theta(tau_b)
     rest = 1.0 - chi
     w = (eta_sq_b + tau_b * tau_b - 1.0) + 2.0j * tau_b
     bad = (w == 0) & (rest != 0)
@@ -203,11 +202,11 @@ def _tilde_core(k: int, eps: float, zeta: CutoffSpec, delta: float,
         eta_sq, tau)
 
 
-def _im_mtilde_core(k: int, eps: float, eps0: float, eta_sq, tau):
+def _im_mtilde_core(k: int, eps: float, eta_sq, tau):
     """Alternating-binomial closed form of Im(tilde slice), fully real."""
     eta_sq = np.asarray(eta_sq, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    cut = psi0((1.0 - eta_sq) / eps0) * psi(tau)
+    cut = psi0((1.0 - eta_sq) / EPS0) * psi(tau)
     a = eta_sq - 1.0 + (eps * tau) ** 2
     b = 2.0 * eps * tau
     mod2 = a * a + b * b
@@ -225,16 +224,15 @@ def eval_from_radial(spec: SymbolSpec, eta_sq, tau):
     if spec.family == "full":
         return _full_core(spec.k, eta_sq, tau)
     if spec.family == "eps":
-        return _eps_core(spec.k, spec.eps, spec.eps0, eta_sq, tau)
+        return _eps_core(spec.k, spec.eps, eta_sq, tau)
     if spec.family == "local":
-        return _local_core(spec.k, spec.eps0, eta_sq, tau)
+        return _local_core(spec.k, eta_sq, tau)
     if spec.family == "global":
-        return _global_core(spec.k, spec.eps0, eta_sq, tau)
+        return _global_core(spec.k, eta_sq, tau)
     if spec.family == "tilde":
-        return _tilde_core(spec.k, spec.eps, Psi0Cutoff(), spec.eps0,
-                           eta_sq, tau)
+        return _tilde_core(spec.k, spec.eps, Psi0Cutoff(), EPS0, eta_sq, tau)
     if spec.family == "tilde_im":
-        return _im_mtilde_core(spec.k, spec.eps, spec.eps0, eta_sq, tau)
+        return _im_mtilde_core(spec.k, spec.eps, eta_sq, tau)
     if spec.family == "ring":
         zeta, delta = spec.ring_window()
         return _tilde_core(spec.k, spec.eps, zeta, delta, eta_sq, tau)
@@ -270,7 +268,7 @@ def symbol_on_axes(spec: SymbolSpec, axes: Sequence[np.ndarray]):
     return eval_from_radial(spec, eta_sq, tau)
 
 
-def eval_im_mtilde(d: int, k: int, eps: float, eps0: float, eta, tau):
+def eval_im_mtilde(d: int, k: int, eps: float, eta, tau):
     """Imaginary part of the rescaled slice, via the closed alternating sum.
 
     ``eta`` carries coordinates in its last axis (length d - 1); the result
@@ -281,8 +279,8 @@ def eval_im_mtilde(d: int, k: int, eps: float, eps0: float, eta, tau):
     if eta.shape[-1] != d - 1:
         raise ValueError(f"eta needs {d - 1} coordinates, got {eta.shape[-1]}")
     eta_sq = np.sum(eta ** 2, axis=-1)
-    spec = SymbolSpec(family="tilde_im", d=d, k=k, eps=eps, eps0=eps0)
-    out = _im_mtilde_core(spec.k, spec.eps, spec.eps0, eta_sq, tau)
+    spec = SymbolSpec(family="tilde_im", d=d, k=k, eps=eps)
+    out = _im_mtilde_core(spec.k, spec.eps, eta_sq, tau)
     if out.ndim == 0:
         return float(out)
     return out

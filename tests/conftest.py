@@ -7,11 +7,11 @@ from carlab.spectral import GridField, default_grid
 
 @pytest.fixture(params=["zero_offset", "half_cell", "unit_cell"])
 def lattice(request) -> GridField:
-    """A zero 2-d field on each kind of lattice the transforms treat apart.
+    """A zero 2-d field on each kind of lattice.
 
-    ``zero_offset`` skips every modulation pass, ``half_cell`` modulates
-    every axis, and ``unit_cell`` has ``cell_volume == 1.0`` with one
-    modulated axis.
+    ``zero_offset`` has no frequency shift, ``half_cell`` shifts every axis
+    by half a cell, and ``unit_cell`` has ``cell_volume == 1.0`` with one
+    shifted axis.
     """
     if request.param == "unit_cell":
         return GridField(np.zeros((16, 16), complex), (16.0, 16.0),

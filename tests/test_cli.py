@@ -133,6 +133,20 @@ def test_same_seed_reproduces_measures(tmp_path):
         assert a.detail == b.detail
 
 
+def test_symbols_rejects_an_eps_range_before_any_symbol(tmp_path,
+                                                       monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a symbol was evaluated")
+
+    monkeypatch.setattr(acceptance, "symbol_errors", refuse)
+    for eps in ("2^-3..2^-6", "2^-3,2^-5"):
+        report = run(ExperimentConfig.from_mapping(
+            {"experiment": "symbols", "eps": eps, "out_dir": str(tmp_path)}))
+        verdict, = report.verdicts
+        assert verdict.id == "symbols-error" and verdict.status == "fail"
+        assert "one eps scale" in verdict.detail
+
+
 def test_lowerbound_csv_contract(tmp_path):
     cfg = ExperimentConfig.from_mapping(
         {"experiment": "lowerbound", "d": 5, "k": 2, "eps": "2^-4,2^-5",

@@ -7,14 +7,15 @@ from carlab import acceptance
 from carlab.bump import CustomCutoff, inversion_bump
 from carlab.identities import (CustomTest, PolyGauss, RadialPower,
                                _period_breakpoints, _sinc_panels,
-                               fractional_laplacian, kelvin_grid,
+                               eval_field_at_points, fractional_laplacian,
+                               kelvin_grid,
                                pair_pullback,
                                radial_fractional_at, sphere_area,
                                sphere_integral, sphere_nodes,
                                verify_counter_identities,
                                verify_dist_identity, verify_kelvin)
 from carlab.quadrature import _panel_eval, panel_offsets
-from carlab.spectral import GridField
+from carlab.spectral import GridField, default_grid
 
 RNG = np.random.Generator(np.random.Philox(55))
 
@@ -442,6 +443,38 @@ def test_radial_oracle_rejects_a_profile_without_jets(monkeypatch):
     short = CustomCutoff(u, u.support, max_order=5)
     with pytest.raises(ValueError, match="order 6"):
         radial_fractional_at(short, u.support, 3, 1.25, [1.0])
+
+
+def test_radial_oracle_rejects_a_dimension_other_than_three(monkeypatch):
+    monkeypatch.setattr(identities, "gauss_kronrod_batch", None)
+    u = inversion_bump(1.0)
+    for d in (2, 4):
+        with pytest.raises(ValueError, match="d = 3"):
+            radial_fractional_at(u, u.support, d, 1.0, [1.0])
+
+
+def test_field_at_points_is_the_shifted_function():
+    # space samples are f exp(-i sigma . x); the interpolant returns f
+    g = default_grid(2, n=16, for_full_symbol=True)
+    rng = np.random.Generator(np.random.Philox(3))
+    f = g.with_values(rng.standard_normal(g.shape)
+                      + 1j * rng.standard_normal(g.shape), in_space=False)
+    x = np.stack(np.meshgrid(*(h * np.arange(n) for h, n in
+                               zip(g.spacings, g.shape)), indexing="ij"),
+                 axis=-1).reshape(-1, 2)
+    want = f.to_space().values.ravel() * np.exp(1j * (x @ np.array(
+        g.freq_offsets)))
+    got = eval_field_at_points(f, x)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    # one mode, at a point off the lattice
+    vals = np.zeros(g.shape, complex)
+    vals[3, 0] = 1.0
+    xi = g.freq_axes()[0][3]
+    point = np.array([0.37 * g.spacings[0], 0.0])
+    got = eval_field_at_points(g.with_values(vals, in_space=False), point)
+    scale = 1.0 / g.periods[0] / g.periods[1]
+    assert got[0] == np.exp(1j * (point[0] * xi)) * scale
 
 
 def test_custom_test_function_requires_image_for_l():

@@ -1,4 +1,5 @@
-"""Every top-level name and public method in ``src/carlab`` has a reader.
+"""Every top-level name and public method in ``src/carlab`` has a reader,
+and every setting has a caller that sets it.
 
 A module-level function, class or constant is kept only when another
 definition in the package refers to it, or when the benchmark's tracer
@@ -6,7 +7,9 @@ wraps it by name (`bench/tracing.py`'s ``TARGETS``).  A public method of a
 top-level class is kept only when a definition in the package other than
 its own, or a file under ``bench/``, reads its name, or when the tracer
 wraps it.  A name that nothing reads is dead code: delete it, or give it a
-caller.
+caller.  Likewise a defaulted parameter, or a defaulted dataclass field,
+that no call in the package or under ``bench/`` passes is a setting only
+tests set: make it a constant, or delete it.
 """
 import ast
 import importlib.util
@@ -99,3 +102,112 @@ def test_every_public_method_has_a_reader():
         and not any(node.name in names for unit, names in units
                     if unit is not node))
     assert not dead, f"public methods nothing reads: {dead}"
+
+
+# Defaulted settings kept without a caller that sets them, with the reason.
+_KEEP_SETTINGS = {
+    # the n = 64/128 agreement behind ROADMAP item 1's sweep, which runs
+    # the witness at n = 64
+    "knapp_witness.n",
+    # the sphere rule's exactness degree, which the pairing tests raise
+    "sphere_integral.level",
+    # ROADMAP item 1 starts its power iterations from the Knapp witness
+    "estimate_operator_norm.extra_inits",
+    # the lattice window and the half-cell shift off the degenerate set,
+    # which the symbol and norm tests choose per case
+    "default_grid.freq_span",
+    "default_grid.for_full_symbol",
+    # the command line itself when None; tests pass their own
+    "main.argv",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _settings(path: pathlib.Path):
+    """``(label, callee, index, name)`` per defaulted parameter of a
+    top-level function or non-dunder method, and per defaulted init field
+    of a top-level dataclass; ``index`` is the position a call fills it at
+    (after ``self``/``cls``), None for a keyword-only parameter."""
+    def of_function(fn: ast.FunctionDef, owner: str | None):
+        args = fn.args.posonlyargs + fn.args.args
+        if owner is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in fn.decorator_list):
+            args = args[1:]
+        prefix = f"{owner}.{fn.name}" if owner else fn.name
+        first = len(args) - len(fn.args.defaults)
+        for i, arg in enumerate(args[first:], start=first):
+            yield f"{prefix}.{arg.arg}", fn.name, i, arg.arg
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield f"{prefix}.{arg.arg}", fn.name, None, arg.arg
+
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield from of_function(stmt, None)
+        elif isinstance(stmt, ast.ClassDef):
+            fields = [item for item in stmt.body
+                      if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)
+                      and "ClassVar" not in ast.unparse(item.annotation)]
+            if _is_dataclass(stmt):
+                for i, item in enumerate(fields):
+                    if item.value is not None:
+                        yield (f"{stmt.name}.{item.target.id}", stmt.name, i,
+                               item.target.id)
+            for item in stmt.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield from of_function(item, stmt.name)
+
+
+def _calls(tree: ast.AST):
+    """``(callee, positional count, keywords, splats)`` per call; a call
+    through ``cls`` names its class, and ``splats`` says whether it
+    unpacks ``*args`` or ``**kwargs``."""
+    def walk(node, cls_name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.ClassDef) \
+                else cls_name
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Name):
+                    callee = cls_name if func.id == "cls" else func.id
+                elif isinstance(func, ast.Attribute):
+                    callee = func.attr
+                else:
+                    callee = None
+                keywords = {kw.arg for kw in child.keywords if kw.arg}
+                splats = (any(isinstance(a, ast.Starred) for a in child.args)
+                          or any(kw.arg is None for kw in child.keywords))
+                yield callee, len(child.args), keywords, splats
+            yield from walk(child, inner)
+    yield from walk(tree, None)
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = []
+    for path in sorted(_SRC.glob("*.py")) + sorted(_BENCH.glob("*.py")):
+        calls.extend(_calls(ast.parse(path.read_text(encoding="utf-8"))))
+    # dataclasses.replace sets fields by keyword on any dataclass
+    replaced = {kw for callee, _, kws, _ in calls if callee == "replace"
+                for kw in kws}
+    settings = [s for path in sorted(_SRC.glob("*.py"))
+                for s in _settings(path)]
+    stale = _KEEP_SETTINGS - {label for label, *_ in settings}
+    assert not stale, f"kept settings that no longer exist: {stale}"
+    unset = sorted(
+        label for label, callee, index, name in settings
+        if label not in _KEEP_SETTINGS and name not in replaced
+        and not any(c == callee and (name in kws or splat
+                                     or (index is not None and n > index))
+                    for c, n, kws, splat in calls))
+    assert not unset, f"settings no src or bench call sets: {unset}"

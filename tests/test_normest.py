@@ -328,7 +328,7 @@ def _dualize_reference(values, r):
 
 
 def _power_method_oracle(init, symbol, p, q, *, max_iter=24, tol=1e-4):
-    """The iteration on modulated `GridField`s, five transforms per step."""
+    """The iteration on `GridField`s, five transforms per step."""
     m = sample_symbol(init, symbol)
     mc = np.conj(m)
     p_dual = p / (p - 1.0)

@@ -167,9 +167,6 @@ class TestExponentPoint:
 
     def test_exact_floats_accepted_inexact_refused(self):
         assert ExponentPoint(0.75, 0.5) == P("3/4", "1/2")
-        assert DimensionPair(5, 2, alpha=1.25).alpha == Fraction(5, 4)
         with pytest.raises(ValueError, match='"1/10"'):
             ExponentPoint(0.1, 0.5)
-        with pytest.raises(ValueError, match='"3/10"'):
-            DimensionPair(5, 2, alpha=0.3)
         assert ExponentPoint("1/10", "1/2").x == Fraction(1, 10)

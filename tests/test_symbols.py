@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from carlab import acceptance
 from carlab.bump import Psi0Cutoff
 from carlab.normest import _support_hull
-from carlab.symbols import (DEFAULT_EPS0, SingularFrequencyError,
+from carlab.symbols import (EPS0, SingularFrequencyError,
                             SymbolSpec, _theta,
                             eval_from_radial, eval_im_mtilde, eval_symbol,
                             psi, psi0)
@@ -62,23 +62,22 @@ def test_dyadic_partition_of_unity():
         assert abs(total - 1.0) <= 1e-12, t
 
 
-@given(eps0_exp=st.integers(min_value=5, max_value=40),
-       log2_ratio=st.floats(min_value=-60.0, max_value=6.0),
+@given(log2_ratio=st.floats(min_value=-60.0, max_value=6.0),
        negative=st.booleans())
-def test_theta_is_the_sum_of_all_low_windows(eps0_exp, log2_ratio, negative):
-    # tau = +-eps0 * 2^log2_ratio: nonzero, and often near the top window
-    eps0 = 2.0 ** -eps0_exp
-    tau = (-1.0 if negative else 1.0) * eps0 * 2.0 ** log2_ratio
-    # brute force over every dyadic 2^nu <= eps0 down to 2^nu < |tau| / 8,
+def test_theta_is_the_sum_of_all_low_windows(log2_ratio, negative):
+    # tau = +-EPS0 * 2^log2_ratio: nonzero, and often near the top window
+    tau = (-1.0 if negative else 1.0) * EPS0 * 2.0 ** log2_ratio
+    # brute force over every dyadic 2^nu <= EPS0 down to 2^nu < |tau| / 8,
     # below which |tau| / 2^nu lies beyond psi's support [1/2, 2]
-    nus = np.arange(-eps0_exp, math.floor(math.log2(abs(tau))) - 4, -1)
+    nus = np.arange(round(math.log2(EPS0)),
+                    math.floor(math.log2(abs(tau))) - 4, -1)
     want = float(psi(tau / np.ldexp(1.0, nus)).sum()) if nus.size else 0.0
-    got = float(_theta(np.array([tau]), eps0)[0])
+    got = float(_theta(np.array([tau]))[0])
     assert math.isclose(got, want, rel_tol=1e-14, abs_tol=1e-15)
 
 
 def test_theta_vanishes_at_zero():
-    assert _theta(np.array([0.0, 0.0]), 2.0 ** -5).tolist() == [0.0, 0.0]
+    assert _theta(np.array([0.0, 0.0])).tolist() == [0.0, 0.0]
 
 
 def test_psi0_complements_high_octaves():
@@ -120,11 +119,11 @@ def _dense_slice(spec, eta_sq, tau):
     """The eps, tilde and ring slices with the denominator formed at every
     point, then masked by the cutoff."""
     if spec.family == "eps":
-        cut = psi0((1.0 - eta_sq) / spec.eps0) * psi(tau / spec.eps)
+        cut = psi0((1.0 - eta_sq) / EPS0) * psi(tau / spec.eps)
         w = (eta_sq + tau ** 2 - 1.0) + 2.0j * tau
     else:
         zeta, delta = (spec.ring_window() if spec.family == "ring"
-                       else (Psi0Cutoff(), spec.eps0))
+                       else (Psi0Cutoff(), EPS0))
         cut = zeta((1.0 - eta_sq) / delta) * psi(tau)
         w = (eta_sq - 1.0 + (spec.eps * tau) ** 2) + 2.0j * spec.eps * tau
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -167,15 +166,14 @@ def test_reconstruction_local_plus_global():
 @settings(max_examples=200, deadline=None)
 @given(dk=st.sampled_from([(3, 1), (5, 2), (9, 3)]),
        eta_sq=st.one_of(st.floats(0.0, 4.0),
-                        st.floats(1.0 - 3.0 * DEFAULT_EPS0,
-                                  1.0 + 3.0 * DEFAULT_EPS0)),
+                        st.floats(1.0 - 3.0 * EPS0, 1.0 + 3.0 * EPS0)),
        tau=st.one_of(st.just(0.0),
                      st.builds(lambda e, sign: sign * 2.0 ** e,
                                st.floats(-40.0, 2.0),
                                st.sampled_from([-1.0, 1.0]))))
 def test_local_plus_global_is_full_off_the_degenerate_set(dk, eta_sq, tau):
     # any (|eta|^2, tau) off {|eta| = 1, tau = 0}: inside the eta ramp of
-    # width eps0, deep in the dyadic tau windows, and on tau = 0 itself
+    # width EPS0, deep in the dyadic tau windows, and on tau = 0 itself
     assume(tau != 0.0 or eta_sq != 1.0)
     d, k = dk
     full = complex(eval_from_radial(SymbolSpec("full", d, k), eta_sq, tau))
@@ -236,19 +234,18 @@ def test_spec_validation():
 
 
 def test_im_mtilde_vanishes_with_tau_window():
-    assert eval_im_mtilde(3, 1, 2.0 ** -5, 2.0 ** -5,
-                          np.array([1.0, 0.0]), 0.3) == 0.0
+    assert eval_im_mtilde(3, 1, 2.0 ** -5, np.array([1.0, 0.0]), 0.3) == 0.0
 
 
 def test_im_mtilde_matches_direct_imaginary_part():
-    d, k, eps, eps0 = 3, 2, 2.0 ** -5, 2.0 ** -5
+    d, k, eps = 3, 2, 2.0 ** -5
     n = 10_000
     eta1 = RNG.uniform(0.7, 1.25, n)
     eta2 = RNG.uniform(-0.3, 0.3, n)
     tau = RNG.uniform(0.55, 1.9, n)
     eta = np.stack([eta1, eta2], axis=-1)
-    closed = eval_im_mtilde(d, k, eps, eps0, eta, tau)
-    spec = SymbolSpec("tilde", d, k, eps=eps, eps0=eps0)
+    closed = eval_im_mtilde(d, k, eps, eta, tau)
+    spec = SymbolSpec("tilde", d, k, eps=eps)
     direct = np.imag(eval_from_radial(spec, np.sum(eta * eta, -1), tau))
     num = np.abs(closed - direct)
     den = np.maximum(np.abs(closed), np.abs(direct))
@@ -257,13 +254,13 @@ def test_im_mtilde_matches_direct_imaginary_part():
 
 
 def test_im_mtilde_k1_lorentzian_form():
-    eps, eps0 = 2.0 ** -6, 2.0 ** -5
+    eps = 2.0 ** -6
     eta_sq = RNG.uniform(0.8, 1.2, 500)
     tau = RNG.uniform(0.55, 1.9, 500)
     eta = np.stack([np.sqrt(eta_sq), np.zeros(500)], -1)
-    got = eval_im_mtilde(3, 1, eps, eps0, eta, tau)
+    got = eval_im_mtilde(3, 1, eps, eta, tau)
     u = eta_sq - 1.0
-    want = (-2.0 * eps * tau * psi0(u / eps0) * psi(tau)
+    want = (-2.0 * eps * tau * psi0(u / EPS0) * psi(tau)
             / ((u + eps ** 2 * tau ** 2) ** 2 + 4.0 * eps ** 2 * tau ** 2))
     scale = np.abs(want).max()
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * scale)
