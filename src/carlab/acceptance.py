@@ -28,7 +28,7 @@ from .normest import (ExponentKind, ScalingFit, certified_lower_bound,
 from .oscillatory import (LowerBoundParams, Phi5Spec, annulus_radii,
                           frak_s_sample, i_integral, j_decomposition,
                           mtilde_radial)
-from .spectral import GridField
+from .spectral import GridField, check_lattice_size
 from .symbols import SymbolSpec, eval_from_radial
 
 
@@ -76,6 +76,7 @@ def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> GridField:
         raise ValueError(f"no slab witness for family {family!r}")
     if d < 3:
         raise ValueError("slab witnesses need d >= 3")
+    check_lattice_size((n,) * d)
     rt = math.sqrt(eps)
     if family == "tilde":
         spans = (3.0 * eps,) + (4.0 * rt,) * (d - 2) + (2.0,)
@@ -133,6 +134,7 @@ def ring_grid(j: int, n_eta0: int = 256, n_tau: int = 64) -> GridField:
     """
     n_eta = max(16, n_eta0 >> j)
     shape = (n_eta, n_eta, n_tau)
+    check_lattice_size(shape)
     spans = (2.4, 2.4, 4.2)
     periods = tuple(2.0 * math.pi * nn / s for nn, s in zip(shape, spans))
     return GridField(np.zeros(shape, dtype=complex), periods,

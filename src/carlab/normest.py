@@ -89,17 +89,17 @@ def _check_exponents(p: float, q: float) -> None:
             f"power iteration needs 1 < p, q < infinity, got p={p}, q={q}")
 
 
-def _dual_power(mags: np.ndarray, r: float) -> np.ndarray:
-    """Raise ``mags = |h|`` to the power ``r - 2`` in place and return it.
+def _power_in_place(x: np.ndarray, e: float) -> np.ndarray:
+    """Raise the nonnegative ``x`` to the power ``e`` in place and return it.
 
-    Zeros stay zero for r < 2 too, so ``h * _dual_power(|h|, r)`` is the
-    norming map with ``0 -> 0``.
+    Zeros stay zero for e < 0 too, so ``h * _power_in_place(|h|, r - 2)``
+    is the norming map with ``0 -> 0``.
     """
-    if r < 2.0:
-        np.power(mags, r - 2.0, out=mags, where=mags > 0)
+    if e < 0.0:
+        np.power(x, e, out=x, where=x > 0)
     else:
-        mags **= r - 2.0
-    return mags
+        x **= e
+    return x
 
 
 def dualize(values: np.ndarray, r: float) -> np.ndarray:
@@ -113,7 +113,7 @@ def dualize(values: np.ndarray, r: float) -> np.ndarray:
     vals = np.asarray(values)
     if r == 2.0:
         return vals
-    return vals * _dual_power(np.abs(vals), r)
+    return vals * _power_in_place(np.abs(vals), r - 2.0)
 
 
 def certified_lower_bound(field: GridField, symbol, p: float, q: float) -> float:
@@ -198,10 +198,10 @@ def _live_lines(m: np.ndarray, nonzero: np.ndarray
     on the live lines, a contiguous ``(n_axis, K)`` array.  Ties go to the
     lowest axis.
     """
-    axis = int(np.argmin([np.any(nonzero, axis=a).mean()
-                          for a in range(m.ndim)]))
+    live_masks = [np.any(nonzero, axis=a) for a in range(m.ndim)]
+    axis = int(np.argmin([mask.mean() for mask in live_masks]))
     n_axis = m.shape[axis]
-    is_live = np.moveaxis(nonzero, axis, 0).reshape(n_axis, -1).any(axis=0)
+    is_live = live_masks[axis].reshape(-1)
     edges = np.diff(is_live.astype(np.int8), prepend=0, append=0)
     starts = np.flatnonzero(edges > 0).tolist()
     stops = np.flatnonzero(edges < 0).tolist()
@@ -209,8 +209,10 @@ def _live_lines(m: np.ndarray, nonzero: np.ndarray
     runs = list(zip(starts, stops, offsets))
     gaps = [(a, b) for a, b in zip([0] + stops, starts + [is_live.size])
             if b > a]
-    mk = np.moveaxis(m, axis, 0).reshape(n_axis, -1).take(
-        np.flatnonzero(is_live), axis=1)
+    # the lines are the rows of m with the axis moved last: a view when it
+    # is last already, as on every ring
+    rows = np.moveaxis(m, axis, -1).reshape(-1, n_axis)
+    mk = np.ascontiguousarray(rows[np.flatnonzero(is_live)].T)
     return axis, runs, gaps, mk
 
 
@@ -250,6 +252,36 @@ def _from_lines(lines: np.ndarray, buf: np.ndarray, runs: list,
     np.fft.ifftn(buf, axes=tuple(range(1, buf.ndim)), out=buf)
 
 
+#: elements of the flat iterate per block of `_q_pass`; its float scratch is
+#: two blocks, which stay in cache
+_BLOCK = 2 ** 15
+
+
+def _q_pass(g: np.ndarray, q: float) -> float:
+    """``sum |g|^q``; on the way ``g *= |g|^(q-2)`` in place, its dual.
+
+    One fused pass over blocks of the flat ``g``, which must be
+    C-contiguous, with block-sized float scratch: per block ``sq = |g|^2``
+    and ``w = sq^((q-2)/2)`` (a plain square at q = 6; zeros stay zero for
+    q < 2), then ``g *= w``, and the block adds ``sum(sq * w)``.
+    """
+    flat = g.reshape(-1)
+    sq = np.empty(min(_BLOCK, flat.size))
+    w = np.empty_like(sq)
+    total = 0.0
+    for a in range(0, flat.size, _BLOCK):
+        gb = flat[a:a + _BLOCK]
+        s, wb = sq[:gb.size], w[:gb.size]
+        np.abs(gb, out=s)
+        s *= s
+        np.copyto(wb, s)
+        _power_in_place(wb, 0.5 * q - 1.0)
+        gb *= wb
+        s *= wb
+        total += np.sum(s)
+    return float(total)
+
+
 def power_method(init: GridField, symbol, p: float, q: float, *,
                  max_iter: int = 24, tol: float = 1e-4,
                  _live: tuple | None = None) -> NormEstimate:
@@ -274,45 +306,54 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
     are live.  The multiplier acts on the compact array of the live lines
     of ``fftn(y)``: `_to_lines` transforms the other axes on the whole
     array and that axis on the live lines only, `_from_lines` is its
-    inverse.  The q-side norm and the dualization share one modulus pass:
-    ``w = |g|^(q-2)``, ``s^q`` is the sum of ``w |g|^2`` and ``g *= w``
-    dualizes.
+    inverse.  The q-side norm and the dualization are one blocked pass,
+    `_q_pass`, with scratch of a block's size.
 
     At p = 2 the dual exponent is 2 and the p-side dualization is the
     identity, so between steps the iterate stays on the frequency side, as
     those compact lines, and never returns to space.  Its norm is then
     Parseval's ``||f||_2^2 = cell_volume / N * sum |fftn(y)|^2`` over the
-    ``N`` samples, summed over the whole start array on the first step
-    because a start may carry mass on lines where ``m`` vanishes.  A step
-    is one inverse and one forward pass: two full-size transforms.  At
-    other p the pulled-back lines go back to space for `dualize`, and
-    before that with ``p' > 2`` they are divided by their largest modulus,
-    so ``|v|^(p'-1)`` cannot overflow near p = 1; the next step
-    renormalises anyway.
+    ``N`` samples, taken over the whole start ``F`` on the first step
+    because a start may carry mass on lines where ``m`` vanishes.  The
+    start's live lines are gathered from ``F`` itself (rows of it when the
+    pruned axis is the last), so the run holds one full-size array of its
+    own, the work buffer each step transforms in place.  A step is one
+    inverse and one forward pass: two full-size transforms.  At other p
+    the pulled-back lines go back to space for `dualize`, and before that
+    with ``p' > 2`` they are divided by their largest modulus, so
+    ``|v|^(p'-1)`` cannot overflow near p = 1; the next step renormalises
+    anyway.
 
     ``_live`` is for `estimate_operator_norm`, which passes the
     `_live_lines` of its sampled symbol so that restarts on one lattice
-    share them; ``symbol`` is then that sampled array.
+    share them; ``symbol`` is then not read, and no symbol array is held.
     """
     _check_exponents(p, q)
-    m = sample_symbol(init, symbol)
-    axis, runs, gaps, mk = _live or _live_lines(m, m != 0)
+    if _live is None:
+        m = sample_symbol(init, symbol)
+        _live = _live_lines(m, m != 0)
+        del m
+    axis, runs, gaps, mk = _live
     mkc = np.conj(mk)
     lines = np.empty(mk.shape, complex)
     p_dual = p / (p - 1.0)
     in_freq = p == 2.0
     F = init.to_freq()
     cell = F.cell_volume
-    y = np.divide(np.moveaxis(F.values, axis, 0), cell, order="C")
+    start = np.moveaxis(F.values, axis, 0)
+    shape = start.shape
     if in_freq:
-        # Parseval on the whole start array; afterwards on the lines
-        cell_per_n = cell / y.size
-        nf = sample_lp_norm(y, 2.0, cell_per_n)
-        _gather(y, runs, lines)
+        # Parseval on the whole start; afterwards on the lines
+        cell_per_n = cell / start.size
+        nf = sample_lp_norm(F.values, 2.0, cell_per_n) / cell
+        _gather(start, runs, lines)
+        lines /= cell
     else:
+        y = np.divide(start, cell, order="C")
         np.fft.ifftn(y, out=y)
-    w = np.empty(y.shape)
-    sq = np.empty(y.shape)
+    del F, start  # a space-side start's coefficients go before the loop
+    if in_freq:
+        y = np.empty(shape, complex)  # the first _from_lines fills it
     history: list[float] = []
     aborted = False
     for step in range(max_iter):
@@ -329,11 +370,7 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
         lines *= mk
         lines *= 1.0 / nf
         _from_lines(lines, g, runs, gaps)
-        np.abs(g, out=w)
-        np.multiply(w, w, out=sq)
-        _dual_power(w, q)
-        sq *= w
-        s = float((np.sum(sq) * cell) ** (1.0 / q))
+        s = float((_q_pass(g, q) * cell) ** (1.0 / q))
         if not np.isfinite(s):
             aborted = True
             break
@@ -342,14 +379,13 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
                    and abs(history[-1] - history[-2]) <= tol * s)
         if stalled or step == max_iter - 1:
             break
-        g *= w
         _to_lines(g, runs, lines)
         lines *= mkc
         if in_freq:
             continue
         _from_lines(lines, g, runs, gaps)
         if p_dual > 2.0:
-            peak = np.max(np.abs(g, out=w))
+            peak = np.max(np.abs(g))
             if peak > 0.0:
                 g /= peak
         y = dualize(g, p_dual)
@@ -368,22 +404,27 @@ def estimate_operator_norm(grid: GridField, symbol, p: float, q: float, *,
     Restart seeds: the conjugated symbol itself as a frequency profile (the
     natural L^2 maximiser, a strong generic start), any caller-supplied
     fields, and ``n_random`` complex Gaussian fields supported where the
-    symbol is nonzero, drawn from one seeded Philox stream.  Each start is
-    built just before its run and dropped after it, so at most one
-    full-size start is alive at a time besides the caller's fields.
+    symbol is nonzero, drawn from one seeded Philox stream, real parts
+    first, into one complex array.  The sampled symbol is dropped once its
+    support, its `_live_lines` and the first start are built: the runs
+    need nothing else of it.  Each start is built just before its run and
+    dropped after it, so at most one full-size start is alive at a time
+    besides the caller's fields.
     """
     m = sample_symbol(grid, symbol)
     support = m != 0
     if not support.any():
         raise ValueError("symbol vanishes on the whole frequency lattice")
 
-    def starts():
-        yield grid.with_values(np.conj(m), in_space=False)
+    def starts(symbol_start):
+        yield symbol_start
+        del symbol_start  # before the next start
         yield from extra_inits
         rng = np.random.Generator(np.random.Philox(seed))
         for _ in range(n_random):
-            noise = rng.standard_normal(grid.shape) \
-                + 1j * rng.standard_normal(grid.shape)
+            noise = np.empty(grid.shape, complex)
+            noise.real = rng.standard_normal(grid.shape)
+            noise.imag = rng.standard_normal(grid.shape)
             noise *= support
             yield grid.with_values(noise, in_space=False)
             del noise  # before the next draw
@@ -393,8 +434,10 @@ def estimate_operator_norm(grid: GridField, symbol, p: float, q: float, *,
     total_iter = 0
     aborted = False
     live = _live_lines(m, support)
-    for f0 in starts():
-        est = power_method(f0, m, p, q, max_iter=max_iter, tol=tol,
+    restarts = starts(grid.with_values(np.conj(m), in_space=False))
+    del m  # the runs need its live lines and support only
+    for f0 in restarts:
+        est = power_method(f0, symbol, p, q, max_iter=max_iter, tol=tol,
                            _live=live)
         del f0
         hist.extend(est.history)

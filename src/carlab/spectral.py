@@ -31,6 +31,7 @@ frequency lattice and multiplying coefficientwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
@@ -39,6 +40,24 @@ import numpy as np
 from .symbols import SingularFrequencyError, SymbolSpec, symbol_on_axes
 
 DEFAULT_GRID_SIZE = {1: 4096, 2: 512, 3: 128}
+
+#: the largest complex lattice, in bytes, that a grid builder allocates
+MAX_LATTICE_BYTES = 2 ** 31
+
+
+def check_lattice_size(shape: Sequence[int]) -> None:
+    """Reject a complex lattice of this shape above `MAX_LATTICE_BYTES`.
+
+    Grid builders call this before they allocate anything, so a config that
+    asks for, say, a 128^5 lattice fails at once instead of at the
+    allocator.
+    """
+    nbytes = 16 * math.prod(shape)
+    if nbytes > MAX_LATTICE_BYTES:
+        raise ValueError(
+            f"a {'x'.join(map(str, shape))} complex lattice takes "
+            f"{nbytes / 2 ** 30:.4g} GiB, above the "
+            f"{MAX_LATTICE_BYTES / 2 ** 30:.4g} GiB limit")
 
 
 @dataclass(frozen=True)
@@ -140,6 +159,7 @@ def default_grid(d: int, n: int | None = None, freq_span: float = 7.0,
     last coordinate never vanishes), at distance >= dxi/2 from it.
     """
     n = n or DEFAULT_GRID_SIZE.get(d, 64)
+    check_lattice_size((n,) * d)
     dxi = freq_span / n
     period = 2.0 * np.pi / dxi
     offset = 0.5 * dxi if for_full_symbol else 0.0

@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,6 +242,37 @@ def test_normest_error_surfaces_as_failing_verdict(tmp_path):
     report = run(cfg)
     assert not report.all_green
     assert report.verdicts[0].status == "fail"
+
+
+def test_normest_rejects_an_oversized_witness_before_allocating_it(
+        tmp_path, monkeypatch):
+    zeros = np.zeros
+
+    def small_zeros(shape, *args, **kwargs):
+        assert math.prod(np.atleast_1d(shape)) < 2 ** 20, "lattice allocated"
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", small_zeros)
+    report = run(ExperimentConfig.from_mapping(
+        {"experiment": "normest", "kind": "me_knapp", "d": 5,
+         "out_dir": str(tmp_path)}))  # a 128^5 witness lattice
+    assert report.verdicts[0].status == "fail"
+    assert "512 GiB" in report.verdicts[0].detail
+
+
+def test_spectral_transforms_its_field_forward_once(tmp_path, monkeypatch):
+    calls = []
+    fftn = np.fft.fftn
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counted)
+    report = run(ExperimentConfig.from_mapping(
+        {"experiment": "spectral", "d": 3, "n": 32, "out_dir": str(tmp_path)}))
+    assert report.all_green
+    assert len(calls) == 1
 
 
 def test_normest_skips_on_two_octaves(tmp_path, capsys):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlab.acceptance import knapp_witness, ring_grid
-from carlab.normest import (ExponentKind, NormEstimate, _live_lines,
-                            certified_lower_bound, dualize,
+from carlab.normest import (_BLOCK, ExponentKind, NormEstimate, _live_lines,
+                            _q_pass, certified_lower_bound, dualize,
                             estimate_operator_norm, fit_scaling, power_method,
                             theoretical_exponent)
 from carlab.regions import ExponentPoint
@@ -554,6 +554,49 @@ def test_restarts_are_built_one_at_a_time():
 
     peak_mb(1)  # lazy set-up such as FFT plans is not part of the peak
     assert peak_mb(3) <= peak_mb(1) + 0.5 * field_mb
+
+
+def test_a_p2_run_holds_one_full_size_array_of_its_own():
+    # from a frequency start the start's lines are gathered from the start
+    # itself, and the q-side pass needs scratch of a block's size only, so
+    # the run's own full-size array is its work buffer
+    grid = ring_grid(0, 64, 16)
+    spec = SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=0)
+    init = grid.with_values(np.conj(sample_symbol(grid, spec)),
+                            in_space=False)
+    field_mb = grid.values.nbytes / 2 ** 20
+    power_method(init, spec, 2.0, 6.0, max_iter=4, tol=1e-9)  # lazy set-up
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        power_method(init, spec, 2.0, 6.0, max_iter=4, tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / 2 ** 20 <= field_mb + 1.0
+
+
+_q_sizes = st.one_of(
+    st.integers(min_value=1, max_value=64),
+    st.builds(lambda k, off: k * _BLOCK + off,
+              st.integers(min_value=1, max_value=3),
+              st.integers(min_value=-3, max_value=3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=_q_sizes, seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       q=st.sampled_from([1.5, 2.0, 3.0, 6.0]))
+def test_blocked_q_pass_matches_the_dense_pass(size, seed, q):
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    g[rng.random(size) < 0.25] = 0.0  # exact zeros
+    mags = np.abs(g)
+    with np.errstate(divide="ignore"):
+        want = g * np.where(mags > 0, mags ** (q - 2.0), 0.0)
+    got = g.copy()
+    total = _q_pass(got, q)
+    assert total == pytest.approx(np.sum(mags ** q), rel=1e-13, abs=0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def _digest(values) -> str:

@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from carlab.acceptance import knapp_witness
-from carlab.spectral import (GridField, apply_multiplier, conjugate_reflect,
+from carlab.acceptance import knapp_witness, ring_grid
+from carlab.spectral import (MAX_LATTICE_BYTES, GridField, apply_multiplier,
+                             check_lattice_size, conjugate_reflect,
                              default_grid, lorentz_norm, lp_norm,
                              sample_symbol)
 from carlab.symbols import SymbolSpec
@@ -305,3 +306,22 @@ def test_knapp_witness_rejects_unknown_family_and_low_dimension():
         knapp_witness("ring", 3, 2.0 ** -4)
     with pytest.raises(ValueError, match="d >= 3"):
         knapp_witness("tilde", 2, 2.0 ** -4)
+
+
+def test_an_oversized_lattice_is_rejected_before_any_allocation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.zeros was called")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    builders = [lambda: default_grid(5, 128),
+                lambda: ring_grid(0, 2 ** 14, 64),
+                lambda: knapp_witness("eps", 5, 2.0 ** -6)]
+    for build in builders:
+        with pytest.raises(ValueError, match="GiB"):
+            build()
+    with pytest.raises(ValueError, match="128x128x128x128x128 .* 512 GiB"):
+        default_grid(5, 128)
+    check_lattice_size((32,) * 5)  # d = 5, n = 32: 512 MiB
+    check_lattice_size((MAX_LATTICE_BYTES // 16,))
+    with pytest.raises(ValueError):
+        check_lattice_size((MAX_LATTICE_BYTES // 16 + 1,))
