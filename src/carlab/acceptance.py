@@ -312,8 +312,11 @@ def knapp_fit(family: str, d: int, k: int, eps_list: Sequence[float],
 
 
 def ring_fit(d: int, k: int, eps: float, seed: int = 0) -> SlopeCheck:
-    """Slope fit of ring-piece L2 -> L6 norms for j = 0..3; all four specs
-    are built first, so an inadmissible scale fails before lattice work."""
+    """Slope fit of ring-piece L2 -> L6 norms for j = 0..3 at d = 3, the
+    dimension of `ring_grid`; the dimension is checked and all four specs
+    are built first, so bad input fails before lattice work."""
+    if d != 3:
+        raise ValueError(f"ring lattices are 3-d, got d = {d}")
     specs = [SymbolSpec("ring", d, k, eps=eps, j=j) for j in range(4)]
     vals = [estimate_operator_norm(ring_grid(j), spec, 2.0, 6.0, seed=seed,
                                    n_random=1, max_iter=12, tol=1e-3).value

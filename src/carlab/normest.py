@@ -1,8 +1,9 @@
 """Operator-norm estimation and scaling-law bookkeeping.
 
-Two jobs live here.  First, certified lower bounds for multiplier norms
-``L^p -> L^q`` via a Boyd-style power iteration on grid fields: every iterate
-produces a genuine Rayleigh quotient ``||Tf||_q / ||f||_p``, so the running
+Two jobs live here.  First, certified lower bounds for multiplier norms:
+the one-shot Rayleigh quotient ``||Tf||_q / ||f||_p`` of one field, at any
+``L^p -> L^q``, and a Boyd-style power iteration for ``L^2 -> L^q``.  Every
+iterate of the latter produces a genuine Rayleigh quotient, so the running
 maximum is a true lower bound up to lattice accuracy, whatever the iteration
 does.  Second, the exact theoretical scaling exponents the experiments are
 measured against, kept as `Fraction` arithmetic so the targets carry no
@@ -86,7 +87,13 @@ class NormEstimate:
 def _check_exponents(p: float, q: float) -> None:
     if not (1.0 < p < np.inf and 1.0 < q < np.inf):
         raise ValueError(
-            f"power iteration needs 1 < p, q < infinity, got p={p}, q={q}")
+            f"norm bounds need 1 < p, q < infinity, got p={p}, q={q}")
+
+
+def _check_power_exponents(p: float, q: float) -> None:
+    if p != 2.0:
+        raise ValueError(f"the power iteration runs at p = 2 only, got p={p}")
+    _check_exponents(p, q)
 
 
 def _power_in_place(x: np.ndarray, e: float) -> np.ndarray:
@@ -285,15 +292,15 @@ def _q_pass(g: np.ndarray, q: float) -> float:
 def power_method(init: GridField, symbol, p: float, q: float, *,
                  max_iter: int = 24, tol: float = 1e-4,
                  _live: tuple | None = None) -> NormEstimate:
-    """Boyd power iteration for ``||m(D)||_{p -> q}`` from one starting field.
+    """Boyd power iteration for ``||m(D)||_{2 -> q}`` from one starting field.
 
-    Each step maps the current unit-in-L^p field through the multiplier,
-    records the quotient, then pulls the L^q norming function back through the
-    adjoint (the multiplier with conjugated symbol) and renorms with the dual
-    exponent.  Stops on relative stagnation below ``tol`` or at the
-    ``max_iter``-th quotient, before the pull-back that quotient would
-    feed; a non-finite iterate aborts the run and returns the best bound
-    collected so far.
+    Exponents other than p = 2, 1 < q < infinity are refused before any
+    sampling.  Each step maps the current unit-in-L^2 field through the
+    multiplier, records the quotient, then pulls the L^q norming function
+    back through the adjoint (the multiplier with conjugated symbol).
+    Stops on relative stagnation below ``tol`` or at the ``max_iter``-th
+    quotient, before the pull-back that quotient would feed; a non-finite
+    iterate aborts the run and returns the best bound collected so far.
 
     The loop works on raw arrays of the field's space samples
     ``y = ifftn(F / cell_volume)`` (`spectral`), ``F`` the
@@ -309,26 +316,22 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
     inverse.  The q-side norm and the dualization are one blocked pass,
     `_q_pass`, with scratch of a block's size.
 
-    At p = 2 the dual exponent is 2 and the p-side dualization is the
-    identity, so between steps the iterate stays on the frequency side, as
-    those compact lines, and never returns to space.  Its norm is then
-    Parseval's ``||f||_2^2 = cell_volume / N * sum |fftn(y)|^2`` over the
-    ``N`` samples, taken over the whole start ``F`` on the first step
-    because a start may carry mass on lines where ``m`` vanishes.  The
-    start's live lines are gathered from ``F`` itself (rows of it when the
-    pruned axis is the last), so the run holds one full-size array of its
-    own, the work buffer each step transforms in place.  A step is one
-    inverse and one forward pass: two full-size transforms.  At other p
-    the pulled-back lines go back to space for `dualize`, and before that
-    with ``p' > 2`` they are divided by their largest modulus, so
-    ``|v|^(p'-1)`` cannot overflow near p = 1; the next step renormalises
-    anyway.
+    The L^2 dualization is the identity, so between steps the iterate
+    stays on the frequency side, as those lines, and never returns to
+    space.  Its norm is Parseval's ``||f||_2^2 = cell_volume / N * sum
+    |fftn(y)|^2`` over the ``N`` samples, taken over the whole start ``F``
+    on the first step because a start may carry mass on lines where ``m``
+    vanishes.  The start's live lines are gathered from ``F`` itself (rows
+    of it when the pruned axis is the last), so the run holds one
+    full-size array of its own, the work buffer each step transforms in
+    place.  A step is one inverse and one forward pass: two full-size
+    transforms.
 
     ``_live`` is for `estimate_operator_norm`, which passes the
     `_live_lines` of its sampled symbol so that restarts on one lattice
     share them; ``symbol`` is then not read, and no symbol array is held.
     """
-    _check_exponents(p, q)
+    _check_power_exponents(p, q)
     if _live is None:
         m = sample_symbol(init, symbol)
         _live = _live_lines(m, m != 0)
@@ -336,41 +339,29 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
     axis, runs, gaps, mk = _live
     mkc = np.conj(mk)
     lines = np.empty(mk.shape, complex)
-    p_dual = p / (p - 1.0)
-    in_freq = p == 2.0
     F = init.to_freq()
     cell = F.cell_volume
     start = np.moveaxis(F.values, axis, 0)
     shape = start.shape
-    if in_freq:
-        # Parseval on the whole start; afterwards on the lines
-        cell_per_n = cell / start.size
-        nf = sample_lp_norm(F.values, 2.0, cell_per_n) / cell
-        _gather(start, runs, lines)
-        lines /= cell
-    else:
-        y = np.divide(start, cell, order="C")
-        np.fft.ifftn(y, out=y)
-    del F, start  # a space-side start's coefficients go before the loop
-    if in_freq:
-        y = np.empty(shape, complex)  # the first _from_lines fills it
+    # Parseval on the whole start; afterwards on the lines
+    cell_per_n = cell / start.size
+    nf = sample_lp_norm(F.values, 2.0, cell_per_n) / cell
+    _gather(start, runs, lines)
+    lines /= cell
+    del F, start  # a space-side start's coefficients go before the buffer
+    y = np.empty(shape, complex)  # the first _from_lines fills it
     history: list[float] = []
     aborted = False
     for step in range(max_iter):
-        if not in_freq:
-            nf = sample_lp_norm(y, p, cell)
-        elif step:
+        if step:
             nf = sample_lp_norm(lines, 2.0, cell_per_n)
         if not np.isfinite(nf) or nf == 0.0:
             aborted = True
             break
-        g = y
-        if not in_freq:
-            _to_lines(g, runs, lines)
         lines *= mk
         lines *= 1.0 / nf
-        _from_lines(lines, g, runs, gaps)
-        s = float((_q_pass(g, q) * cell) ** (1.0 / q))
+        _from_lines(lines, y, runs, gaps)
+        s = float((_q_pass(y, q) * cell) ** (1.0 / q))
         if not np.isfinite(s):
             aborted = True
             break
@@ -379,16 +370,8 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
                    and abs(history[-1] - history[-2]) <= tol * s)
         if stalled or step == max_iter - 1:
             break
-        _to_lines(g, runs, lines)
+        _to_lines(y, runs, lines)
         lines *= mkc
-        if in_freq:
-            continue
-        _from_lines(lines, g, runs, gaps)
-        if p_dual > 2.0:
-            peak = np.max(np.abs(g))
-            if peak > 0.0:
-                g /= peak
-        y = dualize(g, p_dual)
     best = max(history) if history else 0.0
     return NormEstimate(value=best, p=p, q=q, iterations=len(history),
                         history=tuple(history), aborted=aborted)
@@ -396,21 +379,21 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
 
 def estimate_operator_norm(grid: GridField, symbol, p: float, q: float, *,
                            seed: int = 0, n_random: int = 3,
-                           extra_inits: Sequence[GridField] = (),
                            max_iter: int = 24, tol: float = 1e-4
                            ) -> NormEstimate:
-    """Best certified lower bound over a small family of restarts.
+    """Best certified lower bound over a small family of restarts; the
+    exponents are checked as in `power_method`, before any sampling.
 
     Restart seeds: the conjugated symbol itself as a frequency profile (the
-    natural L^2 maximiser, a strong generic start), any caller-supplied
-    fields, and ``n_random`` complex Gaussian fields supported where the
-    symbol is nonzero, drawn from one seeded Philox stream, real parts
-    first, into one complex array.  The sampled symbol is dropped once its
-    support, its `_live_lines` and the first start are built: the runs
-    need nothing else of it.  Each start is built just before its run and
-    dropped after it, so at most one full-size start is alive at a time
-    besides the caller's fields.
+    natural L^2 maximiser, a strong generic start), then ``n_random``
+    complex Gaussian fields supported where the symbol is nonzero, drawn
+    from one seeded Philox stream, real parts first, into one complex
+    array.  The sampled symbol is dropped once its support, its
+    `_live_lines` and the first start are built: the runs need nothing
+    else of it.  Each start is built just before its run and dropped after
+    it, so at most one full-size start is alive at a time.
     """
+    _check_power_exponents(p, q)
     m = sample_symbol(grid, symbol)
     support = m != 0
     if not support.any():
@@ -419,7 +402,6 @@ def estimate_operator_norm(grid: GridField, symbol, p: float, q: float, *,
     def starts(symbol_start):
         yield symbol_start
         del symbol_start  # before the next start
-        yield from extra_inits
         rng = np.random.Generator(np.random.Philox(seed))
         for _ in range(n_random):
             noise = np.empty(grid.shape, complex)

@@ -244,6 +244,19 @@ def test_normest_error_surfaces_as_failing_verdict(tmp_path):
     assert report.verdicts[0].status == "fail"
 
 
+def test_normest_rejects_a_ring_dimension_before_any_lattice(tmp_path,
+                                                              monkeypatch):
+    built = []
+    monkeypatch.setattr(acceptance, "ring_grid", lambda *a: built.append(a))
+    rc = main(["--out-dir", str(tmp_path), "normest", "--kind", "l2_ring",
+               "--d", "5"])
+    report = json.loads((tmp_path / "normest_report.json").read_text())
+    assert rc != 0 and built == []
+    (verdict,) = report["verdicts"]
+    assert verdict["status"] == "fail"
+    assert "d = 5" in verdict["detail"]
+
+
 def test_normest_rejects_an_oversized_witness_before_allocating_it(
         tmp_path, monkeypatch):
     zeros = np.zeros

@@ -106,13 +106,11 @@ def test_every_public_method_has_a_reader():
 
 # Defaulted settings kept without a caller that sets them, with the reason.
 _KEEP_SETTINGS = {
-    # the n = 64/128 agreement behind ROADMAP item 1's sweep, which runs
+    # the n = 64/128 agreement behind ROADMAP item 2's sweep, which runs
     # the witness at n = 64
     "knapp_witness.n",
     # the sphere rule's exactness degree, which the pairing tests raise
     "sphere_integral.level",
-    # ROADMAP item 1 starts its power iterations from the Knapp witness
-    "estimate_operator_norm.extra_inits",
     # the lattice window and the half-cell shift off the degenerate set,
     # which the symbol and norm tests choose per case
     "default_grid.freq_span",
