@@ -22,9 +22,10 @@ from . import regions
 from .bump import CustomCutoff, SymmetricPlateau, inversion_bump
 from .identities import (PolyGauss, pair_pullback, sphere_integral,
                          verify_counter_identities, verify_dist_identity,
-                         verify_kelvin, kelvin_grid)
+                         verify_kelvin)
 from .normest import (ExponentKind, ScalingFit, certified_lower_bound,
-                      estimate_operator_norm, fit_scaling)
+                      estimate_operator_norm, fit_scaling,
+                      theoretical_exponent)
 from .oscillatory import (LowerBoundParams, Phi5Spec, annulus_radii,
                           frak_s_sample, i_integral, j_decomposition,
                           mtilde_radial)
@@ -255,8 +256,7 @@ def kelvin_checks() -> list[KelvinCheck]:
     checks = []
     for s, tol in ((1.0, 1e-3), (1.25, 1e-2)):
         sizes = (64, 128)
-        results = verify_kelvin(inversion_bump(s), s,
-                                [kelvin_grid(3, n) for n in sizes])
+        results = verify_kelvin(inversion_bump(s), s, sizes)
         cases = [{"s": s, "n": n, "rel_err": r.rel_err}
                  for n, r in zip(sizes, results)]
         coarse, fine = (c["rel_err"] for c in cases)
@@ -267,14 +267,15 @@ def kelvin_checks() -> list[KelvinCheck]:
 
 
 class SlopeCheck(NamedTuple):
-    """A power-law fit of measured values, and its slope tolerance."""
+    """A power-law fit judged against an exact exponent within ``tol``."""
 
     fit: ScalingFit
+    theory: float
     tol: float
 
     @property
     def dev(self) -> float:
-        return abs(self.fit.slope - self.fit.theory)
+        return abs(self.fit.slope - self.theory)
 
     @property
     def ok(self) -> bool:
@@ -282,7 +283,7 @@ class SlopeCheck(NamedTuple):
 
     @property
     def detail(self) -> str:
-        return (f"slope {self.fit.slope:+.4f} vs theory {self.fit.theory:+.4f}"
+        return (f"slope {self.fit.slope:+.4f} vs theory {self.theory:+.4f}"
                 f" (dev {self.dev:.4f}, tol {self.tol})")
 
 
@@ -292,10 +293,11 @@ class InsufficientOctaves(ValueError):
 
 def knapp_fit(family: str, d: int, k: int, eps_list: Sequence[float],
               point: regions.ExponentPoint) -> SlopeCheck:
-    """Slope fit of thin-slab lower bounds over the distinct scales, coarse
-    to fine; fewer than three raise `InsufficientOctaves` up front, and all
-    specs are built first, so an inadmissible scale fails before lattice
-    work."""
+    """Slope fit of thin-slab lower bounds over the distinct scales against
+    the Knapp exponent at ``point``.  A point off the open square, too few
+    scales (`InsufficientOctaves`) and a bad scale fail before any witness."""
+    if not (0 < point.x < 1 and 0 < point.y < 1):
+        raise ValueError(f"exponent point {point} needs 0 < x, y < 1")
     scales = sorted(set(float(e) for e in eps_list), reverse=True)
     if len(scales) < 3:
         raise InsufficientOctaves(
@@ -307,8 +309,8 @@ def knapp_fit(family: str, d: int, k: int, eps_list: Sequence[float],
             for eps, spec in zip(scales, specs)]
     kind = ExponentKind.TILDE_KNAPP if family == "tilde" \
         else ExponentKind.ME_KNAPP
-    fit = fit_scaling(scales, vals, kind=kind, d=d, k=k, point=point)
-    return SlopeCheck(fit, KNAPP_TOL)
+    theory = float(theoretical_exponent(kind, d, k, point))
+    return SlopeCheck(fit_scaling(scales, vals), theory, KNAPP_TOL)
 
 
 def ring_fit(d: int, k: int, eps: float, seed: int = 0) -> SlopeCheck:
@@ -321,9 +323,9 @@ def ring_fit(d: int, k: int, eps: float, seed: int = 0) -> SlopeCheck:
     vals = [estimate_operator_norm(ring_grid(j), spec, 2.0, 6.0, seed=seed,
                                    n_random=1, max_iter=12, tol=1e-3).value
             for j, spec in enumerate(specs)]
-    fit = fit_scaling([(2.0 ** j) * eps for j in range(4)], vals,
-                      kind=ExponentKind.L2_RING, d=d, k=k)
-    return SlopeCheck(fit, RING_TOL)
+    return SlopeCheck(fit_scaling([(2.0 ** j) * eps for j in range(4)], vals),
+                      float(theoretical_exponent(ExponentKind.L2_RING, d, k)),
+                      RING_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +421,9 @@ def _a6_lower_bound_scaling() -> tuple[bool, str]:
                         for y in ys))
     normalized = [eps ** (k - d / 2.0) * v for eps, v in zip(eps_list, mins)]
     band = max(normalized) / min(normalized)
-    fit = fit_scaling(eps_list, mins)
-    dev = abs(fit.slope - (d / 2.0 - k))
-    ok = band <= 2.0 and dev <= 0.15
-    return ok, (f"normalized band ratio {band:.3f} (tol 2), slope "
-                f"{fit.slope:+.3f} vs +0.500 (dev {dev:.3f}, tol 0.15)")
+    slope = SlopeCheck(fit_scaling(eps_list, mins), d / 2.0 - k, 0.15)
+    return band <= 2.0 and slope.ok, (
+        f"normalized band ratio {band:.3f} (tol 2), {slope.detail}")
 
 
 def _a7_moment_bounds() -> tuple[bool, str]:

@@ -219,14 +219,18 @@ def _run_regions(cfg: ExperimentConfig,
     return verdicts
 
 
+def _one_scale(cfg: ExperimentConfig, what: str) -> float:
+    scales = parse_eps_range(cfg.params["eps"])
+    if len(scales) != 1:
+        raise ValueError(f"{what} takes one eps scale, got "
+                         f"{cfg.params['eps']!r} ({len(scales)} scales)")
+    return scales[0]
+
+
 def _run_symbols(cfg: ExperimentConfig,
                  rng: np.random.Generator) -> list[Verdict]:
     d, k = cfg.params["d"], cfg.params["k"]
-    scales = parse_eps_range(cfg.params["eps"])
-    if len(scales) != 1:
-        raise ValueError(f"symbols takes one eps scale, got "
-                         f"{cfg.params['eps']!r} ({len(scales)} scales)")
-    eps, = scales
+    eps = _one_scale(cfg, "symbols")
     n_pts = cfg.params["points"]
     worst, worst_im = acceptance.symbol_errors(d, k, eps, n_pts, rng)
     return [
@@ -282,13 +286,14 @@ def _run_normest(cfg: ExperimentConfig,
                          f"{sorted(_NORMEST_KINDS)}")
     family = _NORMEST_KINDS[kind_name]
     d, k = cfg.params["d"], cfg.params["k"]
-    eps_list = parse_eps_range(cfg.params["eps"])
     point = regions.ExponentPoint.parse(cfg.params["point"])
 
     if family is None:
-        check = acceptance.ring_fit(d, k, min(eps_list), cfg.seed)
+        check = acceptance.ring_fit(d, k, _one_scale(cfg, kind_name),
+                                    cfg.seed)
         label = "delta"
     else:
+        eps_list = parse_eps_range(cfg.params["eps"])
         try:
             check = acceptance.knapp_fit(family, d, k, eps_list, point)
         except acceptance.InsufficientOctaves as exc:
@@ -299,10 +304,10 @@ def _run_normest(cfg: ExperimentConfig,
         _write_csv(os.path.join(cfg.out_dir, cfg.out), cfg,
                    ("dimensionless", "operator-norm lower bound"),
                    (label, "value"), check.fit.pairs)
-    fit = check.fit
     return [Verdict.judge(
         f"normest-{kind_name}", check.ok, check.detail,
-        {"slope": fit.slope, "theory": fit.theory, "dev": check.dev})]
+        {"slope": check.fit.slope, "theory": check.theory,
+         "dev": check.dev})]
 
 
 def _run_lowerbound(cfg: ExperimentConfig,

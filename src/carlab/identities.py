@@ -683,43 +683,40 @@ def fractional_laplacian(values: np.ndarray, periods: Sequence[float],
     return np.fft.irfftn(coeffs, s=shape, axes=range(len(shape)))
 
 
-def kelvin_grid(d: int = 3, n: int = 128) -> GridField:
-    """Unmodulated isotropic box of period 5 for the inversion checks, the
-    box `inversion_bump` is sized for."""
-    return GridField(np.zeros((n,) * d, dtype=complex), (5.0,) * d,
-                     (0.0,) * d, in_space=True)
+#: period of the inversion checks' d = 3 lattices, the box `inversion_bump` fits
+KELVIN_PERIOD = 5.0
 
 
-def _lattice_radii(grid: GridField) -> tuple[np.ndarray, np.ndarray]:
-    """A cubic lattice's radius table ``r = sqrt(h^2 arange(d (n//2)^2 + 1))``
+def _lattice_radii(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n^3 lattice's radius table ``r = sqrt(h^2 arange(3 (n//2)^2 + 1))``
     and the sums ``K`` of each point's squared centred indices, so that the
-    point's radius is ``r[K]``; exact for `kelvin_grid`'s period 5."""
-    d, n, h = grid.d, grid.shape[0], grid.spacings[0]
+    point's radius is ``r[K]``; exact for the period `KELVIN_PERIOD`."""
+    h = KELVIN_PERIOD / n
     c = (np.arange(n) + n // 2) % n - n // 2
-    K = sum(np.meshgrid(*[c * c] * d, indexing="ij", sparse=True))
-    return np.sqrt(h * h * np.arange(d * (n // 2) ** 2 + 1)), K
+    K = sum(np.meshgrid(*[c * c] * 3, indexing="ij", sparse=True))
+    return np.sqrt(h * h * np.arange(3 * (n // 2) ** 2 + 1)), K
 
 
-def _kelvin_samples(u: CutoffSpec, s: float, grid: GridField,
+def _kelvin_samples(u: CutoffSpec, s: float, n: int,
                     support: tuple[float, float]
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The spectral side of `verify_kelvin` on one lattice, at its sample
-    points, and the points' radii.
+    """The spectral side of `verify_kelvin` on the n^3 lattice, at its
+    sample points, and the points' radii.
 
     ``T_s u`` is radial, so it is evaluated once per entry of the radius
     table (`_lattice_radii`) and gathered; the sample mask and the seed-0
     draw read the same table.  The full-size arrays live only inside this
     call, so none is held while the oracle runs.
     """
-    r, K = _lattice_radii(grid)
+    r, K = _lattice_radii(n)
     # The inversion transform is supported where 1/r lies in the profile's
     # annulus; outside a slightly padded version of that shell it is
     # exactly 0, so it is evaluated on the shell only.
     shell = (r >= 0.9 / support[1]) & (r <= 1.1 / support[0])
     t_tab = np.zeros(r.shape)
-    t_tab[shell] = (r[shell] ** (2.0 * s - grid.d)
+    t_tab[shell] = (r[shell] ** (2.0 * s - 3)
                     * np.asarray(u(1.0 / r[shell]), dtype=float))
-    lhs = fractional_laplacian(t_tab[K], grid.periods, s)
+    lhs = fractional_laplacian(t_tab[K], (KELVIN_PERIOD,) * 3, s)
 
     flat = np.flatnonzero(((r >= 0.7) & (r <= 1.4))[K])
     if flat.size == 0:
@@ -731,18 +728,16 @@ def _kelvin_samples(u: CutoffSpec, s: float, grid: GridField,
 
 
 def verify_kelvin(u: CutoffSpec, s: float,
-                  grids: Sequence[GridField]) -> list[PairingResult]:
+                  sizes: Sequence[int]) -> list[PairingResult]:
     """Compare ``(-Delta)^s T_s u`` with ``|x|^(-d-2s) ((-Delta)^s u) o inv``
-    on each lattice of ``grids``; one `PairingResult` per lattice.
+    on each n^3 lattice, n in ``sizes``; one `PairingResult` per lattice.
 
     ``u`` is a radial profile whose ``support`` is an annulus around 1 and
-    whose inversion transform fits inside every lattice's half-period (u
-    itself is never sampled, so its own outer radius is unconstrained).
-    The left side is computed on the real half-spectrum
-    (`fractional_laplacian`) from lattice samples of ``T_s u`` taken once
-    per radius, so every lattice must be unmodulated and cubic with one
-    spacing; any other is rejected before any sampling.  The right side,
-    at the lattice points with radius in [0.7, 1.4], needs
+    whose inversion transform fits inside the half-period (u itself is
+    never sampled, so its own outer radius is unconstrained).  The left
+    side is computed on the real half-spectrum (`fractional_laplacian`)
+    from lattice samples of ``T_s u`` taken once per radius.  The right
+    side, at the lattice points with radius in [0.7, 1.4], needs
     ``(-Delta)^s u`` at the off-lattice inverted radii.  For s = 1 it uses
     the exact radial Laplacian ``-(u'' + (d-1) u'/r)`` from the profile's
     derivatives.  Otherwise it uses the continuum radial-quadrature oracle
@@ -753,22 +748,15 @@ def verify_kelvin(u: CutoffSpec, s: float,
     way the right side never touches the grid transform, so this is a
     genuine two-route comparison, reported in relative L^2.
     """
-    d = grids[0].d
-    if any(grid.d != d for grid in grids):
-        raise ValueError("the lattices must share one dimension")
-    if any(any(g.freq_offsets) or len(set(g.shape)) > 1
-           or len(set(g.spacings)) > 1 for g in grids):
-        raise ValueError("each lattice must be unmodulated, and cubic with "
-                         "one spacing")
+    d = 3
     if not 0.0 < s < d:
         raise ValueError("need 0 < s < d")
     support = (max(u.support[0], 1e-9), u.support[1])
-    half = min(min(grid.periods) for grid in grids) / 2.0
     if not (0.0 < support[0] < support[1] < math.inf
-            and 1.0 / support[0] < half):
+            and 1.0 / support[0] < KELVIN_PERIOD / 2.0):
         raise ValueError("the profile's inversion transform (outer radius "
                          "1/support[0]) must fit inside the half-period")
-    samples = [_kelvin_samples(u, s, grid, support) for grid in grids]
+    samples = [_kelvin_samples(u, s, n, support) for n in sizes]
     r_all = np.concatenate([r_pts for _, r_pts in samples])
     inv_norm = 1.0 / r_all
     if s == 1.0:

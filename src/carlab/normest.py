@@ -77,8 +77,6 @@ class NormEstimate:
     """
 
     value: float
-    p: float
-    q: float
     iterations: int
     history: tuple[float, ...]
     aborted: bool = False
@@ -373,7 +371,7 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
         _to_lines(y, runs, lines)
         lines *= mkc
     best = max(history) if history else 0.0
-    return NormEstimate(value=best, p=p, q=q, iterations=len(history),
+    return NormEstimate(value=best, iterations=len(history),
                         history=tuple(history), aborted=aborted)
 
 
@@ -427,7 +425,7 @@ def estimate_operator_norm(grid: GridField, symbol, p: float, q: float, *,
         aborted = aborted or est.aborted
         if best is None or est.value > best.value:
             best = est
-    return NormEstimate(value=best.value, p=p, q=q, iterations=total_iter,
+    return NormEstimate(value=best.value, iterations=total_iter,
                         history=tuple(hist), aborted=aborted)
 
 
@@ -439,23 +437,17 @@ class ScalingFit:
     """Least-squares power law through (eps, value) measurements.
 
     The fit runs in base-2 logs: ``log2 value ~ slope * log2 eps +
-    intercept``.  ``max_residual`` is the worst absolute log2 deviation, and
-    ``theory`` the exact exponent the slope is compared against (NaN when no
-    kind was supplied).
+    intercept``; ``max_residual`` is the worst absolute log2 deviation.
+    `acceptance.SlopeCheck` holds the exponent a slope is judged against.
     """
 
     pairs: tuple[tuple[float, float], ...]
     slope: float
-    intercept: float
     max_residual: float
-    theory: float
-    kind: ExponentKind | None = None
 
 
-def fit_scaling(eps_values: Sequence[float], values: Sequence[float], *,
-                kind: ExponentKind | None = None, d: int | None = None,
-                k: int | None = None,
-                point: ExponentPoint | None = None) -> ScalingFit:
+def fit_scaling(eps_values: Sequence[float],
+                values: Sequence[float]) -> ScalingFit:
     eps_arr = np.asarray(eps_values, dtype=float)
     val_arr = np.asarray(values, dtype=float)
     if eps_arr.shape != val_arr.shape or eps_arr.size < 2:
@@ -468,10 +460,6 @@ def fit_scaling(eps_values: Sequence[float], values: Sequence[float], *,
     ly = np.log2(val_arr)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
-    theory = np.nan
-    if kind is not None:
-        theory = float(theoretical_exponent(kind, d, k, point))
     return ScalingFit(pairs=tuple(zip(eps_arr.tolist(), val_arr.tolist())),
-                      slope=float(slope), intercept=float(intercept),
-                      max_residual=float(np.max(np.abs(resid))),
-                      theory=theory, kind=kind)
+                      slope=float(slope),
+                      max_residual=float(np.max(np.abs(resid))))

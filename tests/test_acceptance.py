@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they land; each test prints ``<id> PASS/FAIL/SKIP: <detail>`` and asserts
 that the verdict is a pass.
 """
+import re
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,20 @@ def test_knapp_fit_rejects_a_bad_scale_before_any_witness(monkeypatch):
     scales = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 3.0 * 2.0 ** -8]
     for family in ("tilde", "eps"):
         with pytest.raises(ValueError, match="dyadic eps"):
+            knapp_fit(family, 3, 1, scales, point)
+    assert built == []
+
+
+@pytest.mark.parametrize("x, y", [("3/4", "0"), ("1", "1/4"),
+                                  ("0", "1/4"), ("3/4", "1")])
+def test_knapp_fit_rejects_a_bad_point_before_any_witness(monkeypatch, x, y):
+    built = []
+    monkeypatch.setattr(acceptance, "knapp_witness",
+                        lambda *args, **kw: built.append(args))
+    point = ExponentPoint(Fraction(x), Fraction(y))
+    scales = [2.0 ** -m for m in range(3, 7)]
+    for family in ("tilde", "eps"):
+        with pytest.raises(ValueError, match=re.escape(f"point {point} ")):
             knapp_fit(family, 3, 1, scales, point)
     assert built == []
 

@@ -249,12 +249,26 @@ def test_normest_rejects_a_ring_dimension_before_any_lattice(tmp_path,
     built = []
     monkeypatch.setattr(acceptance, "ring_grid", lambda *a: built.append(a))
     rc = main(["--out-dir", str(tmp_path), "normest", "--kind", "l2_ring",
-               "--d", "5"])
+               "--d", "5", "--eps", "2^-6"])
     report = json.loads((tmp_path / "normest_report.json").read_text())
     assert rc != 0 and built == []
     (verdict,) = report["verdicts"]
     assert verdict["status"] == "fail"
     assert "d = 5" in verdict["detail"]
+
+
+def test_normest_refuses_ring_scale_ranges_before_any_lattice(tmp_path,
+                                                              monkeypatch):
+    built = []
+    monkeypatch.setattr(acceptance, "ring_grid", lambda *a: built.append(a))
+    for eps in ("2^-3..2^-6", "2^-5,2^-6"):
+        report = run(ExperimentConfig.from_mapping(
+            {"experiment": "normest", "kind": "l2_ring", "eps": eps,
+             "out_dir": str(tmp_path)}))
+        verdict, = report.verdicts
+        assert verdict.id == "normest-error" and verdict.status == "fail"
+        assert "one eps scale" in verdict.detail
+    assert built == []
 
 
 def test_normest_rejects_an_oversized_witness_before_allocating_it(

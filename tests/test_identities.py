@@ -5,10 +5,9 @@ import pytest
 import carlab.identities as identities
 from carlab import acceptance
 from carlab.bump import CustomCutoff, inversion_bump
-from carlab.identities import (CustomTest, PolyGauss, RadialPower,
-                               _period_breakpoints, _sinc_panels,
+from carlab.identities import (KELVIN_PERIOD, CustomTest, PolyGauss,
+                               RadialPower, _period_breakpoints, _sinc_panels,
                                eval_field_at_points, fractional_laplacian,
-                               kelvin_grid,
                                pair_pullback,
                                radial_fractional_at, sphere_area,
                                sphere_integral, sphere_nodes,
@@ -171,6 +170,12 @@ def test_counter_identities_third_order_d5():
 # inversion transform
 
 
+def _kelvin_lattice(n):
+    """The n^3 lattice `verify_kelvin` samples, as a `GridField`."""
+    return GridField(np.zeros((n,) * 3, dtype=complex), (KELVIN_PERIOD,) * 3,
+                     (0.0,) * 3, in_space=True)
+
+
 def _centered_radii(grid):
     """Each point's distance from the origin through its centred
     coordinates, the radii `_lattice_radii` tabulates."""
@@ -212,7 +217,7 @@ def _kelvin_oracle(u, s, grid):
 
 
 def test_fractional_laplacian_single_mode():
-    g = kelvin_grid(3, 32)
+    g = _kelvin_lattice(32)
     xi = [ax[i] for ax, i in zip(g.freq_axes(), (2, 1, 3))]
     x = np.meshgrid(*[g.spacings[0] * np.arange(32)] * 3, indexing="ij",
                     sparse=True)
@@ -225,7 +230,7 @@ def test_fractional_laplacian_single_mode():
 @pytest.mark.parametrize("n", [32, 64])
 @pytest.mark.parametrize("s", [0.75, 1.0, 1.25])
 def test_fractional_laplacian_matches_the_complex_route(n, s):
-    g = kelvin_grid(3, n)
+    g = _kelvin_lattice(n)
     r = _centered_radii(g)
     for field in (np.exp(-4.0 * r * r), _kelvin_oracle(inversion_bump(s), s,
                                                        g)[0]):
@@ -235,9 +240,10 @@ def test_fractional_laplacian_matches_the_complex_route(n, s):
 
 
 def test_lattice_radii_match_the_centred_coordinates():
-    for g in (kelvin_grid(3, 64), kelvin_grid(3, 128), kelvin_grid(2, 32)):
-        r, K = identities._lattice_radii(g)
-        np.testing.assert_array_equal(r[K], _centered_radii(g))
+    for n in (64, 128):
+        r, K = identities._lattice_radii(n)
+        np.testing.assert_array_equal(r[K],
+                                      _centered_radii(_kelvin_lattice(n)))
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -246,7 +252,7 @@ def test_kelvin_samples_match_the_pointwise_route(monkeypatch, n, s):
     # T_s u, the sampled index set and its radii are bit-identical to
     # evaluating every point on its own; the transform is swapped for one
     # that reads out each point's flat index
-    u, g = inversion_bump(s), kelvin_grid(3, n)
+    u, g = inversion_bump(s), _kelvin_lattice(n)
     seen = []
 
     def flat_index(values, periods, s):
@@ -254,7 +260,7 @@ def test_kelvin_samples_match_the_pointwise_route(monkeypatch, n, s):
         return np.arange(values.size, dtype=float).reshape(values.shape)
 
     monkeypatch.setattr(identities, "fractional_laplacian", flat_index)
-    picked, radii = identities._kelvin_samples(u, s, g, u.support)
+    picked, radii = identities._kelvin_samples(u, s, n, u.support)
     t_vals, flat, r_pts = _kelvin_oracle(u, s, g)
     np.testing.assert_array_equal(seen[0], t_vals)
     np.testing.assert_array_equal(picked, flat)
@@ -262,7 +268,7 @@ def test_kelvin_samples_match_the_pointwise_route(monkeypatch, n, s):
 
 
 def test_kelvin_samples_evaluate_the_profile_once_per_radius():
-    u, g = inversion_bump(1.25), kelvin_grid(3, 64)
+    u = inversion_bump(1.25)
     sizes = []
 
     class Spy(type(u)):
@@ -271,25 +277,23 @@ def test_kelvin_samples_evaluate_the_profile_once_per_radius():
             return super().jet(t, m)
 
     spy = Spy(u.base, u.power)
-    identities._kelvin_samples(spy, 1.25, g, spy.support)
+    identities._kelvin_samples(spy, 1.25, 64, spy.support)
     assert 0 < sum(sizes) <= 3 * 32 ** 2 + 1
 
 
 def test_kelvin_identity_classical_laplacian():
-    res, = verify_kelvin(inversion_bump(1.0), 1.0, (kelvin_grid(3, 128),))
+    res, = verify_kelvin(inversion_bump(1.0), 1.0, (128,))
     assert res.rel_err <= 1e-3
 
 
 def test_kelvin_identity_fractional():
-    res, = verify_kelvin(inversion_bump(1.25), 1.25,
-                         (kelvin_grid(3, 128),))
+    res, = verify_kelvin(inversion_bump(1.25), 1.25, (128,))
     assert res.rel_err <= 1e-2
 
 
 def test_kelvin_error_halves_under_resolution_doubling():
     u = inversion_bump(1.0)
-    coarse, fine = verify_kelvin(u, 1.0, (kelvin_grid(3, 64),
-                                          kelvin_grid(3, 128)))
+    coarse, fine = verify_kelvin(u, 1.0, (64, 128))
     assert coarse.rel_err / fine.rel_err >= 2.0
 
 
@@ -308,11 +312,11 @@ def test_kelvin_over_two_lattices_matches_one_lattice_calls(monkeypatch):
     # one oracle call over both lattices' inverted radii: each lattice keeps
     # its own 400 points, and its error moves only by how the union refines
     u = inversion_bump(1.25)
-    grids = (kelvin_grid(3, 32), kelvin_grid(3, 64))
+    sizes = (32, 64)
     calls = []
     _recording_oracle(monkeypatch, calls, radial_fractional_at)
-    both = verify_kelvin(u, 1.25, grids)
-    singles = [verify_kelvin(u, 1.25, (g,))[0] for g in grids]
+    both = verify_kelvin(u, 1.25, sizes)
+    singles = [verify_kelvin(u, 1.25, (n,))[0] for n in sizes]
     assert len(calls) == 3 and [r.size for r in calls] == [800, 400, 400]
     np.testing.assert_array_equal(calls[0], np.concatenate(calls[1:]))
     for pair, one in zip(both, singles):
@@ -327,37 +331,6 @@ def test_kelvin_checks_call_the_oracle_once_per_fractional_order(
     checks = acceptance.kelvin_checks()
     assert [c.s for c in checks] == [1.0, 1.25]
     assert len(calls) == 1 and calls[0].size == 800
-
-
-def test_kelvin_rejects_lattices_of_mixed_dimension():
-    with pytest.raises(ValueError, match="one dimension"):
-        verify_kelvin(inversion_bump(1.25), 1.25,
-                      (kelvin_grid(3, 32), kelvin_grid(2, 32)))
-
-
-def _no_sampling(monkeypatch):
-    def fail(*args):
-        raise AssertionError("sampled a rejected lattice")
-    monkeypatch.setattr(identities, "_kelvin_samples", fail)
-    monkeypatch.setattr(identities, "radial_fractional_at", fail)
-
-
-def test_kelvin_rejects_a_modulated_lattice(monkeypatch):
-    _no_sampling(monkeypatch)
-    modulated = GridField(np.zeros((32,) * 3), (5.0,) * 3, (0.0, 0.1, 0.0))
-    with pytest.raises(ValueError, match="unmodulated"):
-        verify_kelvin(inversion_bump(1.25), 1.25,
-                      (kelvin_grid(3, 32), modulated))
-
-
-@pytest.mark.parametrize("shape, periods", [((32, 32, 16), (5.0,) * 3),
-                                            ((32,) * 3, (5.0, 5.0, 6.0))])
-def test_kelvin_rejects_a_lattice_with_two_spacings(monkeypatch, shape,
-                                                    periods):
-    _no_sampling(monkeypatch)
-    grid = GridField(np.zeros(shape), periods, (0.0,) * 3)
-    with pytest.raises(ValueError, match="cubic with one spacing"):
-        verify_kelvin(inversion_bump(1.25), 1.25, (grid,))
 
 
 def _sinc_exact_argument(rho, t, base):

@@ -1,5 +1,5 @@
 """Every top-level name and public method in ``src/carlab`` has a reader,
-and every setting has a caller that sets it.
+every record field is read, and every setting has a caller that sets it.
 
 A module-level function, class or constant is kept only when another
 definition in the package refers to it, or when the benchmark's tracer
@@ -9,7 +9,9 @@ its own, or a file under ``bench/``, reads its name, or when the tracer
 wraps it.  A name that nothing reads is dead code: delete it, or give it a
 caller.  Likewise a defaulted parameter, or a defaulted dataclass field,
 that no call in the package or under ``bench/`` passes is a setting only
-tests set: make it a constant, or delete it.
+tests set: make it a constant, or delete it.  And a field of a dataclass or
+``NamedTuple`` that no file under ``src/``, ``bench/`` or ``tests/`` reads
+as an attribute is stored for nobody: delete it.
 """
 import ast
 import importlib.util
@@ -102,6 +104,40 @@ def test_every_public_method_has_a_reader():
         and not any(node.name in names for unit, names in units
                     if unit is not node))
     assert not dead, f"public methods nothing reads: {dead}"
+
+
+# Record fields kept without a reader: the two routes' second value and
+# their distance, beside which ROADMAP item 7 puts the quadrature error.
+_KEEP_FIELDS = {"PairingResult.rhs", "PairingResult.abs_err"}
+
+
+def _is_named_tuple(node: ast.ClassDef) -> bool:
+    return any(isinstance(b, ast.Name) and b.id == "NamedTuple"
+               for b in node.bases)
+
+
+def test_every_record_field_is_read():
+    fields = []    # Class.field of each dataclass and NamedTuple in src
+    for path in sorted(_SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.ClassDef) and (_is_dataclass(stmt)
+                                                   or _is_named_tuple(stmt)):
+                fields.extend(f"{stmt.name}.{item.target.id}"
+                              for item in stmt.body
+                              if isinstance(item, ast.AnnAssign)
+                              and isinstance(item.target, ast.Name))
+    attrs = set()
+    for path in sorted(_SRC.glob("*.py")) + sorted(_BENCH.glob("*.py")) \
+            + sorted((_ROOT / "tests").glob("*.py")):
+        attrs |= {node.attr for node in ast.walk(ast.parse(
+            path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    stale = _KEEP_FIELDS - set(fields)
+    assert not stale, f"kept fields that no longer exist: {stale}"
+    unread = sorted(f for f in fields if f not in _KEEP_FIELDS
+                    and f.split(".")[1] not in attrs)
+    assert not unread, f"record fields nothing reads: {unread}"
 
 
 # Defaulted settings kept without a caller that sets them, with the reason.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlab.acceptance import knapp_witness, ring_grid
+from carlab.acceptance import KNAPP_TOL, SlopeCheck, knapp_witness, ring_grid
 from carlab.normest import (_BLOCK, ExponentKind, NormEstimate, _live_lines,
                             _q_pass, certified_lower_bound, dualize,
                             estimate_operator_norm, fit_scaling, power_method,
@@ -356,7 +356,7 @@ def _power_method_oracle(init, symbol, q, *, max_iter=24, tol=1e-4):
         u = g.with_values(_dualize_reference(g.values, q),
                           in_space=True).to_freq()
         fvals = mc * u.values
-    return NormEstimate(value=max(history) if history else 0.0, p=2.0, q=q,
+    return NormEstimate(value=max(history) if history else 0.0,
                         iterations=len(history), history=tuple(history),
                         aborted=aborted)
 
@@ -623,7 +623,6 @@ def test_exact_power_law_recovered():
     fit = fit_scaling(eps, vals)
     assert fit.slope == pytest.approx(0.75, abs=1e-12)
     assert fit.max_residual <= 1e-12
-    assert np.isnan(fit.theory)  # no kind requested, nothing to compare
 
 
 def test_noisy_fixture_within_tolerance():
@@ -635,13 +634,20 @@ def test_noisy_fixture_within_tolerance():
     assert abs(fit.slope - 1.0 / 3.0) <= 0.02
 
 
-def test_theory_attached_when_kind_given():
+def test_one_fit_is_judged_against_the_exponent_each_check_names():
+    # below T_KD's top edge at (d, k) = (5, 2) the Knapp and upper
+    # exponents part: 9/20 against 1/5, further apart than the tolerance
     eps = [2.0 ** -m for m in range(3, 7)]
-    vals = [e ** -0.25 for e in eps]
-    fit = fit_scaling(eps, vals, kind=ExponentKind.TILDE_KNAPP, d=3, k=1,
-                      point=pt("3/4", "1/4"))
-    assert fit.theory == pytest.approx(-0.25)
-    assert fit.kind is ExponentKind.TILDE_KNAPP
+    fit = fit_scaling(eps, [e ** 0.45 for e in eps])
+    point = pt("3/4", "1/20")
+    knapp, upper = (float(theoretical_exponent(kind, 5, 2, point))
+                    for kind in (ExponentKind.ME_KNAPP, ExponentKind.ME_UPPER))
+    assert (knapp, upper) == (0.45, 0.2)
+    at_knapp = SlopeCheck(fit, knapp, KNAPP_TOL)
+    at_upper = SlopeCheck(fit, upper, KNAPP_TOL)
+    assert at_knapp.ok and at_knapp.dev <= 1e-12
+    assert not at_upper.ok and at_upper.dev == pytest.approx(0.25)
+    assert "vs theory +0.2000" in at_upper.detail
 
 
 def test_degenerate_abscissae_rejected():
