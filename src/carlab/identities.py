@@ -24,7 +24,8 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from .bump import CutoffSpec, Psi0Cutoff, psi
-from .quadrature import QuadratureError, gauss_kronrod_batch, panel_offsets
+from .quadrature import (QuadratureError, gauss_kronrod_batch, leggauss,
+                         panel_offsets)
 from .spectral import GridField
 
 
@@ -206,7 +207,7 @@ def sphere_nodes(n: int, level: int = 12) -> tuple[np.ndarray, np.ndarray]:
         pts = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         return pts, np.full(m, 2.0 * np.pi / m)
     if n == 3:
-        u, wu = np.polynomial.legendre.leggauss(level)       # u = cos(polar)
+        u, wu = leggauss(level)  # u = cos(polar)
         m = 2 * level
         ang = 2.0 * np.pi * np.arange(m) / m
         su = np.sqrt(1.0 - u ** 2)
@@ -217,10 +218,10 @@ def sphere_nodes(n: int, level: int = 12) -> tuple[np.ndarray, np.ndarray]:
         w = (wu[:, None] * np.full(m, 2.0 * np.pi / m)[None, :]).ravel()
         return pts, w
     if n == 4:
-        t, wt = np.polynomial.legendre.leggauss(level)
+        t, wt = leggauss(level)
         chi = 0.5 * np.pi * (t + 1.0)                        # [0, pi]
         wchi = wt * (0.5 * np.pi) * np.sin(chi) ** 2
-        u, wu = np.polynomial.legendre.leggauss(level)       # u = cos(theta)
+        u, wu = leggauss(level)  # u = cos(theta)
         m = 2 * level
         ang = 2.0 * np.pi * np.arange(m) / m
         wphi = np.full(m, 2.0 * np.pi / m)

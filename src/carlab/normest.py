@@ -13,6 +13,7 @@ floating-point noise of their own.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -189,101 +190,79 @@ def _hull_to_space(coef: np.ndarray, index: Sequence[np.ndarray],
 
 
 def _live_lines(m: np.ndarray, nonzero: np.ndarray
-                ) -> tuple[int, list, list, np.ndarray]:
+                ) -> tuple[int, np.ndarray, np.ndarray]:
     """The axis along which ``m`` leaves the most lines empty, and its lines.
 
     ``nonzero`` is the mask ``m != 0``, which callers that need it too
     build once.
 
     Lines along ``axis`` are numbered in the C order of the other axes.
-    Returns ``(axis, runs, gaps, mk)``: ``runs`` are the maximal ranges
-    ``(start, stop, offset)`` of consecutive lines that carry a nonzero
-    sample, ``offset`` being where the range starts in the compact array;
-    ``gaps`` are the ``(start, stop)`` ranges between them; ``mk`` is ``m``
-    on the live lines, a contiguous ``(n_axis, K)`` array.  Ties go to the
-    lowest axis.
+    Returns ``(axis, live, mk)``: ``live`` holds the ascending numbers of
+    the lines that carry a nonzero sample, and ``mk`` is ``m`` on them, a
+    contiguous ``(n_axis, K)`` array (`_on_lines`).  Ties go to the lowest
+    axis.
     """
     live_masks = [np.any(nonzero, axis=a) for a in range(m.ndim)]
     axis = int(np.argmin([mask.mean() for mask in live_masks]))
-    n_axis = m.shape[axis]
-    is_live = live_masks[axis].reshape(-1)
-    edges = np.diff(is_live.astype(np.int8), prepend=0, append=0)
-    starts = np.flatnonzero(edges > 0).tolist()
-    stops = np.flatnonzero(edges < 0).tolist()
-    offsets = np.cumsum([0] + [b - a for a, b in zip(starts, stops)]).tolist()
-    runs = list(zip(starts, stops, offsets))
-    gaps = [(a, b) for a, b in zip([0] + stops, starts + [is_live.size])
-            if b > a]
-    # the lines are the rows of m with the axis moved last: a view when it
-    # is last already, as on every ring
-    rows = np.moveaxis(m, axis, -1).reshape(-1, n_axis)
-    mk = np.ascontiguousarray(rows[np.flatnonzero(is_live)].T)
-    return axis, runs, gaps, mk
+    live = np.flatnonzero(live_masks[axis])
+    return axis, live, _on_lines(m, axis, live)
 
 
-def _gather(buf: np.ndarray, runs: list, lines: np.ndarray) -> None:
-    """Copy the live lines of ``buf`` into the compact ``lines``."""
-    flat = buf.reshape(buf.shape[0], -1)
-    for a, b, o in runs:
-        lines[:, o:o + b - a] = flat[:, a:b]
+def _on_lines(values: np.ndarray, axis: int, live: np.ndarray) -> np.ndarray:
+    """``values`` on the lines along ``axis`` numbered ``live``, as a
+    contiguous ``(n_axis, K)`` array, without a copy of ``values``."""
+    # a trailing unit axis gives a 1-d lattice its one line
+    moved = np.moveaxis(values, axis, 0)[..., np.newaxis]
+    return np.ascontiguousarray(
+        moved[(slice(None),) + np.unravel_index(live, moved.shape[1:])])
 
 
-def _to_lines(buf: np.ndarray, runs: list, lines: np.ndarray) -> None:
-    """``lines = fftn(buf)`` on the live lines; ``buf`` is overwritten.
+#: complex elements per block of cross-sections in `_space_pass`: a block
+#: and its float scratch stay in cache; it holds one cross-section at least
+_BLOCK = 2 ** 12
 
-    ``buf`` holds the pruned axis first; ``runs`` come from `_live_lines`,
-    and ``lines`` is complex scratch of the compact shape ``(n_axis, K)``.
-    The other axes are transformed on the whole array, the first axis on
-    the gathered live lines alone.
+
+def _space_pass(lines: np.ndarray, live: np.ndarray,
+                others: tuple[int, ...], q: float, pull_back: bool) -> float:
+    """``sum |g|^q`` for ``g`` the space side of ``lines``; on the way
+    ``g *= |g|^(q-2)``, its dual, whose live lines replace ``lines`` with
+    ``pull_back``.
+
+    ``lines`` is ``(n_axis, K)``, already inverse-transformed along the
+    pruned axis; ``live`` numbers its columns among the lines of a
+    cross-section of shape ``others``.  Per block of cross-sections, while
+    it is in cache: zero it, scatter its live entries, ``ifftn`` the other
+    axes in place, then with float scratch ``sq = |g|^2``, ``w =
+    sq^((q-2)/2)`` (zeros stay zero for q < 2), ``g *= w`` and the sum
+    gets ``sum(sq * w)``; with ``pull_back``, ``fftn`` and gather back.
     """
-    np.fft.fftn(buf, axes=tuple(range(1, buf.ndim)), out=buf)
-    _gather(buf, runs, lines)
-    np.fft.fft(lines, axis=0, out=lines)
-
-
-def _from_lines(lines: np.ndarray, buf: np.ndarray, runs: list,
-                gaps: list) -> None:
-    """``buf = ifftn`` of ``lines`` put back on their lines, every other
-    line zero; ``lines`` is overwritten.  The inverse of `_to_lines` on
-    arrays that vanish off the live lines, such as ``m`` times anything:
-    the multiplier is exactly 0 on every other line.
-    """
-    np.fft.ifft(lines, axis=0, out=lines)
-    flat = buf.reshape(buf.shape[0], -1)
-    for a, b in gaps:
-        flat[:, a:b] = 0.0
-    for a, b, o in runs:
-        flat[:, a:b] = lines[:, o:o + b - a]
-    np.fft.ifftn(buf, axes=tuple(range(1, buf.ndim)), out=buf)
-
-
-#: elements of the flat iterate per block of `_q_pass`; its float scratch is
-#: two blocks, which stay in cache
-_BLOCK = 2 ** 15
-
-
-def _q_pass(g: np.ndarray, q: float) -> float:
-    """``sum |g|^q``; on the way ``g *= |g|^(q-2)`` in place, its dual.
-
-    One fused pass over blocks of the flat ``g``, which must be
-    C-contiguous, with block-sized float scratch: per block ``sq = |g|^2``
-    and ``w = sq^((q-2)/2)`` (a plain square at q = 6; zeros stay zero for
-    q < 2), then ``g *= w``, and the block adds ``sum(sq * w)``.
-    """
-    flat = g.reshape(-1)
-    sq = np.empty(min(_BLOCK, flat.size))
+    n_axis = lines.shape[0]
+    b = min(n_axis, max(1, _BLOCK // math.prod(others)))
+    buf = np.empty((b,) + others, complex)
+    sq = np.empty(buf.size)
     w = np.empty_like(sq)
+    axes = tuple(range(1, buf.ndim))
     total = 0.0
-    for a in range(0, flat.size, _BLOCK):
-        gb = flat[a:a + _BLOCK]
-        s, wb = sq[:gb.size], w[:gb.size]
-        np.abs(gb, out=s)
+    for t in range(0, n_axis, b):
+        rows = lines[t:t + b]
+        block = buf[:len(rows)]
+        flat = block.reshape(len(rows), -1)
+        flat.fill(0.0)
+        flat[:, live] = rows
+        np.fft.ifftn(block, axes=axes, out=block)
+        g = block.reshape(-1)
+        s, wb = sq[:g.size], w[:g.size]
+        np.abs(g, out=s)
         s *= s
         np.copyto(wb, s)
         _power_in_place(wb, 0.5 * q - 1.0)
-        gb *= wb
+        for part in (g.real, g.imag):  # g *= wb would cast wb in a buffer
+            part *= wb
         s *= wb
         total += np.sum(s)
+        if pull_back:
+            np.fft.fftn(block, axes=axes, out=block)
+            np.take(flat, live, axis=1, out=rows)
     return float(total)
 
 
@@ -306,24 +285,21 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
     ``fftn`` and ``ifftn``, and it enters each norm only as the factor
     ``cell_volume ** (1/r)``.
 
-    Arrays are held with the axis along which ``m`` leaves the most lines
-    empty moved first (`_live_lines`); on A8's rings 3% of the tau-lines
-    are live.  The multiplier acts on the compact array of the live lines
-    of ``fftn(y)``: `_to_lines` transforms the other axes on the whole
-    array and that axis on the live lines only, `_from_lines` is its
-    inverse.  The q-side norm and the dualization are one blocked pass,
-    `_q_pass`, with scratch of a block's size.
-
     The L^2 dualization is the identity, so between steps the iterate
-    stays on the frequency side, as those lines, and never returns to
-    space.  Its norm is Parseval's ``||f||_2^2 = cell_volume / N * sum
+    stays on the frequency side, as the compact array of its lines along
+    the axis where ``m`` leaves the most lines empty (`_live_lines`); on
+    A8's rings 3% of the tau-lines are live.  A step transforms that axis
+    on the live lines alone, around `_space_pass`, which runs the other
+    axes, the q-side norm and the dualization one block of cross-sections
+    at a time.  The ``max_iter``-th quotient's pass skips the pull-back; a
+    stagnating run learns that it stops only after its pass.
+
+    The iterate's norm is Parseval's ``||f||_2^2 = cell_volume / N * sum
     |fftn(y)|^2`` over the ``N`` samples, taken over the whole start ``F``
-    on the first step because a start may carry mass on lines where ``m``
-    vanishes.  The start's live lines are gathered from ``F`` itself (rows
-    of it when the pruned axis is the last), so the run holds one
-    full-size array of its own, the work buffer each step transforms in
-    place.  A step is one inverse and one forward pass: two full-size
-    transforms.
+    on the first step, one first-axis slice at a time, because a start may
+    carry mass on lines where ``m`` vanishes.  The start's live lines are
+    gathered from ``F`` itself (`_on_lines`), so from a frequency start the
+    run holds no full-size array of its own, only a block and its scratch.
 
     ``_live`` is for `estimate_operator_norm`, which passes the
     `_live_lines` of its sampled symbol so that restarts on one lattice
@@ -334,20 +310,18 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
         m = sample_symbol(init, symbol)
         _live = _live_lines(m, m != 0)
         del m
-    axis, runs, gaps, mk = _live
+    axis, live, mk = _live
     mkc = np.conj(mk)
-    lines = np.empty(mk.shape, complex)
     F = init.to_freq()
     cell = F.cell_volume
-    start = np.moveaxis(F.values, axis, 0)
-    shape = start.shape
+    others = F.shape[:axis] + F.shape[axis + 1:]
     # Parseval on the whole start; afterwards on the lines
-    cell_per_n = cell / start.size
-    nf = sample_lp_norm(F.values, 2.0, cell_per_n) / cell
-    _gather(start, runs, lines)
+    cell_per_n = cell / F.values.size
+    nf = (sum(np.sum(np.abs(x) ** 2) for x in F.values)
+          * cell_per_n) ** 0.5 / cell
+    lines = _on_lines(F.values, axis, live)
     lines /= cell
-    del F, start  # a space-side start's coefficients go before the buffer
-    y = np.empty(shape, complex)  # the first _from_lines fills it
+    del F  # a space-side start's coefficients go before the first pass
     history: list[float] = []
     aborted = False
     for step in range(max_iter):
@@ -358,17 +332,19 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
             break
         lines *= mk
         lines *= 1.0 / nf
-        _from_lines(lines, y, runs, gaps)
-        s = float((_q_pass(y, q) * cell) ** (1.0 / q))
+        np.fft.ifft(lines, axis=0, out=lines)
+        last = step == max_iter - 1
+        s = float((_space_pass(lines, live, others, q, not last) * cell)
+                  ** (1.0 / q))
         if not np.isfinite(s):
             aborted = True
             break
         history.append(s)
         stalled = (len(history) > 1
                    and abs(history[-1] - history[-2]) <= tol * s)
-        if stalled or step == max_iter - 1:
+        if stalled or last:
             break
-        _to_lines(y, runs, lines)
+        np.fft.fft(lines, axis=0, out=lines)
         lines *= mkc
     best = max(history) if history else 0.0
     return NormEstimate(value=best, iterations=len(history),
@@ -386,10 +362,11 @@ def estimate_operator_norm(grid: GridField, symbol, p: float, q: float, *,
     natural L^2 maximiser, a strong generic start), then ``n_random``
     complex Gaussian fields supported where the symbol is nonzero, drawn
     from one seeded Philox stream, real parts first, into one complex
-    array.  The sampled symbol is dropped once its support, its
-    `_live_lines` and the first start are built: the runs need nothing
-    else of it.  Each start is built just before its run and dropped after
-    it, so at most one full-size start is alive at a time.
+    array.  The symbol start is the sampled symbol conjugated in place,
+    or into a copy when it is the caller's precomputed array, once its
+    support and its `_live_lines` are built.  Each start is built just
+    before its run and dropped after it, so at most one full-size start is
+    alive at a time.
     """
     _check_power_exponents(p, q)
     m = sample_symbol(grid, symbol)
@@ -414,7 +391,9 @@ def estimate_operator_norm(grid: GridField, symbol, p: float, q: float, *,
     total_iter = 0
     aborted = False
     live = _live_lines(m, support)
-    restarts = starts(grid.with_values(np.conj(m), in_space=False))
+    own = m is not symbol and m.flags.writeable
+    restarts = starts(grid.with_values(np.conjugate(m, out=m if own else None),
+                                       in_space=False))
     del m  # the runs need its live lines and support only
     for f0 in restarts:
         est = power_method(f0, symbol, p, q, max_iter=max_iter, tol=tol,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # 15-point Kronrod extension of 7-point Gauss, nonnegative abscissae
@@ -116,8 +118,17 @@ def gauss_kronrod_batch(f, a: float, b: float, abs_tol: float = 1e-10,
     return vals.sum(axis=-1), errs.sum(axis=-1)
 
 
+@functools.cache
+def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.polynomial.legendre.leggauss(n)``, built once per process
+    (an eigenvalue solve and a Newton step); read-only, being shared."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_rule(n: int, a: float, b: float):
     """Nodes and weights of the n-point Gauss-Legendre rule on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w

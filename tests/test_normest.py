@@ -1,5 +1,6 @@
 """Operator-norm lower bounds, power iteration, scaling fits."""
 import hashlib
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from carlab.acceptance import KNAPP_TOL, SlopeCheck, knapp_witness, ring_grid
 from carlab.normest import (_BLOCK, ExponentKind, NormEstimate, _live_lines,
-                            _q_pass, certified_lower_bound, dualize,
+                            _space_pass, certified_lower_bound, dualize,
                             estimate_operator_norm, fit_scaling, power_method,
                             theoretical_exponent)
 from carlab.regions import ExponentPoint
@@ -411,20 +412,14 @@ def _starts(grid, spec):
 def test_the_emptiest_axis_is_pruned_to_its_nonzero_lines(case, axis, n_live):
     grid, spec = _ORACLE_CASES[case]
     m = sample_symbol(grid, spec)
-    got_axis, runs, gaps, mk = _live_lines(m, m != 0)
+    got_axis, live, mk = _live_lines(m, m != 0)
     lines = np.moveaxis(m, axis, 0).reshape(m.shape[axis], -1)
-    kind = np.zeros(lines.shape[1], int)
-    for a, b, _ in runs:
-        kind[a:b] += 1
-    for a, b in gaps:
-        kind[a:b] += 2
-    assert set(kind.tolist()) <= {1, 2}  # runs and gaps partition the lines
-    live = np.flatnonzero(kind == 1)
     assert (got_axis, live.size) == (axis, n_live)
-    assert np.all(lines[:, kind == 2] == 0)
+    assert np.all(np.diff(live) > 0)  # ascending line numbers
+    dead = np.setdiff1d(np.arange(lines.shape[1]), live)
+    assert np.all(lines[:, dead] == 0)
     assert np.all(np.any(lines[:, live] != 0, axis=0))
-    assert [o for _, _, o in runs] == \
-        np.cumsum([0] + [b - a for a, b, _ in runs])[:-1].tolist()
+    assert mk.flags.c_contiguous
     np.testing.assert_array_equal(mk, lines[:, live])
 
 
@@ -476,41 +471,59 @@ def test_power_method_matches_the_grid_field_oracle(case, p, q):
                                    atol=0.0, err_msg=name)
 
 
-@pytest.mark.parametrize("case", ["ring_j0", "half_cell"])
-def test_power_method_at_p2_makes_two_full_size_transforms_per_step(
+# lattices of several blocks of cross-sections, pruned along a last and a
+# first axis
+_BLOCKED_CASES = {
+    "ring_j0": _ORACLE_CASES["ring_j0"],
+    "half_cell": (default_grid(2, 128, for_full_symbol=True),
+                  SymbolSpec("full", 2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCKED_CASES))
+def test_power_method_at_p2_makes_no_full_size_transform_from_a_frequency_start(
         case, monkeypatch):
-    # at p = 2 the iterate stays on the frequency side between steps
-    grid, spec = _ORACLE_CASES[case]
+    # at p = 2 the iterate stays on the frequency side between steps, and a
+    # step transforms blocks of cross-sections, so only a space-side start's
+    # own forward transform sees the whole lattice
+    grid, spec = _BLOCKED_CASES[case]
     calls = []
     for name in ("fftn", "ifftn"):
         def counted(a, *args, _fn=getattr(np.fft, name), **kwargs):
             calls.append(np.size(a) == grid.values.size)
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    for init in _starts(grid, spec).values():
+    for name, init in _starts(grid, spec).items():
         calls.clear()
         est = power_method(init, spec, 2.0, 6.0, max_iter=200, tol=1e-6)
         assert 2 < est.iterations < 200
-        assert sum(calls) <= 2 * est.iterations
+        assert len(calls) > 2 * est.iterations  # several blocks per step
+        assert sum(calls) == (name == "noise"), name
 
 
 @pytest.mark.parametrize("p, q, per_step", [(2.0, 6.0, 2)])
 def test_a_capped_run_ends_on_its_last_quotient(p, q, per_step, monkeypatch):
     # the pull-back after the max_iter-th quotient would feed no quotient,
-    # so a capped run skips it; from a space-side start the start's own
-    # transform makes up for the skipped half step
+    # so a capped run skips it: each block makes ``per_step`` transforms a
+    # step, less its forward one on the last; the one full-size transform is
+    # the space-side start's own
     grid, spec = _ORACLE_CASES["ring_j0"]
     init = _starts(grid, spec)["noise"]
     longer = power_method(init, spec, p, q, max_iter=25, tol=1e-9)
-    calls = []
-    for name in ("fftn", "ifftn"):
-        def counted(a, *args, _fn=getattr(np.fft, name), **kwargs):
-            calls.append(np.size(a) == grid.values.size)
+    calls = {"fftn": [], "ifftn": []}
+    for name in calls:
+        def counted(a, *args, _fn=getattr(np.fft, name), _name=name,
+                    **kwargs):
+            calls[_name].append(np.size(a) == grid.values.size)
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     capped = power_method(init, spec, p, q, max_iter=24, tol=1e-9)
     assert capped.iterations == 24
-    assert sum(calls) == per_step * 24
+    assert (sum(calls["fftn"]), sum(calls["ifftn"])) == (1, 0)
+    n_blocks, rest = divmod(len(calls["ifftn"]), 24)
+    assert n_blocks > 1 and rest == 0
+    assert len(calls["fftn"]) + len(calls["ifftn"]) == \
+        1 + n_blocks * (per_step * 24 - 1)
     assert capped.history == longer.history[:24]
 
 
@@ -534,47 +547,98 @@ def test_restarts_are_built_one_at_a_time():
     assert peak_mb(3) <= peak_mb(1) + 0.5 * field_mb
 
 
-def test_a_p2_run_holds_one_full_size_array_of_its_own():
-    # from a frequency start the start's lines are gathered from the start
-    # itself, and the q-side pass needs scratch of a block's size only, so
-    # the run's own full-size array is its work buffer
-    grid = ring_grid(0, 64, 16)
-    spec = SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=0)
-    init = grid.with_values(np.conj(sample_symbol(grid, spec)),
-                            in_space=False)
-    field_mb = grid.values.nbytes / 2 ** 20
-    power_method(init, spec, 2.0, 6.0, max_iter=4, tol=1e-9)  # lazy set-up
+def _traced_peak(run) -> int:
+    """Bytes ``run()`` allocates at its peak, above what it found."""
+    run()  # lazy set-up such as FFT plans is not part of the peak
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        power_method(init, spec, 2.0, 6.0, max_iter=4, tol=1e-9)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert (peak - entry) / 2 ** 20 <= field_mb + 1.0
 
 
-_q_sizes = st.one_of(
-    st.integers(min_value=1, max_value=64),
-    st.builds(lambda k, off: k * _BLOCK + off,
-              st.integers(min_value=1, max_value=3),
-              st.integers(min_value=-3, max_value=3)))
+def test_a_p2_run_holds_no_full_size_array_of_its_own():
+    # from a frequency start the start's lines are gathered from the start
+    # itself and its norm is summed in blocks, and a step runs one block of
+    # cross-sections at a time: the run's own arrays are the compact lines,
+    # a block and the block's scratch
+    grid = ring_grid(0, 64, 16)
+    m = sample_symbol(grid, SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=0))
+    init = grid.with_values(np.conj(m), in_space=False)
+    peak = _traced_peak(
+        lambda: power_method(init, m, 2.0, 6.0, max_iter=4, tol=1e-9))
+    assert peak <= 0.25 * grid.values.nbytes
+
+
+def test_a_ring_estimate_peaks_in_its_symbol_sampling():
+    # the symbol start is the sampled symbol conjugated in place, and the
+    # runs hold no full-size array of their own
+    grid = ring_grid(0, 64, 16)
+    spec = SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=0)
+    sampled = _traced_peak(lambda: sample_symbol(grid, spec))
+    estimated = _traced_peak(lambda: estimate_operator_norm(
+        grid, spec, 2.0, 6.0, n_random=1, max_iter=4, tol=1e-3))
+    assert estimated <= sampled + 0.25 * grid.values.nbytes
+
+
+def test_a_precomputed_symbol_array_is_never_written_into():
+    grid = ring_grid(0, 32, 16)
+    spec = SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=0)
+    m = np.array(sample_symbol(grid, spec))  # writable, precomputed
+    before = m.tobytes()
+    est = estimate_operator_norm(grid, m, 2.0, 6.0, n_random=1, max_iter=4,
+                                 tol=1e-3)
+    assert m.tobytes() == before
+    assert est.history == estimate_operator_norm(
+        grid, spec, 2.0, 6.0, n_random=1, max_iter=4, tol=1e-3).history
+
+
+@st.composite
+def _space_passes(draw):
+    """A cross-section shape and a count of them across block edges."""
+    others = draw(st.sampled_from([(1,), (3,), (5, 8), (48,), (64, 64),
+                                   (_BLOCK + 3,)]))
+    per_block = max(1, _BLOCK // math.prod(others))
+    n_axis = draw(st.one_of(
+        st.integers(min_value=1, max_value=64),
+        st.builds(lambda k, off: max(1, k * per_block + off),
+                  st.integers(min_value=1, max_value=3),
+                  st.integers(min_value=-3, max_value=3))))
+    return others, n_axis
 
 
 @settings(max_examples=40, deadline=None)
-@given(size=_q_sizes, seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+@given(shape=_space_passes(),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
        q=st.sampled_from([1.5, 2.0, 3.0, 6.0]))
-def test_blocked_q_pass_matches_the_dense_pass(size, seed, q):
+def test_block_q_pass_matches_the_dense_pass(shape, seed, q):
+    others, n_axis = shape
     rng = np.random.Generator(np.random.Philox(seed))
-    g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    g[rng.random(size) < 0.25] = 0.0  # exact zeros
+    live = np.flatnonzero(rng.random(math.prod(others)) < 0.3)
+    lines = rng.standard_normal((n_axis, live.size)) \
+        + 1j * rng.standard_normal((n_axis, live.size))
+    lines[rng.random(n_axis) < 0.25] = 0.0  # cross-sections of exact zeros
+    # the dense pass: the whole lattice, transformed over the other axes
+    axes = tuple(range(1, 1 + len(others)))
+    full = np.zeros((n_axis,) + others, complex)
+    full.reshape(n_axis, -1)[:, live] = lines
+    g = np.fft.ifftn(full, axes=axes)
     mags = np.abs(g)
     with np.errstate(divide="ignore"):
-        want = g * np.where(mags > 0, mags ** (q - 2.0), 0.0)
-    got = g.copy()
-    total = _q_pass(got, q)
+        dual = g * np.where(mags > 0, mags ** (q - 2.0), 0.0)
+    want = np.fft.fftn(dual, axes=axes).reshape(n_axis, -1)[:, live]
+    kept = lines.copy()
+    total = _space_pass(kept, live, others, q, pull_back=False)
     assert total == pytest.approx(np.sum(mags ** q), rel=1e-13, abs=0.0)
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(kept, lines)
+    got = lines.copy()
+    assert _space_pass(got, live, others, q, pull_back=True) == total
+    # the forward transform mixes each cross-section: its rounding is
+    # relative to the largest output, not to each entry
+    np.testing.assert_allclose(got, want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max(initial=0.0))
 
 
 def _digest(values) -> str:

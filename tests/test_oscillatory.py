@@ -7,10 +7,11 @@ import pytest
 
 from carlab.bessel import bessel_j, bessel_ju, sphere_hat
 from carlab.bump import CustomCutoff
-from carlab.oscillatory import (EmptyWindowError, LowerBoundParams, Phi5Spec,
-                                annulus_radii, frak_s_sample, i_integral,
-                                in_resonant_set, j_decomposition,
-                                lorentzian_mass, mtilde_radial, solve_lambda)
+from carlab.oscillatory import (TAU_RULE_POINTS, EmptyWindowError,
+                                LowerBoundParams, Phi5Spec, annulus_radii,
+                                frak_s_sample, i_integral, in_resonant_set,
+                                j_decomposition, lorentzian_mass,
+                                mtilde_radial, solve_lambda)
 from carlab.quadrature import (_GAUSS_IDX, _NODES, _WGAUSS, _WK,
                                QuadratureError, gauss_kronrod_batch,
                                gauss_legendre_rule)
@@ -89,6 +90,21 @@ def test_gauss_legendre_polynomial_exactness():
     x, w = gauss_legendre_rule(8, 0.0, 1.0)
     assert np.dot(w, x ** 15) == pytest.approx(1.0 / 16.0, rel=1e-13)
     assert np.dot(w, np.ones_like(x)) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_the_tau_rule_table_is_built_once(monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: built.append(n) or leggauss(n))
+    spec = Phi5Spec(3, 1)
+    for t in (0.5, 1.0):
+        mtilde_radial(3, 1, 2.0 ** -5, spec, 3.0, t)
+    assert built.count(TAU_RULE_POINTS) <= 1
+    x, w = gauss_legendre_rule(TAU_RULE_POINTS, -1.0, 1.0)
+    x[:] = w[:] = 0.0  # the rule is the caller's; the table stays intact
+    assert np.sum(gauss_legendre_rule(TAU_RULE_POINTS, 0.0, 1.0)[1]) == \
+        pytest.approx(1.0, rel=1e-14)
 
 
 def test_gauss_kronrod_smooth_integral():
