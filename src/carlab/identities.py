@@ -670,7 +670,9 @@ def fractional_laplacian(values: np.ndarray, periods: Sequence[float],
     """``(-Delta)^s`` of the real space samples ``values`` of an unmodulated
     periodic lattice with box lengths ``periods``, on the half spectrum:
     ``rfftn``, times ``|xi|^(2s)`` on the half lattice, then ``irfftn`` (the
-    cell volume cancels between the two).
+    cell volume cancels between the two).  The ``|xi|^2`` sum is raised to
+    its power and multiplied in place, and ``values`` is dropped after
+    ``rfftn``: a caller that passes a temporary frees it before ``irfftn``.
     """
     if s <= 0:
         raise ValueError("need s > 0")
@@ -680,7 +682,11 @@ def fractional_laplacian(values: np.ndarray, periods: Sequence[float],
     xi = np.meshgrid(*((2.0 * np.pi / L) * k for k, L in zip(ints, periods)),
                      indexing="ij", sparse=True)
     coeffs = np.fft.rfftn(values)
-    coeffs *= sum(x ** 2 for x in xi) ** s
+    del values
+    power = sum(x ** 2 for x in xi)
+    power **= s
+    coeffs *= power
+    del power
     return np.fft.irfftn(coeffs, s=shape, axes=range(len(shape)))
 
 
@@ -717,6 +723,7 @@ def _kelvin_samples(u: CutoffSpec, s: float, n: int,
     t_tab = np.zeros(r.shape)
     t_tab[shell] = (r[shell] ** (2.0 * s - 3)
                     * np.asarray(u(1.0 / r[shell]), dtype=float))
+    # a temporary, so that fractional_laplacian frees it before irfftn
     lhs = fractional_laplacian(t_tab[K], (KELVIN_PERIOD,) * 3, s)
 
     flat = np.flatnonzero(((r >= 0.7) & (r <= 1.4))[K])

@@ -131,9 +131,11 @@ def certified_lower_bound(field: GridField, symbol, p: float, q: float) -> float
     (`_support_hull`).  The symbol is sampled on the sub-lattice those
     indices span and nowhere else, so a degenerate point off the hull
     raises nothing; ``m F`` vanishes off the hull, so this is the dense
-    product exactly.  Both norms come from `_hull_to_space`, the field's
-    space samples ``y`` (`spectral`).  A space-side field keeps its own
-    samples for the p-norm and pays one full forward transform for ``F``.
+    product exactly.  Both norms come from `_hull_norm`, which sums the
+    field's space samples ``y`` (`spectral`) one block of lines at a time,
+    so the whole lattice is never held on the space side.  A space-side
+    field keeps its own samples for the p-norm and pays one full forward
+    transform for ``F``.
     """
     _check_exponents(p, q)
     if not np.any(field.values):
@@ -146,12 +148,10 @@ def certified_lower_bound(field: GridField, symbol, p: float, q: float) -> float
     if field.in_space:
         denom = sample_lp_norm(field.values, p, cell)
     else:
-        denom = sample_lp_norm(_hull_to_space(coef / cell, index, F.shape),
-                               p, cell)
+        denom = _hull_norm(coef / cell, index, F.shape, p, cell)
     coef = m * coef
     coef /= cell
-    return sample_lp_norm(_hull_to_space(coef, index, F.shape), q,
-                          cell) / denom
+    return _hull_norm(coef, index, F.shape, q, cell) / denom
 
 
 def _support_hull(values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -167,45 +167,51 @@ def _support_hull(values: np.ndarray) -> tuple[np.ndarray, ...]:
         b for b in axes if b != a))) for a in axes)
 
 
-def _hull_to_space(coef: np.ndarray, index: Sequence[np.ndarray],
-                   shape: tuple[int, ...]) -> np.ndarray:
-    """``ifftn`` of the ``shape``-sized array that is ``coef`` on the
-    sub-lattice ``index`` and zero elsewhere, with its axes reordered.
+#: complex elements per block of axis-0 rows (`_block_rows`): a block and
+#: its float scratch stay in cache; it holds one row at least
+_BLOCK = 2 ** 12
+
+
+def _block_rows(shape: tuple[int, ...]) -> int:
+    """Rows of axis 0 per block of `_BLOCK` elements of a ``shape`` array."""
+    return min(shape[0], max(1, _BLOCK // math.prod(shape[1:])))
+
+
+def _hull_norm(coef: np.ndarray, index: Sequence[np.ndarray],
+               shape: tuple[int, ...], r: float, cell: float) -> float:
+    """`sample_lp_norm` of the ``ifftn`` of the ``shape``-sized array that
+    is ``coef`` on the sub-lattice ``index`` and zero elsewhere.
 
     One axis at a time, widest hull first: each pass zero-pads its axis to
     full length on the lines the hull still reaches, then transforms it.
-    The narrowest axis comes last, as the one pass over the whole lattice,
-    on the contiguous axis.  ``coef`` is not written into; the result is
-    for norms, which do not see the axis order.
+    The first pass runs on the whole hull; the others run one block of the
+    first axis's rows at a time (`_block_rows`), and the block's ``|y|^r``
+    goes into the sum, so the whole lattice is never held.  ``coef`` is not
+    written into.
     """
     order = sorted(range(len(shape)), key=lambda a: -len(index[a]))
-    y = np.transpose(coef, order)
-    for pos, ax in enumerate(order):
-        full = np.zeros(y.shape[:pos] + (shape[ax],) + y.shape[pos + 1:],
-                        complex)
-        full[(slice(None),) * pos + (index[ax],)] = y
-        np.fft.ifft(full, axis=pos, out=full)
-        y = full
-    return y
+    y = _pad_ifft(np.transpose(coef, order), 0, index[order[0]],
+                  shape[order[0]])
+    b = _block_rows(tuple(shape[a] for a in order))
+    total = 0.0
+    for t in range(0, len(y), b):
+        block = y[t:t + b]
+        for pos, ax in enumerate(order[1:], start=1):
+            block = _pad_ifft(block, pos, index[ax], shape[ax])
+        mags = np.abs(block)
+        mags **= r
+        total += np.sum(mags)
+    return float((total * cell) ** (1.0 / r))
 
 
-def _live_lines(m: np.ndarray, nonzero: np.ndarray
-                ) -> tuple[int, np.ndarray, np.ndarray]:
-    """The axis along which ``m`` leaves the most lines empty, and its lines.
-
-    ``nonzero`` is the mask ``m != 0``, which callers that need it too
-    build once.
-
-    Lines along ``axis`` are numbered in the C order of the other axes.
-    Returns ``(axis, live, mk)``: ``live`` holds the ascending numbers of
-    the lines that carry a nonzero sample, and ``mk`` is ``m`` on them, a
-    contiguous ``(n_axis, K)`` array (`_on_lines`).  Ties go to the lowest
-    axis.
-    """
-    live_masks = [np.any(nonzero, axis=a) for a in range(m.ndim)]
-    axis = int(np.argmin([mask.mean() for mask in live_masks]))
-    live = np.flatnonzero(live_masks[axis])
-    return axis, live, _on_lines(m, axis, live)
+def _pad_ifft(y: np.ndarray, pos: int, index: np.ndarray,
+              n: int) -> np.ndarray:
+    """``ifft`` along axis ``pos`` of ``y`` zero-padded to length ``n``,
+    with ``y``'s entries at ``index``."""
+    full = np.zeros(y.shape[:pos] + (n,) + y.shape[pos + 1:], complex)
+    full[(slice(None),) * pos + (index,)] = y
+    np.fft.ifft(full, axis=pos, out=full)
+    return full
 
 
 def _on_lines(values: np.ndarray, axis: int, live: np.ndarray) -> np.ndarray:
@@ -217,9 +223,83 @@ def _on_lines(values: np.ndarray, axis: int, live: np.ndarray) -> np.ndarray:
         moved[(slice(None),) + np.unravel_index(live, moved.shape[1:])])
 
 
-#: complex elements per block of cross-sections in `_space_pass`: a block
-#: and its float scratch stay in cache; it holds one cross-section at least
-_BLOCK = 2 ** 12
+def _block_lines(shape: tuple[int, ...], axis: int, live: np.ndarray,
+                 t: int, b: int) -> tuple[tuple, np.ndarray]:
+    """Where the axis-0 rows ``t .. t + b`` of a ``shape`` array meet its
+    ``(n_axis, K)`` lines along ``axis`` numbered ``live``: their index
+    among the lines, and their line numbers within the block of rows (axis
+    0 leads the C order that numbers the lines), for `_on_lines`.
+    """
+    if axis == 0:
+        return np.s_[t:t + b, :], live
+    per_row = math.prod(shape[1:]) // shape[axis]
+    j0, j1 = np.searchsorted(live, (t * per_row, (t + b) * per_row))
+    return np.s_[:, j0:j1], live[j0:j1] - t * per_row
+
+
+def _live_lines(grid: GridField, symbol
+                ) -> tuple[int, np.ndarray, np.ndarray]:
+    """The axis along which the symbol leaves the most lattice lines
+    empty, and its lines there.
+
+    Lines along ``axis`` are numbered in the C order of the other axes.
+    Returns ``(axis, live, mk)``: ``live`` holds the ascending numbers of
+    the lines that carry a nonzero sample, and ``mk`` is ``m`` on them, a
+    contiguous ``(n_axis, K)`` array (`_on_lines`).  Ties go to the lowest
+    axis.
+
+    The symbol is sampled one block of axis-0 rows at a time
+    (`_block_rows`): each block ORs its share into every axis's mask of
+    live lines and keeps its nonzero samples, from which ``mk`` is filled
+    once the axis is known.  So neither the samples nor a mask of them
+    exists at full size.
+    """
+    shape = grid.shape
+    rest = [np.arange(n) for n in shape[1:]]
+    masks = [np.zeros(shape[:a] + shape[a + 1:], bool)
+             for a in range(len(shape))]
+    kept = []
+    b = _block_rows(shape)
+    for t in range(0, shape[0], b):
+        m = sample_symbol(grid, symbol,
+                          [np.arange(t, min(t + b, shape[0]))] + rest)
+        nonzero = m != 0
+        masks[0] |= np.any(nonzero, axis=0)
+        for a in range(1, len(shape)):
+            masks[a][t:t + len(m)] = np.any(nonzero, axis=a)
+        kept.append((t, m.shape, np.flatnonzero(nonzero), m[nonzero]))
+        dtype = m.dtype
+        del m, nonzero  # before the next block is sampled
+    axis = int(np.argmin([mask.mean() for mask in masks]))
+    live = np.flatnonzero(masks[axis])
+    mk = np.zeros((shape[axis], live.size), dtype)
+    while kept:  # each block's samples go once they are in place
+        t, block_shape, flat, values = kept.pop()
+        block = np.zeros(block_shape, dtype)
+        block.reshape(-1)[flat] = values
+        where, local = _block_lines(shape, axis, live, t, block_shape[0])
+        mk[where] = _on_lines(block, axis, local)
+    return axis, live, mk
+
+
+def _noise_lines(rng: np.random.Generator, shape: tuple[int, ...],
+                 axis: int, live: np.ndarray, mk: np.ndarray) -> np.ndarray:
+    """A complex Gaussian field on the ``shape`` lattice, times the support
+    of the symbol ``mk``, on its live lines.
+
+    The normals come in the order of one full-size draw of the real parts
+    and then one of the imaginary parts, a block of axis-0 rows at a time
+    (`_block_rows`), each gathered straight onto the lines.
+    """
+    lines = np.empty(mk.shape, complex)
+    b = _block_rows(shape)
+    for part in (lines.real, lines.imag):
+        for t in range(0, shape[0], b):
+            draw = rng.standard_normal((min(b, shape[0] - t),) + shape[1:])
+            where, local = _block_lines(shape, axis, live, t, len(draw))
+            part[where] = _on_lines(draw, axis, local)
+    lines[mk == 0] = 0.0
+    return lines
 
 
 def _space_pass(lines: np.ndarray, live: np.ndarray,
@@ -237,7 +317,7 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
     gets ``sum(sq * w)``; with ``pull_back``, ``fftn`` and gather back.
     """
     n_axis = lines.shape[0]
-    b = min(n_axis, max(1, _BLOCK // math.prod(others)))
+    b = _block_rows((n_axis,) + others)
     buf = np.empty((b,) + others, complex)
     sq = np.empty(buf.size)
     w = np.empty_like(sq)
@@ -268,7 +348,7 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
 
 def power_method(init: GridField, symbol, p: float, q: float, *,
                  max_iter: int = 24, tol: float = 1e-4,
-                 _live: tuple | None = None) -> NormEstimate:
+                 _start: tuple | None = None) -> NormEstimate:
     """Boyd power iteration for ``||m(D)||_{2 -> q}`` from one starting field.
 
     Exponents other than p = 2, 1 < q < infinity are refused before any
@@ -287,45 +367,48 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
 
     The L^2 dualization is the identity, so between steps the iterate
     stays on the frequency side, as the compact array of its lines along
-    the axis where ``m`` leaves the most lines empty (`_live_lines`); on
-    A8's rings 3% of the tau-lines are live.  A step transforms that axis
-    on the live lines alone, around `_space_pass`, which runs the other
-    axes, the q-side norm and the dualization one block of cross-sections
-    at a time.  The ``max_iter``-th quotient's pass skips the pull-back; a
-    stagnating run learns that it stops only after its pass.
+    the axis where ``m`` leaves the most lines empty (`_live_lines`, which
+    samples the symbol one block of axis-0 rows at a time); on A8's rings
+    3% of the tau-lines are live.  A step transforms that axis on the live
+    lines alone, around `_space_pass`, which runs the other axes, the
+    q-side norm and the dualization one block of cross-sections at a time.
+    The ``max_iter``-th quotient's pass skips the pull-back; a stagnating
+    run learns that it stops only after its pass.
 
     The iterate's norm is Parseval's ``||f||_2^2 = cell_volume / N * sum
-    |fftn(y)|^2`` over the ``N`` samples, taken over the whole start ``F``
-    on the first step, one first-axis slice at a time, because a start may
-    carry mass on lines where ``m`` vanishes.  The start's live lines are
-    gathered from ``F`` itself (`_on_lines`), so from a frequency start the
-    run holds no full-size array of its own, only a block and its scratch.
+    |fftn(y)|^2`` over the ``N`` samples, summed over the live lines.  A
+    start with mass on lines where ``m`` vanishes has its first norm summed
+    over the whole start ``F`` instead, one first-axis slice at a time.
+    The start's live lines are gathered from ``F`` itself (`_on_lines`), so
+    from a frequency start the run holds no full-size array of its own,
+    only a block and its scratch.
 
-    ``_live`` is for `estimate_operator_norm`, which passes the
-    `_live_lines` of its sampled symbol so that restarts on one lattice
-    share them; ``symbol`` is then not read, and no symbol array is held.
+    ``_start`` is for `estimate_operator_norm`: the `_live_lines` of its
+    symbol, which restarts on one lattice share, and a start's coefficients
+    ``F`` on them, which the run takes over.  ``init`` then gives only the
+    lattice, and ``symbol`` is not read.
     """
     _check_power_exponents(p, q)
-    if _live is None:
-        m = sample_symbol(init, symbol)
-        _live = _live_lines(m, m != 0)
-        del m
-    axis, live, mk = _live
-    mkc = np.conj(mk)
-    F = init.to_freq()
-    cell = F.cell_volume
-    others = F.shape[:axis] + F.shape[axis + 1:]
-    # Parseval on the whole start; afterwards on the lines
-    cell_per_n = cell / F.values.size
-    nf = (sum(np.sum(np.abs(x) ** 2) for x in F.values)
-          * cell_per_n) ** 0.5 / cell
-    lines = _on_lines(F.values, axis, live)
+    cell = init.cell_volume
+    cell_per_n = cell / init.values.size
+    nf = None
+    if _start is None:
+        axis, live, mk = _live_lines(init, symbol)
+        F = init.to_freq()
+        lines = _on_lines(F.values, axis, live)
+        if np.count_nonzero(F.values) > np.count_nonzero(lines):
+            nf = (sum(np.sum(np.abs(x) ** 2) for x in F.values)
+                  * cell_per_n) ** 0.5 / cell
+        del F  # a space-side start's coefficients go before the first pass
+    else:
+        (axis, live, mk), lines = _start
     lines /= cell
-    del F  # a space-side start's coefficients go before the first pass
+    mkc = np.conj(mk)
+    others = init.shape[:axis] + init.shape[axis + 1:]
     history: list[float] = []
     aborted = False
     for step in range(max_iter):
-        if step:
+        if step or nf is None:
             nf = sample_lp_norm(lines, 2.0, cell_per_n)
         if not np.isfinite(nf) or nf == 0.0:
             aborted = True
@@ -361,44 +444,32 @@ def estimate_operator_norm(grid: GridField, symbol, p: float, q: float, *,
     Restart seeds: the conjugated symbol itself as a frequency profile (the
     natural L^2 maximiser, a strong generic start), then ``n_random``
     complex Gaussian fields supported where the symbol is nonzero, drawn
-    from one seeded Philox stream, real parts first, into one complex
-    array.  The symbol start is the sampled symbol conjugated in place,
-    or into a copy when it is the caller's precomputed array, once its
-    support and its `_live_lines` are built.  Each start is built just
-    before its run and dropped after it, so at most one full-size start is
-    alive at a time.
+    from one seeded Philox stream, real parts first (`_noise_lines`).  The
+    symbol is sampled once, one block of axis-0 rows at a time, into the
+    live lines every run shares (`_live_lines`), and each start is built
+    on those lines just before its run and dropped after it.  So neither
+    the symbol, nor its support, nor any start exists at full size.
     """
     _check_power_exponents(p, q)
-    m = sample_symbol(grid, symbol)
-    support = m != 0
-    if not support.any():
+    live = _live_lines(grid, symbol)
+    axis, numbers, mk = live
+    if not numbers.size:
         raise ValueError("symbol vanishes on the whole frequency lattice")
 
-    def starts(symbol_start):
-        yield symbol_start
-        del symbol_start  # before the next start
+    def starts():
+        yield np.conj(mk)
         rng = np.random.Generator(np.random.Philox(seed))
         for _ in range(n_random):
-            noise = np.empty(grid.shape, complex)
-            noise.real = rng.standard_normal(grid.shape)
-            noise.imag = rng.standard_normal(grid.shape)
-            noise *= support
-            yield grid.with_values(noise, in_space=False)
-            del noise  # before the next draw
+            yield _noise_lines(rng, grid.shape, axis, numbers, mk)
 
     best: NormEstimate | None = None
     hist: list[float] = []
     total_iter = 0
     aborted = False
-    live = _live_lines(m, support)
-    own = m is not symbol and m.flags.writeable
-    restarts = starts(grid.with_values(np.conjugate(m, out=m if own else None),
-                                       in_space=False))
-    del m  # the runs need its live lines and support only
-    for f0 in restarts:
-        est = power_method(f0, symbol, p, q, max_iter=max_iter, tol=tol,
-                           _live=live)
-        del f0
+    for lines in starts():
+        est = power_method(grid, symbol, p, q, max_iter=max_iter, tol=tol,
+                           _start=(live, lines))
+        del lines  # before the next start
         hist.extend(est.history)
         total_iter += est.iterations
         aborted = aborted or est.aborted

@@ -225,9 +225,8 @@ def sample_symbol(grid: GridField, symbol: Symbol,
 
     ``symbol`` is a `SymbolSpec`, a callable receiving the sparse frequency
     meshgrid (one broadcastable array per axis), or an array already sampled
-    on this lattice, which comes back as it is once its shape checks out.
-    A `SymbolSpec`'s full-shape samples come back writable, as computed;
-    others as a read-only broadcast view.
+    on this lattice, which comes back as it is once its shape checks out;
+    any other symbol's samples come back as a read-only broadcast view.
 
     With ``index``, one array of lattice indices per axis, only the
     sub-lattice those indices span is sampled, and the result has its shape
@@ -253,8 +252,6 @@ def sample_symbol(grid: GridField, symbol: Symbol,
             f"{exc} -- this grid's lattice hits the degenerate set; rebuild it "
             "with default_grid(..., for_full_symbol=True) or nonzero freq_offsets"
         ) from None
-    if isinstance(symbol, SymbolSpec) and m.shape == shape:
-        return m
     return np.broadcast_to(m, shape)
 
 

@@ -302,6 +302,28 @@ def test_spectral_transforms_its_field_forward_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_spectral_holds_the_field_and_one_work_array(tmp_path):
+    # the noise is drawn by slices into one array, transformed into one
+    # work array and inverted in place, and the sums run a slice at a time
+    import tracemalloc
+    cfg = ExperimentConfig.from_mapping(
+        {"experiment": "spectral", "d": 3, "n": 64, "out_dir": str(tmp_path)})
+
+    def check():
+        rng = np.random.Generator(np.random.Philox(cfg.seed))
+        return cli._run_spectral(cfg, rng)
+
+    assert all(v.status == "pass" for v in check())  # FFT plans built here
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        check()
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 16 * 64 ** 3
+
+
 def test_normest_skips_on_two_octaves(tmp_path, capsys):
     rc = main(["--out-dir", str(tmp_path), "normest", "--kind", "me_knapp",
                "--eps", "2^-3..2^-4"])

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlab.acceptance import KNAPP_TOL, SlopeCheck, knapp_witness, ring_grid
-from carlab.normest import (_BLOCK, ExponentKind, NormEstimate, _live_lines,
-                            _space_pass, certified_lower_bound, dualize,
+from carlab.normest import (_BLOCK, ExponentKind, NormEstimate, _hull_norm,
+                            _live_lines, _noise_lines, _on_lines, _space_pass,
+                            certified_lower_bound, dualize,
                             estimate_operator_norm, fit_scaling, power_method,
                             theoretical_exponent)
 from carlab.regions import ExponentPoint
@@ -213,7 +214,8 @@ def test_a_witness_bound_makes_one_full_lattice_pass_per_norm(family,
         monkeypatch.setattr(normest.np.fft, name, counted)
     certified_lower_bound(field, SymbolSpec(family, 3, 1, eps=eps), 1.5, 4.0)
     assert calls and all(name == "ifft" for name, _ in calls)
-    assert sum(size == full for _, size in calls) <= 2
+    # the one pass over the whole lattice per norm runs in blocks of lines
+    assert max(size for _, size in calls) < full
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +414,7 @@ def _starts(grid, spec):
 def test_the_emptiest_axis_is_pruned_to_its_nonzero_lines(case, axis, n_live):
     grid, spec = _ORACLE_CASES[case]
     m = sample_symbol(grid, spec)
-    got_axis, live, mk = _live_lines(m, m != 0)
+    got_axis, live, mk = _live_lines(grid, spec)
     lines = np.moveaxis(m, axis, 0).reshape(m.shape[axis], -1)
     assert (got_axis, live.size) == (axis, n_live)
     assert np.all(np.diff(live) > 0)  # ascending line numbers
@@ -421,6 +423,79 @@ def test_the_emptiest_axis_is_pruned_to_its_nonzero_lines(case, axis, n_live):
     assert np.all(np.any(lines[:, live] != 0, axis=0))
     assert mk.flags.c_contiguous
     np.testing.assert_array_equal(mk, lines[:, live])
+
+
+def _dense_live_lines(m):
+    """The live lines of a whole sampled symbol ``m``, from full-size masks."""
+    nonzero = m != 0
+    masks = [np.any(nonzero, axis=a) for a in range(m.ndim)]
+    axis = int(np.argmin([mask.mean() for mask in masks]))
+    live = np.flatnonzero(masks[axis])
+    lines = np.moveaxis(m, axis, 0).reshape(m.shape[axis], -1)
+    return axis, live, lines[:, live]
+
+
+def _tilde_grid():
+    # a box that the tilde symbol's eta cutoff crosses on few lines
+    return GridField(np.zeros((16, 8, 32), complex), (40.0, 20.0, 9.0),
+                     (0.9, 0.05, 0.3), in_space=False)
+
+
+# a ring spec, a tilde spec, a callable and a precomputed array, pruned
+# along a last, a middle, a middle and a first axis
+_LIVE_CASES = {
+    "ring_j0": _ORACLE_CASES["ring_j0"],
+    "tilde": (_tilde_grid(), SymbolSpec("tilde", 3, 1, eps=2.0 ** -3)),
+    "callable_axis1": _ORACLE_CASES["lines_axis1"],
+    "array_one_line": _ORACLE_CASES["one_line"],
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("case", sorted(_LIVE_CASES))
+def test_block_sampled_live_lines_match_the_dense_ones(case, rows,
+                                                       monkeypatch):
+    # blocks of 3 rows leave a short last block on every lattice here
+    import carlab.normest as normest
+    grid, symbol = _LIVE_CASES[case]
+    want = _dense_live_lines(np.asarray(sample_symbol(grid, symbol)))
+    if rows is not None:
+        monkeypatch.setattr(normest, "_BLOCK",
+                            rows * math.prod(grid.shape[1:]))
+    axis, live, mk = _live_lines(grid, symbol)
+    assert axis == want[0]
+    np.testing.assert_array_equal(live, want[1])
+    assert mk.dtype == want[2].dtype and mk.flags.c_contiguous
+    np.testing.assert_array_equal(mk, want[2])
+    assert live.size < np.prod(grid.shape) // grid.shape[axis]
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("case", sorted(_LIVE_CASES))
+def test_noise_lines_are_the_full_draw_on_the_support(case, rows,
+                                                      monkeypatch):
+    # each start is the one full draw of real parts, then of imaginary
+    # parts, times the support, on the live lines; two in a row continue
+    # one stream
+    import carlab.normest as normest
+    grid, symbol = _LIVE_CASES[case]
+    axis, live, mk = _live_lines(grid, symbol)
+    support = np.asarray(sample_symbol(grid, symbol)) != 0
+    rng = np.random.Generator(np.random.Philox(5))
+    want = []
+    for _ in range(2):
+        noise = np.empty(grid.shape, complex)
+        noise.real = rng.standard_normal(grid.shape)
+        noise.imag = rng.standard_normal(grid.shape)
+        want.append(_on_lines(noise * support, axis, live))
+    if rows is not None:
+        monkeypatch.setattr(normest, "_BLOCK",
+                            rows * math.prod(grid.shape[1:]))
+    rng = np.random.Generator(np.random.Philox(5))
+    for w in want:
+        got = _noise_lines(rng, grid.shape, axis, live, mk)
+        assert got.shape == w.shape
+        assert np.all(got == w)
 
 
 def test_restarts_on_one_lattice_share_its_live_lines(monkeypatch):
@@ -572,15 +647,28 @@ def test_a_p2_run_holds_no_full_size_array_of_its_own():
     assert peak <= 0.25 * grid.values.nbytes
 
 
-def test_a_ring_estimate_peaks_in_its_symbol_sampling():
-    # the symbol start is the sampled symbol conjugated in place, and the
-    # runs hold no full-size array of their own
+def test_a_ring_estimate_holds_no_full_size_array():
+    # the symbol is sampled a block of rows at a time straight into its live
+    # lines, the starts are built on those lines, and the runs hold no
+    # full-size array of their own
     grid = ring_grid(0, 64, 16)
     spec = SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=0)
-    sampled = _traced_peak(lambda: sample_symbol(grid, spec))
-    estimated = _traced_peak(lambda: estimate_operator_norm(
+    peak = _traced_peak(lambda: estimate_operator_norm(
         grid, spec, 2.0, 6.0, n_random=1, max_iter=4, tol=1e-3))
-    assert estimated <= sampled + 0.25 * grid.values.nbytes
+    assert peak <= 0.25 * grid.values.nbytes
+
+
+@pytest.mark.parametrize("family", ["tilde", "eps"])
+def test_a_witness_bound_holds_no_full_size_array(family):
+    # each norm transforms its widest hull axis on the whole hull and the
+    # other axes one block of rows at a time, so no array of its own is
+    # lattice-sized
+    eps = 2.0 ** -4
+    field = knapp_witness(family, 3, eps, n=64)
+    spec = SymbolSpec(family, 3, 1, eps=eps)
+    peak = _traced_peak(
+        lambda: certified_lower_bound(field, spec, 4.0 / 3.0, 4.0))
+    assert peak <= 0.75 * field.values.nbytes
 
 
 def test_a_precomputed_symbol_array_is_never_written_into():
@@ -593,6 +681,35 @@ def test_a_precomputed_symbol_array_is_never_written_into():
     assert m.tobytes() == before
     assert est.history == estimate_operator_norm(
         grid, spec, 2.0, 6.0, n_random=1, max_iter=4, tol=1e-3).history
+
+
+def _hull(rng, n, wrapped):
+    """Ascending indices into range(n); ``wrapped`` takes both ends."""
+    if wrapped:
+        k = int(rng.integers(1, n // 4 + 1))
+        return np.union1d(np.arange(k), np.arange(n - k, n))
+    return np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                              replace=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([(64,), (8, 128), (16, 8, 32), (4, 64, 8)]),
+       wrapped=st.lists(st.booleans(), min_size=3, max_size=3),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       r=st.sampled_from([4.0 / 3.0, 2.0, 4.0, 6.0]))
+def test_hull_norm_matches_the_dense_norm(shape, wrapped, seed, r):
+    rng = np.random.Generator(np.random.Philox(seed))
+    index = [_hull(rng, n, w) for n, w in zip(shape, wrapped)]
+    hull = tuple(len(i) for i in index)
+    coef = rng.standard_normal(hull) + 1j * rng.standard_normal(hull)
+    dense = np.zeros(shape, complex)
+    dense[np.ix_(*index)] = coef
+    cell = 0.37
+    want = sample_lp_norm(np.fft.ifftn(dense), r, cell)
+    before = coef.copy()
+    assert _hull_norm(coef, index, shape, r, cell) == \
+        pytest.approx(want, rel=1e-13, abs=0.0)
+    np.testing.assert_array_equal(coef, before)
 
 
 @st.composite
