@@ -29,7 +29,8 @@ from .normest import (ExponentKind, ScalingFit, certified_lower_bound,
 from .oscillatory import (LowerBoundParams, Phi5Spec, annulus_radii,
                           frak_s_sample, i_integral, j_decomposition,
                           mtilde_radial)
-from .spectral import GridField, check_lattice_size
+from .spectral import (GridField, HullField, check_lattice_size,
+                       lattice_freq_axes)
 from .symbols import SymbolSpec, eval_from_radial
 
 
@@ -58,7 +59,7 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> GridField:
+def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> HullField:
     """A thin-slab frequency bump adapted to one symbol family.
 
     The box is anisotropic: one axis hugs the radial direction at scale
@@ -72,12 +73,16 @@ def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> GridField:
     with ``tau ~ eps``.  Both sit where the family's own cutoffs equal 1
     (up to the fixed tau profile), and both vanish well inside the box, so
     the witness never wraps around the frequency torus.
+
+    The witness vanishes off its 1-D cap and tau factors' supports: the
+    slab is evaluated on the sub-lattice they span (all of axis 0), whose
+    size is checked first, and comes back as a `HullField` there with axis
+    0 cut to the slab's rows.  No array of the n^d lattice's size is built.
     """
     if family not in ("tilde", "eps"):
         raise ValueError(f"no slab witness for family {family!r}")
     if d < 3:
         raise ValueError("slab witnesses need d >= 3")
-    check_lattice_size((n,) * d)
     rt = math.sqrt(eps)
     if family == "tilde":
         spans = (3.0 * eps,) + (4.0 * rt,) * (d - 2) + (2.0,)
@@ -85,18 +90,18 @@ def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> GridField:
     else:
         spans = (2.0 * eps,) + (2.0 * rt,) * (d - 2) + (2.0 * eps,)
         offs = (1.0,) + (0.0,) * (d - 2) + (1.1 * eps,)
+    shape = (n,) * d
     periods = tuple(2.0 * math.pi * n / s for s in spans)
-    grid = GridField(np.zeros((n,) * d, dtype=complex), periods, offs,
-                     in_space=False)
-    freq = grid.freq_axes()
+    freq = lattice_freq_axes(shape, periods, offs)
     if family == "tilde":
-        caps = [SymmetricPlateau(0.5)(a / rt) for a in freq[1:-1]]
-        tw = SymmetricPlateau(0.25)(freq[-1] - 1.25)
+        cuts = ([(SymmetricPlateau(0.5), a / rt) for a in freq[1:-1]]
+                + [(SymmetricPlateau(0.25), freq[-1] - 1.25)])
     else:
-        caps = [SymmetricPlateau(1.0 / 8)(a / rt) for a in freq[1:-1]]
-        tw = SymmetricPlateau(0.3)(freq[-1] / eps - 1.1)
-    # The cap and tau factors are 1-D and the witness vanishes off their
-    # supports: the slab is evaluated on the sub-lattice they span only.
+        cuts = ([(SymmetricPlateau(1.0 / 8), a / rt) for a in freq[1:-1]]
+                + [(SymmetricPlateau(0.3), freq[-1] / eps - 1.1)])
+    check_lattice_size((n,) + tuple(
+        int(np.count_nonzero(np.abs(t) < cut.support[1])) for cut, t in cuts))
+    *caps, tw = [cut(t) for cut, t in cuts]
     index = [np.arange(n)] + [np.flatnonzero(f) for f in caps + [tw]]
     axes = np.meshgrid(*(a[i] for a, i in zip(freq, index)), indexing="ij",
                        sparse=True)
@@ -115,11 +120,11 @@ def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> GridField:
         at = np.flatnonzero(i == half)
         if at.size and np.any(np.take(vals, at[0], axis=ax)):
             raise ValueError("witness touches the frequency box boundary")
-    if not np.any(vals):
+    rows = np.flatnonzero(np.any(vals, axis=tuple(range(1, d))))
+    if not rows.size:
         raise ValueError("witness is empty on this lattice")
-    full = np.zeros(grid.shape, dtype=complex)
-    full[np.ix_(*index)] = vals
-    return grid.with_values(full, in_space=False)
+    index[0] = rows
+    return HullField(vals[rows], tuple(index), shape, periods, offs)
 
 
 def ring_grid(j: int, n_eta0: int = 256, n_tau: int = 64) -> GridField:

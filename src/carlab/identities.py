@@ -669,10 +669,11 @@ def fractional_laplacian(values: np.ndarray, periods: Sequence[float],
                          s: float) -> np.ndarray:
     """``(-Delta)^s`` of the real space samples ``values`` of an unmodulated
     periodic lattice with box lengths ``periods``, on the half spectrum:
-    ``rfftn``, times ``|xi|^(2s)`` on the half lattice, then ``irfftn`` (the
-    cell volume cancels between the two).  The ``|xi|^2`` sum is raised to
-    its power and multiplied in place, and ``values`` is dropped after
-    ``rfftn``: a caller that passes a temporary frees it before ``irfftn``.
+    ``rfftn``, times ``|xi|^(2s)`` on the half lattice, then ``irfftn``'s
+    own sequence with its ``ifft``s in place (the cell volume cancels).
+    The ``|xi|^2`` sum is raised to its power and multiplied in place, and
+    ``values`` is dropped after ``rfftn``: a caller that passes a temporary
+    frees it before the inverse, which allocates only its real output.
     """
     if s <= 0:
         raise ValueError("need s > 0")
@@ -687,7 +688,9 @@ def fractional_laplacian(values: np.ndarray, periods: Sequence[float],
     power **= s
     coeffs *= power
     del power
-    return np.fft.irfftn(coeffs, s=shape, axes=range(len(shape)))
+    for ax in range(len(shape) - 1):
+        np.fft.ifft(coeffs, axis=ax, out=coeffs)
+    return np.fft.irfft(coeffs, n=shape[-1], axis=-1)
 
 
 #: period of the inversion checks' d = 3 lattices, the box `inversion_bump` fits
@@ -723,7 +726,7 @@ def _kelvin_samples(u: CutoffSpec, s: float, n: int,
     t_tab = np.zeros(r.shape)
     t_tab[shell] = (r[shell] ** (2.0 * s - 3)
                     * np.asarray(u(1.0 / r[shell]), dtype=float))
-    # a temporary, so that fractional_laplacian frees it before irfftn
+    # a temporary, so that fractional_laplacian frees it before the inverse
     lhs = fractional_laplacian(t_tab[K], (KELVIN_PERIOD,) * 3, s)
 
     flat = np.flatnonzero(((r >= 0.7) & (r <= 1.4))[K])

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .regions import ExponentPoint
-from .spectral import GridField, sample_lp_norm, sample_symbol
+from .spectral import (GridField, HullField, check_lattice_size,
+                       sample_lp_norm, sample_symbol)
 
 
 class ExponentKind(enum.Enum):
@@ -122,49 +123,27 @@ def dualize(values: np.ndarray, r: float) -> np.ndarray:
     return vals * _power_in_place(np.abs(vals), r - 2.0)
 
 
-def certified_lower_bound(field: GridField, symbol, p: float, q: float) -> float:
+def certified_lower_bound(field: HullField, symbol, p: float, q: float) -> float:
     """The Rayleigh quotient ``||m(D) f||_q / ||f||_p`` for this one field.
 
-    An all-zero field is rejected before any sampling or transform.  The
-    work runs on the support hull of the coefficients ``F``: per axis, the
-    indices of the lattice planes that carry a nonzero coefficient
-    (`_support_hull`).  The symbol is sampled on the sub-lattice those
-    indices span and nowhere else, so a degenerate point off the hull
-    raises nothing; ``m F`` vanishes off the hull, so this is the dense
-    product exactly.  Both norms come from `_hull_norm`, which sums the
-    field's space samples ``y`` (`spectral`) one block of lines at a time,
-    so the whole lattice is never held on the space side.  A space-side
-    field keeps its own samples for the p-norm and pays one full forward
-    transform for ``F``.
+    An all-zero ``coef``, and a hull whose norm passes would allocate an
+    array above the lattice-size limit (`_hull_norm`, which runs the
+    p-norm first), are refused before any sampling.  The symbol is sampled
+    on the hull's sub-lattice (``field.index``) and nowhere else, so a
+    degenerate point off the hull raises nothing; ``m F`` vanishes off the
+    hull, so this is the dense product exactly.  Both norms sum the field's
+    space samples ``y`` (`spectral`) one block of lines at a time, so the
+    whole lattice is never held.
     """
     _check_exponents(p, q)
-    if not np.any(field.values):
+    if not np.any(field.coef):
         raise ValueError("field is identically zero")
-    F = field.to_freq()
-    cell = F.cell_volume
-    index = _support_hull(F.values)
-    m = sample_symbol(F, symbol, index)
-    coef = F.values[np.ix_(*index)]
-    if field.in_space:
-        denom = sample_lp_norm(field.values, p, cell)
-    else:
-        denom = _hull_norm(coef / cell, index, F.shape, p, cell)
-    coef = m * coef
+    cell = field.cell_volume
+    denom = _hull_norm(field.coef / cell, field.index, field.shape, p, cell)
+    m = sample_symbol(field, symbol, field.index)
+    coef = m * field.coef
     coef /= cell
-    return _hull_norm(coef, index, F.shape, q, cell) / denom
-
-
-def _support_hull(values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per axis, the ascending indices at which ``values`` has a nonzero
-    entry somewhere in the rest of the array.
-
-    The sets need not be ranges (a support may wrap around the FFT ends),
-    and ``values`` vanishes off the sub-lattice they span.
-    """
-    nonzero = values != 0
-    axes = range(values.ndim)
-    return tuple(np.flatnonzero(np.any(nonzero, axis=tuple(
-        b for b in axes if b != a))) for a in axes)
+    return _hull_norm(coef, field.index, field.shape, q, cell) / denom
 
 
 #: complex elements per block of axis-0 rows (`_block_rows`): a block and
@@ -187,12 +166,17 @@ def _hull_norm(coef: np.ndarray, index: Sequence[np.ndarray],
     The first pass runs on the whole hull; the others run one block of the
     first axis's rows at a time (`_block_rows`), and the block's ``|y|^r``
     goes into the sum, so the whole lattice is never held.  ``coef`` is not
-    written into.
+    written into.  First `check_lattice_size` refuses the first pass's array
+    and a block's, which holds one whole cross-section at least.
     """
     order = sorted(range(len(shape)), key=lambda a: -len(index[a]))
+    rest = tuple(shape[a] for a in order[1:])
+    b = _block_rows((shape[order[0]],) + rest)
+    check_lattice_size((shape[order[0]],)
+                       + tuple(len(index[a]) for a in order[1:]))
+    check_lattice_size((b,) + rest)
     y = _pad_ifft(np.transpose(coef, order), 0, index[order[0]],
                   shape[order[0]])
-    b = _block_rows(tuple(shape[a] for a in order))
     total = 0.0
     for t in range(0, len(y), b):
         block = y[t:t + b]

@@ -41,27 +41,52 @@ from .symbols import SingularFrequencyError, SymbolSpec, symbol_on_axes
 
 DEFAULT_GRID_SIZE = {1: 4096, 2: 512, 3: 128}
 
-#: the largest complex lattice, in bytes, that a grid builder allocates
+#: the largest complex array, in bytes, that a builder or a norm pass allocates
 MAX_LATTICE_BYTES = 2 ** 31
 
 
 def check_lattice_size(shape: Sequence[int]) -> None:
-    """Reject a complex lattice of this shape above `MAX_LATTICE_BYTES`.
+    """Reject a complex array of this shape above `MAX_LATTICE_BYTES`.
 
-    Grid builders call this before they allocate anything, so a config that
-    asks for, say, a 128^5 lattice fails at once instead of at the
-    allocator.
+    Builders and norm passes call this before they allocate the array, so
+    a config that asks for, say, a 128^5 lattice fails at once instead of
+    at the allocator.
     """
     nbytes = 16 * math.prod(shape)
     if nbytes > MAX_LATTICE_BYTES:
         raise ValueError(
-            f"a {'x'.join(map(str, shape))} complex lattice takes "
+            f"a {'x'.join(map(str, shape))} complex array takes "
             f"{nbytes / 2 ** 30:.4g} GiB, above the "
             f"{MAX_LATTICE_BYTES / 2 ** 30:.4g} GiB limit")
 
 
+def lattice_freq_axes(shape: Sequence[int], periods: Sequence[float],
+                      freq_offsets: Sequence[float]) -> list[np.ndarray]:
+    """Per axis, the shifted frequency lattice ``sigma_i + (2 pi / L_i) *
+    k`` of a ``shape`` lattice, ``k`` the fft integers 0, 1, ..., -1."""
+    return [sigma + (2.0 * np.pi / L) * np.fft.fftfreq(n, d=1.0 / n)
+            for sigma, L, n in zip(freq_offsets, periods, shape)]
+
+
+class Lattice:
+    """The geometry that `GridField` and `HullField` share: a lattice of
+    ``shape`` with box lengths ``periods`` and frequency shifts
+    ``freq_offsets``, which each subclass provides."""
+
+    @property
+    def spacings(self) -> tuple[float, ...]:
+        return tuple(L / n for L, n in zip(self.periods, self.shape))
+
+    @property
+    def cell_volume(self) -> float:
+        return math.prod(self.spacings)
+
+    def freq_axes(self) -> list[np.ndarray]:
+        return lattice_freq_axes(self.shape, self.periods, self.freq_offsets)
+
+
 @dataclass(frozen=True)
-class GridField:
+class GridField(Lattice):
     """A band-limited function on a periodic lattice with a shifted
     frequency lattice.
 
@@ -111,24 +136,6 @@ class GridField:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    @property
-    def spacings(self) -> tuple[float, ...]:
-        return tuple(L / n for L, n in zip(self.periods, self.shape))
-
-    @property
-    def cell_volume(self) -> float:
-        out = 1.0
-        for h in self.spacings:
-            out *= h
-        return out
-
-    def freq_axes(self) -> list[np.ndarray]:
-        out = []
-        for sigma, L, n in zip(self.freq_offsets, self.periods, self.shape):
-            k = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., -1 integer pattern
-            out.append(sigma + (2.0 * np.pi / L) * k)
-        return out
-
     # --- representation changes ---------------------------------------------
 
     def to_freq(self) -> "GridField":
@@ -148,6 +155,22 @@ class GridField:
     def with_values(self, values, in_space: bool | None = None) -> "GridField":
         return replace(self, values=np.asarray(values, dtype=complex),
                        in_space=self.in_space if in_space is None else in_space)
+
+
+@dataclass(frozen=True)
+class HullField(Lattice):
+    """A field's frequency coefficients ``F`` (as in `GridField`) on its
+    hull: the sub-lattice spanned by ``index``, one ascending array of
+    lattice indices per axis, off which ``F`` vanishes.  ``shape``,
+    ``periods`` and ``freq_offsets`` give the whole lattice, whose array is
+    never built; ``sample_symbol(field, symbol, field.index)`` samples a
+    multiplier on the hull alone."""
+
+    coef: np.ndarray
+    index: tuple[np.ndarray, ...]
+    shape: tuple[int, ...]
+    periods: tuple[float, ...]
+    freq_offsets: tuple[float, ...]
 
 
 def default_grid(d: int, n: int | None = None, freq_span: float = 7.0,
@@ -219,9 +242,9 @@ def lorentz_norm(field: GridField, p: float, flavor: str) -> float:
 Symbol = Union[SymbolSpec, Callable[..., np.ndarray], np.ndarray]
 
 
-def sample_symbol(grid: GridField, symbol: Symbol,
+def sample_symbol(grid: Lattice, symbol: Symbol,
                   index: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """A multiplier's samples on the grid's frequency lattice, grid-shaped.
+    """A multiplier's samples on a field's frequency lattice, lattice-shaped.
 
     ``symbol`` is a `SymbolSpec`, a callable receiving the sparse frequency
     meshgrid (one broadcastable array per axis), or an array already sampled

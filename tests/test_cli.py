@@ -284,7 +284,9 @@ def test_normest_rejects_an_oversized_witness_before_allocating_it(
         {"experiment": "normest", "kind": "me_knapp", "d": 5,
          "out_dir": str(tmp_path)}))  # a 128^5 witness lattice
     assert report.verdicts[0].status == "fail"
-    assert "512 GiB" in report.verdicts[0].detail
+    # the slab's evaluation sub-lattice, all of axis 0 across the factors
+    assert "128x31x31x31x77 complex array takes 4.375 GiB" in \
+        report.verdicts[0].detail
 
 
 def test_spectral_transforms_its_field_forward_once(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 """Distribution pairings, order-shuffle identities, inversion transform."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,25 @@ def test_fractional_laplacian_matches_the_complex_route(n, s):
         want = _complex_fractional_laplacian(g, field, s).values.real
         got = fractional_laplacian(field, g.periods, s)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_fractional_laplacian_holds_one_half_spectrum_beside_its_output():
+    # the inverse runs its ifft axes in place on the coefficients, so the
+    # peak is the half spectrum plus one transform's output or scratch,
+    # not the three complex half spectra irfftn holds
+    n = 64
+    g = _kelvin_lattice(n)
+    field = np.exp(-4.0 * _centered_radii(g) ** 2)
+    half_spectrum = 16 * n * n * (n // 2 + 1)
+    fractional_laplacian(field, g.periods, 1.25)  # FFT plans are set up
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fractional_laplacian(field, g.periods, 1.25)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * half_spectrum
 
 
 def test_lattice_radii_match_the_centred_coordinates():

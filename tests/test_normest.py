@@ -16,9 +16,10 @@ from carlab.normest import (_BLOCK, ExponentKind, NormEstimate, _hull_norm,
                             estimate_operator_norm, fit_scaling, power_method,
                             theoretical_exponent)
 from carlab.regions import ExponentPoint
-from carlab.spectral import (GridField, default_grid, lp_norm,
+from carlab.spectral import (GridField, HullField, default_grid, lp_norm,
                              sample_lp_norm, sample_symbol)
 from carlab.symbols import SingularFrequencyError, SymbolSpec, symbol_on_axes
+from hulls import dense_of, hull_of
 
 RNG = np.random.Generator(np.random.Philox(77))
 
@@ -72,7 +73,7 @@ def test_single_mode_gives_symbol_modulus():
     f = g.with_values(vals, in_space=False)
     spec = SymbolSpec("full", 2, 1)
     m = symbol_on_axes(spec, g.freq_axes())
-    est = certified_lower_bound(f, spec, 2.0, 2.0)
+    est = certified_lower_bound(hull_of(f), spec, 2.0, 2.0)
     assert est == pytest.approx(abs(m[3, 7]), rel=1e-10)
 
 
@@ -81,24 +82,25 @@ def test_witness_scale_invariance():
     f = g.with_values(RNG.standard_normal(g.shape)
                       + 1j * RNG.standard_normal(g.shape), in_space=True)
     spec = SymbolSpec("full", 2, 1)
-    a = certified_lower_bound(f, spec, 1.5, 3.0)
-    b = certified_lower_bound(f.with_values(17.0 * f.values), spec, 1.5, 3.0)
+    a = certified_lower_bound(hull_of(f), spec, 1.5, 3.0)
+    b = certified_lower_bound(hull_of(f.with_values(17.0 * f.values)), spec,
+                              1.5, 3.0)
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_zero_witness_rejected(monkeypatch):
-    # on either side, before any sampling or transform
+    # an all-zero hull, before any sampling or transform
     import carlab.normest as normest
 
     def refuse(*args, **kwargs):
         raise AssertionError("sampled or transformed an all-zero field")
     monkeypatch.setattr(normest, "sample_symbol", refuse)
-    monkeypatch.setattr(GridField, "to_freq", refuse)
+    monkeypatch.setattr(normest, "_hull_norm", refuse)
     g = default_grid(2, n=16)
-    for in_space in (True, False):
-        f = g.with_values(np.zeros(g.shape, complex), in_space=in_space)
-        with pytest.raises(ValueError, match="identically zero"):
-            certified_lower_bound(f, SymbolSpec("full", 2, 1), 2.0, 2.0)
+    f = HullField(np.zeros((2, 3), complex), (np.arange(2), np.arange(3)),
+                  g.shape, g.periods, g.freq_offsets)
+    with pytest.raises(ValueError, match="identically zero"):
+        certified_lower_bound(f, SymbolSpec("full", 2, 1), 2.0, 2.0)
 
 
 def test_conjugate_reflected_witness_duality():
@@ -111,8 +113,9 @@ def test_conjugate_reflected_witness_duality():
     def conj_symbol(e1, tau):
         return np.conj((e1 * e1 + tau * tau - 1.0 + 2j * tau) ** -2)
 
-    a = certified_lower_bound(f, spec, 1.25, 5.0)
-    b = certified_lower_bound(conjugate_reflect(f), conj_symbol, 1.25, 5.0)
+    a = certified_lower_bound(hull_of(f), spec, 1.25, 5.0)
+    b = certified_lower_bound(hull_of(conjugate_reflect(f)), conj_symbol,
+                              1.25, 5.0)
     assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -135,33 +138,30 @@ def _wrapped_field():
     return g.with_values(vals, in_space=False)
 
 
-def _random_field(d, n, in_space):
+def _random_field(d, n):
     rng = np.random.Generator(np.random.Philox(22))
     g = default_grid(d, n=n, for_full_symbol=True)
     return g.with_values(rng.standard_normal(g.shape)
-                         + 1j * rng.standard_normal(g.shape),
-                         in_space=in_space)
+                         + 1j * rng.standard_normal(g.shape), in_space=False)
 
 
 def _eta_tau_symbol(e1, tau):
     return 1.0 / (e1 * e1 + tau * tau - 1.0 + 2j * tau)
 
 
-_D2_FIELD = _random_field(2, 64, in_space=False)
+_D2_FIELD = hull_of(_random_field(2, 64))
 
 _BOUND_CASES = {
     **{f"{family}_2^-{m}": (knapp_witness(family, 3, 2.0 ** -m, n=64),
                             SymbolSpec(family, 3, 1, eps=2.0 ** -m))
        for family in ("tilde", "eps") for m in (3, 6)},
-    "wrapped": (_wrapped_field(), SymbolSpec("full", 3, 1)),
-    "full_support": (_random_field(3, 16, in_space=False),
+    "wrapped": (hull_of(_wrapped_field()), SymbolSpec("full", 3, 1)),
+    "full_support": (hull_of(_random_field(3, 16)),
                      SymbolSpec("full", 3, 2)),
     "d2_spec": (_D2_FIELD, SymbolSpec("full", 2, 1)),
     "d2_callable": (_D2_FIELD, _eta_tau_symbol),
     "d2_array": (_D2_FIELD, sample_symbol(_D2_FIELD,
                                           SymbolSpec("full", 2, 1))),
-    "space_side": (_random_field(3, 16, in_space=True),
-                   SymbolSpec("full", 3, 1)),
 }
 
 
@@ -169,7 +169,7 @@ _BOUND_CASES = {
 @pytest.mark.parametrize("case", sorted(_BOUND_CASES))
 def test_hull_bound_matches_the_dense_formula(case, p, q):
     field, symbol = _BOUND_CASES[case]
-    want = _dense_bound(field, symbol, p, q)
+    want = _dense_bound(dense_of(field), symbol, p, q)
     assert certified_lower_bound(field, symbol, p, q) == \
         pytest.approx(want, rel=1e-13, abs=0.0)
 
@@ -185,7 +185,7 @@ def test_a_hull_on_the_degenerate_set_is_refused_with_the_rebuild_hint():
     vals = np.zeros(g.shape, complex)
     vals[2, 1] = vals[3, 0] = 1.0  # the hull {2, 3} x {0, 1} holds [2, 0]
     with pytest.raises(SingularFrequencyError, match="rebuild it"):
-        certified_lower_bound(g.with_values(vals, in_space=False),
+        certified_lower_bound(hull_of(g.with_values(vals, in_space=False)),
                               SymbolSpec("full", 2, 1), 2.0, 4.0)
 
 
@@ -193,7 +193,7 @@ def test_a_hull_off_the_degenerate_set_gets_a_finite_bound():
     g = _singular_lattice()
     vals = np.zeros(g.shape, complex)
     vals[3:6, 1:4] = 1.0
-    bound = certified_lower_bound(g.with_values(vals, in_space=False),
+    bound = certified_lower_bound(hull_of(g.with_values(vals, in_space=False)),
                                   SymbolSpec("full", 2, 1), 2.0, 4.0)
     assert np.isfinite(bound) and bound > 0.0
 
@@ -204,7 +204,7 @@ def test_a_witness_bound_makes_one_full_lattice_pass_per_norm(family,
     import carlab.normest as normest
     eps = 2.0 ** -4
     field = knapp_witness(family, 3, eps, n=64)
-    full = field.values.size
+    full = math.prod(field.shape)
     calls = []
     for name in ("fft", "ifft", "fftn", "ifftn"):
         def counted(a, *args, _fn=getattr(normest.np.fft, name), _name=name,
@@ -302,7 +302,7 @@ def test_power_beats_any_explicit_init():
     f = g.with_values(RNG.standard_normal(g.shape)
                       + 1j * RNG.standard_normal(g.shape), in_space=True)
     spec = SymbolSpec("full", 2, 1)
-    base = certified_lower_bound(f, spec, 2.0, 6.0)
+    base = certified_lower_bound(hull_of(f), spec, 2.0, 6.0)
     # the first quotient of a run from f is f's one-shot bound
     est = power_method(f, spec, 2.0, 6.0)
     assert est.value >= base * (1 - 1e-12)
@@ -321,7 +321,7 @@ def test_imaginary_part_never_dominates():
 
     rng = np.random.Generator(np.random.Philox(9))
     f = g.with_values(rng.standard_normal(g.shape) + 0j, in_space=True)
-    im_val = certified_lower_bound(f, im_symbol, 2.0, 4.0)
+    im_val = certified_lower_bound(hull_of(f), im_symbol, 2.0, 4.0)
     full_val = power_method(f, full_spec, 2.0, 4.0)
     assert im_val <= full_val.value * (1 + 1e-9)
 
@@ -668,7 +668,32 @@ def test_a_witness_bound_holds_no_full_size_array(family):
     spec = SymbolSpec(family, 3, 1, eps=eps)
     peak = _traced_peak(
         lambda: certified_lower_bound(field, spec, 4.0 / 3.0, 4.0))
-    assert peak <= 0.75 * field.values.nbytes
+    assert peak <= 0.75 * 16 * math.prod(field.shape)
+
+
+@pytest.mark.parametrize("family", ["tilde", "eps"])
+def test_a_witness_holds_no_full_size_array(family):
+    # the slab is evaluated on its factors' sub-lattice and kept on its hull
+    peak = _traced_peak(lambda: knapp_witness(family, 3, 2.0 ** -4, n=64))
+    assert peak <= 0.5 * 16 * 64 ** 3
+
+
+@pytest.mark.parametrize("shape, hull, array", [
+    # each block of the last pass holds a whole 2^14 x 2^14 cross-section
+    ((2, 2 ** 14, 2 ** 14), (2, 1, 1), "1x16384x16384"),
+    # the first pass is full along the widest hull axis, 2^27 long
+    ((2 ** 27, 4, 2), (3, 2, 1), "134217728x2x1")])
+def test_a_hull_whose_norm_arrays_are_too_large_is_refused_before_sampling(
+        monkeypatch, shape, hull, array):
+    import carlab.normest as normest
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbol sampled")
+    monkeypatch.setattr(normest, "sample_symbol", refuse)
+    field = HullField(np.ones(hull, complex), tuple(map(np.arange, hull)),
+                      shape, (1.0,) * 3, (0.0,) * 3)
+    with pytest.raises(ValueError, match=f"{array} complex array .* 4 GiB"):
+        certified_lower_bound(field, SymbolSpec("full", 3, 1), 2.0, 4.0)
 
 
 def test_a_precomputed_symbol_array_is_never_written_into():
@@ -770,11 +795,14 @@ def test_norm_estimation_never_writes_into_its_inputs(lattice):
                             + 1j * rng.standard_normal(lattice.shape))
     h = lattice.with_values(rng.standard_normal(lattice.shape) + 0j,
                             in_space=False)
-    arrays = (lattice.values, f.values, h.values, m)
+    hulls = (hull_of(f), hull_of(h))
+    arrays = (lattice.values, f.values, h.values, m,
+              *(hull.coef for hull in hulls))
     before = [_digest(a) for a in arrays]
+    for hull in hulls:
+        certified_lower_bound(hull, spec, 1.5, 4.0)
+        certified_lower_bound(hull, m, 2.0, 2.0)
     for field in (f, h):
-        certified_lower_bound(field, spec, 1.5, 4.0)
-        certified_lower_bound(field, m, 2.0, 2.0)
         power_method(field, spec, 2.0, 6.0, max_iter=3)
         power_method(field, m, 2.0, 3.0, max_iter=3)
     estimate_operator_norm(lattice, m, 2.0, 4.0, n_random=1, max_iter=3)

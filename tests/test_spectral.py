@@ -12,6 +12,7 @@ from carlab.spectral import (MAX_LATTICE_BYTES, GridField, apply_multiplier,
                              default_grid, lorentz_norm, lp_norm,
                              sample_symbol)
 from carlab.symbols import SymbolSpec
+from hulls import dense_of, support_hull
 
 RNG = np.random.Generator(np.random.Philox(404))
 
@@ -219,7 +220,7 @@ def test_knapp_norm_scaling_d3():
     # "eps" (tau span eps)
     eps_list = [2.0 ** -m for m in range(3, 7)]
     for family, want in (("tilde", 0.75), ("eps", 1.25)):
-        vals = [lp_norm(knapp_witness(family, 3, eps), 2.0)
+        vals = [lp_norm(dense_of(knapp_witness(family, 3, eps)), 2.0)
                 for eps in eps_list]
         slope = np.polyfit(np.log(eps_list), np.log(vals), 1)[0]
         assert abs(slope - want) <= 0.1, family
@@ -231,10 +232,10 @@ def test_knapp_support_slab():
     slack = 1.0 + 1e-12
     for family in ("tilde", "eps"):
         f = knapp_witness(family, 3, eps)
-        live = np.argwhere(np.abs(f.values) > 0)
+        live = np.argwhere(f.coef != 0)
         assert live.size
-        eta1, eta2, tau = (ax[live[:, i]]
-                           for i, ax in enumerate(f.freq_axes()))
+        eta1, eta2, tau = (ax[i[live[:, a]]] for a, (ax, i)
+                           in enumerate(zip(f.freq_axes(), f.index)))
         if family == "tilde":
             # |1 - |eta|^2| <= eps/4, |eta_2| <= sqrt(eps), |tau - 5/4| <= 1/2
             eta_sq = eta1 ** 2 + eta2 ** 2
@@ -285,9 +286,11 @@ def _dense_witness(family, d, eps, n):
 def test_knapp_witness_equals_its_whole_box_evaluation(family, d, n, m):
     got = knapp_witness(family, d, 2.0 ** -m, n=n)
     want = _dense_witness(family, d, 2.0 ** -m, n)
-    assert (got.periods, got.freq_offsets, got.in_space) == \
-        (want.periods, want.freq_offsets, want.in_space)
-    assert np.array_equal(got.values, want.values)
+    assert (got.periods, got.freq_offsets) == (want.periods, want.freq_offsets)
+    assert np.array_equal(dense_of(got).values, want.values)
+    # the hull is the support hull: it holds no all-zero plane
+    hull = support_hull(want.values)
+    assert all(np.array_equal(a, b) for a, b in zip(got.index, hull))
 
 
 def test_a_symbol_sampled_on_a_sub_lattice_is_the_full_sample_there():
@@ -315,6 +318,14 @@ def test_a_precomputed_symbol_array_comes_back_as_it_is():
     assert not sample_symbol(g, lambda *xi: sum(xi) + 0j).flags.writeable
 
 
+def test_a_witness_builds_where_its_lattice_would_not_fit():
+    # the 16^7 lattice would take 4 GiB; the witness holds its hull only
+    w = knapp_witness("eps", 7, 2.0 ** -6, n=16)
+    assert w.shape == (16,) * 7
+    assert w.coef.shape == tuple(len(i) for i in w.index)
+    assert np.any(w.coef)
+
+
 def test_knapp_witness_rejects_unknown_family_and_low_dimension():
     with pytest.raises(ValueError, match="no slab witness"):
         knapp_witness("ring", 3, 2.0 ** -4)
@@ -335,6 +346,8 @@ def test_an_oversized_lattice_is_rejected_before_any_allocation(monkeypatch):
             build()
     with pytest.raises(ValueError, match="128x128x128x128x128 .* 512 GiB"):
         default_grid(5, 128)
+    with pytest.raises(ValueError, match="128x31x31x31x77 .* 4.375 GiB"):
+        knapp_witness("eps", 5, 2.0 ** -6)
     check_lattice_size((32,) * 5)  # d = 5, n = 32: 512 MiB
     check_lattice_size((MAX_LATTICE_BYTES // 16,))
     with pytest.raises(ValueError):

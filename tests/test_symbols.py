@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from carlab import acceptance
 from carlab.bump import Psi0Cutoff
-from carlab.normest import _support_hull
 from carlab.symbols import (EPS0, SingularFrequencyError,
                             SymbolSpec, _theta,
                             eval_from_radial, eval_im_mtilde, eval_symbol,
@@ -137,9 +136,8 @@ def _ring_and_knapp_lattices():
     yield SymbolSpec("tilde", 3, 2, eps=eps), ring
     for family in ("eps", "tilde"):
         w = acceptance.knapp_witness(family, 3, 2.0 ** -3)
-        hull = _support_hull(w.values)
         yield (SymbolSpec(family, 3, 1, eps=2.0 ** -3),
-               [a[i] for a, i in zip(w.freq_axes(), hull)])
+               [a[i] for a, i in zip(w.freq_axes(), w.index)])
 
 
 def test_slices_match_the_dense_formula_bit_for_bit():
