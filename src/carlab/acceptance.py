@@ -29,8 +29,7 @@ from .normest import (ExponentKind, ScalingFit, certified_lower_bound,
 from .oscillatory import (LowerBoundParams, Phi5Spec, annulus_radii,
                           frak_s_sample, i_integral, j_decomposition,
                           mtilde_radial)
-from .spectral import (GridField, HullField, check_lattice_size,
-                       lattice_freq_axes)
+from .spectral import Grid, HullField, check_lattice_size
 from .symbols import SymbolSpec, eval_from_radial
 
 
@@ -90,9 +89,8 @@ def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> HullField:
     else:
         spans = (2.0 * eps,) + (2.0 * rt,) * (d - 2) + (2.0 * eps,)
         offs = (1.0,) + (0.0,) * (d - 2) + (1.1 * eps,)
-    shape = (n,) * d
-    periods = tuple(2.0 * math.pi * n / s for s in spans)
-    freq = lattice_freq_axes(shape, periods, offs)
+    grid = Grid((n,) * d, tuple(2.0 * math.pi * n / s for s in spans), offs)
+    freq = grid.freq_axes()
     if family == "tilde":
         cuts = ([(SymmetricPlateau(0.5), a / rt) for a in freq[1:-1]]
                 + [(SymmetricPlateau(0.25), freq[-1] - 1.25)])
@@ -124,10 +122,11 @@ def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> HullField:
     if not rows.size:
         raise ValueError("witness is empty on this lattice")
     index[0] = rows
-    return HullField(vals[rows], tuple(index), shape, periods, offs)
+    return HullField(grid.shape, grid.periods, grid.freq_offsets, vals[rows],
+                     tuple(index))
 
 
-def ring_grid(j: int, n_eta0: int = 256, n_tau: int = 64) -> GridField:
+def ring_grid(j: int, n_eta0: int = 256, n_tau: int = 64) -> Grid:
     """Frequency box for the j-th ring piece, resolution matched to 2^j.
 
     The eta axes halve their point count as the ring thickens (``n_eta0`` at
@@ -143,8 +142,7 @@ def ring_grid(j: int, n_eta0: int = 256, n_tau: int = 64) -> GridField:
     check_lattice_size(shape)
     spans = (2.4, 2.4, 4.2)
     periods = tuple(2.0 * math.pi * nn / s for nn, s in zip(shape, spans))
-    return GridField(np.zeros(shape, dtype=complex), periods,
-                     (0.0, 0.0, 0.0), in_space=False)
+    return Grid(shape, periods, (0.0, 0.0, 0.0))
 
 
 SYMBOL_TOL = 1e-10

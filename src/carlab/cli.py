@@ -256,16 +256,15 @@ def _run_spectral(cfg: ExperimentConfig,
     d = cfg.params["d"]
     n = cfg.params["n"] or None
     grid = default_grid(d, n=n)
-    shape, cell, periods = grid.shape, grid.cell_volume, grid.periods
+    shape, cell = grid.shape, grid.cell_volume
     noise = np.empty(shape, complex)
-    del grid  # its zeros go before the work array is made
     for part in (noise.real, noise.imag):
         for i in range(shape[0]):
             part[i] = rng.standard_normal(shape[1:])
     work = np.empty_like(noise)
     np.fft.fftn(noise, out=work)
     work *= cell  # the field's continuum-normalised coefficients
-    freq_cell = math.prod(2.0 * math.pi / p for p in periods)
+    freq_cell = math.prod(2.0 * math.pi / p for p in grid.periods)
     e_freq = (math.fsum(np.sum(np.abs(x) ** 2) for x in work)
               * freq_cell * (2.0 * math.pi) ** -d)
     work /= cell

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .regions import ExponentPoint
-from .spectral import (GridField, HullField, check_lattice_size,
-                       sample_lp_norm, sample_symbol)
+from .spectral import (Grid, HullField, check_lattice_size, sample_lp_norm,
+                       sample_symbol)
 
 
 class ExponentKind(enum.Enum):
@@ -88,12 +88,6 @@ def _check_exponents(p: float, q: float) -> None:
     if not (1.0 < p < np.inf and 1.0 < q < np.inf):
         raise ValueError(
             f"norm bounds need 1 < p, q < infinity, got p={p}, q={q}")
-
-
-def _check_power_exponents(p: float, q: float) -> None:
-    if p != 2.0:
-        raise ValueError(f"the power iteration runs at p = 2 only, got p={p}")
-    _check_exponents(p, q)
 
 
 def _power_in_place(x: np.ndarray, e: float) -> np.ndarray:
@@ -221,8 +215,7 @@ def _block_lines(shape: tuple[int, ...], axis: int, live: np.ndarray,
     return np.s_[:, j0:j1], live[j0:j1] - t * per_row
 
 
-def _live_lines(grid: GridField, symbol
-                ) -> tuple[int, np.ndarray, np.ndarray]:
+def _live_lines(grid: Grid, symbol) -> tuple[int, np.ndarray, np.ndarray]:
     """The axis along which the symbol leaves the most lattice lines
     empty, and its lines there.
 
@@ -330,70 +323,46 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
     return float(total)
 
 
-def power_method(init: GridField, symbol, p: float, q: float, *,
-                 max_iter: int = 24, tol: float = 1e-4,
-                 _start: tuple | None = None) -> NormEstimate:
-    """Boyd power iteration for ``||m(D)||_{2 -> q}`` from one starting field.
+def power_method(grid: Grid, live: tuple[int, np.ndarray, np.ndarray],
+                 lines: np.ndarray, q: float, *, max_iter: int = 24,
+                 tol: float = 1e-4) -> NormEstimate:
+    """Boyd power iteration for ``||m(D)||_{2 -> q}`` on the lattice
+    ``grid``, from the start whose coefficients ``F`` are ``lines`` on the
+    symbol's live lines ``live`` (`_live_lines`) and zero elsewhere.
 
-    Exponents other than p = 2, 1 < q < infinity are refused before any
-    sampling.  Each step maps the current unit-in-L^2 field through the
-    multiplier, records the quotient, then pulls the L^q norming function
-    back through the adjoint (the multiplier with conjugated symbol).
-    Stops on relative stagnation below ``tol`` or at the ``max_iter``-th
-    quotient, before the pull-back that quotient would feed; a non-finite
-    iterate aborts the run and returns the best bound collected so far.
+    Each step maps the current unit-in-L^2 field through the multiplier,
+    records the quotient, then pulls the L^q norming function back through
+    the adjoint (the multiplier with conjugated symbol).  Stops on relative
+    stagnation below ``tol`` or at the ``max_iter``-th quotient, before the
+    pull-back that quotient would feed; a non-finite iterate aborts the run
+    and returns the best bound collected so far.  The run takes ``lines``
+    over and writes into it; the caller checks the exponents.
 
     The loop works on raw arrays of the field's space samples
-    ``y = ifftn(F / cell_volume)`` (`spectral`), ``F`` the
-    continuum-normalised coefficients: the cell volume cancels between
-    ``fftn`` and ``ifftn``, and it enters each norm only as the factor
-    ``cell_volume ** (1/r)``.
-
-    The L^2 dualization is the identity, so between steps the iterate
-    stays on the frequency side, as the compact array of its lines along
-    the axis where ``m`` leaves the most lines empty (`_live_lines`, which
-    samples the symbol one block of axis-0 rows at a time); on A8's rings
-    3% of the tau-lines are live.  A step transforms that axis on the live
-    lines alone, around `_space_pass`, which runs the other axes, the
-    q-side norm and the dualization one block of cross-sections at a time.
-    The ``max_iter``-th quotient's pass skips the pull-back; a stagnating
-    run learns that it stops only after its pass.
-
-    The iterate's norm is Parseval's ``||f||_2^2 = cell_volume / N * sum
-    |fftn(y)|^2`` over the ``N`` samples, summed over the live lines.  A
-    start with mass on lines where ``m`` vanishes has its first norm summed
-    over the whole start ``F`` instead, one first-axis slice at a time.
-    The start's live lines are gathered from ``F`` itself (`_on_lines`), so
-    from a frequency start the run holds no full-size array of its own,
-    only a block and its scratch.
-
-    ``_start`` is for `estimate_operator_norm`: the `_live_lines` of its
-    symbol, which restarts on one lattice share, and a start's coefficients
-    ``F`` on them, which the run takes over.  ``init`` then gives only the
-    lattice, and ``symbol`` is not read.
+    ``y = ifftn(F / cell_volume)`` (`spectral`): the cell volume cancels
+    between ``fftn`` and ``ifftn``, and it enters each norm only as the
+    factor ``cell_volume ** (1/r)``.  The L^2 dualization is the identity,
+    so between steps the iterate stays on the frequency side, as the
+    compact ``(n_axis, K)`` array of its live lines along the axis where
+    ``m`` leaves the most lines empty; on A8's rings 3% of the tau-lines
+    are live.  A step transforms that axis on the live lines alone, around
+    `_space_pass`, which runs the other axes, the q-side norm and the
+    dualization one block of cross-sections at a time; the ``max_iter``-th
+    quotient's pass skips the pull-back.  The iterate's norm is Parseval's
+    ``||f||_2^2 = cell_volume / N * sum |fftn(y)|^2`` over the ``N``
+    samples, summed over the live lines.  So the run holds no full-size
+    array, only the lines, a block and its scratch.
     """
-    _check_power_exponents(p, q)
-    cell = init.cell_volume
-    cell_per_n = cell / init.values.size
-    nf = None
-    if _start is None:
-        axis, live, mk = _live_lines(init, symbol)
-        F = init.to_freq()
-        lines = _on_lines(F.values, axis, live)
-        if np.count_nonzero(F.values) > np.count_nonzero(lines):
-            nf = (sum(np.sum(np.abs(x) ** 2) for x in F.values)
-                  * cell_per_n) ** 0.5 / cell
-        del F  # a space-side start's coefficients go before the first pass
-    else:
-        (axis, live, mk), lines = _start
+    axis, numbers, mk = live
+    cell = grid.cell_volume
+    cell_per_n = cell / math.prod(grid.shape)
     lines /= cell
     mkc = np.conj(mk)
-    others = init.shape[:axis] + init.shape[axis + 1:]
+    others = grid.shape[:axis] + grid.shape[axis + 1:]
     history: list[float] = []
     aborted = False
     for step in range(max_iter):
-        if step or nf is None:
-            nf = sample_lp_norm(lines, 2.0, cell_per_n)
+        nf = sample_lp_norm(lines, 2.0, cell_per_n)
         if not np.isfinite(nf) or nf == 0.0:
             aborted = True
             break
@@ -401,7 +370,7 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
         lines *= 1.0 / nf
         np.fft.ifft(lines, axis=0, out=lines)
         last = step == max_iter - 1
-        s = float((_space_pass(lines, live, others, q, not last) * cell)
+        s = float((_space_pass(lines, numbers, others, q, not last) * cell)
                   ** (1.0 / q))
         if not np.isfinite(s):
             aborted = True
@@ -418,23 +387,26 @@ def power_method(init: GridField, symbol, p: float, q: float, *,
                         history=tuple(history), aborted=aborted)
 
 
-def estimate_operator_norm(grid: GridField, symbol, p: float, q: float, *,
+def estimate_operator_norm(grid: Grid, symbol, p: float, q: float, *,
                            seed: int = 0, n_random: int = 3,
                            max_iter: int = 24, tol: float = 1e-4
                            ) -> NormEstimate:
-    """Best certified lower bound over a small family of restarts; the
-    exponents are checked as in `power_method`, before any sampling.
+    """Best certified lower bound for ``||m(D)||_{2 -> q}`` on the lattice
+    ``grid`` over a small family of `power_method` restarts.
 
-    Restart seeds: the conjugated symbol itself as a frequency profile (the
-    natural L^2 maximiser, a strong generic start), then ``n_random``
-    complex Gaussian fields supported where the symbol is nonzero, drawn
-    from one seeded Philox stream, real parts first (`_noise_lines`).  The
-    symbol is sampled once, one block of axis-0 rows at a time, into the
-    live lines every run shares (`_live_lines`), and each start is built
-    on those lines just before its run and dropped after it.  So neither
+    Exponents other than p = 2, 1 < q < infinity are refused before any
+    sampling.  The symbol is sampled once, one block of axis-0 rows at a
+    time, into the live lines every run shares (`_live_lines`).  Restart
+    seeds, each built on those lines just before its run and dropped after
+    it: the conjugated symbol itself as a frequency profile (the natural
+    L^2 maximiser, a strong generic start), then ``n_random`` complex
+    Gaussian fields supported where the symbol is nonzero, drawn from one
+    seeded Philox stream, real parts first (`_noise_lines`).  So neither
     the symbol, nor its support, nor any start exists at full size.
     """
-    _check_power_exponents(p, q)
+    if p != 2.0:
+        raise ValueError(f"the power iteration runs at p = 2 only, got p={p}")
+    _check_exponents(p, q)
     live = _live_lines(grid, symbol)
     axis, numbers, mk = live
     if not numbers.size:
@@ -451,8 +423,7 @@ def estimate_operator_norm(grid: GridField, symbol, p: float, q: float, *,
     total_iter = 0
     aborted = False
     for lines in starts():
-        est = power_method(grid, symbol, p, q, max_iter=max_iter, tol=tol,
-                           _start=(live, lines))
+        est = power_method(grid, live, lines, q, max_iter=max_iter, tol=tol)
         del lines  # before the next start
         hist.extend(est.history)
         total_iter += est.iterations

@@ -1,21 +1,23 @@
-"""Band-limited fields on shifted anisotropic lattices, and multiplier action.
+"""Shifted anisotropic lattices, band-limited fields on them, and
+multiplier action.
 
-A `GridField` holds a function
+A lattice is a `Grid`: a shape, box lengths ``periods`` and per-axis
+frequency shifts ``sigma`` (``freq_offsets``), and no values.  A function
+on it is
 
-    f(x) = sum_k  F_k  exp(i (sigma + 2 pi k / L) . x)
+    f(x) = sum_k  F_k  exp(i (sigma + 2 pi k / L) . x).
 
-whose frequency lattice is shifted per axis by ``sigma``.  The shift buys
-two things.  First, thin frequency slabs far from the origin (the Knapp
-examples live at ``|eta| ~ 1``, ``tau ~ eps``) can be wrapped in a tight
-window per axis instead of forcing a huge isotropic lattice.  Second,
-offsetting by half a cell keeps every lattice point away from the degenerate
-set of the model symbol by a quantifiable margin.
+The shift buys two things.  First, thin frequency slabs far from the
+origin (the Knapp examples live at ``|eta| ~ 1``, ``tau ~ eps``) can be
+wrapped in a tight window per axis instead of forcing a huge isotropic
+lattice.  Second, offsetting by half a cell keeps every lattice point away
+from the degenerate set of the model symbol by a quantifiable margin.
 
 The space side of a field is the lattice samples of
 ``y(x) = f(x) exp(-i sigma . x)``, and its frequency side the coefficients
 ``F = fftn(y) * cell_volume`` (continuum normalisation): the transforms are
 plain DFTs on every lattice, and ``sigma`` enters only where frequencies are
-named (`GridField.freq_axes`, `sample_symbol`).  Since ``|y| = |f|``, the
+named (`Lattice.freq_axes`, `sample_symbol`).  Since ``|y| = |f|``, the
 norms of ``y`` are those of ``f``: lattice Riemann sums of ``|y|^p``, in
 which the cell volume enters only as ``cell_volume ** (1/p)``
 (`sample_lp_norm`).  Because every field here is band-limited by
@@ -23,6 +25,11 @@ construction and the lattice span exceeds the spectral support severalfold,
 these sums agree with the continuum integrals up to the (superpolynomially
 small) periodisation tails.  Norms are sums over all samples, so a loop may
 also hold ``y`` with its axes reordered.
+
+The norm passes (`normest`) take the `Grid` and build only the arrays they
+transform: the symbol's live lines, or a witness's hull (`HullField`).  A
+`GridField` holds ``y`` or ``F`` on the whole lattice; it is the dense form
+that the reference transforms and norms below work on.
 
 Sampled multiplication implements the multiplier action exactly on the
 shifted band: apply ``m`` by sampling ``m(sigma + 2 pi k / L)`` on the
@@ -41,16 +48,16 @@ from .symbols import SingularFrequencyError, SymbolSpec, symbol_on_axes
 
 DEFAULT_GRID_SIZE = {1: 4096, 2: 512, 3: 128}
 
-#: the largest complex array, in bytes, that a builder or a norm pass allocates
+#: the largest complex array, in bytes, that a lattice or a norm pass may need
 MAX_LATTICE_BYTES = 2 ** 31
 
 
 def check_lattice_size(shape: Sequence[int]) -> None:
     """Reject a complex array of this shape above `MAX_LATTICE_BYTES`.
 
-    Builders and norm passes call this before they allocate the array, so
-    a config that asks for, say, a 128^5 lattice fails at once instead of
-    at the allocator.
+    Builders call this on their lattice, and norm passes on the arrays
+    they allocate, so a config that asks for, say, a 128^5 lattice fails
+    at once instead of at the allocator.
     """
     nbytes = 16 * math.prod(shape)
     if nbytes > MAX_LATTICE_BYTES:
@@ -60,18 +67,26 @@ def check_lattice_size(shape: Sequence[int]) -> None:
             f"{MAX_LATTICE_BYTES / 2 ** 30:.4g} GiB limit")
 
 
-def lattice_freq_axes(shape: Sequence[int], periods: Sequence[float],
-                      freq_offsets: Sequence[float]) -> list[np.ndarray]:
-    """Per axis, the shifted frequency lattice ``sigma_i + (2 pi / L_i) *
-    k`` of a ``shape`` lattice, ``k`` the fft integers 0, 1, ..., -1."""
-    return [sigma + (2.0 * np.pi / L) * np.fft.fftfreq(n, d=1.0 / n)
-            for sigma, L, n in zip(freq_offsets, periods, shape)]
-
-
 class Lattice:
-    """The geometry that `GridField` and `HullField` share: a lattice of
-    ``shape`` with box lengths ``periods`` and frequency shifts
-    ``freq_offsets``, which each subclass provides."""
+    """The geometry every lattice type shares: a lattice of ``shape`` with
+    box lengths ``periods`` and frequency shifts ``freq_offsets``, which
+    each subclass provides, and one copy of the checks on them."""
+
+    def _check_geometry(self) -> None:
+        """Store ``periods`` and ``freq_offsets`` as float tuples, and refuse
+        a rank mismatch, an axis length that is not a power of two >= 2, or
+        a period that is not positive."""
+        object.__setattr__(self, "periods", tuple(float(p) for p in self.periods))
+        object.__setattr__(self, "freq_offsets",
+                           tuple(float(s) for s in self.freq_offsets))
+        if not len(self.shape) == len(self.periods) == len(self.freq_offsets):
+            raise ValueError("lattice rank must match periods/freq_offsets length")
+        for n in self.shape:
+            if n < 2 or n & (n - 1):
+                raise ValueError(f"axis length {n} is not a power of two")
+        for L in self.periods:
+            if not L > 0:
+                raise ValueError("periods must be positive")
 
     @property
     def spacings(self) -> tuple[float, ...]:
@@ -82,7 +97,25 @@ class Lattice:
         return math.prod(self.spacings)
 
     def freq_axes(self) -> list[np.ndarray]:
-        return lattice_freq_axes(self.shape, self.periods, self.freq_offsets)
+        """Per axis, the shifted frequency lattice ``sigma_i + (2 pi / L_i)
+        * k``, ``k`` the fft integers 0, 1, ..., -1."""
+        return [sigma + (2.0 * np.pi / L) * np.fft.fftfreq(n, d=1.0 / n)
+                for sigma, L, n in zip(self.freq_offsets, self.periods,
+                                       self.shape)]
+
+
+@dataclass(frozen=True)
+class Grid(Lattice):
+    """A lattice and nothing on it: what builders return and norm passes
+    take, since they read the geometry alone."""
+
+    shape: tuple[int, ...]
+    periods: tuple[float, ...]
+    freq_offsets: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        self._check_geometry()
 
 
 @dataclass(frozen=True)
@@ -112,19 +145,9 @@ class GridField(Lattice):
     in_space: bool = True
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "periods", tuple(float(p) for p in self.periods))
-        object.__setattr__(self, "freq_offsets",
-                           tuple(float(s) for s in self.freq_offsets))
-        if vals.ndim != len(self.periods) or vals.ndim != len(self.freq_offsets):
-            raise ValueError("values rank must match periods/freq_offsets length")
-        for n in vals.shape:
-            if n < 2 or n & (n - 1):
-                raise ValueError(f"axis length {n} is not a power of two")
-        for L in self.periods:
-            if not L > 0:
-                raise ValueError("periods must be positive")
+        object.__setattr__(self, "values",
+                           np.asarray(self.values, dtype=complex))
+        self._check_geometry()
 
     # --- geometry -----------------------------------------------------------
 
@@ -158,24 +181,20 @@ class GridField(Lattice):
 
 
 @dataclass(frozen=True)
-class HullField(Lattice):
+class HullField(Grid):
     """A field's frequency coefficients ``F`` (as in `GridField`) on its
     hull: the sub-lattice spanned by ``index``, one ascending array of
-    lattice indices per axis, off which ``F`` vanishes.  ``shape``,
-    ``periods`` and ``freq_offsets`` give the whole lattice, whose array is
-    never built; ``sample_symbol(field, symbol, field.index)`` samples a
-    multiplier on the hull alone."""
+    lattice indices per axis, off which ``F`` vanishes.  The geometry is
+    the whole lattice's, whose array is never built; ``sample_symbol(field,
+    symbol, field.index)`` samples a multiplier on the hull alone."""
 
     coef: np.ndarray
     index: tuple[np.ndarray, ...]
-    shape: tuple[int, ...]
-    periods: tuple[float, ...]
-    freq_offsets: tuple[float, ...]
 
 
 def default_grid(d: int, n: int | None = None, freq_span: float = 7.0,
-                 for_full_symbol: bool = False) -> GridField:
-    """An isotropic zero field whose lattice spans |xi_i| <= freq_span / 2.
+                 for_full_symbol: bool = False) -> Grid:
+    """An isotropic lattice spanning |xi_i| <= freq_span / 2.
 
     With ``for_full_symbol`` every axis is offset by half a frequency cell, so
     no lattice point can sit on the degenerate set of the model symbol (the
@@ -186,8 +205,7 @@ def default_grid(d: int, n: int | None = None, freq_span: float = 7.0,
     dxi = freq_span / n
     period = 2.0 * np.pi / dxi
     offset = 0.5 * dxi if for_full_symbol else 0.0
-    values = np.zeros((n,) * d, dtype=complex)
-    return GridField(values, (period,) * d, (offset,) * d, in_space=True)
+    return Grid((n,) * d, (period,) * d, (offset,) * d)
 
 
 # --- norms -------------------------------------------------------------------

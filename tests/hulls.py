@@ -22,8 +22,8 @@ def hull_of(field: GridField) -> HullField:
     """``field``'s frequency coefficients on their support hull."""
     F = field.to_freq()
     index = support_hull(F.values)
-    return HullField(F.values[np.ix_(*index)], index, F.shape, F.periods,
-                     F.freq_offsets)
+    return HullField(F.shape, F.periods, F.freq_offsets,
+                     F.values[np.ix_(*index)], index)
 
 
 def dense_of(field: HullField) -> GridField:

@@ -12,6 +12,7 @@ from carlab import acceptance, cli
 from carlab.bump import bump_fingerprint
 from carlab.cli import (ExperimentConfig, RunReport, main, parse_eps_range,
                         run)
+from carlab.spectral import default_grid
 
 
 def test_parse_eps_range_forms():
@@ -287,6 +288,20 @@ def test_normest_rejects_an_oversized_witness_before_allocating_it(
     # the slab's evaluation sub-lattice, all of axis 0 across the factors
     assert "128x31x31x31x77 complex array takes 4.375 GiB" in \
         report.verdicts[0].detail
+
+
+def test_a_lattice_axis_that_is_not_a_power_of_two_is_refused(tmp_path,
+                                                               capsys):
+    for build in (lambda: default_grid(2, n=100),
+                  lambda: acceptance.ring_grid(0, 100, 16)):
+        with pytest.raises(ValueError, match="100 is not a power of two"):
+            build()
+    rc = main(["--out-dir", str(tmp_path), "spectral", "--n", "100"])
+    report = json.loads((tmp_path / "spectral_report.json").read_text())
+    assert rc != 0
+    assert [(v["id"], v["status"]) for v in report["verdicts"]] == \
+        [("spectral-error", "fail")]
+    assert "not a power of two" in report["verdicts"][0]["detail"]
 
 
 def test_spectral_transforms_its_field_forward_once(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from carlab.identities import (KELVIN_PERIOD, CustomTest, PolyGauss,
                                verify_dist_identity, verify_kelvin)
 from carlab.quadrature import _panel_eval, panel_offsets
 from carlab.spectral import GridField, default_grid
+from fields import field_on
 
 RNG = np.random.Generator(np.random.Philox(55))
 
@@ -451,8 +452,8 @@ def test_field_at_points_is_the_shifted_function():
     # space samples are f exp(-i sigma . x); the interpolant returns f
     g = default_grid(2, n=16, for_full_symbol=True)
     rng = np.random.Generator(np.random.Philox(3))
-    f = g.with_values(rng.standard_normal(g.shape)
-                      + 1j * rng.standard_normal(g.shape), in_space=False)
+    f = field_on(g, rng.standard_normal(g.shape)
+                    + 1j * rng.standard_normal(g.shape), in_space=False)
     x = np.stack(np.meshgrid(*(h * np.arange(n) for h, n in
                                zip(g.spacings, g.shape)), indexing="ij"),
                  axis=-1).reshape(-1, 2)
@@ -466,7 +467,7 @@ def test_field_at_points_is_the_shifted_function():
     vals[3, 0] = 1.0
     xi = g.freq_axes()[0][3]
     point = np.array([0.37 * g.spacings[0], 0.0])
-    got = eval_field_at_points(g.with_values(vals, in_space=False), point)
+    got = eval_field_at_points(field_on(g, vals, in_space=False), point)
     scale = 1.0 / g.periods[0] / g.periods[1]
     assert got[0] == np.exp(1j * (point[0] * xi)) * scale
 

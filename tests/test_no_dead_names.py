@@ -107,7 +107,7 @@ def test_every_public_method_has_a_reader():
 
 
 # Record fields kept without a reader: the two routes' second value and
-# their distance, beside which ROADMAP item 7 puts the quadrature error.
+# their distance, beside which ROADMAP item 9 puts the quadrature error.
 _KEEP_FIELDS = {"PairingResult.rhs", "PairingResult.abs_err"}
 
 
@@ -142,7 +142,7 @@ def test_every_record_field_is_read():
 
 # Defaulted settings kept without a caller that sets them, with the reason.
 _KEEP_SETTINGS = {
-    # the n = 64/128 agreement behind ROADMAP item 2's sweep, which runs
+    # the n = 64/128 agreement behind ROADMAP item 4's sweep, which runs
     # the witness at n = 64
     "knapp_witness.n",
     # the sphere rule's exactness degree, which the pairing tests raise

@@ -16,9 +16,10 @@ from carlab.normest import (_BLOCK, ExponentKind, NormEstimate, _hull_norm,
                             estimate_operator_norm, fit_scaling, power_method,
                             theoretical_exponent)
 from carlab.regions import ExponentPoint
-from carlab.spectral import (GridField, HullField, default_grid, lp_norm,
+from carlab.spectral import (Grid, HullField, default_grid, lp_norm,
                              sample_lp_norm, sample_symbol)
 from carlab.symbols import SingularFrequencyError, SymbolSpec, symbol_on_axes
+from fields import field_on, start_lines
 from hulls import dense_of, hull_of
 
 RNG = np.random.Generator(np.random.Philox(77))
@@ -70,7 +71,7 @@ def test_single_mode_gives_symbol_modulus():
     g = default_grid(2, n=32, for_full_symbol=True)
     vals = np.zeros(g.shape, complex)
     vals[3, 7] = 2.0
-    f = g.with_values(vals, in_space=False)
+    f = field_on(g, vals, in_space=False)
     spec = SymbolSpec("full", 2, 1)
     m = symbol_on_axes(spec, g.freq_axes())
     est = certified_lower_bound(hull_of(f), spec, 2.0, 2.0)
@@ -79,8 +80,8 @@ def test_single_mode_gives_symbol_modulus():
 
 def test_witness_scale_invariance():
     g = default_grid(2, n=32)
-    f = g.with_values(RNG.standard_normal(g.shape)
-                      + 1j * RNG.standard_normal(g.shape), in_space=True)
+    f = field_on(g, RNG.standard_normal(g.shape)
+                    + 1j * RNG.standard_normal(g.shape), in_space=True)
     spec = SymbolSpec("full", 2, 1)
     a = certified_lower_bound(hull_of(f), spec, 1.5, 3.0)
     b = certified_lower_bound(hull_of(f.with_values(17.0 * f.values)), spec,
@@ -97,8 +98,8 @@ def test_zero_witness_rejected(monkeypatch):
     monkeypatch.setattr(normest, "sample_symbol", refuse)
     monkeypatch.setattr(normest, "_hull_norm", refuse)
     g = default_grid(2, n=16)
-    f = HullField(np.zeros((2, 3), complex), (np.arange(2), np.arange(3)),
-                  g.shape, g.periods, g.freq_offsets)
+    f = HullField(g.shape, g.periods, g.freq_offsets, np.zeros((2, 3), complex),
+                  (np.arange(2), np.arange(3)))
     with pytest.raises(ValueError, match="identically zero"):
         certified_lower_bound(f, SymbolSpec("full", 2, 1), 2.0, 2.0)
 
@@ -106,8 +107,8 @@ def test_zero_witness_rejected(monkeypatch):
 def test_conjugate_reflected_witness_duality():
     from carlab.spectral import conjugate_reflect
     g = default_grid(2, n=64)
-    f = g.with_values(RNG.standard_normal(g.shape)
-                      + 1j * RNG.standard_normal(g.shape), in_space=True)
+    f = field_on(g, RNG.standard_normal(g.shape)
+                    + 1j * RNG.standard_normal(g.shape), in_space=True)
     spec = SymbolSpec("full", 2, 2)
 
     def conj_symbol(e1, tau):
@@ -135,14 +136,14 @@ def _wrapped_field():
     ends = np.ix_([0, 1, 2, 29, 31], [0, 3, 30], [1, 31])
     vals[ends] = rng.standard_normal(vals[ends].shape) \
         + 1j * rng.standard_normal(vals[ends].shape)
-    return g.with_values(vals, in_space=False)
+    return field_on(g, vals, in_space=False)
 
 
 def _random_field(d, n):
     rng = np.random.Generator(np.random.Philox(22))
     g = default_grid(d, n=n, for_full_symbol=True)
-    return g.with_values(rng.standard_normal(g.shape)
-                         + 1j * rng.standard_normal(g.shape), in_space=False)
+    return field_on(g, rng.standard_normal(g.shape)
+                       + 1j * rng.standard_normal(g.shape), in_space=False)
 
 
 def _eta_tau_symbol(e1, tau):
@@ -185,7 +186,7 @@ def test_a_hull_on_the_degenerate_set_is_refused_with_the_rebuild_hint():
     vals = np.zeros(g.shape, complex)
     vals[2, 1] = vals[3, 0] = 1.0  # the hull {2, 3} x {0, 1} holds [2, 0]
     with pytest.raises(SingularFrequencyError, match="rebuild it"):
-        certified_lower_bound(hull_of(g.with_values(vals, in_space=False)),
+        certified_lower_bound(hull_of(field_on(g, vals, in_space=False)),
                               SymbolSpec("full", 2, 1), 2.0, 4.0)
 
 
@@ -193,7 +194,7 @@ def test_a_hull_off_the_degenerate_set_gets_a_finite_bound():
     g = _singular_lattice()
     vals = np.zeros(g.shape, complex)
     vals[3:6, 1:4] = 1.0
-    bound = certified_lower_bound(hull_of(g.with_values(vals, in_space=False)),
+    bound = certified_lower_bound(hull_of(field_on(g, vals, in_space=False)),
                                   SymbolSpec("full", 2, 1), 2.0, 4.0)
     assert np.isfinite(bound) and bound > 0.0
 
@@ -234,8 +235,9 @@ def test_power_method_hits_sup_norm_at_p2():
 
 def test_power_method_value_is_history_max():
     g = default_grid(2, n=32)
-    f = g.with_values(RNG.standard_normal(g.shape) + 0j, in_space=True)
-    est = power_method(f, SymbolSpec("full", 2, 1), 2.0, 4.0, max_iter=8)
+    f = field_on(g, RNG.standard_normal(g.shape) + 0j, in_space=True)
+    est = power_method(f, *start_lines(f, SymbolSpec("full", 2, 1)), 4.0,
+                       max_iter=8)
     assert isinstance(est, NormEstimate)
     assert est.value == max(est.history)
 
@@ -255,10 +257,10 @@ _RECORD_CASES = {
 def test_power_method_record_is_consistent(case, q, seed):
     grid, spec = _RECORD_CASES[case]
     rng = np.random.Generator(np.random.Philox(seed))
-    init = grid.with_values(rng.standard_normal(grid.shape)
-                            + 1j * rng.standard_normal(grid.shape),
-                            in_space=True)
-    est = power_method(init, spec, 2.0, q)
+    init = field_on(grid, rng.standard_normal(grid.shape)
+                          + 1j * rng.standard_normal(grid.shape),
+                          in_space=True)
+    est = power_method(init, *start_lines(init, spec), q)
     assert est.iterations == len(est.history)
     assert est.value == max(est.history, default=0.0)
     assert all(np.isfinite(h) for h in est.history)
@@ -273,38 +275,38 @@ def test_bad_exponents_are_refused_before_any_sampling(monkeypatch):
         raise AssertionError("symbol sampled")
 
     g = default_grid(2, n=16)
-    f = g.with_values(np.ones(g.shape, complex), in_space=False)
     spec = SymbolSpec("full", 2, 1)
     monkeypatch.setattr(normest, "sample_symbol", refuse)
     with pytest.raises(ValueError, match="p = 2 only"):
         estimate_operator_norm(g, spec, 3.0, 3.0)
     with pytest.raises(ValueError, match="p = 2 only"):
-        power_method(f, spec, 1.5, 4.0)
+        estimate_operator_norm(g, spec, 1.5, 4.0)
     with pytest.raises(ValueError, match="1 < p, q < infinity"):
         estimate_operator_norm(g, spec, 2.0, np.inf)
     with pytest.raises(ValueError, match="1 < p, q < infinity"):
-        power_method(f, spec, 2.0, 1.0)
+        estimate_operator_norm(g, spec, 2.0, 1.0)
 
 
 def test_degenerate_init_reports_zero():
     g = default_grid(2, n=32, freq_span=0.4)
     vals = np.zeros(g.shape, complex)
     vals[1, 1] = 1.0  # single mode far from the tilde tau-window
-    f = g.with_values(vals, in_space=False)
-    est = power_method(f, SymbolSpec("tilde", 2, 1, eps=2.0 ** -5), 2.0, 2.0,
-                       max_iter=6)
+    f = field_on(g, vals, in_space=False)
+    est = power_method(f, *start_lines(f, SymbolSpec("tilde", 2, 1,
+                                                     eps=2.0 ** -5)),
+                       2.0, max_iter=6)
     assert est.value == 0.0
     assert est.aborted
 
 
 def test_power_beats_any_explicit_init():
     g = default_grid(2, n=32)
-    f = g.with_values(RNG.standard_normal(g.shape)
-                      + 1j * RNG.standard_normal(g.shape), in_space=True)
+    f = field_on(g, RNG.standard_normal(g.shape)
+                    + 1j * RNG.standard_normal(g.shape), in_space=True)
     spec = SymbolSpec("full", 2, 1)
     base = certified_lower_bound(hull_of(f), spec, 2.0, 6.0)
     # the first quotient of a run from f is f's one-shot bound
-    est = power_method(f, spec, 2.0, 6.0)
+    est = power_method(f, *start_lines(f, spec), 6.0)
     assert est.value >= base * (1 - 1e-12)
 
 
@@ -320,9 +322,9 @@ def test_imaginary_part_never_dominates():
         return eval_from_radial(spec, e1 * e1 + e2 * e2, tau) + 0j
 
     rng = np.random.Generator(np.random.Philox(9))
-    f = g.with_values(rng.standard_normal(g.shape) + 0j, in_space=True)
+    f = field_on(g, rng.standard_normal(g.shape) + 0j, in_space=True)
     im_val = certified_lower_bound(hull_of(f), im_symbol, 2.0, 4.0)
-    full_val = power_method(f, full_spec, 2.0, 4.0)
+    full_val = power_method(f, *start_lines(f, full_spec), 4.0)
     assert im_val <= full_val.value * (1 + 1e-9)
 
 
@@ -399,13 +401,18 @@ _ORACLE_CASES = {
 
 
 def _starts(grid, spec):
-    """The symbol start estimate_operator_norm uses, and seeded noise."""
+    """The symbol start estimate_operator_norm uses, and the transform of
+    seeded space-side noise on the symbol's live lines, the start that a
+    run takes from the noise."""
     rng = np.random.Generator(np.random.Philox(31))
     noise = rng.standard_normal(grid.shape) \
         + 1j * rng.standard_normal(grid.shape)
-    return {"symbol": grid.with_values(np.conj(sample_symbol(grid, spec)),
-                                       in_space=False),
-            "noise": grid.with_values(noise, in_space=True)}
+    m = sample_symbol(grid, spec)
+    axis = _live_lines(grid, spec)[0]
+    on_live = np.any(m != 0, axis=axis, keepdims=True)
+    F = field_on(grid, noise).to_freq()
+    return {"symbol": field_on(grid, np.conj(m), in_space=False),
+            "noise": F.with_values(F.values * on_live)}
 
 
 @pytest.mark.parametrize("case, axis, n_live", [
@@ -437,8 +444,7 @@ def _dense_live_lines(m):
 
 def _tilde_grid():
     # a box that the tilde symbol's eta cutoff crosses on few lines
-    return GridField(np.zeros((16, 8, 32), complex), (40.0, 20.0, 9.0),
-                     (0.9, 0.05, 0.3), in_space=False)
+    return Grid((16, 8, 32), (40.0, 20.0, 9.0), (0.9, 0.05, 0.3))
 
 
 # a ring spec, a tilde spec, a callable and a precomputed array, pruned
@@ -507,13 +513,13 @@ def test_restarts_on_one_lattice_share_its_live_lines(monkeypatch):
                                  max_iter=6, tol=1e-3)
     # the same runs one by one, each finding its own live lines
     rng = np.random.Generator(np.random.Philox(0))
-    starts = [grid.with_values(np.conj(m), in_space=False)]
+    starts = [field_on(grid, np.conj(m), in_space=False)]
     for _ in range(2):
         noise = rng.standard_normal(grid.shape) \
             + 1j * rng.standard_normal(grid.shape)
-        starts.append(grid.with_values(noise * (m != 0), in_space=False))
-    history = sum((power_method(f, m, 2.0, 6.0, max_iter=6, tol=1e-3).history
-                   for f in starts), ())
+        starts.append(field_on(grid, noise * (m != 0), in_space=False))
+    history = sum((power_method(f, *start_lines(f, m), 6.0, max_iter=6,
+                                tol=1e-3).history for f in starts), ())
     assert est.history == history
     found = []
     monkeypatch.setattr(normest, "_live_lines",
@@ -538,7 +544,7 @@ def test_ring_estimate_is_bit_identical_on_rerun():
 def test_power_method_matches_the_grid_field_oracle(case, p, q):
     grid, spec = _ORACLE_CASES[case]
     for name, init in _starts(grid, spec).items():
-        got = power_method(init, spec, p, q, tol=1e-9)
+        got = power_method(grid, *start_lines(init, spec), q, tol=1e-9)
         want = _power_method_oracle(init, spec, q, tol=1e-9)
         assert (got.iterations, got.aborted) == \
             (want.iterations, want.aborted), name
@@ -559,46 +565,49 @@ _BLOCKED_CASES = {
 def test_power_method_at_p2_makes_no_full_size_transform_from_a_frequency_start(
         case, monkeypatch):
     # at p = 2 the iterate stays on the frequency side between steps, and a
-    # step transforms blocks of cross-sections, so only a space-side start's
-    # own forward transform sees the whole lattice
+    # step transforms blocks of cross-sections, so no transform sees the
+    # whole lattice
     grid, spec = _BLOCKED_CASES[case]
+    starts = {name: start_lines(init, spec)
+              for name, init in _starts(grid, spec).items()}
     calls = []
     for name in ("fftn", "ifftn"):
         def counted(a, *args, _fn=getattr(np.fft, name), **kwargs):
-            calls.append(np.size(a) == grid.values.size)
+            calls.append(np.size(a) == math.prod(grid.shape))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    for name, init in _starts(grid, spec).items():
+    for name, (live, lines) in starts.items():
         calls.clear()
-        est = power_method(init, spec, 2.0, 6.0, max_iter=200, tol=1e-6)
+        est = power_method(grid, live, lines, 6.0, max_iter=200, tol=1e-6)
         assert 2 < est.iterations < 200
         assert len(calls) > 2 * est.iterations  # several blocks per step
-        assert sum(calls) == (name == "noise"), name
+        assert sum(calls) == 0, name
 
 
 @pytest.mark.parametrize("p, q, per_step", [(2.0, 6.0, 2)])
 def test_a_capped_run_ends_on_its_last_quotient(p, q, per_step, monkeypatch):
     # the pull-back after the max_iter-th quotient would feed no quotient,
     # so a capped run skips it: each block makes ``per_step`` transforms a
-    # step, less its forward one on the last; the one full-size transform is
-    # the space-side start's own
+    # step, less its forward one on the last, and none is full-size
     grid, spec = _ORACLE_CASES["ring_j0"]
     init = _starts(grid, spec)["noise"]
-    longer = power_method(init, spec, p, q, max_iter=25, tol=1e-9)
+    longer = power_method(grid, *start_lines(init, spec), q, max_iter=25,
+                          tol=1e-9)
+    live, lines = start_lines(init, spec)
     calls = {"fftn": [], "ifftn": []}
     for name in calls:
         def counted(a, *args, _fn=getattr(np.fft, name), _name=name,
                     **kwargs):
-            calls[_name].append(np.size(a) == grid.values.size)
+            calls[_name].append(np.size(a) == math.prod(grid.shape))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    capped = power_method(init, spec, p, q, max_iter=24, tol=1e-9)
+    capped = power_method(grid, live, lines, q, max_iter=24, tol=1e-9)
     assert capped.iterations == 24
-    assert (sum(calls["fftn"]), sum(calls["ifftn"])) == (1, 0)
+    assert (sum(calls["fftn"]), sum(calls["ifftn"])) == (0, 0)
     n_blocks, rest = divmod(len(calls["ifftn"]), 24)
     assert n_blocks > 1 and rest == 0
     assert len(calls["fftn"]) + len(calls["ifftn"]) == \
-        1 + n_blocks * (per_step * 24 - 1)
+        n_blocks * (per_step * 24 - 1)
     assert capped.history == longer.history[:24]
 
 
@@ -607,7 +616,7 @@ def test_restarts_are_built_one_at_a_time():
     # so more restarts do not raise the peak
     grid = ring_grid(0, 64, 16)
     spec = SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=0)
-    field_mb = grid.values.nbytes / 2 ** 20
+    field_mb = 16 * math.prod(grid.shape) / 2 ** 20
 
     def peak_mb(n_random):
         tracemalloc.start()
@@ -635,16 +644,15 @@ def _traced_peak(run) -> int:
 
 
 def test_a_p2_run_holds_no_full_size_array_of_its_own():
-    # from a frequency start the start's lines are gathered from the start
-    # itself and its norm is summed in blocks, and a step runs one block of
-    # cross-sections at a time: the run's own arrays are the compact lines,
-    # a block and the block's scratch
+    # a step runs one block of cross-sections at a time: the run's own
+    # arrays are a block and the block's scratch, beside the compact lines
+    # it is handed
     grid = ring_grid(0, 64, 16)
     m = sample_symbol(grid, SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=0))
-    init = grid.with_values(np.conj(m), in_space=False)
-    peak = _traced_peak(
-        lambda: power_method(init, m, 2.0, 6.0, max_iter=4, tol=1e-9))
-    assert peak <= 0.25 * grid.values.nbytes
+    live, lines = start_lines(field_on(grid, np.conj(m), in_space=False), m)
+    peak = _traced_peak(lambda: power_method(grid, live, lines.copy(), 6.0,
+                                             max_iter=4, tol=1e-9))
+    assert peak <= 0.25 * 16 * math.prod(grid.shape)
 
 
 def test_a_ring_estimate_holds_no_full_size_array():
@@ -655,7 +663,7 @@ def test_a_ring_estimate_holds_no_full_size_array():
     spec = SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=0)
     peak = _traced_peak(lambda: estimate_operator_norm(
         grid, spec, 2.0, 6.0, n_random=1, max_iter=4, tol=1e-3))
-    assert peak <= 0.25 * grid.values.nbytes
+    assert peak <= 0.25 * 16 * math.prod(grid.shape)
 
 
 @pytest.mark.parametrize("family", ["tilde", "eps"])
@@ -690,8 +698,8 @@ def test_a_hull_whose_norm_arrays_are_too_large_is_refused_before_sampling(
     def refuse(*args, **kwargs):
         raise AssertionError("symbol sampled")
     monkeypatch.setattr(normest, "sample_symbol", refuse)
-    field = HullField(np.ones(hull, complex), tuple(map(np.arange, hull)),
-                      shape, (1.0,) * 3, (0.0,) * 3)
+    field = HullField(shape, (1.0,) * 3, (0.0,) * 3, np.ones(hull, complex),
+                      tuple(map(np.arange, hull)))
     with pytest.raises(ValueError, match=f"{array} complex array .* 4 GiB"):
         certified_lower_bound(field, SymbolSpec("full", 3, 1), 2.0, 4.0)
 
@@ -791,20 +799,20 @@ def test_norm_estimation_never_writes_into_its_inputs(lattice):
     spec = SymbolSpec("full", 2, 1)
     m = np.array(sample_symbol(lattice, spec))  # writable, precomputed
     rng = np.random.Generator(np.random.Philox(12))
-    f = lattice.with_values(rng.standard_normal(lattice.shape)
-                            + 1j * rng.standard_normal(lattice.shape))
-    h = lattice.with_values(rng.standard_normal(lattice.shape) + 0j,
-                            in_space=False)
+    f = field_on(lattice, rng.standard_normal(lattice.shape)
+                          + 1j * rng.standard_normal(lattice.shape))
+    h = field_on(lattice, rng.standard_normal(lattice.shape) + 0j,
+                          in_space=False)
     hulls = (hull_of(f), hull_of(h))
-    arrays = (lattice.values, f.values, h.values, m,
+    arrays = (f.values, h.values, m,
               *(hull.coef for hull in hulls))
     before = [_digest(a) for a in arrays]
     for hull in hulls:
         certified_lower_bound(hull, spec, 1.5, 4.0)
         certified_lower_bound(hull, m, 2.0, 2.0)
     for field in (f, h):
-        power_method(field, spec, 2.0, 6.0, max_iter=3)
-        power_method(field, m, 2.0, 3.0, max_iter=3)
+        power_method(lattice, *start_lines(field, spec), 6.0, max_iter=3)
+        power_method(lattice, *start_lines(field, m), 3.0, max_iter=3)
     estimate_operator_norm(lattice, m, 2.0, 4.0, n_random=1, max_iter=3)
     estimate_operator_norm(lattice, spec, 2.0, 2.0, n_random=1, max_iter=3)
     assert [_digest(a) for a in arrays] == before

@@ -333,13 +333,14 @@ def test_top_term_lower_bound_on_window():
 def test_matches_full_grid_route():
     """d=3 slice: lattice evaluation of the same operator output."""
     from carlab.spectral import apply_multiplier, default_grid
+    from fields import field_on
 
     d, k, eps = 3, 1, 2.0 ** -4
     spec = Phi5Spec(d, k)
     g = default_grid(d, n=128, freq_span=3.0)
     e1, e2, tau = np.meshgrid(*g.freq_axes(), indexing="ij", sparse=True)
     fhat = spec.phi(np.sqrt(e1 ** 2 + e2 ** 2)) * spec.phi(tau) + 0j
-    f = g.with_values(np.broadcast_to(fhat, g.shape).copy(), in_space=False)
+    f = field_on(g, np.broadcast_to(fhat, g.shape).copy(), in_space=False)
 
     def sym(a, b, c):
         return 1.0 / (a * a + b * b - 1.0 + (eps * c) ** 2 + 2j * eps * c)

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from carlab.acceptance import knapp_witness, ring_grid
-from carlab.spectral import (MAX_LATTICE_BYTES, GridField, apply_multiplier,
-                             check_lattice_size, conjugate_reflect,
-                             default_grid, lorentz_norm, lp_norm,
-                             sample_symbol)
+from carlab.spectral import (MAX_LATTICE_BYTES, Grid, GridField,
+                             apply_multiplier, check_lattice_size,
+                             conjugate_reflect, default_grid, lorentz_norm,
+                             lp_norm, sample_symbol)
 from carlab.symbols import SymbolSpec
+from fields import field_on
 from hulls import dense_of, support_hull
 
 RNG = np.random.Generator(np.random.Philox(404))
@@ -21,7 +22,7 @@ def noise_field(d=2, n=64, seed=5) -> GridField:
     g = default_grid(d, n=n)
     rng = np.random.Generator(np.random.Philox(seed))
     vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    return g.with_values(vals, in_space=True)
+    return field_on(g, vals, in_space=True)
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +50,27 @@ def test_power_of_two_enforced():
                   in_space=True)
 
 
+@pytest.mark.parametrize("shape, periods, offsets, message", [
+    ((12, 16), (1.0, 1.0), (0.0, 0.0), "12 is not a power of two"),
+    ((1, 16), (1.0, 1.0), (0.0, 0.0), "1 is not a power of two"),
+    ((16, 16), (1.0, 0.0), (0.0, 0.0), "periods must be positive"),
+    ((16, 16), (1.0,), (0.0, 0.0), "rank must match")])
+def test_a_lattice_and_a_field_refuse_the_same_geometry(shape, periods,
+                                                        offsets, message):
+    with pytest.raises(ValueError, match=message):
+        Grid(shape, periods, offsets)
+    with pytest.raises(ValueError, match=message):
+        GridField(np.zeros(shape, complex), periods, offsets)
+
+
+def test_a_lattice_holds_its_geometry_as_tuples():
+    g = Grid([16, np.int64(8)], [2, 4.0], (0, 0.5))
+    assert (g.shape, g.periods, g.freq_offsets) == \
+        ((16, 8), (2.0, 4.0), (0.0, 0.5))
+    assert all(type(n) is int for n in g.shape)
+    assert all(type(v) is float for v in g.periods + g.freq_offsets)
+
+
 def digest(values: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
@@ -63,7 +85,7 @@ def test_transforms_never_write_into_their_input(lattice):
         return 1.0 + 0.5j + sum(a * a for a in axes)
 
     for in_space in (True, False):
-        f = lattice.with_values(vals.copy(), in_space=in_space)
+        f = field_on(lattice, vals.copy(), in_space=in_space)
         before = digest(f.values)
         f.to_freq()
         f.to_space()
@@ -97,7 +119,7 @@ def test_constant_symbol_is_identity():
 def test_symbol_dead_on_lattice_gives_zero():
     # lattice tau values miss the psi window entirely on a tight grid
     g = default_grid(3, n=16, freq_span=0.4)
-    f = g.with_values(RNG.standard_normal(g.shape) + 0j, in_space=True)
+    f = field_on(g, RNG.standard_normal(g.shape) + 0j, in_space=True)
     out = apply_multiplier(f, SymbolSpec("tilde", 3, 1, eps=2.0 ** -5))
     assert np.abs(out.to_space().values).max() == 0.0
 
@@ -106,7 +128,7 @@ def test_single_mode_rayleigh_quotient_is_symbol_modulus():
     g = default_grid(2, n=32)
     vals = np.zeros(g.shape, complex)
     vals[3, 7] = 1.0
-    f = g.with_values(vals, in_space=False)
+    f = field_on(g, vals, in_space=False)
     xi = (g.freq_axes()[0][3], g.freq_axes()[1][7])
     spec = SymbolSpec("full", 2, 1)
     out = apply_multiplier(f, spec)
@@ -121,7 +143,7 @@ def test_reciprocal_composition_restores_field():
     vals = np.zeros(g.shape, complex)
     vals[5:9, 3:7, 4:8] = (RNG.standard_normal((4, 4, 4))
                            + 1j * RNG.standard_normal((4, 4, 4)))
-    f = g.with_values(vals, in_space=False)
+    f = field_on(g, vals, in_space=False)
     spec = SymbolSpec("full", 3, 1)
     h = apply_multiplier(f, spec)
 
@@ -139,8 +161,8 @@ def test_conjugate_symbol_duality_on_random_fields():
     spec = SymbolSpec("full", 2, 2)
     for seed in (1, 2):
         rng = np.random.Generator(np.random.Philox(seed))
-        f = g.with_values(rng.standard_normal(g.shape)
-                          + 1j * rng.standard_normal(g.shape), in_space=True)
+        f = field_on(g, rng.standard_normal(g.shape)
+                        + 1j * rng.standard_normal(g.shape), in_space=True)
         lhs = lp_norm(apply_multiplier(f, spec), 4.0)
 
         def conj_symbol(e1, tau):
@@ -159,7 +181,7 @@ def test_lp_norm_indicator_block():
     g = default_grid(2, n=32)
     vals = np.zeros(g.shape, complex)
     vals[4:10, 2:4] = 1.0  # 12 cells
-    f = g.with_values(vals, in_space=True)
+    f = field_on(g, vals, in_space=True)
     for p in (1.0, 2.0, 4.0):
         assert lp_norm(f, p) == pytest.approx(
             (12 * f.cell_volume) ** (1.0 / p))
@@ -183,7 +205,7 @@ def test_lorentz_single_spike():
     g = default_grid(2, n=32)
     vals = np.zeros(g.shape, complex)
     vals[5, 5] = 3.0
-    f = g.with_values(vals, in_space=True)
+    f = field_on(g, vals, in_space=True)
     for flavor in ("p1", "pinf"):
         assert lorentz_norm(f, 2.0, flavor) == pytest.approx(
             3.0 * f.cell_volume ** 0.5)
@@ -200,7 +222,7 @@ def test_lorentz_two_level_layer_cake():
     vals = np.zeros(g.shape, complex)
     vals[0:2, 0:4] = 2.0   # measure a = 8 cells
     vals[4:6, 0:6] = 1.0   # measure b = 12 cells
-    f = g.with_values(vals, in_space=True)
+    f = field_on(g, vals, in_space=True)
     w = f.cell_volume
     a, b = 8 * w, 12 * w
     p = 2.0
@@ -261,8 +283,7 @@ def _dense_witness(family, d, eps, n):
         spans = (2.0 * eps,) + (2.0 * rt,) * (d - 2) + (2.0 * eps,)
         offs = (1.0,) + (0.0,) * (d - 2) + (1.1 * eps,)
     periods = tuple(2.0 * math.pi * n / s for s in spans)
-    grid = GridField(np.zeros((n,) * d, dtype=complex), periods, offs,
-                     in_space=False)
+    grid = Grid((n,) * d, periods, offs)
     axes = np.meshgrid(*grid.freq_axes(), indexing="ij", sparse=True)
     eta_sq = sum(a ** 2 for a in axes[:-1])
     tau = axes[-1]
@@ -277,7 +298,7 @@ def _dense_witness(family, d, eps, n):
         for a in axes[1:-1]:
             cap = cap * SymmetricPlateau(1.0 / 8)(a / rt)
         tw = SymmetricPlateau(0.3)(tau / eps - 1.1)
-    return grid.with_values((slab * cap * tw).astype(complex))
+    return field_on(grid, (slab * cap * tw).astype(complex), in_space=False)
 
 
 @pytest.mark.parametrize("d, n, m", [(3, 128, 3), (3, 128, 6), (4, 32, 3),
