@@ -74,9 +74,12 @@ def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> HullField:
     the witness never wraps around the frequency torus.
 
     The witness vanishes off its 1-D cap and tau factors' supports: the
-    slab is evaluated on the sub-lattice they span (all of axis 0), whose
-    size is checked first, and comes back as a `HullField` there with axis
-    0 cut to the slab's rows.  No array of the n^d lattice's size is built.
+    slab is evaluated on the sub-lattice they span, on the axis-0 rows
+    whose squared coordinate, plus the range of the other squared terms
+    the slab reads there, can meet its window ``1 + eps * support``.  That
+    sub-lattice's size is checked first; the witness comes back as a
+    `HullField` on it with axis 0 cut to the slab's nonzero rows.  No array
+    of the n^d lattice's size is built.
     """
     if family not in ("tilde", "eps"):
         raise ValueError(f"no slab witness for family {family!r}")
@@ -97,18 +100,26 @@ def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> HullField:
     else:
         cuts = ([(SymmetricPlateau(1.0 / 8), a / rt) for a in freq[1:-1]]
                 + [(SymmetricPlateau(0.3), freq[-1] / eps - 1.1)])
-    check_lattice_size((n,) + tuple(
-        int(np.count_nonzero(np.abs(t) < cut.support[1])) for cut, t in cuts))
+    near = [np.flatnonzero(np.abs(t) < cut.support[1]) for cut, t in cuts]
+    # the even slab reads |eta|^2, and tau^2 too in the eps family
+    plateau = SymmetricPlateau(1.0 / 8 if family == "tilde" else 1.0 / 32)
+    terms = [a[i] ** 2 for a, i in zip(freq[1:], near)][
+        :d - 2 if family == "tilde" else d - 1]
+    lo, hi = (1.0 + eps * s for s in plateau.support)
+    a0_sq = freq[0] ** 2
+    rows = np.flatnonzero((a0_sq + sum(t.min() for t in terms) <= hi)
+                          & (a0_sq + sum(t.max() for t in terms) >= lo))
+    check_lattice_size((rows.size,) + tuple(map(len, near)))
     *caps, tw = [cut(t) for cut, t in cuts]
-    index = [np.arange(n)] + [np.flatnonzero(f) for f in caps + [tw]]
+    index = [rows] + [np.flatnonzero(f) for f in caps + [tw]]
     axes = np.meshgrid(*(a[i] for a, i in zip(freq, index)), indexing="ij",
                        sparse=True)
     eta_sq = sum(a ** 2 for a in axes[:-1])
     tau = axes[-1]
     if family == "tilde":
-        slab = SymmetricPlateau(1.0 / 8)((1.0 - eta_sq) / eps)
+        slab = plateau((1.0 - eta_sq) / eps)
     else:
-        slab = SymmetricPlateau(1.0 / 32)((eta_sq + tau ** 2 - 1.0) / eps)
+        slab = plateau((eta_sq + tau ** 2 - 1.0) / eps)
     cap = 1.0
     for ax, f in enumerate(caps, start=1):
         cap = cap * f[index[ax]].reshape(axes[ax].shape)
@@ -121,7 +132,7 @@ def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> HullField:
     rows = np.flatnonzero(np.any(vals, axis=tuple(range(1, d))))
     if not rows.size:
         raise ValueError("witness is empty on this lattice")
-    index[0] = rows
+    index[0] = index[0][rows]
     return HullField(grid.shape, grid.periods, grid.freq_offsets, vals[rows],
                      tuple(index))
 
@@ -152,7 +163,16 @@ RING_TOL = 0.2
 
 
 def geometry_identities(d: int, k: int) -> dict[str, bool]:
-    """Whether each exact identity of the exponent square holds at (d, k)."""
+    """Whether each exact identity of the exponent square holds at (d, k).
+
+    For 2k < d the ``tables:`` clauses tie `theoretical_exponent` to the
+    region tables: on the gap line x - y = 2k/d, ``ME_UPPER`` vanishes at
+    `carleman_range`'s lower end lo and the spread exponent ``TILDE_LOWER +
+    (x - y)`` at its upper end hi (each checked where a point 1e-6 beyond
+    the end is inside the open square, and refused there); lo and hi are
+    the x of G and G'; ``ME_KNAPP`` meets ``ME_UPPER`` on T_KD's top edge
+    d y = (d - 2)(1 - x), and lies above it below the edge, below above it.
+    """
     dims = regions.DimensionPair(d, k)
     pts = regions.special_points(dims)
     # closed forms, restated independently
@@ -168,6 +188,7 @@ def geometry_identities(d: int, k: int) -> dict[str, bool]:
         holds["E line 2"] = E.x - E.y == Fraction(2 * k, d + 2)
         holds["F"] = F == regions.ExponentPoint(
             Fraction(d - 2 + 2 * k, 2 * d), Fraction(0))
+        holds.update(_table_identities(dims, pts.get("G")))
     has_g = "G" in pts
     holds["G exists"] = has_g == (Fraction(k) < Fraction(d - 2, 2))
     if has_g:
@@ -185,6 +206,44 @@ def geometry_identities(d: int, k: int) -> dict[str, bool]:
             inside = regions.carleman_range(dims, regions.ExponentPoint(x, y))
             holds[f"range at x={x}"] = inside == (
                 not has_g or pts["G"].x <= x <= g_dual_x)
+    return holds
+
+
+def _table_identities(dims: regions.DimensionPair,
+                      g: regions.ExponentPoint | None) -> dict[str, bool]:
+    """`geometry_identities`' ``tables:`` clauses at 2k < d; ``g`` is the
+    point G, or None where there is none."""
+    d, k = dims.d, dims.k
+    gap, step = Fraction(2 * k, d), Fraction(1, 10 ** 6)
+    lo = Fraction((d + 2 * k) * (d - 2), 2 * d * (d - 1))
+    hi = Fraction(d + 2 * k, 2 * (d - 1))
+
+    def exponent(kind: ExponentKind, x: Fraction, y: Fraction) -> Fraction:
+        return theoretical_exponent(kind, d, k, regions.ExponentPoint(x, y))
+
+    def admits(x: Fraction) -> bool:
+        return regions.carleman_range(dims, regions.ExponentPoint(x, x - gap))
+
+    holds = {}
+    if 0 < lo - step - gap:
+        holds["tables: ME_UPPER = 0 at lo"] = (
+            admits(lo) and not admits(lo - step)
+            and exponent(ExponentKind.ME_UPPER, lo, lo - gap) == 0)
+    if hi + step < 1:
+        holds["tables: spread = 0 at hi"] = (
+            admits(hi) and not admits(hi + step)
+            and exponent(ExponentKind.TILDE_LOWER, hi, hi - gap) + gap == 0)
+    if g is not None:
+        holds["tables: lo, hi = G.x, G'.x"] = (g.x, g.dual().x) == (lo, hi)
+    for i in range(1, 8):
+        x = Fraction(i, 8)
+        edge = Fraction(d - 2, d) * (1 - x)
+        signs = []
+        for y in (edge - step, edge, edge + step):
+            knapp = exponent(ExponentKind.ME_KNAPP, x, y)
+            upper = exponent(ExponentKind.ME_UPPER, x, y)
+            signs.append((knapp > upper) - (knapp < upper))
+        holds[f"tables: Knapp vs Upper at x={x}"] = signs == [1, 0, -1]
     return holds
 
 
@@ -335,11 +394,15 @@ def ring_fit(d: int, k: int, eps: float, seed: int = 0) -> SlopeCheck:
 # criteria
 # ---------------------------------------------------------------------------
 
-_GEOMETRY_PAIRS = ((5, 2), (7, 2), (3, 1), (9, 3))
+#: A1's (d, k); the last four add edge cases of the ``tables:`` clauses:
+#: 2k = d - 2 (no G), 2k = d - 1, and a large d
+_GEOMETRY_PAIRS = ((5, 2), (7, 2), (3, 1), (9, 3), (4, 1), (6, 2), (11, 5),
+                   (15, 4))
 
 
 def _a1_exact_geometry() -> tuple[bool, str]:
-    """Rational identities for the exponent square at four (d, k) pairs."""
+    """Rational identities for the exponent square, the exponent tables'
+    among them (`geometry_identities`), at eight (d, k) pairs."""
     errs = [f"({d},{k}) {name}" for d, k in _GEOMETRY_PAIRS
             for name, holds in geometry_identities(d, k).items() if not holds]
     if regions.special_points(regions.DimensionPair(7, 2))["G"] != \

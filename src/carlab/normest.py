@@ -120,29 +120,27 @@ def dualize(values: np.ndarray, r: float) -> np.ndarray:
 def certified_lower_bound(field: HullField, symbol, p: float, q: float) -> float:
     """The Rayleigh quotient ``||m(D) f||_q / ||f||_p`` for this one field.
 
-    An all-zero ``coef``, and a hull whose norm passes would allocate an
-    array above the lattice-size limit (`_hull_norm`, which runs the
-    p-norm first), are refused before any sampling.  The symbol is sampled
-    on the hull's sub-lattice (``field.index``) and nowhere else, so a
-    degenerate point off the hull raises nothing; ``m F`` vanishes off the
-    hull, so this is the dense product exactly.  Both norms sum the field's
-    space samples ``y`` (`spectral`) one block of lines at a time, so the
-    whole lattice is never held.
+    An all-zero ``coef``, and a hull whose norm arrays would exceed the
+    lattice-size limit (`_hull_norm` runs the p-norm first), are refused
+    before any sampling.  The symbol is sampled on the hull's sub-lattice
+    (``field.index``) alone, so a degenerate point off it raises nothing;
+    ``m F`` vanishes off the hull, so this is the dense product exactly.
+    Both norms run through `_space_pass`, so the lattice is never held.
     """
     _check_exponents(p, q)
     if not np.any(field.coef):
         raise ValueError("field is identically zero")
     cell = field.cell_volume
     denom = _hull_norm(field.coef / cell, field.index, field.shape, p, cell)
-    m = sample_symbol(field, symbol, field.index)
-    coef = m * field.coef
+    coef = sample_symbol(field, symbol, field.index) * field.coef
     coef /= cell
     return _hull_norm(coef, field.index, field.shape, q, cell) / denom
 
 
-#: complex elements per block of axis-0 rows (`_block_rows`): a block and
-#: its float scratch stay in cache; it holds one row at least
+#: complex elements per block of axis-0 rows (`_block_rows`), one row at
+#: least, and float elements per chunk of a block's scratch (`_space_pass`)
 _BLOCK = 2 ** 12
+_CHUNK = 2 ** 16
 
 
 def _block_rows(shape: tuple[int, ...]) -> int:
@@ -155,41 +153,23 @@ def _hull_norm(coef: np.ndarray, index: Sequence[np.ndarray],
     """`sample_lp_norm` of the ``ifftn`` of the ``shape``-sized array that
     is ``coef`` on the sub-lattice ``index`` and zero elsewhere.
 
-    One axis at a time, widest hull first: each pass zero-pads its axis to
-    full length on the lines the hull still reaches, then transforms it.
-    The first pass runs on the whole hull; the others run one block of the
-    first axis's rows at a time (`_block_rows`), and the block's ``|y|^r``
-    goes into the sum, so the whole lattice is never held.  ``coef`` is not
-    written into.  First `check_lattice_size` refuses the first pass's array
-    and a block's, which holds one whole cross-section at least.
+    The widest hull axis is `power_method`'s pruned axis: the hull's lines
+    along it are zero-padded and transformed, and `_space_pass` does the
+    other axes, where the hull is a box, and the sum.  ``coef`` is kept.
+    `check_lattice_size` first refuses lines ``(n_axis,) + hull lengths``.
     """
-    order = sorted(range(len(shape)), key=lambda a: -len(index[a]))
-    rest = tuple(shape[a] for a in order[1:])
-    b = _block_rows((shape[order[0]],) + rest)
-    check_lattice_size((shape[order[0]],)
-                       + tuple(len(index[a]) for a in order[1:]))
-    check_lattice_size((b,) + rest)
-    y = _pad_ifft(np.transpose(coef, order), 0, index[order[0]],
-                  shape[order[0]])
-    total = 0.0
-    for t in range(0, len(y), b):
-        block = y[t:t + b]
-        for pos, ax in enumerate(order[1:], start=1):
-            block = _pad_ifft(block, pos, index[ax], shape[ax])
-        mags = np.abs(block)
-        mags **= r
-        total += np.sum(mags)
-    return float((total * cell) ** (1.0 / r))
-
-
-def _pad_ifft(y: np.ndarray, pos: int, index: np.ndarray,
-              n: int) -> np.ndarray:
-    """``ifft`` along axis ``pos`` of ``y`` zero-padded to length ``n``,
-    with ``y``'s entries at ``index``."""
-    full = np.zeros(y.shape[:pos] + (n,) + y.shape[pos + 1:], complex)
-    full[(slice(None),) * pos + (index,)] = y
-    np.fft.ifft(full, axis=pos, out=full)
-    return full
+    axis = int(np.argmax([len(i) for i in index]))
+    # a 1-d lattice gets one line, as `_on_lines` gives it
+    others = (*shape[:axis], *shape[axis + 1:]) or (1,)
+    picks = (*index[:axis], *index[axis + 1:]) or (np.zeros(1, int),)
+    n, hull = shape[axis], len(index[axis])
+    check_lattice_size((n,) + tuple(len(i) for i in picks))
+    lines = np.zeros((n, coef.size // hull), complex)
+    lines[index[axis]] = np.moveaxis(coef, axis, 0).reshape(hull, -1)
+    np.fft.ifft(lines, axis=0, out=lines)
+    live = np.ravel_multi_index(np.ix_(*picks), others).ravel()
+    return float((_space_pass(lines, live, others, r, False) * cell)
+                 ** (1.0 / r))
 
 
 def _on_lines(values: np.ndarray, axis: int, live: np.ndarray) -> np.ndarray:
@@ -281,22 +261,35 @@ def _noise_lines(rng: np.random.Generator, shape: tuple[int, ...],
 
 def _space_pass(lines: np.ndarray, live: np.ndarray,
                 others: tuple[int, ...], q: float, pull_back: bool) -> float:
-    """``sum |g|^q`` for ``g`` the space side of ``lines``; on the way
-    ``g *= |g|^(q-2)``, its dual, whose live lines replace ``lines`` with
-    ``pull_back``.
+    """``sum |g|^q`` for ``g`` the space side of ``lines``; with
+    ``pull_back``, ``g *= |g|^(q-2)``, its dual, whose live lines then
+    replace ``lines``.
 
     ``lines`` is ``(n_axis, K)``, already inverse-transformed along the
     pruned axis; ``live`` numbers its columns among the lines of a
-    cross-section of shape ``others``.  Per block of cross-sections, while
-    it is in cache: zero it, scatter its live entries, ``ifftn`` the other
-    axes in place, then with float scratch ``sq = |g|^2``, ``w =
-    sq^((q-2)/2)`` (zeros stay zero for q < 2), ``g *= w`` and the sum
-    gets ``sum(sq * w)``; with ``pull_back``, ``fftn`` and gather back.
+    cross-section of shape ``others``.  A block of cross-sections, checked
+    by `check_lattice_size` first, is zeroed, gets its live entries and is
+    inverse-transformed in place: by one ``ifftn``, or, where ``live``
+    fills the box of its reaches (a hull), axis by axis, widest reach
+    first, each only on the lines the later axes' reaches meet.  Float
+    scratch of `_CHUNK` elements takes ``sq = |g|^2`` and ``w =
+    sq^((q-2)/2)`` (zeros stay zero for q < 2) a chunk at a time, and the
+    sum gets ``sum(sq * w)``; with ``pull_back``, ``g *= w``, ``fftn`` and
+    gather.
     """
     n_axis = lines.shape[0]
     b = _block_rows((n_axis,) + others)
+    check_lattice_size((b,) + others)
+    reach = [np.unique(c) for c in np.unravel_index(live, others)]
+    steps = None  # one ifftn, unless live fills the box of its reaches
+    if math.prod(map(len, reach)) == live.size:
+        order = sorted(range(len(others)), key=lambda a: -len(reach[a]))
+        # the last axis runs on the whole block, in place
+        steps = [(1 + a, order[j + 1:] and (slice(None),) + np.ix_(*(
+            reach[i] if i in order[j + 1:] else np.arange(n)
+            for i, n in enumerate(others)))) for j, a in enumerate(order)]
     buf = np.empty((b,) + others, complex)
-    sq = np.empty(buf.size)
+    sq = np.empty(min(buf.size, _CHUNK))
     w = np.empty_like(sq)
     axes = tuple(range(1, buf.ndim))
     total = 0.0
@@ -306,17 +299,26 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
         flat = block.reshape(len(rows), -1)
         flat.fill(0.0)
         flat[:, live] = rows
-        np.fft.ifftn(block, axes=axes, out=block)
+        if steps is None:
+            np.fft.ifftn(block, axes=axes, out=block)
+        for ax, where in steps or ():
+            sub = block[where] if where else block
+            np.fft.ifft(sub, axis=ax, out=sub)
+            if where:
+                block[where] = sub
         g = block.reshape(-1)
-        s, wb = sq[:g.size], w[:g.size]
-        np.abs(g, out=s)
-        s *= s
-        np.copyto(wb, s)
-        _power_in_place(wb, 0.5 * q - 1.0)
-        for part in (g.real, g.imag):  # g *= wb would cast wb in a buffer
-            part *= wb
-        s *= wb
-        total += np.sum(s)
+        for c in range(0, g.size, sq.size):
+            gc = g[c:c + sq.size]
+            s, wc = sq[:gc.size], w[:gc.size]
+            np.abs(gc, out=s)
+            s *= s
+            np.copyto(wc, s)
+            _power_in_place(wc, 0.5 * q - 1.0)
+            if pull_back:
+                for part in (gc.real, gc.imag):  # gc *= wc would cast wc
+                    part *= wc
+            s *= wc
+            total += np.sum(s)
         if pull_back:
             np.fft.fftn(block, axes=axes, out=block)
             np.take(flat, live, axis=1, out=rows)
@@ -338,27 +340,25 @@ def power_method(grid: Grid, live: tuple[int, np.ndarray, np.ndarray],
     and returns the best bound collected so far.  The run takes ``lines``
     over and writes into it; the caller checks the exponents.
 
-    The loop works on raw arrays of the field's space samples
-    ``y = ifftn(F / cell_volume)`` (`spectral`): the cell volume cancels
-    between ``fftn`` and ``ifftn``, and it enters each norm only as the
-    factor ``cell_volume ** (1/r)``.  The L^2 dualization is the identity,
-    so between steps the iterate stays on the frequency side, as the
-    compact ``(n_axis, K)`` array of its live lines along the axis where
-    ``m`` leaves the most lines empty; on A8's rings 3% of the tau-lines
-    are live.  A step transforms that axis on the live lines alone, around
-    `_space_pass`, which runs the other axes, the q-side norm and the
-    dualization one block of cross-sections at a time; the ``max_iter``-th
-    quotient's pass skips the pull-back.  The iterate's norm is Parseval's
-    ``||f||_2^2 = cell_volume / N * sum |fftn(y)|^2`` over the ``N``
-    samples, summed over the live lines.  So the run holds no full-size
-    array, only the lines, a block and its scratch.
+    The loop works on the field's space samples ``y = ifftn(F /
+    cell_volume)`` (`spectral`): the cell volume enters each norm only as
+    ``cell_volume ** (1/r)``.  The L^2 dualization is the identity, so
+    between steps the iterate stays on the frequency side, on its live
+    lines along the axis where ``m`` leaves the most lines empty (3% of
+    the tau-lines on A8's rings).  A step transforms that axis on those
+    lines around `_space_pass`, which runs the rest one block of
+    cross-sections at a time and skips the pull-back after the
+    ``max_iter``-th quotient.  The iterate's norm is Parseval's ``||f||_2^2
+    = cell_volume / N * sum |fftn(y)|^2`` over the ``N`` samples, on the
+    live lines.  So the run holds no full-size array, only the lines, a
+    block and its scratch.
     """
     axis, numbers, mk = live
     cell = grid.cell_volume
     cell_per_n = cell / math.prod(grid.shape)
     lines /= cell
     mkc = np.conj(mk)
-    others = grid.shape[:axis] + grid.shape[axis + 1:]
+    others = grid.shape[:axis] + grid.shape[axis + 1:] or (1,)
     history: list[float] = []
     aborted = False
     for step in range(max_iter):
@@ -395,14 +395,13 @@ def estimate_operator_norm(grid: Grid, symbol, p: float, q: float, *,
     ``grid`` over a small family of `power_method` restarts.
 
     Exponents other than p = 2, 1 < q < infinity are refused before any
-    sampling.  The symbol is sampled once, one block of axis-0 rows at a
-    time, into the live lines every run shares (`_live_lines`).  Restart
-    seeds, each built on those lines just before its run and dropped after
-    it: the conjugated symbol itself as a frequency profile (the natural
-    L^2 maximiser, a strong generic start), then ``n_random`` complex
-    Gaussian fields supported where the symbol is nonzero, drawn from one
-    seeded Philox stream, real parts first (`_noise_lines`).  So neither
-    the symbol, nor its support, nor any start exists at full size.
+    sampling.  The symbol is sampled once, a block of axis-0 rows at a
+    time, into the live lines every run shares (`_live_lines`).  Each
+    restart is built on those lines just before its run and dropped after
+    it: the conjugated symbol as a frequency profile (the natural L^2
+    maximiser), then ``n_random`` complex Gaussian fields supported where
+    the symbol is nonzero, from one seeded Philox stream, real parts first
+    (`_noise_lines`).  No symbol, support or start exists at full size.
     """
     if p != 2.0:
         raise ValueError(f"the power iteration runs at p = 2 only, got p={p}")

@@ -27,8 +27,9 @@ small) periodisation tails.  Norms are sums over all samples, so a loop may
 also hold ``y`` with its axes reordered.
 
 The norm passes (`normest`) take the `Grid` and build only the arrays they
-transform: the symbol's live lines, or a witness's hull (`HullField`).  A
-`GridField` holds ``y`` or ``F`` on the whole lattice; it is the dense form
+transform: the symbol's live lines, or a witness's hull (`HullField`) as
+lines along its widest axis; both then run through one blocked space pass.
+A `GridField` holds ``y`` or ``F`` on the whole lattice; it is the dense form
 that the reference transforms and norms below work on.
 
 Sampled multiplication implements the multiplier action exactly on the

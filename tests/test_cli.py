@@ -282,11 +282,12 @@ def test_normest_rejects_an_oversized_witness_before_allocating_it(
 
     monkeypatch.setattr(np, "zeros", small_zeros)
     report = run(ExperimentConfig.from_mapping(
-        {"experiment": "normest", "kind": "me_knapp", "d": 5,
-         "out_dir": str(tmp_path)}))  # a 128^5 witness lattice
+        {"experiment": "normest", "kind": "me_knapp", "d": 7,
+         "out_dir": str(tmp_path)}))  # a 128^7 witness lattice
     assert report.verdicts[0].status == "fail"
-    # the slab's evaluation sub-lattice, all of axis 0 across the factors
-    assert "128x31x31x31x77 complex array takes 4.375 GiB" in \
+    # the slab's evaluation sub-lattice at eps = 2^-3: the axis-0 rows its
+    # window can meet, across the factors' supports
+    assert "23x31x31x31x31x31x77 complex array takes 755.5 GiB" in \
         report.verdicts[0].detail
 
 

@@ -3,6 +3,7 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -726,8 +727,10 @@ def _hull(rng, n, wrapped):
 
 
 @settings(max_examples=40, deadline=None)
-@given(shape=st.sampled_from([(64,), (8, 128), (16, 8, 32), (4, 64, 8)]),
-       wrapped=st.lists(st.booleans(), min_size=3, max_size=3),
+@given(shape=st.sampled_from([(64,), (8, 128), (16, 8, 32), (4, 64, 8),
+                              (8, 4, 16, 8), (4, 32, 4, 16),
+                              (4, 8, 4, 8, 4), (4, 4, 16, 4, 8)]),
+       wrapped=st.lists(st.booleans(), min_size=5, max_size=5),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
        r=st.sampled_from([4.0 / 3.0, 2.0, 4.0, 6.0]))
 def test_hull_norm_matches_the_dense_norm(shape, wrapped, seed, r):
@@ -749,7 +752,7 @@ def test_hull_norm_matches_the_dense_norm(shape, wrapped, seed, r):
 def _space_passes(draw):
     """A cross-section shape and a count of them across block edges."""
     others = draw(st.sampled_from([(1,), (3,), (5, 8), (48,), (64, 64),
-                                   (_BLOCK + 3,)]))
+                                   (_BLOCK + 3,), (4, 6, 8)]))
     per_block = max(1, _BLOCK // math.prod(others))
     n_axis = draw(st.one_of(
         st.integers(min_value=1, max_value=64),
@@ -762,11 +765,18 @@ def _space_passes(draw):
 @settings(max_examples=40, deadline=None)
 @given(shape=_space_passes(),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
-       q=st.sampled_from([1.5, 2.0, 3.0, 6.0]))
-def test_block_q_pass_matches_the_dense_pass(shape, seed, q):
+       q=st.sampled_from([1.5, 2.0, 3.0, 6.0]),
+       box=st.booleans(), chunk=st.sampled_from([2 ** 16, 7]))
+def test_block_q_pass_matches_the_dense_pass(shape, seed, q, box, chunk):
+    # a box of live lines (a hull) takes the pruned transforms; a chunk of
+    # 7 splits every block's scratch with a short last chunk
     others, n_axis = shape
     rng = np.random.Generator(np.random.Philox(seed))
     live = np.flatnonzero(rng.random(math.prod(others)) < 0.3)
+    if box:
+        live = np.ravel_multi_index(np.ix_(*(
+            np.flatnonzero(rng.random(n) < 0.5) for n in others)),
+            others).ravel()
     lines = rng.standard_normal((n_axis, live.size)) \
         + 1j * rng.standard_normal((n_axis, live.size))
     lines[rng.random(n_axis) < 0.25] = 0.0  # cross-sections of exact zeros
@@ -779,12 +789,12 @@ def test_block_q_pass_matches_the_dense_pass(shape, seed, q):
     with np.errstate(divide="ignore"):
         dual = g * np.where(mags > 0, mags ** (q - 2.0), 0.0)
     want = np.fft.fftn(dual, axes=axes).reshape(n_axis, -1)[:, live]
-    kept = lines.copy()
-    total = _space_pass(kept, live, others, q, pull_back=False)
+    kept, got = lines.copy(), lines.copy()
+    with mock.patch("carlab.normest._CHUNK", chunk):
+        total = _space_pass(kept, live, others, q, pull_back=False)
+        assert _space_pass(got, live, others, q, pull_back=True) == total
     assert total == pytest.approx(np.sum(mags ** q), rel=1e-13, abs=0.0)
     np.testing.assert_array_equal(kept, lines)
-    got = lines.copy()
-    assert _space_pass(got, live, others, q, pull_back=True) == total
     # the forward transform mixes each cross-section: its rounding is
     # relative to the largest output, not to each entry
     np.testing.assert_allclose(got, want, rtol=1e-13,

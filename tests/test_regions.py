@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from carlab.acceptance import geometry_identities
 from carlab.normest import ExponentKind, theoretical_exponent
 from carlab.regions import (DimensionPair, DomainError, ExponentPoint,
                             RegionId, carleman_range, emit_figure_data,
@@ -178,51 +179,39 @@ class TestExponentPoint:
 
 
 def test_exponent_tables_meet_the_region_tables_exactly():
-    # for every (d, k) with 2k < d <= 15, at points inside the open square:
-    # on the gap line ME_UPPER vanishes at carleman_range's lower end lo and
-    # the spread exponent TILDE_LOWER + (x - y) at its upper end hi; lo and
-    # hi are the x-coordinates of G and G'; ME_KNAPP = ME_UPPER on T_KD's
-    # top edge d y = (d - 2)(1 - x), above Upper below it, below above it
-    def inside(x, y):
-        return 0 < x < 1 and 0 < y < 1
-
-    step = Fraction(1, 10 ** 6)
+    # A1's ``tables:`` clauses (`geometry_identities`) for every (d, k) with
+    # 2k < d <= 15: on the gap line ME_UPPER vanishes at carleman_range's
+    # lower end lo and the spread exponent TILDE_LOWER + (x - y) at its
+    # upper end hi; lo and hi are the x-coordinates of G and G'; ME_KNAPP =
+    # ME_UPPER on T_KD's top edge d y = (d - 2)(1 - x), above Upper below
+    # it, below above it
     checks = 0
     for d in range(3, 16):
         for k in range(1, (d + 1) // 2):
-            dims = DimensionPair(d, k)
-
-            def exponent(kind, x, y):
-                return theoretical_exponent(kind, d, k, ExponentPoint(x, y))
-
-            gap = Fraction(2 * k, d)
-            lo = Fraction((d + 2 * k) * (d - 2), 2 * d * (d - 1))
-            hi = Fraction(d + 2 * k, 2 * (d - 1))
-            at = f"(d, k) = ({d}, {k})"
-            if inside(lo - step, lo - step - gap):
-                assert carleman_range(dims, P(lo, lo - gap)), at
-                assert not carleman_range(dims, P(lo - step, lo - step - gap))
-                assert exponent(ExponentKind.ME_UPPER, lo, lo - gap) == 0, at
-                checks += 1
-            if inside(hi + step, hi + step - gap):
-                assert carleman_range(dims, P(hi, hi - gap)), at
-                assert not carleman_range(dims, P(hi + step, hi + step - gap))
-                assert exponent(ExponentKind.TILDE_LOWER, hi, hi - gap) \
-                    + gap == 0, at
-                checks += 1
-            if 2 * k < d - 2:
-                g = special_points(dims)["G"]
-                assert (g.x, g.dual().x) == (lo, hi), at
-                checks += 1
-            for i in range(1, 8):
-                x = Fraction(i, 8)
-                edge = Fraction(d - 2, d) * (1 - x)
-                for y, sign in ((edge, 0), (edge - step, 1),
-                                (edge + step, -1)):
-                    knapp = exponent(ExponentKind.ME_KNAPP, x, y)
-                    upper = exponent(ExponentKind.ME_UPPER, x, y)
-                    assert (knapp > upper) - (knapp < upper) == sign, (at, y)
-                    checks += 1
-    # 49 pairs: 21 edge checks each, and the three segment checks at the
+            clauses = {name: holds for name, holds
+                       in geometry_identities(d, k).items()
+                       if name.startswith("tables:")}
+            assert all(clauses.values()), (d, k, clauses)
+            checks += len(clauses)
+    # 49 pairs: 7 edge clauses each, and the three segment clauses at the
     # 36 pairs with 2k < d - 2, the only ones whose ends lie inside
-    assert checks == 49 * 21 + 36 * 3
+    assert checks == 49 * 7 + 36 * 3
+
+
+@pytest.mark.parametrize("kind, clause", [
+    (ExponentKind.ME_UPPER, "ME_UPPER = 0 at lo"),
+    (ExponentKind.TILDE_LOWER, "spread = 0 at hi"),
+    (ExponentKind.ME_KNAPP, "Knapp vs Upper at x=1/8")])
+def test_a1_fails_when_one_exponent_table_entry_is_off(kind, clause,
+                                                       monkeypatch):
+    # one table entry, off by 1/1000 at d = 7, k = 2: A1 fails and names
+    # the clause
+    import carlab.acceptance as acceptance
+
+    def off(which, d, k, point=None):
+        got = theoretical_exponent(which, d, k, point)
+        return got + Fraction(1, 1000) if (which, d, k) == (kind, 7, 2) else got
+    monkeypatch.setattr(acceptance, "theoretical_exponent", off)
+    ok, detail = acceptance._a1_exact_geometry()
+    assert not ok
+    assert f"(7,2) tables: {clause}" in detail

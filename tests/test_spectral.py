@@ -347,6 +347,22 @@ def test_a_witness_builds_where_its_lattice_would_not_fit():
     assert np.any(w.coef)
 
 
+@pytest.mark.parametrize("d, m, n", [(7, 6, 16), (3, 6, 128), (3, 3, 128)])
+def test_a_witness_evaluates_only_the_rows_its_slab_window_can_meet(
+        d, m, n, monkeypatch):
+    # at d = 7, n = 16 the slab keeps 1 of the lattice's 16 axis-0 rows
+    import carlab.acceptance as acceptance
+    checked = []
+
+    def record(shape):
+        checked.append(tuple(shape))
+        check_lattice_size(shape)
+    monkeypatch.setattr(acceptance, "check_lattice_size", record)
+    w = knapp_witness("eps", d, 2.0 ** -m, n=n)
+    assert len(checked) == 1
+    assert checked[0][0] == len(w.index[0]) < n
+
+
 def test_knapp_witness_rejects_unknown_family_and_low_dimension():
     with pytest.raises(ValueError, match="no slab witness"):
         knapp_witness("ring", 3, 2.0 ** -4)
@@ -361,14 +377,15 @@ def test_an_oversized_lattice_is_rejected_before_any_allocation(monkeypatch):
     monkeypatch.setattr(np, "zeros", refuse)
     builders = [lambda: default_grid(5, 128),
                 lambda: ring_grid(0, 2 ** 14, 64),
-                lambda: knapp_witness("eps", 5, 2.0 ** -6)]
+                lambda: knapp_witness("eps", 7, 2.0 ** -6)]
     for build in builders:
         with pytest.raises(ValueError, match="GiB"):
             build()
     with pytest.raises(ValueError, match="128x128x128x128x128 .* 512 GiB"):
         default_grid(5, 128)
-    with pytest.raises(ValueError, match="128x31x31x31x77 .* 4.375 GiB"):
-        knapp_witness("eps", 5, 2.0 ** -6)
+    with pytest.raises(ValueError,
+                       match="14x31x31x31x31x31x77 .* 459.9 GiB"):
+        knapp_witness("eps", 7, 2.0 ** -6)
     check_lattice_size((32,) * 5)  # d = 5, n = 32: 512 MiB
     check_lattice_size((MAX_LATTICE_BYTES // 16,))
     with pytest.raises(ValueError):
