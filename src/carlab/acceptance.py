@@ -77,9 +77,11 @@ def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> HullField:
     slab is evaluated on the sub-lattice they span, on the axis-0 rows
     whose squared coordinate, plus the range of the other squared terms
     the slab reads there, can meet its window ``1 + eps * support``.  That
-    sub-lattice's size is checked first; the witness comes back as a
-    `HullField` on it with axis 0 cut to the slab's nonzero rows.  No array
-    of the n^d lattice's size is built.
+    sub-lattice's size is checked first, then that of the block its norm
+    pass will need (`normest._hull_norm`), so a witness no norm could take
+    is refused before the slab is evaluated.  The witness comes back as a
+    `HullField` on the sub-lattice with axis 0 cut to the slab's nonzero
+    rows.  No array of the n^d lattice's size is built.
     """
     if family not in ("tilde", "eps"):
         raise ValueError(f"no slab witness for family {family!r}")
@@ -110,6 +112,8 @@ def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> HullField:
     rows = np.flatnonzero((a0_sq + sum(t.min() for t in terms) <= hi)
                           & (a0_sq + sum(t.max() for t in terms) >= lo))
     check_lattice_size((rows.size,) + tuple(map(len, near)))
+    # the norm's block: one row across the other n^(d-1) axes
+    check_lattice_size((1,) + (n,) * (d - 1))
     *caps, tw = [cut(t) for cut, t in cuts]
     index = [rows] + [np.flatnonzero(f) for f in caps + [tw]]
     axes = np.meshgrid(*(a[i] for a, i in zip(freq, index)), indexing="ij",

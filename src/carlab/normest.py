@@ -120,26 +120,30 @@ def dualize(values: np.ndarray, r: float) -> np.ndarray:
 def certified_lower_bound(field: HullField, symbol, p: float, q: float) -> float:
     """The Rayleigh quotient ``||m(D) f||_q / ||f||_p`` for this one field.
 
-    An all-zero ``coef``, and a hull whose norm arrays would exceed the
-    lattice-size limit (`_hull_norm` runs the p-norm first), are refused
-    before any sampling.  The symbol is sampled on the hull's sub-lattice
-    (``field.index``) alone, so a degenerate point off it raises nothing;
-    ``m F`` vanishes off the hull, so this is the dense product exactly.
-    Both norms run through `_space_pass`, so the lattice is never held.
+    An all-zero ``coef``, and a hull whose norm passes would allocate an
+    array above the lattice-size limit (`_hull_norm`, which runs the
+    p-norm first), are refused before any sampling.  The symbol is sampled
+    on the hull's sub-lattice (``field.index``) and nowhere else, so a
+    degenerate point off the hull raises nothing; ``m F`` vanishes off the
+    hull, so this is the dense product exactly.  Both norms sum the field's
+    space samples ``y`` (`spectral`) in `_space_pass`, one block of
+    cross-sections at a time, so the whole lattice is never held.
     """
     _check_exponents(p, q)
     if not np.any(field.coef):
         raise ValueError("field is identically zero")
     cell = field.cell_volume
     denom = _hull_norm(field.coef / cell, field.index, field.shape, p, cell)
-    coef = sample_symbol(field, symbol, field.index) * field.coef
+    m = sample_symbol(field, symbol, field.index)
+    coef = m * field.coef
     coef /= cell
     return _hull_norm(coef, field.index, field.shape, q, cell) / denom
 
 
-#: complex elements per block of axis-0 rows (`_block_rows`), one row at
-#: least, and float elements per chunk of a block's scratch (`_space_pass`)
+#: complex elements per block of axis-0 rows (`_block_rows`): a block and
+#: its float scratch stay in cache; it holds one row at least
 _BLOCK = 2 ** 12
+#: float elements per chunk of a block's scratch (`_space_pass`)
 _CHUNK = 2 ** 16
 
 
@@ -155,8 +159,10 @@ def _hull_norm(coef: np.ndarray, index: Sequence[np.ndarray],
 
     The widest hull axis is `power_method`'s pruned axis: the hull's lines
     along it are zero-padded and transformed, and `_space_pass` does the
-    other axes, where the hull is a box, and the sum.  ``coef`` is kept.
-    `check_lattice_size` first refuses lines ``(n_axis,) + hull lengths``.
+    other axes, where the hull is a box, and the sum.  ``coef`` is not
+    written into.  Before the lines are allocated, `check_lattice_size`
+    refuses them, as ``(n_axis,) + hull lengths``, and `_space_pass`'s
+    block, which holds one whole cross-section at least.
     """
     axis = int(np.argmax([len(i) for i in index]))
     # a 1-d lattice gets one line, as `_on_lines` gives it
@@ -164,6 +170,7 @@ def _hull_norm(coef: np.ndarray, index: Sequence[np.ndarray],
     picks = (*index[:axis], *index[axis + 1:]) or (np.zeros(1, int),)
     n, hull = shape[axis], len(index[axis])
     check_lattice_size((n,) + tuple(len(i) for i in picks))
+    check_lattice_size((_block_rows((n,) + others),) + others)
     lines = np.zeros((n, coef.size // hull), complex)
     lines[index[axis]] = np.moveaxis(coef, axis, 0).reshape(hull, -1)
     np.fft.ifft(lines, axis=0, out=lines)
@@ -284,10 +291,13 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
     steps = None  # one ifftn, unless live fills the box of its reaches
     if math.prod(map(len, reach)) == live.size:
         order = sorted(range(len(others)), key=lambda a: -len(reach[a]))
-        # the last axis runs on the whole block, in place
-        steps = [(1 + a, order[j + 1:] and (slice(None),) + np.ix_(*(
-            reach[i] if i in order[j + 1:] else np.arange(n)
-            for i, n in enumerate(others)))) for j, a in enumerate(order)]
+        steps = []
+        for j, a in enumerate(order[:-1]):
+            # all-array indices, so that no indexed axis moves
+            cut = [reach[i] if i in order[j + 1:] else np.arange(n)
+                   for i, n in enumerate(others)]
+            steps.append((1 + a, (slice(None),) + np.ix_(*cut)))
+        steps.append((1 + order[-1], None))  # the last axis: the whole block
     buf = np.empty((b,) + others, complex)
     sq = np.empty(min(buf.size, _CHUNK))
     w = np.empty_like(sq)
@@ -302,9 +312,9 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
         if steps is None:
             np.fft.ifftn(block, axes=axes, out=block)
         for ax, where in steps or ():
-            sub = block[where] if where else block
+            sub = block if where is None else block[where]
             np.fft.ifft(sub, axis=ax, out=sub)
-            if where:
+            if where is not None:
                 block[where] = sub
         g = block.reshape(-1)
         for c in range(0, g.size, sq.size):
@@ -340,18 +350,20 @@ def power_method(grid: Grid, live: tuple[int, np.ndarray, np.ndarray],
     and returns the best bound collected so far.  The run takes ``lines``
     over and writes into it; the caller checks the exponents.
 
-    The loop works on the field's space samples ``y = ifftn(F /
-    cell_volume)`` (`spectral`): the cell volume enters each norm only as
-    ``cell_volume ** (1/r)``.  The L^2 dualization is the identity, so
-    between steps the iterate stays on the frequency side, on its live
-    lines along the axis where ``m`` leaves the most lines empty (3% of
-    the tau-lines on A8's rings).  A step transforms that axis on those
-    lines around `_space_pass`, which runs the rest one block of
-    cross-sections at a time and skips the pull-back after the
-    ``max_iter``-th quotient.  The iterate's norm is Parseval's ``||f||_2^2
-    = cell_volume / N * sum |fftn(y)|^2`` over the ``N`` samples, on the
-    live lines.  So the run holds no full-size array, only the lines, a
-    block and its scratch.
+    The loop works on raw arrays of the field's space samples
+    ``y = ifftn(F / cell_volume)`` (`spectral`): the cell volume cancels
+    between ``fftn`` and ``ifftn``, and it enters each norm only as the
+    factor ``cell_volume ** (1/r)``.  The L^2 dualization is the identity,
+    so between steps the iterate stays on the frequency side, as the
+    compact ``(n_axis, K)`` array of its live lines along the axis where
+    ``m`` leaves the most lines empty; on A8's rings 3% of the tau-lines
+    are live.  A step transforms that axis on the live lines alone, around
+    `_space_pass`, which runs the other axes, the q-side norm and the
+    dualization one block of cross-sections at a time; the ``max_iter``-th
+    quotient's pass skips the pull-back.  The iterate's norm is Parseval's
+    ``||f||_2^2 = cell_volume / N * sum |fftn(y)|^2`` over the ``N``
+    samples, summed over the live lines.  So the run holds no full-size
+    array, only the lines, a block and its scratch.
     """
     axis, numbers, mk = live
     cell = grid.cell_volume
@@ -395,13 +407,14 @@ def estimate_operator_norm(grid: Grid, symbol, p: float, q: float, *,
     ``grid`` over a small family of `power_method` restarts.
 
     Exponents other than p = 2, 1 < q < infinity are refused before any
-    sampling.  The symbol is sampled once, a block of axis-0 rows at a
-    time, into the live lines every run shares (`_live_lines`).  Each
-    restart is built on those lines just before its run and dropped after
-    it: the conjugated symbol as a frequency profile (the natural L^2
-    maximiser), then ``n_random`` complex Gaussian fields supported where
-    the symbol is nonzero, from one seeded Philox stream, real parts first
-    (`_noise_lines`).  No symbol, support or start exists at full size.
+    sampling.  The symbol is sampled once, one block of axis-0 rows at a
+    time, into the live lines every run shares (`_live_lines`).  Restart
+    seeds, each built on those lines just before its run and dropped after
+    it: the conjugated symbol itself as a frequency profile (the natural
+    L^2 maximiser, a strong generic start), then ``n_random`` complex
+    Gaussian fields supported where the symbol is nonzero, drawn from one
+    seeded Philox stream, real parts first (`_noise_lines`).  So neither
+    the symbol, nor its support, nor any start exists at full size.
     """
     if p != 2.0:
         raise ValueError(f"the power iteration runs at p = 2 only, got p={p}")

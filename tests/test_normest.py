@@ -691,14 +691,22 @@ def test_a_witness_holds_no_full_size_array(family):
     # each block of the last pass holds a whole 2^14 x 2^14 cross-section
     ((2, 2 ** 14, 2 ** 14), (2, 1, 1), "1x16384x16384"),
     # the first pass is full along the widest hull axis, 2^27 long
-    ((2 ** 27, 4, 2), (3, 2, 1), "134217728x2x1")])
+    ((2 ** 27, 4, 2), (3, 2, 1), "134217728x2x1"),
+    # the 2^21 lines fit, the block after them does not
+    ((2 ** 21, 2 ** 14, 2 ** 14), (2, 1, 1), "1x16384x16384")])
 def test_a_hull_whose_norm_arrays_are_too_large_is_refused_before_sampling(
         monkeypatch, shape, hull, array):
     import carlab.normest as normest
+    zeros = np.zeros
 
     def refuse(*args, **kwargs):
         raise AssertionError("symbol sampled")
+
+    def small_zeros(shape, *args, **kwargs):
+        assert math.prod(np.atleast_1d(shape)) < 2 ** 20, "array allocated"
+        return zeros(shape, *args, **kwargs)
     monkeypatch.setattr(normest, "sample_symbol", refuse)
+    monkeypatch.setattr(np, "zeros", small_zeros)
     field = HullField(shape, (1.0,) * 3, (0.0,) * 3, np.ones(hull, complex),
                       tuple(map(np.arange, hull)))
     with pytest.raises(ValueError, match=f"{array} complex array .* 4 GiB"):

@@ -359,7 +359,8 @@ def test_a_witness_evaluates_only_the_rows_its_slab_window_can_meet(
         check_lattice_size(shape)
     monkeypatch.setattr(acceptance, "check_lattice_size", record)
     w = knapp_witness("eps", d, 2.0 ** -m, n=n)
-    assert len(checked) == 1
+    # the evaluation sub-lattice, then the norm's block
+    assert checked[1:] == [(1,) + (n,) * (d - 1)]
     assert checked[0][0] == len(w.index[0]) < n
 
 
@@ -377,12 +378,16 @@ def test_an_oversized_lattice_is_rejected_before_any_allocation(monkeypatch):
     monkeypatch.setattr(np, "zeros", refuse)
     builders = [lambda: default_grid(5, 128),
                 lambda: ring_grid(0, 2 ** 14, 64),
+                lambda: knapp_witness("eps", 5, 2.0 ** -6),
                 lambda: knapp_witness("eps", 7, 2.0 ** -6)]
     for build in builders:
         with pytest.raises(ValueError, match="GiB"):
             build()
     with pytest.raises(ValueError, match="128x128x128x128x128 .* 512 GiB"):
         default_grid(5, 128)
+    # d = 5's 10-row sub-lattice fits; the norm's block does not
+    with pytest.raises(ValueError, match="1x128x128x128x128 .* 4 GiB"):
+        knapp_witness("eps", 5, 2.0 ** -6)
     with pytest.raises(ValueError,
                        match="14x31x31x31x31x31x77 .* 459.9 GiB"):
         knapp_witness("eps", 7, 2.0 ** -6)
