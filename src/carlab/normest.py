@@ -288,7 +288,9 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
     b = _block_rows((n_axis,) + others)
     check_lattice_size((b,) + others)
     reach = [np.unique(c) for c in np.unravel_index(live, others)]
-    steps = None  # one ifftn, unless live fills the box of its reaches
+    # one ifftn, unless live fills the box of its reaches (a hull): pruned
+    # transforms ran A8's rings about 30% slower than one ifftn
+    steps = None
     if math.prod(map(len, reach)) == live.size:
         order = sorted(range(len(others)), key=lambda a: -len(reach[a]))
         steps = []

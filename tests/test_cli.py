@@ -272,7 +272,8 @@ def test_normest_refuses_ring_scale_ranges_before_any_lattice(tmp_path,
     assert built == []
 
 
-def _normest_me_knapp(d, tmp_path, monkeypatch):
+def test_normest_rejects_an_oversized_witness_before_allocating_it(
+        tmp_path, monkeypatch):
     zeros = np.zeros
 
     def small_zeros(shape, *args, **kwargs):
@@ -280,26 +281,17 @@ def _normest_me_knapp(d, tmp_path, monkeypatch):
         return zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", small_zeros)
-    report = run(ExperimentConfig.from_mapping(
-        {"experiment": "normest", "kind": "me_knapp", "d": d,
-         "out_dir": str(tmp_path)}))  # a 128^d witness lattice
-    assert report.verdicts[0].status == "fail"
-    return report.verdicts[0].detail
-
-
-def test_normest_rejects_an_oversized_witness_before_allocating_it(
-        tmp_path, monkeypatch):
-    # the eps = 2^-3 slab's 20 rows fit; the norm's block does not
-    assert "1x128x128x128x128 complex array takes 4 GiB" in \
-        _normest_me_knapp(5, tmp_path, monkeypatch)
-
-
-def test_normest_rejects_an_oversized_d7_witness_before_allocating_it(
-        tmp_path, monkeypatch):
-    # the slab's evaluation sub-lattice at eps = 2^-3: the axis-0 rows its
-    # window can meet, across the factors' supports
-    assert "23x31x31x31x31x31x77 complex array takes 755.5 GiB" in \
-        _normest_me_knapp(7, tmp_path, monkeypatch)
+    for d, array in [
+            # the eps = 2^-3 slab's 20 rows fit; its norm's block does not
+            (5, "1x128x128x128x128 complex array takes 4 GiB"),
+            # the slab's evaluation sub-lattice at eps = 2^-3: the axis-0
+            # rows its window can meet, across the factors' supports
+            (7, "23x31x31x31x31x31x77 complex array takes 755.5 GiB")]:
+        report = run(ExperimentConfig.from_mapping(
+            {"experiment": "normest", "kind": "me_knapp", "d": d,
+             "out_dir": str(tmp_path)}))  # a 128^d witness lattice
+        assert report.verdicts[0].status == "fail"
+        assert array in report.verdicts[0].detail
 
 
 def test_a_lattice_axis_that_is_not_a_power_of_two_is_refused(tmp_path,
