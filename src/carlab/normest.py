@@ -84,7 +84,10 @@ class NormEstimate:
     aborted: bool = False
 
 
-def _check_exponents(p: float, q: float) -> None:
+def _check_norm(shape: tuple[int, ...], p: float, q: float) -> None:
+    if len(shape) < 2:
+        raise ValueError(f"norm passes need a lattice of two axes at least "
+                         f"(the last is tau), got shape {shape}")
     if not (1.0 < p < np.inf and 1.0 < q < np.inf):
         raise ValueError(
             f"norm bounds need 1 < p, q < infinity, got p={p}, q={q}")
@@ -120,16 +123,17 @@ def dualize(values: np.ndarray, r: float) -> np.ndarray:
 def certified_lower_bound(field: HullField, symbol, p: float, q: float) -> float:
     """The Rayleigh quotient ``||m(D) f||_q / ||f||_p`` for this one field.
 
-    An all-zero ``coef``, and a hull whose norm passes would allocate an
-    array above the lattice-size limit (`_hull_norm`, which runs the
-    p-norm first), are refused before any sampling.  The symbol is sampled
-    on the hull's sub-lattice (``field.index``) and nowhere else, so a
-    degenerate point off the hull raises nothing; ``m F`` vanishes off the
-    hull, so this is the dense product exactly.  Both norms sum the field's
+    A lattice of one axis, an all-zero ``coef``, and a hull whose norm
+    passes would allocate an array above the lattice-size limit
+    (`_hull_norm`, which runs the p-norm first), are refused before any
+    sampling.  The symbol is sampled on the hull's sub-lattice
+    (``field.index``) and nowhere else, so a degenerate point off the hull
+    raises nothing; ``m F`` vanishes off the hull, so this is the dense
+    product exactly.  Both norms sum the field's
     space samples ``y`` (`spectral`) in `_space_pass`, one block of
     cross-sections at a time, so the whole lattice is never held.
     """
-    _check_exponents(p, q)
+    _check_norm(field.shape, p, q)
     if not np.any(field.coef):
         raise ValueError("field is identically zero")
     cell = field.cell_volume
@@ -157,111 +161,77 @@ def _hull_norm(coef: np.ndarray, index: Sequence[np.ndarray],
     """`sample_lp_norm` of the ``ifftn`` of the ``shape``-sized array that
     is ``coef`` on the sub-lattice ``index`` and zero elsewhere.
 
-    The widest hull axis is `power_method`'s pruned axis: the hull's lines
-    along it are zero-padded and transformed, and `_space_pass` does the
-    other axes, where the hull is a box, and the sum.  ``coef`` is not
-    written into.  Before the lines are allocated, `check_lattice_size`
-    refuses them, as ``(n_axis,) + hull lengths``, and `_space_pass`'s
-    block, which holds one whole cross-section at least.
+    The hull's τ-lines, as in `power_method`, are zero-padded and
+    transformed, and `_space_pass` does the other axes, where the hull is
+    a box, and the sum.  ``coef`` is not written into.  Before the lines
+    are allocated, `check_lattice_size` refuses them, as ``(n_tau,) +
+    hull lengths``, and `_space_pass`'s block, which holds one whole
+    cross-section at least.
     """
-    axis = int(np.argmax([len(i) for i in index]))
-    # a 1-d lattice gets one line, as `_on_lines` gives it
-    others = (*shape[:axis], *shape[axis + 1:]) or (1,)
-    picks = (*index[:axis], *index[axis + 1:]) or (np.zeros(1, int),)
-    n, hull = shape[axis], len(index[axis])
-    check_lattice_size((n,) + tuple(len(i) for i in picks))
+    others, n, hull = shape[:-1], shape[-1], len(index[-1])
+    check_lattice_size((n,) + tuple(len(i) for i in index[:-1]))
     check_lattice_size((_block_rows((n,) + others),) + others)
     lines = np.zeros((n, coef.size // hull), complex)
-    lines[index[axis]] = np.moveaxis(coef, axis, 0).reshape(hull, -1)
+    lines[index[-1]] = coef.reshape(-1, hull).T
     np.fft.ifft(lines, axis=0, out=lines)
-    live = np.ravel_multi_index(np.ix_(*picks), others).ravel()
+    live = np.ravel_multi_index(np.ix_(*index[:-1]), others).ravel()
     return float((_space_pass(lines, live, others, r, False) * cell)
                  ** (1.0 / r))
 
 
-def _on_lines(values: np.ndarray, axis: int, live: np.ndarray) -> np.ndarray:
-    """``values`` on the lines along ``axis`` numbered ``live``, as a
-    contiguous ``(n_axis, K)`` array, without a copy of ``values``."""
-    # a trailing unit axis gives a 1-d lattice its one line
-    moved = np.moveaxis(values, axis, 0)[..., np.newaxis]
-    return np.ascontiguousarray(
-        moved[(slice(None),) + np.unravel_index(live, moved.shape[1:])])
+def _on_lines(values: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """``values`` on its τ-lines (along the last axis, numbered in the C
+    order of the others) numbered ``live``, as a contiguous ``(n_tau, K)``
+    array."""
+    return np.ascontiguousarray(values.reshape(-1, values.shape[-1])[live].T)
 
 
-def _block_lines(shape: tuple[int, ...], axis: int, live: np.ndarray,
-                 t: int, b: int) -> tuple[tuple, np.ndarray]:
-    """Where the axis-0 rows ``t .. t + b`` of a ``shape`` array meet its
-    ``(n_axis, K)`` lines along ``axis`` numbered ``live``: their index
-    among the lines, and their line numbers within the block of rows (axis
-    0 leads the C order that numbers the lines), for `_on_lines`.
-    """
-    if axis == 0:
-        return np.s_[t:t + b, :], live
-    per_row = math.prod(shape[1:]) // shape[axis]
-    j0, j1 = np.searchsorted(live, (t * per_row, (t + b) * per_row))
-    return np.s_[:, j0:j1], live[j0:j1] - t * per_row
+def _live_lines(grid: Grid, symbol) -> tuple[np.ndarray, np.ndarray]:
+    """The symbol's live τ-lines: ``(live, mk)``, the ascending numbers of
+    the τ-lines that carry a nonzero sample and ``m`` on them, a
+    contiguous ``(n_tau, K)`` array (`_on_lines`).
 
-
-def _live_lines(grid: Grid, symbol) -> tuple[int, np.ndarray, np.ndarray]:
-    """The axis along which the symbol leaves the most lattice lines
-    empty, and its lines there.
-
-    Lines along ``axis`` are numbered in the C order of the other axes.
-    Returns ``(axis, live, mk)``: ``live`` holds the ascending numbers of
-    the lines that carry a nonzero sample, and ``mk`` is ``m`` on them, a
-    contiguous ``(n_axis, K)`` array (`_on_lines`).  Ties go to the lowest
-    axis.
-
-    The symbol is sampled one block of axis-0 rows at a time
-    (`_block_rows`): each block ORs its share into every axis's mask of
-    live lines and keeps its nonzero samples, from which ``mk`` is filled
-    once the axis is known.  So neither the samples nor a mask of them
-    exists at full size.
+    The paper's symbols degenerate on ``{|eta| = 1, tau = 0}``, so their
+    support meets few τ-lines.  The symbol is sampled one block of axis-0
+    rows at a time (`_block_rows`); the block's τ-lines are its rows, of
+    which it keeps the live ones.  So neither the samples nor a mask of them exists at
+    full size.
     """
     shape = grid.shape
     rest = [np.arange(n) for n in shape[1:]]
-    masks = [np.zeros(shape[:a] + shape[a + 1:], bool)
-             for a in range(len(shape))]
-    kept = []
+    per_row = math.prod(shape[1:-1])
+    live, kept = [], []
     b = _block_rows(shape)
     for t in range(0, shape[0], b):
         m = sample_symbol(grid, symbol,
                           [np.arange(t, min(t + b, shape[0]))] + rest)
-        nonzero = m != 0
-        masks[0] |= np.any(nonzero, axis=0)
-        for a in range(1, len(shape)):
-            masks[a][t:t + len(m)] = np.any(nonzero, axis=a)
-        kept.append((t, m.shape, np.flatnonzero(nonzero), m[nonzero]))
-        dtype = m.dtype
-        del m, nonzero  # before the next block is sampled
-    axis = int(np.argmin([mask.mean() for mask in masks]))
-    live = np.flatnonzero(masks[axis])
-    mk = np.zeros((shape[axis], live.size), dtype)
-    while kept:  # each block's samples go once they are in place
-        t, block_shape, flat, values = kept.pop()
-        block = np.zeros(block_shape, dtype)
-        block.reshape(-1)[flat] = values
-        where, local = _block_lines(shape, axis, live, t, block_shape[0])
-        mk[where] = _on_lines(block, axis, local)
-    return axis, live, mk
+        rows = m.reshape(-1, shape[-1])
+        on = np.flatnonzero(np.any(rows != 0, axis=1))
+        live.append(t * per_row + on)
+        kept.append(rows[on].T)
+        del m, rows  # before the next block is sampled
+    mk = np.empty((shape[-1], sum(k.shape[1] for k in kept)), kept[0].dtype)
+    return np.concatenate(live), np.concatenate(kept, axis=1, out=mk)
 
 
 def _noise_lines(rng: np.random.Generator, shape: tuple[int, ...],
-                 axis: int, live: np.ndarray, mk: np.ndarray) -> np.ndarray:
+                 live: np.ndarray, mk: np.ndarray) -> np.ndarray:
     """A complex Gaussian field on the ``shape`` lattice, times the support
-    of the symbol ``mk``, on its live lines.
+    of the symbol ``mk``, on its live τ-lines.
 
     The normals come in the order of one full-size draw of the real parts
     and then one of the imaginary parts, a block of axis-0 rows at a time
-    (`_block_rows`), each gathered straight onto the lines.
+    (`_block_rows`), each gathered straight onto the lines it holds.
     """
     lines = np.empty(mk.shape, complex)
+    per_row = math.prod(shape[1:-1])
     b = _block_rows(shape)
     for part in (lines.real, lines.imag):
         for t in range(0, shape[0], b):
             draw = rng.standard_normal((min(b, shape[0] - t),) + shape[1:])
-            where, local = _block_lines(shape, axis, live, t, len(draw))
-            part[where] = _on_lines(draw, axis, local)
+            j0, j1 = np.searchsorted(live, (t * per_row,
+                                            (t + len(draw)) * per_row))
+            part[:, j0:j1] = _on_lines(draw, live[j0:j1] - t * per_row)
     lines[mk == 0] = 0.0
     return lines
 
@@ -337,12 +307,12 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
     return float(total)
 
 
-def power_method(grid: Grid, live: tuple[int, np.ndarray, np.ndarray],
+def power_method(grid: Grid, live: tuple[np.ndarray, np.ndarray],
                  lines: np.ndarray, q: float, *, max_iter: int = 24,
                  tol: float = 1e-4) -> NormEstimate:
     """Boyd power iteration for ``||m(D)||_{2 -> q}`` on the lattice
     ``grid``, from the start whose coefficients ``F`` are ``lines`` on the
-    symbol's live lines ``live`` (`_live_lines`) and zero elsewhere.
+    symbol's live τ-lines ``live`` (`_live_lines`) and zero elsewhere.
 
     Each step maps the current unit-in-L^2 field through the multiplier,
     records the quotient, then pulls the L^q norming function back through
@@ -357,22 +327,21 @@ def power_method(grid: Grid, live: tuple[int, np.ndarray, np.ndarray],
     between ``fftn`` and ``ifftn``, and it enters each norm only as the
     factor ``cell_volume ** (1/r)``.  The L^2 dualization is the identity,
     so between steps the iterate stays on the frequency side, as the
-    compact ``(n_axis, K)`` array of its live lines along the axis where
-    ``m`` leaves the most lines empty; on A8's rings 3% of the tau-lines
-    are live.  A step transforms that axis on the live lines alone, around
-    `_space_pass`, which runs the other axes, the q-side norm and the
+    compact ``(n_tau, K)`` array of its live τ-lines; on A8's rings 3% of
+    the τ-lines are live.  A step transforms τ on the live lines alone,
+    around `_space_pass`, which runs the other axes, the q-side norm and the
     dualization one block of cross-sections at a time; the ``max_iter``-th
     quotient's pass skips the pull-back.  The iterate's norm is Parseval's
     ``||f||_2^2 = cell_volume / N * sum |fftn(y)|^2`` over the ``N``
     samples, summed over the live lines.  So the run holds no full-size
     array, only the lines, a block and its scratch.
     """
-    axis, numbers, mk = live
+    numbers, mk = live
     cell = grid.cell_volume
     cell_per_n = cell / math.prod(grid.shape)
     lines /= cell
     mkc = np.conj(mk)
-    others = grid.shape[:axis] + grid.shape[axis + 1:] or (1,)
+    others = grid.shape[:-1]
     history: list[float] = []
     aborted = False
     for step in range(max_iter):
@@ -408,21 +377,22 @@ def estimate_operator_norm(grid: Grid, symbol, p: float, q: float, *,
     """Best certified lower bound for ``||m(D)||_{2 -> q}`` on the lattice
     ``grid`` over a small family of `power_method` restarts.
 
-    Exponents other than p = 2, 1 < q < infinity are refused before any
-    sampling.  The symbol is sampled once, one block of axis-0 rows at a
-    time, into the live lines every run shares (`_live_lines`).  Restart
-    seeds, each built on those lines just before its run and dropped after
-    it: the conjugated symbol itself as a frequency profile (the natural
-    L^2 maximiser, a strong generic start), then ``n_random`` complex
-    Gaussian fields supported where the symbol is nonzero, drawn from one
-    seeded Philox stream, real parts first (`_noise_lines`).  So neither
-    the symbol, nor its support, nor any start exists at full size.
+    Exponents other than p = 2, 1 < q < infinity, and a lattice of one
+    axis, are refused before any sampling.  The symbol is sampled once,
+    one block of axis-0 rows at a time, into the live τ-lines every run
+    shares (`_live_lines`).  Restart seeds, each built on those lines just
+    before its run and dropped after it: the conjugated symbol itself as a
+    frequency profile (the natural L^2 maximiser, a strong generic start),
+    then ``n_random`` complex Gaussian fields supported where the symbol
+    is nonzero, drawn from one seeded Philox stream, real parts first
+    (`_noise_lines`).  So neither the symbol, nor its support, nor any
+    start exists at full size.
     """
     if p != 2.0:
         raise ValueError(f"the power iteration runs at p = 2 only, got p={p}")
-    _check_exponents(p, q)
+    _check_norm(grid.shape, p, q)
     live = _live_lines(grid, symbol)
-    axis, numbers, mk = live
+    numbers, mk = live
     if not numbers.size:
         raise ValueError("symbol vanishes on the whole frequency lattice")
 
@@ -430,7 +400,7 @@ def estimate_operator_norm(grid: Grid, symbol, p: float, q: float, *,
         yield np.conj(mk)
         rng = np.random.Generator(np.random.Philox(seed))
         for _ in range(n_random):
-            yield _noise_lines(rng, grid.shape, axis, numbers, mk)
+            yield _noise_lines(rng, grid.shape, numbers, mk)
 
     best: NormEstimate | None = None
     hist: list[float] = []

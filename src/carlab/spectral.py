@@ -27,10 +27,10 @@ small) periodisation tails.  Norms are sums over all samples, so a loop may
 also hold ``y`` with its axes reordered.
 
 The norm passes (`normest`) take the `Grid` and build only the arrays they
-transform: the symbol's live lines, or a witness's hull (`HullField`) as
-lines along its widest axis; both then run through one blocked space pass.
-A `GridField` holds ``y`` or ``F`` on the whole lattice; it is the dense form
-that the reference transforms and norms below work on.
+transform: the symbol's live τ-lines (along the last axis), or a witness's
+hull (`HullField`) as its τ-lines; both then run through one blocked space
+pass.  A `GridField` holds ``y`` or ``F`` on the whole lattice; it is the
+dense form that the reference transforms and norms below work on.
 
 Sampled multiplication implements the multiplier action exactly on the
 shifted band: apply ``m`` by sampling ``m(sigma + 2 pi k / L)`` on the

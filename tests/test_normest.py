@@ -378,19 +378,21 @@ def _lines_symbol(axis):
 
 
 def _one_line_symbol():
-    """A real array: the full symbol's modulus on the line ``[:, 5]`` only."""
+    """A real array: the full symbol's modulus on the τ-line ``[5]`` only."""
     grid = default_grid(2, 32, for_full_symbol=True)
     full = sample_symbol(grid, SymbolSpec("full", 2, 1))
     m = np.zeros(grid.shape)
-    m[:, 5] = np.abs(full[:, 5])
+    m[5] = np.abs(full[5])
     return grid, m
 
 
 _ORACLE_CASES = {
     "zero_offset": (default_grid(2, 32), SymbolSpec("full", 2, 1)),
-    # lines pruned along a first and a middle axis, and a single live line
+    # supports that are cylinders along a first, a middle and the last
+    # axis (only the last prunes the τ-lines, to a disc); one live line
     "lines_axis0": (default_grid(3, 16), _lines_symbol(0)),
     "lines_axis1": (default_grid(3, 16), _lines_symbol(1)),
+    "lines_tau": (default_grid(3, 16), _lines_symbol(2)),
     "one_line": _one_line_symbol(),
     "half_cell": (default_grid(2, 32, for_full_symbol=True),
                   SymbolSpec("full", 2, 1)),
@@ -409,22 +411,25 @@ def _starts(grid, spec):
     noise = rng.standard_normal(grid.shape) \
         + 1j * rng.standard_normal(grid.shape)
     m = sample_symbol(grid, spec)
-    axis = _live_lines(grid, spec)[0]
-    on_live = np.any(m != 0, axis=axis, keepdims=True)
+    on_live = np.any(m != 0, axis=-1, keepdims=True)
     F = field_on(grid, noise).to_freq()
     return {"symbol": field_on(grid, np.conj(m), in_space=False),
             "noise": F.with_values(F.values * on_live)}
 
 
-@pytest.mark.parametrize("case, axis, n_live", [
-    ("lines_axis0", 0, 37), ("lines_axis1", 1, 37), ("one_line", 0, 1),
-    ("half_cell", 0, 32), ("ring_j0", 2, 32)])
-def test_the_emptiest_axis_is_pruned_to_its_nonzero_lines(case, axis, n_live):
+def _tau_lines(m):
+    """The ``(n_tau, L)`` τ-lines of a whole array ``m``."""
+    return m.reshape(-1, m.shape[-1]).T
+
+
+@pytest.mark.parametrize("case, n_live", [
+    ("lines_tau", 37), ("one_line", 1), ("half_cell", 32), ("ring_j0", 32)])
+def test_the_tau_lines_are_pruned_to_their_nonzero_lines(case, n_live):
     grid, spec = _ORACLE_CASES[case]
     m = sample_symbol(grid, spec)
-    got_axis, live, mk = _live_lines(grid, spec)
-    lines = np.moveaxis(m, axis, 0).reshape(m.shape[axis], -1)
-    assert (got_axis, live.size) == (axis, n_live)
+    live, mk = _live_lines(grid, spec)
+    lines = _tau_lines(m)
+    assert live.size == n_live
     assert np.all(np.diff(live) > 0)  # ascending line numbers
     dead = np.setdiff1d(np.arange(lines.shape[1]), live)
     assert np.all(lines[:, dead] == 0)
@@ -434,13 +439,11 @@ def test_the_emptiest_axis_is_pruned_to_its_nonzero_lines(case, axis, n_live):
 
 
 def _dense_live_lines(m):
-    """The live lines of a whole sampled symbol ``m``, from full-size masks."""
-    nonzero = m != 0
-    masks = [np.any(nonzero, axis=a) for a in range(m.ndim)]
-    axis = int(np.argmin([mask.mean() for mask in masks]))
-    live = np.flatnonzero(masks[axis])
-    lines = np.moveaxis(m, axis, 0).reshape(m.shape[axis], -1)
-    return axis, live, lines[:, live]
+    """The live τ-lines of a whole sampled symbol ``m``, from a full-size
+    mask."""
+    lines = _tau_lines(m)
+    live = np.flatnonzero(np.any(lines != 0, axis=0))
+    return live, lines[:, live]
 
 
 def _tilde_grid():
@@ -448,12 +451,13 @@ def _tilde_grid():
     return Grid((16, 8, 32), (40.0, 20.0, 9.0), (0.9, 0.05, 0.3))
 
 
-# a ring spec, a tilde spec, a callable and a precomputed array, pruned
-# along a last, a middle, a middle and a first axis
+# a ring spec, a tilde spec, two callables and a precomputed array; the
+# axis-1 callable's live τ-lines hold zeros
 _LIVE_CASES = {
     "ring_j0": _ORACLE_CASES["ring_j0"],
     "tilde": (_tilde_grid(), SymbolSpec("tilde", 3, 1, eps=2.0 ** -3)),
     "callable_axis1": _ORACLE_CASES["lines_axis1"],
+    "callable_tau": _ORACLE_CASES["lines_tau"],
     "array_one_line": _ORACLE_CASES["one_line"],
 }
 
@@ -469,12 +473,11 @@ def test_block_sampled_live_lines_match_the_dense_ones(case, rows,
     if rows is not None:
         monkeypatch.setattr(normest, "_BLOCK",
                             rows * math.prod(grid.shape[1:]))
-    axis, live, mk = _live_lines(grid, symbol)
-    assert axis == want[0]
-    np.testing.assert_array_equal(live, want[1])
-    assert mk.dtype == want[2].dtype and mk.flags.c_contiguous
-    np.testing.assert_array_equal(mk, want[2])
-    assert live.size < np.prod(grid.shape) // grid.shape[axis]
+    live, mk = _live_lines(grid, symbol)
+    np.testing.assert_array_equal(live, want[0])
+    assert mk.dtype == want[1].dtype and mk.flags.c_contiguous
+    np.testing.assert_array_equal(mk, want[1])
+    assert live.size < np.prod(grid.shape) // grid.shape[-1]
 
 
 @pytest.mark.parametrize("rows", [1, 3, None])
@@ -482,11 +485,11 @@ def test_block_sampled_live_lines_match_the_dense_ones(case, rows,
 def test_noise_lines_are_the_full_draw_on_the_support(case, rows,
                                                       monkeypatch):
     # each start is the one full draw of real parts, then of imaginary
-    # parts, times the support, on the live lines; two in a row continue
+    # parts, times the support, on the live τ-lines; two in a row continue
     # one stream
     import carlab.normest as normest
     grid, symbol = _LIVE_CASES[case]
-    axis, live, mk = _live_lines(grid, symbol)
+    live, mk = _live_lines(grid, symbol)
     support = np.asarray(sample_symbol(grid, symbol)) != 0
     rng = np.random.Generator(np.random.Philox(5))
     want = []
@@ -494,13 +497,13 @@ def test_noise_lines_are_the_full_draw_on_the_support(case, rows,
         noise = np.empty(grid.shape, complex)
         noise.real = rng.standard_normal(grid.shape)
         noise.imag = rng.standard_normal(grid.shape)
-        want.append(_on_lines(noise * support, axis, live))
+        want.append(_on_lines(noise * support, live))
     if rows is not None:
         monkeypatch.setattr(normest, "_BLOCK",
                             rows * math.prod(grid.shape[1:]))
     rng = np.random.Generator(np.random.Philox(5))
     for w in want:
-        got = _noise_lines(rng, grid.shape, axis, live, mk)
+        got = _noise_lines(rng, grid.shape, live, mk)
         assert got.shape == w.shape
         assert np.all(got == w)
 
@@ -553,8 +556,7 @@ def test_power_method_matches_the_grid_field_oracle(case, p, q):
                                    atol=0.0, err_msg=name)
 
 
-# lattices of several blocks of cross-sections, pruned along a last and a
-# first axis
+# lattices of several blocks of cross-sections
 _BLOCKED_CASES = {
     "ring_j0": _ORACLE_CASES["ring_j0"],
     "half_cell": (default_grid(2, 128, for_full_symbol=True),
@@ -669,7 +671,7 @@ def test_a_ring_estimate_holds_no_full_size_array():
 
 @pytest.mark.parametrize("family", ["tilde", "eps"])
 def test_a_witness_bound_holds_no_full_size_array(family):
-    # each norm transforms its widest hull axis on the whole hull and the
+    # each norm transforms the hull's τ-lines on the whole hull and the
     # other axes one block of rows at a time, so no array of its own is
     # lattice-sized
     eps = 2.0 ** -4
@@ -689,11 +691,11 @@ def test_a_witness_holds_no_full_size_array(family):
 
 @pytest.mark.parametrize("shape, hull, array", [
     # each block of the last pass holds a whole 2^14 x 2^14 cross-section
-    ((2, 2 ** 14, 2 ** 14), (2, 1, 1), "1x16384x16384"),
-    # the first pass is full along the widest hull axis, 2^27 long
-    ((2 ** 27, 4, 2), (3, 2, 1), "134217728x2x1"),
+    ((2 ** 14, 2 ** 14, 2), (1, 1, 2), "1x16384x16384"),
+    # the first pass is full along τ, 2^27 long
+    ((4, 2, 2 ** 27), (2, 1, 3), "134217728x2x1"),
     # the 2^21 lines fit, the block after them does not
-    ((2 ** 21, 2 ** 14, 2 ** 14), (2, 1, 1), "1x16384x16384")])
+    ((2 ** 14, 2 ** 14, 2 ** 21), (1, 1, 2), "1x16384x16384")])
 def test_a_hull_whose_norm_arrays_are_too_large_is_refused_before_sampling(
         monkeypatch, shape, hull, array):
     import carlab.normest as normest
@@ -735,7 +737,7 @@ def _hull(rng, n, wrapped):
 
 
 @settings(max_examples=40, deadline=None)
-@given(shape=st.sampled_from([(64,), (8, 128), (16, 8, 32), (4, 64, 8),
+@given(shape=st.sampled_from([(8, 128), (16, 8, 32), (4, 64, 8),
                               (8, 4, 16, 8), (4, 32, 4, 16),
                               (4, 8, 4, 8, 4), (4, 4, 16, 4, 8)]),
        wrapped=st.lists(st.booleans(), min_size=5, max_size=5),
@@ -754,6 +756,50 @@ def test_hull_norm_matches_the_dense_norm(shape, wrapped, seed, r):
     assert _hull_norm(coef, index, shape, r, cell) == \
         pytest.approx(want, rel=1e-13, abs=0.0)
     np.testing.assert_array_equal(coef, before)
+
+
+def test_a_lattice_of_one_axis_is_refused_before_sampling(monkeypatch):
+    # the lines run along τ, the last axis, and `_space_pass` sums over the
+    # cross-sections of the axes before it: one axis leaves none
+    import carlab.normest as normest
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbol sampled")
+    monkeypatch.setattr(normest, "sample_symbol", refuse)
+    grid = Grid((64,), (10.0,), (0.0,))
+    field = HullField(grid.shape, grid.periods, grid.freq_offsets,
+                      np.ones(3, complex), (np.arange(3),))
+    with pytest.raises(ValueError, match=r"got shape \(64,\)"):
+        estimate_operator_norm(grid, _eta_tau_symbol, 2.0, 4.0)
+    with pytest.raises(ValueError, match=r"got shape \(64,\)"):
+        certified_lower_bound(field, _eta_tau_symbol, 2.0, 4.0)
+
+
+def test_the_ring_symbols_live_on_the_fewest_lines_along_tau():
+    # A8's symbols degenerate on {|eta| = 1, tau = 0}, so their support
+    # meets few τ-lines: 2,236 against 9,982 along each eta axis at j = 0
+    for j in range(4):
+        m = sample_symbol(ring_grid(j),
+                          SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=j))
+        nonzero = m != 0
+        del m
+        counts = [np.count_nonzero(np.any(nonzero, axis=a))
+                  for a in range(nonzero.ndim)]
+        assert counts[-1] <= 1.1 * min(counts), (j, counts)
+
+
+@pytest.mark.parametrize("family, d, n, scales", [
+    (family, d, n, scales) for family in ("tilde", "eps")
+    for d, n, scales in ((3, 128, range(3, 7)), (5, 32, range(4, 8)),
+                         (7, 8, range(4, 8)))])
+def test_knapp_hulls_hold_the_fewest_lines_along_tau(family, d, n, scales):
+    # A5's witnesses (d = 3) and the d = 5, 7 one-offs: a slab widest
+    # along τ; a hull holds prod(hull) / len(axis) lines along an axis
+    for m in scales:
+        index = knapp_witness(family, d, 2.0 ** -m, n=n).index
+        size = math.prod(map(len, index))
+        counts = [size // len(i) for i in index]
+        assert counts[-1] <= 1.1 * min(counts), (m, counts)
 
 
 @st.composite

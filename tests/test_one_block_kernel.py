@@ -2,10 +2,10 @@
 
 In ``normest``, `_space_pass` is the only function that transforms blocks
 of cross-sections.  The power iteration (`power_method`) transforms its
-pruned axis on the live lines around it, and the one-shot hull norm
-(`_hull_norm`) its widest hull axis; every other FFT runs inside
-`_space_pass`.  A function outside these three that calls ``np.fft`` has
-started a second kernel, with its own block loop, size guard and power sum.
+live τ-lines around it, and the one-shot hull norm (`_hull_norm`) the
+hull's τ-lines; every other FFT runs inside `_space_pass`.  A function
+outside these three that calls ``np.fft`` has started a second kernel,
+with its own block loop, size guard and power sum.
 """
 import ast
 import pathlib
