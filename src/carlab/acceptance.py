@@ -29,7 +29,7 @@ from .normest import (ExponentKind, ScalingFit, certified_lower_bound,
 from .oscillatory import (LowerBoundParams, Phi5Spec, annulus_radii,
                           frak_s_sample, i_integral, j_decomposition,
                           mtilde_radial)
-from .spectral import Grid, HullField, check_lattice_size
+from .spectral import Grid, KnappField, check_lattice_size
 from .symbols import SymbolSpec, eval_from_radial
 
 
@@ -58,11 +58,11 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> HullField:
+def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> KnappField:
     """A thin-slab frequency bump adapted to one symbol family.
 
     The box is anisotropic: one axis hugs the radial direction at scale
-    ``eps``, the ``d - 2`` transverse axes sit at scale ``sqrt(eps)``, and
+    ``eps``, the transverse axes ``eta'`` sit at scale ``sqrt(eps)``, and
     the last axis covers the relevant tau window.  Spans shrink with eps, so
     the lattice resolves the slab with the same number of cells at every
     scale and the discretization bias cancels out of scaling fits.
@@ -71,74 +71,64 @@ def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> HullField:
     ``tau`` near 5/4; for ``family="eps"`` it is ``| |xi|^2 - 1 | <= eps/16``
     with ``tau ~ eps``.  Both sit where the family's own cutoffs equal 1
     (up to the fixed tau profile), and both vanish well inside the box, so
-    the witness never wraps around the frequency torus.
+    the witness never wraps around the frequency torus.  The cap is read at
+    ``|eta'|``, so the witness is a function of (a0, |eta'|, tau), a
+    `KnappField`; the cap's shape changes constants, not exponents.
 
-    The witness vanishes off its 1-D cap and tau factors' supports: the
-    slab is evaluated on the sub-lattice they span, on the axis-0 rows
-    whose squared coordinate, plus the range of the other squared terms
-    the slab reads there, can meet its window ``1 + eps * support``.  That
-    sub-lattice's size is checked first, then that of the block its norm
-    pass will need (`normest._hull_norm`), so a witness no norm could take
-    is refused before the slab is evaluated.  The witness comes back as a
-    `HullField` on the sub-lattice with axis 0 cut to the slab's nonzero
-    rows.  No array of the n^d lattice's size is built.
+    A d outside 3..36 (the radial axis's Bessel orders stop at 16) is
+    refused first.  The slab is evaluated on all n axis-0 rows across the
+    cap's and tau's supports, once that box's size is checked; a nonzero
+    value on the box's boundary, or none at all, is refused.  The witness
+    keeps the slab's nonzero rows.
     """
     if family not in ("tilde", "eps"):
         raise ValueError(f"no slab witness for family {family!r}")
-    if d < 3:
-        raise ValueError("slab witnesses need d >= 3")
+    if not 3 <= d <= 36:
+        raise ValueError(f"slab witnesses need d >= 3 and d <= 36 (Bessel "
+                         f"orders stop at 16), got d = {d}")
     rt = math.sqrt(eps)
+    cart = 2 - d % 2  # the transverse axes kept: [eta1] and rho
     if family == "tilde":
-        spans = (3.0 * eps,) + (4.0 * rt,) * (d - 2) + (2.0,)
-        offs = (1.0,) + (0.0,) * (d - 2) + (1.25,)
+        spans = (3.0 * eps,) + (4.0 * rt,) * cart + (2.0,)
+        offs = (1.0,) + (0.0,) * cart + (1.25,)
+        cap, window = SymmetricPlateau(0.5), SymmetricPlateau(0.25)
     else:
-        spans = (2.0 * eps,) + (2.0 * rt,) * (d - 2) + (2.0 * eps,)
-        offs = (1.0,) + (0.0,) * (d - 2) + (1.1 * eps,)
-    grid = Grid((n,) * d, tuple(2.0 * math.pi * n / s for s in spans), offs)
+        spans = (2.0 * eps,) + (2.0 * rt,) * cart + (2.0 * eps,)
+        offs = (1.0,) + (0.0,) * cart + (1.1 * eps,)
+        cap, window = SymmetricPlateau(1.0 / 8), SymmetricPlateau(0.3)
+    grid = Grid((n,) * (cart + 2), tuple(2.0 * math.pi * n / s for s in spans),
+                offs)
     freq = grid.freq_axes()
-    if family == "tilde":
-        cuts = ([(SymmetricPlateau(0.5), a / rt) for a in freq[1:-1]]
-                + [(SymmetricPlateau(0.25), freq[-1] - 1.25)])
-    else:
-        cuts = ([(SymmetricPlateau(1.0 / 8), a / rt) for a in freq[1:-1]]
-                + [(SymmetricPlateau(0.3), freq[-1] / eps - 1.1)])
-    near = [np.flatnonzero(np.abs(t) < cut.support[1]) for cut, t in cuts]
-    # the even slab reads |eta|^2, and tau^2 too in the eps family
-    plateau = SymmetricPlateau(1.0 / 8 if family == "tilde" else 1.0 / 32)
-    terms = [a[i] ** 2 for a, i in zip(freq[1:], near)][
-        :d - 2 if family == "tilde" else d - 1]
-    lo, hi = (1.0 + eps * s for s in plateau.support)
-    a0_sq = freq[0] ** 2
-    rows = np.flatnonzero((a0_sq + sum(t.min() for t in terms) <= hi)
-                          & (a0_sq + sum(t.max() for t in terms) >= lo))
-    check_lattice_size((rows.size,) + tuple(map(len, near)))
-    # the norm's block: one row across the other n^(d-1) axes
-    check_lattice_size((1,) + (n,) * (d - 1))
-    *caps, tw = [cut(t) for cut, t in cuts]
-    index = [rows] + [np.flatnonzero(f) for f in caps + [tw]]
+    freq[-2] = np.abs(freq[-2][:n // 2 + 1])  # rho_j = j 2 pi / L
+    cuts = [(cap, a / rt) for a in freq[1:-1]] + [
+        (window, freq[-1] - 1.25 if family == "tilde"
+         else freq[-1] / eps - 1.1)]
+    check_lattice_size((n,) + tuple(
+        np.count_nonzero(np.abs(t) < cut.support[1]) for cut, t in cuts))
+    factors = [cut(t) for cut, t in cuts]
+    index = [np.arange(n)] + [np.flatnonzero(f) for f in factors]
     axes = np.meshgrid(*(a[i] for a, i in zip(freq, index)), indexing="ij",
                        sparse=True)
     eta_sq = sum(a ** 2 for a in axes[:-1])
     tau = axes[-1]
     if family == "tilde":
-        slab = plateau((1.0 - eta_sq) / eps)
+        slab = SymmetricPlateau(1.0 / 8)((1.0 - eta_sq) / eps)
     else:
-        slab = plateau((eta_sq + tau ** 2 - 1.0) / eps)
-    cap = 1.0
-    for ax, f in enumerate(caps, start=1):
-        cap = cap * f[index[ax]].reshape(axes[ax].shape)
-    vals = (slab * cap * tw[index[-1]].reshape(tau.shape)).astype(complex)
+        slab = SymmetricPlateau(1.0 / 32)((eta_sq + tau ** 2 - 1.0) / eps)
+    transverse = np.sqrt(sum(a ** 2 for a in axes[1:-1]))
+    vals = slab * cap(transverse / rt) * factors[-1][index[-1]].reshape(
+        tau.shape)
     half = n // 2
     for ax, i in enumerate(index):
         at = np.flatnonzero(i == half)
         if at.size and np.any(np.take(vals, at[0], axis=ax)):
             raise ValueError("witness touches the frequency box boundary")
-    rows = np.flatnonzero(np.any(vals, axis=tuple(range(1, d))))
+    rows = np.flatnonzero(np.any(vals, axis=tuple(range(1, vals.ndim))))
     if not rows.size:
         raise ValueError("witness is empty on this lattice")
-    index[0] = index[0][rows]
-    return HullField(grid.shape, grid.periods, grid.freq_offsets, vals[rows],
-                     tuple(index))
+    index[0] = rows
+    return KnappField(grid.shape, grid.periods, grid.freq_offsets, d,
+                      vals[rows], tuple(index))
 
 
 def ring_grid(j: int, n_eta0: int = 256, n_tau: int = 64) -> Grid:

@@ -140,10 +140,10 @@ def sphere_hat(n: int, r) -> np.ndarray:
     """Fourier transform of the round unit-sphere measure in R^n at radius r.
 
     Equals (2 pi)^(n/2) u_{(n-2)/2}(r); at r = 0 this is the total surface
-    area 2 pi^(n/2) / Gamma(n/2).
+    area 2 pi^(n/2) / Gamma(n/2).  At n = 1 the sphere is {-1, 1}: 2 cos r.
     """
-    if n < 2:
-        raise ValueError(f"ambient dimension n={n} < 2")
+    if n == 1:
+        return 2.0 * np.cos(r)
     nu = 0.5 * (n - 2)
     pref = (2.0 * math.pi) ** (0.5 * n)
     return pref * bessel_ju(nu, r)

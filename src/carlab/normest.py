@@ -20,9 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .bessel import sphere_hat
 from .regions import ExponentPoint
-from .spectral import (Grid, HullField, check_lattice_size, sample_lp_norm,
+from .spectral import (Grid, KnappField, check_lattice_size, sample_lp_norm,
                        sample_symbol)
+from .symbols import SymbolSpec, eval_from_radial
 
 
 class ExponentKind(enum.Enum):
@@ -120,28 +122,28 @@ def dualize(values: np.ndarray, r: float) -> np.ndarray:
     return vals * _power_in_place(np.abs(vals), r - 2.0)
 
 
-def certified_lower_bound(field: HullField, symbol, p: float, q: float) -> float:
-    """The Rayleigh quotient ``||m(D) f||_q / ||f||_p`` for this one field.
+def certified_lower_bound(field: KnappField, spec: SymbolSpec, p: float,
+                          q: float) -> float:
+    """The Rayleigh quotient ``||m(D) f||_q / ||f||_p`` for this one witness.
 
-    A lattice of one axis, an all-zero ``coef``, and a hull whose norm
-    passes would allocate an array above the lattice-size limit
-    (`_hull_norm`, which runs the p-norm first), are refused before any
-    sampling.  The symbol is sampled on the hull's sub-lattice
-    (``field.index``) and nowhere else, so a degenerate point off the hull
-    raises nothing; ``m F`` vanishes off the hull, so this is the dense
-    product exactly.  Both norms sum the field's
-    space samples ``y`` (`spectral`) in `_space_pass`, one block of
-    cross-sections at a time, so the whole lattice is never held.
+    Bad exponents, a symbol of another d than the witness's, and an all-zero
+    ``coef`` are refused before any evaluation, and norm arrays above the
+    lattice-size limit by the p-norm, before the symbol is evaluated.  The
+    symbol is evaluated on the hull (``field.index``) alone, at ``|eta|^2 =
+    a0^2 + eta1^2 + rho^2``; ``m F`` vanishes off it, so this is exact.
     """
     _check_norm(field.shape, p, q)
+    if spec.d != field.d:
+        raise ValueError(f"the symbol has d = {spec.d}, the witness "
+                         f"d = {field.d}")
     if not np.any(field.coef):
         raise ValueError("field is identically zero")
-    cell = field.cell_volume
-    denom = _hull_norm(field.coef / cell, field.index, field.shape, p, cell)
-    m = sample_symbol(field, symbol, field.index)
-    coef = m * field.coef
-    coef /= cell
-    return _hull_norm(coef, field.index, field.shape, q, cell) / denom
+    denom = _radial_norm(field, field.coef, p)
+    axes = np.meshgrid(*(a[i] for a, i in zip(field.freq_axes(),
+                                              field.index)),
+                       indexing="ij", sparse=True)
+    m = eval_from_radial(spec, sum(a ** 2 for a in axes[:-1]), axes[-1])
+    return _radial_norm(field, m * field.coef, q) / denom
 
 
 #: complex elements per block of axis-0 rows (`_block_rows`): a block and
@@ -156,27 +158,53 @@ def _block_rows(shape: tuple[int, ...]) -> int:
     return min(shape[0], max(1, _BLOCK // math.prod(shape[1:])))
 
 
-def _hull_norm(coef: np.ndarray, index: Sequence[np.ndarray],
-               shape: tuple[int, ...], r: float, cell: float) -> float:
-    """`sample_lp_norm` of the ``ifftn`` of the ``shape``-sized array that
-    is ``coef`` on the sub-lattice ``index`` and zero elsewhere.
+def _radial_norm(field: KnappField, coef: np.ndarray, r: float) -> float:
+    """The L^r norm of the function with the coefficients ``coef`` on
+    ``field``'s hull; ``coef`` is not written into.
 
-    The hull's τ-lines, as in `power_method`, are zero-padded and
-    transformed, and `_space_pass` does the other axes, where the hull is
-    a box, and the sum.  ``coef`` is not written into.  Before the lines
-    are allocated, `check_lattice_size` refuses them, as ``(n_tau,) +
-    hull lengths``, and `_space_pass`'s block, which holds one whole
-    cross-section at least.
+    The hull's τ-lines are zero-padded and inverse-transformed once.  The
+    space side is radial in ``x'`` in R^m, and is sampled at the radii ``r_l
+    = l L / n``, ``l = 0..n/2``, of the ρ axis: per radius, the kernel row
+    ``(2 pi)^-m w_j rho_j^(m-1) sphere_hat(m, rho_j r_l)`` (``w_j = 2 pi /
+    L``) sums the lines into one (a0, [η1], τ) cross-section, ``ifftn``'d
+    over a0 [and η1] in place, whose ``sum |y|^r`` is weighted by
+    ``sphere_hat(m, 0) r_l^(m-1) L / n``.  Both radial sums are trapezoids
+    (halved at 0 and n/2) of even functions, as m is odd: at m = 1 the
+    folded Cartesian sums, else spectrally accurate.  `check_lattice_size`
+    refuses the lines or the cross-section before either is allocated.
     """
-    others, n, hull = shape[:-1], shape[-1], len(index[-1])
-    check_lattice_size((n,) + tuple(len(i) for i in index[:-1]))
-    check_lattice_size((_block_rows((n,) + others),) + others)
-    lines = np.zeros((n, coef.size // hull), complex)
-    lines[index[-1]] = coef.reshape(-1, hull).T
-    np.fft.ifft(lines, axis=0, out=lines)
-    live = np.ravel_multi_index(np.ix_(*index[:-1]), others).ravel()
-    return float((_space_pass(lines, live, others, r, False) * cell)
-                 ** (1.0 / r))
+    index, shape = field.index, field.shape
+    m, n, others = field.d + 1 - len(shape), shape[-2], shape[:-2]
+    lines_shape = (len(index[-2]), math.prod(map(len, index[:-2])), shape[-1])
+    check_lattice_size(lines_shape)
+    check_lattice_size(others + shape[-1:])
+    *cells, dr, dt = field.spacings
+    cell = math.prod(cells) * dt
+    lines = np.zeros(lines_shape, complex)
+    lines[..., index[-1]] = np.moveaxis(coef / cell, -2, 0).reshape(
+        lines_shape[:2] + (-1,))
+    np.fft.ifft(lines, axis=-1, out=lines)
+    lines = lines.reshape(len(lines), -1)
+    h = 2.0 * math.pi / field.periods[-2]
+    rho, radii = h * index[-2], dr * np.arange(n // 2 + 1)
+    w = np.where((index[-2] == 0) | (index[-2] == n // 2), 0.5 * h, h)
+    kernel = w * rho ** (m - 1) * sphere_hat(m, np.outer(radii, rho))
+    scale = np.abs(kernel).max()  # at large m, |y|^r would underflow
+    kernel /= scale
+    weights = sphere_hat(m, 0.0) * radii ** (m - 1) * dr
+    weights[[0, -1]] *= 0.5
+    live = np.ravel_multi_index(np.ix_(*index[:-2]), others).ravel()
+    section = np.empty(others + shape[-1:], complex)
+    flat, mags = section.reshape(-1, shape[-1]), np.empty(section.shape)
+    total = 0.0
+    for row, weight in zip(kernel, weights):
+        flat.fill(0.0)
+        flat[live] = (row @ lines).reshape(len(live), -1)
+        np.fft.ifftn(section, axes=range(len(others)), out=section)
+        np.abs(section, out=mags)
+        mags **= r
+        total += weight * np.sum(mags)
+    return float(scale / (2.0 * math.pi) ** m * (total * cell) ** (1.0 / r))
 
 
 def _on_lines(values: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -246,30 +274,14 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
     pruned axis; ``live`` numbers its columns among the lines of a
     cross-section of shape ``others``.  A block of cross-sections, checked
     by `check_lattice_size` first, is zeroed, gets its live entries and is
-    inverse-transformed in place: by one ``ifftn``, or, where ``live``
-    fills the box of its reaches (a hull), axis by axis, widest reach
-    first, each only on the lines the later axes' reaches meet.  Float
-    scratch of `_CHUNK` elements takes ``sq = |g|^2`` and ``w =
-    sq^((q-2)/2)`` (zeros stay zero for q < 2) a chunk at a time, and the
-    sum gets ``sum(sq * w)``; with ``pull_back``, ``g *= w``, ``fftn`` and
-    gather.
+    inverse-transformed in place by one ``ifftn``.  Float scratch of
+    `_CHUNK` elements takes ``sq = |g|^2`` and ``w = sq^((q-2)/2)`` (zeros
+    stay zero for q < 2) a chunk at a time, and the sum gets ``sum(sq *
+    w)``; with ``pull_back``, ``g *= w``, ``fftn`` and gather.
     """
     n_axis = lines.shape[0]
     b = _block_rows((n_axis,) + others)
     check_lattice_size((b,) + others)
-    reach = [np.unique(c) for c in np.unravel_index(live, others)]
-    # one ifftn, unless live fills the box of its reaches (a hull): pruned
-    # transforms ran A8's rings about 30% slower than one ifftn
-    steps = None
-    if math.prod(map(len, reach)) == live.size:
-        order = sorted(range(len(others)), key=lambda a: -len(reach[a]))
-        steps = []
-        for j, a in enumerate(order[:-1]):
-            # all-array indices, so that no indexed axis moves
-            cut = [reach[i] if i in order[j + 1:] else np.arange(n)
-                   for i, n in enumerate(others)]
-            steps.append((1 + a, (slice(None),) + np.ix_(*cut)))
-        steps.append((1 + order[-1], None))  # the last axis: the whole block
     buf = np.empty((b,) + others, complex)
     sq = np.empty(min(buf.size, _CHUNK))
     w = np.empty_like(sq)
@@ -281,13 +293,7 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
         flat = block.reshape(len(rows), -1)
         flat.fill(0.0)
         flat[:, live] = rows
-        if steps is None:
-            np.fft.ifftn(block, axes=axes, out=block)
-        for ax, where in steps or ():
-            sub = block if where is None else block[where]
-            np.fft.ifft(sub, axis=ax, out=sub)
-            if where is not None:
-                block[where] = sub
+        np.fft.ifftn(block, axes=axes, out=block)
         g = block.reshape(-1)
         for c in range(0, g.size, sq.size):
             gc = g[c:c + sq.size]

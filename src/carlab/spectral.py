@@ -27,10 +27,10 @@ small) periodisation tails.  Norms are sums over all samples, so a loop may
 also hold ``y`` with its axes reordered.
 
 The norm passes (`normest`) take the `Grid` and build only the arrays they
-transform: the symbol's live τ-lines (along the last axis), or a witness's
-hull (`HullField`) as its τ-lines; both then run through one blocked space
-pass.  A `GridField` holds ``y`` or ``F`` on the whole lattice; it is the
-dense form that the reference transforms and norms below work on.
+transform: the symbol's live τ-lines (along the last axis), or a Knapp
+witness (`KnappField`), whose cap axes fold into one radial axis.  A
+`GridField` holds ``y`` or ``F`` on the whole lattice; it is the dense
+form that the reference transforms and norms below work on.
 
 Sampled multiplication implements the multiplier action exactly on the
 shifted band: apply ``m`` by sampling ``m(sigma + 2 pi k / L)`` on the
@@ -182,13 +182,15 @@ class GridField(Lattice):
 
 
 @dataclass(frozen=True)
-class HullField(Grid):
-    """A field's frequency coefficients ``F`` (as in `GridField`) on its
-    hull: the sub-lattice spanned by ``index``, one ascending array of
-    lattice indices per axis, off which ``F`` vanishes.  The geometry is
-    the whole lattice's, whose array is never built; ``sample_symbol(field,
-    symbol, field.index)`` samples a multiplier on the hull alone."""
+class KnappField(Grid):
+    """A Knapp witness in R^d: its coefficients ``F`` (as in `GridField`) on
+    its hull, the sub-lattice spanned by ``index``, one ascending array of
+    indices per axis, off which ``F`` vanishes.  The axes are (a0, [η1], ρ,
+    τ), η1 at even d only; ρ is the radius of the other ``m = d + 1 -
+    len(shape)`` transverse axes, so m is odd, and its indices ``j =
+    0..n/2`` name the frequencies ``j 2 pi / L`` (zero offset)."""
 
+    d: int
     coef: np.ndarray
     index: tuple[np.ndarray, ...]
 

@@ -1,7 +1,10 @@
 """Test helpers that put values on a lattice: a `GridField` on a lattice's
-geometry, and the live τ-lines `power_method` runs from."""
+geometry, the live τ-lines `power_method` runs from, a Knapp witness
+unfolded onto its Cartesian lattice, and the support hull of a dense array."""
+import numpy as np
+
 from carlab.normest import _live_lines, _on_lines
-from carlab.spectral import GridField, Lattice
+from carlab.spectral import GridField, KnappField, Lattice
 
 
 def field_on(grid: Lattice, values, in_space: bool = True) -> GridField:
@@ -16,3 +19,25 @@ def start_lines(field: GridField, symbol):
     coefficients on them, which the run takes over."""
     live = _live_lines(field, symbol)
     return live, _on_lines(field.to_freq().values, live[0])
+
+
+def unfold(field: KnappField) -> GridField:
+    """The frequency-side `GridField` of a witness whose radial axis is one
+    Cartesian axis (d = 3, 4): ``coef`` on the hull, zero elsewhere, and
+    the radial axis's index ``j`` at both lattice indices ``j`` and
+    ``n - j``."""
+    assert field.d + 1 - len(field.shape) == 1, "the radial axis is not 1-d"
+    folded = np.zeros(field.shape, complex)
+    folded[np.ix_(*field.index)] = field.coef
+    k = np.arange(field.shape[-2])
+    return field_on(field, folded[..., np.minimum(k, len(k) - k), :],
+                    in_space=False)
+
+
+def support_hull(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per axis, the ascending indices at which ``values`` has a nonzero
+    entry somewhere in the rest of the array."""
+    nonzero = values != 0
+    axes = range(values.ndim)
+    return tuple(np.flatnonzero(np.any(nonzero, axis=tuple(
+        b for b in axes if b != a))) for a in axes)

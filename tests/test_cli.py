@@ -274,6 +274,8 @@ def test_normest_refuses_ring_scale_ranges_before_any_lattice(tmp_path,
 
 def test_normest_rejects_an_oversized_witness_before_allocating_it(
         tmp_path, monkeypatch):
+    # d = 37 needs a radial axis of 35 dimensions, past the Bessel orders;
+    # d = 5 and 7, refused on the Cartesian lattice, now run
     zeros = np.zeros
 
     def small_zeros(shape, *args, **kwargs):
@@ -281,17 +283,13 @@ def test_normest_rejects_an_oversized_witness_before_allocating_it(
         return zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", small_zeros)
-    for d, array in [
-            # the eps = 2^-3 slab's 20 rows fit; its norm's block does not
-            (5, "1x128x128x128x128 complex array takes 4 GiB"),
-            # the slab's evaluation sub-lattice at eps = 2^-3: the axis-0
-            # rows its window can meet, across the factors' supports
-            (7, "23x31x31x31x31x31x77 complex array takes 755.5 GiB")]:
-        report = run(ExperimentConfig.from_mapping(
-            {"experiment": "normest", "kind": "me_knapp", "d": d,
-             "out_dir": str(tmp_path)}))  # a 128^d witness lattice
-        assert report.verdicts[0].status == "fail"
-        assert array in report.verdicts[0].detail
+    rc = main(["--out-dir", str(tmp_path), "normest", "--kind", "me_knapp",
+               "--d", "37"])
+    report = json.loads((tmp_path / "normest_report.json").read_text())
+    assert rc != 0
+    (verdict,) = report["verdicts"]
+    assert (verdict["id"], verdict["status"]) == ("normest-error", "fail")
+    assert "d <= 36" in verdict["detail"]
 
 
 def test_a_lattice_axis_that_is_not_a_power_of_two_is_refused(tmp_path,

@@ -7,10 +7,9 @@ import pytest
 import carlab.identities as identities
 from carlab import acceptance
 from carlab.bump import CustomCutoff, inversion_bump
-from carlab.identities import (KELVIN_PERIOD, CustomTest, PolyGauss,
-                               RadialPower, _period_breakpoints, _sinc_panels,
-                               eval_field_at_points, fractional_laplacian,
-                               pair_pullback,
+from carlab.identities import (KELVIN_PERIOD, PolyGauss, _period_breakpoints,
+                               _sinc_panels, eval_field_at_points,
+                               fractional_laplacian, pair_pullback,
                                radial_fractional_at, sphere_area,
                                sphere_integral, sphere_nodes,
                                verify_counter_identities,
@@ -18,6 +17,7 @@ from carlab.identities import (KELVIN_PERIOD, CustomTest, PolyGauss,
 from carlab.quadrature import _panel_eval, panel_offsets
 from carlab.spectral import GridField, default_grid
 from fields import field_on
+from testfns import CustomTest, RadialPower
 
 RNG = np.random.Generator(np.random.Philox(55))
 

@@ -25,8 +25,8 @@ _TRACING = _BENCH / "tracing.py"
 
 # Test oracles without a caller in the package: the sphere-area closed form
 # is what the pullback pairing tests compare against, and conjugate
-# reflection is the exact lattice duality the normest and spectral duality
-# tests apply.
+# reflection is the exact lattice duality the spectral duality test
+# applies.
 _KEEP = {"sphere_area", "conjugate_reflect"}
 
 

@@ -2,6 +2,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -11,17 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlab.acceptance import KNAPP_TOL, SlopeCheck, knapp_witness, ring_grid
-from carlab.normest import (_BLOCK, ExponentKind, NormEstimate, _hull_norm,
-                            _live_lines, _noise_lines, _on_lines, _space_pass,
-                            certified_lower_bound, dualize,
+from carlab.normest import (_BLOCK, ExponentKind, NormEstimate, _live_lines,
+                            _noise_lines, _on_lines, _radial_norm,
+                            _space_pass, certified_lower_bound, dualize,
                             estimate_operator_norm, fit_scaling, power_method,
                             theoretical_exponent)
 from carlab.regions import ExponentPoint
-from carlab.spectral import (Grid, HullField, default_grid, lp_norm,
+from carlab.spectral import (Grid, KnappField, default_grid, lp_norm,
                              sample_lp_norm, sample_symbol)
-from carlab.symbols import SingularFrequencyError, SymbolSpec, symbol_on_axes
-from fields import field_on, start_lines
-from hulls import dense_of, hull_of
+from carlab.symbols import (SingularFrequencyError, SymbolSpec,
+                            eval_from_radial, symbol_on_axes)
+from fields import field_on, start_lines, unfold
 
 RNG = np.random.Generator(np.random.Philox(77))
 
@@ -68,57 +69,65 @@ def test_l2_ring_exponent():
 # certified bounds
 
 
+def _record(grid: Grid, d: int, coef, index) -> KnappField:
+    """The witness record with ``coef`` on the hull ``index`` of ``grid``."""
+    return KnappField(grid.shape, grid.periods, grid.freq_offsets, d,
+                      np.asarray(coef, complex),
+                      tuple(np.asarray(i) for i in index))
+
+
+#: a d = 3 lattice (a0, rho, tau) with half-cell offsets off the radial axis
+_HALF_CELL = Grid((32, 32, 32), (2.0 * np.pi * 32 / 7.0,) * 3,
+                  (7.0 / 64, 0.0, 7.0 / 64))
+
+
 def test_single_mode_gives_symbol_modulus():
-    g = default_grid(2, n=32, for_full_symbol=True)
-    vals = np.zeros(g.shape, complex)
-    vals[3, 7] = 2.0
-    f = field_on(g, vals, in_space=False)
-    spec = SymbolSpec("full", 2, 1)
-    m = symbol_on_axes(spec, g.freq_axes())
-    est = certified_lower_bound(hull_of(f), spec, 2.0, 2.0)
-    assert est == pytest.approx(abs(m[3, 7]), rel=1e-10)
+    # one coefficient, at rho_j != 0: the field is cos(rho_j x') times a
+    # plane wave, and both of its modes carry the same symbol value
+    coef = np.zeros((1, 1, 1), complex)
+    coef[0, 0, 0] = 2.0
+    f = _record(_HALF_CELL, 3, coef, ([3], [7], [5]))
+    spec = SymbolSpec("full", 3, 1)
+    m = symbol_on_axes(spec, _HALF_CELL.freq_axes())
+    est = certified_lower_bound(f, spec, 2.0, 2.0)
+    assert est == pytest.approx(abs(m[3, 7, 5]), rel=1e-10)
 
 
 def test_witness_scale_invariance():
-    g = default_grid(2, n=32)
-    f = field_on(g, RNG.standard_normal(g.shape)
-                    + 1j * RNG.standard_normal(g.shape), in_space=True)
-    spec = SymbolSpec("full", 2, 1)
-    a = certified_lower_bound(hull_of(f), spec, 1.5, 3.0)
-    b = certified_lower_bound(hull_of(f.with_values(17.0 * f.values)), spec,
-                              1.5, 3.0)
+    eps = 2.0 ** -4
+    w = knapp_witness("tilde", 3, eps, n=32)
+    spec = SymbolSpec("tilde", 3, 1, eps=eps)
+    a = certified_lower_bound(w, spec, 1.5, 3.0)
+    b = certified_lower_bound(replace(w, coef=17.0 * w.coef), spec, 1.5, 3.0)
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_zero_witness_rejected(monkeypatch):
-    # an all-zero hull, before any sampling or transform
+    # an all-zero witness, before any evaluation or transform
     import carlab.normest as normest
 
     def refuse(*args, **kwargs):
-        raise AssertionError("sampled or transformed an all-zero field")
-    monkeypatch.setattr(normest, "sample_symbol", refuse)
-    monkeypatch.setattr(normest, "_hull_norm", refuse)
-    g = default_grid(2, n=16)
-    f = HullField(g.shape, g.periods, g.freq_offsets, np.zeros((2, 3), complex),
-                  (np.arange(2), np.arange(3)))
+        raise AssertionError("evaluated or transformed an all-zero field")
+    monkeypatch.setattr(normest, "eval_from_radial", refuse)
+    monkeypatch.setattr(normest, "_radial_norm", refuse)
+    f = _record(_HALF_CELL, 3, np.zeros((2, 3, 1)),
+                (np.arange(2), np.arange(3), [4]))
     with pytest.raises(ValueError, match="identically zero"):
-        certified_lower_bound(f, SymbolSpec("full", 2, 1), 2.0, 2.0)
+        certified_lower_bound(f, SymbolSpec("full", 3, 1), 2.0, 2.0)
 
 
-def test_conjugate_reflected_witness_duality():
-    from carlab.spectral import conjugate_reflect
-    g = default_grid(2, n=64)
-    f = field_on(g, RNG.standard_normal(g.shape)
-                    + 1j * RNG.standard_normal(g.shape), in_space=True)
-    spec = SymbolSpec("full", 2, 2)
+def test_a_symbol_of_another_dimension_is_refused_before_evaluation(
+        monkeypatch):
+    import carlab.normest as normest
 
-    def conj_symbol(e1, tau):
-        return np.conj((e1 * e1 + tau * tau - 1.0 + 2j * tau) ** -2)
-
-    a = certified_lower_bound(hull_of(f), spec, 1.25, 5.0)
-    b = certified_lower_bound(hull_of(conjugate_reflect(f)), conj_symbol,
-                              1.25, 5.0)
-    assert a == pytest.approx(b, rel=1e-10)
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated or transformed")
+    monkeypatch.setattr(normest, "eval_from_radial", refuse)
+    monkeypatch.setattr(normest, "_radial_norm", refuse)
+    w = knapp_witness("eps", 3, 2.0 ** -4, n=32)
+    with pytest.raises(ValueError, match="symbol has d = 4, the witness d = 3"):
+        certified_lower_bound(w, SymbolSpec("eps", 4, 1, eps=2.0 ** -4),
+                              2.0, 4.0)
 
 
 def _dense_bound(field, symbol, p, q):
@@ -130,73 +139,69 @@ def _dense_bound(field, symbol, p, q):
 
 
 def _wrapped_field():
-    """Zero offsets, support on both ends of every FFT index range."""
+    """Zero offsets, support on both ends of every index range: the FFT
+    ends of a0 and tau, and rho's 0 and n/2."""
     g = default_grid(3, n=32)
     rng = np.random.Generator(np.random.Philox(21))
-    vals = np.zeros(g.shape, complex)
-    ends = np.ix_([0, 1, 2, 29, 31], [0, 3, 30], [1, 31])
-    vals[ends] = rng.standard_normal(vals[ends].shape) \
-        + 1j * rng.standard_normal(vals[ends].shape)
-    return field_on(g, vals, in_space=False)
+    hull = (5, 3, 2)
+    return _record(g, 3, rng.standard_normal(hull)
+                   + 1j * rng.standard_normal(hull),
+                   ([0, 1, 2, 29, 31], [0, 3, 16], [1, 31]))
 
 
-def _random_field(d, n):
+def _random_field(n):
+    """Random coefficients on the whole (a0, rho, tau) box."""
     rng = np.random.Generator(np.random.Philox(22))
-    g = default_grid(d, n=n, for_full_symbol=True)
-    return field_on(g, rng.standard_normal(g.shape)
-                       + 1j * rng.standard_normal(g.shape), in_space=False)
+    half = 7.0 / (2 * n)
+    g = Grid((n,) * 3, (2.0 * np.pi * n / 7.0,) * 3, (half, 0.0, half))
+    hull = (n, n // 2 + 1, n)
+    return _record(g, 3, rng.standard_normal(hull)
+                   + 1j * rng.standard_normal(hull), map(np.arange, hull))
 
 
 def _eta_tau_symbol(e1, tau):
     return 1.0 / (e1 * e1 + tau * tau - 1.0 + 2j * tau)
 
 
-_D2_FIELD = hull_of(_random_field(2, 64))
-
 _BOUND_CASES = {
     **{f"{family}_2^-{m}": (knapp_witness(family, 3, 2.0 ** -m, n=64),
                             SymbolSpec(family, 3, 1, eps=2.0 ** -m))
        for family in ("tilde", "eps") for m in (3, 6)},
-    "wrapped": (hull_of(_wrapped_field()), SymbolSpec("full", 3, 1)),
-    "full_support": (hull_of(_random_field(3, 16)),
-                     SymbolSpec("full", 3, 2)),
-    "d2_spec": (_D2_FIELD, SymbolSpec("full", 2, 1)),
-    "d2_callable": (_D2_FIELD, _eta_tau_symbol),
-    "d2_array": (_D2_FIELD, sample_symbol(_D2_FIELD,
-                                          SymbolSpec("full", 2, 1))),
+    "wrapped": (_wrapped_field(), SymbolSpec("full", 3, 1)),
+    "full_support": (_random_field(16), SymbolSpec("full", 3, 2)),
 }
 
 
 @pytest.mark.parametrize("p, q", [(4.0 / 3.0, 4.0), (2.0, 6.0)])
 @pytest.mark.parametrize("case", sorted(_BOUND_CASES))
 def test_hull_bound_matches_the_dense_formula(case, p, q):
+    # the radial axis folds the Cartesian one of the even field
     field, symbol = _BOUND_CASES[case]
-    want = _dense_bound(dense_of(field), symbol, p, q)
+    want = _dense_bound(unfold(field), symbol, p, q)
     assert certified_lower_bound(field, symbol, p, q) == \
         pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def _singular_lattice():
-    # spacing 1/2 with zero offsets: (eta, tau) = (1, 0) is the lattice
-    # point [2, 0], on the degenerate set of the model symbol
-    return default_grid(2, n=16, freq_span=8.0)
+    # spacing 1/2 with zero offsets: (a0, rho, tau) = (1, 0, 0) is the
+    # lattice point [2, 0, 0], on the degenerate set of the model symbol
+    return default_grid(3, n=16, freq_span=8.0)
 
 
 def test_a_hull_on_the_degenerate_set_is_refused_with_the_rebuild_hint():
-    g = _singular_lattice()
-    vals = np.zeros(g.shape, complex)
-    vals[2, 1] = vals[3, 0] = 1.0  # the hull {2, 3} x {0, 1} holds [2, 0]
-    with pytest.raises(SingularFrequencyError, match="rebuild it"):
-        certified_lower_bound(hull_of(field_on(g, vals, in_space=False)),
-                              SymbolSpec("full", 2, 1), 2.0, 4.0)
+    # the hull {2, 3} x {0} x {0, 1} holds [2, 0, 0]
+    f = _record(_singular_lattice(), 3, np.ones((2, 1, 2)),
+                ([2, 3], [0], [0, 1]))
+    with pytest.raises(SingularFrequencyError,
+                       match="offset the grid frequencies by half a cell"):
+        certified_lower_bound(f, SymbolSpec("full", 3, 1), 2.0, 4.0)
 
 
 def test_a_hull_off_the_degenerate_set_gets_a_finite_bound():
-    g = _singular_lattice()
-    vals = np.zeros(g.shape, complex)
-    vals[3:6, 1:4] = 1.0
-    bound = certified_lower_bound(hull_of(field_on(g, vals, in_space=False)),
-                                  SymbolSpec("full", 2, 1), 2.0, 4.0)
+    # the symbol is evaluated on the hull alone
+    f = _record(_singular_lattice(), 3, np.ones((3, 1, 3)),
+                ([3, 4, 5], [0], [1, 2, 3]))
+    bound = certified_lower_bound(f, SymbolSpec("full", 3, 1), 2.0, 4.0)
     assert np.isfinite(bound) and bound > 0.0
 
 
@@ -215,8 +220,9 @@ def test_a_witness_bound_makes_one_full_lattice_pass_per_norm(family,
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(normest.np.fft, name, counted)
     certified_lower_bound(field, SymbolSpec(family, 3, 1, eps=eps), 1.5, 4.0)
-    assert calls and all(name == "ifft" for name, _ in calls)
-    # the one pass over the whole lattice per norm runs in blocks of lines
+    # per norm: the hull's τ-lines once, then one cross-section per radius
+    assert calls == [("ifft", calls[0][1])] + [("ifftn", 64 * 64)] * 33 \
+        + [("ifft", calls[34][1])] + [("ifftn", 64 * 64)] * 33
     assert max(size for _, size in calls) < full
 
 
@@ -305,7 +311,7 @@ def test_power_beats_any_explicit_init():
     f = field_on(g, RNG.standard_normal(g.shape)
                     + 1j * RNG.standard_normal(g.shape), in_space=True)
     spec = SymbolSpec("full", 2, 1)
-    base = certified_lower_bound(hull_of(f), spec, 2.0, 6.0)
+    base = _dense_bound(f, spec, 2.0, 6.0)
     # the first quotient of a run from f is f's one-shot bound
     est = power_method(f, *start_lines(f, spec), 6.0)
     assert est.value >= base * (1 - 1e-12)
@@ -324,7 +330,7 @@ def test_imaginary_part_never_dominates():
 
     rng = np.random.Generator(np.random.Philox(9))
     f = field_on(g, rng.standard_normal(g.shape) + 0j, in_space=True)
-    im_val = certified_lower_bound(hull_of(f), im_symbol, 2.0, 4.0)
+    im_val = _dense_bound(f, im_symbol, 2.0, 4.0)
     full_val = power_method(f, *start_lines(f, full_spec), 4.0)
     assert im_val <= full_val.value * (1 + 1e-9)
 
@@ -671,9 +677,8 @@ def test_a_ring_estimate_holds_no_full_size_array():
 
 @pytest.mark.parametrize("family", ["tilde", "eps"])
 def test_a_witness_bound_holds_no_full_size_array(family):
-    # each norm transforms the hull's τ-lines on the whole hull and the
-    # other axes one block of rows at a time, so no array of its own is
-    # lattice-sized
+    # each norm transforms the hull's τ-lines once, then one (a0, τ)
+    # cross-section per radius, so no array of its own is lattice-sized
     eps = 2.0 ** -4
     field = knapp_witness(family, 3, eps, n=64)
     spec = SymbolSpec(family, 3, 1, eps=eps)
@@ -684,35 +689,37 @@ def test_a_witness_bound_holds_no_full_size_array(family):
 
 @pytest.mark.parametrize("family", ["tilde", "eps"])
 def test_a_witness_holds_no_full_size_array(family):
-    # the slab is evaluated on its factors' sub-lattice and kept on its hull
+    # the slab is evaluated on all rows across its factors' supports and
+    # kept on its nonzero rows
     peak = _traced_peak(lambda: knapp_witness(family, 3, 2.0 ** -4, n=64))
     assert peak <= 0.5 * 16 * 64 ** 3
 
 
 @pytest.mark.parametrize("shape, hull, array", [
-    # each block of the last pass holds a whole 2^14 x 2^14 cross-section
-    ((2 ** 14, 2 ** 14, 2), (1, 1, 2), "1x16384x16384"),
-    # the first pass is full along τ, 2^27 long
-    ((4, 2, 2 ** 27), (2, 1, 3), "134217728x2x1"),
-    # the 2^21 lines fit, the block after them does not
-    ((2 ** 14, 2 ** 14, 2 ** 21), (1, 1, 2), "1x16384x16384")])
+    # the (a0, eta1, tau) cross-section at d = 4, 2^30 elements
+    ((2 ** 10, 2 ** 10, 16, 2 ** 10), (1, 1, 2, 2), "1024x1024x1024"),
+    # the hull's τ-lines: 16 radii of 2^13 rows, 2^13 long
+    ((2 ** 13, 32, 2 ** 13), (2 ** 13, 16, 1), "16x8192x8192"),
+    # the (a0, tau) cross-section at d = 3, 2^28 elements
+    ((2 ** 14, 4, 2 ** 14), (1, 1, 2), "16384x16384")])
 def test_a_hull_whose_norm_arrays_are_too_large_is_refused_before_sampling(
         monkeypatch, shape, hull, array):
     import carlab.normest as normest
     zeros = np.zeros
 
     def refuse(*args, **kwargs):
-        raise AssertionError("symbol sampled")
+        raise AssertionError("symbol evaluated")
 
     def small_zeros(shape, *args, **kwargs):
         assert math.prod(np.atleast_1d(shape)) < 2 ** 20, "array allocated"
         return zeros(shape, *args, **kwargs)
-    monkeypatch.setattr(normest, "sample_symbol", refuse)
+    monkeypatch.setattr(normest, "eval_from_radial", refuse)
     monkeypatch.setattr(np, "zeros", small_zeros)
-    field = HullField(shape, (1.0,) * 3, (0.0,) * 3, np.ones(hull, complex),
-                      tuple(map(np.arange, hull)))
-    with pytest.raises(ValueError, match=f"{array} complex array .* 4 GiB"):
-        certified_lower_bound(field, SymbolSpec("full", 3, 1), 2.0, 4.0)
+    d = len(shape)  # a one-dimensional radial axis
+    field = _record(Grid(shape, (1.0,) * d, (0.0,) * d), d, np.ones(hull),
+                    map(np.arange, hull))
+    with pytest.raises(ValueError, match=f"a {array} complex array .* GiB"):
+        certified_lower_bound(field, SymbolSpec("full", d, 1), 2.0, 4.0)
 
 
 def test_a_precomputed_symbol_array_is_never_written_into():
@@ -737,25 +744,48 @@ def _hull(rng, n, wrapped):
 
 
 @settings(max_examples=40, deadline=None)
-@given(shape=st.sampled_from([(8, 128), (16, 8, 32), (4, 64, 8),
-                              (8, 4, 16, 8), (4, 32, 4, 16),
-                              (4, 8, 4, 8, 4), (4, 4, 16, 4, 8)]),
-       wrapped=st.lists(st.booleans(), min_size=5, max_size=5),
+@given(shape=st.sampled_from([(8, 16, 32), (16, 8, 8), (4, 64, 8),
+                              (8, 4, 16, 8), (4, 8, 32, 4), (8, 8, 4, 16)]),
+       wrapped=st.lists(st.booleans(), min_size=4, max_size=4),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
        r=st.sampled_from([4.0 / 3.0, 2.0, 4.0, 6.0]))
 def test_hull_norm_matches_the_dense_norm(shape, wrapped, seed, r):
+    # at d = 3, 4 the radial axis is one Cartesian axis folded: rho_j for
+    # j = 0..n/2 holds the lattice indices j and n - j
     rng = np.random.Generator(np.random.Philox(seed))
     index = [_hull(rng, n, w) for n, w in zip(shape, wrapped)]
+    index[-2] = _hull(rng, shape[-2] // 2 + 1, False)
     hull = tuple(len(i) for i in index)
     coef = rng.standard_normal(hull) + 1j * rng.standard_normal(hull)
-    dense = np.zeros(shape, complex)
-    dense[np.ix_(*index)] = coef
-    cell = 0.37
-    want = sample_lp_norm(np.fft.ifftn(dense), r, cell)
+    periods = tuple(rng.uniform(1.0, 9.0, len(shape)))
+    field = _record(Grid(shape, periods, (0.0,) * len(shape)),
+                    len(shape), coef, index)
     before = coef.copy()
-    assert _hull_norm(coef, index, shape, r, cell) == \
-        pytest.approx(want, rel=1e-13, abs=0.0)
+    assert _radial_norm(field, coef, r) == \
+        pytest.approx(lp_norm(unfold(field), r), rel=1e-13, abs=0.0)
     np.testing.assert_array_equal(coef, before)
+
+
+@pytest.mark.parametrize("r", [4.0 / 3.0, 2.0, 4.0])
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_the_radial_kernel_norms_a_gaussian_to_its_closed_form(d, r):
+    # F = exp(-|xi|^2 / 2) has the space side (2 pi)^(-d/2) exp(-|x|^2 / 2),
+    # of L^r norm (2 pi)^(-d/2) (2 pi / r)^(d / (2 r)).  Each axis has the
+    # same spacing on both sides: 32 points reach |xi| = 7.1 on the
+    # Cartesian axes, and 64 reach 10 on the radial one, where the weight
+    # rho^(m-1) lifts the tail
+    shape = (32,) * (2 - d % 2) + (64, 32)
+    grid = Grid(shape, tuple(math.sqrt(2.0 * math.pi * n) for n in shape),
+                (0.0,) * len(shape))
+    index = [np.arange(n) for n in shape]
+    index[-2] = np.arange(33)
+    xi = np.meshgrid(*(a[i] for a, i in zip(grid.freq_axes(), index)),
+                     indexing="ij", sparse=True)
+    field = _record(grid, d, np.exp(-0.5 * sum(a ** 2 for a in xi)), index)
+    want = (2.0 * math.pi) ** (-0.5 * d) \
+        * (2.0 * math.pi / r) ** (0.5 * d / r)
+    assert _radial_norm(field, field.coef, r) == \
+        pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_a_lattice_of_one_axis_is_refused_before_sampling(monkeypatch):
@@ -767,12 +797,8 @@ def test_a_lattice_of_one_axis_is_refused_before_sampling(monkeypatch):
         raise AssertionError("symbol sampled")
     monkeypatch.setattr(normest, "sample_symbol", refuse)
     grid = Grid((64,), (10.0,), (0.0,))
-    field = HullField(grid.shape, grid.periods, grid.freq_offsets,
-                      np.ones(3, complex), (np.arange(3),))
     with pytest.raises(ValueError, match=r"got shape \(64,\)"):
         estimate_operator_norm(grid, _eta_tau_symbol, 2.0, 4.0)
-    with pytest.raises(ValueError, match=r"got shape \(64,\)"):
-        certified_lower_bound(field, _eta_tau_symbol, 2.0, 4.0)
 
 
 def test_the_ring_symbols_live_on_the_fewest_lines_along_tau():
@@ -793,8 +819,9 @@ def test_the_ring_symbols_live_on_the_fewest_lines_along_tau():
     for d, n, scales in ((3, 128, range(3, 7)), (5, 32, range(4, 8)),
                          (7, 8, range(4, 8)))])
 def test_knapp_hulls_hold_the_fewest_lines_along_tau(family, d, n, scales):
-    # A5's witnesses (d = 3) and the d = 5, 7 one-offs: a slab widest
-    # along τ; a hull holds prod(hull) / len(axis) lines along an axis
+    # A5's witnesses (d = 3) and d = 5, 7 ones on their (a0, rho, tau)
+    # lattices: a slab widest along τ, the axis `_radial_norm` transforms
+    # first; a hull holds prod(hull) / len(axis) lines along an axis
     for m in scales:
         index = knapp_witness(family, d, 2.0 ** -m, n=n).index
         size = math.prod(map(len, index))
@@ -822,8 +849,8 @@ def _space_passes(draw):
        q=st.sampled_from([1.5, 2.0, 3.0, 6.0]),
        box=st.booleans(), chunk=st.sampled_from([2 ** 16, 7]))
 def test_block_q_pass_matches_the_dense_pass(shape, seed, q, box, chunk):
-    # a box of live lines (a hull) takes the pruned transforms; a chunk of
-    # 7 splits every block's scratch with a short last chunk
+    # a box of live lines is one more live pattern; a chunk of 7 splits
+    # every block's scratch with a short last chunk
     others, n_axis = shape
     rng = np.random.Generator(np.random.Philox(seed))
     live = np.flatnonzero(rng.random(math.prod(others)) < 0.3)
@@ -867,13 +894,13 @@ def test_norm_estimation_never_writes_into_its_inputs(lattice):
                           + 1j * rng.standard_normal(lattice.shape))
     h = field_on(lattice, rng.standard_normal(lattice.shape) + 0j,
                           in_space=False)
-    hulls = (hull_of(f), hull_of(h))
-    arrays = (f.values, h.values, m,
-              *(hull.coef for hull in hulls))
+    witnesses = (_wrapped_field(), knapp_witness("eps", 3, 2.0 ** -4, n=32))
+    arrays = (f.values, h.values, m, *(w.coef for w in witnesses))
     before = [_digest(a) for a in arrays]
-    for hull in hulls:
-        certified_lower_bound(hull, spec, 1.5, 4.0)
-        certified_lower_bound(hull, m, 2.0, 2.0)
+    for w, w_spec in zip(witnesses, (SymbolSpec("full", 3, 1),
+                                     SymbolSpec("eps", 3, 1, eps=2.0 ** -4))):
+        certified_lower_bound(w, w_spec, 1.5, 4.0)
+        certified_lower_bound(w, w_spec, 2.0, 2.0)
     for field in (f, h):
         power_method(lattice, *start_lines(field, spec), 6.0, max_iter=3)
         power_method(lattice, *start_lines(field, m), 3.0, max_iter=3)

@@ -1,11 +1,12 @@
-"""Both lattice norm paths share one blocked transform-and-sum kernel.
+"""Each lattice norm path has one transform kernel.
 
 In ``normest``, `_space_pass` is the only function that transforms blocks
-of cross-sections.  The power iteration (`power_method`) transforms its
-live τ-lines around it, and the one-shot hull norm (`_hull_norm`) the
-hull's τ-lines; every other FFT runs inside `_space_pass`.  A function
-outside these three that calls ``np.fft`` has started a second kernel,
-with its own block loop, size guard and power sum.
+of cross-sections for the power iteration (`power_method`), which
+transforms its live τ-lines around it; a Knapp witness's norm runs in one
+function, `_radial_norm`, which transforms the hull's τ-lines and one
+cross-section per radius.  A function outside these three that calls
+``np.fft`` has started another kernel, with its own loop, size guard and
+power sum.
 """
 import ast
 import pathlib
@@ -14,9 +15,10 @@ _NORMEST = (pathlib.Path(__file__).resolve().parents[1] / "src" / "carlab"
             / "normest.py")
 
 #: the functions that may call ``np.fft``
-_TRANSFORMERS = {"_space_pass", "power_method", "_hull_norm"}
-#: the per-axis padding kernel the hull norm used to run on
-_GONE = "_pad_ifft"
+_TRANSFORMERS = {"_space_pass", "power_method", "_radial_norm"}
+#: the per-axis padding kernel the hull norm used to run on, and the
+#: Cartesian hull norm that the radial kernel replaced
+_GONE = ("_pad_ifft", "_hull_norm")
 
 
 def _fft_callers(source: str) -> dict[str, list[int]]:
@@ -58,4 +60,4 @@ def test_normest_transforms_blocks_in_one_kernel():
     callers = _fft_callers(source)
     assert "_space_pass" in callers
     assert set(callers) <= _TRANSFORMERS, callers
-    assert not _defines(source, _GONE)
+    assert not any(_defines(source, name) for name in _GONE)

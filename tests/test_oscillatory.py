@@ -73,6 +73,13 @@ def test_sphere_hat_circle_and_point_mass():
     assert sphere_hat(4, 0.0) == pytest.approx(2.0 * math.pi ** 2)
 
 
+def test_sphere_hat_of_the_zero_sphere_is_twice_the_cosine():
+    # S^0 = {-1, 1}: the transform is e^(ir) + e^(-ir)
+    r = np.linspace(0.0, 30.0, 100)
+    np.testing.assert_array_equal(sphere_hat(1, r), 2.0 * np.cos(r))
+    assert sphere_hat(1, 0.0) == 2.0
+
+
 def test_sphere_hat_s2_closed_form_and_quadrature():
     from carlab.identities import sphere_integral
     r = 2.0

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from carlab.acceptance import knapp_witness, ring_grid
+from carlab.normest import certified_lower_bound
 from carlab.spectral import (MAX_LATTICE_BYTES, Grid, GridField,
                              apply_multiplier, check_lattice_size,
                              conjugate_reflect, default_grid, lorentz_norm,
                              lp_norm, sample_symbol)
 from carlab.symbols import SymbolSpec
-from fields import field_on
-from hulls import dense_of, support_hull
+from fields import field_on, support_hull, unfold
 
 RNG = np.random.Generator(np.random.Philox(404))
 
@@ -242,7 +242,7 @@ def test_knapp_norm_scaling_d3():
     # "eps" (tau span eps)
     eps_list = [2.0 ** -m for m in range(3, 7)]
     for family, want in (("tilde", 0.75), ("eps", 1.25)):
-        vals = [lp_norm(dense_of(knapp_witness(family, 3, eps)), 2.0)
+        vals = [lp_norm(unfold(knapp_witness(family, 3, eps)), 2.0)
                 for eps in eps_list]
         slope = np.polyfit(np.log(eps_list), np.log(vals), 1)[0]
         assert abs(slope - want) <= 0.1, family
@@ -273,7 +273,8 @@ def test_knapp_support_slab():
 
 
 def _dense_witness(family, d, eps, n):
-    """The witness evaluated on the whole box, factors and slab alike."""
+    """The witness evaluated on the whole Cartesian box, factors and slab
+    alike, with its cap read at ``|eta'|``."""
     from carlab.bump import SymmetricPlateau
     rt = math.sqrt(eps)
     if family == "tilde":
@@ -287,16 +288,14 @@ def _dense_witness(family, d, eps, n):
     axes = np.meshgrid(*grid.freq_axes(), indexing="ij", sparse=True)
     eta_sq = sum(a ** 2 for a in axes[:-1])
     tau = axes[-1]
-    cap = 1.0
+    transverse = np.sqrt(sum(a ** 2 for a in axes[1:-1]))
     if family == "tilde":
         slab = SymmetricPlateau(1.0 / 8)((1.0 - eta_sq) / eps)
-        for a in axes[1:-1]:
-            cap = cap * SymmetricPlateau(0.5)(a / rt)
+        cap = SymmetricPlateau(0.5)(transverse / rt)
         tw = SymmetricPlateau(0.25)(tau - 1.25)
     else:
         slab = SymmetricPlateau(1.0 / 32)((eta_sq + tau ** 2 - 1.0) / eps)
-        for a in axes[1:-1]:
-            cap = cap * SymmetricPlateau(1.0 / 8)(a / rt)
+        cap = SymmetricPlateau(1.0 / 8)(transverse / rt)
         tw = SymmetricPlateau(0.3)(tau / eps - 1.1)
     return field_on(grid, (slab * cap * tw).astype(complex), in_space=False)
 
@@ -305,13 +304,32 @@ def _dense_witness(family, d, eps, n):
                                      (4, 32, 6)])
 @pytest.mark.parametrize("family", ["tilde", "eps"])
 def test_knapp_witness_equals_its_whole_box_evaluation(family, d, n, m):
+    # the Cartesian witness is even in its last cap axis, which the
+    # (a0, [eta1], rho, tau) box keeps at rho_j = |eta_j|, j = 0..n/2
     got = knapp_witness(family, d, 2.0 ** -m, n=n)
     want = _dense_witness(family, d, 2.0 ** -m, n)
     assert (got.periods, got.freq_offsets) == (want.periods, want.freq_offsets)
-    assert np.array_equal(dense_of(got).values, want.values)
-    # the hull is the support hull: it holds no all-zero plane
-    hull = support_hull(want.values)
+    assert np.array_equal(unfold(got).values, want.values)
+    # the hull is the support hull of the box: it holds no all-zero plane
+    hull = support_hull(want.values[..., :n // 2 + 1, :])
     assert all(np.array_equal(a, b) for a, b in zip(got.index, hull))
+
+
+@pytest.mark.parametrize("m", [3, 6])
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("family", ["tilde", "eps"])
+def test_a_witness_bound_equals_its_dense_cartesian_bound(family, d, n, m):
+    # at d = 3, 4 the radial axis folds one Cartesian cap axis, so the
+    # radial kernel's sums are the Cartesian sums of the whole-box witness
+    eps = 2.0 ** -m
+    spec = SymbolSpec(family, d, 1, eps=eps)
+    want = _dense_witness(family, d, eps, n)
+    p, q = 4.0 / 3.0, 4.0
+    dense = lp_norm(apply_multiplier(want, spec), q) / lp_norm(want, p)
+    got = certified_lower_bound(knapp_witness(family, d, eps, n=n), spec,
+                                p, q)
+    assert got == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
 def test_a_symbol_sampled_on_a_sub_lattice_is_the_full_sample_there():
@@ -340,28 +358,12 @@ def test_a_precomputed_symbol_array_comes_back_as_it_is():
 
 
 def test_a_witness_builds_where_its_lattice_would_not_fit():
-    # the 16^7 lattice would take 4 GiB; the witness holds its hull only
+    # the 16^7 lattice would take 4 GiB; the witness holds its hull on the
+    # (a0, rho, tau) lattice only
     w = knapp_witness("eps", 7, 2.0 ** -6, n=16)
-    assert w.shape == (16,) * 7
+    assert w.shape == (16,) * 3
     assert w.coef.shape == tuple(len(i) for i in w.index)
     assert np.any(w.coef)
-
-
-@pytest.mark.parametrize("d, m, n", [(7, 6, 16), (3, 6, 128), (3, 3, 128)])
-def test_a_witness_evaluates_only_the_rows_its_slab_window_can_meet(
-        d, m, n, monkeypatch):
-    # at d = 7, n = 16 the slab keeps 1 of the lattice's 16 axis-0 rows
-    import carlab.acceptance as acceptance
-    checked = []
-
-    def record(shape):
-        checked.append(tuple(shape))
-        check_lattice_size(shape)
-    monkeypatch.setattr(acceptance, "check_lattice_size", record)
-    w = knapp_witness("eps", d, 2.0 ** -m, n=n)
-    # the evaluation sub-lattice, then the norm's block
-    assert checked[1:] == [(1,) + (n,) * (d - 1)]
-    assert checked[0][0] == len(w.index[0]) < n
 
 
 def test_knapp_witness_rejects_unknown_family_and_low_dimension():
@@ -371,6 +373,27 @@ def test_knapp_witness_rejects_unknown_family_and_low_dimension():
         knapp_witness("tilde", 2, 2.0 ** -4)
 
 
+def test_a_witness_past_the_bessel_orders_is_refused_before_any_work(
+        monkeypatch):
+    # d = 37 needs a 35-dimensional radial axis, of Bessel order 16.5
+    import carlab.acceptance as acceptance
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice built or slab evaluated")
+    monkeypatch.setattr(acceptance, "Grid", refuse)
+    monkeypatch.setattr(acceptance, "SymmetricPlateau", refuse)
+    for family in ("tilde", "eps"):
+        with pytest.raises(ValueError, match="d <= 36 .* got d = 37"):
+            knapp_witness(family, 37, 2.0 ** -4)
+    monkeypatch.undo()
+    # the largest d runs, and its norms stay inside the float range: |y|^8
+    # of the unscaled radial sum would underflow to 0 here
+    w = knapp_witness("eps", 36, 2.0 ** -4, n=16)
+    bound = certified_lower_bound(w, SymbolSpec("eps", 36, 1, eps=2.0 ** -4),
+                                  4.0 / 3.0, 8.0)
+    assert 0.0 < bound < np.inf
+
+
 def test_an_oversized_lattice_is_rejected_before_any_allocation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("np.zeros was called")
@@ -378,19 +401,15 @@ def test_an_oversized_lattice_is_rejected_before_any_allocation(monkeypatch):
     monkeypatch.setattr(np, "zeros", refuse)
     builders = [lambda: default_grid(5, 128),
                 lambda: ring_grid(0, 2 ** 14, 64),
-                lambda: knapp_witness("eps", 5, 2.0 ** -6),
-                lambda: knapp_witness("eps", 7, 2.0 ** -6)]
+                lambda: knapp_witness("eps", 4, 2.0 ** -6, n=1024)]
     for build in builders:
         with pytest.raises(ValueError, match="GiB"):
             build()
     with pytest.raises(ValueError, match="128x128x128x128x128 .* 512 GiB"):
         default_grid(5, 128)
-    # d = 5's 10-row sub-lattice fits; the norm's block does not
-    with pytest.raises(ValueError, match="1x128x128x128x128 .* 4 GiB"):
-        knapp_witness("eps", 5, 2.0 ** -6)
-    with pytest.raises(ValueError,
-                       match="14x31x31x31x31x31x77 .* 459.9 GiB"):
-        knapp_witness("eps", 7, 2.0 ** -6)
+    # the slab's box: all axis-0 rows across the cap's and tau's supports
+    with pytest.raises(ValueError, match="1024x255x128x615 .* 306.3 GiB"):
+        knapp_witness("eps", 4, 2.0 ** -6, n=1024)
     check_lattice_size((32,) * 5)  # d = 5, n = 32: 512 MiB
     check_lattice_size((MAX_LATTICE_BYTES // 16,))
     with pytest.raises(ValueError):
