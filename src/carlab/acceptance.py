@@ -19,6 +19,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import regions
+from .bessel import MAX_NU
 from .bump import CustomCutoff, SymmetricPlateau, inversion_bump
 from .identities import (PolyGauss, pair_pullback, sphere_integral,
                          verify_counter_identities, verify_dist_identity,
@@ -75,17 +76,19 @@ def knapp_witness(family: str, d: int, eps: float, n: int = 128) -> KnappField:
     ``|eta'|``, so the witness is a function of (a0, |eta'|, tau), a
     `KnappField`; the cap's shape changes constants, not exponents.
 
-    A d outside 3..36 (the radial axis's Bessel orders stop at 16) is
-    refused first.  The slab is evaluated on all n axis-0 rows across the
-    cap's and tau's supports, once that box's size is checked; a nonzero
-    value on the box's boundary, or none at all, is refused.  The witness
-    keeps the slab's nonzero rows.
+    A d below 3, or one whose radial axis needs a Bessel order past
+    `bessel.MAX_NU`, is refused first.  The slab is evaluated on all n
+    axis-0 rows across the cap's and tau's supports, once that box's size
+    is checked; a nonzero value on the box's boundary, or none at all, is
+    refused.  The witness keeps the slab's nonzero rows.
     """
     if family not in ("tilde", "eps"):
         raise ValueError(f"no slab witness for family {family!r}")
-    if not 3 <= d <= 36:
-        raise ValueError(f"slab witnesses need d >= 3 and d <= 36 (Bessel "
-                         f"orders stop at 16), got d = {d}")
+    m = d - 3 + d % 2  # the radial dimension, d - 2 or d - 3, odd
+    if d < 3 or m - 2 > 2 * MAX_NU:
+        raise ValueError(f"slab witnesses need d >= 3 and a radial axis of "
+                         f"Bessel order (m - 2)/2 <= {MAX_NU:g}, got d = {d}, "
+                         f"m = {m}")
     rt = math.sqrt(eps)
     cart = 2 - d % 2  # the transverse axes kept: [eta1] and rho
     if family == "tilde":

@@ -23,13 +23,13 @@ import math
 import numpy as np
 
 _SERIES_CUT = 12.0
-_MAX_NU = 16.0
+MAX_NU = 16.0
 
 
 def _check_nu(nu: float) -> float:
     nu = float(nu)
-    if nu < 0 or nu > _MAX_NU or round(2 * nu) != 2 * nu:
-        raise ValueError(f"order must be integer or half-integer in [0, {_MAX_NU}], got {nu}")
+    if nu < 0 or nu > MAX_NU or round(2 * nu) != 2 * nu:
+        raise ValueError(f"order must be integer or half-integer in [0, {MAX_NU}], got {nu}")
     return nu
 
 

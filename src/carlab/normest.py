@@ -162,49 +162,38 @@ def _radial_norm(field: KnappField, coef: np.ndarray, r: float) -> float:
     """The L^r norm of the function with the coefficients ``coef`` on
     ``field``'s hull; ``coef`` is not written into.
 
-    The hull's τ-lines are zero-padded and inverse-transformed once.  The
-    space side is radial in ``x'`` in R^m, and is sampled at the radii ``r_l
-    = l L / n``, ``l = 0..n/2``, of the ρ axis: per radius, the kernel row
-    ``(2 pi)^-m w_j rho_j^(m-1) sphere_hat(m, rho_j r_l)`` (``w_j = 2 pi /
-    L``) sums the lines into one (a0, [η1], τ) cross-section, ``ifftn``'d
-    over a0 [and η1] in place, whose ``sum |y|^r`` is weighted by
-    ``sphere_hat(m, 0) r_l^(m-1) L / n``.  Both radial sums are trapezoids
-    (halved at 0 and n/2) of even functions, as m is odd: at m = 1 the
-    folded Cartesian sums, else spectrally accurate.  `check_lattice_size`
-    refuses the lines or the cross-section before either is allocated.
+    The space side is radial in ``x'`` in R^m, and is sampled at the radii
+    ``r_l = l L / n``, ``l = 0..n/2``, of the ρ axis.  Row ``l`` of the
+    kernel, ``(2 pi)^-m w_j rho_j^(m-1) sphere_hat(m, rho_j r_l)`` (``w_j =
+    2 pi / L``), times ``c_l^(1/r)`` for the nonnegative radial weight ``c_l
+    = sphere_hat(m, 0) r_l^(m-1) L / n``, maps the coefficients to the
+    radius's (a0, [η1], τ) cross-section; `_space_pass` inverse-transforms
+    the cross-sections and sums ``|c_l^(1/r) y|^r = c_l |y|^r``.  Both
+    radial sums are trapezoids (halved at 0 and n/2) of even functions, as m
+    is odd: at m = 1 the folded Cartesian sums, else spectrally accurate.
+    `check_lattice_size` refuses the cross-sections' rows before they are
+    formed, and `_space_pass` its block.
     """
     index, shape = field.index, field.shape
-    m, n, others = field.d + 1 - len(shape), shape[-2], shape[:-2]
-    lines_shape = (len(index[-2]), math.prod(map(len, index[:-2])), shape[-1])
-    check_lattice_size(lines_shape)
-    check_lattice_size(others + shape[-1:])
+    m, n = field.d + 1 - len(shape), shape[-2]
+    check_lattice_size((n // 2 + 1, coef.size // len(index[-2])))
     *cells, dr, dt = field.spacings
     cell = math.prod(cells) * dt
-    lines = np.zeros(lines_shape, complex)
-    lines[..., index[-1]] = np.moveaxis(coef / cell, -2, 0).reshape(
-        lines_shape[:2] + (-1,))
-    np.fft.ifft(lines, axis=-1, out=lines)
-    lines = lines.reshape(len(lines), -1)
     h = 2.0 * math.pi / field.periods[-2]
     rho, radii = h * index[-2], dr * np.arange(n // 2 + 1)
     w = np.where((index[-2] == 0) | (index[-2] == n // 2), 0.5 * h, h)
-    kernel = w * rho ** (m - 1) * sphere_hat(m, np.outer(radii, rho))
-    scale = np.abs(kernel).max()  # at large m, |y|^r would underflow
-    kernel /= scale
     weights = sphere_hat(m, 0.0) * radii ** (m - 1) * dr
     weights[[0, -1]] *= 0.5
-    live = np.ravel_multi_index(np.ix_(*index[:-2]), others).ravel()
-    section = np.empty(others + shape[-1:], complex)
-    flat, mags = section.reshape(-1, shape[-1]), np.empty(section.shape)
-    total = 0.0
-    for row, weight in zip(kernel, weights):
-        flat.fill(0.0)
-        flat[live] = (row @ lines).reshape(len(live), -1)
-        np.fft.ifftn(section, axes=range(len(others)), out=section)
-        np.abs(section, out=mags)
-        mags **= r
-        total += weight * np.sum(mags)
-    return float(scale / (2.0 * math.pi) ** m * (total * cell) ** (1.0 / r))
+    kernel = (weights[:, None] ** (1.0 / r) * w * rho ** (m - 1)
+              * sphere_hat(m, np.outer(radii, rho)))
+    scale = np.abs(kernel).max()  # at large m, |y|^r would underflow
+    kernel /= scale
+    rows = kernel @ np.moveaxis(coef, -2, 0).reshape(len(rho), -1)
+    others = shape[:-2] + shape[-1:]
+    live = np.ravel_multi_index(np.ix_(*index[:-2], index[-1]), others)
+    total = _space_pass(rows, live.ravel(), others, r, False)
+    return float(scale / (cell * (2.0 * math.pi) ** m)
+                 * (total * cell) ** (1.0 / r))
 
 
 def _on_lines(values: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -270,10 +259,11 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
     ``pull_back``, ``g *= |g|^(q-2)``, its dual, whose live lines then
     replace ``lines``.
 
-    ``lines`` is ``(n_axis, K)``, already inverse-transformed along the
-    pruned axis; ``live`` numbers its columns among the lines of a
-    cross-section of shape ``others``.  A block of cross-sections, checked
-    by `check_lattice_size` first, is zeroed, gets its live entries and is
+    ``lines`` is ``(n_axis, K)``, already on the space side along its
+    first axis (τ for the power iteration, the radius for `_radial_norm`);
+    ``live`` numbers its columns among the entries of a cross-section of
+    shape ``others``.  A block of cross-sections, checked by
+    `check_lattice_size` first, is zeroed, gets its live entries and is
     inverse-transformed in place by one ``ifftn``.  Float scratch of
     `_CHUNK` elements takes ``sq = |g|^2`` and ``w = sq^((q-2)/2)`` (zeros
     stay zero for q < 2) a chunk at a time, and the sum gets ``sum(sq *

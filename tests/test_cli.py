@@ -289,7 +289,7 @@ def test_normest_rejects_an_oversized_witness_before_allocating_it(
     assert rc != 0
     (verdict,) = report["verdicts"]
     assert (verdict["id"], verdict["status"]) == ("normest-error", "fail")
-    assert "d <= 36" in verdict["detail"]
+    assert "<= 16, got d = 37, m = 35" in verdict["detail"]
 
 
 def test_a_lattice_axis_that_is_not_a_power_of_two_is_refused(tmp_path,

@@ -220,9 +220,8 @@ def test_a_witness_bound_makes_one_full_lattice_pass_per_norm(family,
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(normest.np.fft, name, counted)
     certified_lower_bound(field, SymbolSpec(family, 3, 1, eps=eps), 1.5, 4.0)
-    # per norm: the hull's τ-lines once, then one cross-section per radius
-    assert calls == [("ifft", calls[0][1])] + [("ifftn", 64 * 64)] * 33 \
-        + [("ifft", calls[34][1])] + [("ifftn", 64 * 64)] * 33
+    # per norm: one (a0, τ) cross-section per radius, and nothing else
+    assert calls == [("ifftn", 64 * 64)] * 66
     assert max(size for _, size in calls) < full
 
 
@@ -677,8 +676,8 @@ def test_a_ring_estimate_holds_no_full_size_array():
 
 @pytest.mark.parametrize("family", ["tilde", "eps"])
 def test_a_witness_bound_holds_no_full_size_array(family):
-    # each norm transforms the hull's τ-lines once, then one (a0, τ)
-    # cross-section per radius, so no array of its own is lattice-sized
+    # each norm forms one (a0, τ) cross-section per radius, a block of
+    # them at a time, so no array of its own is lattice-sized
     eps = 2.0 ** -4
     field = knapp_witness(family, 3, eps, n=64)
     spec = SymbolSpec(family, 3, 1, eps=eps)
@@ -697,11 +696,12 @@ def test_a_witness_holds_no_full_size_array(family):
 
 @pytest.mark.parametrize("shape, hull, array", [
     # the (a0, eta1, tau) cross-section at d = 4, 2^30 elements
-    ((2 ** 10, 2 ** 10, 16, 2 ** 10), (1, 1, 2, 2), "1024x1024x1024"),
-    # the hull's τ-lines: 16 radii of 2^13 rows, 2^13 long
-    ((2 ** 13, 32, 2 ** 13), (2 ** 13, 16, 1), "16x8192x8192"),
+    ((2 ** 10, 2 ** 10, 16, 2 ** 10), (1, 1, 2, 2), "1x1024x1024x1024"),
+    # the cross-sections' rows: 8193 radii of the hull's 2^14 (a0, tau)
+    # entries, though each cross-section has 2^14 elements only
+    ((2 ** 7, 2 ** 14, 2 ** 7), (2 ** 7, 1, 2 ** 7), "8193x16384"),
     # the (a0, tau) cross-section at d = 3, 2^28 elements
-    ((2 ** 14, 4, 2 ** 14), (1, 1, 2), "16384x16384")])
+    ((2 ** 14, 4, 2 ** 14), (1, 1, 2), "1x16384x16384")])
 def test_a_hull_whose_norm_arrays_are_too_large_is_refused_before_sampling(
         monkeypatch, shape, hull, array):
     import carlab.normest as normest
@@ -796,9 +796,14 @@ def test_a_lattice_of_one_axis_is_refused_before_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("symbol sampled")
     monkeypatch.setattr(normest, "sample_symbol", refuse)
+    monkeypatch.setattr(normest, "eval_from_radial", refuse)
     grid = Grid((64,), (10.0,), (0.0,))
+    field = KnappField(grid.shape, grid.periods, grid.freq_offsets, 3,
+                       np.ones(3, complex), (np.arange(3),))
     with pytest.raises(ValueError, match=r"got shape \(64,\)"):
         estimate_operator_norm(grid, _eta_tau_symbol, 2.0, 4.0)
+    with pytest.raises(ValueError, match=r"got shape \(64,\)"):
+        certified_lower_bound(field, SymbolSpec("full", 3, 1), 2.0, 4.0)
 
 
 def test_the_ring_symbols_live_on_the_fewest_lines_along_tau():
@@ -820,8 +825,8 @@ def test_the_ring_symbols_live_on_the_fewest_lines_along_tau():
                          (7, 8, range(4, 8)))])
 def test_knapp_hulls_hold_the_fewest_lines_along_tau(family, d, n, scales):
     # A5's witnesses (d = 3) and d = 5, 7 ones on their (a0, rho, tau)
-    # lattices: a slab widest along τ, the axis `_radial_norm` transforms
-    # first; a hull holds prod(hull) / len(axis) lines along an axis
+    # lattices: a slab widest along τ, the last axis of each cross-section;
+    # a hull holds prod(hull) / len(axis) lines along an axis
     for m in scales:
         index = knapp_witness(family, d, 2.0 ** -m, n=n).index
         size = math.prod(map(len, index))

@@ -1,12 +1,12 @@
-"""Each lattice norm path has one transform kernel.
+"""Both lattice norm paths share one blocked transform-and-sum kernel.
 
 In ``normest``, `_space_pass` is the only function that transforms blocks
-of cross-sections for the power iteration (`power_method`), which
-transforms its live τ-lines around it; a Knapp witness's norm runs in one
-function, `_radial_norm`, which transforms the hull's τ-lines and one
-cross-section per radius.  A function outside these three that calls
-``np.fft`` has started another kernel, with its own loop, size guard and
-power sum.
+of cross-sections.  The power iteration (`power_method`) transforms its
+live τ-lines around it; a Knapp witness's norm (`_radial_norm`) maps its
+coefficients to one cross-section per radius by a matrix product and
+transforms nothing itself.  A function outside these two that calls
+``np.fft`` has started a second kernel, with its own block loop, size
+guard and power sum.
 """
 import ast
 import pathlib
@@ -15,9 +15,9 @@ _NORMEST = (pathlib.Path(__file__).resolve().parents[1] / "src" / "carlab"
             / "normest.py")
 
 #: the functions that may call ``np.fft``
-_TRANSFORMERS = {"_space_pass", "power_method", "_radial_norm"}
+_TRANSFORMERS = {"_space_pass", "power_method"}
 #: the per-axis padding kernel the hull norm used to run on, and the
-#: Cartesian hull norm that the radial kernel replaced
+#: Cartesian hull norm that `_radial_norm` replaced
 _GONE = ("_pad_ifft", "_hull_norm")
 
 

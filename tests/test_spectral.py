@@ -383,7 +383,8 @@ def test_a_witness_past_the_bessel_orders_is_refused_before_any_work(
     monkeypatch.setattr(acceptance, "Grid", refuse)
     monkeypatch.setattr(acceptance, "SymmetricPlateau", refuse)
     for family in ("tilde", "eps"):
-        with pytest.raises(ValueError, match="d <= 36 .* got d = 37"):
+        with pytest.raises(ValueError,
+                           match=r"\(m - 2\)/2 <= 16, got d = 37, m = 35"):
             knapp_witness(family, 37, 2.0 ** -4)
     monkeypatch.undo()
     # the largest d runs, and its norms stay inside the float range: |y|^8
