@@ -157,6 +157,13 @@ SYMBOL_TOL = 1e-10
 PAIRING_TOL = 1e-5
 KNAPP_TOL = 0.15
 RING_TOL = 0.2
+#: the widest factor the scaled resonant-set minima may span over the scales
+BAND_TOL = 2.0
+
+
+def tol_text(tol: float) -> str:
+    """``tol`` as the verdict texts print it: ``1e-5``, not ``1e-05``."""
+    return f"{tol:g}".replace("e-0", "e-")
 
 
 def geometry_identities(d: int, k: int) -> dict[str, bool]:
@@ -430,7 +437,8 @@ def _a2_symbol_identities() -> tuple[bool, str]:
     worst_im = max([0.0] + [e[1] for e in errs])
     ok = worst_recon <= SYMBOL_TOL and worst_im <= SYMBOL_TOL
     return ok, (f"reconstruction rel {worst_recon:.2e}, imaginary-part rel "
-                f"{worst_im:.2e} over {3 * n_pts} points (tol 1e-10)")
+                f"{worst_im:.2e} over {3 * n_pts} points "
+                f"(tol {tol_text(SYMBOL_TOL)})")
 
 
 def _a3_distribution_identities() -> tuple[bool, str]:
@@ -450,7 +458,7 @@ def _a3_distribution_identities() -> tuple[bool, str]:
           and worst_counter <= PAIRING_TOL)
     return ok, (f"sphere-measure constant rel {worst_half:.2e} (tol 1e-8); "
                 f"pullback rel {worst_pull:.2e}, order-shuffle rel "
-                f"{worst_counter:.2e} (tol 1e-5)")
+                f"{worst_counter:.2e} (tol {tol_text(PAIRING_TOL)})")
 
 
 def _a4_inversion_identity() -> tuple[bool, str]:
@@ -485,8 +493,9 @@ def _a6_lower_bound_scaling() -> tuple[bool, str]:
     normalized = [eps ** (k - d / 2.0) * v for eps, v in zip(eps_list, mins)]
     band = max(normalized) / min(normalized)
     slope = SlopeCheck(fit_scaling(eps_list, mins), d / 2.0 - k, 0.15)
-    return band <= 2.0 and slope.ok, (
-        f"normalized band ratio {band:.3f} (tol 2), {slope.detail}")
+    return band <= BAND_TOL and slope.ok, (
+        f"normalized band ratio {band:.3f} (tol {tol_text(BAND_TOL)}), "
+        f"{slope.detail}")
 
 
 def _a7_moment_bounds() -> tuple[bool, str]:

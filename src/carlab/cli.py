@@ -233,14 +233,15 @@ def _run_symbols(cfg: ExperimentConfig,
     eps = _one_scale(cfg, "symbols")
     n_pts = cfg.params["points"]
     worst, worst_im = acceptance.symbol_errors(d, k, eps, n_pts, rng)
+    symbol_tol = acceptance.tol_text(acceptance.SYMBOL_TOL)
     return [
         Verdict.judge("symbols-decomposition",
                       worst <= acceptance.SYMBOL_TOL,
                       f"reconstruction rel {worst:.2e} over {n_pts} points "
-                      f"(tol 1e-10)", {"rel_err": worst}),
+                      f"(tol {symbol_tol})", {"rel_err": worst}),
         Verdict.judge("symbols-imaginary", worst_im <= acceptance.SYMBOL_TOL,
                       f"closed-form imaginary part rel {worst_im:.2e} "
-                      f"(tol 1e-10)", {"rel_err": worst_im}),
+                      f"(tol {symbol_tol})", {"rel_err": worst_im}),
     ]
 
 
@@ -363,9 +364,10 @@ def _run_lowerbound(cfg: ExperimentConfig,
             + ", ".join(f"{eps:g}" for eps in empty), {"min": 0.0})]
     band = max(scaled_mins) / min(scaled_mins)
     return [Verdict.judge(
-        "lowerbound-band", band <= 2.0,
+        "lowerbound-band", band <= acceptance.BAND_TOL,
         f"scaled resonant-set minimum spans a factor {band:.3f} band over "
-        f"{len(eps_list)} scales (tol 2)",
+        f"{len(eps_list)} scales "
+        f"(tol {acceptance.tol_text(acceptance.BAND_TOL)})",
         {"band": band, "min": min(scaled_mins)})]
 
 
@@ -383,7 +385,8 @@ def _run_identities(cfg: ExperimentConfig,
         verdicts = [Verdict.judge(
             f"identities-{suite}", worst <= acceptance.PAIRING_TOL,
             f"worst {what} rel err {worst:.2e} over {len(results)} cases "
-            f"(tol 1e-5)", {"rel_err": worst})]
+            f"(tol {acceptance.tol_text(acceptance.PAIRING_TOL)})",
+            {"rel_err": worst})]
     elif suite == "kelvin":
         results, verdicts = [], []
         for c in acceptance.kelvin_checks():

@@ -137,10 +137,6 @@ class PolyGauss:
         return PolyGauss(self.n, self.c, new)
 
 
-#: a test function closed under L: ``n``, ``__call__``, ``sphere_average``
-#: and ``apply_L``; the package builds `PolyGauss` alone
-TestFunction = PolyGauss
-
 # ---------------------------------------------------------------------------
 # sphere quadrature
 # ---------------------------------------------------------------------------
@@ -196,10 +192,6 @@ def sphere_integral(fn: Callable[[np.ndarray], np.ndarray], n: int,
                     level: int = 12) -> float:
     pts, w = sphere_nodes(n, level)
     return float(np.real(np.asarray(fn(pts)) @ w))
-
-
-def sphere_area(n: int) -> float:
-    return 2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +250,7 @@ _SPHERE_LEVEL = 12
 _PULLBACK_STEP = 1e-3
 
 
-def pair_pullback(k: int, rho: float, phi: TestFunction) -> float:
+def pair_pullback(k: int, rho: float, phi: PolyGauss) -> float:
     """Pair the order-k delta pullback through ``rho^2 - |theta|^2`` with phi,
     a test function on R^n, ``n = phi.n``.
 
@@ -289,7 +281,7 @@ def pair_pullback(k: int, rho: float, phi: TestFunction) -> float:
 
 
 def verify_dist_identity(k: int, rho: float,
-                         phi: TestFunction) -> PairingResult:
+                         phi: PolyGauss) -> PairingResult:
     """Order-k pullback pairing against the order-1 pairing with L^(k-1) phi."""
     lhs = pair_pullback(k, rho, phi)
     g = phi
@@ -346,7 +338,7 @@ def _pair_batch(terms, d: int, delta: float, eps: float,
 
 
 def verify_counter_identities(kind: str, k: int, eps: float, delta: float,
-                              tau: float, h: TestFunction) -> PairingResult:
+                              tau: float, h: PolyGauss) -> PairingResult:
     """Check one of the two order-shuffling pairing identities.
 
     ``kind="induc"``: the order-k pairing against the plateau cutoff
@@ -369,7 +361,7 @@ def verify_counter_identities(kind: str, k: int, eps: float, delta: float,
         raise ValueError("need 0 < delta < 1/2")
     zeta = Psi0Cutoff()
     d = h.n + 1
-    l_pow: list[TestFunction] = [h]
+    l_pow: list[PolyGauss] = [h]
     for _ in range(k - 1):
         l_pow.append(l_pow[-1].apply_L())
 

@@ -38,21 +38,6 @@ from .bessel import bessel_ju, sphere_hat
 from .bump import SymmetricPlateau
 from .quadrature import gauss_kronrod_batch, gauss_legendre_rule
 
-__all__ = [
-    "EmptyWindowError",
-    "JDecomposition",
-    "LowerBoundParams",
-    "Phi5Spec",
-    "annulus_radii",
-    "frak_s_sample",
-    "i_integral",
-    "in_resonant_set",
-    "j_decomposition",
-    "lorentzian_mass",
-    "mtilde_radial",
-    "solve_lambda",
-]
-
 #: Fixed Gauss-Legendre order for the dual-time integral; the integrand is a
 #: compactly supported smooth profile times a unimodular phase, so a fixed
 #: rule converges spectrally and 64 points are far past machine precision

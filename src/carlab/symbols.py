@@ -12,8 +12,7 @@ in this module is some smooth localisation of it:
 * ``ring``     -- the rescaled slice ring-localised at ``|1 - |eta|^2| ~ 2^j
                   eps``,
 * ``tilde_im`` -- closed form for the imaginary part of ``tilde``,
-* ``full``     -- the model symbol itself (negative ``k`` gives the positive
-                  power, handy for composition checks).
+* ``full``     -- the model symbol itself.
 
 All evaluators are radial in ``eta``: they reduce to functions of
 ``(|eta|^2, tau)`` and broadcast over numpy arrays.
@@ -27,13 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bump import (
-    CutoffSpec,
-    PsiCutoff,
-    Psi0Cutoff,
-    psi,
-    psi0,
-)
+from .bump import CutoffSpec, Psi0Cutoff, PsiCutoff, psi, psi0
 
 #: The fixed scale of the ``local``/``global`` split and of the eta cutoff
 #: ``psi0((1 - |eta|^2) / EPS0)``.
@@ -73,10 +66,7 @@ class SymbolSpec:
             raise ValueError(f"unknown family {self.family!r}; pick from {_FAMILIES}")
         if self.d < 2:
             raise ValueError(f"dimension d={self.d} < 2")
-        if self.family == "full":
-            if self.k == 0:
-                raise ValueError("k = 0 makes the model symbol trivial")
-        elif self.k < 1:
+        if self.k < 1:
             raise ValueError(f"k={self.k} must be a positive integer")
         if self.family in _EPS_FAMILIES:
             if self.eps is None or not _is_dyadic(self.eps) or self.eps > 0.25:
@@ -107,15 +97,9 @@ class SymbolSpec:
 # ---------------------------------------------------------------------------
 # scalar cores: everything is a function of (|eta|^2, tau)
 
-def _full_core(k: int, eta_sq, tau):
-    w = (np.asarray(eta_sq) + np.asarray(tau) ** 2 - 1.0) + 2.0j * np.asarray(tau)
-    if k > 0 and np.any(w == 0):
-        raise SingularFrequencyError(
-            "model symbol evaluated on {|eta| = 1, tau = 0}; offset the grid "
-            "frequencies by half a cell (see spectral.default_grid)"
-        )
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return w ** (-k)
+def _model_w(eta_sq, tau):
+    """The model denominator ``|xi|^2 + 2 i tau - 1`` at (|eta|^2, tau)."""
+    return (eta_sq + tau * tau - 1.0) + 2.0j * tau
 
 
 def _dyadic_windows(t, weight=None):
@@ -144,21 +128,20 @@ def _theta(tau):
 
 
 def _on_cutoff(k: int, cut, denom, eta_sq, tau):
-    """``cut * denom(eta_sq, tau) ** -k`` where ``cut`` is nonzero, else 0;
-    ``denom`` runs there only, where no caller's denominator vanishes."""
-    cut = np.asarray(cut)
+    """``cut * denom(eta_sq, tau) ** -k`` where ``cut`` is nonzero, else 0,
+    all three broadcast; ``denom`` runs there only, and a zero of it there
+    is refused."""
+    cut, eta_sq, tau = np.broadcast_arrays(cut, eta_sq, tau)
     live = cut != 0.0
     out = np.zeros(cut.shape, dtype=complex)
-    w = denom(np.broadcast_to(eta_sq, cut.shape)[live],
-              np.broadcast_to(tau, cut.shape)[live])
+    w = denom(eta_sq[live], tau[live])
+    if np.any(w == 0):
+        raise SingularFrequencyError(
+            "symbol evaluated on {|eta| = 1, tau = 0} where its cutoff is "
+            "nonzero; offset the grid frequencies by half a cell (see "
+            "spectral.default_grid)")
     out[live] = cut[live] * w ** (-k)
     return out
-
-
-def _eps_core(k: int, eps: float, eta_sq, tau):
-    cut = psi0((1.0 - np.asarray(eta_sq)) / EPS0) * psi(np.asarray(tau) / eps)
-    return _on_cutoff(k, cut, lambda es, t: (es + t ** 2 - 1.0) + 2.0j * t,
-                      eta_sq, tau)
 
 
 def _local_core(k: int, eta_sq, tau):
@@ -170,27 +153,17 @@ def _local_core(k: int, eta_sq, tau):
     if not np.any(nz):
         return out
     t = tau_b[nz]
-    es = eta_sq_b[nz]
-    w = (es + t * t - 1.0) + 2.0j * t  # tau != 0 keeps this off the zero set
+    w = _model_w(eta_sq_b[nz], t)  # tau != 0 keeps this off the zero set
     out[nz] = cut_eta[nz] * _dyadic_windows(t, w ** (-k))
     return out
 
 
 def _global_core(k: int, eta_sq, tau):
-    eta_sq_b, tau_b = np.broadcast_arrays(np.asarray(eta_sq, dtype=float),
-                                          np.asarray(tau, dtype=float))
-    chi = psi0((1.0 - eta_sq_b) / EPS0) * _theta(tau_b)
-    rest = 1.0 - chi
-    w = (eta_sq_b + tau_b * tau_b - 1.0) + 2.0j * tau_b
-    bad = (w == 0) & (rest != 0)
-    if np.any(bad):
-        raise SingularFrequencyError(
-            "smooth far part requested on the degenerate set; offset the grid "
-            "frequencies by half a cell (see spectral.default_grid)"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = w ** (-k)
-        return np.where(rest != 0.0, rest * val, 0.0 + 0.0j)
+    """The model symbol on the cut ``1 - psi0((1 - |eta|^2) / EPS0)
+    Theta(tau)``, which is what ``local`` leaves."""
+    rest = 1.0 - psi0((1.0 - np.asarray(eta_sq, dtype=float)) / EPS0) \
+        * _theta(tau)
+    return _on_cutoff(k, rest, _model_w, eta_sq, tau)
 
 
 def _tilde_core(k: int, eps: float, zeta: CutoffSpec, delta: float,
@@ -222,13 +195,15 @@ def _im_mtilde_core(k: int, eps: float, eta_sq, tau):
 def eval_from_radial(spec: SymbolSpec, eta_sq, tau):
     """Evaluate any family as a function of (|eta|^2, tau), broadcasting."""
     if spec.family == "full":
-        return _full_core(spec.k, eta_sq, tau)
-    if spec.family == "eps":
-        return _eps_core(spec.k, spec.eps, eta_sq, tau)
+        return _on_cutoff(spec.k, 1.0, _model_w, eta_sq, tau)
     if spec.family == "local":
         return _local_core(spec.k, eta_sq, tau)
     if spec.family == "global":
         return _global_core(spec.k, eta_sq, tau)
+    if spec.family == "eps":
+        # the tilde slice at tau / eps: eps is dyadic, so eps (tau / eps) = tau
+        return _tilde_core(spec.k, spec.eps, Psi0Cutoff(), EPS0, eta_sq,
+                           np.asarray(tau) / spec.eps)
     if spec.family == "tilde":
         return _tilde_core(spec.k, spec.eps, Psi0Cutoff(), EPS0, eta_sq, tau)
     if spec.family == "tilde_im":

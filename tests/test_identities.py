@@ -10,14 +10,13 @@ from carlab.bump import CustomCutoff, inversion_bump
 from carlab.identities import (KELVIN_PERIOD, PolyGauss, _period_breakpoints,
                                _sinc_panels, eval_field_at_points,
                                fractional_laplacian, pair_pullback,
-                               radial_fractional_at, sphere_area,
-                               sphere_integral, sphere_nodes,
-                               verify_counter_identities,
+                               radial_fractional_at, sphere_integral,
+                               sphere_nodes, verify_counter_identities,
                                verify_dist_identity, verify_kelvin)
 from carlab.quadrature import _panel_eval, panel_offsets
 from carlab.spectral import GridField, default_grid
 from fields import field_on
-from testfns import CustomTest, RadialPower
+from testfns import CustomTest, RadialPower, sphere_area
 
 RNG = np.random.Generator(np.random.Philox(55))
 

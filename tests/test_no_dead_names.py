@@ -23,11 +23,9 @@ _SRC = _ROOT / "src" / "carlab"
 _BENCH = _ROOT / "bench"
 _TRACING = _BENCH / "tracing.py"
 
-# Test oracles without a caller in the package: the sphere-area closed form
-# is what the pullback pairing tests compare against, and conjugate
-# reflection is the exact lattice duality the spectral duality test
-# applies.
-_KEEP = {"sphere_area", "conjugate_reflect"}
+# A test oracle without a caller in the package: conjugate reflection is
+# the exact lattice duality the spectral duality test applies.
+_KEEP = {"conjugate_reflect"}
 
 
 def _traced_attrs() -> set[str]:

@@ -107,6 +107,13 @@ def test_full_singular_frequency_rejected():
         eval_symbol(spec, np.array([1.0, 0.0, 0.0]))
 
 
+def test_global_singular_frequency_rejected():
+    # Theta(0) = 0, so the global cut is 1 on the whole tau = 0 plane
+    with pytest.raises(SingularFrequencyError, match="half a cell"):
+        eval_from_radial(SymbolSpec("global", 3, 2), np.array([0.5, 1.0]),
+                         np.array([0.0, 0.0]))
+
+
 def test_tilde_vanishes_off_tau_window():
     spec = SymbolSpec("tilde", 3, 1, eps=2.0 ** -5)
     # psi(tau) = 0 for |tau| <= 1/2 and |tau| >= 2
@@ -116,15 +123,14 @@ def test_tilde_vanishes_off_tau_window():
 
 def _dense_slice(spec, eta_sq, tau):
     """The eps, tilde and ring slices with the denominator formed at every
-    point, then masked by the cutoff."""
+    point, then masked by the cutoff; the eps slice is the tilde slice at
+    tau / eps."""
     if spec.family == "eps":
-        cut = psi0((1.0 - eta_sq) / EPS0) * psi(tau / spec.eps)
-        w = (eta_sq + tau ** 2 - 1.0) + 2.0j * tau
-    else:
-        zeta, delta = (spec.ring_window() if spec.family == "ring"
-                       else (Psi0Cutoff(), EPS0))
-        cut = zeta((1.0 - eta_sq) / delta) * psi(tau)
-        w = (eta_sq - 1.0 + (spec.eps * tau) ** 2) + 2.0j * spec.eps * tau
+        tau = tau / spec.eps
+    zeta, delta = (spec.ring_window() if spec.family == "ring"
+                   else (Psi0Cutoff(), EPS0))
+    cut = zeta((1.0 - eta_sq) / delta) * psi(tau)
+    w = (eta_sq - 1.0 + (spec.eps * tau) ** 2) + 2.0j * spec.eps * tau
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(cut != 0.0, cut * w ** (-spec.k), 0.0 + 0.0j)
 
@@ -189,7 +195,27 @@ def test_rescaling_identity():
     tau = RNG.uniform(0.5, 2.0, n)
     a = eval_from_radial(SymbolSpec("tilde", 3, 1, eps=eps), eta_sq, tau)
     b = eval_from_radial(SymbolSpec("eps", 3, 1, eps=eps), eta_sq, eps * tau)
-    np.testing.assert_allclose(a, b, rtol=1e-13)
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("eps", [2.0 ** -3, 2.0 ** -6, 2.0 ** -10,
+                                 2.0 ** -14])
+def test_eps_slice_is_the_model_symbol_on_its_cut(eps, k):
+    # the model denominator rounded as |eta|^2 + tau^2 - 1: it and the
+    # slice's (|eta|^2 - 1) + tau^2 differ by an ulp of |eta|^2 at most,
+    # against |w| >= 2 |tau| >= eps on the cut
+    n = 4000
+    eta_sq = RNG.uniform(1.0 - 3.0 * EPS0, 1.0 + 3.0 * EPS0, n)
+    tau = RNG.uniform(0.4, 2.1, n) * eps * RNG.choice([-1.0, 1.0], n)
+    got = eval_from_radial(SymbolSpec("eps", 4, k, eps=eps), eta_sq, tau)
+    cut = psi0((1.0 - eta_sq) / EPS0) * psi(tau / eps)
+    want = np.where(cut != 0.0, cut * ((eta_sq + tau ** 2 - 1.0)
+                                       + 2.0j * tau) ** (-k), 0.0)
+    assert np.array_equal(got == 0.0, want == 0.0) and np.any(want)
+    live = want != 0.0
+    rel = np.abs(got[live] - want[live]) / np.abs(want[live])
+    assert rel.max() <= k * 2.0 ** -51 / eps
 
 
 def test_ring_support_in_annular_shells():
@@ -225,6 +251,12 @@ def test_spec_validation():
         SymbolSpec("tilde", 3, 1, eps=0.1)  # not dyadic
     with pytest.raises(ValueError):
         SymbolSpec("ring", 3, 1, eps=2.0 ** -3, j=3)  # 2^j > 1/(4 eps)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_full_symbol_needs_a_positive_power(k):
+    with pytest.raises(ValueError, match="positive integer"):
+        SymbolSpec("full", 3, k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Test functions closed under the order-lowering operator L, beside the
 package's `PolyGauss`: the oracles that the pullback and sphere-average
-tests pair against."""
+tests pair against, and the sphere-area closed form they compare with."""
+import math
 from typing import Callable
 
 import numpy as np
@@ -52,3 +53,8 @@ class CustomTest:
         if self._l_image is None:
             raise ValueError("no derivative closure supplied for L")
         return self._l_image
+
+
+def sphere_area(n: int) -> float:
+    """Surface area of the unit sphere S^(n-1) in R^n."""
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
