@@ -159,6 +159,13 @@ KNAPP_TOL = 0.15
 RING_TOL = 0.2
 #: the widest factor the scaled resonant-set minima may span over the scales
 BAND_TOL = 2.0
+SPHERE_MEASURE_TOL = 1e-8
+DOUBLING_RATIO = 2.0
+LOG_LAW_TOL = 0.15
+DRIFT_TOL = 2.0
+DECOMPOSITION_TOL = 1e-5
+ROUNDTRIP_TOL = 1e-12
+PARSEVAL_TOL = 1e-10
 
 
 def tol_text(tol: float) -> str:
@@ -315,7 +322,7 @@ class KelvinCheck(NamedTuple):
     @property
     def detail(self) -> str:
         return (f"rel {self.rel:.2e} (tol {self.tol:.0e}), doubling ratio "
-                f"{self.ratio:.1f} (>= 2)")
+                f"{self.ratio:.1f} (>= {tol_text(DOUBLING_RATIO)})")
 
 
 def kelvin_checks() -> list[KelvinCheck]:
@@ -328,7 +335,7 @@ def kelvin_checks() -> list[KelvinCheck]:
         coarse, fine = (c["rel_err"] for c in cases)
         ratio = coarse / fine if fine > 0 else math.inf
         checks.append(KelvinCheck(s, tol, cases, fine, ratio,
-                                  fine <= tol and ratio >= 2.0))
+                                  fine <= tol and ratio >= DOUBLING_RATIO))
     return checks
 
 
@@ -454,9 +461,10 @@ def _a3_distribution_identities() -> tuple[bool, str]:
                          abs(lhs - rhs) / max(abs(rhs), 1e-300))
     worst_pull = worst_rel_err(distid_cases(rng))
     worst_counter = worst_rel_err(counter_cases(rng))
-    ok = (worst_half <= 1e-8 and worst_pull <= PAIRING_TOL
+    ok = (worst_half <= SPHERE_MEASURE_TOL and worst_pull <= PAIRING_TOL
           and worst_counter <= PAIRING_TOL)
-    return ok, (f"sphere-measure constant rel {worst_half:.2e} (tol 1e-8); "
+    return ok, (f"sphere-measure constant rel {worst_half:.2e} "
+                f"(tol {tol_text(SPHERE_MEASURE_TOL)}); "
                 f"pullback rel {worst_pull:.2e}, order-shuffle rel "
                 f"{worst_counter:.2e} (tol {tol_text(PAIRING_TOL)})")
 
@@ -519,11 +527,13 @@ def _a7_moment_bounds() -> tuple[bool, str]:
                              np.asarray(grow), 1)[0])
     drift_lo = max(c_eps) / min(c_eps)
     drift_hi = max(big_c) / min(big_c)
-    ok = (abs(slope - 1.0) <= 0.15 and min(c_eps) > 0.0
-          and drift_lo < 2.0 and drift_hi < 2.0)
-    return ok, (f"log-law slope {slope:.3f} (tol 1 +- 0.15); lower moment "
+    ok = (abs(slope - 1.0) <= LOG_LAW_TOL and min(c_eps) > 0.0
+          and drift_lo < DRIFT_TOL and drift_hi < DRIFT_TOL)
+    return ok, (f"log-law slope {slope:.3f} "
+                f"(tol 1 +- {tol_text(LOG_LAW_TOL)}); lower moment "
                 f">= {min(c_eps):.3f} drift {drift_lo:.2f}, upper moments "
-                f"<= {max(big_c):.3f} drift {drift_hi:.2f} (tol < 2)")
+                f"<= {max(big_c):.3f} drift {drift_hi:.2f} "
+                f"(tol < {tol_text(DRIFT_TOL)})")
 
 
 def _a8_ring_scaling() -> tuple[bool, str]:
@@ -548,8 +558,9 @@ def _a9_decomposition_oracle() -> tuple[bool, str]:
             total = j_decomposition(d, k, eps, spec, y, t, abs_tol=tol).total
             worst = max(worst, abs(direct - total) / abs(direct))
             count += 1
-    return worst <= 1e-5, (f"worst rel deviation {worst:.2e} over {count} "
-                           "samples (tol 1e-5)")
+    return worst <= DECOMPOSITION_TOL, (
+        f"worst rel deviation {worst:.2e} over {count} samples "
+        f"(tol {tol_text(DECOMPOSITION_TOL)})")
 
 
 CRITERIA: dict[str, tuple[str, Callable[[], tuple[bool, str]], float]] = {

@@ -274,12 +274,14 @@ def _run_spectral(cfg: ExperimentConfig,
           / max(float(np.abs(f).max()) for f in noise))
     e_space = math.fsum(np.sum(np.abs(f) ** 2) for f in noise) * cell
     parseval = abs(e_space - e_freq) / e_space
+    rt_tol, pv_tol = acceptance.ROUNDTRIP_TOL, acceptance.PARSEVAL_TOL
     return [
-        Verdict.judge("spectral-roundtrip", rt <= 1e-12,
-                      f"transform round-trip rel {rt:.2e} (tol 1e-12)",
-                      {"rel_err": rt}),
-        Verdict.judge("spectral-parseval", parseval <= 1e-10,
-                      f"energy identity rel {parseval:.2e} (tol 1e-10)",
+        Verdict.judge("spectral-roundtrip", rt <= rt_tol,
+                      f"transform round-trip rel {rt:.2e} "
+                      f"(tol {acceptance.tol_text(rt_tol)})", {"rel_err": rt}),
+        Verdict.judge("spectral-parseval", parseval <= pv_tol,
+                      f"energy identity rel {parseval:.2e} "
+                      f"(tol {acceptance.tol_text(pv_tol)})",
                       {"rel_err": parseval}),
     ]
 

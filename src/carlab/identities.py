@@ -11,8 +11,9 @@ evaluation routes:
   evaluated by radial x sphere product quadrature on the support annulus;
 * the point-inversion transform ``T_s u = |x|^(2s-d) u(x/|x|^2)`` and its
   exact intertwining with the fractional Laplacian, realised spectrally as
-  the multiplier ``|xi|^(2s)`` (constant-free; no Riesz-potential constants
-  enter anywhere).
+  the constant-free multiplier ``|xi|^(2s)`` on the lattice, against a
+  real-space oracle that carries the one-dimensional singular-integral
+  constant.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .bump import CutoffSpec, Psi0Cutoff, psi
-from .quadrature import (QuadratureError, gauss_kronrod_batch, leggauss,
-                         panel_offsets)
+from .quadrature import gauss_kronrod_batch, leggauss
 from .spectral import GridField
 
 
@@ -425,190 +425,83 @@ def eval_field_at_points(field: GridField,
     return out * scale
 
 
-def _period_breakpoints(lo: float, hi: float, freq: float,
-                        periods: float) -> tuple[float, ...]:
-    """Interior breakpoints of ``[lo, hi]``, ``periods`` periods of
-    ``sin(freq * x)`` apart; none when ``freq`` is 0.
-
-    Starting an adaptive quadrature of an oscillatory integrand from panels
-    of about the oscillation period spares it the bisection rounds that
-    would find them blindly (QUADPACK's QAWO places panels the same way).
-    """
-    if freq == 0.0:
-        return ()
-    step = periods * 2.0 * np.pi / freq
-    return tuple(np.arange(lo + step, hi - 0.5 * step, step))
+#: radii per quadrature batch of `radial_fractional_at`
+_ORACLE_RADII = 64
 
 
-def _sinc_panels(rho: np.ndarray, t: np.ndarray,
-                 weight: np.ndarray) -> np.ndarray:
-    """``4 pi sin(rho t) / (rho t) * weight`` for radii ``rho`` (R,) and
-    quadrature nodes ``t`` laid out as `gauss_kronrod_batch` hands them over.
-
-    The d = 3 sphere transform, by angle addition over each node's split
-    ``t = mid + off`` (`panel_offsets`): two trig calls per (radius, panel)
-    and 30 per (radius, distinct offset row) instead of 15 per (radius,
-    panel).  ``4 pi / rho`` and ``weight / t`` are folded into factors, so no
-    ``rho`` and no ``t`` may be 0; interior GK nodes of an interval that
-    starts at 0 or beyond never are.
-    """
-    mid, off, row = panel_offsets(t)
-    scale = (4.0 * np.pi / rho)[:, None]
-    arg = np.multiply.outer(rho, mid)
-    sin_mid = scale * np.sin(arg)
-    cos_mid = scale * np.cos(arg)
-    arg = np.multiply.outer(rho, off)                     # (R, U, 15)
-    out = np.take(np.cos(arg), row, axis=1)
-    out *= sin_mid[:, :, None]
-    term = np.take(np.sin(arg), row, axis=1)
-    term *= cos_mid[:, :, None]
-    out += term
-    out *= (weight / t).reshape(mid.size, -1)
-    return out.reshape(rho.size, -1)
-
-
-def _radial_hat(profile, support: tuple[float, float],
-                rho: np.ndarray) -> np.ndarray:
-    """Continuum Fourier transform of a radial profile on R^3, at radii
-    ``rho > 0``.
-
-    ``profile`` is a plain callable of t, sampled at the GK nodes: the
-    profile itself, or the `radial_fractional_at` integrand that reads a
-    cutoff jet, so no derivative is taken here.  Processes ``rho`` in
-    chunks: the quadrature is vectorized over the chunk, and high radii need
-    thousands of oscillation panels, so one monolithic (rho, node) array
-    could run to gigabytes.  Each chunk's integral over t starts from panels
-    two periods ``2 * 2 pi / rho_max`` wide, ``rho_max`` the chunk's largest
-    radius, and refines adaptively from there.  Of starting widths from half
-    a period to four, two periods needed the fewest kernel evaluations on
-    A4's oracle.  The kernel shares its trig calls across each panel's
-    nodes (`_sinc_panels`); a chunk's panels come in few widths, so
-    its distinct offset rows are few (8.5% of the panels on A4's
-    oracle).  ``support[0] > 0`` keeps t off 0 there.
-    """
-    lo, hi = support
-    out = np.empty(rho.shape)
-    for start in range(0, rho.size, 512):
-        part = rho[start:start + 512]
-
-        def inner(t: np.ndarray) -> np.ndarray:
-            base = np.asarray(profile(t), dtype=float) * t ** 2
-            return _sinc_panels(part, t, base)
-
-        brk = _period_breakpoints(lo, hi, float(part.max()), 2.0)
-        vals, _ = gauss_kronrod_batch(inner, lo, hi, abs_tol=1e-13,
-                                      rel_tol=1e-10, breakpoints=brk,
-                                      max_panels=16384)
-        out[start:start + 512] = vals
-    return out
-
-
-def _radial_laplacian_terms(d: int, m: int) -> dict[tuple[int, int], float]:
-    """Term table for ``(-Delta)^m`` applied to a radial profile.
-
-    Keys ``(i, p)`` mean ``coeff * t**p * profile^(i)(t)``; built by iterating
-    ``-(f'' + (d-1)/r f')`` on the symbolic term list.
-    """
-    terms: dict[tuple[int, int], float] = {(0, 0): 1.0}
-    for _ in range(m):
-        new: dict[tuple[int, int], float] = {}
-        for (i, p), c in terms.items():
-            for key, inc in (((i, p - 2), -c * p * (p - 2 + d)),
-                             ((i + 1, p - 1), -c * (2 * p + d - 1)),
-                             ((i + 2, p), -c)):
-                if inc != 0.0:
-                    new[key] = new.get(key, 0.0) + inc
-        terms = {k: v for k, v in new.items() if v != 0.0}
-    return terms
+def _oracle_order(d: int, s: float) -> tuple[int, float]:
+    """``(m, s - m)``, ``m = floor(s)``, for a (d, s) the oracle handles."""
+    m = math.floor(s)
+    if d != 3 or not 0.0 < s < 3.0 or s - m in (0.0, 0.5):
+        raise ValueError(f"the radial oracle needs d = 3 and 0 < s < 3 with "
+                         f"s - floor(s) not 0 or 1/2; got d={d}, s={s}")
+    return m, s - m
 
 
 def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
-                         d: int, s: float, radii, *, rel_tol: float = 1e-9,
-                         rho_cap: float = 2048.0) -> np.ndarray:
+                         d: int, s: float, radii, *,
+                         rel_tol: float = 1e-9) -> np.ndarray:
     """``(-Delta)^s u`` at the given radii for radial ``u = profile(|x|)``
-    on R^d; implemented for d = 3, and any other d is rejected before any
-    quadrature.
+    on R^d, in real space, for a (d, s) that `_oracle_order` admits and a
+    `CutoffSpec` with derivatives to order ``n = 2m + 2``, ``m = floor(s)``;
+    all else is refused before any quadrature.  Write ``sigma = s - m``.
 
-    Pure continuum evaluation by nested radial quadrature: the spectral
-    profile of u first, then the inverse transform with the ``rho^(2s)``
-    weight, extended over frequency octaves until the last octave is
-    negligible.  Shares nothing with the grid machinery, so it serves as an
-    independent oracle for the spectral route.
+    In R^3 the Fourier transform of a radial u is the sine transform of
+    ``V(r) = r u(|r|)``, so ``(-Delta)^s u(r) = (-d^2/dr^2)^s V(r) / r``.
+    With ``W = (-1)^m V^(2m)``, the one-dimensional singular integral of W
+    (Di Nezza, Palatucci and Valdinoci 2012), integrated by parts twice, is
 
-    High-frequency octaves are delicate: the spectral profile there is
-    computed by cancellation, so its absolute roundoff (~1e-16) times the
-    ``rho^(2s+d-1)`` weight would swamp the true, rapidly decaying signal.
-    Tail octaves instead integrate ``rho^(2s+d-1-2m)`` against the transform
-    of ``(-Delta)^m u`` -- the same function, but with the amplification
-    factor removed.  Its integrand reads all the orders it needs from one
-    ``profile.jet(t, 2m)`` per node set, so the profile must be a
-    `CutoffSpec` with analytic derivatives up to order ``2m``; any other
-    profile is rejected before any quadrature.
+        c int_0^(r + support[1]) (W''(r+h) + W''(r-h)) h^(1-2 sigma) dh,
 
-    Both quadratures start from panels sized by their kernel's oscillation
-    period (`_period_breakpoints`): the outer one over rho from panels one
-    period ``2 pi / max(radii)`` wide, the inner one over t in
-    `_radial_hat` from panels two periods ``2 * 2 pi / rho_max`` wide,
-    ``rho_max`` the largest radius of each 512-radius chunk.  Both kernels
-    share their trig calls across each panel's nodes (`_sinc_panels`).
-
-    The inner transforms, which cost the most, depend on ``radii`` only
-    through the outer panels, so one call over many radii costs little more
-    than a call over a few: `verify_kelvin` makes one call over all its
-    lattices' radii.
+    ``c = 4^sigma Gamma(1/2+sigma) / (2 sqrt(pi) Gamma(1-sigma) (1-2 sigma))``
+    and ``W''(x) = (-1)^m sign(x) (|x| u^(n) + n u^(n-1))(|x|)``, read from
+    the profile's jet on the support: no cancellation, no tail and no
+    Fourier transform.  ``h = v^(1/(1-sigma))`` makes the weight linear in
+    v.  Ascending batches of `_ORACLE_RADII` radii share one
+    `gauss_kronrod_batch`, with breakpoints where ``r +- h`` meets
+    ``+-support`` at the batch's first and last radius (else the shared
+    panels can converge falsely); no value depends on the radii's order.
     """
-    if d != 3:
-        raise ValueError(f"the radial oracle is implemented for d = 3, "
-                         f"got d={d}")
-    m = math.ceil(s + (d - 1) / 2.0)  # residual power in (-2, 0]
-    if not (isinstance(profile, CutoffSpec) and profile.max_order >= 2 * m):
+    m, sigma = _oracle_order(d, s)
+    n = 2 * m + 2
+    if not (isinstance(profile, CutoffSpec) and profile.max_order >= n):
         raise ValueError(f"the profile must be a CutoffSpec with derivatives "
-                         f"up to order {2 * m}")
+                         f"up to order {n}")
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
-    rmax = float(radii.max())
-    terms = _radial_laplacian_terms(d, m)
+    lo, hi = support
+    p = 1.0 / (1.0 - sigma)
+    c = (4.0 ** sigma * math.gamma(0.5 + sigma) / (2.0 * math.sqrt(math.pi)
+         * math.gamma(1.0 - sigma) * (1.0 - 2.0 * sigma)))
 
-    def shifted(t: np.ndarray) -> np.ndarray:
-        jet = profile.jet(t, 2 * m)
-        out = np.zeros_like(np.asarray(t, dtype=float))
-        for (i, p), c in terms.items():
-            out = out + c * t ** p * jet[i]
+    def odd_jet(x: np.ndarray) -> np.ndarray:
+        """``V^(n) = (-1)^m W''`` at x, 0 off ``+-support``."""
+        t = np.abs(x)
+        on = (t >= lo) & (t <= hi)
+        jet = profile.jet(t[on], n)
+        out = np.zeros(x.shape)
+        out[on] = np.sign(x[on]) * (t[on] * jet[n] + n * jet[n - 1])
         return out
 
-    def outer(fn, power: float):
-        def kernel(rho: np.ndarray) -> np.ndarray:
-            weight = rho ** power * _radial_hat(fn, support, rho)
-            return _sinc_panels(radii, rho, weight)
-        return kernel
+    order = np.argsort(radii, kind="stable")
+    out = np.empty(radii.shape)
+    for start in range(0, radii.size, _ORACLE_RADII):
+        batch = order[start:start + _ORACLE_RADII]
+        r = radii[batch]
 
-    head = outer(profile, 2.0 * s + d - 1)
-    tail = outer(shifted, 2.0 * s + d - 1 - 2 * m)
+        def integrand(v: np.ndarray) -> np.ndarray:
+            h = v ** p
+            return p * v * (odd_jet(np.add.outer(r, h))
+                            + odd_jet(np.subtract.outer(r, h)))
 
-    total = np.zeros(radii.shape)
-    edge = 0.0
-    width = 64.0
-    while True:
-        hi = edge + width
-        # pre-split so each panel sees at most ~one oscillation period
-        brk = _period_breakpoints(edge, hi, rmax, 1.0)
-        # Tail octaves that are pure roundoff get an absolute floor tied to
-        # the running total so they cannot exhaust the panel budget.
-        floor = max(1e-13, rel_tol * float(np.max(np.abs(total))))
-        seg, _ = gauss_kronrod_batch(head if edge == 0.0 else tail, edge, hi,
-                                     abs_tol=floor, rel_tol=1e-9,
-                                     breakpoints=brk, max_panels=16384)
-        total = total + seg
-        scale = float(np.max(np.abs(total)))
-        if edge > 0.0 and float(np.max(np.abs(seg))) <= rel_tol * scale:
-            break
-        edge = hi
-        if edge >= rho_cap:
-            raise QuadratureError(
-                f"spectral tail of the radial profile not negligible by "
-                f"rho={rho_cap}")
-    return total / (2.0 * np.pi) ** d
+        brk = [abs(x - e) ** (1.0 - sigma) for x in (r[0], r[-1])
+               for e in (lo, hi, -lo, -hi)]
+        vals, _ = gauss_kronrod_batch(
+            integrand, 0.0, (r[-1] + hi) ** (1.0 - sigma), abs_tol=1e-13,
+            rel_tol=rel_tol, breakpoints=brk, max_panels=16384)
+        out[batch] = (-1.0) ** m * c * vals / r
+    return out
 
 
 def fractional_laplacian(values: np.ndarray, periods: Sequence[float],
@@ -697,17 +590,17 @@ def verify_kelvin(u: CutoffSpec, s: float,
     side, at the lattice points with radius in [0.7, 1.4], needs
     ``(-Delta)^s u`` at the off-lattice inverted radii.  For s = 1 it uses
     the exact radial Laplacian ``-(u'' + (d-1) u'/r)`` from the profile's
-    derivatives.  Otherwise it uses the continuum radial-quadrature oracle
-    `radial_fractional_at` to relative tolerance 1e-6, on 400 of each
-    lattice's points drawn with seed 0.  One oracle call serves all the
-    lattices: it runs once, over the union of their inverted radii, after
-    each lattice's spectral side is reduced to its sample points.  Either
-    way the right side never touches the grid transform, so this is a
-    genuine two-route comparison, reported in relative L^2.
+    derivatives.  Otherwise it uses the real-space oracle
+    `radial_fractional_at` at its default relative tolerance 1e-9 (so the
+    batch a radius shares there does not move a lattice's error), on 400 of
+    each lattice's points drawn with seed 0, in one call over the union of
+    all the lattices' inverted radii.  Either way the right side never
+    touches a Fourier transform, so this is a genuine two-route comparison,
+    reported in relative L^2.
     """
     d = 3
-    if not 0.0 < s < d:
-        raise ValueError("need 0 < s < d")
+    if s != 1.0:
+        _oracle_order(d, s)  # before any lattice work
     support = (max(u.support[0], 1e-9), u.support[1])
     if not (0.0 < support[0] < support[1] < math.inf
             and 1.0 / support[0] < KELVIN_PERIOD / 2.0):
@@ -719,16 +612,14 @@ def verify_kelvin(u: CutoffSpec, s: float,
     if s == 1.0:
         lap = -(u(inv_norm, 2) + (d - 1) / inv_norm * u(inv_norm, 1))
     else:
-        lap = radial_fractional_at(u, support, d, s, inv_norm,
-                                   rel_tol=1e-6, rho_cap=4096.0)
+        lap = radial_fractional_at(u, support, d, s, inv_norm)
     rhs_all = r_all ** (-d - 2.0 * s) * lap
 
     results = []
     cuts = np.cumsum([r_pts.size for _, r_pts in samples])[:-1]
     for (lhs_vals, _), rhs_vals in zip(samples, np.split(rhs_all, cuts)):
         dist = float(np.linalg.norm(lhs_vals - rhs_vals))
-        nl = float(np.linalg.norm(lhs_vals))
         nr = float(np.linalg.norm(rhs_vals))
-        results.append(PairingResult(lhs=nl, rhs=nr, abs_err=dist,
-                                     rel_err=dist / nr if nr > 0 else 0.0))
+        results.append(PairingResult(float(np.linalg.norm(lhs_vals)), nr,
+                                     dist, dist / nr if nr > 0 else 0.0))
     return results

@@ -396,6 +396,8 @@ def j_decomposition(d: int, k: int, eps: float, spec: Phi5Spec, y_abs: float,
     """
     if d != spec.d or k != spec.k:
         raise ValueError("profile spec was built for different (d, k)")
+    if not 0.0 < eps <= 1.0:
+        raise ValueError("eps must lie in (0, 1]")
     if y_abs <= 0.0 or y_abs > 1e4:
         raise ValueError("|y| must lie in (0, 1e4]")
     if abs_tol is None:

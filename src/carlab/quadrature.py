@@ -35,23 +35,6 @@ class QuadratureError(RuntimeError):
     pass
 
 
-def panel_offsets(nodes: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split integrand nodes, laid out as `_panel_eval` hands them to ``f``,
-    into panel centres and offsets from them.
-
-    Returns ``(mid, off, row)``: ``mid`` (P,) is each panel's centre node,
-    ``off`` (U, 15) the distinct rows of ``node - mid`` and ``row`` (P,) the
-    index of each panel's row in ``off``, so that
-    ``nodes.reshape(P, 15) - mid[:, None] == off[row]``.  Panels of one width
-    share a row wherever their offsets round alike.
-    """
-    t = nodes.reshape(-1, _NODES.size)
-    mid = t[:, _NODES.size // 2]
-    off, row = np.unique(t - mid[:, None], axis=0, return_inverse=True)
-    return mid, off, row.reshape(-1)
-
-
 def _panel_eval(f, lo, hi):
     """Evaluate K15/G7 on each panel.  lo, hi: (P,).  Returns (vals, errs): (M | (), P)."""
     mid = 0.5 * (lo + hi)
@@ -91,10 +74,15 @@ def gauss_kronrod_batch(f, a: float, b: float, abs_tol: float = 1e-10,
     lo = np.array(pts[:-1])
     hi = np.array(pts[1:])
     vals, errs = _panel_eval(f, lo, hi)
-    while len(lo) < max_panels:
+    while True:
         tot_err = errs.sum(axis=-1)
         if _within(tot_err, vals):
-            break
+            return vals.sum(axis=-1), tot_err
+        if len(lo) >= max_panels:
+            raise QuadratureError(
+                f"tolerance (abs {abs_tol}, rel {rel_tol}) not reached with "
+                f"{max_panels} panels (worst error {float(np.max(tot_err)):.3e})"
+            )
         # split the panels carrying the largest per-component error share
         score = errs.reshape(-1, len(lo)).max(axis=0)
         n_split = max(1, min(len(lo), max_panels - len(lo), len(lo) // 4 + 1))
@@ -108,14 +96,6 @@ def gauss_kronrod_batch(f, a: float, b: float, abs_tol: float = 1e-10,
         vals = np.concatenate([vals[..., keep], sub_vals], axis=-1)
         errs = np.concatenate([errs[..., keep], sub_errs], axis=-1)
         lo, hi = new_lo, new_hi
-    else:
-        tot_err = errs.sum(axis=-1)
-        if not _within(tot_err, vals):
-            raise QuadratureError(
-                f"tolerance (abs {abs_tol}, rel {rel_tol}) not reached with "
-                f"{max_panels} panels (worst error {float(np.max(tot_err)):.3e})"
-            )
-    return vals.sum(axis=-1), errs.sum(axis=-1)
 
 
 @functools.cache

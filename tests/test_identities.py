@@ -1,4 +1,5 @@
 """Distribution pairings, order-shuffle identities, inversion transform."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,13 +8,11 @@ import pytest
 import carlab.identities as identities
 from carlab import acceptance
 from carlab.bump import CustomCutoff, inversion_bump
-from carlab.identities import (KELVIN_PERIOD, PolyGauss, _period_breakpoints,
-                               _sinc_panels, eval_field_at_points,
+from carlab.identities import (KELVIN_PERIOD, PolyGauss, eval_field_at_points,
                                fractional_laplacian, pair_pullback,
                                radial_fractional_at, sphere_integral,
                                sphere_nodes, verify_counter_identities,
                                verify_dist_identity, verify_kelvin)
-from carlab.quadrature import _panel_eval, panel_offsets
 from carlab.spectral import GridField, default_grid
 from fields import field_on
 from testfns import CustomTest, RadialPower, sphere_area
@@ -318,6 +317,14 @@ def test_kelvin_error_halves_under_resolution_doubling():
     assert coarse.rel_err / fine.rel_err >= 2.0
 
 
+def test_kelvin_refuses_an_order_the_oracle_lacks_before_lattice_work(
+        monkeypatch):
+    monkeypatch.setattr(identities, "fractional_laplacian", None)
+    for s in (2.0, 1.5, 3.0):
+        with pytest.raises(ValueError, match="0 < s < 3"):
+            verify_kelvin(inversion_bump(s), s, (64,))
+
+
 def _recording_oracle(monkeypatch, calls, oracle=None):
     """Replace verify_kelvin's oracle by one that records its radii and
     forwards to ``oracle`` (ones when None)."""
@@ -354,89 +361,60 @@ def test_kelvin_checks_call_the_oracle_once_per_fractional_order(
     assert len(calls) == 1 and calls[0].size == 800
 
 
-def _sinc_exact_argument(rho, t, base):
-    """``4 pi sin(rho t) / (rho t) * base`` with ``rho t`` taken exactly:
-    the rounded product ``x`` and its error ``e`` (Dekker's two-product),
-    ``sin(x + e) = sin x + e cos x``."""
-    def split(v):
-        c = 134217729.0 * v  # 2^27 + 1
-        hi = c - (c - v)
-        return hi, v - hi
-
-    x = np.outer(rho, t)
-    (rh, rl), (th, tl) = split(rho[:, None]), split(t[None, :])
-    e = ((rh * th - x) + rh * tl + rl * th) + rl * tl
-    return 4.0 * np.pi * (np.sin(x) + e * np.cos(x)) / x * base
+def _gaussian(t, order=0):
+    """``exp(-t^2)`` and its derivatives, ``(-1)^k H_k(t) exp(-t^2)``."""
+    coef = np.zeros(order + 1)
+    coef[order] = 1.0
+    t = np.asarray(t, dtype=float)
+    return (-1.0) ** order * np.polynomial.hermite.hermval(t, coef) \
+        * np.exp(-t * t)
 
 
-def _gk_nodes(lo, hi):
-    """The integrand nodes `_panel_eval` builds for panels [lo, hi]."""
-    seen = []
-    _panel_eval(lambda t: seen.append(t) or np.zeros_like(t),
-                np.asarray(lo, float), np.asarray(hi, float))
-    return seen[0]
+def test_radial_oracle_matches_the_gaussian_closed_form():
+    # (-Delta)^s exp(-|x|^2) = 4^s Gamma(3/2+s) / Gamma(3/2)
+    # 1F1(3/2+s; 3/2; -r^2) on R^3; the tail beyond r = 9 is below 1e-30
+    hyp1f1 = pytest.importorskip("scipy.special").hyp1f1
+    u = CustomCutoff(_gaussian, (0.0, 9.0), max_order=6)
+    r = np.linspace(0.05, 4.0, 40)
+    for s in (0.1, 0.3, 0.7, 0.9, 1.25, 1.4, 1.8, 2.2, 2.6, 2.9):
+        got = radial_fractional_at(u, u.support, 3, s, r)
+        want = (4.0 ** s * math.gamma(1.5 + s) / math.gamma(1.5)
+                * hyp1f1(1.5 + s, 1.5, -r * r))
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max(), s
 
 
-def test_shared_trig_kernel_matches_the_sinc():
-    # the oracle's inner support, from panels two periods wide at several
-    # chunk maxima, each also bisected as the adaptive rounds do; the
-    # panels straddle t = 1, where the node spacing in ulps changes
-    lo, hi = 0.41, 2.44
-    edges = [np.array([lo, *_period_breakpoints(lo, hi, rho_max, 2.0), hi])
-             for rho_max in (3.0, 40.0, 517.3, 4096.0)]
-    a = np.concatenate([e[:-1] for e in edges])
-    b = np.concatenate([e[1:] for e in edges])
-    mids = 0.5 * (a + b)
-    t = _gk_nodes(np.concatenate([a, a, mids]), np.concatenate([b, mids, b]))
-    mid, off, row = panel_offsets(t)
-    np.testing.assert_array_equal(mid[:, None] + off[row], t.reshape(-1, 15))
-    assert np.any(t < 1.0) and np.any(t > 1.0)
-    assert off.shape[0] < mid.size  # panels of one width share offset rows
-    base = RNG.uniform(-1.0, 1.0, t.size) * t * t
-    rho = np.concatenate([RNG.uniform(1e-3, 4096.0, 61), [1e-3, 4096.0]])
-    got = _sinc_panels(rho, t, base)
-    # the direct form 4 pi sin(x) / x * base rounds x = rho t, by up to
-    # 9.1e-13 here, and so does the split; the reference does not
-    want = _sinc_exact_argument(rho, t, base)
-    envelope = 4.0 * np.pi / rho[:, None] * np.abs(base / t)
-    assert np.all(np.abs(got - want) <= 1e-12 * envelope)
-
-
-def test_period_breakpoints():
-    assert _period_breakpoints(0.4, 2.5, 0.0, 2.0) == ()
-    # the outer loop's rule, one period of 2 pi / rmax, as written inline
-    for edge, rmax in ((0.0, 1.4285714285714286), (64.0, 2.2), (192.0, 0.9)):
-        hi = edge + 64.0
-        step = 2.0 * np.pi / rmax
-        want = tuple(np.arange(edge + step, hi - 0.5 * step, step))
-        assert _period_breakpoints(edge, hi, rmax, 1.0) == want
-    brk = _period_breakpoints(0.41, 2.44, 4096.0, 2.0)
-    assert np.allclose(np.diff(brk), 4.0 * np.pi / 4096.0, rtol=1e-12)
-    assert 0.41 < brk[0] and brk[-1] < 2.44
-
-
-def test_radial_oracle_matches_the_exact_laplacian():
-    # s = 1: the nested continuum quadrature, panels pre-split by the
-    # oscillation period, against -(B'' + 2 B'/r) from the profile's own
-    # derivatives
-    u = inversion_bump(1.0)
-    r = np.linspace(0.45, 2.4, 25)
-    got = radial_fractional_at(u, u.support, 3, 1.0, r, rel_tol=1e-6,
-                               rho_cap=4096.0)
-    want = -(u(r, 2) + 2.0 / r * u(r, 1))
-    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+def test_radial_oracle_does_not_depend_on_the_order_of_the_radii():
+    # the radii are batched in ascending order, so a permutation of the
+    # input permutes the output bit for bit
+    u = inversion_bump(1.25)
+    r = RNG.uniform(0.4, 2.5, 150)
+    perm = RNG.permutation(r.size)
+    got = radial_fractional_at(u, u.support, 3, 1.25, r[perm])
+    np.testing.assert_array_equal(
+        got, radial_fractional_at(u, u.support, 3, 1.25, r)[perm])
 
 
 def test_radial_oracle_rejects_a_profile_without_jets(monkeypatch):
-    # s = 1.25 in d = 3 needs derivatives to order 2m = 6; both rejections
-    # come before any quadrature
+    # s = 1.25 in d = 3 needs derivatives to order 2m + 2 = 4; both
+    # rejections come before any quadrature
     monkeypatch.setattr(identities, "gauss_kronrod_batch", None)
     u = inversion_bump(1.25)
     with pytest.raises(ValueError, match="CutoffSpec"):
         radial_fractional_at(lambda t: u(t), u.support, 3, 1.25, [1.0])
-    short = CustomCutoff(u, u.support, max_order=5)
-    with pytest.raises(ValueError, match="order 6"):
+    short = CustomCutoff(u, u.support, max_order=3)
+    with pytest.raises(ValueError, match="order 4"):
         radial_fractional_at(short, u.support, 3, 1.25, [1.0])
+
+
+def test_radial_oracle_rejects_integer_half_integer_and_outside_orders(
+        monkeypatch):
+    # an integer s has no singular integral, a half-integer one a log
+    # kernel; both, and s outside (0, 3), are refused before any quadrature
+    monkeypatch.setattr(identities, "gauss_kronrod_batch", None)
+    u = inversion_bump(1.25)
+    for s in (1.0, 2.0, 0.5, 1.5, 2.5, 0.0, -0.25, 3.0, 3.25):
+        with pytest.raises(ValueError, match="0 < s < 3"):
+            radial_fractional_at(u, u.support, 3, s, [1.0])
 
 
 def test_radial_oracle_rejects_a_dimension_other_than_three(monkeypatch):

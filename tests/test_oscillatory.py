@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import carlab.oscillatory as oscillatory
 from carlab.bessel import bessel_j, bessel_ju, sphere_hat
 from carlab.bump import CustomCutoff
 from carlab.oscillatory import (TAU_RULE_POINTS, EmptyWindowError,
@@ -308,6 +309,17 @@ def test_k1_decomposition_degenerates_to_direct():
         dec = j_decomposition(3, 1, 2.0 ** -5, spec, y, t)
         assert len(dec.terms) == 1
         assert abs(dec.total - a) <= 1e-12 * abs(a)
+
+
+def test_both_routes_reject_eps_outside_the_unit_interval(monkeypatch):
+    # refused before any quadrature: at eps = 0 the graded breakpoints
+    # would not end, and eps > 1 lies outside the family
+    monkeypatch.setattr(oscillatory, "gauss_kronrod_batch", None)
+    spec = Phi5Spec(5, 2)
+    for eps in (0.0, -0.01, 2.0):
+        for route in (mtilde_radial, j_decomposition):
+            with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+                route(5, 2, eps, spec, 10.0, 0.0)
 
 
 def test_low_order_terms_obey_printed_envelope():
