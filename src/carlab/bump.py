@@ -15,12 +15,13 @@ That recurrence yields every lower order on the way to the one asked for, so
 derivatives travel as *jets*: ``jet(t, m)`` returns one ``(m + 1,) +
 shape(t)`` array whose row ``i`` is the i-th derivative (Taylor arithmetic,
 Griewank & Walther, *Evaluating Derivatives*, 2008).  `smooth_step_jet`
-evaluates ``exp(-1/t)`` once per side and each ``P_l(1/t)`` once;
-`PlateauBump` multiplies two step jets by Leibniz' rule and `InversionImage`
-applies its chain-rule term table to the base jet.  A cutoff's
-``__call__(t, order)`` is row ``order`` of its jet, or the jet is the stack
-of its ``__call__`` rows (the `CutoffSpec` default), so each class has one
-derivative implementation.
+evaluates ``exp(-1/t)`` once per side and each ``P_l(1/t)`` once, in place;
+`PlateauBump` takes each step jet on its own ramp only (the ramps never
+overlap, so Leibniz' product of the two steps is one step's jet there), and
+`InversionImage` applies its chain-rule term table to the base jet.  A
+cutoff's ``__call__(t, order)`` is row ``order`` of its jet, or the jet is
+the stack of its ``__call__`` rows (the `CutoffSpec` default), so each class
+has one derivative implementation.
 """
 
 from __future__ import annotations
@@ -67,22 +68,26 @@ def _transition_coef(l: int) -> tuple[float, ...]:
 
 def _exp_jet(t: np.ndarray, m: int) -> np.ndarray:
     """Rows B^(0..m)(t) elementwise; identically 0 for t <= 0."""
-    out = np.zeros((m + 1,) + t.shape)
     mask = t > _T_FLOOR
-    if np.any(mask):
-        tm = t[mask]
-        with np.errstate(under="ignore"):
-            e = np.exp(-1.0 / tm)
-            out[0][mask] = e
-            if m:
-                u = 1.0 / tm
-                for l in range(1, m + 1):
-                    # Horner, in the operation order of Polynomial.__call__
-                    lead, *rest = _transition_coef(l)
-                    p = lead + u * 0.0
-                    for c in rest:
-                        p = c + p * u
-                    out[l][mask] = p * e
+    inside = mask.all()
+    tm = t if inside else t[mask]
+    rows = np.empty((m + 1,) + tm.shape)
+    with np.errstate(under="ignore"):
+        e = np.exp(-1.0 / tm, out=rows[0])
+        u = 1.0 / tm if m else None
+        for l in range(1, m + 1):
+            # Horner, in the operation order of Polynomial.__call__
+            lead, *rest = _transition_coef(l)
+            p = rows[l]
+            p.fill(lead)
+            for c in rest:
+                p *= u
+                p += c
+            p *= e
+    if inside:
+        return rows
+    out = np.zeros((m + 1,) + t.shape)
+    out[:, mask] = rows
     return out
 
 
@@ -91,22 +96,21 @@ def smooth_step_jet(t, m: int) -> np.ndarray:
     _check_order(m)
     t_arr = np.asarray(t, dtype=float)
     flat = np.atleast_1d(t_arr)
-    out = np.zeros((m + 1,) + flat.shape)
-    out[0][flat >= 1.0] = 1.0
     inner = (flat > 0.0) & (flat < 1.0)
-    if np.any(inner):
-        ti = flat[inner]
-        f = _exp_jet(ti, m)
-        b = _exp_jet(1.0 - ti, m)
-        g = [f[l] + (-1.0) ** l * b[l] for l in range(m + 1)]
-        s = [f[0] / g[0]]
-        for n in range(1, m + 1):
-            acc = f[n].copy()
-            for i in range(n):
-                acc -= math.comb(n, i) * s[i] * g[n - i]
-            s.append(acc / g[0])
-        for n, s_n in enumerate(s):
-            out[n][inner] = s_n
+    inside = inner.all()
+    ti = flat if inside else flat[inner]
+    s = _exp_jet(ti, m)  # f, which turns into S row by row in place
+    b = _exp_jet(1.0 - ti, m)
+    g = [s[l] + (-1.0) ** l * b[l] for l in range(m + 1)]
+    for n in range(m + 1):
+        for i in range(n):
+            s[n] -= math.comb(n, i) * s[i] * g[n - i]
+        s[n] /= g[0]
+    out = s
+    if not inside:
+        out = np.zeros((m + 1,) + flat.shape)
+        out[0, flat >= 1.0] = 1.0
+        out[:, inner] = s
     return out if t_arr.ndim else out[:, 0]
 
 
@@ -231,18 +235,20 @@ class PlateauBump(CutoffSpec):
         return _row(self.jet(t, order), order)
 
     def jet(self, t, m: int) -> np.ndarray:
-        # Leibniz: (up * down)^(n) = sum_i C(n, i) up^(i) down^(n-i)
+        # The ramps never overlap: on each, the other step is exactly 1 with
+        # derivatives exactly 0, so Leibniz' product is its own jet there.
         a, b, c, d = self.knots
         t_arr = np.asarray(t, dtype=float)
-        rise = smooth_step_jet((t_arr - a) / (b - a), m)
-        fall = smooth_step_jet((t_arr - c) / (d - c), m)
-        up = [rise[i] / (b - a) ** i for i in range(m + 1)]
-        down = [1.0 - fall[0]]
-        down += [-fall[j] / (d - c) ** j for j in range(1, m + 1)]
-        out = np.zeros_like(rise)
-        for n in range(m + 1):
-            for i in range(n + 1):
-                out[n] += math.comb(n, i) * up[i] * down[n - i]
+        up, down = (t_arr - a) / (b - a), (t_arr - c) / (d - c)
+        out = np.zeros((m + 1,) + t_arr.shape)
+        out[0, (up >= 1.0) & (down <= 0.0)] = 1.0
+        # the fall factor is 1 - S((t - c) / (d - c))
+        for x, width, sign in ((up, b - a, 1.0), (down, d - c, -1.0)):
+            ramp = (x > 0.0) & (x < 1.0)
+            rows = smooth_step_jet(x[ramp], m)
+            rows /= np.array([[sign * width ** i] for i in range(m + 1)])
+            rows[0] += (1.0 - sign) / 2.0
+            out[:, ramp] = rows
         return out
 
 

@@ -475,15 +475,6 @@ def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
     c = (4.0 ** sigma * math.gamma(0.5 + sigma) / (2.0 * math.sqrt(math.pi)
          * math.gamma(1.0 - sigma) * (1.0 - 2.0 * sigma)))
 
-    def odd_jet(x: np.ndarray) -> np.ndarray:
-        """``V^(n) = (-1)^m W''`` at x, 0 off ``+-support``."""
-        t = np.abs(x)
-        on = (t >= lo) & (t <= hi)
-        jet = profile.jet(t[on], n)
-        out = np.zeros(x.shape)
-        out[on] = np.sign(x[on]) * (t[on] * jet[n] + n * jet[n - 1])
-        return out
-
     order = np.argsort(radii, kind="stable")
     out = np.empty(radii.shape)
     for start in range(0, radii.size, _ORACLE_RADII):
@@ -491,9 +482,15 @@ def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
         r = radii[batch]
 
         def integrand(v: np.ndarray) -> np.ndarray:
+            # V^(n) = (-1)^m W'' at r + h and r - h, 0 off +-support
             h = v ** p
-            return p * v * (odd_jet(np.add.outer(r, h))
-                            + odd_jet(np.subtract.outer(r, h)))
+            x = np.stack([np.add.outer(r, h), np.subtract.outer(r, h)])
+            t = np.abs(x)
+            on = (t >= lo) & (t <= hi)
+            jet = profile.jet(t[on], n)
+            odd = np.zeros(x.shape)
+            odd[on] = np.sign(x[on]) * (t[on] * jet[n] + n * jet[n - 1])
+            return p * v * (odd[0] + odd[1])
 
         brk = [abs(x - e) ** (1.0 - sigma) for x in (r[0], r[-1])
                for e in (lo, hi, -lo, -hi)]
@@ -555,9 +552,18 @@ def _kelvin_samples(u: CutoffSpec, s: float, n: int,
     ``T_s u`` is radial, so it is evaluated once per entry of the radius
     table (`_lattice_radii`) and gathered; the sample mask and the seed-0
     draw read the same table.  The full-size arrays live only inside this
-    call, so none is held while the oracle runs.
+    call, so none is held while the oracle runs, and ``K`` goes before the
+    transform, which gets the gathered field as a temporary and frees it
+    before its inverse.
     """
     r, K = _lattice_radii(n)
+    flat = np.flatnonzero(((r >= 0.7) & (r <= 1.4))[K])
+    if flat.size == 0:
+        raise ValueError("no lattice point has radius in [0.7, 1.4]")
+    if s != 1.0 and flat.size > 400:
+        rng = np.random.Generator(np.random.Philox(0))
+        flat = np.sort(rng.choice(flat, size=400, replace=False))
+    radii = r[K.ravel()[flat]]
     # The inversion transform is supported where 1/r lies in the profile's
     # annulus; outside a slightly padded version of that shell it is
     # exactly 0, so it is evaluated on the shell only.
@@ -565,16 +571,26 @@ def _kelvin_samples(u: CutoffSpec, s: float, n: int,
     t_tab = np.zeros(r.shape)
     t_tab[shell] = (r[shell] ** (2.0 * s - 3)
                     * np.asarray(u(1.0 / r[shell]), dtype=float))
-    # a temporary, so that fractional_laplacian frees it before the inverse
-    lhs = fractional_laplacian(t_tab[K], (KELVIN_PERIOD,) * 3, s)
+    # popped, the field is held by the transform alone
+    field = [t_tab[K]]
+    del K
+    lhs = fractional_laplacian(field.pop(), (KELVIN_PERIOD,) * 3, s)
+    return lhs.ravel()[flat], radii
 
-    flat = np.flatnonzero(((r >= 0.7) & (r <= 1.4))[K])
-    if flat.size == 0:
-        raise ValueError("no lattice point has radius in [0.7, 1.4]")
-    if s != 1.0 and flat.size > 400:
-        rng = np.random.Generator(np.random.Philox(0))
-        flat = np.sort(rng.choice(flat, size=400, replace=False))
-    return lhs.ravel()[flat], r[K.ravel()[flat]]
+
+def _kelvin_rhs(u: CutoffSpec, s: float, support: tuple[float, float],
+                radii: np.ndarray) -> np.ndarray:
+    """The right side ``|x|^(-d-2s) ((-Delta)^s u)(x/|x|^2)`` of
+    `verify_kelvin` on R^3 at points of the given radii: computed once per
+    distinct radius, in either branch, and gathered back."""
+    d = 3
+    r, back = np.unique(radii, return_inverse=True)
+    inv_norm = 1.0 / r
+    if s == 1.0:
+        lap = -(u(inv_norm, 2) + (d - 1) / inv_norm * u(inv_norm, 1))
+    else:
+        lap = radial_fractional_at(u, support, d, s, inv_norm)
+    return (r ** (-d - 2.0 * s) * lap)[back]
 
 
 def verify_kelvin(u: CutoffSpec, s: float,
@@ -587,16 +603,16 @@ def verify_kelvin(u: CutoffSpec, s: float,
     never sampled, so its own outer radius is unconstrained).  The left
     side is computed on the real half-spectrum (`fractional_laplacian`)
     from lattice samples of ``T_s u`` taken once per radius.  The right
-    side, at the lattice points with radius in [0.7, 1.4], needs
-    ``(-Delta)^s u`` at the off-lattice inverted radii.  For s = 1 it uses
-    the exact radial Laplacian ``-(u'' + (d-1) u'/r)`` from the profile's
-    derivatives.  Otherwise it uses the real-space oracle
-    `radial_fractional_at` at its default relative tolerance 1e-9 (so the
-    batch a radius shares there does not move a lattice's error), on 400 of
-    each lattice's points drawn with seed 0, in one call over the union of
-    all the lattices' inverted radii.  Either way the right side never
-    touches a Fourier transform, so this is a genuine two-route comparison,
-    reported in relative L^2.
+    side, at the lattice points with radius in [0.7, 1.4] (at s != 1, 400
+    of each lattice's points drawn with seed 0), needs ``(-Delta)^s u`` at
+    the off-lattice inverted radii; `_kelvin_rhs` computes it once per
+    distinct radius of all the lattices together and gathers it back.  For
+    s = 1 that is the exact radial Laplacian ``-(u'' + (d-1) u'/r)`` from
+    the profile's derivatives.  Otherwise it is one call of the real-space
+    oracle `radial_fractional_at` at its default relative tolerance 1e-9
+    (so the batch a radius shares there does not move a lattice's error).
+    Either way the right side never touches a Fourier transform, so this is
+    a genuine two-route comparison, reported in relative L^2.
     """
     d = 3
     if s != 1.0:
@@ -607,13 +623,8 @@ def verify_kelvin(u: CutoffSpec, s: float,
         raise ValueError("the profile's inversion transform (outer radius "
                          "1/support[0]) must fit inside the half-period")
     samples = [_kelvin_samples(u, s, n, support) for n in sizes]
-    r_all = np.concatenate([r_pts for _, r_pts in samples])
-    inv_norm = 1.0 / r_all
-    if s == 1.0:
-        lap = -(u(inv_norm, 2) + (d - 1) / inv_norm * u(inv_norm, 1))
-    else:
-        lap = radial_fractional_at(u, support, d, s, inv_norm)
-    rhs_all = r_all ** (-d - 2.0 * s) * lap
+    rhs_all = _kelvin_rhs(u, s, support,
+                          np.concatenate([r_pts for _, r_pts in samples]))
 
     results = []
     cuts = np.cumsum([r_pts.size for _, r_pts in samples])[:-1]

@@ -87,7 +87,8 @@ def gauss_kronrod_batch(f, a: float, b: float, abs_tol: float = 1e-10,
         score = errs.reshape(-1, len(lo)).max(axis=0)
         n_split = max(1, min(len(lo), max_panels - len(lo), len(lo) // 4 + 1))
         order = np.argsort(score)[::-1][:n_split]
-        keep = np.setdiff1d(np.arange(len(lo)), order)
+        keep = np.ones(len(lo), bool)
+        keep[order] = False
         mids = 0.5 * (lo[order] + hi[order])
         new_lo = np.concatenate([lo[keep], lo[order], mids])
         new_hi = np.concatenate([hi[keep], mids, hi[order]])

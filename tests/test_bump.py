@@ -169,6 +169,28 @@ def test_scalar_jet_has_one_column():
     assert smooth_step_jet(0.4, 3).shape == (4,)
     assert inversion_bump(1.25).jet(0.6, 2).shape == (3,)
     assert smooth_step_jet(np.zeros((2, 3)), 1).shape == (2, 2, 3)
+    bump = PlateauBump(*_PLATEAU)
+    for t in (0.3, 1.0, 1.43, 2.0, 2.6, np.float64(1.2), np.array(0.5)):
+        np.testing.assert_array_equal(bump.jet(t, 3),
+                                      bump.jet(np.array([t]), 3)[:, 0])
+    assert bump.jet(np.full((2, 3), 1.0), 2).shape == (3, 2, 3)
+
+
+def test_jets_at_the_ends_of_their_ramps():
+    # every knot and its neighbouring doubles; b == c leaves no plateau,
+    # and the step's ends include points below exp(-1/t)'s floor
+    for knots in (_PLATEAU, (0.41, 1.40, 1.40, 2.46)):
+        t = np.array(knots)
+        t = np.concatenate([t, np.nextafter(t, -np.inf),
+                            np.nextafter(t, np.inf)])
+        rows = PlateauBump(*knots).jet(t, M)
+        for n in range(M + 1):
+            np.testing.assert_array_equal(rows[n], _ref_plateau(knots, t, n))
+    t = np.array([1e-300, 1e-13, 1e-12, 2e-12, 0.5, 1.0 - 1e-13, 1.0])
+    for tt in (t, t[1:-1]):
+        rows = smooth_step_jet(tt, M)
+        for n in range(M + 1):
+            np.testing.assert_array_equal(rows[n], _ref_step(tt, n))
 
 
 def _richardson(jet, t, n, h):

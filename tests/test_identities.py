@@ -301,6 +301,40 @@ def test_kelvin_samples_evaluate_the_profile_once_per_radius():
     assert 0 < sum(sizes) <= 3 * 32 ** 2 + 1
 
 
+@pytest.mark.parametrize("s", [1.0, 1.25])
+def test_kelvin_right_side_reads_each_distinct_radius_once(s):
+    # repeated and permuted radii get the values of their distinct radii bit
+    # for bit, so neither moves the oracle's batches
+    rng = np.random.Generator(np.random.Philox(29))
+    u = inversion_bump(s)
+    r = np.unique(rng.uniform(0.7, 1.4, 40))
+    idx = rng.permutation(np.concatenate([np.arange(r.size),
+                                          rng.integers(0, r.size, 80)]))
+    want = identities._kelvin_rhs(u, s, u.support, r)
+    np.testing.assert_array_equal(
+        identities._kelvin_rhs(u, s, u.support, r[idx]), want[idx])
+
+
+def test_kelvin_evaluates_the_laplacian_once_per_distinct_radius():
+    # s = 1: after one table per lattice, the two profile rows of the exact
+    # Laplacian see each distinct sampled radius once
+    u = inversion_bump(1.0)
+    sizes = []
+
+    class Spy(type(u)):
+        def jet(self, t, m):
+            sizes.append(np.size(t))
+            return super().jet(t, m)
+
+    radii = np.concatenate([identities._kelvin_samples(u, 1.0, n,
+                                                       u.support)[1]
+                            for n in (32, 64)])
+    distinct = np.unique(radii).size
+    verify_kelvin(Spy(u.base, u.power), 1.0, (32, 64))
+    assert distinct < radii.size
+    assert len(sizes) == 4 and sizes[2:] == [distinct, distinct]
+
+
 def test_kelvin_identity_classical_laplacian():
     res, = verify_kelvin(inversion_bump(1.0), 1.0, (128,))
     assert res.rel_err <= 1e-3
@@ -337,16 +371,18 @@ def _recording_oracle(monkeypatch, calls, oracle=None):
 
 
 def test_kelvin_over_two_lattices_matches_one_lattice_calls(monkeypatch):
-    # one oracle call over both lattices' inverted radii: each lattice keeps
-    # its own 400 points, and its error moves only by how the union refines
+    # one oracle call over the distinct inverted radii of both lattices:
+    # each lattice keeps its own 400 points, and its error moves only by how
+    # the union refines
     u = inversion_bump(1.25)
     sizes = (32, 64)
     calls = []
     _recording_oracle(monkeypatch, calls, radial_fractional_at)
     both = verify_kelvin(u, 1.25, sizes)
     singles = [verify_kelvin(u, 1.25, (n,))[0] for n in sizes]
-    assert len(calls) == 3 and [r.size for r in calls] == [800, 400, 400]
-    np.testing.assert_array_equal(calls[0], np.concatenate(calls[1:]))
+    assert len(calls) == 3 and [r.size for r in calls] == [183, 50, 161]
+    np.testing.assert_array_equal(np.sort(calls[0]),
+                                  np.union1d(calls[1], calls[2]))
     for pair, one in zip(both, singles):
         assert pair.lhs == one.lhs
         assert pair.rel_err == pytest.approx(one.rel_err, rel=1e-10, abs=0)
@@ -358,7 +394,8 @@ def test_kelvin_checks_call_the_oracle_once_per_fractional_order(
     _recording_oracle(monkeypatch, calls)
     checks = acceptance.kelvin_checks()
     assert [c.s for c in checks] == [1.0, 1.25]
-    assert len(calls) == 1 and calls[0].size == 800
+    # 161 distinct radii at n = 64 and 296 at n = 128, 42 of them on both
+    assert len(calls) == 1 and np.unique(calls[0]).size == calls[0].size == 415
 
 
 def _gaussian(t, order=0):
