@@ -172,7 +172,9 @@ PARSEVAL_TOL = 1e-10
 
 
 def tol_text(tol: float) -> str:
-    """``tol`` as the verdict texts print it: ``1e-5``, not ``1e-05``."""
+    """``tol`` as the verdict texts print it, in ``%g``: fixed notation
+    down to 1e-4 (``0.01``, ``0.001``) and an exponent below it, written
+    ``1e-5``, not ``1e-05``."""
     return f"{tol:g}".replace("e-0", "e-")
 
 

@@ -17,8 +17,9 @@ shape(t)`` array whose row ``i`` is the i-th derivative (Taylor arithmetic,
 Griewank & Walther, *Evaluating Derivatives*, 2008).  `smooth_step_jet`
 evaluates ``exp(-1/t)`` once per side and each ``P_l(1/t)`` once, in place;
 `PlateauBump` takes each step jet on its own ramp only (the ramps never
-overlap, so Leibniz' product of the two steps is one step's jet there), and
-`InversionImage` applies its chain-rule term table to the base jet.  A
+overlap, so Leibniz' product of the two steps is one step's jet there),
+`SymmetricPlateau` rescales one step jet in |t|, and `InversionImage`
+applies its chain-rule term table to the base jet.  A
 cutoff's ``__call__(t, order)`` is row ``order`` of its jet, or the jet is
 the stack of its ``__call__`` rows (the `CutoffSpec` default), so each class
 has one derivative implementation.
@@ -120,13 +121,13 @@ def _row(jet: np.ndarray, order: int):
     return float(row) if row.ndim == 0 else row
 
 
-def smooth_step(t, order: int = 0):
-    """S(t), or its analytic derivative of the given order.
+def smooth_step(t):
+    """S(t): 0 for t <= 0, 1 for t >= 1, and strictly increasing in between.
 
-    S is 0 for t <= 0, 1 for t >= 1, and strictly increasing in between; all
-    derivatives vanish outside (0, 1).
+    Its derivatives, which all vanish outside (0, 1), are the rows of
+    `smooth_step_jet`.
     """
-    return _row(smooth_step_jet(t, order), order)
+    return _row(smooth_step_jet(t, 0), 0)
 
 
 def psi0(t, order: int = 0):
@@ -262,18 +263,19 @@ class SymmetricPlateau(CutoffSpec):
         self.support = (-2.0 * self.half_width, 2.0 * self.half_width)
 
     def __call__(self, t, order: int = 0):
-        _check_order(order)
+        return _row(self.jet(t, order), order)
+
+    def jet(self, t, m: int) -> np.ndarray:
+        # 1 - S((|t| - w) / w): row n is -S^(n) / w^n, odd rows odd in t
         w = self.half_width
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        s = smooth_step((np.abs(t_arr) - w) / w, order)
-        if order == 0:
-            out = 1.0 - s
-        else:
-            sign = np.where(t_arr < 0.0, -1.0, 1.0)
-            out = -(sign ** order) * s / w ** order
-        return float(out[0]) if scalar else out
+        rows = smooth_step_jet((np.abs(t_arr) - w) / w, m)
+        rows[0] = 1.0 - rows[0]
+        if m:
+            scale = np.array([-(w ** n) for n in range(1, m + 1)])
+            rows[1:] /= scale.reshape((m,) + (1,) * t_arr.ndim)
+            rows[1::2] *= np.where(t_arr < 0.0, -1.0, 1.0)
+        return rows
 
 
 _UNIT_PLATEAU = SymmetricPlateau(1.0)

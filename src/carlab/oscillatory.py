@@ -181,20 +181,27 @@ class Phi5Spec:
     def support(self) -> tuple[float, float]:
         return (1.0 - 2.0 * self.delta0, 1.0 + 2.0 * self.delta0)
 
-    def varphi(self, rho, order: int = 0):
+    def varphi(self, rho, order: int):
         """Even plateau factor, evaluated in the shifted variable rho - 1."""
         return self._plateau(np.asarray(rho, dtype=float) - 1.0, order)
 
-    def phi(self, rho, order: int = 0):
-        """Weighted profile rho**w * varphi(rho) with analytic derivatives."""
+    def phi(self, rho):
+        """Weighted profile rho**w * varphi(rho)."""
+        return self._phi_jet(rho, 0)[0]
+
+    def _phi_jet(self, rho, m: int) -> np.ndarray:
+        """Rows phi^(0..m)(rho) by Leibniz' rule on one jet of varphi."""
         rho = np.asarray(rho, dtype=float)
         w = self.weight_power
-        out = np.zeros(np.broadcast_shapes(rho.shape, ()), dtype=float)
+        varphi = self._plateau.jet(rho - 1.0, m)
         safe = np.where(rho > 0.0, rho, 1.0)
-        for i in range(order + 1):
-            out = out + (math.comb(order, i) * _falling(w, i)
-                         * safe ** (w - i) * self.varphi(rho, order - i))
-        return np.where(rho > 0.0, out, 0.0)
+        weight = [safe ** (w - i) for i in range(m + 1)]
+        out = np.zeros((m + 1,) + rho.shape)
+        for n in range(m + 1):
+            acc = sum(math.comb(n, i) * _falling(w, i) * weight[i]
+                      * varphi[n - i] for i in range(n + 1))
+            out[n] = np.where(rho > 0.0, acc, 0.0)
+        return out
 
     def _build_tables(self) -> tuple:
         """Coefficient tables after each reduction step, keyed (power, order)."""
@@ -219,9 +226,11 @@ class Phi5Spec:
     def eval_table(self, l: int, rho) -> np.ndarray:
         """Evaluate coefficient table ``l`` at the given radii."""
         rho = np.asarray(rho, dtype=float)
+        table = self.tables[l]
+        phi = self._phi_jet(rho, max(dv for _, dv in table))
         out = np.zeros(rho.shape)
-        for (p, dv), c in self.tables[l].items():
-            out = out + c * rho ** p * self.phi(rho, dv)
+        for (p, dv), c in table.items():
+            out = out + c * rho ** p * phi[dv]
         return out
 
 

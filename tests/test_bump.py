@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from carlab.bump import (MAX_DERIVATIVE_ORDER, InversionImage, PlateauBump,
                          Psi0Cutoff, PsiCutoff, SymmetricPlateau,
                          _transition_poly, bump_fingerprint, inversion_bump,
-                         psi, psi0, smooth_step, smooth_step_jet)
+                         psi, psi0, smooth_step_jet)
 
 M = MAX_DERIVATIVE_ORDER
 
@@ -60,6 +60,21 @@ def _ref_plateau(knots, t, order):
     return out
 
 
+def _ref_symmetric(w, t, order):
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    s = _ref_step((np.abs(t) - w) / w, order)
+    if order == 0:
+        return 1.0 - s
+    sign = np.where(t < 0.0, -1.0, 1.0)
+    return -(sign ** order) * s / w ** order
+
+
+def _step_order(t, order):
+    """S^(order)(t), a float at a scalar t, as the cutoffs' ``__call__``."""
+    row = smooth_step_jet(t, order)[order]
+    return float(row) if row.ndim == 0 else row
+
+
 def _ref_inversion(base, power, t, order):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     safe = np.where(t > 0.0, t, 1.0)
@@ -81,12 +96,17 @@ _PLATEAU = (0.41, 1.40, 1.47, 2.46)
 
 # name -> (cutoff as fn(t, order), jet(t, m), per-order reference, sample)
 _CASES = {
-    "smooth_step": (smooth_step, smooth_step_jet, _ref_step,
+    "smooth_step": (_step_order, smooth_step_jet, _ref_step,
                     np.linspace(-0.3, 1.3, 257)),
-    "psi0": (psi0, Psi0Cutoff().jet, None, np.linspace(-2.5, 2.5, 257)),
-    "psi": (psi, PsiCutoff().jet, None, np.linspace(-2.5, 2.5, 257)),
+    "psi0": (psi0, Psi0Cutoff().jet, lambda t, n: _ref_symmetric(1.0, t, n),
+             np.linspace(-2.5, 2.5, 257)),
+    "psi": (psi, PsiCutoff().jet,
+            lambda t, n: (_ref_symmetric(1.0, t, n)
+                          - 2.0 ** n * _ref_symmetric(1.0, 2.0 * t, n)),
+            np.linspace(-2.5, 2.5, 257)),
     "SymmetricPlateau": (SymmetricPlateau(0.7), SymmetricPlateau(0.7).jet,
-                         None, np.linspace(-1.6, 1.6, 257)),
+                         lambda t, n: _ref_symmetric(0.7, t, n),
+                         np.linspace(-1.6, 1.6, 257)),
     "PlateauBump": (PlateauBump(*_PLATEAU), PlateauBump(*_PLATEAU).jet,
                     lambda t, n: _ref_plateau(_PLATEAU, t, n),
                     np.linspace(0.3, 2.6, 513)),
@@ -174,6 +194,10 @@ def test_scalar_jet_has_one_column():
         np.testing.assert_array_equal(bump.jet(t, 3),
                                       bump.jet(np.array([t]), 3)[:, 0])
     assert bump.jet(np.full((2, 3), 1.0), 2).shape == (3, 2, 3)
+    plateau = SymmetricPlateau(0.7)
+    for t in (-1.0, 0.0, 0.7, 1.2, np.float64(-0.9), np.array(1.4)):
+        np.testing.assert_array_equal(plateau.jet(t, 3),
+                                      plateau.jet(np.array([t]), 3)[:, 0])
 
 
 def test_jets_at_the_ends_of_their_ramps():
@@ -191,6 +215,14 @@ def test_jets_at_the_ends_of_their_ramps():
         rows = smooth_step_jet(tt, M)
         for n in range(M + 1):
             np.testing.assert_array_equal(rows[n], _ref_step(tt, n))
+    # both signs of the symmetric plateau's knots, flat and as a 2-D array
+    t = np.array([0.0, 0.7, 1.4])
+    t = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
+    t = np.concatenate([t, -t])
+    rows = SymmetricPlateau(0.7).jet(t.reshape(6, 3), M)
+    for n in range(M + 1):
+        np.testing.assert_array_equal(rows[n].ravel(),
+                                      _ref_symmetric(0.7, t, n))
 
 
 def _richardson(jet, t, n, h):

@@ -205,6 +205,30 @@ def test_a_hull_off_the_degenerate_set_gets_a_finite_bound():
     assert np.isfinite(bound) and bound > 0.0
 
 
+@pytest.mark.parametrize("d", [25, 35])
+def test_high_d_knapp_bound_matches_a_scipy_sphere_transform(d, monkeypatch):
+    # the radial axis of a d-dimensional witness runs through sphere_hat at
+    # Bessel order up to 16; scipy's J_nu is the independent oracle
+    import carlab.normest as normest
+    special = pytest.importorskip("scipy.special")
+
+    def scipy_sphere_hat(n, r):
+        nu = 0.5 * (n - 2)
+        r = np.asarray(r, dtype=float)
+        safe = np.where(r > 0.0, r, 1.0)
+        u = np.where(r > 0.0, special.jv(nu, safe) / safe ** nu,
+                     1.0 / (2.0 ** nu * math.gamma(nu + 1.0)))
+        return (2.0 * math.pi) ** (0.5 * n) * u
+
+    eps = 2.0 ** -4
+    field = knapp_witness("tilde", d, eps, n=32)
+    spec = SymbolSpec("tilde", d, 1, eps=eps)
+    ours = certified_lower_bound(field, spec, 4.0 / 3.0, 4.0)
+    monkeypatch.setattr(normest, "sphere_hat", scipy_sphere_hat)
+    want = certified_lower_bound(field, spec, 4.0 / 3.0, 4.0)
+    assert ours == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 @pytest.mark.parametrize("family", ["tilde", "eps"])
 def test_a_witness_bound_makes_one_full_lattice_pass_per_norm(family,
                                                              monkeypatch):

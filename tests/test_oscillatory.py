@@ -40,13 +40,24 @@ def test_ju_regular_value_at_origin():
 
 
 def test_against_scipy_orders_and_ranges():
+    # J_nu to 1e-10 absolute, u_nu = r^-nu J_nu to 1e-10 of u_nu(0), at
+    # every order the module serves; the series side reaches up to the last
+    # double below the cut, the Hankel side from the cut to 1e4
     jv = pytest.importorskip("scipy.special").jv
-    r = np.concatenate([np.linspace(0.0, 11.9, 120),
-                        np.geomspace(12.0, 1e4, 160)])
-    for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.5, 7.0):
-        got = bessel_j(nu, r)
-        want = jv(nu, r)
-        assert np.abs(got - want).max() <= 1e-10, nu
+    below = np.concatenate([np.linspace(0.0, 12.0, 481)[:-1],
+                            [np.nextafter(12.0, 0.0)]])
+    above = np.concatenate([np.linspace(12.0, 100.0, 353),
+                            np.geomspace(100.0, 1e4, 200)])
+    for nu in np.arange(0.0, 16.5, 0.5):
+        u0 = bessel_ju(nu, 0.0)
+        for r in (below, above):
+            want = jv(nu, r)
+            assert np.abs(bessel_j(nu, r) - want).max() <= 1e-10, (nu, r[0])
+            pos = r > 0.0
+            with np.errstate(under="ignore"):
+                want_u = want[pos] * np.exp(-nu * np.log(r[pos]))
+            err_u = np.abs(bessel_ju(nu, r[pos]) - want_u).max() / u0
+            assert err_u <= 1e-10, (nu, r[0])
 
 
 def test_hankel_asymptotic_remainder_decay():
