@@ -263,6 +263,30 @@ def _table_identities(dims: regions.DimensionPair,
     return holds
 
 
+def _composed_k1_identity(d: int) -> bool:
+    """A1's ``tables:`` clause on composing k = 1 estimates at dimension d.
+
+    k >= 2 such steps of 2/d along x - y = 2/d need two points of the
+    (d, 1) range 2/d apart.  For d > 4 its ends lo and hi (each
+    `carleman_range`'s last point, 1e-6 short of one it refuses) have
+    lo + 2/d > hi; for d <= 4 no k >= 2 has 2k < d, so every k >= 2 gap
+    line misses the square.  A fact about these tables only: it says
+    nothing of estimates off the gap line.
+    """
+    if d <= 4:
+        return not any(2 * k < d for k in range(2, d))
+    dims = regions.DimensionPair(d, 1)
+    gap, step = Fraction(2, d), Fraction(1, 10 ** 6)
+    lo = Fraction((d + 2) * (d - 2), 2 * d * (d - 1))
+    hi = Fraction(d + 2, 2 * (d - 1))
+
+    def admits(x: Fraction) -> bool:
+        return regions.carleman_range(dims, regions.ExponentPoint(x, x - gap))
+
+    return (admits(lo) and admits(hi) and not admits(lo - step)
+            and not admits(hi + step) and lo + gap > hi)
+
+
 def symbol_errors(d: int, k: int, eps: float, n_pts: int,
                   rng: np.random.Generator) -> tuple[float, float]:
     """Worst relative errors of local + global = full, and of the closed-form
@@ -419,9 +443,13 @@ _GEOMETRY_PAIRS = ((5, 2), (7, 2), (3, 1), (9, 3), (4, 1), (6, 2), (11, 5),
 
 def _a1_exact_geometry() -> tuple[bool, str]:
     """Rational identities for the exponent square, the exponent tables'
-    among them (`geometry_identities`), at eight (d, k) pairs."""
+    among them (`geometry_identities`), at eight (d, k) pairs, and at each
+    of their d the clause that composing k = 1 reaches no k >= 2
+    (`_composed_k1_identity`)."""
     errs = [f"({d},{k}) {name}" for d, k in _GEOMETRY_PAIRS
             for name, holds in geometry_identities(d, k).items() if not holds]
+    errs += [f"({d},1) tables: composing k = 1 reaches k >= 2"
+             for d, _ in _GEOMETRY_PAIRS if not _composed_k1_identity(d)]
     if regions.special_points(regions.DimensionPair(7, 2))["G"] != \
             regions.ExponentPoint(Fraction(55, 84), Fraction(1, 12)):
         errs.append("(7,2) G value")
@@ -435,7 +463,8 @@ def _a1_exact_geometry() -> tuple[bool, str]:
                     errs.append(f"({d},{k}) should be empty at {pt}")
     ok = not errs
     detail = ("exact geometry holds at " + ", ".join(
-        f"({d},{k})" for d, k in _GEOMETRY_PAIRS) + " plus emptiness cases"
+        f"({d},{k})" for d, k in _GEOMETRY_PAIRS)
+        + " plus the emptiness and composed k = 1 cases"
         if ok else "failed: " + "; ".join(errs[:4]))
     return ok, detail
 

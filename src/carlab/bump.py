@@ -15,14 +15,19 @@ That recurrence yields every lower order on the way to the one asked for, so
 derivatives travel as *jets*: ``jet(t, m)`` returns one ``(m + 1,) +
 shape(t)`` array whose row ``i`` is the i-th derivative (Taylor arithmetic,
 Griewank & Walther, *Evaluating Derivatives*, 2008).  `smooth_step_jet`
-evaluates ``exp(-1/t)`` once per side and each ``P_l(1/t)`` once, in place;
-`PlateauBump` takes each step jet on its own ramp only (the ramps never
-overlap, so Leibniz' product of the two steps is one step's jet there),
+evaluates ``exp(-1/t)`` once per side and each ``P_l(1/t)`` once, in place
+(Horner skips the additions of P_l's zero coefficients), turns the second
+side's jet into g's in place, and runs Leibniz through one scratch row.
+`PlateauBump` assembles its jet on the flattened points: the plateau's row
+0 is 1, and each ramp's step jet, taken on that ramp's points only and
+rescaled to the ramp's width, is written back through the ramp's
+``np.flatnonzero`` indices (the ramps never overlap, so Leibniz' product of
+the two steps is one step's jet there; every other entry is 0).
 `SymmetricPlateau` rescales one step jet in |t|, and `InversionImage`
-applies its chain-rule term table to the base jet.  A
-cutoff's ``__call__(t, order)`` is row ``order`` of its jet, or the jet is
-the stack of its ``__call__`` rows (the `CutoffSpec` default), so each class
-has one derivative implementation.
+applies its chain-rule term table to the base jet.  A cutoff's
+``__call__(t, order)`` is row ``order`` of its jet, or the jet is the stack
+of its ``__call__`` rows (the `CutoffSpec` default), so each class has one
+derivative implementation.
 """
 
 from __future__ import annotations
@@ -77,13 +82,15 @@ def _exp_jet(t: np.ndarray, m: int) -> np.ndarray:
         e = np.exp(-1.0 / tm, out=rows[0])
         u = 1.0 / tm if m else None
         for l in range(1, m + 1):
-            # Horner, in the operation order of Polynomial.__call__
+            # Horner, in the operation order of Polynomial.__call__, less
+            # the steps that add an exact 0.0 (P_l's l + 1 lowest ones)
             lead, *rest = _transition_coef(l)
             p = rows[l]
             p.fill(lead)
             for c in rest:
                 p *= u
-                p += c
+                if c:
+                    p += c
             p *= e
     if inside:
         return rows
@@ -101,11 +108,15 @@ def smooth_step_jet(t, m: int) -> np.ndarray:
     inside = inner.all()
     ti = flat if inside else flat[inner]
     s = _exp_jet(ti, m)  # f, which turns into S row by row in place
-    b = _exp_jet(1.0 - ti, m)
-    g = [s[l] + (-1.0) ** l * b[l] for l in range(m + 1)]
+    g = _exp_jet(1.0 - ti, m)  # B^(l)(1 - t), which turns into g in place
+    g[0::2] += s[0::2]
+    np.subtract(s[1::2], g[1::2], out=g[1::2])
+    scratch = np.empty(ti.shape) if m else None
     for n in range(m + 1):
         for i in range(n):
-            s[n] -= math.comb(n, i) * s[i] * g[n - i]
+            np.multiply(s[i], math.comb(n, i), out=scratch)
+            scratch *= g[n - i]
+            s[n] -= scratch
         s[n] /= g[0]
     out = s
     if not inside:
@@ -240,17 +251,18 @@ class PlateauBump(CutoffSpec):
         # derivatives exactly 0, so Leibniz' product is its own jet there.
         a, b, c, d = self.knots
         t_arr = np.asarray(t, dtype=float)
-        up, down = (t_arr - a) / (b - a), (t_arr - c) / (d - c)
-        out = np.zeros((m + 1,) + t_arr.shape)
-        out[0, (up >= 1.0) & (down <= 0.0)] = 1.0
+        flat = t_arr.ravel()
+        up, down = (flat - a) / (b - a), (flat - c) / (d - c)
+        out = np.zeros((m + 1, flat.size))
+        out[0, np.flatnonzero((up >= 1.0) & (down <= 0.0))] = 1.0
         # the fall factor is 1 - S((t - c) / (d - c))
         for x, width, sign in ((up, b - a, 1.0), (down, d - c, -1.0)):
-            ramp = (x > 0.0) & (x < 1.0)
+            ramp = np.flatnonzero((x > 0.0) & (x < 1.0))
             rows = smooth_step_jet(x[ramp], m)
             rows /= np.array([[sign * width ** i] for i in range(m + 1)])
             rows[0] += (1.0 - sign) / 2.0
             out[:, ramp] = rows
-        return out
+        return out.reshape((m + 1,) + t_arr.shape)
 
 
 class SymmetricPlateau(CutoffSpec):

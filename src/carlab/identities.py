@@ -457,10 +457,13 @@ def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
     and ``W''(x) = (-1)^m sign(x) (|x| u^(n) + n u^(n-1))(|x|)``, read from
     the profile's jet on the support: no cancellation, no tail and no
     Fourier transform.  ``h = v^(1/(1-sigma))`` makes the weight linear in
-    v.  Ascending batches of `_ORACLE_RADII` radii share one
-    `gauss_kronrod_batch`, with breakpoints where ``r +- h`` meets
-    ``+-support`` at the batch's first and last radius (else the shared
-    panels can converge falsely); no value depends on the radii's order.
+    v.  Each radius's h-range splits at the three points inside
+    ``(0, r + support[1])`` where ``r +- h`` crosses ``+-support``, and
+    its k-th segment maps linearly in v onto ``[k, k + 1]``, its Jacobian
+    carried into the integrand.  Ascending batches of `_ORACLE_RADII`
+    radii then share one `gauss_kronrod_batch` over ``[0, 4]`` with
+    breakpoints at the integers, so every radius's support crossings sit
+    on panel ends; no value depends on the radii's order.
     """
     m, sigma = _oracle_order(d, s)
     n = 2 * m + 2
@@ -479,25 +482,37 @@ def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
     out = np.empty(radii.shape)
     for start in range(0, radii.size, _ORACLE_RADII):
         batch = order[start:start + _ORACLE_RADII]
-        r = radii[batch]
+        r = radii[batch][:, None]
+        # h-ends of each radius's four segments: the crossings are the
+        # three largest of these five, each clipped into [0, r + hi]
+        cross = np.sort(np.clip(np.hstack([hi - r, lo - r, r - lo, r - hi,
+                                           r + lo]), 0.0, r + hi), axis=1)
+        ends = np.hstack([np.zeros_like(r), cross[:, 2:], r + hi])
+        ends **= 1.0 - sigma
+        jacs = np.diff(ends, axis=1)
 
-        def integrand(v: np.ndarray) -> np.ndarray:
-            # V^(n) = (-1)^m W'' at r + h and r - h, 0 off +-support
+        def integrand(z: np.ndarray) -> np.ndarray:
+            # z in [k, k + 1] is segment k, linear in v; V^(n) = (-1)^m W''
+            # at r + h and r - h, 0 off +-support
+            k = np.minimum(z.astype(int), 3)
+            jac = jacs[:, k]
+            v = ends[:, k] + (z - k) * jac
             h = v ** p
-            x = np.stack([np.add.outer(r, h), np.subtract.outer(r, h)])
+            x = np.stack([r + h, r - h])
             t = np.abs(x)
-            on = (t >= lo) & (t <= hi)
-            jet = profile.jet(t[on], n)
-            odd = np.zeros(x.shape)
-            odd[on] = np.sign(x[on]) * (t[on] * jet[n] + n * jet[n - 1])
-            return p * v * (odd[0] + odd[1])
+            on = np.flatnonzero((t >= lo) & (t <= hi))
+            t_on = t.ravel()[on]
+            jet = profile.jet(t_on, n)
+            odd = np.zeros(x.size)
+            odd[on] = np.sign(x.ravel()[on]) * (t_on * jet[n]
+                                                + n * jet[n - 1])
+            odd = odd.reshape(x.shape)
+            return p * v * jac * (odd[0] + odd[1])
 
-        brk = [abs(x - e) ** (1.0 - sigma) for x in (r[0], r[-1])
-               for e in (lo, hi, -lo, -hi)]
         vals, _ = gauss_kronrod_batch(
-            integrand, 0.0, (r[-1] + hi) ** (1.0 - sigma), abs_tol=1e-13,
-            rel_tol=rel_tol, breakpoints=brk, max_panels=16384)
-        out[batch] = (-1.0) ** m * c * vals / r
+            integrand, 0.0, 4.0, abs_tol=1e-13, rel_tol=rel_tol,
+            breakpoints=(1.0, 2.0, 3.0), max_panels=16384)
+        out[batch] = (-1.0) ** m * c * vals / r[:, 0]
     return out
 
 

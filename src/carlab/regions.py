@@ -196,12 +196,24 @@ def carleman_range(dims: DimensionPair, p: ExponentPoint) -> bool:
     for ``k >= d/2`` the line misses the square entirely, so the set is empty;
     both of these come out of the same conjunction with no special-casing.
     """
-    d, k = dims.d, dims.k
     if not _on_gap_line(dims, p):
         return False
-    lo = Fraction((d + 2 * k) * (d - 2), 2 * d * (d - 1))
-    hi = Fraction(d + 2 * k, 2 * (d - 1))
+    lo, hi = _range_cuts(dims.d, dims.k)
     return lo <= p.x <= hi
+
+
+def _range_cuts(d: int, k: int) -> tuple[Fraction, Fraction]:
+    """`carleman_range`'s two x-cuts at (d, k)."""
+    return (Fraction((d + 2 * k) * (d - 2), 2 * d * (d - 1)),
+            Fraction(d + 2 * k, 2 * (d - 1)))
+
+
+def _range_length(d: int, k: int) -> Fraction:
+    """The x-extent of `carleman_range` at (d, k): its cuts clipped to the
+    open gap line's 2k/d < x < 1, and 0 where nothing is left."""
+    lo, hi = _range_cuts(d, k)
+    return max(min(hi, Fraction(1)) - max(lo, Fraction(2 * k, d)),
+               Fraction(0))
 
 
 def in_region(region: RegionId, dims: DimensionPair, p: ExponentPoint) -> bool:
@@ -233,10 +245,12 @@ def emit_figure_data(dims: DimensionPair) -> dict:
 
     The returned dict carries the named vertices (exact rationals plus float
     shadows), polygon vertex lists for the interpolation quadrilateral and the
-    closure pentagon, the gap-line segment clipped to the square, and the
-    sharp sub-segment with its endpoint-openness flags.  It contains
-    everything needed to redraw the admissible-range figure without redoing
-    any arithmetic.
+    closure pentagon, the gap-line segment clipped to the square, the
+    sharp sub-segment with its endpoint-openness flags, and, for k >= 2,
+    what composing k estimates on the (d, 1) range gives in these tables
+    (nothing), with the x-extents of the (d, 1) and (d, k) ranges.  It
+    contains everything needed to redraw the admissible-range figure
+    without redoing any arithmetic.
     """
     d, k = dims.d, dims.k
     pts = special_points(dims)
@@ -282,4 +296,15 @@ def emit_figure_data(dims: DimensionPair) -> dict:
         out["gap_line"] = {"segment": [], "open_interior_only": True}
         out["sharp_segment"] = {"segment": [], "empty": True,
                                 "reason": f"2k/d = {gap} >= 1 leaves the square"}
+    if k >= 2:
+        # k steps of 2/d along x - y = 2/d, each inside the (d, 1) range,
+        # need two of its points 2/d apart: for d > 4 its x-extent
+        # (d + 2)/(d(d - 1)) is shorter than 2/d, and at d = 3, 4 it is an
+        # open interval 1/3 and 1/2 long, against steps of 2/3 and 1/2
+        out["composed_k1"] = {
+            "segment": [], "empty": True,
+            "k1_length": str(_range_length(d, 1)),
+            "step": str(Fraction(2, d)),
+            "length": str(_range_length(d, k)),
+        }
     return out

@@ -307,16 +307,3 @@ def apply_multiplier(field: GridField, symbol: Symbol) -> GridField:
     F = field.to_freq()
     out = F.with_values(F.values * sample_symbol(F, symbol), in_space=False)
     return out.to_space() if field.in_space else out
-
-
-def conjugate_reflect(field: GridField) -> GridField:
-    """x -> conj(f(-x)), exact on the lattice.
-
-    On the shifted frequency lattice this is plain coefficientwise
-    conjugation (the reflection returns every mode to its own frequency), so
-    the operation commutes exactly with multiplier application by the
-    conjugated symbol.
-    """
-    F = field.to_freq()
-    out = F.with_values(np.conj(F.values), in_space=False)
-    return out.to_space() if field.in_space else out

@@ -1,6 +1,7 @@
 """Test helpers that put values on a lattice: a `GridField` on a lattice's
-geometry, the live τ-lines `power_method` runs from, a Knapp witness
-unfolded onto its Cartesian lattice, and the support hull of a dense array."""
+geometry, its conjugate reflection, the live τ-lines `power_method` runs
+from, a Knapp witness unfolded onto its Cartesian lattice, and the support
+hull of a dense array."""
 import numpy as np
 
 from carlab.normest import _live_lines, _on_lines
@@ -11,6 +12,19 @@ def field_on(grid: Lattice, values, in_space: bool = True) -> GridField:
     """The field with ``values`` on ``grid``'s lattice."""
     return GridField(values, grid.periods, grid.freq_offsets,
                      in_space=in_space)
+
+
+def conjugate_reflect(field: GridField) -> GridField:
+    """x -> conj(f(-x)), exact on the lattice.
+
+    On the shifted frequency lattice this is plain coefficientwise
+    conjugation (the reflection returns every mode to its own frequency), so
+    the operation commutes exactly with multiplier application by the
+    conjugated symbol.
+    """
+    F = field.to_freq()
+    out = F.with_values(np.conj(F.values), in_space=False)
+    return out.to_space() if field.in_space else out
 
 
 def start_lines(field: GridField, symbol):

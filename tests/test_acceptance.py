@@ -94,6 +94,19 @@ def test_a1():
     _check("A1")
 
 
+def test_a1_fails_where_composing_k1_would_reach_k2(monkeypatch):
+    # the clause runs once at each of A1's d, inside A1's one verdict
+    seen = []
+
+    def clause(d):
+        seen.append(d)
+        return d != 9
+    monkeypatch.setattr(acceptance, "_composed_k1_identity", clause)
+    ok, detail = acceptance._a1_exact_geometry()
+    assert sorted(seen) == [3, 4, 5, 6, 7, 9, 11, 15]
+    assert not ok and "(9,1) tables: composing k = 1" in detail
+
+
 def test_a2():
     _check("A2")
 

@@ -7,7 +7,7 @@ import pytest
 
 import carlab.identities as identities
 from carlab import acceptance
-from carlab.bump import CustomCutoff, inversion_bump
+from carlab.bump import CustomCutoff, InversionImage, inversion_bump
 from carlab.identities import (KELVIN_PERIOD, PolyGauss, eval_field_at_points,
                                fractional_laplacian, pair_pullback,
                                radial_fractional_at, sphere_integral,
@@ -388,14 +388,40 @@ def test_kelvin_over_two_lattices_matches_one_lattice_calls(monkeypatch):
         assert pair.rel_err == pytest.approx(one.rel_err, rel=1e-10, abs=0)
 
 
-def test_kelvin_checks_call_the_oracle_once_per_fractional_order(
-        monkeypatch):
+@pytest.fixture(scope="module")
+def a4_oracle_calls():
+    """The radii of every oracle call A4's `kelvin_checks` makes, with a
+    stand-in oracle that returns ones."""
     calls = []
-    _recording_oracle(monkeypatch, calls)
-    checks = acceptance.kelvin_checks()
+    with pytest.MonkeyPatch.context() as mp:
+        _recording_oracle(mp, calls)
+        checks = acceptance.kelvin_checks()
     assert [c.s for c in checks] == [1.0, 1.25]
+    return calls
+
+
+def test_kelvin_checks_call_the_oracle_once_per_fractional_order(
+        a4_oracle_calls):
     # 161 distinct radii at n = 64 and 296 at n = 128, 42 of them on both
+    calls = a4_oracle_calls
     assert len(calls) == 1 and np.unique(calls[0]).size == calls[0].size == 415
+
+
+def test_a4_oracle_takes_profile_jets_on_a_bounded_number_of_points(
+        a4_oracle_calls, monkeypatch):
+    # each radius's support crossings are panel ends, so panels refine for
+    # the radius that needs them: 1,409,580 jet points over A4's 415 radii,
+    # against 2,221,576 when a batch shared breakpoints at its end radii
+    points = []
+    jet = InversionImage.jet
+
+    def counting(self, t, m):
+        points.append(np.size(t))
+        return jet(self, t, m)
+    monkeypatch.setattr(InversionImage, "jet", counting)
+    u = inversion_bump(1.25)
+    radial_fractional_at(u, u.support, 3, 1.25, a4_oracle_calls[0])
+    assert sum(points) <= 1_500_000
 
 
 def _gaussian(t, order=0):
@@ -418,6 +444,17 @@ def test_radial_oracle_matches_the_gaussian_closed_form():
         want = (4.0 ** s * math.gamma(1.5 + s) / math.gamma(1.5)
                 * hyp1f1(1.5 + s, 1.5, -r * r))
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max(), s
+
+
+def test_radial_oracle_gives_a_radius_alone_what_it_gives_in_a_batch():
+    # each radius meets the tolerance on the panels its batch shares, so
+    # alone and among 63 others it lands within 2 rel_tol of the scale
+    u = inversion_bump(1.25)
+    r = np.sort(RNG.uniform(0.4, 2.5, identities._ORACLE_RADII))
+    batch = radial_fractional_at(u, u.support, 3, 1.25, r)
+    for i in (0, 17, 40, r.size - 1):
+        alone = radial_fractional_at(u, u.support, 3, 1.25, r[i:i + 1])
+        assert abs(alone[0] - batch[i]) <= 2e-9 * np.abs(batch).max(), i
 
 
 def test_radial_oracle_does_not_depend_on_the_order_of_the_radii():

@@ -23,10 +23,6 @@ _SRC = _ROOT / "src" / "carlab"
 _BENCH = _ROOT / "bench"
 _TRACING = _BENCH / "tracing.py"
 
-# A test oracle without a caller in the package: conjugate reflection is
-# the exact lattice duality the spectral duality test applies.
-_KEEP = {"conjugate_reflect"}
-
 
 def _traced_attrs() -> set[str]:
     """``TARGETS``' attributes: ``"name"`` or ``"Class.method"``."""
@@ -70,7 +66,7 @@ def test_every_top_level_name_has_a_reader():
     traced = {attr.split(".")[0] for attr in _traced_attrs()}
     dead = sorted(
         f"{module}.{name}" for module, name, at in defs
-        if name not in _KEEP and name not in traced
+        if name not in traced
         and not any(name in names for mod, i, names in reads
                     if (mod, i) != (module, at)))
     assert not dead, f"top-level names nothing reads: {dead}"

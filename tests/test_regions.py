@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from carlab.acceptance import geometry_identities
+from carlab.acceptance import _composed_k1_identity, geometry_identities
 from carlab.normest import ExponentKind, theoretical_exponent
 from carlab.regions import (DimensionPair, DomainError, ExponentPoint,
                             RegionId, carleman_range, emit_figure_data,
@@ -151,6 +151,17 @@ class TestEmitFigureData:
         assert [seg[0]["x"], seg[0]["y"]] == ["55/84", "1/12"]
         assert [seg[1]["x"], seg[1]["y"]] == ["11/12", "29/84"]
 
+    def test_composed_k1_is_empty_beside_both_range_lengths(self):
+        # the (7, 1) range is 3/14 long, short of one 2/7 step; the (7, 2)
+        # range runs from G to G', 11/42; k = 1 composes nothing
+        fig = emit_figure_data(DimensionPair(7, 2))
+        assert fig["composed_k1"] == {"segment": [], "empty": True,
+                                      "k1_length": "3/14", "step": "2/7",
+                                      "length": "11/42"}
+        G = special_points(DimensionPair(7, 2))["G"]
+        assert Fraction(fig["composed_k1"]["length"]) == G.dual().x - G.x
+        assert "composed_k1" not in emit_figure_data(DimensionPair(7, 1))
+
     def test_floats_and_rationals_agree(self):
         fig = emit_figure_data(DimensionPair(7, 2))
         for rec in fig["points"].values():
@@ -215,3 +226,17 @@ def test_a1_fails_when_one_exponent_table_entry_is_off(kind, clause,
     ok, detail = acceptance._a1_exact_geometry()
     assert not ok
     assert f"(7,2) tables: {clause}" in detail
+
+
+def test_no_two_points_of_the_k1_range_lie_one_step_apart():
+    # A1's composing clause at 3 <= d <= 24, against carleman_range on a
+    # 1/2000 grid of the (d, 1) gap line: its admitted points span less
+    # than 2/d, and the figure's k1_length is no longer than its step
+    for d in range(3, 25):
+        assert _composed_k1_identity(d), d
+        dims, gap = DimensionPair(d, 1), Fraction(2, d)
+        xs = [x for x in (Fraction(i, 2000) for i in range(2001))
+              if 0 < x - gap and x < 1 and carleman_range(dims, P(x, x - gap))]
+        assert xs and xs[-1] - xs[0] < gap, d
+        fig = emit_figure_data(DimensionPair(d, 2))["composed_k1"]
+        assert Fraction(fig["k1_length"]) <= Fraction(fig["step"]), d

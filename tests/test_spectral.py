@@ -10,10 +10,10 @@ from carlab.acceptance import knapp_witness, ring_grid
 from carlab.normest import certified_lower_bound
 from carlab.spectral import (MAX_LATTICE_BYTES, Grid, GridField,
                              apply_multiplier, check_lattice_size,
-                             conjugate_reflect, default_grid, lorentz_norm,
-                             lp_norm, sample_symbol)
+                             default_grid, lorentz_norm, lp_norm,
+                             sample_symbol)
 from carlab.symbols import SymbolSpec
-from fields import field_on, support_hull, unfold
+from fields import conjugate_reflect, field_on, support_hull, unfold
 
 RNG = np.random.Generator(np.random.Philox(404))
 
