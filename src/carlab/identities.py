@@ -11,9 +11,10 @@ evaluation routes:
   evaluated by radial x sphere product quadrature on the support annulus;
 * the point-inversion transform ``T_s u = |x|^(2s-d) u(x/|x|^2)`` and its
   exact intertwining with the fractional Laplacian, realised spectrally as
-  the constant-free multiplier ``|xi|^(2s)`` on the lattice, against a
-  real-space oracle that carries the one-dimensional singular-integral
-  constant.
+  the constant-free multiplier ``|xi|^(2s)`` on an even-n lattice (the
+  radial, hence axis-even, field is held on its first octant and
+  transformed by real DCT-Is), against a real-space oracle that carries
+  the one-dimensional singular-integral constant.
 """
 
 from __future__ import annotations
@@ -516,32 +517,51 @@ def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
     return out
 
 
+def _dct1(values: np.ndarray, axis: int) -> np.ndarray:
+    """The unnormalised DCT-I of ``values`` along ``axis``: the real part
+    of ``rfft`` of its even extension, of length ``2 (m - 1)`` for m
+    points (Makhoul 1980).  The extension and the complex spectrum are
+    freed before the call returns."""
+    back = [slice(None)] * values.ndim
+    back[axis] = slice(-2, 0, -1)
+    return np.fft.rfft(np.concatenate([values, values[tuple(back)]],
+                                      axis=axis), axis=axis).real.copy()
+
+
 def fractional_laplacian(values: np.ndarray, periods: Sequence[float],
                          s: float) -> np.ndarray:
-    """``(-Delta)^s`` of the real space samples ``values`` of an unmodulated
-    periodic lattice with box lengths ``periods``, on the half spectrum:
-    ``rfftn``, times ``|xi|^(2s)`` on the half lattice, then ``irfftn``'s
-    own sequence with its ``ifft``s in place (the cell volume cancels).
-    The ``|xi|^2`` sum is raised to its power and multiplied in place, and
-    ``values`` is dropped after ``rfftn``: a caller that passes a temporary
-    frees it before the inverse, which allocates only its real output.
+    """``(-Delta)^s`` of a real periodic lattice field that is even in every
+    axis, given and returned on its first octant: ``n_i / 2 + 1`` samples
+    per axis of a lattice with even ``n_i`` points over box length
+    ``periods[i]``, octant index k standing for lattice indices k and
+    ``n_i - k``.
+
+    The DFT of an axis-even sequence is the DCT-I of its first half, so
+    the transform is one DCT-I per axis, times ``|xi|^(2s) / prod n_i`` on
+    the octant's frequencies ``2 pi k / periods[i]``, then one DCT-I per
+    axis again (the cell volume cancels).  Each DCT-I's input is dropped
+    once its output exists, the first one included, so a caller that
+    passes a temporary frees it there; the multiplier exists only between
+    the two passes.
     """
     if s <= 0:
         raise ValueError("need s > 0")
     shape = values.shape
-    ints = ([np.fft.fftfreq(n, 1.0 / n) for n in shape[:-1]]
-            + [np.fft.rfftfreq(shape[-1], 1.0 / shape[-1])])
-    xi = np.meshgrid(*((2.0 * np.pi / L) * k for k, L in zip(ints, periods)),
+    if min(shape) < 2:
+        raise ValueError("need at least 2 samples per axis")
+    for ax in range(len(shape)):
+        values = _dct1(values, ax)
+    xi = np.meshgrid(*((2.0 * np.pi / L) * np.arange(m)
+                       for m, L in zip(shape, periods)),
                      indexing="ij", sparse=True)
-    coeffs = np.fft.rfftn(values)
-    del values
     power = sum(x ** 2 for x in xi)
     power **= s
-    coeffs *= power
+    power /= math.prod(2 * (m - 1) for m in shape)
+    values *= power
     del power
-    for ax in range(len(shape) - 1):
-        np.fft.ifft(coeffs, axis=ax, out=coeffs)
-    return np.fft.irfft(coeffs, n=shape[-1], axis=-1)
+    for ax in range(len(shape)):
+        values = _dct1(values, ax)
+    return values
 
 
 #: period of the inversion checks' d = 3 lattices, the box `inversion_bump` fits
@@ -550,35 +570,44 @@ KELVIN_PERIOD = 5.0
 
 def _lattice_radii(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n^3 lattice's radius table ``r = sqrt(h^2 arange(3 (n//2)^2 + 1))``
-    and the sums ``K`` of each point's squared centred indices, so that the
-    point's radius is ``r[K]``; exact for the period `KELVIN_PERIOD`."""
+    and each axis index's octant index ``a = |c|``, c its centred index, so
+    that point (i0, i1, i2) has radius ``r[a[i0]^2 + a[i1]^2 + a[i2]^2]``;
+    exact for the period `KELVIN_PERIOD`."""
     h = KELVIN_PERIOD / n
-    c = (np.arange(n) + n // 2) % n - n // 2
-    K = sum(np.meshgrid(*[c * c] * 3, indexing="ij", sparse=True))
-    return np.sqrt(h * h * np.arange(3 * (n // 2) ** 2 + 1)), K
+    i = np.arange(n)
+    return (np.sqrt(h * h * np.arange(3 * (n // 2) ** 2 + 1)),
+            np.minimum(i, n - i))
 
 
 def _kelvin_samples(u: CutoffSpec, s: float, n: int,
                     support: tuple[float, float]
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The spectral side of `verify_kelvin` on the n^3 lattice, at its
-    sample points, and the points' radii.
+    """The spectral side of `verify_kelvin` on the n^3 lattice, even n, at
+    its sample points, and the points' radii.
 
-    ``T_s u`` is radial, so it is evaluated once per entry of the radius
-    table (`_lattice_radii`) and gathered; the sample mask and the seed-0
-    draw read the same table.  The full-size arrays live only inside this
-    call, so none is held while the oracle runs, and ``K`` goes before the
-    transform, which gets the gathered field as a temporary and frees it
-    before its inverse.
+    ``T_s u`` is radial, so it is even in every axis: it is evaluated once
+    per entry of the radius table (`_lattice_radii`) and gathered onto the
+    lattice's first octant, ``(n/2 + 1)^3`` points, which
+    `fractional_laplacian` transforms.  The sample mask is read one axis-0
+    plane at a time, giving the lattice's C-order flat indices, and the
+    seed-0 draw picks from those; each sample then reads the octant at
+    ``(|c0|, |c1|, |c2|)``.  No n^3 array is formed, and the octant field
+    goes to the transform as a temporary.
     """
-    r, K = _lattice_radii(n)
-    flat = np.flatnonzero(((r >= 0.7) & (r <= 1.4))[K])
-    if flat.size == 0:
-        raise ValueError("no lattice point has radius in [0.7, 1.4]")
+    r, a = _lattice_radii(n)
+    a2 = a * a
+    sampled = (r >= 0.7) & (r <= 1.4)
+    plane = a2[:, None] + a2  # K on an axis-0 plane, less its own a0^2
+    flat = np.concatenate([np.flatnonzero(sampled[plane + k]) + i * n * n
+                           for i, k in enumerate(a2)])
     if s != 1.0 and flat.size > 400:
         rng = np.random.Generator(np.random.Philox(0))
         flat = np.sort(rng.choice(flat, size=400, replace=False))
-    radii = r[K.ravel()[flat]]
+    octant = [a[i] for i in np.unravel_index(flat, (n,) * 3)]
+    radii = r[sum(k * k for k in octant)]
+    m = n // 2 + 1
+    cells = np.ravel_multi_index(octant, (m,) * 3)
+    del flat, octant
     # The inversion transform is supported where 1/r lies in the profile's
     # annulus; outside a slightly padded version of that shell it is
     # exactly 0, so it is evaluated on the shell only.
@@ -586,11 +615,11 @@ def _kelvin_samples(u: CutoffSpec, s: float, n: int,
     t_tab = np.zeros(r.shape)
     t_tab[shell] = (r[shell] ** (2.0 * s - 3)
                     * np.asarray(u(1.0 / r[shell]), dtype=float))
+    k2 = a2[:m]
     # popped, the field is held by the transform alone
-    field = [t_tab[K]]
-    del K
+    field = [t_tab[k2[:, None, None] + k2[:, None] + k2]]
     lhs = fractional_laplacian(field.pop(), (KELVIN_PERIOD,) * 3, s)
-    return lhs.ravel()[flat], radii
+    return lhs.ravel()[cells], radii
 
 
 def _kelvin_rhs(u: CutoffSpec, s: float, support: tuple[float, float],
@@ -615,9 +644,11 @@ def verify_kelvin(u: CutoffSpec, s: float,
 
     ``u`` is a radial profile whose ``support`` is an annulus around 1 and
     whose inversion transform fits inside the half-period (u itself is
-    never sampled, so its own outer radius is unconstrained).  The left
-    side is computed on the real half-spectrum (`fractional_laplacian`)
-    from lattice samples of ``T_s u`` taken once per radius.  The right
+    never sampled, so its own outer radius is unconstrained).  Each n must
+    be even and at least 4.  ``T_s u`` is radial, so even in every axis,
+    and the left side is computed on each lattice's first octant by real
+    DCT-Is (`fractional_laplacian`) from samples of ``T_s u`` taken once
+    per radius (`_kelvin_samples`); no n^3 array is formed.  The right
     side, at the lattice points with radius in [0.7, 1.4] (at s != 1, 400
     of each lattice's points drawn with seed 0), needs ``(-Delta)^s u`` at
     the off-lattice inverted radii; `_kelvin_rhs` computes it once per
@@ -630,6 +661,9 @@ def verify_kelvin(u: CutoffSpec, s: float,
     a genuine two-route comparison, reported in relative L^2.
     """
     d = 3
+    if not sizes or any(n < 4 or n % 2 for n in sizes):
+        raise ValueError(f"sizes must be one or more even lattice sizes "
+                         f"n >= 4; got {tuple(sizes)}")
     if s != 1.0:
         _oracle_order(d, s)  # before any lattice work
     support = (max(u.support[0], 1e-9), u.support[1])

@@ -190,8 +190,8 @@ def _centered_radii(grid):
 
 
 def _complex_fractional_laplacian(grid, values, s):
-    """``(-Delta)^s`` through the grid's complex transforms, the route the
-    real half-spectrum transform replaced."""
+    """``(-Delta)^s`` through the grid's complex transforms on the whole
+    lattice, independent of the octant's DCT-Is."""
     F = grid.with_values(values).to_freq()
     m2 = np.zeros(F.shape)
     for ax, xi in enumerate(F.freq_axes()):
@@ -217,14 +217,23 @@ def _kelvin_oracle(u, s, grid):
     return t_vals, flat, radii.ravel()[flat]
 
 
+def _octant(values):
+    """The first octant of an n^3 lattice array, n/2 + 1 points per axis."""
+    m = values.shape[0] // 2 + 1
+    return values[:m, :m, :m]
+
+
 def test_fractional_laplacian_single_mode():
+    # cos(k0 x0) cos(k1 x1) cos(k2 x2) is even in every axis
     g = _kelvin_lattice(32)
     xi = [ax[i] for ax, i in zip(g.freq_axes(), (2, 1, 3))]
-    x = np.meshgrid(*[g.spacings[0] * np.arange(32)] * 3, indexing="ij",
-                    sparse=True)
-    phase = sum(a * b for a, b in zip(xi, x))
-    out = fractional_laplacian(np.cos(phase), g.periods, 0.75)
-    want = float(np.sum(np.square(xi))) ** 0.75 * np.cos(phase)
+    x = np.meshgrid(*[g.spacings[0] * np.arange(32 // 2 + 1)] * 3,
+                    indexing="ij", sparse=True)
+    mode = 1.0
+    for a, b in zip(xi, x):
+        mode = mode * np.cos(a * b)
+    out = fractional_laplacian(mode, g.periods, 0.75)
+    want = float(np.sum(np.square(xi))) ** 0.75 * mode
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-12 * np.max(want))
 
 
@@ -235,43 +244,45 @@ def test_fractional_laplacian_matches_the_complex_route(n, s):
     r = _centered_radii(g)
     for field in (np.exp(-4.0 * r * r), _kelvin_oracle(inversion_bump(s), s,
                                                        g)[0]):
-        want = _complex_fractional_laplacian(g, field, s).values.real
-        got = fractional_laplacian(field, g.periods, s)
+        want = _octant(_complex_fractional_laplacian(g, field, s).values.real)
+        got = fractional_laplacian(_octant(field), g.periods, s)
+        assert got.shape == (n // 2 + 1,) * 3
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_fractional_laplacian_holds_one_half_spectrum_beside_its_output():
-    # the inverse runs its ifft axes in place on the coefficients, so the
-    # peak is the half spectrum plus one transform's output or scratch,
-    # not the three complex half spectra irfftn holds
-    n = 64
-    g = _kelvin_lattice(n)
-    field = np.exp(-4.0 * _centered_radii(g) ** 2)
-    half_spectrum = 16 * n * n * (n // 2 + 1)
-    fractional_laplacian(field, g.periods, 1.25)  # FFT plans are set up
+@pytest.mark.parametrize("s", [1.0, 1.25])
+def test_kelvin_samples_peak_below_one_real_lattice_array(s):
+    # the octant route forms no n^3 array: at n = 128 its traced peak stays
+    # under one real 128^3 array (16 MiB), where the full-lattice route
+    # peaked at about three of them
+    n = 128
+    u = inversion_bump(s)
+    identities._kelvin_samples(u, s, n, u.support)  # FFT plans are set up
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        fractional_laplacian(field, g.periods, 1.25)
+        identities._kelvin_samples(u, s, n, u.support)
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * half_spectrum
+    assert peak < 8 * n ** 3
 
 
 def test_lattice_radii_match_the_centred_coordinates():
     for n in (64, 128):
-        r, K = identities._lattice_radii(n)
-        np.testing.assert_array_equal(r[K],
+        r, a = identities._lattice_radii(n)
+        a2 = a * a
+        np.testing.assert_array_equal(r[a2[:, None, None] + a2[:, None] + a2],
                                       _centered_radii(_kelvin_lattice(n)))
 
 
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("s", [1.0, 1.25])
 def test_kelvin_samples_match_the_pointwise_route(monkeypatch, n, s):
-    # T_s u, the sampled index set and its radii are bit-identical to
-    # evaluating every point on its own; the transform is swapped for one
-    # that reads out each point's flat index
+    # the transform gets T_s u on the octant, bit-identical to evaluating
+    # every lattice point on its own, and each sample of the pointwise
+    # route's index set reads its octant cell at the same radius; the
+    # transform is swapped for one that reads out each cell's flat index
     u, g = inversion_bump(s), _kelvin_lattice(n)
     seen = []
 
@@ -282,8 +293,12 @@ def test_kelvin_samples_match_the_pointwise_route(monkeypatch, n, s):
     monkeypatch.setattr(identities, "fractional_laplacian", flat_index)
     picked, radii = identities._kelvin_samples(u, s, n, u.support)
     t_vals, flat, r_pts = _kelvin_oracle(u, s, g)
-    np.testing.assert_array_equal(seen[0], t_vals)
-    np.testing.assert_array_equal(picked, flat)
+    m = n // 2 + 1
+    cells = np.ravel_multi_index(
+        [np.minimum(i, n - i) for i in np.unravel_index(flat, g.shape)],
+        (m,) * 3)
+    np.testing.assert_array_equal(seen[0], _octant(t_vals))
+    np.testing.assert_array_equal(picked, cells)
     np.testing.assert_array_equal(radii, r_pts)
 
 
@@ -357,6 +372,14 @@ def test_kelvin_refuses_an_order_the_oracle_lacks_before_lattice_work(
     for s in (2.0, 1.5, 3.0):
         with pytest.raises(ValueError, match="0 < s < 3"):
             verify_kelvin(inversion_bump(s), s, (64,))
+
+
+@pytest.mark.parametrize("sizes", [(), (64, 63), (2,)])
+def test_kelvin_refuses_bad_sizes_before_lattice_work(monkeypatch, sizes):
+    # no lattices, an odd n, and n < 4 are each one ValueError
+    monkeypatch.setattr(identities, "_kelvin_samples", None)
+    with pytest.raises(ValueError, match="even lattice sizes n >= 4"):
+        verify_kelvin(inversion_bump(1.25), 1.25, sizes)
 
 
 def _recording_oracle(monkeypatch, calls, oracle=None):
