@@ -171,8 +171,10 @@ def _radial_norm(field: KnappField, coef: np.ndarray, r: float) -> float:
     the cross-sections and sums ``|c_l^(1/r) y|^r = c_l |y|^r``.  Both
     radial sums are trapezoids (halved at 0 and n/2) of even functions, as m
     is odd: at m = 1 the folded Cartesian sums, else spectrally accurate.
-    `check_lattice_size` refuses the cross-sections' rows before they are
-    formed, and `_space_pass` its block.
+    The rows are one real ``einsum`` of the kernel with the C-contiguous
+    coefficients, read as floats (real and imaginary parts side by side)
+    when complex.  `check_lattice_size` refuses the cross-sections' rows
+    before they are formed, and `_space_pass` its block.
     """
     index, shape = field.index, field.shape
     m, n = field.d + 1 - len(shape), shape[-2]
@@ -188,7 +190,13 @@ def _radial_norm(field: KnappField, coef: np.ndarray, r: float) -> float:
               * sphere_hat(m, np.outer(radii, rho)))
     scale = np.abs(kernel).max()  # at large m, |y|^r would underflow
     kernel /= scale
-    rows = kernel @ np.moveaxis(coef, -2, 0).reshape(len(rho), -1)
+    cols = np.moveaxis(coef, -2, 0).reshape(len(rho), -1)
+    cols = np.ascontiguousarray(cols, np.result_type(cols, float))
+    # einsum, not @: the BLAS call starts a second OpenBLAS thread that
+    # burns a core without cutting the wall time
+    rows = np.einsum("lj,jk->lk", kernel, cols.view(float))
+    if np.iscomplexobj(cols):
+        rows = rows.view(complex)
     others = shape[:-2] + shape[-1:]
     live = np.ravel_multi_index(np.ix_(*index[:-2], index[-1]), others)
     total = _space_pass(rows, live.ravel(), others, r, False)
@@ -253,6 +261,14 @@ def _noise_lines(rng: np.random.Generator, shape: tuple[int, ...],
     return lines
 
 
+def _runs(ids: np.ndarray) -> list[slice]:
+    """The maximal runs of consecutive integers among ``ids``, ascending."""
+    ids = np.unique(ids)
+    cut = np.flatnonzero(np.diff(ids) != 1) + 1
+    return [slice(int(ids[a]), int(ids[b - 1]) + 1)
+            for a, b in zip(np.r_[0, cut], np.r_[cut, ids.size]) if b > a]
+
+
 def _space_pass(lines: np.ndarray, live: np.ndarray,
                 others: tuple[int, ...], q: float, pull_back: bool) -> float:
     """``sum |g|^q`` for ``g`` the space side of ``lines``; with
@@ -264,10 +280,16 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
     ``live`` numbers its columns among the entries of a cross-section of
     shape ``others``.  A block of cross-sections, checked by
     `check_lattice_size` first, is zeroed, gets its live entries and is
-    inverse-transformed in place by one ``ifftn``.  Float scratch of
-    `_CHUNK` elements takes ``sq = |g|^2`` and ``w = sq^((q-2)/2)`` (zeros
-    stay zero for q < 2) a chunk at a time, and the sum gets ``sum(sq *
-    w)``; with ``pull_back``, ``g *= w``, ``fftn`` and gather.
+    inverse-transformed in place in ``ifftn``'s own axis order: ``ifft``
+    along the last axis only on the runs of lines that hold a live entry
+    (the others stay zero), then ``ifftn`` over the axes before it.  Float
+    scratch of `_CHUNK` elements takes ``sq = |g|^2`` and ``w =
+    sq^((q-2)/2)`` (zeros stay zero for q < 2) a chunk at a time, and the
+    sum gets ``sum(sq * w)``; with ``pull_back``, ``g *= w``, ``fftn`` over
+    the axes after the first, ``fft`` along the first only on the runs of
+    lines that hold a live entry (no other is gathered), and gather.  So
+    every 1-D transform that is run is one that a whole-block ``ifftn`` or
+    ``fftn`` would run, on the same numbers.
     """
     n_axis = lines.shape[0]
     b = _block_rows((n_axis,) + others)
@@ -276,6 +298,8 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
     sq = np.empty(min(buf.size, _CHUNK))
     w = np.empty_like(sq)
     axes = tuple(range(1, buf.ndim))
+    last_runs = _runs(live // others[-1])
+    first_runs = _runs(live % math.prod(others[1:]))
     total = 0.0
     for t in range(0, n_axis, b):
         rows = lines[t:t + b]
@@ -283,7 +307,12 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
         flat = block.reshape(len(rows), -1)
         flat.fill(0.0)
         flat[:, live] = rows
-        np.fft.ifftn(block, axes=axes, out=block)
+        along_last = block.reshape(len(rows), -1, others[-1])
+        for run in last_runs:
+            part = along_last[:, run]
+            np.fft.ifft(part, axis=-1, out=part)
+        if len(axes) > 1:
+            np.fft.ifftn(block, axes=axes[:-1], out=block)
         g = block.reshape(-1)
         for c in range(0, g.size, sq.size):
             gc = g[c:c + sq.size]
@@ -298,7 +327,12 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
             s *= wc
             total += np.sum(s)
         if pull_back:
-            np.fft.fftn(block, axes=axes, out=block)
+            if len(axes) > 1:
+                np.fft.fftn(block, axes=axes[1:], out=block)
+            along_first = block.reshape(len(rows), others[0], -1)
+            for run in first_runs:
+                part = along_first[:, :, run]
+                np.fft.fft(part, axis=1, out=part)
             np.take(flat, live, axis=1, out=rows)
     return float(total)
 
@@ -316,7 +350,8 @@ def power_method(grid: Grid, live: tuple[np.ndarray, np.ndarray],
     stagnation below ``tol`` or at the ``max_iter``-th quotient, before the
     pull-back that quotient would feed; a non-finite iterate aborts the run
     and returns the best bound collected so far.  The run takes ``lines``
-    over and writes into it; the caller checks the exponents.
+    over and writes into it; the caller checks the exponents.  A
+    ``max_iter`` below 1 is refused, as it would certify nothing.
 
     The loop works on raw arrays of the field's space samples
     ``y = ifftn(F / cell_volume)`` (`spectral`): the cell volume cancels
@@ -332,6 +367,8 @@ def power_method(grid: Grid, live: tuple[np.ndarray, np.ndarray],
     samples, summed over the live lines.  So the run holds no full-size
     array, only the lines, a block and its scratch.
     """
+    if max_iter < 1:
+        raise ValueError(f"need max_iter >= 1, got max_iter={max_iter}")
     numbers, mk = live
     cell = grid.cell_volume
     cell_per_n = cell / math.prod(grid.shape)
@@ -373,20 +410,29 @@ def estimate_operator_norm(grid: Grid, symbol, p: float, q: float, *,
     """Best certified lower bound for ``||m(D)||_{2 -> q}`` on the lattice
     ``grid`` over a small family of `power_method` restarts.
 
-    Exponents other than p = 2, 1 < q < infinity, and a lattice of one
-    axis, are refused before any sampling.  The symbol is sampled once,
-    one block of axis-0 rows at a time, into the live τ-lines every run
-    shares (`_live_lines`).  Restart seeds, each built on those lines just
-    before its run and dropped after it: the conjugated symbol itself as a
-    frequency profile (the natural L^2 maximiser, a strong generic start),
-    then ``n_random`` complex Gaussian fields supported where the symbol
-    is nonzero, drawn from one seeded Philox stream, real parts first
-    (`_noise_lines`).  So neither the symbol, nor its support, nor any
-    start exists at full size.
+    Exponents other than p = 2, 1 < q < infinity, a lattice of one axis,
+    ``max_iter < 1``, ``n_random < 0``, ``tol < 0`` and a ``seed`` that is
+    not a nonnegative integer are refused before any sampling.  The symbol
+    is sampled once, one block of axis-0 rows at a time, into the live
+    τ-lines every run shares (`_live_lines`).  Restart seeds, each built on
+    those lines just before its run and dropped after it: the conjugated
+    symbol itself as a frequency profile (the natural L^2 maximiser, a
+    strong generic start), then ``n_random`` complex Gaussian fields
+    supported where the symbol is nonzero, drawn from one seeded Philox
+    stream, real parts first (`_noise_lines`).  So neither the symbol, nor
+    its support, nor any start exists at full size.
     """
     if p != 2.0:
         raise ValueError(f"the power iteration runs at p = 2 only, got p={p}")
     _check_norm(grid.shape, p, q)
+    if max_iter < 1:
+        raise ValueError(f"need max_iter >= 1, got max_iter={max_iter}")
+    if n_random < 0:
+        raise ValueError(f"need n_random >= 0, got n_random={n_random}")
+    if not tol >= 0.0:
+        raise ValueError(f"need tol >= 0, got tol={tol}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"need a nonnegative integer seed, got seed={seed!r}")
     live = _live_lines(grid, symbol)
     numbers, mk = live
     if not numbers.size:
