@@ -261,14 +261,6 @@ def _noise_lines(rng: np.random.Generator, shape: tuple[int, ...],
     return lines
 
 
-def _runs(ids: np.ndarray) -> list[slice]:
-    """The maximal runs of consecutive integers among ``ids``, ascending."""
-    ids = np.unique(ids)
-    cut = np.flatnonzero(np.diff(ids) != 1) + 1
-    return [slice(int(ids[a]), int(ids[b - 1]) + 1)
-            for a, b in zip(np.r_[0, cut], np.r_[cut, ids.size]) if b > a]
-
-
 def _space_pass(lines: np.ndarray, live: np.ndarray,
                 others: tuple[int, ...], q: float, pull_back: bool) -> float:
     """``sum |g|^q`` for ``g`` the space side of ``lines``; with
@@ -280,16 +272,10 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
     ``live`` numbers its columns among the entries of a cross-section of
     shape ``others``.  A block of cross-sections, checked by
     `check_lattice_size` first, is zeroed, gets its live entries and is
-    inverse-transformed in place in ``ifftn``'s own axis order: ``ifft``
-    along the last axis only on the runs of lines that hold a live entry
-    (the others stay zero), then ``ifftn`` over the axes before it.  Float
-    scratch of `_CHUNK` elements takes ``sq = |g|^2`` and ``w =
-    sq^((q-2)/2)`` (zeros stay zero for q < 2) a chunk at a time, and the
-    sum gets ``sum(sq * w)``; with ``pull_back``, ``g *= w``, ``fftn`` over
-    the axes after the first, ``fft`` along the first only on the runs of
-    lines that hold a live entry (no other is gathered), and gather.  So
-    every 1-D transform that is run is one that a whole-block ``ifftn`` or
-    ``fftn`` would run, on the same numbers.
+    inverse-transformed in place by one ``ifftn``.  Float scratch of
+    `_CHUNK` elements takes ``sq = |g|^2`` and ``w = sq^((q-2)/2)`` (zeros
+    stay zero for q < 2) a chunk at a time, and the sum gets ``sum(sq *
+    w)``; with ``pull_back``, ``g *= w``, ``fftn`` and gather.
     """
     n_axis = lines.shape[0]
     b = _block_rows((n_axis,) + others)
@@ -298,8 +284,6 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
     sq = np.empty(min(buf.size, _CHUNK))
     w = np.empty_like(sq)
     axes = tuple(range(1, buf.ndim))
-    last_runs = _runs(live // others[-1])
-    first_runs = _runs(live % math.prod(others[1:]))
     total = 0.0
     for t in range(0, n_axis, b):
         rows = lines[t:t + b]
@@ -307,12 +291,7 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
         flat = block.reshape(len(rows), -1)
         flat.fill(0.0)
         flat[:, live] = rows
-        along_last = block.reshape(len(rows), -1, others[-1])
-        for run in last_runs:
-            part = along_last[:, run]
-            np.fft.ifft(part, axis=-1, out=part)
-        if len(axes) > 1:
-            np.fft.ifftn(block, axes=axes[:-1], out=block)
+        np.fft.ifftn(block, axes=axes, out=block)
         g = block.reshape(-1)
         for c in range(0, g.size, sq.size):
             gc = g[c:c + sq.size]
@@ -327,12 +306,7 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
             s *= wc
             total += np.sum(s)
         if pull_back:
-            if len(axes) > 1:
-                np.fft.fftn(block, axes=axes[1:], out=block)
-            along_first = block.reshape(len(rows), others[0], -1)
-            for run in first_runs:
-                part = along_first[:, :, run]
-                np.fft.fft(part, axis=1, out=part)
+            np.fft.fftn(block, axes=axes, out=block)
             np.take(flat, live, axis=1, out=rows)
     return float(total)
 

@@ -1,10 +1,13 @@
 """Operator-norm lower bounds, power iteration, scaling fits."""
+import ast
 import hashlib
+import inspect
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -17,9 +20,8 @@ from hypothesis import strategies as st
 
 import carlab
 from carlab.acceptance import KNAPP_TOL, SlopeCheck, knapp_witness, ring_grid
-from carlab.normest import (_BLOCK, _CHUNK, ExponentKind, NormEstimate,
-                            _block_rows, _live_lines, _noise_lines, _on_lines,
-                            _power_in_place, _radial_norm, _runs,
+from carlab.normest import (_BLOCK, ExponentKind, NormEstimate, _live_lines,
+                            _noise_lines, _on_lines, _radial_norm,
                             _space_pass, certified_lower_bound, dualize,
                             estimate_operator_norm, fit_scaling, power_method,
                             theoretical_exponent)
@@ -242,8 +244,6 @@ def test_a_witness_bound_makes_one_full_lattice_pass_per_norm(family,
     eps = 2.0 ** -4
     field = knapp_witness(family, 3, eps, n=64)
     full = math.prod(field.shape)
-    rows = _runs(field.index[0])  # the hull's a0 rows, in runs
-    assert sum(r.stop - r.start for r in rows) < 64
     calls = []
     for name in ("fft", "ifft", "fftn", "ifftn"):
         def counted(a, *args, _fn=getattr(normest.np.fft, name), _name=name,
@@ -252,10 +252,8 @@ def test_a_witness_bound_makes_one_full_lattice_pass_per_norm(family,
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(normest.np.fft, name, counted)
     certified_lower_bound(field, SymbolSpec(family, 3, 1, eps=eps), 1.5, 4.0)
-    # per norm: one (a0, τ) cross-section per radius, and nothing else; its
-    # τ stage runs on the hull's a0 rows alone, its a0 stage on all of it
-    per_radius = [("ifft", (r.stop - r.start) * 64) for r in rows]
-    assert calls == (per_radius + [("ifftn", 64 * 64)]) * 66
+    # per norm: one (a0, τ) cross-section per radius, and nothing else
+    assert calls == [("ifftn", 64 * 64)] * 66
     assert max(size for _, size in calls) < full
 
 
@@ -607,18 +605,15 @@ _BLOCKED_CASES = {
 def test_power_method_at_p2_makes_no_full_size_transform_from_a_frequency_start(
         case, monkeypatch):
     # at p = 2 the iterate stays on the frequency side between steps, and a
-    # step transforms blocks of cross-sections, so no transform of a block
-    # sees the whole lattice; the pruned stages run ``ifft``/``fft`` on
-    # slices of a block, so all four count, but not the τ transforms of the
-    # live lines (along their axis 0) between the passes
+    # step transforms blocks of cross-sections, so no transform sees the
+    # whole lattice
     grid, spec = _BLOCKED_CASES[case]
     starts = {name: start_lines(init, spec)
               for name, init in _starts(grid, spec).items()}
     calls = []
-    for name in ("fft", "ifft", "fftn", "ifftn"):
+    for name in ("fftn", "ifftn"):
         def counted(a, *args, _fn=getattr(np.fft, name), **kwargs):
-            if kwargs.get("axis") != 0:
-                calls.append(np.size(a) == math.prod(grid.shape))
+            calls.append(np.size(a) == math.prod(grid.shape))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     for name, (live, lines) in starts.items():
@@ -953,88 +948,6 @@ def test_block_q_pass_matches_the_dense_pass(shape, seed, q, box, chunk):
                                atol=1e-13 * np.abs(want).max(initial=0.0))
 
 
-def _unpruned_space_pass(lines, live, others, q, pull_back):
-    """`_space_pass` with whole-block transforms: every block runs one
-    ``ifftn`` and, with ``pull_back``, one ``fftn`` over all of its lines."""
-    n_axis = lines.shape[0]
-    b = _block_rows((n_axis,) + others)
-    buf = np.empty((b,) + others, complex)
-    sq = np.empty(min(buf.size, _CHUNK))
-    w = np.empty_like(sq)
-    axes = tuple(range(1, buf.ndim))
-    total = 0.0
-    for t in range(0, n_axis, b):
-        rows = lines[t:t + b]
-        block = buf[:len(rows)]
-        flat = block.reshape(len(rows), -1)
-        flat.fill(0.0)
-        flat[:, live] = rows
-        np.fft.ifftn(block, axes=axes, out=block)
-        g = block.reshape(-1)
-        for c in range(0, g.size, sq.size):
-            gc = g[c:c + sq.size]
-            s, wc = sq[:gc.size], w[:gc.size]
-            np.abs(gc, out=s)
-            s *= s
-            np.copyto(wc, s)
-            _power_in_place(wc, 0.5 * q - 1.0)
-            if pull_back:
-                for part in (gc.real, gc.imag):
-                    part *= wc
-            s *= wc
-            total += np.sum(s)
-        if pull_back:
-            np.fft.fftn(block, axes=axes, out=block)
-            np.take(flat, live, axis=1, out=rows)
-    return float(total)
-
-
-def _ring_lines():
-    grid = ring_grid(3)
-    live, mk = _live_lines(grid, SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=3))
-    return np.fft.ifft(np.conj(mk), axis=0), live, grid.shape[:-1], 6.0
-
-
-def _witness_lines(monkeypatch):
-    """The cross-sections, live numbers, shape and exponent of the first
-    norm of one A5 witness's bound."""
-    import carlab.normest as normest
-    seen = []
-
-    def record(lines, live, others, r, pull_back):
-        seen.append((lines.astype(complex), live, others, r))
-        return 1.0
-    monkeypatch.setattr(normest, "_space_pass", record)
-    eps = 2.0 ** -5
-    certified_lower_bound(knapp_witness("eps", 3, eps),
-                          SymbolSpec("eps", 3, 1, eps=eps), 4.0 / 3.0, 4.0)
-    monkeypatch.undo()
-    return seen[0]
-
-
-@pytest.mark.parametrize("case", ["ring", "witness"])
-@pytest.mark.parametrize("pull_back", [False, True])
-def test_a_pruned_space_pass_is_hex_identical_to_the_whole_block_pass(
-        case, pull_back, monkeypatch):
-    # the pruned stages skip only transforms of zero lines and of lines no
-    # gather reads, and run every other 1-D transform on the same numbers
-    lines, live, others, q = (_ring_lines() if case == "ring"
-                              else _witness_lines(monkeypatch))
-    rows = _runs(live // others[-1])  # the inverse's first stage skips some
-    assert sum(r.stop - r.start for r in rows) < math.prod(others[:-1])
-    got, want = lines.copy(), lines.copy()
-    total = _space_pass(got, live, others, q, pull_back)
-    assert total == _unpruned_space_pass(want, live, others, q, pull_back)
-    assert np.array_equal(got, want)
-    assert np.array_equal(got, lines) != pull_back
-
-
-def test_runs_are_the_maximal_runs_of_consecutive_ids():
-    got = _runs(np.array([9, 3, 4, 5, 4, 11, 12, 0]))
-    assert got == [slice(0, 1), slice(3, 6), slice(9, 10), slice(11, 13)]
-    assert _runs(np.array([], int)) == []
-
-
 def test_a_knapp_fit_runs_on_one_core():
     # no BLAS call in a witness bound, so no OpenBLAS worker burns a second
     # core beside the pass: CPU time stays within its wall time
@@ -1048,12 +961,31 @@ def test_a_knapp_fit_runs_on_one_core():
             "point)\n"
             "print(time.process_time() - cpu, time.perf_counter() - wall)\n")
     src = str(pathlib.Path(carlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     cpu, wall = map(float, out.split())
     assert cpu <= 1.2 * wall + 0.05, (cpu, wall)
+
+
+@pytest.mark.parametrize("fn", [_radial_norm, _space_pass])
+def test_the_lattice_pass_makes_no_blas_call(fn):
+    # the timing guard above cannot see a worker where the machine has one
+    # core; the pass's own code must not reach BLAS by @, dot, matmul or
+    # tensordot (comments and docstrings may name them)
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.MatMult)), ast.unparse(node)
+        assert not (isinstance(node, ast.AugAssign)
+                    and isinstance(node.op, ast.MatMult)), ast.unparse(node)
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            assert name not in ("dot", "vdot", "matmul", "tensordot"), (
+                ast.unparse(node))
 
 
 def _digest(values) -> str:
