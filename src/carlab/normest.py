@@ -217,26 +217,47 @@ def _live_lines(grid: Grid, symbol) -> tuple[np.ndarray, np.ndarray]:
     contiguous ``(n_tau, K)`` array (`_on_lines`).
 
     The paper's symbols degenerate on ``{|eta| = 1, tau = 0}``, so their
-    support meets few τ-lines.  The symbol is sampled one block of axis-0
-    rows at a time (`_block_rows`); the block's τ-lines are its rows, of
-    which it keeps the live ones.  So neither the samples nor a mask of them exists at
-    full size.
+    support meets few τ-lines.  A `SymbolSpec` sees a τ-line only through
+    its ``|eta|^2``, so its rows are the distinct ``|eta|^2`` and each line
+    takes its row's samples; any other symbol's rows are the τ-lines.  The
+    rows are sampled a block (`_block_rows`) at a time, and each block keeps
+    its live rows, so neither the samples nor a mask of them exists at full
+    size.
     """
-    shape = grid.shape
-    rest = [np.arange(n) for n in shape[1:]]
-    per_row = math.prod(shape[1:-1])
+    shape, radius = grid.shape, None
+    if isinstance(symbol, SymbolSpec):
+        if symbol.d != len(shape):
+            raise ValueError(f"got {len(shape)} axes for d = {symbol.d}")
+        *axes, tau = grid.freq_axes()
+        eta_sq = sum(g ** 2 for g in np.meshgrid(*axes, indexing="ij",
+                                                 sparse=True))
+        radii, radius = np.unique(eta_sq.ravel(), return_inverse=True)
+        rows = (len(radii), shape[-1])
+
+        def sample(t, b):
+            return eval_from_radial(symbol, radii[t:t + b, None], tau)
+    else:  # a callable or an array may depend on more than |eta|^2
+        rows, rest = shape, [np.arange(n) for n in shape[1:]]
+
+        def sample(t, b):
+            return sample_symbol(grid, symbol, [
+                np.arange(t, min(t + b, shape[0]))] + rest)
+    per_row = math.prod(rows[1:-1])
     live, kept = [], []
-    b = _block_rows(shape)
-    for t in range(0, shape[0], b):
-        m = sample_symbol(grid, symbol,
-                          [np.arange(t, min(t + b, shape[0]))] + rest)
-        rows = m.reshape(-1, shape[-1])
-        on = np.flatnonzero(np.any(rows != 0, axis=1))
+    b = _block_rows(rows)
+    for t in range(0, rows[0], b):
+        m = sample(t, b).reshape(-1, shape[-1])
+        on = np.flatnonzero(np.any(m != 0, axis=1))
         live.append(t * per_row + on)
-        kept.append(rows[on].T)
-        del m, rows  # before the next block is sampled
+        kept.append(m[on].T)
+        del m  # before the next block is sampled
     mk = np.empty((shape[-1], sum(k.shape[1] for k in kept)), kept[0].dtype)
-    return np.concatenate(live), np.concatenate(kept, axis=1, out=mk)
+    live, mk = np.concatenate(live), np.concatenate(kept, axis=1, out=mk)
+    if radius is not None:  # the lines whose |eta|^2 is a live row
+        lines = np.flatnonzero(np.isin(radius, live))
+        mk = np.take(mk, np.searchsorted(live, radius[lines]), axis=1)
+        live = lines
+    return live, mk
 
 
 def _noise_lines(rng: np.random.Generator, shape: tuple[int, ...],

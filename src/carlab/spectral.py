@@ -203,6 +203,8 @@ def default_grid(d: int, n: int | None = None, freq_span: float = 7.0,
     no lattice point can sit on the degenerate set of the model symbol (the
     last coordinate never vanishes), at distance >= dxi/2 from it.
     """
+    if d < 1:
+        raise ValueError(f"a lattice needs d >= 1 axes, got d = {d}")
     n = n or DEFAULT_GRID_SIZE.get(d, 64)
     check_lattice_size((n,) * d)
     dxi = freq_span / n

@@ -321,9 +321,10 @@ def test_spectral_transforms_its_field_forward_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_spectral_holds_the_field_and_one_work_array(tmp_path):
-    # the noise is drawn by slices into one array, transformed into one
-    # work array and inverted in place, and the sums run a slice at a time
+def test_spectral_holds_one_full_size_array(tmp_path):
+    # the noise is drawn by slices into one work array, transformed and
+    # inverted in place, and re-drawn by slices from saved generator states;
+    # the sums run a slice at a time
     import tracemalloc
     cfg = ExperimentConfig.from_mapping(
         {"experiment": "spectral", "d": 3, "n": 64, "out_dir": str(tmp_path)})
@@ -340,7 +341,54 @@ def test_spectral_holds_the_field_and_one_work_array(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * 16 * 64 ** 3
+    assert peak <= 1.25 * 16 * 64 ** 3
+
+
+def _two_array_round_trip(d, n, seed):
+    """The round trip and Parseval ``rel_err``s with the drawn noise kept
+    beside a work array, the oracle for the one-array check."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    grid = default_grid(d, n=n)
+    shape, cell = grid.shape, grid.cell_volume
+    noise = np.empty(shape, complex)
+    for part in (noise.real, noise.imag):
+        for i in range(shape[0]):
+            part[i] = rng.standard_normal(shape[1:])
+    work = np.empty_like(noise)
+    np.fft.fftn(noise, out=work)
+    work *= cell
+    freq_cell = math.prod(2.0 * math.pi / p for p in grid.periods)
+    e_freq = (math.fsum(np.sum(np.abs(x) ** 2) for x in work)
+              * freq_cell * (2.0 * math.pi) ** -d)
+    work /= cell
+    np.fft.ifftn(work, out=work)
+    rt = (max(float(np.abs(b - f).max()) for b, f in zip(work, noise))
+          / max(float(np.abs(f).max()) for f in noise))
+    e_space = math.fsum(np.sum(np.abs(f) ** 2) for f in noise) * cell
+    return rt, abs(e_space - e_freq) / e_space
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 64), (3, 32)])
+def test_spectral_matches_the_two_array_round_trip_bit_for_bit(tmp_path, d,
+                                                               n, seed):
+    report = run(ExperimentConfig.from_mapping(
+        {"experiment": "spectral", "d": d, "n": n, "seed": seed,
+         "out_dir": str(tmp_path)}))
+    assert [(v.id, v.status) for v in report.verdicts] == \
+        [("spectral-roundtrip", "pass"), ("spectral-parseval", "pass")]
+    got = tuple(v.measures["rel_err"] for v in report.verdicts)
+    assert got == _two_array_round_trip(d, n, seed)
+
+
+def test_spectral_refuses_a_lattice_of_no_axes(tmp_path):
+    rc = main(["--out-dir", str(tmp_path), "spectral", "--d", "0"])
+    report = json.loads((tmp_path / "spectral_report.json").read_text())
+    assert rc != 0
+    (verdict,) = report["verdicts"]
+    assert (verdict["id"], verdict["status"]) == ("spectral-error", "fail")
+    assert verdict["detail"].startswith("ValueError(")
+    assert "got d = 0" in verdict["detail"]
 
 
 def test_normest_skips_on_two_octaves(tmp_path, capsys):
