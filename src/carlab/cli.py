@@ -31,8 +31,7 @@ import numpy as np
 from . import acceptance, regions
 from .acceptance import Verdict
 from .bump import bump_fingerprint
-from .oscillatory import (LowerBoundParams, Phi5Spec, frak_s_sample,
-                          in_resonant_set, mtilde_radial)
+from .oscillatory import in_resonant_set
 from .spectral import default_grid
 
 # ---------------------------------------------------------------------------
@@ -95,10 +94,13 @@ class ExperimentConfig:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in _COMMON_KEYS[1:]:  # cast as the field's default
+            caster = type(getattr(ExperimentConfig, name))
+            object.__setattr__(self, name, caster(getattr(self, name)))
         if self.experiment not in _SCHEMAS:
             raise ValueError(f"unknown experiment {self.experiment!r}; pick "
                              f"from {sorted(_SCHEMAS)}")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
@@ -116,21 +118,13 @@ class ExperimentConfig:
     def from_mapping(cls, data: dict[str, Any]) -> "ExperimentConfig":
         if "experiment" not in data:
             raise ValueError("config needs an 'experiment' key")
+        common = {k: v for k, v in data.items() if k in _COMMON_KEYS}
         extra = {k: v for k, v in data.items() if k not in _COMMON_KEYS}
-        return cls(experiment=data["experiment"],
-                   seed=int(data.get("seed", 0)),
-                   out=str(data.get("out", "")),
-                   out_dir=str(data.get("out_dir", ".")),
-                   threads=int(data.get("threads", 1)),
-                   params=extra)
+        return cls(**common, params=extra)
 
     def to_mapping(self) -> dict[str, Any]:
-        flat: dict[str, Any] = {"experiment": self.experiment,
-                                "seed": self.seed, "out": self.out,
-                                "out_dir": self.out_dir,
-                                "threads": self.threads}
-        flat.update(self.params)
-        return flat
+        return {**{key: getattr(self, key) for key in _COMMON_KEYS},
+                **self.params}
 
     def to_json(self) -> str:
         return json.dumps(self.to_mapping(), sort_keys=True, indent=2) + "\n"
@@ -305,7 +299,7 @@ def _run_normest(cfg: ExperimentConfig,
     kind_name = cfg.params["kind"]
     if kind_name not in _NORMEST_KINDS:
         raise ValueError(f"unknown scaling kind {kind_name!r}; pick from "
-                         f"{sorted(_NORMEST_KINDS)}")
+                         f"{_OPTIONS['kind']['choices']}")
     family = _NORMEST_KINDS[kind_name]
     d, k = cfg.params["d"], cfg.params["k"]
     point = regions.ExponentPoint.parse(cfg.params["point"])
@@ -334,53 +328,27 @@ def _run_normest(cfg: ExperimentConfig,
 
 def _run_lowerbound(cfg: ExperimentConfig,
                     rng: np.random.Generator) -> list[Verdict]:
-    d, k = cfg.params["d"], cfg.params["k"]
-    t = cfg.params["t"]
-    eps_list = parse_eps_range(cfg.params["eps"])
-    spec = Phi5Spec(d, k)
-    rows: list[tuple] = []
-    scaled_mins: list[float] = []
-
-    # every scale's parameters and samples are built before any evaluation
-    blocks = [LowerBoundParams.make(d, k, eps) for eps in eps_list]
-    samples = [frak_s_sample(params) for params in blocks]
-
-    def one_eps(eps: float, params: LowerBoundParams,
-                centers: np.ndarray) -> list[tuple]:
-        offsets = centers[:-1] + math.pi if len(centers) > 1 else \
-            np.asarray([])
-        out = []
-        for y in np.concatenate([centers, offsets]):
-            val = abs(mtilde_radial(d, k, eps, spec, float(y), t))
-            flag = int(bool(in_resonant_set(params, float(y))))
-            out.append((eps, float(y), t, val,
-                        eps ** (k - d / 2.0) * val, flag))
-        return out
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        for chunk in pool.map(one_eps, eps_list, blocks, samples):
-            rows.extend(chunk)
-            inside = [r[4] for r in chunk if r[5]]
-            scaled_mins.append(min(inside, default=0.0))
+    d, k, t = cfg.params["d"], cfg.params["k"], cfg.params["t"]
+    scan = acceptance.resonant_scan(d, k, parse_eps_range(cfg.params["eps"]),
+                                    t, cfg.threads)
     if cfg.out:
+        # the profile also reads |m~| midway between consecutive centres
+        offsets = [ys[:-1] + math.pi for ys in scan.centers]
+        off_values = acceptance.abs_mtilde(d, k, t, scan.scales, offsets,
+                                           cfg.threads)
+        rows = [(eps, float(y), t, val, eps ** (k - d / 2.0) * val,
+                 int(bool(in_resonant_set(params, float(y)))))
+                for eps, params, ys, vals, off_ys, off_vals in zip(
+                    scan.scales, scan.params, scan.centers, scan.values,
+                    offsets, off_values)
+                for y, val in zip([*ys, *off_ys], vals + off_vals)]
         _write_csv(os.path.join(cfg.out_dir, cfg.out), cfg,
                    ("dimensionless", "length", "length", "amplitude",
                     "amplitude", "0/1"),
                    ("eps", "y_abs", "t", "abs_mtf", "scaled_abs_mtf",
                     "in_resonant_set"), rows)
-    empty = [eps for eps, low in zip(eps_list, scaled_mins) if not low > 0]
-    if empty:
-        return [Verdict.judge(
-            "lowerbound-band", False,
-            "no positive resonant-set sample at eps = "
-            + ", ".join(f"{eps:g}" for eps in empty), {"min": 0.0})]
-    band = max(scaled_mins) / min(scaled_mins)
-    return [Verdict.judge(
-        "lowerbound-band", band <= acceptance.BAND_TOL,
-        f"scaled resonant-set minimum spans a factor {band:.3f} band over "
-        f"{len(eps_list)} scales "
-        f"(tol {acceptance.tol_text(acceptance.BAND_TOL)})",
-        {"band": band, "min": min(scaled_mins)})]
+    return [Verdict.judge("lowerbound-band", scan.ok, scan.detail,
+                          scan.measures)]
 
 
 _PAIRING_SUITES = {"distid": (acceptance.distid_cases, "pairing"),
@@ -408,7 +376,7 @@ def _run_identities(cfg: ExperimentConfig,
                 {"rel_err": c.rel, "ratio": c.ratio}))
     else:
         raise ValueError(f"unknown identities suite {suite!r}; pick from "
-                         "['counter', 'distid', 'kelvin']")
+                         f"{_OPTIONS['suite']['choices']}")
     if cfg.out:
         _write_atomic(os.path.join(cfg.out_dir, cfg.out),
                       json.dumps({"suite": suite, "config": cfg.digest,
@@ -466,85 +434,75 @@ def run(config: ExperimentConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
+#: each experiment's subcommand help, and its ``--out`` help if it has one
+_COMMANDS: dict[str, tuple[str, str | None]] = {
+    "regions": ("exact exponent-square geometry", "figure-data JSON path"),
+    "symbols": ("symbol identity spot checks", None),
+    "spectral": ("grid transform sanity checks", None),
+    "normest": ("scaling-law fits for norm bounds", "CSV path"),
+    "lowerbound": ("resonant-set witness profile", "CSV path"),
+    "identities": ("distribution identity batteries", "results JSON path"),
+    "accept": ("run acceptance criteria", None),
+}
+#: the argparse settings of the options that need any; a handler refuses a
+#: value off ``choices`` too, since a config file does not pass the parser
+_OPTIONS: dict[str, dict[str, Any]] = {
+    "n": {"help": "points per axis (0 = dimension default)"},
+    "point": {"help": "exponent point as rational '1/p,1/q'"},
+    "kind": {"choices": sorted(_NORMEST_KINDS)},
+    "suite": {"choices": sorted([*_PAIRING_SUITES, "kelvin"])},
+    "suites": {"nargs": "*", "help": "criterion ids (default: all)"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``carlab`` parser.  An option left off the command line is absent
+    from its namespace: `_SCHEMAS` and `ExperimentConfig` hold the defaults."""
     parser = argparse.ArgumentParser(
         prog="carlab",
-        description="Numerical laboratory for a degenerate-sphere multiplier")
-    parser.add_argument("--seed", type=int, default=0,
+        description="Numerical laboratory for a degenerate-sphere multiplier",
+        argument_default=argparse.SUPPRESS)
+    parser.add_argument("--seed", type=int,
                         help="seed for the counter-based generator")
-    parser.add_argument("--out-dir", default=".",
+    parser.add_argument("--out-dir",
                         help="directory for reports and artifacts")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=int,
                         help="parallel workers for independent sub-runs")
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    p = sub.add_parser("regions", help="exact exponent-square geometry")
-    p.add_argument("--d", type=int, default=5)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--out", default="", help="figure-data JSON path")
-
-    p = sub.add_parser("symbols", help="symbol identity spot checks")
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--eps", default="2^-5")
-    p.add_argument("--points", type=int, default=10_000)
-
-    p = sub.add_parser("spectral", help="grid transform sanity checks")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int, default=0,
-                   help="points per axis (0 = dimension default)")
-
-    p = sub.add_parser("normest", help="scaling-law fits for norm bounds")
-    p.add_argument("--kind", default="tilde_knapp",
-                   choices=sorted(_NORMEST_KINDS))
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--eps", default="2^-3..2^-6")
-    p.add_argument("--point", default="3/4,1/4",
-                   help="exponent point as rational '1/p,1/q'")
-    p.add_argument("--out", default="", help="CSV path")
-
-    p = sub.add_parser("lowerbound", help="resonant-set witness profile")
-    p.add_argument("--d", type=int, default=5)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--eps", default="2^-4..2^-8")
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--out", default="lb.csv", help="CSV path")
-
-    p = sub.add_parser("identities", help="distribution identity batteries")
-    p.add_argument("--suite", default="distid",
-                   choices=["distid", "counter", "kelvin"])
-    p.add_argument("--out", default="", help="results JSON path")
-
-    p = sub.add_parser("accept", help="run acceptance criteria")
-    p.add_argument("suites", nargs="*", default=[],
-                   help="criterion ids (default: all)")
-
+    for experiment, schema in _SCHEMAS.items():
+        help_text, out_help = _COMMANDS[experiment]
+        p = sub.add_parser(experiment, help=help_text,
+                           argument_default=argparse.SUPPRESS)
+        for name, (caster, _) in schema.items():
+            flag = name if experiment == "accept" else f"--{name}"
+            p.add_argument(flag, type=caster, **_OPTIONS.get(name, {}))
+        if out_help:
+            p.add_argument("--out", help=out_help)
     p = sub.add_parser("run", help="execute a saved config file")
     p.add_argument("--config", required=True)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    data = {k.replace("-", "_"): v for k, v in vars(args).items()
-            if k not in ("experiment", "config") and v is not None}
-    if "suites" in data:
-        data["suites"] = ",".join(data["suites"]) if data["suites"] \
-            else "all"
-    data["experiment"] = args.experiment
+    """The config a command line names: a subcommand's options, or ``run
+    --config``'s file with each global flag given on the line laid over it."""
+    data = dict(vars(args))
+    if data["experiment"] == "run":
+        with open(data.pop("config"), encoding="utf-8") as handle:
+            data = {**json.load(handle),
+                    **{k: v for k, v in data.items() if k != "experiment"}}
+    elif "suites" in data:
+        data["suites"] = ",".join(data["suites"])
     return ExperimentConfig.from_mapping(data)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.experiment == "run":
-        with open(args.config, encoding="utf-8") as handle:
-            config = ExperimentConfig.from_json(handle.read())
-        if args.out_dir != ".":
-            config = ExperimentConfig.from_mapping(
-                {**config.to_mapping(), "out_dir": args.out_dir})
-    else:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
         config = config_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     report = run(config)
     for v in report.verdicts:
         print(v.line)

@@ -169,9 +169,9 @@ def test_lowerbound_csv_contract(tmp_path):
 def test_lowerbound_names_scales_without_resonant_samples(tmp_path,
                                                           monkeypatch):
     # no sample at 2^-5 lies in the resonant set; at 2^-4 all are zero
-    monkeypatch.setattr(cli, "in_resonant_set",
+    monkeypatch.setattr(acceptance, "in_resonant_set",
                         lambda params, y: params.eps != 2.0 ** -5)
-    monkeypatch.setattr(cli, "mtilde_radial",
+    monkeypatch.setattr(acceptance, "mtilde_radial",
                         lambda d, k, eps, spec, y, t:
                         0.0 if eps == 2.0 ** -4 else 1.0)
     cfg = ExperimentConfig.from_mapping(
@@ -189,7 +189,7 @@ def test_lowerbound_names_scales_without_resonant_samples(tmp_path,
 def test_lowerbound_rejects_a_bad_scale_before_any_evaluation(tmp_path,
                                                               monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "mtilde_radial",
+    monkeypatch.setattr(acceptance, "mtilde_radial",
                         lambda *args: calls.append(args) or 1.0)
     cfg = ExperimentConfig.from_mapping(
         {"experiment": "lowerbound", "eps": "2^-8..2^-2", "out": "lb.csv",
@@ -200,6 +200,33 @@ def test_lowerbound_rejects_a_bad_scale_before_any_evaluation(tmp_path,
     assert verdict.detail.startswith("EmptyWindowError(")
     assert calls == []
     assert not (tmp_path / "lb.csv").exists()
+
+
+def test_a6_and_lowerbound_share_one_resonant_scan(tmp_path, monkeypatch):
+    calls = []
+    real = acceptance.mtilde_radial
+
+    def counted(d, k, eps, spec, y, t):
+        value = real(d, k, eps, spec, y, t)
+        calls.append((eps, y, value))
+        return value
+
+    monkeypatch.setattr(acceptance, "mtilde_radial", counted)
+    a6 = acceptance.run_criterion("A6")
+    a6_calls = calls[:]
+    calls.clear()
+    (verdict,) = run(ExperimentConfig.from_mapping(
+        {"experiment": "lowerbound", "out_dir": str(tmp_path)})).verdicts
+    assert a6.status == verdict.status == "pass"
+    assert len(a6_calls) == 40  # the window centres at 2^-4..2^-8
+    assert calls == a6_calls
+    assert a6.detail.startswith(verdict.detail + ", slope ")
+    # the band as A6 computed it before the scan was shared
+    mins = {}
+    for eps, _, value in a6_calls:
+        mins[eps] = min(mins.get(eps, math.inf), abs(value))
+    normalized = [eps ** (2 - 5 / 2.0) * v for eps, v in mins.items()]
+    assert verdict.measures["band"] == max(normalized) / min(normalized)
 
 
 def test_accept_rejects_an_unknown_id_before_any_criterion(tmp_path,
@@ -416,6 +443,44 @@ def test_run_config_file_round_trip(tmp_path, capsys):
     assert rc == 0
     report = json.loads((tmp_path / "regions_report.json").read_text())
     assert report["config"]["d"] == 9
+
+
+@pytest.mark.parametrize("experiment", sorted(cli._SCHEMAS))
+def test_an_experiment_without_options_parses_to_the_schema_defaults(
+        experiment):
+    args = cli._build_parser().parse_args([experiment])
+    assert vars(args) == {"experiment": experiment}
+    # the schema's params, and the dataclass defaults for the common keys
+    assert cli.config_from_args(args) == ExperimentConfig(experiment)
+
+
+def test_run_config_takes_the_global_flags_given_on_the_line(tmp_path,
+                                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"experiment": "regions", "out_dir": "elsewhere", "seed": 5,
+         "threads": 3}))
+    assert main(["run", "--config", "cfg.json"]) == 0
+    kept = json.loads((tmp_path / "elsewhere" / "regions_report.json")
+                      .read_text())["config"]
+    assert (kept["seed"], kept["threads"]) == (5, 3)
+    assert main(["--out-dir", ".", "--seed", "0", "--threads", "1", "run",
+                 "--config", "cfg.json"]) == 0
+    given = json.loads((tmp_path / "regions_report.json").read_text())
+    assert given["config"]["out_dir"] == "."
+    assert (given["config"]["seed"], given["config"]["threads"]) == (0, 1)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--threads", "0", "regions"], "threads must be >= 1"),
+    (["--seed", "-1", "regions"], "seed must fit"),
+])
+def test_bad_command_line_values_exit_through_the_parser(argv, message,
+                                                         capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_threads_accepted_for_parallel_suites(tmp_path, capsys):
