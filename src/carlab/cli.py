@@ -489,8 +489,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     data = dict(vars(args))
     if data["experiment"] == "run":
         with open(data.pop("config"), encoding="utf-8") as handle:
-            data = {**json.load(handle),
-                    **{k: v for k, v in data.items() if k != "experiment"}}
+            saved = json.load(handle)
+        if not isinstance(saved, dict):
+            raise ValueError(f"a config file must hold a JSON object; "
+                             f"got {type(saved).__name__}")
+        data = {**saved,
+                **{k: v for k, v in data.items() if k != "experiment"}}
     elif "suites" in data:
         data["suites"] = ",".join(data["suites"])
     return ExperimentConfig.from_mapping(data)
@@ -501,7 +505,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # an unreadable or bad config
         parser.error(str(exc))
     report = run(config)
     for v in report.verdicts:

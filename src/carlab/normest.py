@@ -192,8 +192,7 @@ def _radial_norm(field: KnappField, coef: np.ndarray, r: float) -> float:
     kernel /= scale
     cols = np.moveaxis(coef, -2, 0).reshape(len(rho), -1)
     cols = np.ascontiguousarray(cols, np.result_type(cols, float))
-    # einsum, not @: the BLAS call starts a second OpenBLAS thread that
-    # burns a core without cutting the wall time
+    # einsum, not @: see tests/test_no_threaded_blas.py
     rows = np.einsum("lj,jk->lk", kernel, cols.view(float))
     if np.iscomplexobj(cols):
         rows = rows.view(complex)

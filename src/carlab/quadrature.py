@@ -42,8 +42,7 @@ def _panel_eval(f, lo, hi):
     nodes = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()  # (P*15,)
     fv = np.asarray(f(nodes))
     fv = fv.reshape(fv.shape[:-1] + (len(lo), 15))
-    # einsum, not tensordot: tensordot's BLAS call starts a second OpenBLAS
-    # thread that burns a core without cutting the wall time
+    # einsum, not tensordot: see tests/test_no_threaded_blas.py
     k15 = np.einsum("...k,k->...", fv, _WK) * half
     g7 = np.einsum("...k,k->...", fv[..., _GAUSS_IDX], _WGAUSS) * half
     return k15, np.abs(k15 - g7)

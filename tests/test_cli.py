@@ -483,6 +483,22 @@ def test_bad_command_line_values_exit_through_the_parser(argv, message,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "must hold a JSON object; got list"),
+    ('"x"', "must hold a JSON object; got str"),
+    (None, "No such file or directory"),
+])
+def test_a_bad_config_file_exits_through_the_parser(tmp_path, capsys, text,
+                                                    message):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    with pytest.raises(SystemExit) as stop:
+        main(["run", "--config", str(cfg_path)])
+    assert stop.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_threads_accepted_for_parallel_suites(tmp_path, capsys):
     rc = main(["--threads", "2", "--out-dir", str(tmp_path),
                "accept", "A1", "A2"])

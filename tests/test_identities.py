@@ -1,5 +1,9 @@
 """Distribution pairings, order-shuffle identities, inversion transform."""
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,7 +11,8 @@ import pytest
 
 import carlab.identities as identities
 from carlab import acceptance
-from carlab.bump import CustomCutoff, InversionImage, inversion_bump
+from carlab.bump import (CustomCutoff, InversionImage, PlateauBump,
+                         inversion_bump)
 from carlab.identities import (KELVIN_PERIOD, PolyGauss, eval_field_at_points,
                                fractional_laplacian, pair_pullback,
                                radial_fractional_at, sphere_integral,
@@ -364,6 +369,35 @@ def test_kelvin_error_halves_under_resolution_doubling():
     u = inversion_bump(1.0)
     coarse, fine = verify_kelvin(u, 1.0, (64, 128))
     assert coarse.rel_err / fine.rel_err >= 2.0
+
+
+def test_kelvin_right_side_that_vanishes_alone_is_an_infinite_error():
+    # u lives on [1/1.9, 1/1.5], off the inverted radii [1/1.4, 1/0.7] at
+    # which the right side reads it
+    off, = verify_kelvin(InversionImage(PlateauBump(1.5, 1.6, 1.7, 1.9),
+                                        -1.0), 1.0, (64,))
+    assert off.rhs == 0.0 < off.abs_err and off.rel_err == math.inf
+    zero = CustomCutoff(lambda t, order=0: np.zeros(np.shape(t)), (0.7, 1.4),
+                        max_order=2)
+    both, = verify_kelvin(zero, 1.0, (16,))
+    assert (both.lhs, both.rhs, both.abs_err, both.rel_err) == (0, 0, 0, 0)
+
+
+def test_kelvin_bits_do_not_depend_on_the_blas_thread_count():
+    # one process per OpenBLAS thread count; each prints every field's hex
+    script = ("from dataclasses import astuple\n"
+              "from carlab.bump import inversion_bump\n"
+              "from carlab.identities import verify_kelvin\n"
+              "for r in verify_kelvin(inversion_bump(1.0), 1.0, (64, 128)):\n"
+              "    print(*(float(x).hex() for x in astuple(r)))\n")
+    src = str(pathlib.Path(identities.__file__).resolve().parents[1])
+    out = [subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src,
+                               "OPENBLAS_NUM_THREADS": threads}).stdout
+           for threads in ("1", "2")]
+    assert len(out[0].split()) == 8
+    assert out[0] == out[1]
 
 
 def test_kelvin_refuses_an_order_the_oracle_lacks_before_lattice_work(
