@@ -392,7 +392,7 @@ class SlopeCheck(NamedTuple):
 
 
 class InsufficientOctaves(ValueError):
-    """Too few distinct scales to anchor a slope fit."""
+    """Too few distinct scales to anchor a slope fit or a band."""
 
 
 def knapp_fit(family: str, d: int, k: int, eps_list: Sequence[float],
@@ -460,8 +460,16 @@ class ResonantScan(NamedTuple):
 def resonant_scan(d: int, k: int, scales: Sequence[float], t: float,
                   threads: int) -> ResonantScan:
     """The scaled resonant-set minima ``eps^(k - d/2) min |m~|`` at time t,
-    judged as a band.  Every scale's centres are built before `abs_mtilde`
-    evaluates any, so a scale without a window fails first."""
+    judged as a band over the distinct scales, in their first order.  Fewer
+    than 2 (`InsufficientOctaves`) and a non-finite t fail before any
+    centre is built, and every scale's centres are built before
+    `abs_mtilde` evaluates any, so a scale without a window fails first."""
+    scales = list(dict.fromkeys(scales))
+    if len(scales) < 2:
+        raise InsufficientOctaves(f"insufficient octaves: a band needs at "
+                                  f"least 2 scales, got {len(scales)}")
+    if not math.isfinite(t):
+        raise ValueError(f"need a finite time t, got t={t}")
     params = [LowerBoundParams.make(d, k, eps) for eps in scales]
     centers = [frak_s_sample(p) for p in params]
     values = abs_mtilde(d, k, t, scales, centers, threads)

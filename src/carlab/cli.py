@@ -302,14 +302,13 @@ def _run_normest(cfg: ExperimentConfig,
                          f"{_OPTIONS['kind']['choices']}")
     family = _NORMEST_KINDS[kind_name]
     d, k = cfg.params["d"], cfg.params["k"]
-    point = regions.ExponentPoint.parse(cfg.params["point"])
-
     if family is None:
         check = acceptance.ring_fit(d, k, _one_scale(cfg, kind_name),
                                     cfg.seed)
         label = "delta"
     else:
         eps_list = parse_eps_range(cfg.params["eps"])
+        point = regions.ExponentPoint.parse(cfg.params["point"])
         try:
             check = acceptance.knapp_fit(family, d, k, eps_list, point)
         except acceptance.InsufficientOctaves as exc:
@@ -329,8 +328,11 @@ def _run_normest(cfg: ExperimentConfig,
 def _run_lowerbound(cfg: ExperimentConfig,
                     rng: np.random.Generator) -> list[Verdict]:
     d, k, t = cfg.params["d"], cfg.params["k"], cfg.params["t"]
-    scan = acceptance.resonant_scan(d, k, parse_eps_range(cfg.params["eps"]),
-                                    t, cfg.threads)
+    try:
+        scan = acceptance.resonant_scan(
+            d, k, parse_eps_range(cfg.params["eps"]), t, cfg.threads)
+    except acceptance.InsufficientOctaves as exc:
+        return [Verdict("lowerbound-band", "skip", str(exc))]
     if cfg.out:
         # the profile also reads |m~| midway between consecutive centres
         offsets = [ys[:-1] + math.pi for ys in scan.centers]

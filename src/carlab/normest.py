@@ -22,8 +22,7 @@ import numpy as np
 
 from .bessel import sphere_hat
 from .regions import ExponentPoint
-from .spectral import (Grid, KnappField, check_lattice_size, sample_lp_norm,
-                       sample_symbol)
+from .spectral import Grid, KnappField, check_lattice_size, sample_lp_norm
 from .symbols import SymbolSpec, eval_from_radial
 
 
@@ -210,53 +209,37 @@ def _on_lines(values: np.ndarray, live: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values.reshape(-1, values.shape[-1])[live].T)
 
 
-def _live_lines(grid: Grid, symbol) -> tuple[np.ndarray, np.ndarray]:
+def _live_lines(grid: Grid, spec: SymbolSpec
+                ) -> tuple[np.ndarray, np.ndarray]:
     """The symbol's live τ-lines: ``(live, mk)``, the ascending numbers of
     the τ-lines that carry a nonzero sample and ``m`` on them, a
     contiguous ``(n_tau, K)`` array (`_on_lines`).
 
     The paper's symbols degenerate on ``{|eta| = 1, tau = 0}``, so their
-    support meets few τ-lines.  A `SymbolSpec` sees a τ-line only through
-    its ``|eta|^2``, so its rows are the distinct ``|eta|^2`` and each line
-    takes its row's samples; any other symbol's rows are the τ-lines.  The
-    rows are sampled a block (`_block_rows`) at a time, and each block keeps
-    its live rows, so neither the samples nor a mask of them exists at full
-    size.
+    support meets few τ-lines.  A τ-line is seen only through its
+    ``|eta|^2``, so the symbol is sampled on the distinct ``|eta|^2``, a
+    block (`_block_rows`) of them at a time, each block keeps its live
+    rows, and each line takes its row's samples; neither the samples nor a
+    mask of them exists at full size.
     """
-    shape, radius = grid.shape, None
-    if isinstance(symbol, SymbolSpec):
-        if symbol.d != len(shape):
-            raise ValueError(f"got {len(shape)} axes for d = {symbol.d}")
-        *axes, tau = grid.freq_axes()
-        eta_sq = sum(g ** 2 for g in np.meshgrid(*axes, indexing="ij",
-                                                 sparse=True))
-        radii, radius = np.unique(eta_sq.ravel(), return_inverse=True)
-        rows = (len(radii), shape[-1])
-
-        def sample(t, b):
-            return eval_from_radial(symbol, radii[t:t + b, None], tau)
-    else:  # a callable or an array may depend on more than |eta|^2
-        rows, rest = shape, [np.arange(n) for n in shape[1:]]
-
-        def sample(t, b):
-            return sample_symbol(grid, symbol, [
-                np.arange(t, min(t + b, shape[0]))] + rest)
-    per_row = math.prod(rows[1:-1])
-    live, kept = [], []
-    b = _block_rows(rows)
-    for t in range(0, rows[0], b):
-        m = sample(t, b).reshape(-1, shape[-1])
+    if spec.d != len(grid.shape):
+        raise ValueError(f"got {len(grid.shape)} axes for d = {spec.d}")
+    *axes, tau = grid.freq_axes()
+    eta_sq = sum(g ** 2 for g in np.meshgrid(*axes, indexing="ij",
+                                             sparse=True))
+    radii, radius = np.unique(eta_sq.ravel(), return_inverse=True)
+    rows, kept = [], []
+    b = _block_rows((len(radii), len(tau)))
+    for t in range(0, len(radii), b):
+        m = eval_from_radial(spec, radii[t:t + b, None], tau)
         on = np.flatnonzero(np.any(m != 0, axis=1))
-        live.append(t * per_row + on)
+        rows.append(t + on)
         kept.append(m[on].T)
         del m  # before the next block is sampled
-    mk = np.empty((shape[-1], sum(k.shape[1] for k in kept)), kept[0].dtype)
-    live, mk = np.concatenate(live), np.concatenate(kept, axis=1, out=mk)
-    if radius is not None:  # the lines whose |eta|^2 is a live row
-        lines = np.flatnonzero(np.isin(radius, live))
-        mk = np.take(mk, np.searchsorted(live, radius[lines]), axis=1)
-        live = lines
-    return live, mk
+    mk = np.empty((len(tau), sum(k.shape[1] for k in kept)), kept[0].dtype)
+    rows, mk = np.concatenate(rows), np.concatenate(kept, axis=1, out=mk)
+    live = np.flatnonzero(np.isin(radius, rows))
+    return live, np.take(mk, np.searchsorted(rows, radius[live]), axis=1)
 
 
 def _noise_lines(rng: np.random.Generator, shape: tuple[int, ...],
@@ -397,8 +380,8 @@ def power_method(grid: Grid, live: tuple[np.ndarray, np.ndarray],
                         history=tuple(history), aborted=aborted)
 
 
-def estimate_operator_norm(grid: Grid, symbol, p: float, q: float, *,
-                           seed: int = 0, n_random: int = 3,
+def estimate_operator_norm(grid: Grid, symbol: SymbolSpec, p: float,
+                           q: float, *, seed: int = 0, n_random: int = 3,
                            max_iter: int = 24, tol: float = 1e-4
                            ) -> NormEstimate:
     """Best certified lower bound for ``||m(D)||_{2 -> q}`` on the lattice
@@ -407,12 +390,12 @@ def estimate_operator_norm(grid: Grid, symbol, p: float, q: float, *,
     Exponents other than p = 2, 1 < q < infinity, a lattice of one axis,
     ``max_iter < 1``, ``n_random < 0``, ``tol < 0`` and a ``seed`` that is
     not a nonnegative integer are refused before any sampling.  The symbol
-    is sampled once, one block of axis-0 rows at a time, into the live
-    τ-lines every run shares (`_live_lines`).  Restart seeds, each built on
-    those lines just before its run and dropped after it: the conjugated
-    symbol itself as a frequency profile (the natural L^2 maximiser, a
-    strong generic start), then ``n_random`` complex Gaussian fields
-    supported where the symbol is nonzero, drawn from one seeded Philox
+    is sampled once, on the distinct ``|eta|^2`` a block at a time, into
+    the live τ-lines every run shares (`_live_lines`).  Restart seeds, each
+    built on those lines just before its run and dropped after it: the
+    conjugated symbol itself as a frequency profile (the natural L^2
+    maximiser, a strong generic start), then ``n_random`` complex Gaussian
+    fields supported where the symbol is nonzero, drawn from one seeded Philox
     stream, real parts first (`_noise_lines`).  So neither the symbol, nor
     its support, nor any start exists at full size.
     """

@@ -265,29 +265,19 @@ def lorentz_norm(field: GridField, p: float, flavor: str) -> float:
 Symbol = Union[SymbolSpec, Callable[..., np.ndarray], np.ndarray]
 
 
-def sample_symbol(grid: Lattice, symbol: Symbol,
-                  index: Sequence[np.ndarray] | None = None) -> np.ndarray:
+def sample_symbol(grid: Lattice, symbol: Symbol) -> np.ndarray:
     """A multiplier's samples on a field's frequency lattice, lattice-shaped.
 
     ``symbol`` is a `SymbolSpec`, a callable receiving the sparse frequency
     meshgrid (one broadcastable array per axis), or an array already sampled
     on this lattice, which comes back as it is once its shape checks out;
     any other symbol's samples come back as a read-only broadcast view.
-
-    With ``index``, one array of lattice indices per axis, only the
-    sub-lattice those indices span is sampled, and the result has its shape
-    ``tuple(len(i) for i in index)``.  The symbol is read nowhere else, so a
-    degenerate point off that sub-lattice raises nothing.
     """
     if isinstance(symbol, np.ndarray):
         if symbol.shape != grid.shape:
             raise ValueError("precomputed symbol shape does not match grid")
-        return symbol if index is None else symbol[np.ix_(*index)]
+        return symbol
     axes = grid.freq_axes()
-    shape = grid.shape
-    if index is not None:
-        axes = [ax[i] for ax, i in zip(axes, index)]
-        shape = tuple(len(i) for i in index)
     try:
         if isinstance(symbol, SymbolSpec):
             m = symbol_on_axes(symbol, axes)
@@ -298,7 +288,7 @@ def sample_symbol(grid: Lattice, symbol: Symbol,
             f"{exc} -- this grid's lattice hits the degenerate set; rebuild it "
             "with default_grid(..., for_full_symbol=True) or nonzero freq_offsets"
         ) from None
-    return np.broadcast_to(m, shape)
+    return np.broadcast_to(m, grid.shape)
 
 
 def apply_multiplier(field: GridField, symbol: Symbol) -> GridField:

@@ -1,11 +1,11 @@
 """Test helpers that put values on a lattice: a `GridField` on a lattice's
-geometry, its conjugate reflection, the live τ-lines `power_method` runs
-from, a Knapp witness unfolded onto its Cartesian lattice, and the support
-hull of a dense array."""
+geometry, its conjugate reflection, a dense symbol's live τ-lines and the
+start `power_method` runs from on them, a Knapp witness unfolded onto its
+Cartesian lattice, and the support hull of a dense array."""
 import numpy as np
 
-from carlab.normest import _live_lines, _on_lines
-from carlab.spectral import GridField, KnappField, Lattice
+from carlab.normest import _on_lines
+from carlab.spectral import GridField, KnappField, Lattice, sample_symbol
 
 
 def field_on(grid: Lattice, values, in_space: bool = True) -> GridField:
@@ -27,11 +27,20 @@ def conjugate_reflect(field: GridField) -> GridField:
     return out.to_space() if field.in_space else out
 
 
+def dense_live_lines(m: np.ndarray):
+    """``(live, mk)``, the live τ-lines of a whole sampled symbol ``m`` as
+    `normest._live_lines` gives them, found from a full-size mask."""
+    lines = m.reshape(-1, m.shape[-1])
+    live = np.flatnonzero(np.any(lines != 0, axis=1))
+    return live, _on_lines(m, live)
+
+
 def start_lines(field: GridField, symbol):
-    """``(live, lines)`` for `power_method` to run from ``field``: the
-    symbol's live τ-lines (`_live_lines`) and a new array of the field's
+    """``(live, lines)`` for `power_method` to run from ``field``: the live
+    τ-lines of ``symbol`` (anything `sample_symbol` takes) from its dense
+    samples (`dense_live_lines`), and a new array of the field's
     coefficients on them, which the run takes over."""
-    live = _live_lines(field, symbol)
+    live = dense_live_lines(sample_symbol(field, symbol))
     return live, _on_lines(field.to_freq().values, live[0])
 
 

@@ -202,6 +202,58 @@ def test_lowerbound_rejects_a_bad_scale_before_any_evaluation(tmp_path,
     assert not (tmp_path / "lb.csv").exists()
 
 
+@pytest.mark.parametrize("eps", ["2^-4..2^-4", "2^-4,2^-4"])
+def test_lowerbound_skips_one_scale_before_any_centre(tmp_path, capsys,
+                                                      monkeypatch, eps):
+    # a band over one distinct scale compares that scale with itself
+    calls = []
+    monkeypatch.setattr(acceptance, "frak_s_sample",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(acceptance, "mtilde_radial",
+                        lambda *args: calls.append(args) or 1.0)
+    rc = main(["--out-dir", str(tmp_path), "lowerbound", "--eps", eps,
+               "--out", "lb.csv"])
+    out = capsys.readouterr().out
+    assert rc == 0  # a skip is not a failure
+    assert "lowerbound-band SKIP" in out
+    assert "a band needs at least 2 scales, got 1" in out
+    assert calls == []
+    assert not (tmp_path / "lb.csv").exists()
+
+
+def test_lowerbound_judges_a_repeated_scale_once(tmp_path, monkeypatch):
+    # a repeated scale is one scale of the band, evaluated once
+    calls = []
+    monkeypatch.setattr(acceptance, "mtilde_radial",
+                        lambda d, k, eps, spec, y, t: calls.append((eps, y))
+                        or 1.0)
+    details = []
+    for eps in ("2^-5,2^-4,2^-5", "2^-5,2^-4"):
+        (verdict,) = run(ExperimentConfig.from_mapping(
+            {"experiment": "lowerbound", "eps": eps,
+             "out_dir": str(tmp_path)})).verdicts
+        details.append((verdict.detail, calls[:]))
+        calls.clear()
+    assert details[0] == details[1]
+    assert details[0][0].endswith("band over 2 scales (tol 2)")
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_lowerbound_refuses_a_non_finite_time_before_any_centre(
+        tmp_path, monkeypatch, t):
+    calls = []
+    monkeypatch.setattr(acceptance, "frak_s_sample",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(acceptance, "mtilde_radial",
+                        lambda *args: calls.append(args) or 1.0)
+    (verdict,) = run(ExperimentConfig.from_mapping(
+        {"experiment": "lowerbound", "t": float(t),
+         "out_dir": str(tmp_path)})).verdicts
+    assert (verdict.id, verdict.status) == ("lowerbound-error", "fail")
+    assert "need a finite time t" in verdict.detail
+    assert calls == []
+
+
 def test_a6_and_lowerbound_share_one_resonant_scan(tmp_path, monkeypatch):
     calls = []
     real = acceptance.mtilde_radial
@@ -297,6 +349,26 @@ def test_normest_refuses_ring_scale_ranges_before_any_lattice(tmp_path,
         assert verdict.id == "normest-error" and verdict.status == "fail"
         assert "one eps scale" in verdict.detail
     assert built == []
+
+
+def test_the_ring_fit_reads_no_exponent_point(tmp_path, monkeypatch):
+    # the ring law is L^2 -> L^6 at every point; a point the fit never reads
+    # is not parsed, while a Knapp fit still refuses a malformed one
+    fits = []
+
+    def ring_fit(d, k, eps, seed):
+        fits.append((d, k, eps, seed))
+        return acceptance.SlopeCheck(
+            acceptance.fit_scaling([1.0, 2.0], [1.0, 2.0]), 1.0, 0.2)
+    monkeypatch.setattr(acceptance, "ring_fit", ring_fit)
+    rc = main(["--out-dir", str(tmp_path), "normest", "--kind", "l2_ring",
+               "--eps", "2^-6", "--point", "3/4"])
+    assert rc == 0 and fits == [(3, 1, 2.0 ** -6, 0)]
+    (verdict,) = run(ExperimentConfig.from_mapping(
+        {"experiment": "normest", "kind": "tilde_knapp", "point": "3/4",
+         "out_dir": str(tmp_path)})).verdicts
+    assert (verdict.id, verdict.status) == ("normest-error", "fail")
+    assert "expected two rationals" in verdict.detail
 
 
 def test_normest_rejects_an_oversized_witness_before_allocating_it(

@@ -30,7 +30,7 @@ from carlab.spectral import (Grid, KnappField, default_grid, lp_norm,
                              sample_lp_norm, sample_symbol)
 from carlab.symbols import (SingularFrequencyError, SymbolSpec,
                             eval_from_radial, symbol_on_axes)
-from fields import field_on, start_lines, unfold
+from fields import dense_live_lines, field_on, start_lines, unfold
 
 RNG = np.random.Generator(np.random.Philox(77))
 
@@ -165,10 +165,6 @@ def _random_field(n):
     hull = (n, n // 2 + 1, n)
     return _record(g, 3, rng.standard_normal(hull)
                    + 1j * rng.standard_normal(hull), map(np.arange, hull))
-
-
-def _eta_tau_symbol(e1, tau):
-    return 1.0 / (e1 * e1 + tau * tau - 1.0 + 2j * tau)
 
 
 _BOUND_CASES = {
@@ -314,7 +310,7 @@ def test_bad_exponents_are_refused_before_any_sampling(monkeypatch):
 
     g = default_grid(2, n=16)
     spec = SymbolSpec("full", 2, 1)
-    monkeypatch.setattr(normest, "sample_symbol", refuse)
+    monkeypatch.setattr(normest, "eval_from_radial", refuse)
     with pytest.raises(ValueError, match="p = 2 only"):
         estimate_operator_norm(g, spec, 3.0, 3.0)
     with pytest.raises(ValueError, match="p = 2 only"):
@@ -459,8 +455,7 @@ def _tau_lines(m):
     return m.reshape(-1, m.shape[-1]).T
 
 
-@pytest.mark.parametrize("case, n_live", [
-    ("lines_tau", 37), ("one_line", 1), ("half_cell", 32), ("ring_j0", 32)])
+@pytest.mark.parametrize("case, n_live", [("half_cell", 32), ("ring_j0", 32)])
 def test_the_tau_lines_are_pruned_to_their_nonzero_lines(case, n_live):
     grid, spec = _ORACLE_CASES[case]
     m = sample_symbol(grid, spec)
@@ -475,27 +470,19 @@ def test_the_tau_lines_are_pruned_to_their_nonzero_lines(case, n_live):
     np.testing.assert_array_equal(mk, lines[:, live])
 
 
-def _dense_live_lines(m):
-    """The live τ-lines of a whole sampled symbol ``m``, from a full-size
-    mask."""
-    lines = _tau_lines(m)
-    live = np.flatnonzero(np.any(lines != 0, axis=0))
-    return live, lines[:, live]
-
-
 def _tilde_grid():
     # a box that the tilde symbol's eta cutoff crosses on few lines
     return Grid((16, 8, 32), (40.0, 20.0, 9.0), (0.9, 0.05, 0.3))
 
 
-# a ring spec, a tilde spec, two callables and a precomputed array; the
-# axis-1 callable's live τ-lines hold zeros
+# two ring specs, whose live |eta|^2 each hold several τ-lines, and a tilde
+# and an eps spec, on a lattice of 128 distinct |eta|^2; every case's live
+# τ-lines hold zeros
 _LIVE_CASES = {
     "ring_j0": _ORACLE_CASES["ring_j0"],
+    "ring_j2": _ORACLE_CASES["ring_j2"],
     "tilde": (_tilde_grid(), SymbolSpec("tilde", 3, 1, eps=2.0 ** -3)),
-    "callable_axis1": _ORACLE_CASES["lines_axis1"],
-    "callable_tau": _ORACLE_CASES["lines_tau"],
-    "array_one_line": _ORACLE_CASES["one_line"],
+    "eps": (_tilde_grid(), SymbolSpec("eps", 3, 1, eps=2.0 ** -2)),
 }
 
 
@@ -503,13 +490,14 @@ _LIVE_CASES = {
 @pytest.mark.parametrize("case", sorted(_LIVE_CASES))
 def test_block_sampled_live_lines_match_the_dense_ones(case, rows,
                                                        monkeypatch):
-    # blocks of 3 rows leave a short last block on every lattice here
+    # a block holds ``rows`` distinct |eta|^2; blocks of 3 leave a short
+    # last block on the tilde and eps lattice
     import carlab.normest as normest
     grid, symbol = _LIVE_CASES[case]
-    want = _dense_live_lines(np.asarray(sample_symbol(grid, symbol)))
+    want = dense_live_lines(np.asarray(sample_symbol(grid, symbol)))
+    assert np.any(want[1] == 0)
     if rows is not None:
-        monkeypatch.setattr(normest, "_BLOCK",
-                            rows * math.prod(grid.shape[1:]))
+        monkeypatch.setattr(normest, "_BLOCK", rows * grid.shape[-1])
     live, mk = _live_lines(grid, symbol)
     np.testing.assert_array_equal(live, want[0])
     assert mk.dtype == want[1].dtype and mk.flags.c_contiguous
@@ -517,17 +505,30 @@ def test_block_sampled_live_lines_match_the_dense_ones(case, rows,
     assert live.size < np.prod(grid.shape) // grid.shape[-1]
 
 
+# `_noise_lines` takes any live lines: a ring and a tilde spec, two
+# callables and a precomputed array; the axis-1 callable's live τ-lines hold
+# zeros, and blocks of 3 rows leave a short last block on every lattice
+_NOISE_CASES = {
+    "ring_j0": _ORACLE_CASES["ring_j0"],
+    "tilde": _LIVE_CASES["tilde"],
+    "callable_axis1": _ORACLE_CASES["lines_axis1"],
+    "callable_tau": _ORACLE_CASES["lines_tau"],
+    "array_one_line": _ORACLE_CASES["one_line"],
+}
+
+
 @pytest.mark.parametrize("rows", [1, 3, None])
-@pytest.mark.parametrize("case", sorted(_LIVE_CASES))
+@pytest.mark.parametrize("case", sorted(_NOISE_CASES))
 def test_noise_lines_are_the_full_draw_on_the_support(case, rows,
                                                       monkeypatch):
     # each start is the one full draw of real parts, then of imaginary
     # parts, times the support, on the live τ-lines; two in a row continue
     # one stream
     import carlab.normest as normest
-    grid, symbol = _LIVE_CASES[case]
-    live, mk = _live_lines(grid, symbol)
-    support = np.asarray(sample_symbol(grid, symbol)) != 0
+    grid, symbol = _NOISE_CASES[case]
+    m = np.asarray(sample_symbol(grid, symbol))
+    live, mk = dense_live_lines(m)
+    support = m != 0
     rng = np.random.Generator(np.random.Philox(5))
     want = []
     for _ in range(2):
@@ -696,9 +697,9 @@ def test_a_p2_run_holds_no_full_size_array_of_its_own():
 
 
 def test_a_ring_estimate_holds_no_full_size_array():
-    # the symbol is sampled a block of rows at a time straight into its live
-    # lines, the starts are built on those lines, and the runs hold no
-    # full-size array of their own
+    # the symbol is sampled on the distinct |eta|^2, a block at a time,
+    # straight into its live lines, the starts are built on those lines,
+    # and the runs hold no full-size array of their own
     grid = ring_grid(0, 64, 16)
     spec = SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=0)
     peak = _traced_peak(lambda: estimate_operator_norm(
@@ -752,18 +753,6 @@ def test_a_hull_whose_norm_arrays_are_too_large_is_refused_before_sampling(
                     map(np.arange, hull))
     with pytest.raises(ValueError, match=f"a {array} complex array .* GiB"):
         certified_lower_bound(field, SymbolSpec("full", d, 1), 2.0, 4.0)
-
-
-def test_a_precomputed_symbol_array_is_never_written_into():
-    grid = ring_grid(0, 32, 16)
-    spec = SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=0)
-    m = np.array(sample_symbol(grid, spec))  # writable, precomputed
-    before = m.tobytes()
-    est = estimate_operator_norm(grid, m, 2.0, 6.0, n_random=1, max_iter=4,
-                                 tol=1e-3)
-    assert m.tobytes() == before
-    assert est.history == estimate_operator_norm(
-        grid, spec, 2.0, 6.0, n_random=1, max_iter=4, tol=1e-3).history
 
 
 def _hull(rng, n, wrapped):
@@ -827,15 +816,15 @@ def test_a_lattice_of_one_axis_is_refused_before_sampling(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("symbol sampled")
-    monkeypatch.setattr(normest, "sample_symbol", refuse)
     monkeypatch.setattr(normest, "eval_from_radial", refuse)
     grid = Grid((64,), (10.0,), (0.0,))
     field = KnappField(grid.shape, grid.periods, grid.freq_offsets, 3,
                        np.ones(3, complex), (np.arange(3),))
+    spec = SymbolSpec("full", 3, 1)
     with pytest.raises(ValueError, match=r"got shape \(64,\)"):
-        estimate_operator_norm(grid, _eta_tau_symbol, 2.0, 4.0)
+        estimate_operator_norm(grid, spec, 2.0, 4.0)
     with pytest.raises(ValueError, match=r"got shape \(64,\)"):
-        certified_lower_bound(field, SymbolSpec("full", 3, 1), 2.0, 4.0)
+        certified_lower_bound(field, spec, 2.0, 4.0)
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -853,10 +842,10 @@ def test_bad_iteration_settings_are_refused_before_sampling(kwargs, match,
 
     def refuse(*args, **kw):
         raise AssertionError("symbol sampled")
-    monkeypatch.setattr(normest, "sample_symbol", refuse)
+    monkeypatch.setattr(normest, "eval_from_radial", refuse)
     with pytest.raises(ValueError, match=match):
-        estimate_operator_norm(ring_grid(3), _eta_tau_symbol, 2.0, 4.0,
-                               **kwargs)
+        estimate_operator_norm(ring_grid(3), SymbolSpec(
+            "ring", 3, 1, eps=2.0 ** -6, j=3), 2.0, 4.0, **kwargs)
 
 
 def test_power_method_refuses_a_run_of_no_iterations():
@@ -1010,7 +999,6 @@ def test_norm_estimation_never_writes_into_its_inputs(lattice):
     for field in (f, h):
         power_method(lattice, *start_lines(field, spec), 6.0, max_iter=3)
         power_method(lattice, *start_lines(field, m), 3.0, max_iter=3)
-    estimate_operator_norm(lattice, m, 2.0, 4.0, n_random=1, max_iter=3)
     estimate_operator_norm(lattice, spec, 2.0, 2.0, n_random=1, max_iter=3)
     assert [_digest(a) for a in arrays] == before
 

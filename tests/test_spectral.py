@@ -332,17 +332,6 @@ def test_a_witness_bound_equals_its_dense_cartesian_bound(family, d, n, m):
     assert got == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
-def test_a_symbol_sampled_on_a_sub_lattice_is_the_full_sample_there():
-    g = noise_field(d=3, n=16)
-    index = ([0, 3, 4, 15], [1, 14], [2, 5, 6, 7, 9])
-    spec = SymbolSpec("full", 3, 1)
-    full = sample_symbol(g, spec)
-    for symbol in (spec, full,
-                   lambda e1, e2, tau: e1 * e2 + 1j * tau):
-        want = sample_symbol(g, symbol)[np.ix_(*index)]
-        assert np.array_equal(sample_symbol(g, symbol, index), want)
-
-
 def test_a_precomputed_symbol_array_comes_back_as_it_is():
     # a caller's array is handed back untouched; every other symbol's
     # samples come back read-only
