@@ -55,6 +55,14 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[Any], Any], Any]]] = {
 }
 
 
+def _cast(name: str, caster: Callable[[Any], Any], value: Any) -> Any:
+    """``caster(value)``; an integer field refuses bools and fractions."""
+    if caster is int and (isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return caster(value)
+
+
 def parse_eps_range(text: str) -> list[float]:
     """Dyadic scale lists: ``"2^-4..2^-8"``, ``"2^-5"``, or a comma list."""
     text = text.strip()
@@ -64,7 +72,10 @@ def parse_eps_range(text: str) -> list[float]:
     def one(tok: str) -> float:
         tok = tok.strip()
         if tok.startswith("2^"):
-            return float(2.0 ** int(tok[2:]))
+            m = int(tok[2:])
+            if not -1074 <= m <= 1023:  # 2.0 ** m is 0.0 or overflows
+                raise ValueError(f"{tok!r} is 0 or overflows as a float")
+            return 2.0 ** m
         val = float(Fraction(tok))
         if val <= 0:
             raise ValueError(f"eps must be positive, got {tok!r}")
@@ -96,7 +107,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in _COMMON_KEYS[1:]:  # cast as the field's default
             caster = type(getattr(ExperimentConfig, name))
-            object.__setattr__(self, name, caster(getattr(self, name)))
+            object.__setattr__(self, name,
+                               _cast(name, caster, getattr(self, name)))
         if self.experiment not in _SCHEMAS:
             raise ValueError(f"unknown experiment {self.experiment!r}; pick "
                              f"from {sorted(_SCHEMAS)}")
@@ -110,7 +122,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown config keys for {self.experiment!r}: "
                 + ", ".join(repr(u) for u in unknown))
-        cast = {name: caster(self.params.get(name, default))
+        cast = {name: _cast(name, caster, self.params.get(name, default))
                 for name, (caster, default) in schema.items()}
         object.__setattr__(self, "params", cast)
 
@@ -227,6 +239,8 @@ def _run_symbols(cfg: ExperimentConfig,
     d, k = cfg.params["d"], cfg.params["k"]
     eps = _one_scale(cfg, "symbols")
     n_pts = cfg.params["points"]
+    if n_pts < 1:
+        raise ValueError(f"points must be >= 1, got {n_pts}")
     worst, worst_im = acceptance.symbol_errors(d, k, eps, n_pts, rng)
     symbol_tol = acceptance.tol_text(acceptance.SYMBOL_TOL)
     return [

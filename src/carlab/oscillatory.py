@@ -321,12 +321,39 @@ def i_integral(which, tau: float, y_abs: float, eps: float,
 
 
 # ---------------------------------------------------------------------------
-# The operator output at a point: direct route
+# The operator output at a point, by two routes on one quadrature
 
 
-def _tau_rule(spec: Phi5Spec):
-    lo, hi = spec.support
-    return gauss_legendre_rule(TAU_RULE_POINTS, lo, hi)
+def _resonant_pairing(d: int, k: int, eps: float, spec: Phi5Spec,
+                      y_abs: float, t: float, abs_tol: float | None,
+                      bases, power: int) -> list:
+    """``sum_tau w phi(tau) e^{i t tau} int base(rho) / den**power drho`` for
+    each callable in ``bases``, ``den = rho^2 - 1 + eps^2 tau^2 + 2 i eps
+    tau``, on the rules of `mtilde_radial`; refuses bad input up front."""
+    if d != spec.d or k != spec.k:
+        raise ValueError("profile spec was built for different (d, k)")
+    if not 0.0 < eps <= 1.0:
+        raise ValueError("eps must lie in (0, 1]")
+    if abs_tol is None:
+        abs_tol = 1e-8 * eps ** (0.5 * d - k)
+    elif not (math.isfinite(abs_tol) and abs_tol > 0.0):
+        raise ValueError(f"abs_tol must be finite and > 0, got {abs_tol!r}")
+    nodes, weights = gauss_legendre_rule(TAU_RULE_POINTS, *spec.support)
+    phase = weights * spec.phi(nodes) * np.exp(1j * t * nodes)
+    brk = tuple(_grade_breakpoints(spec.support, eps, y_abs))
+
+    def pairing(base_fn):
+        def f(rho: np.ndarray) -> np.ndarray:
+            den = (rho * rho - 1.0 + (eps * nodes[:, None]) ** 2
+                   + 2j * eps * nodes[:, None])
+            if power > 1:  # a complex ``** 1`` costs a full extra pass
+                den = den ** power
+            return base_fn(rho)[None, :] / den
+        inner, _ = gauss_kronrod_batch(f, *spec.support, abs_tol=abs_tol,
+                                       breakpoints=brk, max_panels=16384)
+        return np.sum(phase * inner)
+
+    return [pairing(base_fn) for base_fn in bases]
 
 
 def mtilde_radial(d: int, k: int, eps: float, spec: Phi5Spec, y_abs: float,
@@ -345,35 +372,14 @@ def mtilde_radial(d: int, k: int, eps: float, spec: Phi5Spec, y_abs: float,
     is adaptive with panels graded into the eps-scale resonance layer.
 
     ``abs_tol`` defaults to ``1e-8 * eps**(d/2 - k)``, i.e. 1e-8 relative
-    to the natural magnitude scale of the output.
+    to the natural magnitude scale of the output; it must be finite and > 0.
     """
-    if d != spec.d or k != spec.k:
-        raise ValueError("profile spec was built for different (d, k)")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
     if not 0.0 <= y_abs <= 1e4:
         raise ValueError("|y| must lie in [0, 1e4]")
-    if abs_tol is None:
-        abs_tol = 1e-8 * eps ** (0.5 * d - k)
-
-    nodes, weights = _tau_rule(spec)
-    phase = weights * spec.phi(nodes) * np.exp(1j * t * nodes)
-    lo, hi = spec.support
-    brk = _grade_breakpoints((lo, hi), eps, y_abs)
-
-    def f(rho: np.ndarray) -> np.ndarray:
-        base = rho ** (d - 2) * spec.phi(rho) * sphere_hat(d - 1, rho * y_abs)
-        den = (rho * rho - 1.0 + (eps * nodes[:, None]) ** 2
-               + 2j * eps * nodes[:, None])
-        return base[None, :] / den ** k
-
-    inner, _ = gauss_kronrod_batch(f, lo, hi, abs_tol=abs_tol,
-                                   breakpoints=tuple(brk), max_panels=16384)
-    return complex((2.0 * math.pi) ** -d * np.sum(phase * inner))
-
-
-# ---------------------------------------------------------------------------
-# The operator output reassembled after integration by parts
+    inner, = _resonant_pairing(d, k, eps, spec, y_abs, t, abs_tol, [
+        lambda rho: rho ** (d - 2) * spec.phi(rho)
+        * sphere_hat(d - 1, rho * y_abs)], k)
+    return complex((2.0 * math.pi) ** -d * inner)
 
 
 @dataclass(frozen=True)
@@ -397,47 +403,21 @@ def j_decomposition(d: int, k: int, eps: float, spec: Phi5Spec, y_abs: float,
                     t: float, abs_tol: float | None = None) -> JDecomposition:
     """Evaluate every term of the integrated-by-parts form at one point.
 
-    Each term is a 1-D adaptive radial quadrature against the fixed
-    dual-time rule, exactly like the direct route; the two routes are
-    mutual oracles.  Requires ``y_abs > 0``: the two routes are compared
-    only at positive radii (A9 samples resonant radii), so at ``y_abs = 0``
-    use `mtilde_radial`.
+    Each term pairs one Bessel base with the first-power kernel on the
+    direct route's rules, so the routes are mutual oracles.  Needs
+    ``y_abs > 0`` (A9 samples resonant radii); at 0 use `mtilde_radial`.
     """
-    if d != spec.d or k != spec.k:
-        raise ValueError("profile spec was built for different (d, k)")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
     if y_abs <= 0.0 or y_abs > 1e4:
         raise ValueError("|y| must lie in (0, 1e4]")
-    if abs_tol is None:
-        abs_tol = 1e-8 * eps ** (0.5 * d - k)
-
     nu = 0.5 * (d - 3)
     pref = ((2.0 * math.pi) ** -d * (2.0 * math.pi) ** (0.5 * (d - 1))
             / (2.0 ** (k - 1) * math.factorial(k - 1)))
-    nodes, weights = _tau_rule(spec)
-    phase = weights * spec.phi(nodes) * np.exp(1j * t * nodes)
-    lo, hi = spec.support
-    brk = tuple(_grade_breakpoints((lo, hi), eps, y_abs))
-
-    def against(base_fn) -> complex:
-        def f(rho: np.ndarray) -> np.ndarray:
-            base = np.asarray(base_fn(rho), dtype=float)
-            den = (rho * rho - 1.0 + (eps * nodes[:, None]) ** 2
-                   + 2j * eps * nodes[:, None])
-            return base[None, :] / den
-        inner, _ = gauss_kronrod_batch(f, lo, hi, abs_tol=abs_tol,
-                                       breakpoints=brk, max_panels=16384)
-        return complex(np.sum(phase * inner))
-
-    terms = []
-    for l in range(k):
-        scale = pref * (-1.0) ** l * y_abs ** (2 * l)
-        terms.append(scale * against(
-            lambda rho, l=l: spec.eval_table(l, rho)
-            * bessel_ju(nu + l, rho * y_abs)))
-
-    return JDecomposition(terms=tuple(terms))
+    inners = _resonant_pairing(d, k, eps, spec, y_abs, t, abs_tol, [
+        lambda rho, l=l: spec.eval_table(l, rho)
+        * bessel_ju(nu + l, rho * y_abs) for l in range(k)], 1)
+    return JDecomposition(terms=tuple(
+        pref * (-1.0) ** l * y_abs ** (2 * l) * complex(inner)
+        for l, inner in enumerate(inners)))
 
 
 # ---------------------------------------------------------------------------

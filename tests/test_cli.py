@@ -24,6 +24,10 @@ def test_parse_eps_range_forms():
         parse_eps_range("")
     with pytest.raises(ValueError):
         parse_eps_range("0.3..0.1")
+    assert parse_eps_range("2^-1074") == [5e-324]
+    for text in ("2^-1100", "2^1100", "2^-4..2^-1100", "2^-3,2^1024"):
+        with pytest.raises(ValueError, match="overflows"):
+            parse_eps_range(text)
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40))
@@ -92,6 +96,16 @@ def test_config_round_trips_bit_identically():
     assert again.digest == cfg.digest
 
 
+def test_integral_floats_are_integers_in_a_config():
+    cfg = ExperimentConfig.from_mapping(
+        {"experiment": "symbols", "d": 5.0, "k": 2.0, "points": 1e2,
+         "seed": 7.0, "threads": 2.0})
+    got = {name: cfg.to_mapping()[name]
+           for name in ("d", "k", "points", "seed", "threads")}
+    assert got == {"d": 5, "k": 2, "points": 100, "seed": 7, "threads": 2}
+    assert all(type(value) is int for value in got.values())
+
+
 def test_unknown_key_rejected_by_name():
     with pytest.raises(ValueError, match="grud"):
         ExperimentConfig.from_mapping({"experiment": "regions", "grud": 1})
@@ -147,6 +161,21 @@ def test_symbols_rejects_an_eps_range_before_any_symbol(tmp_path,
         verdict, = report.verdicts
         assert verdict.id == "symbols-error" and verdict.status == "fail"
         assert "one eps scale" in verdict.detail
+
+
+def test_symbols_rejects_points_below_one_before_any_symbol(tmp_path,
+                                                           monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a symbol was evaluated")
+
+    monkeypatch.setattr(acceptance, "symbol_errors", refuse)
+    for points in ("0", "-3"):
+        assert main(["--out-dir", str(tmp_path), "symbols",
+                     "--points", points]) == 1
+        report = json.loads((tmp_path / "symbols_report.json").read_text())
+        verdict, = report["verdicts"]
+        assert verdict["id"] == "symbols-error"
+        assert "points must be >= 1" in verdict["detail"]
 
 
 def test_lowerbound_csv_contract(tmp_path):
@@ -559,6 +588,13 @@ def test_bad_command_line_values_exit_through_the_parser(argv, message,
     ("[1]", "must hold a JSON object; got list"),
     ('"x"', "must hold a JSON object; got str"),
     (None, "No such file or directory"),
+    ('{"experiment": "regions", "d": 5.5}', "d must be an integer, got 5.5"),
+    ('{"experiment": "regions", "seed": 1.7}', "seed must be an integer"),
+    ('{"experiment": "regions", "threads": 2.9}', "threads must be an "),
+    ('{"experiment": "regions", "d": true}', "d must be an integer, got True"),
+    ('{"experiment": "regions", "k": NaN}', "k must be an integer, got nan"),
+    ('{"experiment": "spectral", "n": false}', "n must be an integer"),
+    ('{"experiment": "symbols", "points": 10.5}', "points must be an "),
 ])
 def test_a_bad_config_file_exits_through_the_parser(tmp_path, capsys, text,
                                                     message):

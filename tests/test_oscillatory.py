@@ -324,13 +324,24 @@ def test_k1_decomposition_degenerates_to_direct():
 
 def test_both_routes_reject_eps_outside_the_unit_interval(monkeypatch):
     # refused before any quadrature: at eps = 0 the graded breakpoints
-    # would not end, and eps > 1 lies outside the family
+    # would not end, and eps > 1 lies outside the family; a tolerance that
+    # is not positive and finite would run every panel up to the cap
     monkeypatch.setattr(oscillatory, "gauss_kronrod_batch", None)
     spec = Phi5Spec(5, 2)
-    for eps in (0.0, -0.01, 2.0):
-        for route in (mtilde_radial, j_decomposition):
+    for route in (mtilde_radial, j_decomposition):
+        for eps in (0.0, -0.01, 2.0):
             with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
                 route(5, 2, eps, spec, 10.0, 0.0)
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="abs_tol must be finite"):
+                route(5, 2, 2.0 ** -5, spec, 10.0, 0.0, abs_tol=tol)
+        with pytest.raises(ValueError, match="different"):
+            route(5, 2, 2.0 ** -5, Phi5Spec(7, 2), 10.0, 0.0)
+        for y in (-1.0, 2e4):
+            with pytest.raises(ValueError, match=r"\|y\| must lie in"):
+                route(5, 2, 2.0 ** -5, spec, y, 0.0)
+    with pytest.raises(ValueError, match=r"\(0, 1e4\]"):
+        j_decomposition(5, 2, 2.0 ** -5, spec, 0.0, 0.0)
 
 
 def test_low_order_terms_obey_printed_envelope():
