@@ -76,7 +76,11 @@ def parse_eps_range(text: str) -> list[float]:
             if not -1074 <= m <= 1023:  # 2.0 ** m is 0.0 or overflows
                 raise ValueError(f"{tok!r} is 0 or overflows as a float")
             return 2.0 ** m
-        val = float(Fraction(tok))
+        try:
+            val = float(Fraction(tok))
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(f"{tok!r} divides by zero or overflows as a "
+                             f"float") from None
         if val <= 0:
             raise ValueError(f"eps must be positive, got {tok!r}")
         return val

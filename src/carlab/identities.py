@@ -27,7 +27,7 @@ import numpy as np
 
 from .bump import CutoffSpec, Psi0Cutoff, psi
 from .quadrature import gauss_kronrod_batch, leggauss
-from .spectral import GridField
+from .spectral import GridField, _dct1
 
 
 # ---------------------------------------------------------------------------
@@ -515,17 +515,6 @@ def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
             breakpoints=(1.0, 2.0, 3.0), max_panels=16384)
         out[batch] = (-1.0) ** m * c * vals / r[:, 0]
     return out
-
-
-def _dct1(values: np.ndarray, axis: int) -> np.ndarray:
-    """The unnormalised DCT-I of ``values`` along ``axis``: the real part
-    of ``rfft`` of its even extension, of length ``2 (m - 1)`` for m
-    points (Makhoul 1980).  The extension and the complex spectrum are
-    freed before the call returns."""
-    back = [slice(None)] * values.ndim
-    back[axis] = slice(-2, 0, -1)
-    return np.fft.rfft(np.concatenate([values, values[tuple(back)]],
-                                      axis=axis), axis=axis).real.copy()
 
 
 def fractional_laplacian(values: np.ndarray, periods: Sequence[float],

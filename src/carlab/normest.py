@@ -22,7 +22,8 @@ import numpy as np
 
 from .bessel import sphere_hat
 from .regions import ExponentPoint
-from .spectral import Grid, KnappField, check_lattice_size, sample_lp_norm
+from .spectral import (Grid, KnappField, _dct1, check_lattice_size,
+                       sample_lp_norm)
 from .symbols import SymbolSpec, eval_from_radial
 
 
@@ -264,8 +265,15 @@ def _noise_lines(rng: np.random.Generator, shape: tuple[int, ...],
     return lines
 
 
+def _runs(index: np.ndarray) -> list[slice]:
+    """The maximal runs of consecutive numbers in the ascending ``index``."""
+    cut = np.flatnonzero(np.diff(index) != 1) + 1
+    return [slice(r[0], r[-1] + 1) for r in np.split(index, cut) if r.size]
+
+
 def _space_pass(lines: np.ndarray, live: np.ndarray,
-                others: tuple[int, ...], q: float, pull_back: bool) -> float:
+                others: tuple[int, ...], q: float, pull_back: bool,
+                even: bool = False) -> float:
     """``sum |g|^q`` for ``g`` the space side of ``lines``; with
     ``pull_back``, ``g *= |g|^(q-2)``, its dual, whose live lines then
     replace ``lines``.
@@ -275,43 +283,98 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
     ``live`` numbers its columns among the entries of a cross-section of
     shape ``others``.  A block of cross-sections, checked by
     `check_lattice_size` first, is zeroed, gets its live entries and is
-    inverse-transformed in place by one ``ifftn``.  Float scratch of
-    `_CHUNK` elements takes ``sq = |g|^2`` and ``w = sq^((q-2)/2)`` (zeros
-    stay zero for q < 2) a chunk at a time, and the sum gets ``sum(sq *
-    w)``; with ``pull_back``, ``g *= w``, ``fftn`` and gather.
+    inverse-transformed in place an axis at a time, the last axis first on
+    the runs of lines holding a live entry only.  Float scratch of `_CHUNK`
+    elements takes ``sq = |g|^2 = re^2 + im^2`` and ``w = sq^((q-2)/2)``
+    (zeros stay zero for q < 2) a chunk at a time, and the sum gets
+    ``sum(sq * w)``; with ``pull_back``, ``g *= w``, the forward transform,
+    its last stage (axis 0) on the pencils holding a live output only, and
+    gather.  With ``even`` (`_even_run`), the block holds the real parts on
+    the quadrant of ``n_i / 2 + 1`` indices, ``k`` standing for ``k`` and
+    ``n_i - k``, a stage is a DCT-I (`_dct1`), and a point counts twice per
+    axis off 0 and ``n_i / 2``.
     """
     n_axis = lines.shape[0]
     b = _block_rows((n_axis,) + others)
     check_lattice_size((b,) + others)
-    buf = np.empty((b,) + others, complex)
+    shape, folded, at, cols = others, live, live, slice(None)
+    if even:
+        shape = tuple(n // 2 + 1 for n in others)
+        folded = np.ravel_multi_index(tuple(np.minimum(i, n - i) for i, n in
+                                            zip(np.unravel_index(live, others),
+                                                others)), shape)
+        at, cols = np.unique(folded, return_index=True)
+        mult = np.tile(math.prod(np.ix_(*(  # 1 at 0 and h - 1 = n / 2
+            np.where(np.arange(h) % (h - 1), 2.0, 1.0) for h in shape))
+                                 ).ravel(), b)
+    buf = np.empty((b,) + shape, float if even else complex)
+
+    def stage(x: np.ndarray, axis: int, inverse: bool) -> None:
+        if even:
+            x[...] = _dct1(x, axis)
+        elif inverse:
+            np.fft.ifft(x, axis=axis, out=x)
+        else:
+            np.fft.fft(x, axis=axis, out=x)
+
+    first = _runs(np.unique(at // shape[-1]))
+    last = _runs(np.unique(at % math.prod(shape[1:])))
     sq = np.empty(min(buf.size, _CHUNK))
     w = np.empty_like(sq)
-    axes = tuple(range(1, buf.ndim))
     total = 0.0
     for t in range(0, n_axis, b):
         rows = lines[t:t + b]
         block = buf[:len(rows)]
         flat = block.reshape(len(rows), -1)
         flat.fill(0.0)
-        flat[:, live] = rows
-        np.fft.ifftn(block, axes=axes, out=block)
-        g = block.reshape(-1)
+        # the inverse DFT's 1 / prod(n_i) is a power of two
+        flat[:, at] = rows[:, cols].real / math.prod(others) if even else rows
+        for run in first:
+            stage(block.reshape(len(rows), -1, shape[-1])[:, run], 2, True)
+        for axis in range(len(shape) - 1, 0, -1):
+            stage(block, axis, True)
+        g = flat.reshape(-1)
         for c in range(0, g.size, sq.size):
             gc = g[c:c + sq.size]
             s, wc = sq[:gc.size], w[:gc.size]
-            np.abs(gc, out=s)
-            s *= s
+            parts = (gc,) if even else (gc.real, gc.imag)
+            np.multiply(parts[0], parts[0], out=s)
+            if not even:
+                s += np.multiply(gc.imag, gc.imag, out=wc)
             np.copyto(wc, s)
             _power_in_place(wc, 0.5 * q - 1.0)
             if pull_back:
-                for part in (gc.real, gc.imag):  # gc *= wc would cast wc
+                for part in parts:  # gc *= wc would cast wc
                     part *= wc
             s *= wc
+            if even:
+                s *= mult[c:c + gc.size]
             total += np.sum(s)
         if pull_back:
-            np.fft.fftn(block, axes=axes, out=block)
-            np.take(flat, live, axis=1, out=rows)
+            for axis in range(len(shape), 1, -1):
+                stage(block, axis, False)
+            for run in last:
+                stage(block.reshape(len(rows), shape[0], -1)[:, :, run], 1,
+                      False)
+            rows[...] = flat[:, folded]
     return float(total)
+
+
+def _even_run(shape: tuple[int, ...], live: np.ndarray,
+              lines: np.ndarray, mk: np.ndarray) -> bool:
+    """Whether each iterate from ``lines`` under ``mk`` on the τ-lines
+    ``live`` is real and even in every η axis in space: the η axes have even
+    lengths, and ``lines`` and ``mk`` are exactly even under negated η
+    indices and Hermitian under negated τ, as each step keeps."""
+    others, n_tau = shape[:-1], shape[-1]
+    neg = np.ravel_multi_index(tuple(-i % n for i, n in zip(
+        np.unravel_index(live, others), others)), others)
+    mirror = np.searchsorted(live, neg).clip(max=live.size - 1)
+    tau = -np.arange(n_tau) % n_tau
+    return not any(n % 2 for n in others) and np.array_equal(
+        live[mirror], neg) and all(
+        np.array_equal(x[:, mirror], x) and np.array_equal(x[tau], np.conj(x))
+        for x in (lines, mk))
 
 
 def power_method(grid: Grid, live: tuple[np.ndarray, np.ndarray],
@@ -338,15 +401,17 @@ def power_method(grid: Grid, live: tuple[np.ndarray, np.ndarray],
     compact ``(n_tau, K)`` array of its live τ-lines; on A8's rings 3% of
     the τ-lines are live.  A step transforms τ on the live lines alone,
     around `_space_pass`, which runs the other axes, the q-side norm and the
-    dualization one block of cross-sections at a time; the ``max_iter``-th
-    quotient's pass skips the pull-back.  The iterate's norm is Parseval's
-    ``||f||_2^2 = cell_volume / N * sum |fftn(y)|^2`` over the ``N``
-    samples, summed over the live lines.  So the run holds no full-size
-    array, only the lines, a block and its scratch.
+    dualization one block of cross-sections at a time (on real quadrants
+    from a start passing `_even_run`, as a ring's symbol start does); the
+    ``max_iter``-th quotient's pass skips the pull-back.  The iterate's norm
+    is Parseval's ``||f||_2^2 = cell_volume / N * sum |fftn(y)|^2`` over the
+    ``N`` samples, summed over the live lines.  So the run holds no
+    full-size array, only the lines, a block and its scratch.
     """
     if max_iter < 1:
         raise ValueError(f"need max_iter >= 1, got max_iter={max_iter}")
     numbers, mk = live
+    even = _even_run(grid.shape, numbers, lines, mk)
     cell = grid.cell_volume
     cell_per_n = cell / math.prod(grid.shape)
     lines /= cell
@@ -363,8 +428,8 @@ def power_method(grid: Grid, live: tuple[np.ndarray, np.ndarray],
         lines *= 1.0 / nf
         np.fft.ifft(lines, axis=0, out=lines)
         last = step == max_iter - 1
-        s = float((_space_pass(lines, numbers, others, q, not last) * cell)
-                  ** (1.0 / q))
+        s = float((_space_pass(lines, numbers, others, q, not last, even)
+                   * cell) ** (1.0 / q))
         if not np.isfinite(s):
             aborted = True
             break

@@ -213,6 +213,17 @@ def default_grid(d: int, n: int | None = None, freq_span: float = 7.0,
     return Grid((n,) * d, (period,) * d, (offset,) * d)
 
 
+def _dct1(values: np.ndarray, axis: int) -> np.ndarray:
+    """The unnormalised DCT-I of ``values`` along ``axis``: the real part
+    of ``rfft`` of its even extension, of length ``2 (m - 1)`` for m
+    points (Makhoul 1980).  The extension and the complex spectrum are
+    freed before the call returns."""
+    back = [slice(None)] * values.ndim
+    back[axis] = slice(-2, 0, -1)
+    return np.fft.rfft(np.concatenate([values, values[tuple(back)]],
+                                      axis=axis), axis=axis).real.copy()
+
+
 # --- norms -------------------------------------------------------------------
 
 def lp_norm(field: GridField, p: float) -> float:

@@ -30,6 +30,17 @@ def test_parse_eps_range_forms():
             parse_eps_range(text)
 
 
+@pytest.mark.parametrize("text, token", [
+    ("1/0", "1/0"), ("1e400", "1e400"), ("2^-3,-2/0", "-2/0"),
+    ("1e400..2^-3", "1e400")])
+def test_a_fraction_that_divides_by_zero_or_overflows_is_refused(text, token):
+    # as a ValueError naming the token, not a ZeroDivisionError or an
+    # OverflowError from the float conversion
+    with pytest.raises(ValueError, match=f"'{token}' divides by zero or "
+                                         f"overflows"):
+        parse_eps_range(text)
+
+
 @given(st.integers(-40, 40), st.integers(-40, 40))
 def test_parse_eps_octave_spans(m0, m1):
     got = parse_eps_range(f"2^{m0}..2^{m1}")

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from unittest import mock
 
@@ -21,18 +21,29 @@ from hypothesis import strategies as st
 import carlab
 from carlab.acceptance import KNAPP_TOL, SlopeCheck, knapp_witness, ring_grid
 from carlab.normest import (_BLOCK, ExponentKind, NormEstimate, _live_lines,
-                            _noise_lines, _on_lines, _radial_norm,
-                            _space_pass, certified_lower_bound, dualize,
-                            estimate_operator_norm, fit_scaling, power_method,
-                            theoretical_exponent)
+                            _noise_lines, _on_lines, _power_in_place,
+                            _radial_norm, _space_pass, certified_lower_bound,
+                            dualize, estimate_operator_norm, fit_scaling,
+                            power_method, theoretical_exponent)
 from carlab.regions import ExponentPoint
-from carlab.spectral import (Grid, KnappField, default_grid, lp_norm,
+from carlab.spectral import (Grid, KnappField, Lattice, default_grid, lp_norm,
                              sample_lp_norm, sample_symbol)
 from carlab.symbols import (SingularFrequencyError, SymbolSpec,
                             eval_from_radial, symbol_on_axes)
 from fields import dense_live_lines, field_on, start_lines, unfold
 
 RNG = np.random.Generator(np.random.Philox(77))
+
+#: every ``np.fft`` entry point the lattice passes call, directly or
+#: through `spectral._dct1`, and the whole-block ones they used to call
+_FFT_NAMES = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft")
+
+
+def _run_lengths(index) -> list[int]:
+    """The lengths of the runs of consecutive numbers in the ascending
+    ``index``."""
+    starts = np.flatnonzero(np.diff(index, prepend=-2) != 1)
+    return np.diff(np.append(starts, len(index))).tolist()
 
 
 def pt(x, y) -> ExponentPoint:
@@ -241,15 +252,21 @@ def test_a_witness_bound_makes_one_full_lattice_pass_per_norm(family,
     field = knapp_witness(family, 3, eps, n=64)
     full = math.prod(field.shape)
     calls = []
-    for name in ("fft", "ifft", "fftn", "ifftn"):
+    for name in _FFT_NAMES:
         def counted(a, *args, _fn=getattr(normest.np.fft, name), _name=name,
                     **kwargs):
             calls.append((_name, np.size(a)))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(normest.np.fft, name, counted)
     certified_lower_bound(field, SymbolSpec(family, 3, 1, eps=eps), 1.5, 4.0)
-    # per norm: one (a0, τ) cross-section per radius, and nothing else
-    assert calls == [("ifftn", 64 * 64)] * 66
+    # per norm: one (a0, τ) cross-section per radius, and nothing else: its
+    # τ stage on the runs of a0-rows that hold a live entry, then its a0
+    # stage whole
+    n_a0, n_tau = field.shape[0], field.shape[-1]
+    runs = _run_lengths(field.index[0])
+    assert sum(runs) < n_a0
+    assert calls == ([("ifft", r * n_tau) for r in runs]
+                     + [("ifft", n_a0 * n_tau)]) * 66
     assert max(size for _, size in calls) < full
 
 
@@ -594,6 +611,88 @@ def test_power_method_matches_the_grid_field_oracle(case, p, q):
                                    atol=0.0, err_msg=name)
 
 
+# symbol starts whose every iterate is real and even in each η axis: A8's
+# rings on a coarser lattice, and a ring on a zero-offset d = 2 lattice
+_QUADRANT_CASES = {
+    **{f"ring_j{j}": (ring_grid(j, 64, 16),
+                      SymbolSpec("ring", 3, 1, eps=2.0 ** -6, j=j))
+       for j in range(4)},
+    "ring_d2": (Grid((256, 32), (400.0, 40.0), (0.0, 0.0)),
+                SymbolSpec("ring", 2, 1, eps=2.0 ** -4, j=0)),
+}
+
+
+def _dct1_calls(monkeypatch) -> list[tuple[int, ...]]:
+    """The shapes `normest` hands the DCT-I, recorded from now on."""
+    import carlab.normest as normest
+    calls = []
+
+    def spy(values, axis, _fn=normest._dct1):
+        calls.append(values.shape)
+        return _fn(values, axis)
+    monkeypatch.setattr(normest, "_dct1", spy)
+    return calls
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("q", [2.0, 4.0, 6.0])
+@pytest.mark.parametrize("case", sorted(_QUADRANT_CASES))
+def test_a_symbol_start_runs_on_the_real_quadrants(case, q, monkeypatch):
+    # each cross-section's transforms are DCT-Is on its n_i / 2 + 1 quadrant
+    # indices per axis, and the run is the complex oracle's
+    grid, spec = _QUADRANT_CASES[case]
+    init = _starts(grid, spec)["symbol"]
+    calls = _dct1_calls(monkeypatch)
+    got = power_method(grid, *start_lines(init, spec), q, tol=1e-9)
+    want = _power_method_oracle(init, spec, q, tol=1e-9)
+    half = [n // 2 + 1 for n in grid.shape[:-1]]
+    assert calls and all(
+        max(np.subtract(shape[1:], half)) <= 0 for shape in calls)
+    assert (got.iterations, got.aborted) == (want.iterations, want.aborted)
+    np.testing.assert_allclose(got.history, want.history, rtol=1e-12,
+                               atol=0.0)
+
+
+@dataclass(frozen=True)
+class _AnyLengths(Lattice):
+    """A lattice whose axis lengths go unchecked, so one can be odd."""
+
+    shape: tuple[int, ...]
+    periods: tuple[float, ...]
+    freq_offsets: tuple[float, ...]
+
+
+def test_other_starts_stay_on_the_complex_lattice(monkeypatch):
+    # a Gaussian start is neither even nor Hermitian; a half-cell offset
+    # takes the symbol off the index negation, on the half_cell lattice and
+    # on the d = 2 ring's lattice shifted along η alone; and an odd η axis
+    # has no quadrant of n / 2 + 1 indices, though its symbol start is
+    # exactly even and Hermitian
+    grid, spec = _QUADRANT_CASES["ring_j0"]
+    live = _live_lines(grid, spec)
+    rng = np.random.Generator(np.random.Philox(3))
+    runs = [(grid, live, _noise_lines(rng, grid.shape, *live))]
+    grid_d2, ring_d2 = _QUADRANT_CASES["ring_d2"]
+    odd = _AnyLengths((255, 32), grid_d2.periods, (0.0, 0.0))
+    for lattice, symbol in (
+            _ORACLE_CASES["half_cell"],
+            (replace(grid_d2, freq_offsets=(math.pi / 400.0, 0.0)), ring_d2),
+            (odd, ring_d2)):
+        numbers, mk = _live_lines(lattice, symbol)
+        runs.append((lattice, (numbers, mk), np.conj(mk)))
+    neg = -numbers % 255
+    mirror = np.searchsorted(numbers, neg)
+    assert np.array_equal(numbers[mirror], neg)
+    assert np.array_equal(mk[:, mirror], mk)
+    assert np.array_equal(mk[-np.arange(32) % 32], np.conj(mk))
+    calls = _dct1_calls(monkeypatch)
+    for lattice, live, lines in runs:
+        assert live[0].size
+        est = power_method(lattice, live, lines, 6.0, max_iter=4)
+        assert est.iterations > 1 and not est.aborted
+    assert calls == []
+
+
 # lattices of several blocks of cross-sections
 _BLOCKED_CASES = {
     "ring_j0": _ORACLE_CASES["ring_j0"],
@@ -605,37 +704,50 @@ _BLOCKED_CASES = {
 @pytest.mark.parametrize("case", sorted(_BLOCKED_CASES))
 def test_power_method_at_p2_makes_no_full_size_transform_from_a_frequency_start(
         case, monkeypatch):
-    # at p = 2 the iterate stays on the frequency side between steps, and a
-    # step transforms blocks of cross-sections, so no transform sees the
-    # whole lattice
+    # at p = 2 the iterate stays on the frequency side between steps: its
+    # τ transforms (along axis 0) see its live lines and nothing else, and a
+    # step transforms blocks of cross-sections, so no other transform sees
+    # the whole lattice (the half-cell lattice's lines are all live)
     grid, spec = _BLOCKED_CASES[case]
     starts = {name: start_lines(init, spec)
               for name, init in _starts(grid, spec).items()}
     calls = []
-    for name in ("fftn", "ifftn"):
+    for name in _FFT_NAMES:
         def counted(a, *args, _fn=getattr(np.fft, name), **kwargs):
-            calls.append(np.size(a) == math.prod(grid.shape))
+            calls.append((kwargs.get("axis"), np.shape(a)))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     for name, (live, lines) in starts.items():
         calls.clear()
+        tau_lines = lines.shape
         est = power_method(grid, live, lines, 6.0, max_iter=200, tol=1e-6)
         assert 2 < est.iterations < 200
-        assert len(calls) > 2 * est.iterations  # several blocks per step
-        assert sum(calls) == 0, name
+        blocks = [math.prod(shape) for axis, shape in calls if axis != 0]
+        assert {shape for axis, shape in calls if axis == 0} == {tau_lines}
+        assert len(blocks) > 2 * est.iterations  # several blocks per step
+        assert max(blocks) < math.prod(grid.shape), name
 
 
 @pytest.mark.parametrize("p, q, per_step", [(2.0, 6.0, 2)])
 def test_a_capped_run_ends_on_its_last_quotient(p, q, per_step, monkeypatch):
     # the pull-back after the max_iter-th quotient would feed no quotient,
-    # so a capped run skips it: each block makes ``per_step`` transforms a
-    # step, less its forward one on the last, and none is full-size
+    # so a capped run skips it.  A step transforms τ on the live lines, and
+    # each block of cross-sections ``per_step`` stages, one per axis, the
+    # first on the runs of lines holding a live entry; a pull-back runs as
+    # many forward, the last on the pencils holding a live output, and τ
+    # back.  The last step makes no forward call, and none is full-size
     grid, spec = _ORACLE_CASES["ring_j0"]
     init = _starts(grid, spec)["noise"]
     longer = power_method(grid, *start_lines(init, spec), q, max_iter=25,
                           tol=1e-9)
     live, lines = start_lines(init, spec)
-    calls = {"fftn": [], "ifftn": []}
+    others = grid.shape[:-1]
+    assert len(others) == per_step
+    first = len(_run_lengths(np.unique(live[0] // others[-1])))
+    last = len(_run_lengths(np.unique(live[0] % others[-1])))
+    n_blocks = -(-grid.shape[-1] // (_BLOCK // math.prod(others)))
+    assert n_blocks > 1 and first > 1 and last > 1
+    calls = {name: [] for name in _FFT_NAMES}
     for name in calls:
         def counted(a, *args, _fn=getattr(np.fft, name), _name=name,
                     **kwargs):
@@ -644,11 +756,12 @@ def test_a_capped_run_ends_on_its_last_quotient(p, q, per_step, monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     capped = power_method(grid, live, lines, q, max_iter=24, tol=1e-9)
     assert capped.iterations == 24
-    assert (sum(calls["fftn"]), sum(calls["ifftn"])) == (0, 0)
-    n_blocks, rest = divmod(len(calls["ifftn"]), 24)
-    assert n_blocks > 1 and rest == 0
-    assert len(calls["fftn"]) + len(calls["ifftn"]) == \
-        n_blocks * (per_step * 24 - 1)
+    assert not any(sum(c) for c in calls.values())
+    inverse = 1 + n_blocks * (first + per_step - 1)
+    forward = n_blocks * (per_step - 1 + last) + 1
+    assert {name: len(c) for name, c in calls.items()} == {
+        **dict.fromkeys(_FFT_NAMES, 0), "ifft": 24 * inverse,
+        "fft": 23 * forward}
     assert capped.history == longer.history[:24]
 
 
@@ -934,6 +1047,114 @@ def test_block_q_pass_matches_the_dense_pass(shape, seed, q, box, chunk):
     # the forward transform mixes each cross-section: its rounding is
     # relative to the largest output, not to each entry
     np.testing.assert_allclose(got, want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max(initial=0.0))
+
+
+def _unpruned_space_pass(lines, live, others, q, pull_back):
+    """`_space_pass` on the complex lattice with whole-block ``ifftn`` and
+    ``fftn``: its blocks, chunks, modulus and sums, and no pruned stage."""
+    import carlab.normest as normest
+    n_axis = lines.shape[0]
+    b = normest._block_rows((n_axis,) + others)
+    buf = np.empty((b,) + others, complex)
+    sq = np.empty(min(buf.size, normest._CHUNK))
+    w = np.empty_like(sq)
+    axes = tuple(range(1, buf.ndim))
+    total = 0.0
+    for t in range(0, n_axis, b):
+        rows = lines[t:t + b]
+        block = buf[:len(rows)]
+        flat = block.reshape(len(rows), -1)
+        flat.fill(0.0)
+        flat[:, live] = rows
+        np.fft.ifftn(block, axes=axes, out=block)
+        g = block.reshape(-1)
+        for c in range(0, g.size, sq.size):
+            gc = g[c:c + sq.size]
+            s, wc = sq[:gc.size], w[:gc.size]
+            np.multiply(gc.real, gc.real, out=s)
+            np.multiply(gc.imag, gc.imag, out=wc)
+            s += wc
+            np.copyto(wc, s)
+            _power_in_place(wc, 0.5 * q - 1.0)
+            if pull_back:
+                gc.real *= wc
+                gc.imag *= wc
+            s *= wc
+            total += np.sum(s)
+        if pull_back:
+            np.fft.fftn(block, axes=axes, out=block)
+            rows[...] = flat[:, live]
+    return float(total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=_space_passes(),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       q=st.sampled_from([1.5, 2.0, 3.0, 6.0]),
+       density=st.sampled_from([0.0, 0.02, 0.3, 1.0]), box=st.booleans(),
+       chunk=st.sampled_from([2 ** 16, 7]))
+def test_pruned_stages_are_bit_identical_to_whole_block_transforms(
+        shape, seed, q, density, box, chunk):
+    # a density of 0 leaves no live entry and no run; a box of live lines
+    # leaves runs with gaps along every axis
+    others, n_axis = shape
+    rng = np.random.Generator(np.random.Philox(seed))
+    live = np.flatnonzero(rng.random(math.prod(others)) < density)
+    if box:
+        live = np.ravel_multi_index(np.ix_(*(
+            np.flatnonzero(rng.random(n) < 0.5) for n in others)),
+            others).ravel()
+    lines = rng.standard_normal((n_axis, live.size)) \
+        + 1j * rng.standard_normal((n_axis, live.size))
+    got, want = lines.copy(), lines.copy()
+    with mock.patch("carlab.normest._CHUNK", chunk):
+        for pull_back in (False, True):
+            total = _space_pass(got, live, others, q, pull_back)
+            assert total == _unpruned_space_pass(want, live, others, q,
+                                                 pull_back)
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def _even_passes(draw):
+    """A `_space_passes` shape of even axis lengths, and live entries
+    closed under negating their indices."""
+    others, n_axis = draw(_space_passes().filter(
+        lambda s: all(n % 2 == 0 for n in s[0])))
+    index = np.indices(others).reshape(len(others), -1)
+    fold = np.ravel_multi_index(
+        [np.minimum(i, n - i) for i, n in zip(index, others)],
+        [n // 2 + 1 for n in others])
+    picked = draw(st.sets(st.sampled_from(np.unique(fold).tolist()),
+                          max_size=40))
+    return others, n_axis, fold, np.flatnonzero(np.isin(fold, list(picked)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_even_passes(),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       q=st.sampled_from([2.0, 3.0, 6.0]),
+       chunk=st.sampled_from([2 ** 16, 7]))
+def test_the_quadrant_pass_matches_the_complex_pass(case, seed, q, chunk):
+    # real lines even under index negation: the quadrant pass sums the
+    # same terms, and pulls back real lines that stay exactly even.  q < 2
+    # is left out: there ``|g|^(q-1)`` is not Lipschitz at the zeros of g,
+    # where the two passes' roundoff differs
+    others, n_axis, fold, live = case
+    rng = np.random.Generator(np.random.Philox(seed))
+    values = rng.standard_normal((n_axis, fold.max() + 1))
+    lines = values[:, fold[live]] + 0j
+    got, want = lines.copy(), lines.copy()
+    with mock.patch("carlab.normest._CHUNK", chunk):
+        total = _space_pass(got, live, others, q, True, True)
+        assert total == pytest.approx(
+            _space_pass(want, live, others, q, True), rel=1e-13, abs=0.0)
+    assert np.all(got.imag == 0.0)
+    _, first, inverse = np.unique(fold[live], return_index=True,
+                                  return_inverse=True)
+    assert np.array_equal(got, got[:, first[inverse]])
+    np.testing.assert_allclose(got, want, rtol=0.0,
                                atol=1e-13 * np.abs(want).max(initial=0.0))
 
 
