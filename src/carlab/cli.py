@@ -79,8 +79,7 @@ def parse_eps_range(text: str) -> list[float]:
         try:
             val = float(Fraction(tok))
         except (ZeroDivisionError, OverflowError):
-            raise ValueError(f"{tok!r} divides by zero or overflows as a "
-                             f"float") from None
+            raise ValueError(f"{tok!r} divides by zero or overflows") from None
         if val <= 0:
             raise ValueError(f"eps must be positive, got {tok!r}")
         return val

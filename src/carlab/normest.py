@@ -266,9 +266,11 @@ def _noise_lines(rng: np.random.Generator, shape: tuple[int, ...],
 
 
 def _runs(index: np.ndarray) -> list[slice]:
-    """The maximal runs of consecutive numbers in the ascending ``index``."""
-    cut = np.flatnonzero(np.diff(index) != 1) + 1
-    return [slice(r[0], r[-1] + 1) for r in np.split(index, cut) if r.size]
+    """The maximal runs of consecutive numbers in ``index``, found on a mask
+    (a plain ``np.unique`` would import ``numpy.ma``)."""
+    hit = np.bincount(index + 1, minlength=1) > 0
+    edges = np.flatnonzero(np.diff(hit, append=False))
+    return [slice(a, z) for a, z in zip(edges[::2], edges[1::2])]
 
 
 def _space_pass(lines: np.ndarray, live: np.ndarray,
@@ -291,8 +293,8 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
     its last stage (axis 0) on the pencils holding a live output only, and
     gather.  With ``even`` (`_even_run`), the block holds the real parts on
     the quadrant of ``n_i / 2 + 1`` indices, ``k`` standing for ``k`` and
-    ``n_i - k``, a stage is a DCT-I (`_dct1`), and a point counts twice per
-    axis off 0 and ``n_i / 2``.
+    ``n_i - k``, a stage is a DCT-I (`_dct1`), and a point counts 2^(its
+    axes off 0 and ``n_i / 2``).
     """
     n_axis = lines.shape[0]
     b = _block_rows((n_axis,) + others)
@@ -304,9 +306,8 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
                                             zip(np.unravel_index(live, others),
                                                 others)), shape)
         at, cols = np.unique(folded, return_index=True)
-        mult = np.tile(math.prod(np.ix_(*(  # 1 at 0 and h - 1 = n / 2
-            np.where(np.arange(h) % (h - 1), 2.0, 1.0) for h in shape))
-                                 ).ravel(), b)
+        off = (np.sign(np.arange(h) % (h - 1)) for h in shape)  # 0, n / 2
+        mult = np.tile((2.0 ** sum(np.ix_(*off))).ravel(), b)
     buf = np.empty((b,) + shape, float if even else complex)
 
     def stage(x: np.ndarray, axis: int, inverse: bool) -> None:
@@ -317,8 +318,8 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
         else:
             np.fft.fft(x, axis=axis, out=x)
 
-    first = _runs(np.unique(at // shape[-1]))
-    last = _runs(np.unique(at % math.prod(shape[1:])))
+    first = _runs(at // shape[-1])
+    last = _runs(at % math.prod(shape[1:]))
     sq = np.empty(min(buf.size, _CHUNK))
     w = np.empty_like(sq)
     total = 0.0
@@ -370,11 +371,11 @@ def _even_run(shape: tuple[int, ...], live: np.ndarray,
     neg = np.ravel_multi_index(tuple(-i % n for i, n in zip(
         np.unravel_index(live, others), others)), others)
     mirror = np.searchsorted(live, neg).clip(max=live.size - 1)
-    tau = -np.arange(n_tau) % n_tau
+    tau = -np.arange(n_tau // 2 + 1) % n_tau  # t and -t, each pair once
     return not any(n % 2 for n in others) and np.array_equal(
-        live[mirror], neg) and all(
-        np.array_equal(x[:, mirror], x) and np.array_equal(x[tau], np.conj(x))
-        for x in (lines, mk))
+        live[mirror], neg) and all(  # one copy of x at a time
+        np.array_equal(x[:, mirror], x)
+        and np.array_equal(x[tau], np.conj(x[:len(tau)])) for x in (lines, mk))
 
 
 def power_method(grid: Grid, live: tuple[np.ndarray, np.ndarray],
