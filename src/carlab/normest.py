@@ -290,8 +290,8 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
     elements takes ``sq = |g|^2 = re^2 + im^2`` and ``w = sq^((q-2)/2)``
     (zeros stay zero for q < 2) a chunk at a time, and the sum gets
     ``sum(sq * w)``; with ``pull_back``, ``g *= w``, the forward transform,
-    its last stage (axis 0) on the pencils holding a live output only, and
-    gather.  With ``even`` (`_even_run`), the block holds the real parts on
+    its last stage (the first axis) on pencils holding a live output only,
+    and gather.  With ``even`` (`_even_run`), the block holds the real parts on
     the quadrant of ``n_i / 2 + 1`` indices, ``k`` standing for ``k`` and
     ``n_i - k``, a stage is a DCT-I (`_dct1`), and a point counts 2^(its
     axes off 0 and ``n_i / 2``).
@@ -306,7 +306,7 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
                                             zip(np.unravel_index(live, others),
                                                 others)), shape)
         at, cols = np.unique(folded, return_index=True)
-        off = (np.sign(np.arange(h) % (h - 1)) for h in shape)  # 0, n / 2
+        off = (np.sign(np.arange(h) % (h - 1)) for h in shape)  # 0 at 0, n/2
         mult = np.tile((2.0 ** sum(np.ix_(*off))).ravel(), b)
     buf = np.empty((b,) + shape, float if even else complex)
 
