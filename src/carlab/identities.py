@@ -99,26 +99,32 @@ class PolyGauss:
             out += acc
         return out * np.exp(-self.c * r2)
 
-    def sphere_average(self, r, nodes: np.ndarray,
-                       weights: np.ndarray) -> np.ndarray:
-        """``sum_k weights_k phi(r nodes_k)`` at radii r, with r factored out.
+    def sphere_moments(self) -> dict[int, float]:
+        """``{e: C_e}`` with ``int_{S^(n-1)} phi(r w) dsigma(w) = sum_e C_e
+        r^e exp(-c r^2)``.
 
-        On the sphere each term is ``co r^(|beta|-2j) w^beta exp(-c r^2)``, so
-        the rule enters only through the moments ``M_beta = sum_k weights_k
-        nodes_k^beta``, taken once per call.
+        On the sphere each term is ``co r^(|beta|-2j) w^beta exp(-c r^2)``,
+        and ``int w^beta dsigma = 2 prod Gamma((beta_i+1)/2) /
+        Gamma((|beta|+n)/2)``, 0 when any beta_i is odd (Folland 2001).
         """
-        r = np.asarray(r, dtype=float)
         by_power: dict[int, float] = {}
         for j, poly in self.terms.items():
             for beta, co in poly.items():
-                mono = weights
-                for axis, power in enumerate(beta):
-                    if power:
-                        mono = mono * nodes[:, axis] ** power
+                if any(b % 2 for b in beta):
+                    continue
+                moment = 2.0 / math.gamma((sum(beta) + self.n) / 2.0)
+                for b in beta:
+                    moment *= math.gamma((b + 1) / 2.0)
                 e = sum(beta) - 2 * j
-                by_power[e] = by_power.get(e, 0.0) + co * float(np.sum(mono))
+                by_power[e] = by_power.get(e, 0.0) + co * moment
+        return by_power
+
+    def sphere_average(self, r) -> np.ndarray:
+        """``int_{S^(n-1)} phi(r w) dsigma(w)`` at radii r, from
+        `sphere_moments`."""
+        r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
-        for e, co in by_power.items():
+        for e, co in self.sphere_moments().items():
             out = out + co * r ** e
         return out * np.exp(-self.c * r * r)
 
@@ -224,61 +230,36 @@ class PairingResult:
                              abs_err / scale if scale > 0 else 0.0)
 
 
-_FD_STENCILS = {
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-}
-
-
-def _fd_derivative(g: Callable[[float], float], order: int, h: float) -> float:
-    """Central difference of the given order with one Richardson sweep."""
-    if order == 0:
-        return g(0.0)
-    if order not in _FD_STENCILS:
-        raise ValueError(f"finite differences implemented to order 3, got {order}")
-
-    def diff(step: float) -> float:
-        return sum(co * g(idx * step) for idx, co in _FD_STENCILS[order]) \
-            / step ** order
-
-    return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-
-
-#: Sphere rule level of the pairings, and the finite-difference step of the
-#: pullback pairings.
-_SPHERE_LEVEL = 12
-_PULLBACK_STEP = 1e-3
-
-
 def pair_pullback(k: int, rho: float, phi: PolyGauss) -> float:
     """Pair the order-k delta pullback through ``rho^2 - |theta|^2`` with phi,
     a test function on R^n, ``n = phi.n``.
 
     Radial substitution turns the pairing into a pure 1-D object: with
-    ``Phi(r) = r^(n-1) int_{S^(n-1)} phi(r w) dsigma(w)``,
+    ``Phi(r) = r^(n-1) int_{S^(n-1)} phi(r w) dsigma(w)`` and
+    ``v = rho^2 - u``,
 
-        pairing = (-1)^(k-1) (d/du)^(k-1) [ Phi(sqrt(rho^2-u))
-                                            / (2 sqrt(rho^2-u)) ] at u=0.
+        pairing = (-1)^(k-1) (d/du)^(k-1) [ Phi(sqrt(v)) / (2 sqrt(v)) ]
+                = (d/dv)^(k-1) sum_a C_a v^a e^(-c v)     at v = rho^2,
 
-    The u-derivative is taken by Richardson-extrapolated central differences
-    on the composite, which is analytic in u near 0.
+    ``a = (n-2+e)/2`` for each term ``C_e r^e`` of `sphere_moments`.  The
+    derivatives are exact, term by term:
+    ``d/dv (v^a e^(-cv)) = (a v^(a-1) - c v^a) e^(-cv)``.
     """
     if k < 1 or rho <= 0:
         raise ValueError("need k >= 1 and rho > 0")
-    n = phi.n
-    nodes, weights = sphere_nodes(n, _SPHERE_LEVEL)
-
-    def profile(r: float) -> float:
-        avg = phi.sphere_average(r, nodes, weights)
-        return r ** (n - 1) * float(np.real(avg))
-
-    def composite(u: float) -> float:
-        r = math.sqrt(rho * rho - u)
-        return profile(r) / (2.0 * r)
-
-    value = _fd_derivative(composite, k - 1, _PULLBACK_STEP)
-    return (-1.0) ** (k - 1) * value
+    c = phi.c
+    terms = {(phi.n - 2 + e) / 2.0: co / 2.0
+             for e, co in phi.sphere_moments().items()}
+    for _ in range(k - 1):
+        lowered: dict[float, float] = {}
+        for a, co in terms.items():
+            if a:
+                lowered[a - 1] = lowered.get(a - 1, 0.0) + a * co
+            if c:
+                lowered[a] = lowered.get(a, 0.0) - c * co
+        terms = lowered
+    v = rho * rho
+    return math.exp(-c * v) * sum(co * v ** a for a, co in terms.items())
 
 
 def verify_dist_identity(k: int, rho: float,
@@ -314,11 +295,9 @@ def _pair_batch(terms, d: int, delta: float, eps: float,
     """Integrate several annulus pairings in one adaptive pass.
 
     Each term is (power, cutoff, func); the integral runs over the radial
-    support of the cutoff, with the sphere factor from ``func.sphere_average``
-    on a product rule (the integrands are radial x smooth, so the product
-    rule is exact in the angular variable for polynomial test functions).
+    support of the cutoff, with the sphere factor in closed form from
+    ``func.sphere_average``.
     """
-    nodes, weights = sphere_nodes(d - 1, _SPHERE_LEVEL)
     lo = math.sqrt(max(0.0, 1.0 - 2.0 * delta))
     hi = math.sqrt(1.0 + 2.0 * delta)
     cuts = [1.0 - eps * eps * tau * tau, 1.0 - delta, 1.0, 1.0 + delta]
@@ -327,7 +306,7 @@ def _pair_batch(terms, d: int, delta: float, eps: float,
     def integrand(r: np.ndarray) -> np.ndarray:
         rows = []
         for power, cutoff, func in terms:
-            avg = func.sphere_average(r, nodes, weights)
+            avg = func.sphere_average(r)
             rows.append(_radial_slice(r, power, cutoff, delta, eps, tau)
                         * r ** (d - 2) * avg)
         return np.stack(rows, axis=0)

@@ -528,7 +528,7 @@ def fit_scaling(eps_values: Sequence[float],
         raise ValueError("need matching sequences of at least two measurements")
     if not (np.all(eps_arr > 0) and np.all(val_arr > 0)):
         raise ValueError("scaling fits need positive eps and values")
-    if np.unique(eps_arr).size != eps_arr.size:
+    if len(set(eps_arr.tolist())) != eps_arr.size:
         raise ValueError("eps values must be distinct for a slope fit")
     lx = np.log2(eps_arr)
     ly = np.log2(val_arr)

@@ -4,9 +4,9 @@ This module builds the explicit radial witness whose output under the
 rescaled operator concentrates on a union of thin annuli, and provides
 every numbered quantity that enters the chain of estimates:
 
-* ``solve_lambda`` / ``LowerBoundParams`` -- the Lorentzian window width
-  ``lam`` fixed by a mass-balance inequality, the derived annulus scale
-  ``mu``, and the resonant-window constants.
+* ``LowerBoundParams`` -- the Lorentzian window width ``lam`` fixed by a
+  mass-balance equation (in closed form, ``4 tan(8 pi / 17)``), the
+  derived annulus scale ``mu``, and the resonant-window constants.
 * ``Phi5Spec`` -- the radial plateau profile pair: an even plateau bump
   ``varphi`` in the shifted variable, and the weighted profile ``phi``
   whose weight makes ``varphi`` exactly even about the resonance radius.
@@ -51,35 +51,6 @@ class EmptyWindowError(ValueError):
     """Raised when the resonant set contains no admissible radius."""
 
 
-def lorentzian_mass(u: float) -> float:
-    """Mass of 1/(1+s^2) over [-u, u]; the total mass (u = inf) is pi."""
-    return 2.0 * math.atan(u)
-
-
-def solve_lambda() -> float:
-    """Smallest window width ``lam`` balancing Lorentzian mass 16:1.
-
-    Bisects, to relative width 1e-12, for the root of
-    ``lorentzian_mass(lam/4) = 2**4 * (pi - lorentzian_mass(lam/4))``:
-    beyond it, the mass inside [-lam/4, lam/4] dominates the tail mass by
-    the required factor.
-    """
-    def gap(lam: float) -> float:
-        inside = lorentzian_mass(lam / 4.0)
-        return inside - 2.0 ** 4 * (math.pi - inside)
-
-    lo, hi = 1.0, 1024.0
-    if gap(lo) >= 0.0 or gap(hi) <= 0.0:  # pragma: no cover - fixed bracket
-        raise RuntimeError("bisection bracket does not straddle the balance")
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 @dataclass(frozen=True)
 class LowerBoundParams:
     """Constants steering the radial lower-bound experiment.
@@ -92,11 +63,13 @@ class LowerBoundParams:
         Rescaling parameter in (0, 1].
 
     The other constants are the same for every (d, k, eps): ``lam``, the
-    Lorentzian window width of the 16:1 mass balance; ``mu = 2**-7 / lam``,
-    the annulus scale, which saturates ``lam * mu <= 2**-7``; and the
-    resonant-window constants, calibrated by the acceptance experiments:
-    radii lie in [c1/eps, c2/eps] and within ``c0`` of the phase-aligned
-    lattice.
+    Lorentzian window width at which ``2 arctan(lam/4)``, the mass of
+    ``1/(1+s^2)`` on [-lam/4, lam/4], reaches 2**4 times the tail mass
+    ``pi - 2 arctan(lam/4)``, i.e. ``arctan(lam/4) = 8 pi / 17``; ``mu =
+    2**-7 / lam``, the annulus scale, which saturates ``lam * mu <= 2**-7``;
+    and the resonant-window constants, calibrated by the acceptance
+    experiments: radii lie in [c1/eps, c2/eps] and within ``c0`` of the
+    phase-aligned lattice.
 
     Measured: for |t| <= 6 the lower bound stays within a factor 2 of its
     t = 0 value.
@@ -106,7 +79,7 @@ class LowerBoundParams:
     k: int
     eps: float
 
-    lam: ClassVar[float] = solve_lambda()
+    lam: ClassVar[float] = 4.0 * math.tan(8.0 * math.pi / 17.0)
     mu: ClassVar[float] = 2.0 ** -7 / lam
     c0: ClassVar[float] = 2e-3
     c1: ClassVar[float] = 0.25
@@ -239,11 +212,12 @@ class Phi5Spec:
 
 
 def _grade_breakpoints(support: tuple[float, float], eps: float,
-                       y_abs: float) -> np.ndarray:
-    """Panel seeds: dyadic grading into the eps-scale resonance layer at
-    rho = 1, plus a uniform oscillation split at scale 1/|y|."""
+                       y_abs: float) -> list[float]:
+    """Panel seeds inside ``support``, unsorted (`gauss_kronrod_batch` sorts
+    them): dyadic grading into the eps-scale resonance layer at rho = 1,
+    plus a uniform oscillation split at scale 1/|y|."""
     lo, hi = support
-    pts = [lo, hi]
+    pts = []
     if lo < 1.0 < hi:
         off = 0.5 * eps
         while off < hi - lo:
@@ -255,7 +229,7 @@ def _grade_breakpoints(support: tuple[float, float], eps: float,
     if y_abs > 0.0:
         step = 0.5 * math.pi / max(y_abs, 1.0)
         pts.extend(np.arange(lo + step, hi - 0.5 * step, step))
-    return np.unique(np.clip(np.asarray(pts, dtype=float), lo, hi))
+    return pts
 
 
 def i_integral(which, tau: float, y_abs: float, eps: float,
@@ -296,7 +270,7 @@ def i_integral(which, tau: float, y_abs: float, eps: float,
     brk = _grade_breakpoints((lo, hi), eps, 0.0 if key.startswith("t") else y_abs)
     shift = 1.0 - et * et
     if key == "tilde2_abs" and lo * lo < shift < hi * hi:
-        brk = np.unique(np.append(brk, math.sqrt(shift)))
+        brk.append(math.sqrt(shift))
 
     def f(rho: np.ndarray) -> np.ndarray:
         a = rho * rho - 1.0 + et * et

@@ -102,7 +102,8 @@ def test_radial_scaling_of_the_pairing():
 
 
 def test_sphere_average_matches_sampled_nodes():
-    # factored moments vs sampling the rule, including j > 0 terms from L
+    # closed-form moments vs sampling the level-12 rule, including j > 0
+    # terms from L
     rng = np.random.Generator(np.random.Philox(77))
     for n in (2, 3, 4):
         nodes, weights = sphere_nodes(n, 12)
@@ -116,13 +117,68 @@ def test_sphere_average_matches_sampled_nodes():
             for func in funcs:
                 r = rng.uniform(0.4, 2.0, 7)
                 vals = func(r[:, None, None] * nodes)
-                got = func.sphere_average(r, nodes, weights)
+                got = func.sphere_average(r)
                 np.testing.assert_allclose(
                     got, vals @ weights, rtol=0,
                     atol=1e-13 * float(np.max(np.abs(vals) @ weights)))
-                scalar = func.sphere_average(float(r[0]), nodes, weights)
+                scalar = func.sphere_average(float(r[0]))
                 assert np.ndim(scalar) == 0
                 assert scalar == pytest.approx(got[0], rel=1e-15)
+
+
+def _gaussian_bracket_derivative(n, c, m, v):
+    """``(d/dv)^m`` of ``|S^(n-1)|/2 v^a e^(-c v)``, ``a = (n-2)/2``, by
+    Leibniz' rule, and the sum of its terms' magnitudes."""
+    a = (n - 2) / 2.0
+    terms = [math.comb(m, j) * math.prod(a - i for i in range(j))
+             * v ** (a - j) * (-c) ** (m - j) for j in range(m + 1)]
+    half = 0.5 * sphere_area(n) * math.exp(-c * v)
+    return half * math.fsum(terms), half * math.fsum(map(abs, terms))
+
+
+def test_pullback_of_a_gaussian_is_exact():
+    # phi = exp(-c |theta|^2): the bracket is |S^(n-1)|/2 v^((n-2)/2) e^(-cv)
+    for n in (2, 3, 4):
+        for c in (0.7, 1.3):
+            phi = PolyGauss(n, c, {0: {(0,) * n: 1.0}})
+            for rho in (0.03, 0.05, 0.8, 1.3):
+                for k in (1, 2, 3, 4):
+                    want, scale = _gaussian_bracket_derivative(
+                        n, c, k - 1, rho * rho)
+                    got = pair_pullback(k, rho, phi)
+                    assert abs(got - want) <= 1e-13 * scale, (n, c, rho, k)
+
+
+_FD_STENCILS = {
+    1: ((-1, -0.5), (1, 0.5)),
+    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
+}
+
+
+def _fd_derivative(g, order, h):
+    """Central difference of the given order with one Richardson sweep."""
+    def diff(step):
+        return sum(co * g(idx * step) for idx, co in _FD_STENCILS[order]) \
+            / step ** order
+
+    return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
+
+
+def test_pullback_matches_central_differences_of_the_first_order():
+    # the order-k pairing is (-1)^(k-1) (d/du)^(k-1) of the order-1 pairing
+    # at radius sqrt(rho^2 - u); roundoff in the differences grows like
+    # 1/h^(k-1) at h = 1e-3, hence one tolerance per order
+    phi = PolyGauss.random(3, np.random.Generator(np.random.Philox(41)))
+    rho = 1.0
+
+    def first(u):
+        return pair_pullback(1, math.sqrt(rho * rho - u), phi)
+
+    for k, tol in ((2, 1e-10), (3, 1e-7), (4, 1e-4)):
+        want = (-1.0) ** (k - 1) * _fd_derivative(first, k - 1, 1e-3)
+        got = pair_pullback(k, rho, phi)
+        assert abs(got - want) <= tol * max(abs(got), abs(first(0.0))), k
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +195,13 @@ def test_dist_identity_battery():
     for k, n, rho in [(2, 3, 1.0), (3, 4, 1.3), (2, 2, 0.8)]:
         phi = PolyGauss.random(n, RNG)
         res = verify_dist_identity(k, rho, phi)
-        assert res.rel_err <= 1e-5, (k, n, rho, res.rel_err)
+        assert res.rel_err <= 1e-12, (k, n, rho, res.rel_err)
 
 
 def test_dist_identity_tight_for_k2_n3():
     res = verify_dist_identity(2, 1.0,
                                PolyGauss(3, 1.0, {0: {(0, 0, 0): 1.0}}))
-    assert res.rel_err <= 1e-6
+    assert res.rel_err <= 1e-12
 
 
 def test_counter_identities_tautological_at_k1():

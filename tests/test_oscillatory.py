@@ -1,6 +1,10 @@
 """Bessel evaluation, quadrature bricks, and the radial lower-bound path."""
 import decimal
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +15,7 @@ from carlab.bump import CustomCutoff
 from carlab.oscillatory import (TAU_RULE_POINTS, EmptyWindowError,
                                 LowerBoundParams, Phi5Spec, annulus_radii,
                                 frak_s_sample, i_integral, in_resonant_set,
-                                j_decomposition, lorentzian_mass,
-                                mtilde_radial, solve_lambda)
+                                j_decomposition, mtilde_radial)
 from carlab.quadrature import (_GAUSS_IDX, _NODES, _WGAUSS, _WK,
                                QuadratureError, gauss_kronrod_batch,
                                gauss_legendre_rule)
@@ -199,20 +202,19 @@ def test_gauss_constants_are_the_rounded_legendre_rule():
 # lower-bound parameters
 
 
+def _mass_balance(lam):
+    """Mass of 1/(1+s^2) on [-lam/4, lam/4] less 2^4 times the tail mass."""
+    inside = 2.0 * math.atan(lam / 4.0)
+    return inside - 2.0 ** 4 * (math.pi - inside)
+
+
 def test_lambda_satisfies_printed_threshold():
-    lam = solve_lambda()
-    # b(u) = 2 arctan(u); the threshold reads arctan(lam/4) = 8 pi / 17
-    assert lam == pytest.approx(4.0 * math.tan(8.0 * math.pi / 17.0),
-                                rel=1e-10)
-    b_quarter = lorentzian_mass(lam / 4.0)
-    b_inf = math.pi
-    assert b_quarter >= 2.0 ** 4 * (b_inf - b_quarter) - 1e-9
-
-
-def test_lorentzian_mass_closed_form():
-    for u in (0.1, 1.0, 17.0):
-        assert lorentzian_mass(u) == pytest.approx(2.0 * math.atan(u),
-                                                   rel=1e-13)
+    # 2 arctan(lam/4) = 16 (pi - 2 arctan(lam/4)), so arctan(lam/4) = 8 pi/17
+    lam = LowerBoundParams.lam
+    assert abs(_mass_balance(lam)) <= 1e-14
+    # the balance is increasing in lam: a smaller window fails it
+    assert _mass_balance(lam * (1.0 - 1e-9)) < 0.0
+    assert LowerBoundParams.mu == 2.0 ** -7 / lam
 
 
 def test_params_invariants():
@@ -298,6 +300,30 @@ def test_plateau_window_bounds(prof52):
     assert min(mins) > 0.0
     assert max(mins) <= 2.0 * min(mins)
     assert max(maxs) <= 2.0 * min(maxs)
+
+
+def test_the_workload_calls_leave_numpy_ma_unimported():
+    # a plain np.unique imports numpy.ma on first use (about 10 ms and
+    # 1.65 MB); the last line shows that the probe would see that import
+    script = ("import sys\n"
+              "import numpy as np\n"
+              "from carlab.bump import CustomCutoff\n"
+              "from carlab.normest import fit_scaling\n"
+              "from carlab.oscillatory import Phi5Spec, i_integral, "
+              "mtilde_radial\n"
+              "fit_scaling([0.5, 0.25, 0.125], [1.0, 2.1, 3.9])\n"
+              "spec = Phi5Spec(3, 1)\n"
+              "i_integral('tilde2_abs', 1.0, 0.0, 2.0 ** -5,\n"
+              "           CustomCutoff(spec.varphi, spec.support))\n"
+              "mtilde_radial(3, 1, 2.0 ** -5, spec, 3.0, 0.0)\n"
+              "print('numpy.ma' in sys.modules)\n"
+              "np.unique(np.array([2.0, 1.0]))\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = str(pathlib.Path(oscillatory.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["False", "True"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,15 @@ from typing import Callable
 
 import numpy as np
 
+from carlab.identities import sphere_nodes
+
 
 class RadialPower:
-    """``coeff |theta|^a``; L maps it to ``coeff (n-2+a)/2 |theta|^(a-2)``."""
+    """``coeff |theta|^a``; L maps it to ``coeff (n-2+a)/2 |theta|^(a-2)``.
+
+    It has `PolyGauss`'s moment interface with no Gaussian factor."""
+
+    c = 0.0
 
     def __init__(self, n: int, a: float, coeff: float = 1.0):
         self.n = int(n)
@@ -20,11 +26,15 @@ class RadialPower:
         r2 = np.sum(pts * pts, axis=-1)
         return self.coeff * r2 ** (self.a / 2.0)
 
-    def sphere_average(self, r, nodes: np.ndarray,
-                       weights: np.ndarray) -> np.ndarray:
-        """``sum_k weights_k phi(r nodes_k)``: the rule's area times coeff r^a."""
+    def sphere_moments(self) -> dict[float, float]:
+        """``{a: coeff |S^(n-1)|}``: the sphere integral at radius r is
+        ``coeff |S^(n-1)| r^a``."""
+        return {self.a: self.coeff * sphere_area(self.n)}
+
+    def sphere_average(self, r) -> np.ndarray:
+        """``int_{S^(n-1)} phi(r w) dsigma(w) = coeff |S^(n-1)| r^a``."""
         r = np.asarray(r, dtype=float)
-        return self.coeff * r ** self.a * float(np.sum(weights))
+        return self.coeff * r ** self.a * sphere_area(self.n)
 
     def apply_L(self) -> "RadialPower":
         return RadialPower(self.n, self.a - 2.0,
@@ -43,9 +53,10 @@ class CustomTest:
     def __call__(self, pts) -> np.ndarray:
         return np.asarray(self._fn(np.asarray(pts, dtype=float)))
 
-    def sphere_average(self, r, nodes: np.ndarray,
-                       weights: np.ndarray) -> np.ndarray:
-        """``sum_k weights_k phi(r nodes_k)`` at radii r, by sampling."""
+    def sphere_average(self, r) -> np.ndarray:
+        """``int_{S^(n-1)} phi(r w) dsigma(w)`` at radii r, by sampling the
+        level-12 product rule of `sphere_nodes`."""
+        nodes, weights = sphere_nodes(self.n, 12)
         r = np.asarray(r, dtype=float)
         return self(r[..., None, None] * nodes) @ weights
 
