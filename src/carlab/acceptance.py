@@ -376,6 +376,7 @@ class SlopeCheck(NamedTuple):
     fit: ScalingFit
     theory: float
     tol: float
+    uppers: tuple[float, ...] = ()  # each fitted value's upper bound, if any
 
     @property
     def dev(self) -> float:
@@ -424,12 +425,13 @@ def ring_fit(d: int, k: int, eps: float, seed: int = 0) -> SlopeCheck:
     if d != 3:
         raise ValueError(f"ring lattices are 3-d, got d = {d}")
     specs = [SymbolSpec("ring", d, k, eps=eps, j=j) for j in range(4)]
-    vals = [estimate_operator_norm(ring_grid(j), spec, 2.0, 6.0, seed=seed,
-                                   n_random=1, max_iter=12, tol=1e-3).value
+    ests = [estimate_operator_norm(ring_grid(j), spec, 2.0, 6.0, seed=seed,
+                                   n_random=1, max_iter=12, tol=1e-3)
             for j, spec in enumerate(specs)]
-    return SlopeCheck(fit_scaling([(2.0 ** j) * eps for j in range(4)], vals),
+    return SlopeCheck(fit_scaling([(2.0 ** j) * eps for j in range(4)],
+                                  [e.value for e in ests]),
                       float(theoretical_exponent(ExponentKind.L2_RING, d, k)),
-                      RING_TOL)
+                      RING_TOL, tuple(e.upper for e in ests))
 
 
 def abs_mtilde(d: int, k: int, t: float, scales: Sequence[float],

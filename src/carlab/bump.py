@@ -24,7 +24,8 @@ rescaled to the ramp's width, is written back through the ramp's
 ``np.flatnonzero`` indices (the ramps never overlap, so Leibniz' product of
 the two steps is one step's jet there; every other entry is 0).
 `SymmetricPlateau` rescales one step jet in |t|, and `InversionImage`
-applies its chain-rule term table to the base jet.  A cutoff's
+sums each row once over the base rows u^i f^(i)(u), u = 1/t, with
+closed-form chain-rule coefficients.  A cutoff's
 ``__call__(t, order)`` is row ``order`` of its jet, or the jet is the stack
 of its ``__call__`` rows (the `CutoffSpec` default), so each class has one
 derivative implementation.
@@ -186,6 +187,9 @@ class Psi0Cutoff(CutoffSpec):
     def __call__(self, t, order: int = 0):
         return psi0(t, order)
 
+    def jet(self, t, m: int) -> np.ndarray:
+        return _UNIT_PLATEAU.jet(t, m)
+
 
 class PsiCutoff(CutoffSpec):
     # hull only: the profile also vanishes identically on (-1/2, 1/2)
@@ -317,29 +321,39 @@ class InversionImage(CutoffSpec):
     def __call__(self, t, order: int = 0):
         return _row(self.jet(t, order), order)
 
+    @property
+    def knots(self) -> tuple[float, ...]:
+        """The sorted reciprocals of the base's knots (or of its support)."""
+        return tuple(sorted(1.0 / k for k in getattr(self.base, "knots",
+                                                     self.base.support)))
+
     def jet(self, t, m: int) -> np.ndarray:
+        # with u = 1/t, row n is t^(p-n) sum_i c[n][i] u^i f^(i)(u), where
+        # c[n][i] = c[n-1][i] (p - n + 1 - i) - c[n-1][i-1]
         _check_order(m)
         t_arr = np.asarray(t, dtype=float)
-        safe = np.where(t_arr > 0.0, t_arr, 1.0)
-        base = self.base.jet(1.0 / safe, m)
-        out = np.zeros((m + 1,) + t_arr.shape)
-        powers: dict[float, np.ndarray] = {}
-        terms = {(0, self.power): 1.0}
-        for n in range(m + 1):
-            if n:
-                # d/dt [t^p f^(i)(1/t)] = p t^(p-1) f^(i)(1/t)
-                #                         - t^(p-2) f^(i+1)(1/t)
-                new: dict[tuple[int, float], float] = {}
-                for (i, p), c in terms.items():
-                    if c * p != 0.0:
-                        new[(i, p - 1.0)] = new.get((i, p - 1.0), 0.0) + c * p
-                    new[(i + 1, p - 2.0)] = new.get((i + 1, p - 2.0), 0.0) - c
-                terms = new
-            for (i, p), c in terms.items():
-                if p not in powers:
-                    powers[p] = safe ** p
-                out[n] += c * powers[p] * base[i]
-        return np.where(t_arr > 0.0, out, 0.0)
+        off = ~(t_arr.ravel() > 0.0)
+        safe = np.where(off, 1.0, t_arr.ravel())
+        u = 1.0 / safe
+        terms = self.base.jet(u, m)
+        u_i = np.ones_like(u)
+        for row in terms[1:]:
+            u_i *= u
+            row *= u_i  # row i is u^i f^(i)(u)
+        out = np.empty(terms.shape)
+        scale = safe ** self.power  # t^(p-n): one more factor u per row
+        c = [1.0]
+        for n, row in enumerate(out):
+            np.multiply(terms[0], c[0], out=row)
+            for c_i, term in zip(c[1:], terms[1:]):
+                row += c_i * term
+            row *= scale
+            if n < m:
+                scale *= u
+                c = [x * (self.power - n - i) - y for i, (x, y)
+                     in enumerate(zip(c + [0.0], [0.0] + c))]
+        out[:, off] = 0.0
+        return out.reshape((m + 1,) + t_arr.shape)
 
 
 def inversion_bump(s: float) -> InversionImage:

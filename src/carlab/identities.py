@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bump import CutoffSpec, Psi0Cutoff, psi
+from .bump import CutoffSpec, DerivativeCutoff, Psi0Cutoff, psi
 from .quadrature import gauss_kronrod_batch, leggauss
 from .spectral import GridField, _dct1
 
@@ -278,13 +278,6 @@ def verify_dist_identity(k: int, rho: float,
 # ---------------------------------------------------------------------------
 
 
-def _radial_slice(r: np.ndarray, power: int, cutoff: CutoffSpec, delta: float,
-                  eps: float, tau: float) -> np.ndarray:
-    a = r * r - 1.0 + eps * eps * tau * tau
-    den = (a + 2j * eps * tau) ** power
-    return cutoff((1.0 - r * r) / delta) * psi(tau) / den
-
-
 #: Absolute GK tolerance and panel cap of the order-shuffling pairings.
 _COUNTER_TOL = 1e-10
 _COUNTER_PANELS = 4096
@@ -296,20 +289,29 @@ def _pair_batch(terms, d: int, delta: float, eps: float,
 
     Each term is (power, cutoff, func); the integral runs over the radial
     support of the cutoff, with the sphere factor in closed form from
-    ``func.sphere_average``.
+    ``func.sphere_average``.  Each panel evaluation takes one jet per
+    distinct base cutoff, to the highest order a term shifts it by; a
+    `DerivativeCutoff` term reads its shift's row.
     """
     lo = math.sqrt(max(0.0, 1.0 - 2.0 * delta))
     hi = math.sqrt(1.0 + 2.0 * delta)
     cuts = [1.0 - eps * eps * tau * tau, 1.0 - delta, 1.0, 1.0 + delta]
     breaks = sorted({math.sqrt(c) for c in cuts if lo * lo < c < hi * hi})
+    psi_tau = psi(tau)
+    rows = [(c.base, c.shift) if isinstance(c, DerivativeCutoff) else (c, 0)
+            for _, c, _ in terms]
+    top = {base: max(n for b, n in rows if b is base) for base, _ in rows}
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        rows = []
-        for power, cutoff, func in terms:
-            avg = func.sphere_average(r)
-            rows.append(_radial_slice(r, power, cutoff, delta, eps, tau)
-                        * r ** (d - 2) * avg)
-        return np.stack(rows, axis=0)
+        x = (1.0 - r * r) / delta
+        jets = {base: base.jet(x, m) for base, m in top.items()}
+        a = r * r - 1.0 + eps * eps * tau * tau
+        weight = r ** (d - 2)
+        return np.stack([jets[base][shift] * psi_tau
+                         / (a + 2j * eps * tau) ** power * weight
+                         * func.sphere_average(r)
+                         for (power, _, func), (base, shift)
+                         in zip(terms, rows)], axis=0)
 
     vals, _ = gauss_kronrod_batch(integrand, lo, hi, abs_tol=_COUNTER_TOL,
                                   breakpoints=tuple(breaks),
@@ -437,13 +439,13 @@ def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
     and ``W''(x) = (-1)^m sign(x) (|x| u^(n) + n u^(n-1))(|x|)``, read from
     the profile's jet on the support: no cancellation, no tail and no
     Fourier transform.  ``h = v^(1/(1-sigma))`` makes the weight linear in
-    v.  Each radius's h-range splits at the three points inside
-    ``(0, r + support[1])`` where ``r +- h`` crosses ``+-support``, and
-    its k-th segment maps linearly in v onto ``[k, k + 1]``, its Jacobian
-    carried into the integrand.  Ascending batches of `_ORACLE_RADII`
-    radii then share one `gauss_kronrod_batch` over ``[0, 4]`` with
-    breakpoints at the integers, so every radius's support crossings sit
-    on panel ends; no value depends on the radii's order.
+    v.  Each radius's h-range splits where ``r +- h`` crosses ``+-knot``
+    for each of the profile's K ``knots`` (its ``support`` if it has none),
+    into 2K segments, and the k-th maps linearly in v onto ``[k, k + 1]``,
+    its Jacobian carried into the integrand.  Ascending batches of
+    `_ORACLE_RADII` radii then share one `gauss_kronrod_batch` over ``[0,
+    2K]`` with breakpoints at the integers, so every radius's knot
+    crossings sit on panel ends; no value depends on the radii's order.
     """
     m, sigma = _oracle_order(d, s)
     n = 2 * m + 2
@@ -458,23 +460,26 @@ def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
     c = (4.0 ** sigma * math.gamma(0.5 + sigma) / (2.0 * math.sqrt(math.pi)
          * math.gamma(1.0 - sigma) * (1.0 - 2.0 * sigma)))
 
+    knots = np.sort(getattr(profile, "knots", support))
+    segments = 2 * knots.size
     order = np.argsort(radii, kind="stable")
     out = np.empty(radii.shape)
     for start in range(0, radii.size, _ORACLE_RADII):
         batch = order[start:start + _ORACLE_RADII]
         r = radii[batch][:, None]
-        # h-ends of each radius's four segments: the crossings are the
-        # three largest of these five, each clipped into [0, r + hi]
-        cross = np.sort(np.clip(np.hstack([hi - r, lo - r, r - lo, r - hi,
-                                           r + lo]), 0.0, r + hi), axis=1)
-        ends = np.hstack([np.zeros_like(r), cross[:, 2:], r + hi])
+        # h-ends of each radius's segments: r +- h crosses +-knot at these
+        # 3K - 1 points, each clipped into [0, r + hi], K of them to 0
+        cross = np.sort(np.clip(np.hstack([knots - r, r - knots,
+                                           r + knots[:-1]]), 0.0, r + hi),
+                        axis=1)
+        ends = np.hstack([np.zeros_like(r), cross[:, knots.size:], r + hi])
         ends **= 1.0 - sigma
         jacs = np.diff(ends, axis=1)
 
         def integrand(z: np.ndarray) -> np.ndarray:
             # z in [k, k + 1] is segment k, linear in v; V^(n) = (-1)^m W''
             # at r + h and r - h, 0 off +-support
-            k = np.minimum(z.astype(int), 3)
+            k = np.minimum(z.astype(int), segments - 1)
             jac = jacs[:, k]
             v = ends[:, k] + (z - k) * jac
             h = v ** p
@@ -490,8 +495,8 @@ def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
             return p * v * jac * (odd[0] + odd[1])
 
         vals, _ = gauss_kronrod_batch(
-            integrand, 0.0, 4.0, abs_tol=1e-13, rel_tol=rel_tol,
-            breakpoints=(1.0, 2.0, 3.0), max_panels=16384)
+            integrand, 0.0, float(segments), abs_tol=1e-13, rel_tol=rel_tol,
+            breakpoints=range(1, segments), max_panels=16384)
         out[batch] = (-1.0) ** m * c * vals / r[:, 0]
     return out
 
@@ -599,7 +604,8 @@ def _kelvin_rhs(u: CutoffSpec, s: float, support: tuple[float, float],
     r, back = np.unique(radii, return_inverse=True)
     inv_norm = 1.0 / r
     if s == 1.0:
-        lap = -(u(inv_norm, 2) + (d - 1) / inv_norm * u(inv_norm, 1))
+        jet = u.jet(inv_norm, 2)
+        lap = -(jet[2] + (d - 1) / inv_norm * jet[1])
     else:
         lap = radial_fractional_at(u, support, d, s, inv_norm)
     return (r ** (-d - 2.0 * s) * lap)[back]

@@ -77,13 +77,15 @@ class NormEstimate:
     ``value`` is the best Rayleigh quotient seen; ``history`` records the
     quotient of every iterate (concatenated across restarts), so monotonicity
     of the running maximum can be audited.  ``aborted`` flags a run cut short
-    by a non-finite iterate; the bound reported is still valid.
+    by a non-finite iterate; the bound reported is still valid.  The norm
+    lies in ``[value, upper]`` (`estimate_operator_norm` sets ``upper``).
     """
 
     value: float
     iterations: int
     history: tuple[float, ...]
     aborted: bool = False
+    upper: float = math.inf
 
 
 def _check_norm(shape: tuple[int, ...], p: float, q: float) -> None:
@@ -464,6 +466,11 @@ def estimate_operator_norm(grid: Grid, symbol: SymbolSpec, p: float,
     fields supported where the symbol is nonzero, drawn from one seeded Philox
     stream, real parts first (`_noise_lines`).  So neither the symbol, nor
     its support, nor any start exists at full size.
+
+    ``upper`` interpolates (Riesz-Thorin) between the exact ``||T||_{2 ->
+    2} = max |m|`` and ``||T||_{2 -> inf} = (sum |m|^2 / V)^(1/2)``
+    (Cauchy-Schwarz and Parseval, ``V`` the box volume); below q = 2 it is
+    the first times Hölder's ``V^(1/q - 1/2)``.
     """
     if p != 2.0:
         raise ValueError(f"the power iteration runs at p = 2 only, got p={p}")
@@ -499,8 +506,13 @@ def estimate_operator_norm(grid: Grid, symbol: SymbolSpec, p: float,
         aborted = aborted or est.aborted
         if best is None or est.value > best.value:
             best = est
+    size = np.abs(mk)
+    top, volume = float(size.max()), grid.cell_volume * math.prod(grid.shape)
+    energy = float(np.einsum("ij,ij->", size, size)) / volume
+    upper = top * volume ** (1.0 / q - 0.5) if q < 2.0 \
+        else top ** (2.0 / q) * energy ** (0.5 - 1.0 / q)
     return NormEstimate(value=best.value, iterations=total_iter,
-                        history=tuple(hist), aborted=aborted)
+                        history=tuple(hist), aborted=aborted, upper=upper)
 
 
 # --- scaling fits ---------------------------------------------------------------

@@ -2,11 +2,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlab.bump import (MAX_DERIVATIVE_ORDER, InversionImage, PlateauBump,
-                         Psi0Cutoff, PsiCutoff, SymmetricPlateau,
+from carlab.bump import (MAX_DERIVATIVE_ORDER, CustomCutoff, InversionImage,
+                         PlateauBump, Psi0Cutoff, PsiCutoff, SymmetricPlateau,
                          _transition_poly, bump_fingerprint, inversion_bump,
                          psi, psi0, smooth_step_jet)
 
@@ -163,15 +164,51 @@ def test_fingerprint_pins_order_zero():
     assert bump_fingerprint() == "5c85c0766af95dbc"
 
 
+#: `InversionImage` sums its closed form, not `_ref_inversion`'s chain-rule
+#: table, so the two agree to this, relative to each row's largest magnitude
+_INVERSION_RTOL = 1e-14
+
+
+def _assert_rows_match(got, want, msg, inversion=False):
+    if not inversion:
+        np.testing.assert_array_equal(got, want, err_msg=msg)
+        return
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= _INVERSION_RTOL * scale, msg
+
+
 def test_jet_rows_equal_per_order_calls():
     for name, (fn, jet, ref, t) in _CASES.items():
         rows = jet(t, M)
         assert rows.shape == (M + 1,) + t.shape, name
         for n in range(M + 1):
             np.testing.assert_array_equal(rows[n], fn(t, n), err_msg=name)
-            if ref is not None:
-                np.testing.assert_array_equal(rows[n], ref(t, n),
-                                              err_msg=f"{name} order {n}")
+            _assert_rows_match(rows[n], ref(t, n), f"{name} order {n}",
+                               name == "InversionImage")
+
+
+@pytest.mark.parametrize("power", [-3.0, -1.0, -0.5, 0.0, 0.6, 2.0])
+def test_inversion_jet_is_the_chain_rule_at_any_power(power):
+    # every row against the chain rule, and each row bit for bit whatever
+    # order the jet is taken to, at a 0-d point too
+    image = InversionImage(PlateauBump(*_PLATEAU), power)
+    t = np.concatenate([[-0.5, 0.0], np.linspace(0.35, 2.5, 301)])
+    rows = image.jet(t, M)
+    for n in range(M + 1):
+        want = _ref_inversion(lambda u, i: _ref_plateau(_PLATEAU, u, i),
+                              power, t, n)
+        _assert_rows_match(rows[n], want, n, inversion=True)
+        np.testing.assert_array_equal(image.jet(t, n), rows[:n + 1])
+    assert np.all(rows[:, :2] == 0.0)
+    for point in (float(t[200]), t[200], np.array(t[200])):
+        np.testing.assert_array_equal(image.jet(point, M), rows[:, 200])
+
+
+def test_inversion_knots_are_the_base_knots_inverted():
+    image = inversion_bump(1.25)
+    assert image.knots == tuple(1.0 / k for k in _PLATEAU[::-1])
+    plain = CustomCutoff(lambda t, order=0: np.ones(np.shape(t)), (0.5, 4.0))
+    assert InversionImage(plain, 0.0).knots == (0.25, 2.0)
 
 
 def test_jet_matches_frozen_values():
@@ -263,7 +300,7 @@ def test_plateau_jet_on_random_knots(a, rise, flat, fall, m):
     assert np.all(rows[:, t >= knots[3]] == 0.0)
     if knots[0] > 0.0:
         image = InversionImage(bump, 0.5)
-        np.testing.assert_array_equal(
+        _assert_rows_match(
             image.jet(1.0 / t[t > 0.0], m)[m],
             _ref_inversion(lambda u, i: _ref_plateau(bump.knots, u, i), 0.5,
-                           1.0 / t[t > 0.0], m))
+                           1.0 / t[t > 0.0], m), m, inversion=True)

@@ -411,6 +411,27 @@ def test_the_ring_fit_reads_no_exponent_point(tmp_path, monkeypatch):
     assert "expected two rationals" in verdict.detail
 
 
+def test_the_ring_fit_reports_each_piece_bracket_in_its_measures(
+        tmp_path, monkeypatch):
+    # the bracket only adds measures: the verdict text and the CSV bytes
+    # are those of the same fit without upper bounds
+    fit = acceptance.fit_scaling([1.0, 2.0], [1.0, 2.0])
+    outputs = []
+    for uppers in ((), (3.0, 5.0)):
+        monkeypatch.setattr(acceptance, "ring_fit", lambda *a: (
+            acceptance.SlopeCheck(fit, 1.0, 0.2, uppers)))
+        (verdict,) = run(ExperimentConfig.from_mapping(
+            {"experiment": "normest", "kind": "l2_ring", "eps": "2^-6",
+             "out": "ring.csv", "out_dir": str(tmp_path)})).verdicts
+        outputs.append((verdict.detail,
+                        (tmp_path / "ring.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert verdict.measures == {
+        "slope": fit.slope, "theory": 1.0, "dev": abs(fit.slope - 1.0),
+        "value_j0": 1.0, "upper_j0": 3.0, "ratio_j0": 3.0,
+        "value_j1": 2.0, "upper_j1": 5.0, "ratio_j1": 2.5}
+
+
 def test_normest_rejects_an_oversized_witness_before_allocating_it(
         tmp_path, monkeypatch):
     # d = 37 needs a radial axis of 35 dimensions, past the Bessel orders;

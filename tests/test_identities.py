@@ -12,12 +12,13 @@ import pytest
 import carlab.identities as identities
 from carlab import acceptance
 from carlab.bump import (CustomCutoff, InversionImage, PlateauBump,
-                         inversion_bump)
+                         Psi0Cutoff, inversion_bump, psi)
 from carlab.identities import (KELVIN_PERIOD, PolyGauss, eval_field_at_points,
                                fractional_laplacian, pair_pullback,
                                radial_fractional_at, sphere_integral,
                                sphere_nodes, verify_counter_identities,
                                verify_dist_identity, verify_kelvin)
+from carlab.quadrature import gauss_kronrod_batch
 from carlab.spectral import GridField, default_grid
 from fields import field_on
 from testfns import CustomTest, RadialPower, sphere_area
@@ -228,6 +229,92 @@ def test_counter_identities_third_order_d5():
         assert res.rel_err <= 1e-5, kind
 
 
+def _slice_pair_batch(terms, d, delta, eps, tau):
+    """`_pair_batch` as it was before its jets were shared: each term calls
+    its cutoff, and ``psi(tau)``, on every panel evaluation."""
+    def radial_slice(r, power, cutoff):
+        a = r * r - 1.0 + eps * eps * tau * tau
+        den = (a + 2j * eps * tau) ** power
+        return cutoff((1.0 - r * r) / delta) * psi(tau) / den
+
+    lo = math.sqrt(max(0.0, 1.0 - 2.0 * delta))
+    hi = math.sqrt(1.0 + 2.0 * delta)
+    cuts = [1.0 - eps * eps * tau * tau, 1.0 - delta, 1.0, 1.0 + delta]
+    breaks = sorted({math.sqrt(c) for c in cuts if lo * lo < c < hi * hi})
+
+    def integrand(r):
+        return np.stack([radial_slice(r, power, cutoff) * r ** (d - 2)
+                         * func.sphere_average(r)
+                         for power, cutoff, func in terms], axis=0)
+
+    return gauss_kronrod_batch(integrand, lo, hi, abs_tol=1e-10,
+                               breakpoints=tuple(breaks),
+                               max_panels=4096)[0]
+
+
+def _counter_terms(k, h):
+    """Both identities' terms at order k, as `verify_counter_identities`
+    builds them, and a plain cutoff's beside them."""
+    zeta = Psi0Cutoff()
+    l_pow = [h]
+    for _ in range(k - 1):
+        l_pow.append(l_pow[-1].apply_L())
+    return ([(k, zeta, h)]
+            + [(1, zeta.derivative(ell), l_pow[k - 1 - ell])
+               for ell in range(k)]
+            + [(k - ell, zeta.derivative(ell), h) for ell in range(k)]
+            + [(2, PlateauBump(-1.5, -0.5, 0.5, 1.5), l_pow[-1])])
+
+
+@pytest.mark.parametrize("k, n, tau", [(1, 2, 1.0), (2, 2, 0.7),
+                                       (3, 4, 1.6)])
+def test_pair_batch_equals_the_per_term_slices(k, n, tau):
+    h = PolyGauss.random(n, np.random.Generator(np.random.Philox(k)))
+    terms = _counter_terms(k, h)
+    args = (n + 1, 2.0 ** -5, 2.0 ** -5, tau)
+    np.testing.assert_array_equal(identities._pair_batch(terms, *args),
+                                  _slice_pair_batch(terms, *args))
+
+
+def _count_integrand_calls(monkeypatch, calls):
+    """Count, in ``calls``, each call of an integrand that the module's
+    `gauss_kronrod_batch` receives."""
+    def counting(f, *args, **kw):
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+        return gauss_kronrod_batch(counted, *args, **kw)
+    monkeypatch.setattr(identities, "gauss_kronrod_batch", counting)
+
+
+def test_pair_batch_takes_one_jet_per_base_cutoff_per_evaluation(
+        monkeypatch):
+    # psi(tau) once per batch; each panel evaluation one jet of each base
+    # cutoff, to the highest shift its terms read
+    orders = {"zeta": [], "plain": []}
+
+    class Spy(Psi0Cutoff):
+        def __init__(self, name):
+            self.name = name
+
+        def jet(self, t, m):
+            orders[self.name].append(m)
+            return super().jet(t, m)
+
+    zeta, plain = Spy("zeta"), Spy("plain")
+    h = PolyGauss.random(2, np.random.Generator(np.random.Philox(5)))
+    terms = [(2, zeta, h), (1, zeta.derivative(3), h.apply_L()),
+             (1, zeta.derivative(1), h), (1, plain, h)]
+    evaluations, psi_calls = [], []
+    _count_integrand_calls(monkeypatch, evaluations)
+    monkeypatch.setattr(identities, "psi",
+                        lambda t: psi_calls.append(t) or psi(t))
+    identities._pair_batch(terms, 3, 2.0 ** -5, 2.0 ** -5, 1.0)
+    assert psi_calls == [1.0]
+    assert orders == {"zeta": [3] * len(evaluations),
+                      "plain": [0] * len(evaluations)}
+
+
 # ---------------------------------------------------------------------------
 # inversion transform
 
@@ -392,8 +479,8 @@ def test_kelvin_right_side_reads_each_distinct_radius_once(s):
 
 
 def test_kelvin_evaluates_the_laplacian_once_per_distinct_radius():
-    # s = 1: after one table per lattice, the two profile rows of the exact
-    # Laplacian see each distinct sampled radius once
+    # s = 1: after one table per lattice, one jet for both profile rows of
+    # the exact Laplacian sees each distinct sampled radius once
     u = inversion_bump(1.0)
     sizes = []
 
@@ -408,7 +495,7 @@ def test_kelvin_evaluates_the_laplacian_once_per_distinct_radius():
     distinct = np.unique(radii).size
     verify_kelvin(Spy(u.base, u.power), 1.0, (32, 64))
     assert distinct < radii.size
-    assert len(sizes) == 4 and sizes[2:] == [distinct, distinct]
+    assert len(sizes) == 3 and sizes[2:] == [distinct]
 
 
 def test_kelvin_identity_classical_laplacian():
@@ -522,9 +609,10 @@ def test_kelvin_checks_call_the_oracle_once_per_fractional_order(
 
 def test_a4_oracle_takes_profile_jets_on_a_bounded_number_of_points(
         a4_oracle_calls, monkeypatch):
-    # each radius's support crossings are panel ends, so panels refine for
-    # the radius that needs them: 1,409,580 jet points over A4's 415 radii,
-    # against 2,221,576 when a batch shared breakpoints at its end radii
+    # each radius's knot crossings are panel ends, so panels refine for the
+    # radius that needs them: 1,169,910 jet points over A4's 415 radii,
+    # against 1,409,580 with panel ends at the support crossings only and
+    # 2,221,576 when a batch shared breakpoints at its end radii
     points = []
     jet = InversionImage.jet
 
@@ -534,7 +622,7 @@ def test_a4_oracle_takes_profile_jets_on_a_bounded_number_of_points(
     monkeypatch.setattr(InversionImage, "jet", counting)
     u = inversion_bump(1.25)
     radial_fractional_at(u, u.support, 3, 1.25, a4_oracle_calls[0])
-    assert sum(points) <= 1_500_000
+    assert sum(points) <= 1_250_000
 
 
 def _gaussian(t, order=0):
@@ -579,6 +667,92 @@ def test_radial_oracle_does_not_depend_on_the_order_of_the_radii():
     got = radial_fractional_at(u, u.support, 3, 1.25, r[perm])
     np.testing.assert_array_equal(
         got, radial_fractional_at(u, u.support, 3, 1.25, r)[perm])
+
+
+def _support_oracle(profile, support, d, s, radii, rel_tol=1e-9):
+    """`radial_fractional_at` as it was before its panels ended at every
+    knot crossing: four segments per radius, split where ``r +- h``
+    crosses ``+-support``."""
+    m, sigma = identities._oracle_order(d, s)
+    n = 2 * m + 2
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    lo, hi = support
+    p = 1.0 / (1.0 - sigma)
+    c = (4.0 ** sigma * math.gamma(0.5 + sigma) / (2.0 * math.sqrt(math.pi)
+         * math.gamma(1.0 - sigma) * (1.0 - 2.0 * sigma)))
+    order = np.argsort(radii, kind="stable")
+    out = np.empty(radii.shape)
+    for start in range(0, radii.size, identities._ORACLE_RADII):
+        batch = order[start:start + identities._ORACLE_RADII]
+        r = radii[batch][:, None]
+        cross = np.sort(np.clip(np.hstack([hi - r, lo - r, r - lo, r - hi,
+                                           r + lo]), 0.0, r + hi), axis=1)
+        ends = np.hstack([np.zeros_like(r), cross[:, 2:], r + hi])
+        ends **= 1.0 - sigma
+        jacs = np.diff(ends, axis=1)
+
+        def integrand(z):
+            k = np.minimum(z.astype(int), 3)
+            jac = jacs[:, k]
+            v = ends[:, k] + (z - k) * jac
+            h = v ** p
+            x = np.stack([r + h, r - h])
+            t = np.abs(x)
+            on = np.flatnonzero((t >= lo) & (t <= hi))
+            t_on = t.ravel()[on]
+            jet = profile.jet(t_on, n)
+            odd = np.zeros(x.size)
+            odd[on] = np.sign(x.ravel()[on]) * (t_on * jet[n]
+                                                + n * jet[n - 1])
+            odd = odd.reshape(x.shape)
+            return p * v * jac * (odd[0] + odd[1])
+
+        vals, _ = gauss_kronrod_batch(
+            integrand, 0.0, 4.0, abs_tol=1e-13, rel_tol=rel_tol,
+            breakpoints=(1.0, 2.0, 3.0), max_panels=16384)
+        out[batch] = (-1.0) ** m * c * vals / r[:, 0]
+    return out
+
+
+def test_radial_oracle_without_inner_knots_keeps_the_support_panels():
+    # no knots: the support's two are the knots, and the four segments
+    # split where they did before knots counted, bit for bit
+    gauss = CustomCutoff(_gaussian, (0.0, 9.0), max_order=6)
+    u = inversion_bump(1.25)
+    no_knots = CustomCutoff(u, u.support, max_order=4)
+    for prof, s, r in ((gauss, 1.25, np.linspace(0.05, 4.0, 40)),
+                       (gauss, 0.3, np.linspace(0.05, 4.0, 40)),
+                       (no_knots, 1.25, RNG.uniform(0.4, 2.5, 30))):
+        np.testing.assert_array_equal(
+            radial_fractional_at(prof, prof.support, 3, s, r),
+            _support_oracle(prof, prof.support, 3, s, r))
+
+
+@pytest.mark.parametrize("knots", [(0.41, 1.40, 1.47, 2.46),
+                                   (0.41, 1.40, 1.40, 2.46)])
+def test_knot_aligned_oracle_agrees_with_the_support_panels(knots):
+    # 200 radii, among them each knot of the image; b == c makes two of
+    # them one
+    u = InversionImage(PlateauBump(*knots), 2.0 * 1.25 - 3)
+    r = np.concatenate([u.knots, RNG.uniform(0.4, 2.5, 200 - 4)])
+    got = radial_fractional_at(u, u.support, 3, 1.25, r)
+    want = _support_oracle(u, u.support, 3, 1.25, r)
+    assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+def test_radial_oracle_takes_one_profile_jet_per_evaluation(monkeypatch):
+    sizes, evaluations = [], []
+    u = inversion_bump(1.25)
+
+    class Spy(InversionImage):
+        def jet(self, t, m):
+            sizes.append(np.size(t))
+            return super().jet(t, m)
+
+    _count_integrand_calls(monkeypatch, evaluations)
+    spy = Spy(u.base, u.power)
+    radial_fractional_at(spy, spy.support, 3, 1.25, RNG.uniform(0.4, 2.5, 70))
+    assert len(sizes) == len(evaluations) > 2
 
 
 def test_radial_oracle_rejects_a_profile_without_jets(monkeypatch):

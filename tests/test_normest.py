@@ -282,6 +282,8 @@ def test_power_method_hits_sup_norm_at_p2():
                                  max_iter=200)
     assert est.value == pytest.approx(target, rel=1e-3)
     assert est.value <= target * (1 + 1e-9)
+    # at q = 2 the bracket's upper end is max |m| itself
+    assert est.upper == pytest.approx(target, rel=1e-12, abs=0)
 
 
 def test_power_method_value_is_history_max():
@@ -317,6 +319,35 @@ def test_power_method_record_is_consistent(case, q, seed):
     assert all(np.isfinite(h) for h in est.history)
     if not est.aborted:
         assert est.history and all(h > 0.0 for h in est.history)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(sorted(_RECORD_CASES)),
+       q=st.floats(1.0, 12.0, exclude_min=True))
+def test_the_estimate_stays_below_its_upper_bound(case, q):
+    # a lower and an upper bound of one lattice norm, up to rounding
+    grid, spec = _RECORD_CASES[case]
+    est = estimate_operator_norm(grid, spec, 2.0, q, n_random=1, max_iter=8)
+    assert 0.0 < est.value <= est.upper * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0, 6.0, 40.0])
+def test_the_upper_bound_interpolates_the_dense_endpoint_norms(q):
+    # the multiplier as a dense matrix on a 16 x 16 lattice: its largest
+    # singular value is ||T||_{2->2}, its largest row norm over the square
+    # root of the cell volume ||T||_{2->inf}
+    grid, spec = default_grid(2, 16, for_full_symbol=True), \
+        SymbolSpec("full", 2, 1)
+    m = sample_symbol(grid, spec)
+    eye = np.eye(m.size).reshape((m.size,) + m.shape)
+    cols = np.fft.ifftn(m * np.fft.fftn(eye, axes=(1, 2)), axes=(1, 2))
+    dense = cols.reshape(m.size, m.size).T
+    to_two = np.linalg.norm(dense, 2)
+    to_inf = np.sqrt(np.max(np.sum(np.abs(dense) ** 2, axis=1))
+                     / grid.cell_volume)
+    est = estimate_operator_norm(grid, spec, 2.0, q, n_random=0, max_iter=2)
+    want = to_two ** (2.0 / q) * to_inf ** (1.0 - 2.0 / q)
+    assert est.upper == pytest.approx(want, rel=1e-10, abs=0)
 
 
 def test_bad_exponents_are_refused_before_any_sampling(monkeypatch):
