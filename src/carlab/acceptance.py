@@ -391,6 +391,24 @@ class SlopeCheck(NamedTuple):
         return (f"slope {self.fit.slope:+.4f} vs theory {self.theory:+.4f}"
                 f" (dev {self.dev:.4f}, tol {self.tol})")
 
+    @property
+    def measures(self) -> dict[str, float]:
+        """Every fitted number, for a verdict's measures: the slope, theory
+        and deviation, the worst log2 residual, each pair's scale and value
+        and each local slope, in the fit's order (``_j<i>``), and each
+        value's upper bound and the bound's ratio to it, if there are any.
+        The measures only report: `ok` reads the slope alone."""
+        fit = self.fit
+        out = {"slope": fit.slope, "theory": self.theory, "dev": self.dev,
+               "max_residual": fit.max_residual}
+        for j, (scale, value) in enumerate(fit.pairs):
+            out |= {f"scale_j{j}": scale, f"value_j{j}": value}
+        for j, slope in enumerate(fit.local_slopes):
+            out[f"local_slope_j{j}"] = slope
+        for j, ((_, value), upper) in enumerate(zip(fit.pairs, self.uppers)):
+            out |= {f"upper_j{j}": upper, f"ratio_j{j}": upper / value}
+        return out
+
 
 class InsufficientOctaves(ValueError):
     """Too few distinct scales to anchor a slope fit or a band."""
@@ -573,23 +591,26 @@ def _a4_inversion_identity() -> tuple[bool, str]:
         f"s={c.s}: {c.detail}" for c in checks)
 
 
-def knapp_scaling() -> tuple[bool, str]:
+def knapp_scaling() -> tuple[bool, str, dict[str, float]]:
     """Thin-slab lower-bound slopes for both symbol families at d=3, k=1,
     over eps = 2^-3..2^-6."""
     eps_list = [2.0 ** -m for m in range(3, 7)]
     point = regions.ExponentPoint(Fraction(3, 4), Fraction(1, 4))
     fits = {family: knapp_fit(family, 3, 1, eps_list, point)
             for family in ("tilde", "eps")}
+    measures = {f"{family}_{key}": value for family, c in fits.items()
+                for key, value in c.measures.items()}
     return all(c.ok for c in fits.values()), "; ".join(
-        f"{family}: {c.detail}" for family, c in fits.items())
+        f"{family}: {c.detail}" for family, c in fits.items()), measures
 
 
-def _a6_lower_bound_scaling() -> tuple[bool, str]:
+def _a6_lower_bound_scaling() -> tuple[bool, str, dict[str, float]]:
     """Resonant-set minimum of the witness image: band and slope."""
     d, k = 5, 2
     scan = resonant_scan(d, k, [2.0 ** -m for m in range(4, 9)], 0.0, 1)
     slope = SlopeCheck(fit_scaling(scan.scales, scan.mins), d / 2.0 - k, 0.15)
-    return scan.ok and slope.ok, f"{scan.detail}, {slope.detail}"
+    return (scan.ok and slope.ok, f"{scan.detail}, {slope.detail}",
+            scan.measures | slope.measures)
 
 
 def _a7_moment_bounds() -> tuple[bool, str]:
@@ -622,10 +643,10 @@ def _a7_moment_bounds() -> tuple[bool, str]:
                 f"(tol < {tol_text(DRIFT_TOL)})")
 
 
-def _a8_ring_scaling() -> tuple[bool, str]:
+def _a8_ring_scaling() -> tuple[bool, str, dict[str, float]]:
     """Ring-piece operator norms against the thickness power law."""
     c = ring_fit(3, 1, 2.0 ** -6)
-    return c.ok, c.detail
+    return c.ok, c.detail, c.measures
 
 
 def _a9_decomposition_oracle() -> tuple[bool, str]:
@@ -649,7 +670,11 @@ def _a9_decomposition_oracle() -> tuple[bool, str]:
         f"(tol {tol_text(DECOMPOSITION_TOL)})")
 
 
-CRITERIA: dict[str, tuple[str, Callable[[], tuple[bool, str]], float]] = {
+#: a criterion's outcome: ``(ok, detail)``, or ``(ok, detail, measures)``
+#: when it has numbers to report
+Outcome = tuple[bool, str] | tuple[bool, str, dict[str, float]]
+
+CRITERIA: dict[str, tuple[str, Callable[[], Outcome], float]] = {
     "A1": ("exact exponent-square geometry", _a1_exact_geometry, 1.0),
     "A2": ("symbol decomposition and imaginary part", _a2_symbol_identities,
            5.0),
@@ -679,17 +704,22 @@ def run_criterion(cid: str) -> Verdict:
 
     An unknown id raises `KeyError`.  Whatever the criterion raises becomes
     a fail.  A pass that overruns the criterion's budget is a fail.  The
-    measures hold the wall time, ``{"seconds": ...}``.
+    measures hold the criterion's own, if it reports any (A5, A6 and A8
+    report their fits' `SlopeCheck.measures`), and the wall time,
+    ``"seconds"``.
     """
     check_criterion_ids([cid])
     _, fn, budget = CRITERIA[cid]
     start = time.perf_counter()
+    measures: dict[str, float] = {}
     try:
-        ok, detail = fn()
+        ok, detail, *reported = fn()
+        if reported:
+            measures = dict(reported[0])
     except Exception as exc:  # noqa: BLE001 - a verdict must always come back
         ok, detail = False, f"error: {exc!r}"
     elapsed = time.perf_counter() - start
     if ok and elapsed >= budget:
         ok = False
         detail += f"; over budget ({elapsed:.1f}s >= {budget:.0f}s)"
-    return Verdict.judge(cid, ok, detail, {"seconds": elapsed})
+    return Verdict.judge(cid, ok, detail, measures | {"seconds": elapsed})

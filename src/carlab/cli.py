@@ -336,14 +336,8 @@ def _run_normest(cfg: ExperimentConfig,
         _write_csv(os.path.join(cfg.out_dir, cfg.out), cfg,
                    ("dimensionless", "operator-norm lower bound"),
                    (label, "value"), check.fit.pairs)
-    measures = {"slope": check.fit.slope, "theory": check.theory,
-                "dev": check.dev}
-    for j, ((_, value), upper) in enumerate(zip(check.fit.pairs,
-                                                check.uppers)):
-        measures |= {f"value_j{j}": value, f"upper_j{j}": upper,
-                     f"ratio_j{j}": upper / value}
     return [Verdict.judge(f"normest-{kind_name}", check.ok, check.detail,
-                          measures)]
+                          check.measures)]
 
 
 def _run_lowerbound(cfg: ExperimentConfig,

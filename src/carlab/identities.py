@@ -446,6 +446,15 @@ def radial_fractional_at(profile: CutoffSpec, support: tuple[float, float],
     `_ORACLE_RADII` radii then share one `gauss_kronrod_batch` over ``[0,
     2K]`` with breakpoints at the integers, so every radius's knot
     crossings sit on panel ends; no value depends on the radii's order.
+
+    ``rel_tol`` bounds each radius's error by ``rel_tol`` times the L1 mass
+    of its panel contributions (`gauss_kronrod_batch`), not times its
+    value: for A4's profile at s = 1.25, on the inverted radii of the n =
+    128 lattice's shell [0.7, 1.4], that mass is 730 to 7.9e5 times the
+    integral (median 5.2e3).  The bound is loose in the other direction
+    too: on the 415 distinct radii A4's two lattices sample there, the
+    default 1e-9 and a 1e-12 run differ by at most 1.5e-9 of a value, and
+    1.2e-11 of the largest value.
     """
     m, sigma = _oracle_order(d, s)
     n = 2 * m + 2
@@ -512,29 +521,32 @@ def fractional_laplacian(values: np.ndarray, periods: Sequence[float],
     The DFT of an axis-even sequence is the DCT-I of its first half, so
     the transform is one DCT-I per axis, times ``|xi|^(2s) / prod n_i`` on
     the octant's frequencies ``2 pi k / periods[i]``, then one DCT-I per
-    axis again (the cell volume cancels).  Each DCT-I's input is dropped
-    once its output exists, the first one included, so a caller that
-    passes a temporary frees it there; the multiplier exists only between
-    the two passes.
+    axis again (the cell volume cancels).  The first DCT-I writes into one
+    new array, which every later stage transforms in place (`_dct1`); the
+    caller's array is left as it was, and dropped here once the first
+    stage is done, so a caller that passes a temporary frees it there.
+    The multiplier exists only between the two passes.
     """
     if s <= 0:
         raise ValueError("need s > 0")
     shape = values.shape
     if min(shape) < 2:
         raise ValueError("need at least 2 samples per axis")
-    for ax in range(len(shape)):
-        values = _dct1(values, ax)
+    out = _dct1(values, 0, np.empty(shape))
+    del values
+    for ax in range(1, len(shape)):
+        _dct1(out, ax, out)
     xi = np.meshgrid(*((2.0 * np.pi / L) * np.arange(m)
                        for m, L in zip(shape, periods)),
                      indexing="ij", sparse=True)
     power = sum(x ** 2 for x in xi)
     power **= s
     power /= math.prod(2 * (m - 1) for m in shape)
-    values *= power
+    out *= power
     del power
     for ax in range(len(shape)):
-        values = _dct1(values, ax)
-    return values
+        _dct1(out, ax, out)
+    return out
 
 
 #: period of the inversion checks' d = 3 lattices, the box `inversion_bump` fits
@@ -556,31 +568,22 @@ def _kelvin_samples(u: CutoffSpec, s: float, n: int,
                     support: tuple[float, float]
                     ) -> tuple[np.ndarray, np.ndarray]:
     """The spectral side of `verify_kelvin` on the n^3 lattice, even n, at
-    its sample points, and the points' radii.
+    its sample points, and each point's index in the radius table
+    (`_lattice_radii`).
 
     ``T_s u`` is radial, so it is even in every axis: it is evaluated once
-    per entry of the radius table (`_lattice_radii`) and gathered onto the
-    lattice's first octant, ``(n/2 + 1)^3`` points, which
-    `fractional_laplacian` transforms.  The sample mask is read one axis-0
-    plane at a time, giving the lattice's C-order flat indices, and the
-    seed-0 draw picks from those; each sample then reads the octant at
-    ``(|c0|, |c1|, |c2|)``.  No n^3 array is formed, and the octant field
+    per entry of the radius table and gathered onto the lattice's first
+    octant, ``(n/2 + 1)^3`` points, which `fractional_laplacian` transforms.
+    The sample mask is then read one axis-0 plane at a time, each plane
+    giving its points in C order: their radius-table indices, and the
+    transformed octant at ``(|c0|, |c1|, |c2|)``.  At s != 1 the seed-0
+    draw picks 400 of those points by their C-order position.  No n^3
+    array is formed, no index array over every point, and the octant field
     goes to the transform as a temporary.
     """
     r, a = _lattice_radii(n)
     a2 = a * a
-    sampled = (r >= 0.7) & (r <= 1.4)
-    plane = a2[:, None] + a2  # K on an axis-0 plane, less its own a0^2
-    flat = np.concatenate([np.flatnonzero(sampled[plane + k]) + i * n * n
-                           for i, k in enumerate(a2)])
-    if s != 1.0 and flat.size > 400:
-        rng = np.random.Generator(np.random.Philox(0))
-        flat = np.sort(rng.choice(flat, size=400, replace=False))
-    octant = [a[i] for i in np.unravel_index(flat, (n,) * 3)]
-    radii = r[sum(k * k for k in octant)]
     m = n // 2 + 1
-    cells = np.ravel_multi_index(octant, (m,) * 3)
-    del flat, octant
     # The inversion transform is supported where 1/r lies in the profile's
     # annulus; outside a slightly padded version of that shell it is
     # exactly 0, so it is evaluated on the shell only.
@@ -591,15 +594,31 @@ def _kelvin_samples(u: CutoffSpec, s: float, n: int,
     k2 = a2[:m]
     # popped, the field is held by the transform alone
     field = [t_tab[k2[:, None, None] + k2[:, None] + k2]]
-    lhs = fractional_laplacian(field.pop(), (KELVIN_PERIOD,) * 3, s)
-    return lhs.ravel()[cells], radii
+    lhs = fractional_laplacian(field.pop(), (KELVIN_PERIOD,) * 3, s).ravel()
+    sampled = (r >= 0.7) & (r <= 1.4)
+    plane = a2[:, None] + a2  # K on an axis-0 plane, less its own a0^2
+    cell = a[:, None] * m + a  # octant cell on the plane, less a0 m^2
+    keys, vals = [], []
+    for a0, k0 in zip(a, a2):
+        k = plane + k0
+        on = sampled[k]
+        keys.append(k[on])
+        vals.append(lhs[(cell + a0 * m * m)[on]])
+    del lhs
+    keys, vals = np.concatenate(keys), np.concatenate(vals)
+    if s != 1.0 and keys.size > 400:
+        rng = np.random.Generator(np.random.Philox(0))
+        pick = np.sort(rng.choice(keys.size, size=400, replace=False))
+        keys, vals = keys[pick], vals[pick]
+    return vals, keys
 
 
 def _kelvin_rhs(u: CutoffSpec, s: float, support: tuple[float, float],
                 radii: np.ndarray) -> np.ndarray:
     """The right side ``|x|^(-d-2s) ((-Delta)^s u)(x/|x|^2)`` of
     `verify_kelvin` on R^3 at points of the given radii: computed once per
-    distinct radius, in either branch, and gathered back."""
+    distinct radius, in either branch, and gathered back.  `verify_kelvin`
+    passes the radius-table entries its lattices' samples use."""
     d = 3
     r, back = np.unique(radii, return_inverse=True)
     inv_norm = 1.0 / r
@@ -626,11 +645,14 @@ def verify_kelvin(u: CutoffSpec, s: float,
     side, at the lattice points with radius in [0.7, 1.4] (at s != 1, 400
     of each lattice's points drawn with seed 0), needs ``(-Delta)^s u`` at
     the off-lattice inverted radii; `_kelvin_rhs` computes it once per
-    distinct radius of all the lattices together and gathers it back.  For
+    distinct radius of all the lattices together, from the radius-table
+    entries their samples use, and each lattice gathers it back by its
+    samples' table indices.  For
     s = 1 that is the exact radial Laplacian ``-(u'' + (d-1) u'/r)`` from
     the profile's derivatives.  Otherwise it is one call of the real-space
-    oracle `radial_fractional_at` at its default relative tolerance 1e-9
-    (so the batch a radius shares there does not move a lattice's error).
+    oracle `radial_fractional_at` at its default relative tolerance 1e-9:
+    a 1e-12 run moves A4's two relative errors at s = 1.25 by 5.6e-12 (n =
+    64) and 4.2e-10 (n = 128) of themselves.
     Either way the right side never touches a Fourier transform, so this is
     a genuine two-route comparison, reported in relative L^2 (``inf`` when
     the right side vanishes and the left does not).
@@ -647,17 +669,24 @@ def verify_kelvin(u: CutoffSpec, s: float,
         raise ValueError("the profile's inversion transform (outer radius "
                          "1/support[0]) must fit inside the half-period")
     samples = [_kelvin_samples(u, s, n, support) for n in sizes]
-    rhs_all = _kelvin_rhs(u, s, support,
-                          np.concatenate([r_pts for _, r_pts in samples]))
+    tables = [_lattice_radii(n)[0] for n in sizes]
+    used = [np.flatnonzero(np.bincount(keys, minlength=r.size))
+            for r, (_, keys) in zip(tables, samples)]
+    rhs_used = _kelvin_rhs(u, s, support, np.concatenate(
+        [r[k] for r, k in zip(tables, used)]))
 
     results = []
-    cuts = np.cumsum([r_pts.size for _, r_pts in samples])[:-1]
-    for (lhs_vals, _), rhs_vals in zip(samples, np.split(rhs_all, cuts)):
+    cuts = np.cumsum([k.size for k in used])[:-1]
+    for (lhs_vals, keys), r, k, part in zip(samples, tables, used,
+                                            np.split(rhs_used, cuts)):
+        rhs_tab = np.zeros(r.size)
+        rhs_tab[k] = part
+        rhs_vals = rhs_tab[keys]
         # einsum, not a BLAS norm: see tests/test_no_threaded_blas.py
-        diff = lhs_vals - rhs_vals
-        dist = math.sqrt(np.einsum("i,i->", diff, diff))
         nr = math.sqrt(np.einsum("i,i->", rhs_vals, rhs_vals))
         nl = math.sqrt(np.einsum("i,i->", lhs_vals, lhs_vals))
+        diff = np.subtract(lhs_vals, rhs_vals, out=rhs_vals)
+        dist = math.sqrt(np.einsum("i,i->", diff, diff))
         rel = dist / nr if nr > 0 else (math.inf if dist > 0 else 0.0)
         results.append(PairingResult(nl, nr, dist, rel))
     return results

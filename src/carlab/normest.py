@@ -314,7 +314,7 @@ def _space_pass(lines: np.ndarray, live: np.ndarray,
 
     def stage(x: np.ndarray, axis: int, inverse: bool) -> None:
         if even:
-            x[...] = _dct1(x, axis)
+            _dct1(x, axis, x)
         elif inverse:
             np.fft.ifft(x, axis=axis, out=x)
         else:
@@ -530,6 +530,13 @@ class ScalingFit:
     pairs: tuple[tuple[float, float], ...]
     slope: float
     max_residual: float
+
+    @property
+    def local_slopes(self) -> tuple[float, ...]:
+        """The slope between each two consecutive pairs, in their order:
+        one per octave on octave-spaced scales."""
+        lx, ly = np.log2(self.pairs).T
+        return tuple((np.diff(ly) / np.diff(lx)).tolist())
 
 
 def fit_scaling(eps_values: Sequence[float],

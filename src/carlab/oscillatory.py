@@ -316,13 +316,18 @@ def _resonant_pairing(d: int, k: int, eps: float, spec: Phi5Spec,
     phase = weights * spec.phi(nodes) * np.exp(1j * t * nodes)
     brk = tuple(_grade_breakpoints(spec.support, eps, y_abs))
 
+    tau2 = (eps * nodes[:, None]) ** 2
+    two_eps_tau = 2.0 * eps * nodes[:, None]
+
     def pairing(base_fn):
         def f(rho: np.ndarray) -> np.ndarray:
-            den = (rho * rho - 1.0 + (eps * nodes[:, None]) ** 2
-                   + 2j * eps * nodes[:, None])
+            # den, den ** power and the quotient share one complex buffer
+            den = np.empty((nodes.size, rho.size), complex)
+            np.add(rho * rho - 1.0, tau2, out=den.real)
+            den.imag[...] = two_eps_tau
             if power > 1:  # a complex ``** 1`` costs a full extra pass
-                den = den ** power
-            return base_fn(rho)[None, :] / den
+                den **= power
+            return np.divide(base_fn(rho), den, out=den)
         inner, _ = gauss_kronrod_batch(f, *spec.support, abs_tol=abs_tol,
                                        breakpoints=brk, max_panels=16384)
         return np.sum(phase * inner)

@@ -39,6 +39,7 @@ frequency lattice and multiplying coefficientwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
@@ -213,15 +214,44 @@ def default_grid(d: int, n: int | None = None, freq_span: float = 7.0,
     return Grid((n,) * d, (period,) * d, (offset,) * d)
 
 
-def _dct1(values: np.ndarray, axis: int) -> np.ndarray:
-    """The unnormalised DCT-I of ``values`` along ``axis``: the real part
-    of ``rfft`` of its even extension, of length ``2 (m - 1)`` for m
-    points (Makhoul 1980).  The extension and the complex spectrum are
-    freed before the call returns."""
-    back = [slice(None)] * values.ndim
-    back[axis] = slice(-2, 0, -1)
-    return np.fft.rfft(np.concatenate([values, values[tuple(back)]],
-                                      axis=axis), axis=axis).real.copy()
+#: float elements of even extension per slab of `_dct1`: a slab's extension
+#: and its spectrum stay in cache; a slab holds one line at least
+_SLAB = 2 ** 16
+
+
+def _dct1(values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """The unnormalised DCT-I of ``values`` along ``axis``, written into
+    the float array ``out`` of the same shape, which may be ``values``
+    itself, and returned: the real part of ``rfft`` of the even extension,
+    of length ``2 (m - 1)`` for m points (Makhoul 1980).
+
+    The other axes go a slab at a time, in C order, each slab's lines
+    together taking at most `_SLAB` elements of extension: a slab's even
+    extension is built in one new buffer with ``axis`` last, so its
+    ``rfft`` runs on contiguous lines in cache, and only the spectrum's
+    real part is written back.  No array of the full size is formed, and
+    a slab is read before its part of ``out`` is written.
+    """
+    # ``axis`` moved last, and a unit axis in front, so that one lead axis
+    # at least is split
+    order = [a for a in range(values.ndim) if a != axis] + [axis]
+    src, dst = (x.transpose(order)[None] for x in (values, out))
+    *lead, m = src.shape
+    lines = max(1, _SLAB // (2 * (m - 1)))
+    # the lead axes from `cut` on go whole into a slab, axis cut - 1 in
+    # steps of `step` lines
+    cut, inner = len(lead), 1
+    while cut > 1 and inner * lead[cut - 1] <= lines:
+        cut -= 1
+        inner *= lead[cut]
+    step = lines // inner
+    for head in itertools.product(*map(range, lead[:cut - 1])):
+        for a in range(0, lead[cut - 1], step):
+            key = head + (slice(a, a + step),)
+            part = src[key]
+            dst[key] = np.fft.rfft(np.concatenate(
+                [part, part[..., -2:0:-1]], axis=-1)).real
+    return out
 
 
 # --- norms -------------------------------------------------------------------

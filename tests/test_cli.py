@@ -150,14 +150,34 @@ def test_regions_run_writes_report(tmp_path):
     assert fig["points"]["G"]["x"] == "55/84"
 
 
+def _without_seconds(measures: dict) -> dict:
+    return {key: value for key, value in measures.items() if key != "seconds"}
+
+
 def test_same_seed_reproduces_measures(tmp_path):
-    base = {"experiment": "symbols", "d": 3, "k": 1, "points": 800,
-            "seed": 42, "out_dir": str(tmp_path)}
-    first = run(ExperimentConfig.from_mapping(base))
-    second = run(ExperimentConfig.from_mapping(base))
-    for a, b in zip(first.verdicts, second.verdicts):
-        assert a.measures == b.measures
-        assert a.detail == b.detail
+    # apart from a criterion's wall time; the slope criteria report every
+    # fitted number, and the report's JSON floats hold each one exactly
+    for base in ({"experiment": "symbols", "d": 3, "k": 1, "points": 800},
+                 {"experiment": "accept", "suites": "A5,A6,A8"}):
+        cfg = ExperimentConfig.from_mapping(
+            base | {"seed": 42, "out_dir": str(tmp_path)})
+        first = run(cfg)
+        second = run(cfg)
+        on_disk = json.loads(
+            (tmp_path / f"{base['experiment']}_report.json").read_text())
+        assert len(first.verdicts) == len(second.verdicts) > 0
+        for a, b, c in zip(first.verdicts, second.verdicts,
+                           on_disk["verdicts"]):
+            assert _without_seconds(a.measures) == _without_seconds(
+                b.measures)
+            assert a.detail == b.detail
+            assert c["measures"] == b.measures
+    a5, a6, a8 = second.verdicts
+    assert {"tilde_local_slope_j2", "eps_local_slope_j2",
+            "eps_max_residual"} <= set(a5.measures)
+    assert {"band", "local_slope_j3", "scale_j4", "value_j4",
+            "max_residual"} <= set(a6.measures)
+    assert {"local_slope_j2", "upper_j3", "max_residual"} <= set(a8.measures)
 
 
 def test_symbols_rejects_an_eps_range_before_any_symbol(tmp_path,
@@ -428,8 +448,26 @@ def test_the_ring_fit_reports_each_piece_bracket_in_its_measures(
     assert outputs[0] == outputs[1]
     assert verdict.measures == {
         "slope": fit.slope, "theory": 1.0, "dev": abs(fit.slope - 1.0),
-        "value_j0": 1.0, "upper_j0": 3.0, "ratio_j0": 3.0,
-        "value_j1": 2.0, "upper_j1": 5.0, "ratio_j1": 2.5}
+        "max_residual": fit.max_residual, "local_slope_j0": 1.0,
+        "scale_j0": 1.0, "value_j0": 1.0, "upper_j0": 3.0, "ratio_j0": 3.0,
+        "scale_j1": 2.0, "value_j1": 2.0, "upper_j1": 5.0, "ratio_j1": 2.5}
+
+
+def test_a8_and_the_ring_normest_report_the_same_numbers(tmp_path):
+    # A8's own verdict carries each piece's value, upper bound and ratio,
+    # and every other fitted number, as `normest --kind l2_ring` does at
+    # A8's settings
+    a8 = acceptance.run_criterion("A8")
+    (ring,) = run(ExperimentConfig.from_mapping(
+        {"experiment": "normest", "kind": "l2_ring", "d": 3, "k": 1,
+         "eps": "2^-6", "seed": 0, "out_dir": str(tmp_path)})).verdicts
+    assert a8.status == ring.status == "pass"
+    assert _without_seconds(a8.measures) == ring.measures
+    assert a8.measures["seconds"] > 0.0
+    for j in range(4):
+        value, upper, ratio = (ring.measures[f"{name}_j{j}"]
+                               for name in ("value", "upper", "ratio"))
+        assert 0.0 < value <= upper and ratio == upper / value
 
 
 def test_normest_rejects_an_oversized_witness_before_allocating_it(

@@ -398,6 +398,29 @@ def test_fractional_laplacian_matches_the_complex_route(n, s):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_fractional_laplacian_leaves_its_input_untouched():
+    x = RNG.standard_normal((9, 6, 5))
+    keep = x.copy()
+    out = fractional_laplacian(x, (KELVIN_PERIOD,) * 3, 1.25)
+    np.testing.assert_array_equal(x, keep)
+    assert not np.shares_memory(out, x)
+
+
+def test_fractional_laplacian_holds_at_most_three_octants_at_n128():
+    # its output, the multiplier, and the DCT-Is' cache-sized slabs: no
+    # stage forms an extension of the whole octant
+    x = RNG.standard_normal((65,) * 3)
+    fractional_laplacian(x, (KELVIN_PERIOD,) * 3, 1.0)  # FFT plans are set up
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fractional_laplacian(x, (KELVIN_PERIOD,) * 3, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * x.nbytes
+
+
 @pytest.mark.parametrize("s", [1.0, 1.25])
 def test_kelvin_samples_peak_below_one_real_lattice_array(s):
     # the octant route forms no n^3 array: at n = 128 its traced peak stays
@@ -429,8 +452,9 @@ def test_lattice_radii_match_the_centred_coordinates():
 def test_kelvin_samples_match_the_pointwise_route(monkeypatch, n, s):
     # the transform gets T_s u on the octant, bit-identical to evaluating
     # every lattice point on its own, and each sample of the pointwise
-    # route's index set reads its octant cell at the same radius; the
-    # transform is swapped for one that reads out each cell's flat index
+    # route's index set reads its octant cell and names its radius's table
+    # entry; the transform is swapped for one that reads out each cell's
+    # flat index
     u, g = inversion_bump(s), _kelvin_lattice(n)
     seen = []
 
@@ -439,7 +463,7 @@ def test_kelvin_samples_match_the_pointwise_route(monkeypatch, n, s):
         return np.arange(values.size, dtype=float).reshape(values.shape)
 
     monkeypatch.setattr(identities, "fractional_laplacian", flat_index)
-    picked, radii = identities._kelvin_samples(u, s, n, u.support)
+    picked, keys = identities._kelvin_samples(u, s, n, u.support)
     t_vals, flat, r_pts = _kelvin_oracle(u, s, g)
     m = n // 2 + 1
     cells = np.ravel_multi_index(
@@ -447,7 +471,8 @@ def test_kelvin_samples_match_the_pointwise_route(monkeypatch, n, s):
         (m,) * 3)
     np.testing.assert_array_equal(seen[0], _octant(t_vals))
     np.testing.assert_array_equal(picked, cells)
-    np.testing.assert_array_equal(radii, r_pts)
+    np.testing.assert_array_equal(identities._lattice_radii(n)[0][keys],
+                                  r_pts)
 
 
 def test_kelvin_samples_evaluate_the_profile_once_per_radius():
@@ -489,13 +514,27 @@ def test_kelvin_evaluates_the_laplacian_once_per_distinct_radius():
             sizes.append(np.size(t))
             return super().jet(t, m)
 
-    radii = np.concatenate([identities._kelvin_samples(u, 1.0, n,
-                                                       u.support)[1]
-                            for n in (32, 64)])
+    radii = np.concatenate([identities._lattice_radii(n)[0][
+        identities._kelvin_samples(u, 1.0, n, u.support)[1]]
+        for n in (32, 64)])
     distinct = np.unique(radii).size
     verify_kelvin(Spy(u.base, u.power), 1.0, (32, 64))
     assert distinct < radii.size
     assert len(sizes) == 3 and sizes[2:] == [distinct]
+
+
+def test_the_oracle_default_tolerance_holds_at_a4_radii():
+    # rel_tol bounds an error by rel_tol times the L1 mass of the panel
+    # contributions, up to 7.9e5 times the integral at A4's radii; against a
+    # 1e-12 run the default 1e-9 holds within 1e-9 of the largest value
+    u = inversion_bump(1.25)
+    r = identities._lattice_radii(128)[0]
+    sampled = r[(r >= 0.7) & (r <= 1.4)]
+    inverted = 1.0 / sampled[::sampled.size // 6]
+    default = radial_fractional_at(u, u.support, 3, 1.25, inverted)
+    tight = radial_fractional_at(u, u.support, 3, 1.25, inverted,
+                                 rel_tol=1e-12)
+    assert np.max(np.abs(default - tight)) <= 1e-9 * np.max(np.abs(tight))
 
 
 def test_kelvin_identity_classical_laplacian():

@@ -658,9 +658,9 @@ def _dct1_calls(monkeypatch) -> list[tuple[int, ...]]:
     import carlab.normest as normest
     calls = []
 
-    def spy(values, axis, _fn=normest._dct1):
+    def spy(values, axis, out, _fn=normest._dct1):
         calls.append(values.shape)
-        return _fn(values, axis)
+        return _fn(values, axis, out)
     monkeypatch.setattr(normest, "_dct1", spy)
     return calls
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from carlab import spectral
 from carlab.acceptance import knapp_witness, ring_grid
 from carlab.normest import certified_lower_bound
 from carlab.spectral import (MAX_LATTICE_BYTES, Grid, GridField,
@@ -104,6 +105,68 @@ def test_transforms_are_the_plain_dft_on_every_lattice():
         np.testing.assert_array_equal(F.values, want)
         np.testing.assert_array_equal(
             F.to_space().values, np.fft.ifftn(want / f.cell_volume))
+
+
+# ---------------------------------------------------------------------------
+# the DCT-I
+
+
+def _dense_dct1(values, axis):
+    """The DCT-I as a dense cosine matrix: ``X_k = sum_j c_j x_j cos(pi j k
+    / (m - 1))``, ``c_j`` 1 at both ends and 2 inside."""
+    m = values.shape[axis]
+    j = np.arange(m)
+    mat = np.where((j == 0) | (j == m - 1), 1.0, 2.0) * np.cos(
+        np.pi * np.outer(j, j) / (m - 1))
+    return np.moveaxis(np.einsum("kj,...j->...k", mat,
+                                 np.moveaxis(values, axis, -1)), -1, axis)
+
+
+def _whole_dct1(values, axis):
+    """The DCT-I on the whole even extension at once, its other axes
+    unsplit."""
+    back = [slice(None)] * values.ndim
+    back[axis] = slice(-2, 0, -1)
+    return np.fft.rfft(np.concatenate([values, values[tuple(back)]],
+                                      axis=axis), axis=axis).real
+
+
+@pytest.mark.parametrize("shape", [(5, 6, 7), (9, 4), (2, 3), (17,)])
+@pytest.mark.parametrize("lines", [1, 4, 16, 10 ** 6])
+def test_dct1_is_the_dense_cosine_transform_on_every_axis(shape, lines,
+                                                          monkeypatch):
+    # odd and even lengths; slabs of one line; of 4 lines, which divide
+    # none of the split axes of (5, 6, 7); of 16 lines, which take whole
+    # rows and split the axis before them; and the whole array; into a
+    # fresh array and in place, bit for bit alike and alike the unsplit
+    # transform
+    x = np.random.Generator(np.random.Philox(8)).standard_normal(shape)
+    keep = x.copy()
+    for axis in range(x.ndim):
+        monkeypatch.setattr(spectral, "_SLAB", lines * 2 * (shape[axis] - 1))
+        fresh = np.full(shape, np.nan)
+        assert spectral._dct1(x, axis, fresh) is fresh
+        np.testing.assert_array_equal(x, keep)
+        inplace = x.copy()
+        assert spectral._dct1(inplace, axis, inplace) is inplace
+        np.testing.assert_array_equal(inplace, fresh)
+        np.testing.assert_array_equal(fresh, _whole_dct1(x, axis))
+        np.testing.assert_allclose(fresh, _dense_dct1(x, axis), rtol=0.0,
+                                   atol=1e-12 * np.abs(x).max())
+
+
+def test_dct1_writes_through_a_strided_view_in_place(monkeypatch):
+    # as `normest` hands it runs of a block: the view's entries change and
+    # nothing else does
+    monkeypatch.setattr(spectral, "_SLAB", 3 * 2 * 4)
+    big = np.random.Generator(np.random.Philox(9)).standard_normal((4, 11, 5))
+    view = big[:, 1::2]
+    want = big.copy()
+    want[:, 1::2] = _dense_dct1(view, 2)
+    spectral._dct1(view, 2, view)
+    np.testing.assert_allclose(big, want, rtol=0.0,
+                               atol=1e-12 * np.abs(want).max())
+    np.testing.assert_array_equal(big[:, ::2], want[:, ::2])
 
 
 # ---------------------------------------------------------------------------
