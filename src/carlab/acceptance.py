@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -452,6 +451,18 @@ def ring_fit(d: int, k: int, eps: float, seed: int = 0) -> SlopeCheck:
                       RING_TOL, tuple(e.upper for e in ests))
 
 
+def fan_out(fn: Callable[..., Any], *iterables: Iterable[Any],
+            threads: int) -> list[Any]:
+    """``list(map(fn, *iterables))``, on ``threads`` pool workers above 1.
+    At 1 it runs on the calling thread: no worker thread, whose own malloc
+    arena would hold its arrays, and no import of the pool machinery."""
+    if threads == 1:
+        return list(map(fn, *iterables))
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, *iterables))
+
+
 def abs_mtilde(d: int, k: int, t: float, scales: Sequence[float],
                radii: Sequence[np.ndarray], threads: int) -> list[list[float]]:
     """|m~| at time t at each scale's radii, on ``threads`` workers."""
@@ -460,8 +471,7 @@ def abs_mtilde(d: int, k: int, t: float, scales: Sequence[float],
     def one(eps: float, ys: np.ndarray) -> list[float]:
         return [abs(mtilde_radial(d, k, eps, spec, float(y), t)) for y in ys]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, scales, radii))
+    return fan_out(one, scales, radii, threads=threads)
 
 
 class ResonantScan(NamedTuple):

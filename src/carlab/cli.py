@@ -21,7 +21,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Sequence
@@ -408,8 +407,8 @@ def _run_accept(cfg: ExperimentConfig,
         else [s.strip() for s in cfg.params["suites"].split(",")]
     # every id is checked before any criterion runs
     acceptance.check_criterion_ids(chosen)
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(acceptance.run_criterion, chosen))
+    return acceptance.fan_out(acceptance.run_criterion, chosen,
+                              threads=cfg.threads)
 
 
 _HANDLERS: dict[str, Callable[[ExperimentConfig, np.random.Generator],

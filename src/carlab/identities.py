@@ -407,8 +407,11 @@ def eval_field_at_points(field: GridField,
     return out * scale
 
 
-#: radii per quadrature batch of `radial_fractional_at`
-_ORACLE_RADII = 64
+#: radii per quadrature batch of `radial_fractional_at`.  On A4's 415
+#: distinct s = 1.25 radii, 40 and 48 tie for the least time (about 0.17 s
+#: a call; 16 takes 0.21 s, 64 0.18 s), and the traced peak grows with the
+#: batch (5.8 MB at 40, 9.2 MB at 64), so the smaller of the two
+_ORACLE_RADII = 40
 
 
 def _oracle_order(d: int, s: float) -> tuple[int, float]:
@@ -651,8 +654,8 @@ def verify_kelvin(u: CutoffSpec, s: float,
     s = 1 that is the exact radial Laplacian ``-(u'' + (d-1) u'/r)`` from
     the profile's derivatives.  Otherwise it is one call of the real-space
     oracle `radial_fractional_at` at its default relative tolerance 1e-9:
-    a 1e-12 run moves A4's two relative errors at s = 1.25 by 5.6e-12 (n =
-    64) and 4.2e-10 (n = 128) of themselves.
+    a 1e-12 run moves A4's two relative errors at s = 1.25 by 8.1e-12 (n =
+    64) and 4.5e-10 (n = 128) of themselves.
     Either way the right side never touches a Fourier transform, so this is
     a genuine two-route comparison, reported in relative L^2 (``inf`` when
     the right side vanishes and the left does not).

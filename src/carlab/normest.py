@@ -78,7 +78,9 @@ class NormEstimate:
     quotient of every iterate (concatenated across restarts), so monotonicity
     of the running maximum can be audited.  ``aborted`` flags a run cut short
     by a non-finite iterate; the bound reported is still valid.  The norm
-    lies in ``[value, upper]`` (`estimate_operator_norm` sets ``upper``).
+    lies in ``[value, upper]``; `estimate_operator_norm` sets ``upper`` and
+    the exact endpoint norms ``two_to_two`` (``||T||_{2 -> 2}``) and
+    ``two_to_inf`` (``||T||_{2 -> inf}``) it is formed from.
     """
 
     value: float
@@ -86,6 +88,8 @@ class NormEstimate:
     history: tuple[float, ...]
     aborted: bool = False
     upper: float = math.inf
+    two_to_two: float = math.inf
+    two_to_inf: float = math.inf
 
 
 def _check_norm(shape: tuple[int, ...], p: float, q: float) -> None:
@@ -512,7 +516,8 @@ def estimate_operator_norm(grid: Grid, symbol: SymbolSpec, p: float,
     upper = top * volume ** (1.0 / q - 0.5) if q < 2.0 \
         else top ** (2.0 / q) * energy ** (0.5 - 1.0 / q)
     return NormEstimate(value=best.value, iterations=total_iter,
-                        history=tuple(hist), aborted=aborted, upper=upper)
+                        history=tuple(hist), aborted=aborted, upper=upper,
+                        two_to_two=top, two_to_inf=math.sqrt(energy))
 
 
 # --- scaling fits ---------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Config round-trips, report plumbing, CSV contracts, exit codes."""
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -224,6 +228,47 @@ def test_lowerbound_csv_contract(tmp_path):
     first = lines[2].split(",")
     assert float(first[0]) == 2.0 ** -4
     assert first[5] in ("0", "1")
+
+
+def test_one_thread_runs_start_no_thread_and_import_no_pool(tmp_path):
+    # a pool worker holds its arrays in a malloc arena of its own, and the
+    # pool's import alone costs about 0.7 MB; so at threads 1 `lowerbound`
+    # and `accept` run on the calling thread, and at threads 2 the pool
+    # changes no number
+    script = ("import json, sys, threading\n"
+              "from carlab.cli import ExperimentConfig, run\n"
+              "started = []\n"
+              "start = threading.Thread.start\n"
+              "def counted(self):\n"
+              "    started.append(self)\n"
+              "    start(self)\n"
+              "threading.Thread.start = counted\n"
+              "for threads in (1, 2):\n"
+              "    common = {'out_dir': sys.argv[1], 'threads': threads}\n"
+              "    lb = run(ExperimentConfig.from_mapping(\n"
+              "        {'experiment': 'lowerbound', 'd': 5, 'k': 2,\n"
+              "         'eps': '2^-4..2^-5', 'out': f'lb{threads}.csv',\n"
+              "         **common}))\n"
+              "    acc = run(ExperimentConfig.from_mapping(\n"
+              "        {'experiment': 'accept', 'suites': 'A1,A6', **common}))\n"
+              "    print(len(started), 'concurrent.futures' in sys.modules)\n"
+              "    print(json.dumps([[v.id, v.status, v.detail, v.measures]\n"
+              "                      for v in lb.verdicts + acc.verdicts]))\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    one, verdicts_one, two, verdicts_two = out.splitlines()
+    assert one.split() == ["0", "False"]
+    assert two.split()[1] == "True" and int(two.split()[0]) > 0
+    verdicts = [json.loads(verdicts_one), json.loads(verdicts_two)]
+    for v in (v for vs in verdicts for v in vs):
+        v[3].pop("seconds", None)
+    assert verdicts[0] == verdicts[1]
+    assert [v[0] for v in verdicts[0]] == ["lowerbound-band", "A1", "A6"]
+    rows = [(tmp_path / f"lb{t}.csv").read_bytes().split(b"\n")[1:]
+            for t in (1, 2)]
+    assert rows[0] == rows[1] and len(rows[0]) > 2
 
 
 def test_lowerbound_names_scales_without_resonant_samples(tmp_path,

@@ -688,11 +688,11 @@ def test_radial_oracle_matches_the_gaussian_closed_form():
 
 def test_radial_oracle_gives_a_radius_alone_what_it_gives_in_a_batch():
     # each radius meets the tolerance on the panels its batch shares, so
-    # alone and among 63 others it lands within 2 rel_tol of the scale
+    # alone and among a full batch it lands within 2 rel_tol of the scale
     u = inversion_bump(1.25)
     r = np.sort(RNG.uniform(0.4, 2.5, identities._ORACLE_RADII))
     batch = radial_fractional_at(u, u.support, 3, 1.25, r)
-    for i in (0, 17, 40, r.size - 1):
+    for i in (0, 17, r.size // 2, r.size - 1):
         alone = radial_fractional_at(u, u.support, 3, 1.25, r[i:i + 1])
         assert abs(alone[0] - batch[i]) <= 2e-9 * np.abs(batch).max(), i
 

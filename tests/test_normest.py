@@ -348,6 +348,8 @@ def test_the_upper_bound_interpolates_the_dense_endpoint_norms(q):
     est = estimate_operator_norm(grid, spec, 2.0, q, n_random=0, max_iter=2)
     want = to_two ** (2.0 / q) * to_inf ** (1.0 - 2.0 / q)
     assert est.upper == pytest.approx(want, rel=1e-10, abs=0)
+    assert est.two_to_two == pytest.approx(to_two, rel=1e-10, abs=0)
+    assert est.two_to_inf == pytest.approx(to_inf, rel=1e-10, abs=0)
 
 
 def test_bad_exponents_are_refused_before_any_sampling(monkeypatch):
